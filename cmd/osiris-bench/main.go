@@ -119,8 +119,11 @@ func selected(jobs []parexp.Job) []parexp.Job {
 // failures to stderr in canonical order, and returns the results
 // (canonical order, names preserved). Renderers look results up by job
 // name, so filtered-out jobs simply leave gaps.
-func runJobs(jobs []parexp.Job) []parexp.Result {
-	results := parexp.Run(workers(), jobs)
+func runJobs(jobs []parexp.Job) []parexp.Result { return runJobsOn(workers(), jobs) }
+
+// runJobsOn is runJobs on a pool of n workers instead of -workers.
+func runJobsOn(n int, jobs []parexp.Job) []parexp.Result {
+	results := parexp.Run(n, jobs)
 	for _, r := range results {
 		if r.Err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", r.Name, r.Err)

@@ -50,8 +50,10 @@ type simBenchResult struct {
 // report is supplied with -benchbaseline.
 type simBenchReport struct {
 	reportHeader
-	Baseline []simBenchResult `json:"baseline,omitempty"`
-	Results  []simBenchResult `json:"results"`
+	NumCPU     int              `json:"num_cpu"`
+	GoMaxProcs int              `json:"gomaxprocs"`
+	Baseline   []simBenchResult `json:"baseline,omitempty"`
+	Results    []simBenchResult `json:"results"`
 }
 
 // bestResults runs every workload -benchreps times (a fresh system each
@@ -61,10 +63,11 @@ type simBenchReport struct {
 // varies and the Check map is taken from the first surviving rep.
 // Workloads whose reps were all filtered out by -run are omitted.
 //
-// Wall-clock and allocation figures are clean at -workers=1 (the
-// measurement discipline the committed BENCH_simcore.json uses);
-// parallel workers co-run repetitions, which inflates both, so parallel
-// simbench is for smoke coverage, not for quotable numbers.
+// The repetitions always run one at a time, whatever -workers says:
+// measure reads the wall clock and the process-global
+// MemStats.Mallocs, so a repetition running beside another would share
+// its CPUs and count its allocations, and allocs/cell would grow with
+// GOMAXPROCS.
 func bestResults(workloads []struct {
 	name string
 	fn   func() simBenchResult
@@ -83,7 +86,7 @@ func bestResults(workloads []struct {
 			})
 		}
 	}
-	results := runJobs(selected(jobs))
+	results := runJobsOn(1, selected(jobs))
 	var out []simBenchResult
 	for _, w := range workloads {
 		var best *simBenchResult
@@ -237,6 +240,8 @@ func runSimBench() {
 
 	report := simBenchReport{
 		reportHeader: newReportHeader("osiris-simbench/1"),
+		NumCPU:       runtime.NumCPU(),
+		GoMaxProcs:   runtime.GOMAXPROCS(0),
 		Results: bestResults([]struct {
 			name string
 			fn   func() simBenchResult

@@ -193,47 +193,76 @@ func (h *Host) WirePages(p *sim.Proc, n int, slow bool) {
 // is already pending is a no-op, matching the OSIRIS receive-side
 // "interrupt only on empty→non-empty transition" discipline (§2.1.2).
 type IntController struct {
-	host     *Host
-	handlers map[int]func(p *sim.Proc)
-	pending  map[int]bool
-	counts   map[int]int64
+	host  *Host
+	lines map[int]*irqLine
+}
+
+// irqLine is one interrupt line's state. Its service body is built once,
+// when the line is first used, so dispatching an interrupt spawns a proc
+// without allocating a closure.
+type irqLine struct {
+	host    *Host
+	handler func(p *sim.Proc)
+	pending bool
+	count   int64
+	body    func(p *sim.Proc)
 }
 
 func newIntController(h *Host) *IntController {
-	return &IntController{
-		host:     h,
-		handlers: make(map[int]func(p *sim.Proc)),
-		pending:  make(map[int]bool),
-		counts:   make(map[int]int64),
+	return &IntController{host: h, lines: make(map[int]*irqLine)}
+}
+
+// line returns the state for an interrupt line, creating it on first use.
+func (ic *IntController) line(n int) *irqLine {
+	l := ic.lines[n]
+	if l == nil {
+		l = &irqLine{host: ic.host}
+		l.body = l.service
+		ic.lines[n] = l
+	}
+	return l
+}
+
+// service charges the kernel's interrupt service cost on the host CPU,
+// re-arms the line, and runs the handler.
+func (l *irqLine) service(p *sim.Proc) {
+	l.host.Compute(p, l.host.Prof.InterruptCost)
+	l.pending = false
+	if l.handler != nil {
+		l.handler(p)
 	}
 }
 
 // Handle registers the handler for an interrupt line. The handler runs
 // in proc context after the interrupt service overhead has been charged.
 func (ic *IntController) Handle(line int, fn func(p *sim.Proc)) {
-	ic.handlers[line] = fn
+	ic.line(line).handler = fn
 }
 
 // Assert raises an interrupt line. Safe to call from event context (the
 // board's side). The kernel's interrupt service cost is charged on the
 // host CPU before the handler body runs.
 func (ic *IntController) Assert(line int) {
-	if ic.pending[line] {
+	l := ic.line(line)
+	if l.pending {
 		return
 	}
-	ic.pending[line] = true
-	ic.counts[line]++
-	ic.host.Eng.Go("irq", func(p *sim.Proc) {
-		ic.host.Compute(p, ic.host.Prof.InterruptCost)
-		ic.pending[line] = false
-		if fn := ic.handlers[line]; fn != nil {
-			fn(p)
-		}
-	})
+	l.pending = true
+	l.count++
+	ic.host.Eng.Go("irq", l.body)
 }
 
 // Count returns how many times the line was asserted (not coalesced).
-func (ic *IntController) Count(line int) int64 { return ic.counts[line] }
+func (ic *IntController) Count(line int) int64 {
+	if l := ic.lines[line]; l != nil {
+		return l.count
+	}
+	return 0
+}
 
 // ResetCounts zeroes the per-line assertion counters.
-func (ic *IntController) ResetCounts() { ic.counts = make(map[int]int64) }
+func (ic *IntController) ResetCounts() {
+	for _, l := range ic.lines {
+		l.count = 0
+	}
+}

@@ -293,3 +293,26 @@ func TestChecksumDetectsChangeQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Dispatching an interrupt reuses the line's prebuilt service body and a
+// pooled proc coroutine, so the whole assert-and-service round costs at
+// most the one Proc allocation.
+func TestInterruptDispatchAllocs(t *testing.T) {
+	e := sim.NewEngine(1)
+	defer e.Shutdown()
+	h := New(e, DEC5000_200(), 64)
+	runs := 0
+	h.Int.Handle(4, func(p *sim.Proc) { runs++ })
+	h.Int.Assert(4)
+	e.Run() // warm-up: builds the line and the worker coroutine
+	allocs := testing.AllocsPerRun(1000, func() {
+		h.Int.Assert(4)
+		e.Run()
+	})
+	if allocs > 1 {
+		t.Errorf("Assert+service = %.1f allocs, want ≤1", allocs)
+	}
+	if runs != 1002 {
+		t.Errorf("handler ran %d times, want 1002", runs)
+	}
+}

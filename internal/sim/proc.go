@@ -1,18 +1,16 @@
+// iter.Pull (runtime coroutines) is stdlib from Go 1.23, while the
+// module's go directive stays at 1.22 so the benchmark module that
+// pins 1.22 keeps building against it; this constraint raises the
+// language version for this file alone.
+
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"time"
-)
-
-type procState int
-
-const (
-	procNew procState = iota
-	procBlocked
-	procRunnable
-	procRunning
-	procDone
 )
 
 // killedError is the panic value used to unwind a Proc when the engine
@@ -21,19 +19,30 @@ type killedError struct{ name string }
 
 func (k killedError) Error() string { return "sim: proc " + k.name + " killed at shutdown" }
 
-// Proc is a simulated sequential process. Its body runs on a dedicated
-// goroutine, but the engine enforces strict handoff: the body executes
-// only while the engine is blocked waiting for it to yield (by sleeping,
-// waiting on a Cond, or returning), so at most one proc runs at a time
-// and execution order is fully determined by the event queue.
+// Proc is a simulated sequential process. Its body runs on a runtime
+// coroutine (iter.Pull), not on a goroutine the Go scheduler
+// interleaves: the engine switches into the body directly and the body
+// switches straight back when it sleeps, waits on a Cond, or returns.
+// So at most one proc runs at a time, on the engine's own thread of
+// control, and execution order is fully determined by the event queue.
 type Proc struct {
 	eng      *Engine
 	name     string
-	resumeCh chan struct{}
-	yieldCh  chan struct{}
-	state    procState
-	killed   bool
+	fn       func(p *Proc)
+	w        *worker // coroutine running the body; nil once done
+	done     bool
 	panicVal any // non-nil if the body panicked; re-raised on the engine goroutine
+}
+
+// worker is a pooled coroutine that runs proc bodies one after another.
+// Between bodies it parks at a yield in loop; binding a new proc and
+// calling next starts that proc's body without creating a coroutine, so
+// a short-lived proc (an interrupt handler) costs one Proc allocation.
+type worker struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	p     *Proc // proc currently bound; nil while idle
 }
 
 // Go spawns a simulated process whose body is fn. The body starts at the
@@ -41,14 +50,18 @@ type Proc struct {
 // other event). The returned Proc may be passed to blocking primitives
 // only from within fn itself.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:      e,
-		name:     name,
-		resumeCh: make(chan struct{}),
-		yieldCh:  make(chan struct{}),
+	p := &Proc{eng: e, name: name, fn: fn}
+	var w *worker
+	if n := len(e.idle); n > 0 {
+		w = e.idle[n-1]
+		e.idle = e.idle[:n-1]
+	} else {
+		w = &worker{}
+		w.next, w.stop = iter.Pull(w.loop)
+		e.workers = append(e.workers, w)
 	}
-	e.procs = append(e.procs, p)
-	go p.run(fn)
+	w.p = p
+	p.w = w
 	e.AtCall(e.now, resumeProc, p)
 	return p
 }
@@ -59,23 +72,36 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 // wakeup with AtCall(t, resumeProc, p) allocates nothing.
 func resumeProc(a any) { a.(*Proc).resume() }
 
-func (p *Proc) run(fn func(p *Proc)) {
-	<-p.resumeCh // wait for the start event
+// loop is the worker's coroutine body: run the bound proc, then park
+// until the engine binds the next one. It returns when stop is called,
+// which makes yield report false.
+func (w *worker) loop(yield func(struct{}) bool) {
+	w.yield = yield
+	for {
+		w.p.run()
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// run executes the body to completion. A panic is stashed for resume to
+// re-raise on the engine goroutine, so the failure surfaces in the
+// caller's stack and the worker survives to run the next body. A
+// runtime.Goexit in the body (t.FailNow) cannot be stopped: iter.Pull
+// propagates it to the goroutine driving the engine, and the worker
+// dies with it.
+func (p *Proc) run() {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(killedError); !ok {
-				// Stash the panic; resume() re-raises it on the engine's
-				// goroutine so the failure surfaces in the caller's stack
-				// rather than aborting the process from a detached
-				// goroutine.
 				p.panicVal = r
 			}
 		}
-		p.state = procDone
-		p.yieldCh <- struct{}{}
+		p.done = true
+		p.fn = nil
 	}()
-	p.state = procRunning
-	fn(p)
+	p.fn(p)
 }
 
 // Name returns the name given to Go.
@@ -87,15 +113,19 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
 
-// resume hands control to the proc and waits until it yields or finishes.
-// Called only from engine context (event callbacks).
+// resume switches into the proc and returns when it yields or finishes;
+// a finished proc's worker goes back to the engine's idle pool. Called
+// only from engine context (event callbacks).
 func (p *Proc) resume() {
-	if p.state == procDone {
+	if p.done {
 		return
 	}
-	p.state = procRunning
-	p.resumeCh <- struct{}{}
-	<-p.yieldCh
+	w := p.w
+	w.next()
+	if p.done {
+		p.w, w.p = nil, nil
+		p.eng.idle = append(p.eng.idle, w)
+	}
 	if p.panicVal != nil {
 		v := p.panicVal
 		p.panicVal = nil
@@ -103,16 +133,15 @@ func (p *Proc) resume() {
 	}
 }
 
-// block yields control back to the engine and waits to be resumed.
-// Called only from proc context.
+// block switches back to the engine and returns when the proc is
+// resumed. Once the engine has shut down, every block panics with
+// killedError, so a killed body unwinds through its deferred calls and
+// a deferred call that blocks is cut short at that point. Called only
+// from proc context.
 func (p *Proc) block() {
-	p.state = procBlocked
-	p.yieldCh <- struct{}{}
-	<-p.resumeCh
-	if p.killed {
+	if !p.w.yield(struct{}{}) {
 		panic(killedError{p.name})
 	}
-	p.state = procRunning
 }
 
 // Sleep suspends the proc for d of virtual time.
@@ -121,7 +150,7 @@ func (p *Proc) block() {
 // at the current instant runs before Sleep returns. When no such event
 // exists (and no Stop is pending), the proc's wakeup would be the very
 // next event executed, so Sleep returns immediately instead of paying
-// the event and goroutine round-trip — the simulated behaviour is
+// the event and the coroutine switch — the simulated behaviour is
 // identical either way.
 func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
@@ -154,4 +183,4 @@ func (p *Proc) SleepUntil(t Time) {
 }
 
 // Done reports whether the proc body has returned.
-func (p *Proc) Done() bool { return p.state == procDone }
+func (p *Proc) Done() bool { return p.done }

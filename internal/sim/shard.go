@@ -28,6 +28,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -172,8 +173,8 @@ func sortStrings(s []string) {
 
 // shardWorker is one shard's persistent executor goroutine. Workers
 // exist so a window costs two channel operations per active shard, not
-// a goroutine spawn; they also give each engine a fixed goroutine,
-// which keeps the engine's strict proc handoff single-threaded.
+// a goroutine spawn; they also give each engine a fixed goroutine, so
+// an engine and its proc coroutines run on one goroutine at a time.
 type shardWorker struct {
 	eng  *Engine
 	work chan Time // window limit; closed at shutdown
@@ -182,18 +183,31 @@ type shardWorker struct {
 
 func (w *shardWorker) loop() {
 	for limit := range w.work {
-		w.done <- w.runWindow(limit)
+		w.runWindow(limit)
 	}
 }
 
-// runWindow executes one window, converting a panic (a simulation bug
-// or a proc panic re-raised on the engine goroutine) into a value the
-// coordinator re-panics with, so failures surface on the caller's
-// stack like they do in a serial run.
-func (w *shardWorker) runWindow(limit Time) (recovered any) {
-	defer func() { recovered = recover() }()
+// goexitFailure reports that a proc body called runtime.Goexit on a
+// shard worker; the coordinator repeats the Goexit on its own goroutine.
+type goexitFailure struct{}
+
+// runWindow executes one window and reports its outcome on done. A
+// panic (a simulation bug or a proc panic re-raised on the engine
+// goroutine) becomes a value the coordinator re-panics with, so
+// failures surface on the caller's stack like they do in a serial run.
+// A runtime.Goexit from a proc body (t.FailNow) ends this worker; it is
+// reported as goexitFailure so the coordinator exits the same way.
+func (w *shardWorker) runWindow(limit Time) {
+	finished := false
+	defer func() {
+		r := recover()
+		if r == nil && !finished {
+			r = goexitFailure{}
+		}
+		w.done <- r
+	}()
 	w.eng.runTo(limit)
-	return nil
+	finished = true
 }
 
 // startWorkers spawns the per-shard executors on first use.
@@ -267,6 +281,9 @@ func (g *ShardGroup) run(horizon Time) Time {
 			}
 		}
 		g.stats.BarrierStallNS += time.Since(waitStart).Nanoseconds()
+		if failure == (goexitFailure{}) {
+			runtime.Goexit()
+		}
 		if failure != nil {
 			panic(failure)
 		}

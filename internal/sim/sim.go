@@ -3,9 +3,9 @@
 // The engine maintains a virtual clock and an event queue ordered by
 // (time, insertion sequence). Sequential activities — the OSIRIS board's
 // on-board processors, host interrupt handlers, driver threads — run as
-// Procs: goroutines that execute in strict handoff with the engine, so
-// exactly one of them is runnable at any instant and every run of a
-// simulation is bit-for-bit reproducible.
+// Procs: runtime coroutines the engine switches into and out of
+// directly, so exactly one of them runs at any instant and every run of
+// a simulation is bit-for-bit reproducible.
 //
 // The event queue is allocation-free in steady state: fired and
 // cancelled events return their storage to an engine-owned free list,
@@ -103,7 +103,10 @@ type Engine struct {
 	seq      uint64
 	pq       []*eventNode
 	freeList *eventNode
-	procs    []*Proc
+	// workers holds every live proc coroutine; idle is the subset parked
+	// between bodies, reused by Go before a new coroutine is made.
+	workers  []*worker
+	idle     []*worker
 	rng      *rand.Rand
 	fired    uint64
 	stopped  bool
@@ -533,20 +536,20 @@ func (e *Engine) Pending() int { return len(e.pq) }
 // events/sec measurements.
 func (e *Engine) Events() uint64 { return e.fired }
 
-// Shutdown terminates all live Procs so their goroutines exit. The engine
-// must not be running. After Shutdown the engine can still schedule plain
-// events but all procs are gone. It is safe to call multiple times.
+// Shutdown terminates all live Procs and their coroutines. A blocked
+// proc is unwound through its deferred calls; a proc that never started
+// never runs its body. The engine must not be running. After Shutdown
+// the engine can still schedule plain events but all procs are gone. It
+// is safe to call multiple times.
 func (e *Engine) Shutdown() {
 	if e.running {
 		panic("sim: Shutdown during Run")
 	}
-	for _, p := range e.procs {
-		if p.state == procDone {
-			continue
+	for _, w := range e.workers {
+		w.stop()
+		if w.p != nil {
+			w.p.done = true // already set unless the proc never started
 		}
-		p.killed = true
-		p.resumeCh <- struct{}{}
-		<-p.yieldCh
 	}
-	e.procs = nil
+	e.workers, e.idle = nil, nil
 }
