@@ -42,7 +42,7 @@ var (
 	flagStrategy  = flag.String("strategy", "four-aal5", "reassembly strategy: four-aal5 | seqnum | arrival-order")
 	flagSeed      = flag.Int64("seed", 1, "simulation seed")
 	flagTrace     = flag.String("trace", "", "write the run's timeline as Chrome trace-event JSON to this file (load in Perfetto or chrome://tracing)")
-	flagTraceCats = flag.String("tracecats", "", "print textual trace events (comma-separated categories: cell,pdu,irq,drop,proto,drv; 'all' for everything)")
+	flagTraceCats = flag.String("tracecats", "", "print textual trace events (comma-separated categories: cell,pdu,irq,drop,proto,drv,q; 'all' for everything)")
 	flagTraceN    = flag.Int("trace-limit", 200, "max textual trace events to print (most recent)")
 )
 
@@ -55,14 +55,7 @@ func main() {
 	}
 
 	arm := func(tb *core.Testbed) *core.Testbed {
-		if *flagTraceCats != "" {
-			currentRecorder = trace.NewRecorder(*flagTraceN)
-			if *flagTraceCats != "all" {
-				currentRecorder.Filter(strings.Split(*flagTraceCats, ",")...)
-			}
-			tb.Eng.SetTracer(currentRecorder.Hook())
-		}
-		if *flagTrace != "" {
+		if *flagTraceCats != "" || *flagTrace != "" {
 			currentTimeline = trace.NewTimeline()
 			currentTimeline.Attach(tb.Eng, "testbed")
 		}
@@ -101,9 +94,6 @@ func main() {
 		os.Exit(2)
 	}
 }
-
-// currentRecorder holds the armed textual trace recorder, if any.
-var currentRecorder *trace.Recorder
 
 // currentTimeline holds the armed typed-event timeline, if any.
 var currentTimeline *trace.Timeline
@@ -177,11 +167,16 @@ func buildOptions() (core.Options, error) {
 
 func report(tb *core.Testbed) {
 	defer tb.Shutdown()
-	if rec := currentRecorder; rec != nil {
-		fmt.Printf("\n--- trace (last %d events; %d categories) ---\n", rec.Len(), len(rec.Counts()))
-		rec.Dump(os.Stdout)
+	tl := currentTimeline
+	if *flagTraceCats != "" {
+		var cats []string
+		if *flagTraceCats != "all" {
+			cats = strings.Split(*flagTraceCats, ",")
+		}
+		fmt.Printf("\n--- trace (categories %s, at most %d events) ---\n", *flagTraceCats, *flagTraceN)
+		fail(tl.WriteText(os.Stdout, cats, *flagTraceN))
 	}
-	if tl := currentTimeline; tl != nil {
+	if *flagTrace != "" {
 		f, err := os.Create(*flagTrace)
 		fail(err)
 		fail(tl.WriteChrome(f))

@@ -59,11 +59,13 @@ func (s QueueingSkew) Delay(_ int, rng *rand.Rand) time.Duration {
 	return time.Duration(rng.Int63n(int64(s.Max) + 1))
 }
 
+// linkFIFODepth is a link's transmit-side FIFO depth in cells.
+const linkFIFODepth = 4
+
 // LinkConfig configures one physical link.
 type LinkConfig struct {
 	RateBps   int64         // line rate (default DefaultLinkRate)
 	PropDelay time.Duration // propagation delay (default 1µs)
-	FIFODepth int           // transmit-side FIFO cells (default 4)
 	Index     int           // link index within its stripe group
 	Skew      SkewModel     // nil means NoSkew
 	// LossRate is the probability that a cell is lost in the network
@@ -214,9 +216,6 @@ func NewLink(e *sim.Engine, cfg LinkConfig) *Link {
 	if cfg.PropDelay == 0 {
 		cfg.PropDelay = time.Microsecond
 	}
-	if cfg.FIFODepth == 0 {
-		cfg.FIFODepth = 4
-	}
 	if cfg.Skew == nil {
 		cfg.Skew = NoSkew{}
 	}
@@ -231,11 +230,11 @@ func NewLink(e *sim.Engine, cfg LinkConfig) *Link {
 	}
 	if cfg.deterministic() {
 		l.det = true
-		l.train = make([]linkCell, cfg.FIFODepth+4)
+		l.train = make([]linkCell, linkFIFODepth+4)
 		l.notFull = sim.NewCond(e)
 		return l
 	}
-	l.queue = sim.NewChan[Cell](e, cfg.FIFODepth)
+	l.queue = sim.NewChan[Cell](e, linkFIFODepth)
 	e.Go("link-pacer", l.pace)
 	return l
 }
@@ -265,7 +264,7 @@ func (l *Link) Send(p *sim.Proc, c Cell) {
 		// prune the slots that have already freed instead.
 		l.purgeServed(l.eng.Now())
 	}
-	for l.queued(l.eng.Now()) >= l.cfg.FIFODepth {
+	for l.queued(l.eng.Now()) >= linkFIFODepth {
 		l.armSlotWake()
 		l.notFull.Wait(p)
 	}
@@ -387,7 +386,8 @@ func (l *Link) SendScheduled(t sim.Time, c Cell) sim.Time {
 // transmit FIFO has a free slot — the instant a sender arriving at t
 // would come out of the Send blocking loop. Serialization starts are
 // strictly increasing along the train, so if the FIFO is full at t the
-// answer is the start instant of the FIFODepth-th entry from the tail.
+// answer is the start instant of the linkFIFODepth-th entry from the
+// tail.
 func (l *Link) slotFree(t sim.Time) sim.Time {
 	n := 0
 	for i := l.count - 1; i >= 0; i-- {
@@ -395,7 +395,7 @@ func (l *Link) slotFree(t sim.Time) sim.Time {
 			break
 		}
 		n++
-		if n >= l.cfg.FIFODepth {
+		if n >= linkFIFODepth {
 			return l.at(i).serStart
 		}
 	}

@@ -193,7 +193,7 @@ func (pt *SwitchPort) drain(p *sim.Proc) {
 			pt.mQDelay.Observe((pt.eng.Now() - lc.enq).Microseconds())
 		}
 		if pt.eng.Recording() {
-			pt.eng.Emit(sim.TraceEvent{At: pt.eng.Now(), Ph: 'C', Comp: pt.comp, Cat: "q", Name: "queue", Arg: int64(pt.queue.Len())})
+			pt.eng.Emit(sim.TraceEvent{At: pt.eng.Now(), Ph: 'C', Comp: pt.comp, Cat: sim.CatQueue, Name: "queue", Arg: int64(pt.queue.Len())})
 		}
 		pt.out.Link(lc.lane).Send(p, lc.c)
 		pt.stats.Forwarded++
@@ -411,8 +411,8 @@ func (sw *Switch) forward(inPort int, c Cell, lane int) {
 	}
 	if !ok {
 		ip.stats.NoRoute++
-		if sw.eng.Tracing() {
-			sw.eng.Tracef("drop: switch no route vci=%d in-port=%d", c.VCI, inPort)
+		if sw.eng.Recording() {
+			sw.eng.Emit(sim.TraceEvent{At: sw.eng.Now(), Ph: 'i', Comp: ip.comp, Cat: sim.CatDrop, Name: "no-route", Arg: int64(c.VCI)})
 		}
 		return
 	}
@@ -463,11 +463,8 @@ func (sw *Switch) enqueue(op *SwitchPort, lc laneCell) {
 	}
 	if !op.queue.TrySend(lc) {
 		op.stats.Dropped++
-		if sw.eng.Tracing() {
-			sw.eng.Tracef("drop: switch port %d queue overflow vci=%d", op.index, lc.c.VCI)
-		}
 		if sw.eng.Recording() {
-			sw.eng.Emit(sim.TraceEvent{At: sw.eng.Now(), Ph: 'i', Comp: op.comp, Cat: "drop", Name: "queue-overflow", Arg: int64(lc.c.VCI)})
+			sw.eng.Emit(sim.TraceEvent{At: sw.eng.Now(), Ph: 'i', Comp: op.comp, Cat: sim.CatDrop, Name: "queue-overflow", Arg: int64(lc.c.VCI)})
 		}
 		return
 	}
@@ -478,19 +475,19 @@ func (sw *Switch) enqueue(op *SwitchPort, lc laneCell) {
 		op.stats.HighWater = n
 	}
 	if sw.eng.Recording() {
-		sw.eng.Emit(sim.TraceEvent{At: sw.eng.Now(), Ph: 'C', Comp: op.comp, Cat: "q", Name: "queue", Arg: int64(op.queue.Len())})
+		sw.eng.Emit(sim.TraceEvent{At: sw.eng.Now(), Ph: 'C', Comp: op.comp, Cat: sim.CatQueue, Name: "queue", Arg: int64(op.queue.Len())})
 	}
 }
 
 // latchMode decides, once per port, whether cells routed to this port
 // take the train-forwarding fast path or the per-cell queue machine.
 // Anything that observes or perturbs cells one at a time — an
-// output-side fault injector, debug tracing, trace recording, or an
-// egress link that draws randomness per cell — forces per-cell mode;
-// so does the explicit PerCellFabric knob.
+// output-side fault injector, trace recording, or an egress link that
+// draws randomness per cell — forces per-cell mode; so does the
+// explicit PerCellFabric knob.
 func (pt *SwitchPort) latchMode(forcePerCell bool) {
 	pt.vMode = vModePerCell
-	if forcePerCell || pt.inj != nil || pt.eng.Tracing() || pt.eng.Recording() {
+	if forcePerCell || pt.inj != nil || pt.eng.Recording() {
 		return
 	}
 	for _, l := range pt.out.links {
@@ -526,8 +523,8 @@ func (sw *Switch) trainForward(op *SwitchPort, c Cell, lane int) {
 	occ := op.vqLen - op.vqPop
 	if occ >= sw.cfg.QueueCells {
 		op.stats.Dropped++
-		// Tracing/Recording are off in train mode (latch condition), so
-		// the per-cell drop path's trace emissions have no counterpart.
+		// Recording is off in train mode (latch condition), so the
+		// per-cell drop path's trace emission has no counterpart.
 		return
 	}
 	if t := sw.cfg.MarkThreshold; t > 0 && occ >= t {

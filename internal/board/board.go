@@ -124,6 +124,20 @@ const (
 // NumChannels is the number of queue pages per direction (§3.2).
 const NumChannels = dpm.PagesPerHalf
 
+// Fixed firmware parameters.
+const (
+	// freeRingSlots is the free-buffer ring length, the paper's queue
+	// length (§2.3).
+	freeRingSlots = 64
+	// cellOverheadRx prices the receive processor's per-cell firmware
+	// work, calibrated so reassembly runs at "approximately OC-12
+	// speeds in software" (§5).
+	cellOverheadRx = 600 * time.Nanosecond
+	// pollDelay models the latency for a polling on-board processor to
+	// notice new work in the dual-port memory.
+	pollDelay = 200 * time.Nanosecond
+)
+
 // Config configures a board's firmware policies.
 type Config struct {
 	Name     string
@@ -133,24 +147,16 @@ type Config struct {
 
 	// Ring slot counts (defaults 64, the paper's queue length, §2.3).
 	TxRingSlots   int
-	FreeRingSlots int
 	RecvRingSlots int
 
 	// RxFIFOCells is the on-board cell FIFO depth (default 64). Overflow
 	// drops cells, modelling inadequate buffering.
 	RxFIFOCells int
 
-	// CellOverheadTx / CellOverheadRx price the per-cell firmware work
-	// of the two on-board processors. Defaults (1.08 µs / 0.6 µs) are
-	// calibrated so single-cell transmit tops out near the paper's
-	// 325 Mbps and receive reassembly runs at "approximately OC-12
-	// speeds in software" (§5).
+	// CellOverheadTx prices the transmit processor's per-cell firmware
+	// work. The default (1.08 µs) is calibrated so single-cell transmit
+	// tops out near the paper's 325 Mbps (§5).
 	CellOverheadTx time.Duration
-	CellOverheadRx time.Duration
-
-	// PollDelay models the latency for a polling on-board processor to
-	// notice new work in the dual-port memory.
-	PollDelay time.Duration
 
 	// InterruptPerPDU reverts to the traditional signalling the paper's
 	// design replaces (§2.1.2): assert a host interrupt for every
@@ -237,9 +243,6 @@ func (c Config) withDefaults() Config {
 	if c.TxRingSlots == 0 {
 		c.TxRingSlots = 64
 	}
-	if c.FreeRingSlots == 0 {
-		c.FreeRingSlots = 64
-	}
 	if c.RecvRingSlots == 0 {
 		c.RecvRingSlots = 64
 	}
@@ -248,12 +251,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CellOverheadTx == 0 {
 		c.CellOverheadTx = 1080 * time.Nanosecond
-	}
-	if c.CellOverheadRx == 0 {
-		c.CellOverheadRx = 600 * time.Nanosecond
-	}
-	if c.PollDelay == 0 {
-		c.PollDelay = 200 * time.Nanosecond
 	}
 	if c.StripeWidth == 0 {
 		c.StripeWidth = atm.StripeWidth
@@ -483,11 +480,11 @@ func New(e *sim.Engine, h *hostsim.Host, cfg Config) *Board {
 		}
 		ch.TxRing = queue.NewRing(b.DPM, dpm.TxPageOff(i), cfg.TxRingSlots)
 		rxBase := dpm.RxPageOff(i)
-		ch.FreeRing = queue.NewRing(b.DPM, rxBase, cfg.FreeRingSlots)
-		ch.RecvRing = queue.NewRing(b.DPM, rxBase+uint32(queue.BytesFor(cfg.FreeRingSlots)), cfg.RecvRingSlots)
+		ch.FreeRing = queue.NewRing(b.DPM, rxBase, freeRingSlots)
+		ch.RecvRing = queue.NewRing(b.DPM, rxBase+uint32(queue.BytesFor(freeRingSlots)), cfg.RecvRingSlots)
 		b.chans[i] = ch
 	}
-	if queue.BytesFor(cfg.FreeRingSlots)+queue.BytesFor(cfg.RecvRingSlots) > dpm.PageSize {
+	if queue.BytesFor(freeRingSlots)+queue.BytesFor(cfg.RecvRingSlots) > dpm.PageSize {
 		panic("board: free+recv rings exceed one queue page")
 	}
 	if queue.BytesFor(cfg.TxRingSlots) > dpm.PageSize-4 {
@@ -597,7 +594,7 @@ func (b *Board) SetTxSink(fn func(c atm.Cell, link int)) { b.txSink = fn }
 // had arrived on the given link — the unit-test backdoor.
 func (b *Board) InjectCell(c atm.Cell, link int) bool {
 	if !b.rxFIFO.TrySend(rxCell{c: c, link: link}) {
-		b.stats.CellsDroppedFIFO++
+		b.fifoOverflow(c.VCI)
 		return false
 	}
 	if b.mRxFIFOHW != nil {
@@ -658,11 +655,8 @@ func (b *Board) enterRxFIFO(rc rxCell) {
 			if ch.fifoCells >= q {
 				ch.quotaDropped++
 				b.stats.CellsQuotaDropped++
-				if b.eng.Tracing() {
-					b.eng.Tracef("drop: %s rx FIFO quota ch%d vci=%d", b.cfg.Name, ch.Index, rc.c.VCI)
-				}
 				if b.eng.Recording() {
-					b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: "drop", Name: "rx-fifo-quota", Arg: int64(rc.c.VCI)})
+					b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: sim.CatDrop, Name: "rx-fifo-quota", Arg: int64(rc.c.VCI)})
 				}
 				return
 			}
@@ -670,13 +664,7 @@ func (b *Board) enterRxFIFO(rc rxCell) {
 		}
 	}
 	if !b.rxFIFO.TrySend(rc) {
-		b.stats.CellsDroppedFIFO++
-		if b.eng.Tracing() {
-			b.eng.Tracef("drop: %s rx FIFO overflow vci=%d", b.cfg.Name, rc.c.VCI)
-		}
-		if b.eng.Recording() {
-			b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: "drop", Name: "rx-fifo-overflow", Arg: int64(rc.c.VCI)})
-		}
+		b.fifoOverflow(rc.c.VCI)
 		return
 	}
 	if rc.qch != nil {
@@ -686,7 +674,15 @@ func (b *Board) enterRxFIFO(rc rxCell) {
 		b.mRxFIFOHW.Observe(int64(b.rxFIFO.Len()))
 	}
 	if b.eng.Recording() {
-		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'C', Comp: b.trkRx, Cat: "q", Name: "rx-fifo", Arg: int64(b.rxFIFO.Len())})
+		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'C', Comp: b.trkRx, Cat: sim.CatQueue, Name: "rx-fifo", Arg: int64(b.rxFIFO.Len())})
+	}
+}
+
+// fifoOverflow counts one cell dropped at a full receive FIFO.
+func (b *Board) fifoOverflow(vci atm.VCI) {
+	b.stats.CellsDroppedFIFO++
+	if b.eng.Recording() {
+		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: sim.CatDrop, Name: "rx-fifo-overflow", Arg: int64(vci)})
 	}
 }
 
@@ -791,7 +787,7 @@ func (b *Board) SetViolationHook(fn func(ch int, vci atm.VCI)) { b.vioHook = fn 
 
 // KickTx tells the transmit processor that new descriptors may be
 // queued. The real processor discovers this by polling the head
-// pointer; the kick plus PollDelay models that discovery without the
+// pointer; the kick plus pollDelay models that discovery without the
 // simulation having to burn events on an idle poll loop.
 func (b *Board) KickTx() { b.txWork.Broadcast() }
 
@@ -825,10 +821,12 @@ func (b *Board) authorized(ch *Channel, d queue.Desc) bool {
 	return true
 }
 
-func (b *Board) violation(ch *Channel, vci atm.VCI) {
+// violation handles an unauthorized descriptor found by the processor
+// whose trace track is trk.
+func (b *Board) violation(ch *Channel, vci atm.VCI, trk string) {
 	b.stats.Violations++
-	if b.eng.Tracing() {
-		b.eng.Tracef("drop: %s authorization violation ch%d vci=%d", b.cfg.Name, ch.Index, vci)
+	if b.eng.Recording() {
+		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: trk, Cat: sim.CatDrop, Name: "auth-violation", Arg: int64(vci)})
 	}
 	if b.vioHook != nil {
 		b.vioHook(ch.Index, vci)
@@ -911,11 +909,8 @@ func (b *Board) timeoutReasm(ch *Channel, rs *reasmState) bool {
 	ch.stash = append(ch.stash, scratch...)
 	b.stats.ScratchRecycled += int64(len(scratch))
 	b.stats.PDUsTimedOut++
-	if b.eng.Tracing() {
-		b.eng.Tracef("drop: %s reassembly timeout vci=%d received=%d", b.cfg.Name, rs.vci, rs.received)
-	}
 	if b.eng.Recording() {
-		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: "drop", Name: "reasm-timeout", Arg: int64(rs.vci)})
+		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: sim.CatDrop, Name: "reasm-timeout", Arg: int64(rs.vci)})
 	}
 	delete(ch.reasm, rs.vci)
 	b.releaseShadow(rs)
@@ -995,11 +990,8 @@ func (b *Board) pushRecvDesc(p *sim.Proc, ch *Channel, d queue.Desc) {
 func (b *Board) recvPushIRQ(ch *Channel, wasEmpty bool) {
 	if b.cfg.InterruptPerPDU || wasEmpty {
 		b.stats.RxIRQs++
-		if b.eng.Tracing() {
-			b.eng.Tracef("irq: %s rx ch%d", b.cfg.Name, ch.Index)
-		}
 		if b.eng.Recording() {
-			b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: "irq", Name: "rx-irq", Arg: int64(ch.Index)})
+			b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: sim.CatIRQ, Name: "rx-irq", Arg: int64(ch.Index)})
 		}
 		b.irq(RxIRQBase + ch.Index)
 	}
@@ -1046,8 +1038,7 @@ func (b *Board) pushRecvDescBounded(p *sim.Proc, ch *Channel, d queue.Desc) {
 			// The marker itself found no room; owe it.
 			ch.rxNeedAbort = true
 			ch.rxPduPushed = false
-			ch.ringDropped++
-			b.stats.RecvRingDropped++
+			b.dropRecvDesc(ch, d)
 			return
 		}
 		b.beginRecvDrop(ch, d)
@@ -1086,11 +1077,8 @@ func (b *Board) dropRecvDesc(ch *Channel, d queue.Desc) {
 		ch.stash = append(ch.stash, queue.Desc{Addr: d.Addr, Len: d.Len})
 		b.stats.ScratchRecycled++
 	}
-	if b.eng.Tracing() {
-		b.eng.Tracef("drop: %s recv ring full ch%d vci=%d", b.cfg.Name, ch.Index, d.VCI)
-	}
 	if b.eng.Recording() {
-		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: "drop", Name: "recv-ring-drop", Arg: int64(ch.Index)})
+		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: sim.CatDrop, Name: "recv-ring-drop", Arg: int64(ch.Index)})
 	}
 }
 

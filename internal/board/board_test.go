@@ -591,6 +591,7 @@ func TestFreeRingExhaustionDropsPDU(t *testing.T) {
 
 func TestADCFrameAuthorization(t *testing.T) {
 	r := newRig(t, Config{})
+	drops := watchDrops(r.eng)
 	// Open channel 1 as an ADC restricted to a specific frame set.
 	goodFrames, _ := r.host.Mem.AllocContiguous(4)
 	r.b.OpenChannel(1, 1, goodFrames)
@@ -621,6 +622,7 @@ func TestADCFrameAuthorization(t *testing.T) {
 	if r.b.Stats().Violations != 1 {
 		t.Errorf("Violations = %d, want 1", r.b.Stats().Violations)
 	}
+	drops.check(t, r.b.Stats())
 	if r.host.Int.Count(VioIRQBase+1) != 1 {
 		t.Error("violation interrupt not raised")
 	}

@@ -20,6 +20,7 @@ import (
 func TestReasmTimeoutReclaimsLostEOM(t *testing.T) {
 	const timeout = 2 * time.Millisecond
 	r := newRig(t, Config{ReasmTimeout: timeout})
+	drops := watchDrops(r.eng)
 	ch := r.b.KernelChannel()
 	r.b.BindVCI(5, 0)
 	data := pattern(5000, 7)
@@ -94,6 +95,7 @@ func TestReasmTimeoutReclaimsLostEOM(t *testing.T) {
 	if st.PDUsRx != 1 {
 		t.Errorf("PDUsRx = %d, want 1", st.PDUsRx)
 	}
+	drops.check(t, st)
 }
 
 // TestReasmTimeoutWithoutPushesIsSilent covers the easy half: when
@@ -135,6 +137,7 @@ func TestReasmTimeoutWithoutPushesIsSilent(t *testing.T) {
 // delivers intact, and the per-cause counter records every replay.
 func TestDuplicateCellRejection(t *testing.T) {
 	r := newRig(t, Config{Strategy: SeqNum, RejectDuplicates: true})
+	drops := watchDrops(r.eng)
 	ch := r.b.KernelChannel()
 	r.b.BindVCI(5, 0)
 	data := pattern(3000, 10)
@@ -169,6 +172,7 @@ func TestDuplicateCellRejection(t *testing.T) {
 	if st.PDUsRx != 1 || st.PDUsDropped != 0 {
 		t.Errorf("delivery stats off: %+v", st)
 	}
+	drops.check(t, st)
 }
 
 // TestCorruptCellDroppedByCRC flips one payload bit in an interior cell;
@@ -176,6 +180,7 @@ func TestDuplicateCellRejection(t *testing.T) {
 // trailer and the PDU is discarded before reaching the host.
 func TestCorruptCellDroppedByCRC(t *testing.T) {
 	r := newRig(t, Config{CheckCRC: true})
+	drops := watchDrops(r.eng)
 	ch := r.b.KernelChannel()
 	r.b.BindVCI(5, 0)
 	data := pattern(3000, 11)
@@ -203,6 +208,7 @@ func TestCorruptCellDroppedByCRC(t *testing.T) {
 	if r.b.OpenReassemblies() != 0 || r.b.HeldReasmBufs() != 0 {
 		t.Errorf("reassembly state leaked: open=%d held=%d", r.b.OpenReassemblies(), r.b.HeldReasmBufs())
 	}
+	drops.check(t, st)
 }
 
 // TestCleanPDUPassesCRC is the control for the CRC path: with CheckCRC

@@ -16,6 +16,7 @@ import (
 // space the flood would otherwise have consumed.
 func TestRxFIFOQuotaIsolatesChannels(t *testing.T) {
 	r := newRig(t, Config{RxFIFOCells: 32, RxFIFOQuota: 4})
+	drops := watchDrops(r.eng)
 	r.b.OpenChannel(1, 1, nil)
 	r.b.OpenChannel(2, 1, nil)
 	r.b.BindVCI(10, 1)
@@ -52,12 +53,14 @@ func TestRxFIFOQuotaIsolatesChannels(t *testing.T) {
 	if r.b.Channel(1).QuotaDropped() != 16 {
 		t.Fatal("charge release: cell within quota was dropped")
 	}
+	drops.check(t, r.b.Stats())
 }
 
 // TestQuotaOffMatchesSeed pins that a zero quota leaves the FIFO entry
 // path untouched: overflow drops come only from FIFO capacity.
 func TestQuotaOffMatchesSeed(t *testing.T) {
 	r := newRig(t, Config{RxFIFOCells: 8})
+	drops := watchDrops(r.eng)
 	r.b.BindVCI(10, 0)
 	for i := 0; i < 12; i++ {
 		r.b.receiveCell(atm.Cell{VCI: 10, Len: atm.CellPayload}, 0)
@@ -68,6 +71,7 @@ func TestQuotaOffMatchesSeed(t *testing.T) {
 	if r.b.stats.CellsDroppedFIFO != 4 {
 		t.Fatalf("FIFO drops = %d, want 4", r.b.stats.CellsDroppedFIFO)
 	}
+	drops.check(t, r.b.Stats())
 }
 
 // drainRecvRing pops everything from a channel's receive ring,
@@ -111,6 +115,7 @@ func TestRecvDropGraceIsolatesStalledReceiver(t *testing.T) {
 	// free buffers remain (the board then recycles dropped buffers
 	// through the stash, keeping the pressure on).
 	r := newRig(t, Config{RxFIFOCells: 512, RecvRingSlots: 16, RecvDropGrace: 4 * time.Microsecond})
+	drops := watchDrops(r.eng)
 	r.b.OpenChannel(1, 1, nil)
 	r.b.OpenChannel(2, 1, nil)
 	r.b.BindVCI(10, 1)
@@ -171,6 +176,7 @@ func TestRecvDropGraceIsolatesStalledReceiver(t *testing.T) {
 		drainRecvRing(t, p, r.b.Channel(1))
 	})
 	r.eng.Run()
+	drops.check(t, r.b.Stats())
 }
 
 // TestTxDRRByteFairness backlogs two equal-priority channels — one

@@ -73,7 +73,7 @@ func (b *Board) fictProc(p *sim.Proc) {
 						b.mRxFIFOHW.Observe(int64(b.rxFIFO.Len()))
 					}
 					if b.eng.Recording() {
-						b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'C', Comp: b.trkRx, Cat: "q", Name: "rx-fifo", Arg: int64(b.rxFIFO.Len())})
+						b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'C', Comp: b.trkRx, Cat: sim.CatQueue, Name: "rx-fifo", Arg: int64(b.rxFIFO.Len())})
 					}
 					if interval > 0 {
 						p.Sleep(interval)

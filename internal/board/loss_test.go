@@ -35,6 +35,7 @@ func TestLossyLinkDropsPDUsButNeverCorrupts(t *testing.T) {
 	// losing a cell. The board must detect the shortfall via the AAL5
 	// framing bits and discard — never deliver a PDU with wrong bytes.
 	rA, rB := lossPair(t, 0.01, FourAAL5, 77)
+	drops := watchDrops(rB.eng)
 	const n = 20
 	data := pattern(4000, 1)
 	delivered, intact := 0, 0
@@ -74,6 +75,7 @@ func TestLossyLinkDropsPDUsButNeverCorrupts(t *testing.T) {
 	if delivered == 0 {
 		t.Error("every PDU dropped at 1% loss; error detection too eager")
 	}
+	drops.check(t, rB.b.Stats())
 }
 
 func TestLossRecoveryAcrossPDUs(t *testing.T) {

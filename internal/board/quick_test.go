@@ -190,6 +190,7 @@ func TestInterleavedVCIStreamsReassembleIndependently(t *testing.T) {
 
 func TestFIFOOverflowDropsCells(t *testing.T) {
 	r := newRig(t, Config{RxFIFOCells: 4})
+	drops := watchDrops(r.eng)
 	r.b.BindVCI(5, 0)
 	// Inject far more cells than the FIFO holds, instantly (event
 	// context cannot drain between injections).
@@ -208,6 +209,7 @@ func TestFIFOOverflowDropsCells(t *testing.T) {
 	}
 	r.eng.Run()
 	r.eng.Shutdown()
+	drops.check(t, r.b.Stats())
 }
 
 // hostsimNew builds a standard test host.

@@ -37,7 +37,7 @@ func (b *Board) rxProc(p *sim.Proc) {
 			rc.qch.fifoCells-- // release the RxFIFOQuota charge
 		}
 		b.stats.CellsRx++
-		p.Sleep(b.cfg.CellOverheadRx)
+		p.Sleep(cellOverheadRx)
 		b.handleCell(p, rc)
 	}
 }
@@ -75,7 +75,7 @@ func (b *Board) popFree(p *sim.Proc, ch *Channel) (queue.Desc, bool) {
 			continue
 		}
 		if !b.authorized(ch, d) {
-			b.violation(ch, d.VCI)
+			b.violation(ch, d.VCI, b.trkRx)
 			continue // discard the illegal buffer, try the next
 		}
 		return d, true
@@ -107,8 +107,8 @@ func (b *Board) handleCell(p *sim.Proc, rc rxCell) {
 
 	if b.cfg.RejectDuplicates && rs.duplicate(b.cfg.Strategy, rc) {
 		b.stats.CellsDuplicate++
-		if b.eng.Tracing() {
-			b.eng.Tracef("drop: %s duplicate cell vci=%d seq=%d", b.cfg.Name, rc.c.VCI, rc.c.Seq)
+		if b.eng.Recording() {
+			b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: sim.CatDrop, Name: "dup-cell", Arg: int64(rc.c.VCI)})
 		}
 		return
 	}
@@ -202,17 +202,14 @@ func (b *Board) handleCell(p *sim.Proc, rc rxCell) {
 		b.putRxData(data)
 		b.putSegs(segs)
 		b.stats.PDUsCRCDropped++
-		if b.eng.Tracing() {
-			b.eng.Tracef("drop: %s rx CRC mismatch vci=%d len=%d", b.cfg.Name, rc.c.VCI, rs.pduLen)
+		if b.eng.Recording() {
+			b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: sim.CatDrop, Name: "crc-mismatch", Arg: int64(rc.c.VCI)})
 		}
 		b.finishRxPDU(p, ch, rs, false)
 		return
 	}
 
 	cmd := rxCmd{ch: ch, segs: segs, data: data, combined: combined}
-	if complete && b.eng.Tracing() {
-		b.eng.Tracef("pdu: %s rx complete vci=%d len=%d", b.cfg.Name, rc.c.VCI, rs.pduLen)
-	}
 	if complete {
 		b.ensureEOPBuffer(p, ch, rs)
 		pushes, scratch := rs.duePushes(true)
@@ -224,7 +221,7 @@ func (b *Board) handleCell(p *sim.Proc, rc rxCell) {
 			b.mReasmSpan.Observe((b.eng.Now() - rs.firstArrival).Microseconds())
 		}
 		if b.eng.Recording() {
-			b.eng.Emit(sim.TraceEvent{At: rs.firstArrival, Dur: b.eng.Now() - rs.firstArrival, Ph: 'X', Comp: b.trkRx, Cat: "pdu", Name: "reasm", Arg: int64(rs.pduLen)})
+			b.eng.Emit(sim.TraceEvent{At: rs.firstArrival, Dur: b.eng.Now() - rs.firstArrival, Ph: 'X', Comp: b.trkRx, Cat: sim.CatPDU, Name: "reasm", Arg: int64(rs.pduLen)})
 		}
 		delete(ch.reasm, rc.c.VCI)
 		b.releaseShadow(rs)
@@ -262,8 +259,8 @@ func (b *Board) finishRxPDU(p *sim.Proc, ch *Channel, rs *reasmState, delivered 
 	b.stats.ScratchRecycled += int64(len(scratch))
 	if !delivered {
 		b.stats.PDUsDropped++
-		if b.eng.Tracing() {
-			b.eng.Tracef("drop: %s PDU abandoned vci=%d received=%d", b.cfg.Name, rs.vci, rs.received)
+		if b.eng.Recording() {
+			b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: sim.CatDrop, Name: "pdu-abandoned", Arg: int64(rs.vci)})
 		}
 	}
 	delete(ch.reasm, rs.vci)

@@ -58,7 +58,7 @@ func (b *Board) txProc(p *sim.Proc) {
 		ch := b.pickTxChannel(p)
 		if ch == nil {
 			b.txWork.Wait(p)
-			p.Sleep(b.cfg.PollDelay)
+			p.Sleep(pollDelay)
 			continue
 		}
 		b.emitCell(p, ch)
@@ -185,7 +185,7 @@ func (b *Board) gather(p *sim.Proc, ch *Channel) bool {
 		}
 		if !b.authorized(ch, d) {
 			st.poison = true
-			b.violation(ch, d.VCI)
+			b.violation(ch, d.VCI, b.trkTx)
 		}
 		st.descs = append(st.descs, d)
 		if d.Flags&queue.FlagEOP != 0 {
@@ -203,8 +203,8 @@ func (b *Board) gather(p *sim.Proc, ch *Channel) bool {
 		return b.gather(p, ch)
 	}
 	st.active = true
-	if b.eng.Tracing() {
-		b.eng.Tracef("pdu: %s tx start vci=%d descs=%d", b.cfg.Name, st.descs[0].VCI, len(st.descs))
+	if b.eng.Recording() {
+		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkTx, Cat: sim.CatPDU, Name: "tx-start", Arg: int64(st.descs[0].VCI)})
 	}
 	st.vci = st.descs[0].VCI
 	st.pduLen = 0
@@ -407,8 +407,8 @@ func (b *Board) txDMAEngine(p *sim.Proc) {
 		}
 		copy(cell.Payload[:], payload[:cellLen])
 		b.stats.CellsTx++
-		if b.eng.Tracing() {
-			b.eng.Tracef("cell: %s tx vci=%d link=%d len=%d", b.cfg.Name, cell.VCI, cmd.linkIdx, cell.Len)
+		if b.eng.Recording() {
+			b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkTx, Cat: sim.CatCell, Name: "cell-tx", Arg: int64(cell.VCI)})
 		}
 		b.deliverCell(p, cell, cmd.linkIdx)
 		b.txPool.Put(hnd) // free on delivery

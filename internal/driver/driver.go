@@ -197,6 +197,7 @@ type Driver struct {
 	retained    map[*msg.Message][]*rxBuffer
 
 	stats Stats
+	trk   string // trace track label, precomputed so Emit never concatenates
 }
 
 // New builds a driver over the given channel of b, allocates and wires
@@ -240,6 +241,7 @@ func New(e *sim.Engine, h *hostsim.Host, b *board.Board, cfg Config) *Driver {
 		txMu:     newMutex(e),
 		freeMu:   newMutex(e),
 		retained: make(map[*msg.Message][]*rxBuffer),
+		trk:      fmt.Sprintf("%s-drv%d", b.Config().Name, cfg.ChannelIndex),
 	}
 	h.Int.Handle(board.RxIRQBase+cfg.ChannelIndex, func(p *sim.Proc) {
 		h.Compute(p, h.Prof.ThreadDispatch)
@@ -448,8 +450,8 @@ func (d *Driver) Send(p *sim.Proc, pt *Path, m *msg.Message, onComplete func(p *
 				continue
 			}
 			d.stats.TxStalls++
-			if d.host.Eng.Tracing() {
-				d.host.Eng.Tracef("drv: ch%d tx ring full, arming notify", d.cfg.ChannelIndex)
+			if eng := d.host.Eng; eng.Recording() {
+				eng.Emit(sim.TraceEvent{At: eng.Now(), Ph: 'i', Comp: d.trk, Cat: sim.CatDrv, Name: "tx-ring-full", Arg: int64(desc.VCI)})
 			}
 			d.b.DPM.WriteWord(p, dpm.Host, d.ch.NotifyFlagOff(), 1)
 			d.b.KickTx()
@@ -563,8 +565,8 @@ func (d *Driver) rxThread(p *sim.Proc) {
 // handler invocation for a PDU the board could not finish.
 func (d *Driver) abortPartial(vci atm.VCI) {
 	d.stats.RxAborted++
-	if d.host.Eng.Tracing() {
-		d.host.Eng.Tracef("drv: ch%d rx abort vci=%d bufs=%d", d.cfg.ChannelIndex, vci, len(d.partial))
+	if eng := d.host.Eng; eng.Recording() {
+		eng.Emit(sim.TraceEvent{At: eng.Now(), Ph: 'i', Comp: d.trk, Cat: sim.CatDrv, Name: "rx-abort", Arg: int64(vci)})
 	}
 	for _, desc := range d.partial {
 		rb := d.byPA[desc.Addr]
@@ -581,8 +583,8 @@ func (d *Driver) abortPartial(vci atm.VCI) {
 // to the reserve pool when the handler finishes.
 func (d *Driver) deliverPDU(p *sim.Proc, descs []queue.Desc) {
 	d.stats.RxPDUs++
-	if d.host.Eng.Tracing() {
-		d.host.Eng.Tracef("pdu: ch%d deliver vci=%d bufs=%d", d.cfg.ChannelIndex, descs[len(descs)-1].VCI, len(descs))
+	if eng := d.host.Eng; eng.Recording() {
+		eng.Emit(sim.TraceEvent{At: eng.Now(), Ph: 'i', Comp: d.trk, Cat: sim.CatPDU, Name: "deliver", Arg: int64(descs[len(descs)-1].VCI)})
 	}
 	d.host.Compute(p, d.host.Prof.DriverRxPerPDU+time.Duration(len(descs)-1)*d.host.Prof.DriverPerBuffer)
 
@@ -666,8 +668,8 @@ func (d *Driver) RecoverData(p *sim.Proc, m *msg.Message) bool {
 		return false
 	}
 	d.stats.Recoveries++
-	if d.host.Eng.Tracing() {
-		d.host.Eng.Tracef("proto: ch%d lazy-invalidation recovery (%d bytes)", d.cfg.ChannelIndex, m.Len())
+	if eng := d.host.Eng; eng.Recording() {
+		eng.Emit(sim.TraceEvent{At: eng.Now(), Ph: 'i', Comp: d.trk, Cat: sim.CatProto, Name: "lazy-recovery", Arg: int64(m.Len())})
 	}
 	d.host.InvalidateData(p, segs)
 	return true

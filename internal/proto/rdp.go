@@ -160,21 +160,26 @@ type RDPOpen struct {
 	// Adaptive enables the adaptive transport machinery: an SRTT/RTTVAR
 	// RTT estimator (Karn's rule) replacing the fixed jittered timer, a
 	// congestion window under Window (slow start, AIMD, fast retransmit
-	// at DupAckThreshold duplicate acks), and echo of the fabric's CE
-	// marks so senders back off before tail drop. Off by default: legacy
+	// at three duplicate acks), and echo of the fabric's CE marks so
+	// senders back off before tail drop. Off by default: legacy
 	// sessions behave bit-for-bit as before.
 	Adaptive bool
-	// DupAckThreshold is the duplicate-ack count that triggers a fast
-	// retransmit (adaptive only, default 3).
-	DupAckThreshold int
-	// MinRTO and MaxRTO clamp the estimated retransmission timeout
-	// (adaptive only; defaults 200 µs and 100 ms). The pre-sample RTO is
-	// RetransmitTimeout clamped into this range.
-	MinRTO, MaxRTO time.Duration
-	// InitialCwnd is the initial congestion window in segments
-	// (adaptive only, default 2).
-	InitialCwnd int
 }
+
+// Adaptive-session constants.
+const (
+	// rdpDupAckThreshold is the duplicate-ack count that triggers a
+	// fast retransmit.
+	rdpDupAckThreshold = 3
+	// rdpMinRTO and rdpMaxRTO clamp the estimated retransmission
+	// timeout. The pre-sample RTO is RetransmitTimeout clamped into
+	// this range.
+	rdpMinRTO = 200 * time.Microsecond
+	rdpMaxRTO = 100 * time.Millisecond
+	// rdpInitialCwnd is the initial congestion window in segments
+	// (clamped to Window).
+	rdpInitialCwnd = 2
+)
 
 // Open implements xkernel.Protocol.
 func (r *RDP) Open(addr any) (xkernel.Session, error) {
@@ -187,23 +192,6 @@ func (r *RDP) Open(addr any) (xkernel.Session, error) {
 	}
 	if a.RetransmitTimeout == 0 {
 		a.RetransmitTimeout = 2 * time.Millisecond
-	}
-	if a.Adaptive {
-		if a.DupAckThreshold == 0 {
-			a.DupAckThreshold = 3
-		}
-		if a.MinRTO == 0 {
-			a.MinRTO = 200 * time.Microsecond
-		}
-		if a.MaxRTO == 0 {
-			a.MaxRTO = 100 * time.Millisecond
-		}
-		if a.InitialCwnd == 0 {
-			a.InitialCwnd = 2
-		}
-		if a.InitialCwnd > a.Window {
-			a.InitialCwnd = a.Window
-		}
 	}
 	lower, err := r.ip.Open(IPOpen{Remote: a.Remote, VCI: a.VCI, Proto: ProtoRDP})
 	if err != nil {
@@ -220,8 +208,8 @@ func (r *RDP) Open(addr any) (xkernel.Session, error) {
 		rng:      r.host.Eng.DeriveRand(fmt.Sprintf("rdp/r%v/vci%d", a.Remote, a.VCI)),
 	}
 	if a.Adaptive {
-		s.est = newRTTEstimator(a.RetransmitTimeout, a.MinRTO, a.MaxRTO)
-		s.cwnd = uint32(a.InitialCwnd) * cwndUnit
+		s.est = newRTTEstimator(a.RetransmitTimeout, rdpMinRTO, rdpMaxRTO)
+		s.cwnd = uint32(min(rdpInitialCwnd, a.Window)) * cwndUnit
 		s.ssthresh = uint32(a.Window) * cwndUnit
 		r.adaptive = append(r.adaptive, s)
 	}
@@ -492,8 +480,8 @@ func (s *rdpSession) fail(err error) {
 	s.err = err
 	s.closed = true
 	s.r.stats.Failed++
-	if s.r.host.Eng.Tracing() {
-		s.r.host.Eng.Tracef("proto: rdp vci=%d failed after %d retries: %v", s.addr.VCI, s.consecutive-1, err)
+	if eng := s.r.host.Eng; eng.Recording() {
+		eng.Emit(sim.TraceEvent{At: eng.Now(), Ph: 'i', Comp: "rdp", Cat: sim.CatProto, Name: "session-failed", Arg: int64(s.addr.VCI)})
 	}
 	s.cancelTimer()
 	s.lower.Close()
@@ -535,7 +523,7 @@ func (s *rdpSession) retransmitter(p *sim.Proc) {
 			}
 			s.r.stats.Retransmits++
 			if eng := s.r.host.Eng; eng.Recording() {
-				eng.Emit(sim.TraceEvent{At: eng.Now(), Ph: 'i', Comp: "rdp", Cat: "proto", Name: "retransmit", Arg: int64(seq)})
+				eng.Emit(sim.TraceEvent{At: eng.Now(), Ph: 'i', Comp: "rdp", Cat: sim.CatProto, Name: "retransmit", Arg: int64(seq)})
 			}
 			if err := s.sendSegment(p, rdpData, seq, data); err != nil {
 				return
@@ -627,7 +615,7 @@ func (s *rdpSession) processAck(ack uint32, ece bool) {
 					s.ecnBackoff()
 				}
 				s.dupAcks++
-				if s.dupAcks == s.addr.DupAckThreshold && seqGE(s.sendBase, s.recoverSeq) {
+				if s.dupAcks == rdpDupAckThreshold && seqGE(s.sendBase, s.recoverSeq) {
 					// Fast retransmit: the receiver is live and asking for
 					// sendBase — recover in one RTT instead of a timeout
 					// round. Reno response: halve into recovery, resend the

@@ -111,7 +111,6 @@ type Engine struct {
 	fired    uint64
 	stopped  bool
 	limit    Time // 0 means no limit
-	tracer   func(t Time, format string, args ...any)
 	recorder func(TraceEvent)
 	running  bool
 	// shard/group identify the engine's place in a ShardGroup (zero /
@@ -181,30 +180,13 @@ func (e *Engine) DerivedSites() []string {
 // standalone engine).
 func (e *Engine) Shard() int { return e.shard }
 
-// SetTracer installs a trace callback invoked by Tracef. A nil tracer
-// disables tracing.
-func (e *Engine) SetTracer(fn func(t Time, format string, args ...any)) { e.tracer = fn }
-
-// Tracing reports whether a tracer is installed — hot paths use it to
-// skip argument construction entirely.
-func (e *Engine) Tracing() bool { return e.tracer != nil }
-
-// Tracef emits a trace record at the current virtual time if a tracer is
-// installed.
-func (e *Engine) Tracef(format string, args ...any) {
-	if e.tracer != nil {
-		e.tracer(e.now, format, args...)
-	}
-}
-
-// TraceEvent is one typed trace record, the structured sibling of the
-// printf-style Tracef stream. The Ph byte follows the Chrome
-// trace-event phase convention so records export losslessly to a
-// Perfetto-loadable timeline: 'i' instant, 'X' complete span (At is
+// TraceEvent is one typed trace record, the engine's only trace
+// plane. The Ph byte follows the Chrome trace-event phase convention
+// so records export losslessly to a Perfetto-loadable timeline: 'i' instant, 'X' complete span (At is
 // the span start, Dur its length), 'C' counter sample (Arg is the
 // counter value). Comp names the emitting component and becomes a
 // timeline track; Name is the event (or counter) name; Cat is a
-// coarse category for filtering (cell/pdu/irq/drop/proto/drv/q).
+// coarse category for filtering, one of the Cat* constants.
 //
 // The struct is plain data passed by value: emitting one performs no
 // allocation, and recording is entirely passive — no engine state is
@@ -219,6 +201,17 @@ type TraceEvent struct {
 	Name string
 	Arg  int64
 }
+
+// Trace categories (TraceEvent.Cat) used by the instrumented components.
+const (
+	CatCell  = "cell"  // cells transmitted by a board
+	CatPDU   = "pdu"   // PDU-level events (tx start, reassembly, delivery)
+	CatIRQ   = "irq"   // host interrupts
+	CatDrop  = "drop"  // losses: FIFO overflow, quota, AAL5 errors, no route
+	CatProto = "proto" // protocol decisions (retransmits, recoveries)
+	CatDrv   = "drv"   // driver activity (stalls, aborts)
+	CatQueue = "q"     // queue-depth counter samples
+)
 
 // SetRecorder installs a typed-trace callback invoked by Emit. A nil
 // recorder disables typed tracing.

@@ -190,15 +190,16 @@ func TestDeterministicRand(t *testing.T) {
 
 func TestTracer(t *testing.T) {
 	e := NewEngine(1)
-	var got []string
-	e.SetTracer(func(_ Time, format string, _ ...any) { got = append(got, format) })
-	e.At(10, func() { e.Tracef("hello %d") })
+	var got []TraceEvent
+	e.SetRecorder(func(ev TraceEvent) { got = append(got, ev) })
+	want := TraceEvent{At: 10, Ph: 'i', Comp: "b-rx", Cat: CatIRQ, Name: "rx-irq", Arg: 2}
+	e.At(10, func() { e.Emit(want) })
 	e.Run()
-	if len(got) != 1 || got[0] != "hello %d" {
-		t.Errorf("tracer got %v", got)
+	if len(got) != 1 || got[0] != want {
+		t.Errorf("recorder got %+v, want [%+v]", got, want)
 	}
-	e.SetTracer(nil)
-	e.Tracef("ignored") // must not panic
+	e.SetRecorder(nil)
+	e.Emit(want) // must not panic
 }
 
 func TestNestedScheduling(t *testing.T) {

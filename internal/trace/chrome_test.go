@@ -13,11 +13,11 @@ func emitSample(tl *Timeline) *sim.Engine {
 	e := sim.NewEngine(1)
 	tl.Attach(e, "shard0")
 	e.At(1000, func() {
-		e.Emit(sim.TraceEvent{At: e.Now(), Ph: 'i', Comp: "board", Cat: CatIRQ, Name: "rx-irq"})
-		e.Emit(sim.TraceEvent{At: e.Now(), Ph: 'C', Comp: "port0", Cat: "q", Name: "depth", Arg: 3})
+		e.Emit(sim.TraceEvent{At: e.Now(), Ph: 'i', Comp: "board", Cat: sim.CatIRQ, Name: "rx-irq"})
+		e.Emit(sim.TraceEvent{At: e.Now(), Ph: 'C', Comp: "port0", Cat: sim.CatQueue, Name: "depth", Arg: 3})
 	})
 	e.At(5000, func() {
-		e.Emit(sim.TraceEvent{At: 2000, Dur: 3000, Ph: 'X', Comp: "board", Cat: CatPDU, Name: "reasm", Arg: 9180})
+		e.Emit(sim.TraceEvent{At: 2000, Dur: 3000, Ph: 'X', Comp: "board", Cat: sim.CatPDU, Name: "reasm", Arg: 9180})
 	})
 	e.Run()
 	return e
@@ -92,23 +92,5 @@ func TestTimelineExportDeterministic(t *testing.T) {
 	}
 	if a, b := render(), render(); a != b {
 		t.Fatalf("chrome export not deterministic:\n%s\n---\n%s", a, b)
-	}
-}
-
-func TestRecorderUnaffectedByTypedEvents(t *testing.T) {
-	// Typed records and the printf tracer are independent planes on
-	// the same engine.
-	e := sim.NewEngine(1)
-	r := NewRecorder(16)
-	e.SetTracer(r.Hook())
-	tl := NewTimeline()
-	tl.Attach(e, "main")
-	e.At(10, func() {
-		e.Tracef("irq: rx")
-		e.Emit(sim.TraceEvent{At: e.Now(), Ph: 'i', Comp: "b", Cat: CatIRQ, Name: "rx-irq"})
-	})
-	e.Run()
-	if r.Len() != 1 || tl.Len() != 1 {
-		t.Fatalf("recorder/timeline = %d/%d events, want 1/1", r.Len(), tl.Len())
 	}
 }

@@ -1,137 +1,48 @@
-// Package trace records categorized simulation events for debugging and
-// for understanding where time goes — the software-visibility tool the
-// paper's authors effectively had by instrumenting the i960 firmware.
+// Package trace records typed simulation events (sim.TraceEvent) for
+// debugging and for understanding where time goes — the
+// software-visibility tool the paper's authors effectively had by
+// instrumenting the i960 firmware.
 //
-// Components emit through the engine's tracer hook (sim.Engine.Tracef)
-// with a "category:" prefix; a Recorder parses, filters, ring-buffers,
-// and renders them. With no tracer installed the emission sites are
-// no-ops.
+// Components emit through the engine's recorder hook (sim.Engine.Emit);
+// a Timeline collects the records and renders them as text (WriteText)
+// or as a Perfetto-loadable timeline (WriteChrome). With no recorder
+// installed every emission site is one branch and zero allocations.
 package trace
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"strings"
-
-	"repro/internal/sim"
 )
 
-// Category names used by the instrumented components.
-const (
-	CatCell  = "cell"  // cells transmitted/received by a board
-	CatPDU   = "pdu"   // PDU-level events (queued, delivered, dropped)
-	CatIRQ   = "irq"   // host interrupts
-	CatDrop  = "drop"  // losses: FIFO overflow, no buffers, AAL5 errors
-	CatProto = "proto" // protocol decisions (recoveries, retransmits)
-	CatDrv   = "drv"   // driver activity (stalls, reclaim)
-)
-
-// Event is one recorded trace record.
-type Event struct {
-	At  sim.Time
-	Cat string
-	Msg string
-}
-
-func (e Event) String() string {
-	return fmt.Sprintf("%12.3fµs [%-5s] %s", e.At.Microseconds(), e.Cat, e.Msg)
-}
-
-// Recorder collects events into a bounded ring buffer.
-type Recorder struct {
-	limit   int
-	events  []Event
-	start   int // ring start when full
-	full    bool
-	allow   map[string]bool // nil = everything
-	dropped int64
-}
-
-// NewRecorder returns a recorder keeping at most limit events (the
-// oldest are discarded first). limit 0 means 4096.
-func NewRecorder(limit int) *Recorder {
-	if limit <= 0 {
-		limit = 4096
-	}
-	return &Recorder{limit: limit}
-}
-
-// Filter restricts recording to the given categories (empty = all).
-func (r *Recorder) Filter(cats ...string) {
-	if len(cats) == 0 {
-		r.allow = nil
-		return
-	}
-	r.allow = make(map[string]bool, len(cats))
+// WriteText writes the timeline's canonical merge, one event per line:
+// simulated microseconds, [category], component track, event name and
+// argument, plus the duration of 'X' spans. cats restricts the output
+// to the named categories (empty means all); limit > 0 keeps only the
+// last limit matching events.
+func (tl *Timeline) WriteText(w io.Writer, cats []string, limit int) error {
+	allow := make(map[string]bool, len(cats))
 	for _, c := range cats {
-		r.allow[strings.TrimSpace(c)] = true
+		allow[strings.TrimSpace(c)] = true
 	}
-}
-
-// Hook returns a function suitable for sim.Engine.SetTracer. Emission
-// sites format their message as "category: ..."; anything without a
-// recognizable prefix lands in category "misc".
-func (r *Recorder) Hook() func(t sim.Time, format string, args ...any) {
-	return func(t sim.Time, format string, args ...any) {
-		msg := fmt.Sprintf(format, args...)
-		cat := "misc"
-		if i := strings.IndexByte(msg, ':'); i > 0 && i <= 8 {
-			cat = msg[:i]
-			msg = strings.TrimSpace(msg[i+1:])
-		}
-		r.Record(Event{At: t, Cat: cat, Msg: msg})
-	}
-}
-
-// Record appends one event, applying the filter and ring bound.
-func (r *Recorder) Record(e Event) {
-	if r.allow != nil && !r.allow[e.Cat] {
-		r.dropped++
-		return
-	}
-	if len(r.events) < r.limit {
-		r.events = append(r.events, e)
-		return
-	}
-	r.full = true
-	r.events[r.start] = e
-	r.start = (r.start + 1) % r.limit
-}
-
-// Events returns the recorded events in time order.
-func (r *Recorder) Events() []Event {
-	if !r.full {
-		out := make([]Event, len(r.events))
-		copy(out, r.events)
-		return out
-	}
-	out := make([]Event, 0, r.limit)
-	out = append(out, r.events[r.start:]...)
-	out = append(out, r.events[:r.start]...)
-	return out
-}
-
-// Len reports the number of retained events.
-func (r *Recorder) Len() int { return len(r.events) }
-
-// Filtered reports how many events the filter rejected.
-func (r *Recorder) Filtered() int64 { return r.dropped }
-
-// Dump writes the retained events to w, one per line.
-func (r *Recorder) Dump(w io.Writer) error {
-	for _, e := range r.Events() {
-		if _, err := fmt.Fprintln(w, e.String()); err != nil {
-			return err
+	var lines []laneEvent
+	for _, le := range tl.merged() {
+		if len(allow) == 0 || allow[le.ev.Cat] {
+			lines = append(lines, le)
 		}
 	}
-	return nil
-}
-
-// Counts returns the number of retained events per category.
-func (r *Recorder) Counts() map[string]int {
-	out := make(map[string]int)
-	for _, e := range r.Events() {
-		out[e.Cat]++
+	if limit > 0 && len(lines) > limit {
+		lines = lines[len(lines)-limit:]
 	}
-	return out
+	bw := bufio.NewWriter(w)
+	for _, le := range lines {
+		ev := le.ev
+		fmt.Fprintf(bw, "%12.3fµs [%-5s] %s %s %d", ev.At.Microseconds(), ev.Cat, ev.Comp, ev.Name, ev.Arg)
+		if ev.Ph == 'X' {
+			fmt.Fprintf(bw, " dur=%.3fµs", ev.Dur.Microseconds())
+		}
+		bw.WriteByte('\n')
+	}
+	return bw.Flush()
 }
