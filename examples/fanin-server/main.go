@@ -95,7 +95,7 @@ func main() {
 				fmt.Printf(" client%d:%d", c.Client, c.Shortfall)
 			}
 		}
-		fmt.Printf("\n  (unreliable transport: lost PDUs stay lost; `osiris-bench -incast` runs the same pattern over adaptive RDP)\n")
+		fmt.Printf("\n  (unreliable transport: lost PDUs stay lost; `osiris-bench -run incast` runs the same pattern over adaptive RDP)\n")
 	}
 	fmt.Printf("  switch cells: %d forwarded, %d dropped at the output queue\n", over.SwitchForwarded, over.SwitchDropped)
 	fmt.Printf("  corrupt deliveries: %d (loss surfaces as missing PDUs, never damaged ones)\n\n", over.Corrupt)

@@ -608,6 +608,18 @@ func NewStripeGroup(e *sim.Engine, width int, cfg LinkConfig) *StripeGroup {
 	return g
 }
 
+// Stamp puts a local group's links in stamped mode, numbering them in
+// stripe order with channel ids drawn from next — the ids a
+// cross-shard constructor (NewCrossStripeGroup) would draw for the same
+// links in the same construction order. Same-instant deliveries from
+// different links then order identically at any shard count (see the
+// stamped-mode comment on Link).
+func (g *StripeGroup) Stamp(next func() uint64) {
+	for _, l := range g.links {
+		l.xid = next()
+	}
+}
+
 // Width returns the number of physical links.
 func (g *StripeGroup) Width() int { return len(g.links) }
 

@@ -234,11 +234,6 @@ type Switch struct {
 	// where the cell came from. Lazily allocated; nil costs the hot
 	// forwarding path nothing.
 	inRoutes map[inPortVCI]int
-	// linkXID numbers the switch's links for the canonical tie-break
-	// when the fabric has no shard group (serial run); it mirrors the
-	// ShardGroup.NextXID sequence, so a link gets the same channel id at
-	// any shard count.
-	linkXID uint64
 }
 
 // inPortVCI keys the per-input-port route table.
@@ -270,6 +265,14 @@ func newSwitch(g *sim.ShardGroup, e *sim.Engine, nodeEng []*sim.Engine, nports i
 	}
 	cfg = cfg.withDefaults()
 	sw := &Switch{eng: e, cfg: cfg, routes: make(map[VCI]int)}
+	// nextXID numbers the fabric's local links for the canonical
+	// tie-break. Without a shard group it mirrors the ShardGroup.NextXID
+	// sequence, so a link gets the same channel id at any shard count.
+	var xid uint64
+	nextXID := func() uint64 { xid++; return xid }
+	if g != nil {
+		nextXID = g.NextXID
+	}
 	for i := 0; i < nports; i++ {
 		inCfg, outCfg := cfg.Link, cfg.Link
 		if site := cfg.Link.FaultSite; site == "" {
@@ -308,16 +311,8 @@ func newSwitch(g *sim.ShardGroup, e *sim.Engine, nodeEng []*sim.Engine, nports i
 			// Without this, symmetric fan-in workloads (whose senders
 			// phase-lock on the egress serialization grid) diverge across
 			// shard counts.
-			for _, grp := range [...]*StripeGroup{pt.in, pt.out} {
-				for _, l := range grp.links {
-					if g != nil {
-						l.xid = g.NextXID()
-					} else {
-						sw.linkXID++
-						l.xid = sw.linkXID
-					}
-				}
-			}
+			pt.in.Stamp(nextXID)
+			pt.out.Stamp(nextXID)
 		} else {
 			// Ingress carries node → switch, egress switch → node. The
 			// node's board paces sends on its own shard; deliveries into

@@ -47,7 +47,7 @@ type Cluster struct {
 // buildNode assembles one host: machine, board, driver, and the
 // protocol graph, named and addressed for the topology.
 func buildNode(e *sim.Engine, opt Options, name string, addr proto.HostAddr) *Node {
-	h := hostsim.New(e, opt.Profile, opt.MemPages)
+	h := hostsim.New(e, opt.Profile, hostMemPages)
 	bcfg := opt.Board
 	bcfg.Name = name
 	b := board.New(e, h, bcfg)

@@ -53,6 +53,10 @@ const DefaultSeed int64 = 0x0514
 // selects DefaultSeed).
 const ZeroSeed int64 = math.MinInt64
 
+// hostMemPages sizes each host's physical memory. RunTenants grows it
+// with the tenant count; every other topology uses it as is.
+const hostMemPages = 4096
+
 // Options configures a testbed or cluster.
 type Options struct {
 	// Profile is the machine model for all hosts (default DEC5000/200).
@@ -87,8 +91,6 @@ type Options struct {
 	// to host A's board — the Figure 4 transmit-side isolation
 	// (testbed only).
 	TxIsolated bool
-	// MemPages sizes each host's physical memory (default 4096 pages).
-	MemPages int
 	// Seed seeds the simulation's deterministic randomness. The zero
 	// value selects DefaultSeed; pass ZeroSeed to run with a literal
 	// zero seed.
@@ -139,16 +141,20 @@ func (o Options) withDefaults() Options {
 	if o.MTU == 0 {
 		o.MTU = 16 * 1024
 	}
-	if o.MemPages == 0 {
-		o.MemPages = 4096
-	}
-	switch o.Seed {
-	case 0:
-		o.Seed = DefaultSeed
-	case ZeroSeed:
-		o.Seed = 0
-	}
+	o.Seed = resolveSeed(o.Seed)
 	return o
+}
+
+// resolveSeed maps a Seed field's zero value to DefaultSeed and the
+// ZeroSeed sentinel to a literal zero.
+func resolveSeed(seed int64) int64 {
+	switch seed {
+	case 0:
+		return DefaultSeed
+	case ZeroSeed:
+		return 0
+	}
+	return seed
 }
 
 // Node is one host with its board, driver, and protocol graph.
@@ -231,6 +237,7 @@ func NewTestbed(opt Options) *Testbed {
 
 	// Each direction gets its own fault site so the A→B and B→A
 	// injectors draw from independent deterministic streams.
+	var xid uint64
 	wire := func(from, to int, site string) *atm.StripeGroup {
 		lc := opt.Link
 		if lc.Fault != nil && lc.FaultSite == "" {
@@ -241,6 +248,11 @@ func NewTestbed(opt Options) *Testbed {
 			g = atm.NewCrossStripeGroup(cl.Group, cl.EngFor(from), cl.EngFor(to), atm.StripeWidth, lc)
 		} else {
 			g = atm.NewStripeGroup(cl.Eng, atm.StripeWidth, lc)
+			// The channel ids NewCrossStripeGroup draws in a sharded
+			// testbed: without them a link delivery tied with a local
+			// event orders differently serial and sharded (Table 1's
+			// DEC 5000/200 UDP/IP 1 KB round trip moved by ~40 ns).
+			g.Stamp(func() uint64 { xid++; return xid })
 		}
 		cl.Nodes[from].Board.AttachTxLinks(g.Links())
 		cl.Nodes[to].Board.AttachRxLinks(g)

@@ -101,33 +101,3 @@ func TestLossSweepDeterministic(t *testing.T) {
 		t.Errorf("loss sweep not deterministic:\n%s\n%s", a, b)
 	}
 }
-
-// TestLossSweepWorkerInvariance is the parallel runner's acceptance
-// gate on the fault plane: fanning the per-rate runs across a parexp
-// pool must not change a byte of the report relative to the serial
-// path, because each rate is an independent engine seeded only by
-// (sweep seed, rate).
-func TestLossSweepWorkerInvariance(t *testing.T) {
-	run := func(workers int) []byte {
-		res, err := RunLossSweep(LossSweep{
-			Rates:       []float64{0.001, 0.01, 0.05},
-			CorruptProb: 0.001,
-			DupProb:     0.001,
-			Messages:    10,
-			Seed:        77,
-			Workers:     workers,
-		})
-		if err != nil {
-			t.Fatalf("RunLossSweep(workers=%d): %v", workers, err)
-		}
-		data, err := json.Marshal(res)
-		if err != nil {
-			t.Fatalf("marshal: %v", err)
-		}
-		return data
-	}
-	serial, parallel := run(1), run(4)
-	if !bytes.Equal(serial, parallel) {
-		t.Errorf("loss sweep differs between 1 and 4 workers:\n%s\n%s", serial, parallel)
-	}
-}

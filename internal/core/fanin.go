@@ -7,6 +7,7 @@ import (
 	"repro/internal/atm"
 	"repro/internal/metrics"
 	"repro/internal/msg"
+	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -78,133 +79,29 @@ type FanInPort struct {
 // required) with at least w.Clients+1 nodes. A zero w.Clients is
 // defaulted to len(Nodes)-1.
 func (cl *Cluster) RunFanIn(w workload.FanIn) (*FanInResult, error) {
-	if cl.Fabric == nil {
-		return nil, fmt.Errorf("core: fan-in needs a switched cluster (NewCluster), not a back-to-back testbed")
+	t := fanInTransport{
+		name: "fanin",
+		open: func(c int) (xkernel.Session, xkernel.Session, error) { return cl.OpenPair(c+1, 0, UDPIP) },
 	}
-	if w.Clients == 0 {
-		w.Clients = len(cl.Nodes) - 1
-	}
-	if w.Clients < 1 || w.Clients > len(cl.Nodes)-1 {
-		return nil, fmt.Errorf("core: %d fan-in clients need a cluster of %d nodes, have %d", w.Clients, w.Clients+1, len(cl.Nodes))
-	}
-	if w.MessageBytes < workload.FanInHeaderBytes {
-		return nil, fmt.Errorf("core: fan-in message size %d below header size %d", w.MessageBytes, workload.FanInHeaderBytes)
-	}
-	if w.Messages < 1 {
-		return nil, fmt.Errorf("core: fan-in needs at least 1 message per client")
-	}
-
-	// The receive handlers below all run on node 0's shard, so perClient
-	// and corrupt are single-shard state even in a sharded cluster.
-	perClient := stats.NewPerNode()
-	corrupt := 0
-	start := cl.Now()
-
 	// End-to-end delivery latency sketch (push → verified delivery, µs),
-	// registered only when the cluster carries a registry. sendAt is
-	// written by each client's proc on its own shard and read by the
-	// server's delivery handler on shard 0; every (client, message) slot
-	// is a distinct location and the write precedes the read through the
-	// cells' own cross-shard channel hops, so the access is ordered at
-	// any shard count and the observed latencies — simulated time minus
-	// simulated time — are shard-invariant.
-	var mLat *metrics.Sketch
-	var sendAt [][]sim.Time
+	// registered only when the cluster carries a registry.
 	if r := cl.Opt.Metrics; r != nil {
-		mLat = r.Quantiles("fanin/delivery_latency_us", 0.5, 0.9, 0.99)
-		sendAt = make([][]sim.Time, w.Clients)
-		for c := range sendAt {
-			sendAt[c] = make([]sim.Time, w.Messages)
+		t.latency = r.Quantiles("fanin/delivery_latency_us", 0.5, 0.9, 0.99)
+	}
+	run, err := cl.runFanIn(w, t)
+	if err != nil {
+		return nil, err
+	}
+	w = run.w
+	for c, done := range run.done {
+		if !done {
+			return nil, fmt.Errorf("core: fan-in incomplete: client %d did not finish", c)
 		}
 	}
 
-	// One unidirectional path per client: node c+1 → node 0. Each gets
-	// its own VCI and switch route, so the server's board runs one AAL5
-	// reassembly per client concurrently (§2.6 strategy two).
-	txs := make([]xkernel.Session, w.Clients)
+	res := &FanInResult{Workload: w, Sent: w.Clients * w.Messages, Corrupt: run.corrupt}
 	for c := 0; c < w.Clients; c++ {
-		tx, rx, err := cl.OpenPair(c+1, 0, UDPIP)
-		if err != nil {
-			return nil, err
-		}
-		txs[c] = tx
-		ww := w
-		rx.SetHandler(func(p *sim.Proc, m *msg.Message) {
-			data, err := m.Bytes()
-			if err != nil {
-				corrupt++
-				return
-			}
-			client, seq, ok := ww.Verify(data)
-			if !ok {
-				corrupt++
-				return
-			}
-			if mLat != nil && client < len(sendAt) && seq < len(sendAt[client]) {
-				mLat.Observe((p.Now() - sendAt[client][seq]).Microseconds())
-			}
-			perClient.Observe(client, len(data), time.Duration(p.Now()-start))
-		})
-	}
-
-	// One done flag per client, not a shared counter: each proc runs on
-	// its own node's shard, and distinct slice elements keep the writes
-	// on distinct memory locations.
-	senderDone := make([]bool, w.Clients)
-	for c := 0; c < w.Clients; c++ {
-		c := c
-		nd := cl.Nodes[c+1]
-		tx := txs[c]
-		cl.Go(c+1, fmt.Sprintf("fanin-client-%d", c), func(p *sim.Proc) {
-			if w.Stagger > 0 && c > 0 {
-				p.Sleep(time.Duration(c) * w.Stagger)
-			}
-			for m := 0; m < w.Messages; m++ {
-				if sendAt != nil {
-					sendAt[c][m] = p.Now()
-				}
-				payload := w.Payload(c, m)
-				mm, free, err := allocFrom(nd.Host.Kernel, payload)
-				if err != nil {
-					return
-				}
-				if err := tx.Push(p, mm); err != nil {
-					free()
-					return
-				}
-				nd.Drv.Flush(p)
-				free()
-				if w.Gap > 0 && m < w.Messages-1 {
-					p.Sleep(w.Gap)
-				}
-			}
-			senderDone[c] = true
-		})
-	}
-
-	// Senders never deadlock: uplink FIFOs drain at line rate and the
-	// fabric's only congestion point drops rather than blocks, so a
-	// generous horizon (slowest plausible drain ~20 Mbps aggregate plus
-	// all pacing gaps) always suffices.
-	horizon := time.Duration(w.TotalBytes())*8*50*time.Nanosecond +
-		w.Stagger*time.Duration(w.Clients) +
-		w.Gap*time.Duration(w.Messages) +
-		50*time.Millisecond
-	cl.RunUntil(cl.Now().Add(horizon))
-	cl.Run() // drain in-flight cells and deliveries
-	sendersDone := 0
-	for _, d := range senderDone {
-		if d {
-			sendersDone++
-		}
-	}
-	if sendersDone != w.Clients {
-		return nil, fmt.Errorf("core: fan-in incomplete: %d/%d senders finished", sendersDone, w.Clients)
-	}
-
-	res := &FanInResult{Workload: w, Sent: w.Clients * w.Messages, Corrupt: corrupt}
-	for c := 0; c < w.Clients; c++ {
-		a := perClient.Node(c)
+		a := run.perClient.Node(c)
 		res.Clients = append(res.Clients, FanInClient{
 			Client:    c,
 			Sent:      w.Messages,
@@ -215,7 +112,7 @@ func (cl *Cluster) RunFanIn(w workload.FanIn) (*FanInResult, error) {
 		res.Delivered += a.Messages
 		res.Shortfall += w.Messages - a.Messages
 	}
-	agg := perClient.Aggregate()
+	agg := run.perClient.Aggregate()
 	res.AggregateMbps = agg.Mbps()
 	res.Elapsed = agg.Last - agg.First
 	ss := cl.Fabric.Stats()
@@ -226,6 +123,178 @@ func (cl *Cluster) RunFanIn(w workload.FanIn) (*FanInResult, error) {
 		res.Ports = append(res.Ports, FanInPort{Port: i, SwitchPortStats: cl.Fabric.Port(i).Stats()})
 	}
 	return res, nil
+}
+
+// fanInTransport is what varies between the fan-in drivers (RunFanIn
+// over UDP/IP, RunIncastRDP over RDP): everything else — validation,
+// the byte-verified receive handler, the staggered and paced senders,
+// the horizon run — is runFanIn.
+type fanInTransport struct {
+	name string // experiment name, in errors and client proc names
+	// open opens client c's circuit to the server (node c+1 → node 0).
+	open func(c int) (tx, rx xkernel.Session, err error)
+	// reliable senders drain their windows (WaitAcked) before they count
+	// as done, and every session closes at the horizon, before the
+	// final drain, so the retransmit timers die.
+	reliable bool
+	// horizon bounds the run in simulated time; 0 selects a drain bound
+	// generous for the transport.
+	horizon time.Duration
+	// latency, when set, observes each delivery's push-to-delivery
+	// latency in µs.
+	latency *metrics.Sketch
+}
+
+// fanInRun is runFanIn's raw outcome: server-side delivery accounting
+// and per-client sender state.
+type fanInRun struct {
+	w         workload.FanIn // the workload with Clients defaulted
+	perClient *stats.PerNode
+	corrupt   int
+	pushed    []int
+	done      []bool
+}
+
+// runFanIn validates w against the cluster, opens one circuit per
+// client over t, and runs the fan-in: nodes 1..Clients each push
+// w.Messages messages at node 0, staggered and paced, while the server
+// verifies every delivery byte for byte.
+func (cl *Cluster) runFanIn(w workload.FanIn, t fanInTransport) (*fanInRun, error) {
+	if cl.Fabric == nil {
+		return nil, fmt.Errorf("core: %s needs a switched cluster (NewCluster), not a back-to-back testbed", t.name)
+	}
+	if w.Clients == 0 {
+		w.Clients = len(cl.Nodes) - 1
+	}
+	if w.Clients < 1 || w.Clients > len(cl.Nodes)-1 {
+		return nil, fmt.Errorf("core: %d %s clients need a cluster of %d nodes, have %d", w.Clients, t.name, w.Clients+1, len(cl.Nodes))
+	}
+	if w.MessageBytes < workload.FanInHeaderBytes {
+		return nil, fmt.Errorf("core: %s message size %d below header size %d", t.name, w.MessageBytes, workload.FanInHeaderBytes)
+	}
+	if w.Messages < 1 {
+		return nil, fmt.Errorf("core: %s needs at least 1 message per client", t.name)
+	}
+	if t.horizon == 0 {
+		// Unreliable senders never deadlock: uplink FIFOs drain at line
+		// rate and the fabric's only congestion point drops rather than
+		// blocks, so the slowest plausible drain (~20 Mbps aggregate)
+		// plus all pacing always suffices. Reliable senders CAN stall
+		// past any fixed drain bound (go-back-N keeps retransmitting
+		// into a congested queue), so the horizon is their contract:
+		// drain at 10 Mbps plus 500 ms of recovery headroom, and
+		// undelivered messages surface as shortfall.
+		perBit, slack := 50*time.Nanosecond, 50*time.Millisecond
+		if t.reliable {
+			perBit, slack = 100*time.Nanosecond, 500*time.Millisecond
+		}
+		t.horizon = time.Duration(w.TotalBytes())*8*perBit +
+			w.Stagger*time.Duration(w.Clients) +
+			w.Gap*time.Duration(w.Messages) +
+			slack
+	}
+
+	// The receive handlers below all run on node 0's shard, so perClient
+	// and corrupt are single-shard state even in a sharded cluster.
+	run := &fanInRun{
+		w:         w,
+		perClient: stats.NewPerNode(),
+		pushed:    make([]int, w.Clients),
+		done:      make([]bool, w.Clients),
+	}
+	start := cl.Now()
+
+	// sendAt is written by each client's proc on its own shard and read
+	// by the server's delivery handler on shard 0; every (client,
+	// message) slot is a distinct location and the write precedes the
+	// read through the cells' own cross-shard channel hops, so the
+	// access is ordered at any shard count and the observed latencies —
+	// simulated time minus simulated time — are shard-invariant.
+	var sendAt [][]sim.Time
+	if t.latency != nil {
+		sendAt = make([][]sim.Time, w.Clients)
+		for c := range sendAt {
+			sendAt[c] = make([]sim.Time, w.Messages)
+		}
+	}
+
+	// One circuit per client: node c+1 → node 0. Each gets its own VCI
+	// and switch route, so the server's board runs one AAL5 reassembly
+	// per client concurrently (§2.6 strategy two).
+	txs := make([]xkernel.Session, w.Clients)
+	rxs := make([]xkernel.Session, w.Clients)
+	for c := 0; c < w.Clients; c++ {
+		tx, rx, err := t.open(c)
+		if err != nil {
+			return nil, err
+		}
+		txs[c], rxs[c] = tx, rx
+		rx.SetHandler(func(p *sim.Proc, m *msg.Message) {
+			data, err := m.Bytes()
+			if err != nil {
+				run.corrupt++
+				return
+			}
+			client, seq, ok := w.Verify(data)
+			if !ok {
+				run.corrupt++
+				return
+			}
+			if sendAt != nil && client < len(sendAt) && seq < len(sendAt[client]) {
+				t.latency.Observe((p.Now() - sendAt[client][seq]).Microseconds())
+			}
+			run.perClient.Observe(client, len(data), time.Duration(p.Now()-start))
+		})
+	}
+
+	// Per-client sender state on distinct memory locations: each proc
+	// runs on its own node's shard.
+	for c := 0; c < w.Clients; c++ {
+		c := c
+		nd := cl.Nodes[c+1]
+		tx := txs[c]
+		cl.Go(c+1, fmt.Sprintf("%s-client-%d", t.name, c), func(p *sim.Proc) {
+			if w.Stagger > 0 && c > 0 {
+				p.Sleep(time.Duration(c) * w.Stagger)
+			}
+			for m := 0; m < w.Messages; m++ {
+				if sendAt != nil {
+					sendAt[c][m] = p.Now()
+				}
+				mm, free, err := allocFrom(nd.Host.Kernel, w.Payload(c, m))
+				if err != nil {
+					return
+				}
+				if err := tx.Push(p, mm); err != nil {
+					free()
+					return
+				}
+				nd.Drv.Flush(p)
+				free()
+				run.pushed[c]++
+				if w.Gap > 0 && m < w.Messages-1 {
+					p.Sleep(w.Gap)
+				}
+			}
+			if !t.reliable {
+				run.done[c] = true
+				return
+			}
+			s := tx.(proto.WaitAckedSession)
+			s.WaitAcked(p)
+			run.done[c] = s.Err() == nil
+		})
+	}
+
+	cl.RunUntil(cl.Now().Add(t.horizon))
+	if t.reliable {
+		for c := 0; c < w.Clients; c++ {
+			txs[c].Close()
+			rxs[c].Close()
+		}
+	}
+	cl.Run() // drain in-flight cells and deliveries
+	return run, nil
 }
 
 // RunFanIn builds a switched cluster of clients+1 nodes and runs the

@@ -1,14 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/atm"
-	"repro/internal/msg"
 	"repro/internal/proto"
-	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/workload"
 	"repro/internal/xkernel"
 )
@@ -116,123 +112,35 @@ func offeredMbps(w workload.FanIn, ct time.Duration, width int) float64 {
 // undelivered at the horizon is reported loudly as per-client
 // shortfall, never silently absorbed.
 func (cl *Cluster) RunIncastRDP(w IncastRDP) (*IncastResult, error) {
-	if cl.Fabric == nil {
-		return nil, fmt.Errorf("core: incast needs a switched cluster (NewCluster), not a back-to-back testbed")
-	}
-	fw := w.Workload
-	if fw.Clients == 0 {
-		fw.Clients = len(cl.Nodes) - 1
-	}
-	if fw.Clients < 1 || fw.Clients > len(cl.Nodes)-1 {
-		return nil, fmt.Errorf("core: %d incast clients need a cluster of %d nodes, have %d", fw.Clients, fw.Clients+1, len(cl.Nodes))
-	}
-	if fw.MessageBytes < workload.FanInHeaderBytes {
-		return nil, fmt.Errorf("core: incast message size %d below header size %d", fw.MessageBytes, workload.FanInHeaderBytes)
-	}
-	if fw.Messages < 1 {
-		return nil, fmt.Errorf("core: incast needs at least 1 message per client")
-	}
-	if w.Horizon == 0 {
-		w.Horizon = time.Duration(fw.TotalBytes())*8*100*time.Nanosecond +
-			fw.Stagger*time.Duration(fw.Clients) +
-			fw.Gap*time.Duration(fw.Messages) +
-			500*time.Millisecond
-	}
-
-	// Delivery accounting runs on node 0's shard; per-client slots keep
-	// the sender-side state on each client's own shard.
-	perClient := stats.NewPerNode()
-	corrupt := 0
-	start := cl.Now()
-
 	open := proto.RDPOpen{
 		Window:            w.Window,
 		RetransmitTimeout: w.RetransmitTimeout,
 		MaxRetries:        w.MaxRetries,
 		Adaptive:          w.Adaptive,
 	}
-	txs := make([]xkernel.Session, fw.Clients)
-	rxs := make([]xkernel.Session, fw.Clients)
-	for c := 0; c < fw.Clients; c++ {
-		tx, rx, err := cl.OpenPairRDP(c+1, 0, open)
-		if err != nil {
-			return nil, err
-		}
-		txs[c], rxs[c] = tx, rx
-		ww := fw
-		rx.SetHandler(func(p *sim.Proc, m *msg.Message) {
-			data, err := m.Bytes()
-			if err != nil {
-				corrupt++
-				return
-			}
-			client, _, ok := ww.Verify(data)
-			if !ok {
-				corrupt++
-				return
-			}
-			perClient.Observe(client, len(data), time.Duration(p.Now()-start))
-		})
+	run, err := cl.runFanIn(w.Workload, fanInTransport{
+		name:     "incast",
+		open:     func(c int) (xkernel.Session, xkernel.Session, error) { return cl.OpenPairRDP(c+1, 0, open) },
+		reliable: true,
+		horizon:  w.Horizon,
+	})
+	if err != nil {
+		return nil, err
 	}
+	fw := run.w
 
-	// Per-client sender state on distinct memory locations (each proc
-	// runs on its own node's shard).
-	pushed := make([]int, fw.Clients)
-	ackedAll := make([]bool, fw.Clients)
-	for c := 0; c < fw.Clients; c++ {
-		c := c
-		nd := cl.Nodes[c+1]
-		tx := txs[c]
-		cl.Go(c+1, fmt.Sprintf("incast-client-%d", c), func(p *sim.Proc) {
-			if fw.Stagger > 0 && c > 0 {
-				p.Sleep(time.Duration(c) * fw.Stagger)
-			}
-			for m := 0; m < fw.Messages; m++ {
-				payload := fw.Payload(c, m)
-				mm, free, err := allocFrom(nd.Host.Kernel, payload)
-				if err != nil {
-					return
-				}
-				if err := tx.Push(p, mm); err != nil {
-					free()
-					return
-				}
-				nd.Drv.Flush(p)
-				free()
-				pushed[c]++
-				if fw.Gap > 0 && m < fw.Messages-1 {
-					p.Sleep(fw.Gap)
-				}
-			}
-			tx.(interface{ WaitAcked(*sim.Proc) }).WaitAcked(p)
-			ackedAll[c] = tx.(interface{ Err() error }).Err() == nil
-		})
-	}
-
-	// Reliable senders CAN stall past any fixed drain bound (go-back-N
-	// keeps retransmitting into a congested queue), so the horizon is the
-	// contract: run to it, close every session so the retransmit timers
-	// die, then drain the in-flight cells. Undelivered messages surface
-	// as shortfall in the result.
-	cl.RunUntil(cl.Now().Add(w.Horizon))
-	for c := 0; c < fw.Clients; c++ {
-		txs[c].Close()
-		rxs[c].Close()
-	}
-	cl.Run()
-
-	res := &IncastResult{Adaptive: w.Adaptive, Corrupt: corrupt}
+	res := &IncastResult{Adaptive: w.Adaptive, Corrupt: run.corrupt}
 	lk := cl.Fabric.Port(0).Ingress().Links()[0]
 	res.OfferedMbps = offeredMbps(fw, lk.CellTime(), len(cl.Fabric.Port(0).Ingress().Links()))
 	for c := 0; c < fw.Clients; c++ {
-		a := perClient.Node(c)
+		a := run.perClient.Node(c)
 		st := cl.Nodes[c+1].RDP.Stats()
 		ic := IncastClient{
 			Client:      c,
-			Sent:        pushed[c],
+			Sent:        run.pushed[c],
 			Delivered:   a.Messages,
 			Shortfall:   fw.Messages - a.Messages,
-			Acked:       ackedAll[c],
+			Acked:       run.done[c],
 			Retransmits: st.Retransmits,
 			Timeouts:    st.Timeouts,
 			FastRetx:    st.FastRetx,
@@ -250,7 +158,7 @@ func (cl *Cluster) RunIncastRDP(w IncastRDP) (*IncastResult, error) {
 		res.EcnBackoffs += ic.EcnBackoffs
 	}
 	res.EcnEchoed = cl.Nodes[0].RDP.Stats().EcnEchoed
-	agg := perClient.Aggregate()
+	agg := run.perClient.Aggregate()
 	res.GoodputMbps = agg.Mbps()
 	res.Elapsed = agg.Last - agg.First
 	ss := cl.Fabric.Stats()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
@@ -62,63 +61,6 @@ func TestIncastLegacyCollapses(t *testing.T) {
 	}
 	if res.SwitchDropped == 0 {
 		t.Error("no switch drops under 8:1 unpaced fan-in")
-	}
-}
-
-// TestIncastShardInvariance pins the reproducibility contract: the
-// same incast run, serial and at 2 and 4 shards, produces identical
-// results down to every per-client counter and timing-derived float.
-// This is what the stamped-link tie-break (atm.Link xid) buys — the
-// unpaced fan-in ties constantly at the fabric, and without a
-// partition-independent order the runs diverge.
-func TestIncastShardInvariance(t *testing.T) {
-	w := workload.FanIn{Clients: 8, MessageBytes: 4096, Messages: 8}
-	for _, adaptive := range []bool{true, false} {
-		var base *IncastResult
-		for _, shards := range []int{1, 2, 4} {
-			opt := Options{Shards: shards, FabricQueueCells: 1024, FabricMarkThreshold: 128}
-			res, err := RunIncastRDP(opt, IncastRDP{
-				Workload: w, Adaptive: adaptive, Horizon: 100 * time.Millisecond,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if base == nil {
-				base = res
-				continue
-			}
-			if !reflect.DeepEqual(base, res) {
-				t.Errorf("adaptive=%v shards=%d diverges from serial:\n serial: %+v\n sharded: %+v",
-					adaptive, shards, base, res)
-			}
-		}
-	}
-}
-
-// TestIncastPerCellParity pins the fabric-machine contract end to end
-// through the adaptive transport: the train-forwarding fast path and
-// the per-cell queue/arbiter machine mark, drop, and forward
-// identically, so the ECN feedback loop (mark → echo → backoff) and
-// every delivery timing match byte for byte.
-func TestIncastPerCellParity(t *testing.T) {
-	w := workload.FanIn{Clients: 8, MessageBytes: 4096, Messages: 8}
-	var base *IncastResult
-	for _, perCell := range []bool{false, true} {
-		opt := Options{PerCellFabric: perCell, FabricQueueCells: 1024, FabricMarkThreshold: 128}
-		res, err := RunIncastRDP(opt, IncastRDP{Workload: w, Adaptive: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.SwitchMarked == 0 {
-			t.Errorf("perCell=%v: no CE marks at threshold 128 under unpaced fan-in", perCell)
-		}
-		if base == nil {
-			base = res
-			continue
-		}
-		if !reflect.DeepEqual(base, res) {
-			t.Errorf("per-cell fabric diverges from train forwarding:\n train: %+v\n percell: %+v", base, res)
-		}
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/hostsim"
 	"repro/internal/msg"
-	"repro/internal/parexp"
 	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -20,7 +19,10 @@ import (
 
 // LossSweep configures the fault-plane experiment: RDP traffic pushed
 // across the two-host testbed while both directions' links run a
-// Gilbert–Elliott burst-loss injector, swept over mean loss rates. The
+// Gilbert–Elliott burst-loss injector, swept over mean loss rates.
+// Every rate runs twice with the same seed and fault stream: over the
+// fixed-timer transport and over the adaptive one (RTT-estimated
+// retransmission timer, AIMD congestion window), side by side. The
 // zero value gets sensible defaults from withDefaults.
 type LossSweep struct {
 	// Rates are the mean burst cell-loss rates to sweep (default
@@ -55,18 +57,6 @@ type LossSweep struct {
 	// Seed seeds every point's fresh simulation (0 selects
 	// DefaultSeed; ZeroSeed requests a literal zero).
 	Seed int64
-	// AdaptiveColumn additionally runs every swept rate a second time
-	// over the adaptive transport (RTT-estimated retransmission timer,
-	// AIMD congestion window) with the same seed and fault stream, and
-	// records the outcome in each point's Adaptive block — the
-	// fixed-timer vs RTT-estimated recovery comparison, side by side.
-	AdaptiveColumn bool
-	// Workers fans the per-rate runs across a parexp pool. Each rate
-	// is an independent, seeded simulation, and the points are merged
-	// back in rate order, so the result — and its JSON encoding — is
-	// byte-identical for any worker count. 0 or 1 runs the rates
-	// serially on the calling goroutine; negative selects GOMAXPROCS.
-	Workers int
 }
 
 // DefaultLossRates is the swept mean cell-loss grid: a clean control
@@ -140,10 +130,8 @@ type LossSweepPoint struct {
 	OpenReassemblies int `json:"open_reassemblies"`
 	HeldReasmBufs    int `json:"held_reasm_bufs"`
 
-	// Adaptive is the same rate rerun over the adaptive transport
-	// (LossSweep.AdaptiveColumn); nil when the column was not requested,
-	// and omitted from the JSON so legacy sweeps encode unchanged.
-	Adaptive *LossSweepAdaptive `json:"adaptive,omitempty"`
+	// Adaptive is the same rate rerun over the adaptive transport.
+	Adaptive LossSweepAdaptive `json:"adaptive"`
 }
 
 // LossSweepAdaptive is the adaptive-transport column of one swept rate:
@@ -180,85 +168,69 @@ func lossPayload(n, i int) []byte {
 	return data
 }
 
-// RunLossSweep drives the fault-plane capstone: for each swept rate it
-// builds a fresh testbed whose links (both directions, independent
-// deterministic streams) run the configured burst-loss injector, opens
-// one RDP connection A→B, pushes the configured messages, and runs the
+// Result assembles the sweep's report from its points, one per rate in
+// c's order.
+func (c LossSweep) Result(points []LossSweepPoint) *LossSweepResult {
+	c = c.withDefaults()
+	return &LossSweepResult{
+		Seed:         resolveSeed(c.Seed),
+		Messages:     c.Messages,
+		MessageBytes: c.MessageBytes,
+		Window:       c.Window,
+		MaxRetries:   c.MaxRetries,
+		Points:       points,
+	}
+}
+
+// RunLossSweep runs every swept rate in order (RunLossPoint) and
+// assembles the report.
+func RunLossSweep(cfg LossSweep) (*LossSweepResult, error) {
+	cfg = cfg.withDefaults()
+	var points []LossSweepPoint
+	for _, rate := range cfg.Rates {
+		pt, err := RunLossPoint(cfg, rate)
+		if err != nil {
+			return nil, fmt.Errorf("core: loss sweep at rate %g: %w", rate, err)
+		}
+		points = append(points, pt)
+	}
+	return cfg.Result(points), nil
+}
+
+// RunLossPoint drives one rate of the fault-plane capstone: it builds a
+// fresh testbed whose links (both directions, independent deterministic
+// streams) run the configured burst-loss injector, opens one RDP
+// connection A→B, pushes the configured messages, and runs the
 // simulation to quiescence — MaxRetries on the sender and ReasmTimeout
 // on the boards guarantee the event queue drains even when every cell
-// is lost. The receiver verifies each delivery byte for byte.
+// is lost. The receiver verifies each delivery byte for byte. The rate
+// then reruns over the adaptive transport for the point's Adaptive
+// column. Each point is an independent, seeded simulation, so rates may
+// run in any order or in parallel.
 //
 // Correctness bugs — corrupt deliveries, leaked reassembly state, an
 // incomplete sender — return an error; a session killed by the retry
 // cap at a brutal rate is a legitimate outcome and is recorded in the
 // point instead.
-func RunLossSweep(cfg LossSweep) (*LossSweepResult, error) {
+func RunLossPoint(cfg LossSweep, rate float64) (LossSweepPoint, error) {
 	cfg = cfg.withDefaults()
-	seed := cfg.Seed
-	switch seed {
-	case 0:
-		seed = DefaultSeed
-	case ZeroSeed:
-		seed = 0
-	}
-	res := &LossSweepResult{
-		Seed:         seed,
-		Messages:     cfg.Messages,
-		MessageBytes: cfg.MessageBytes,
-		Window:       cfg.Window,
-		MaxRetries:   cfg.MaxRetries,
-	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = 1 // zero value keeps the historical serial behavior
-	}
-	jobs := make([]parexp.Job, len(cfg.Rates))
-	for i, rate := range cfg.Rates {
-		rate := rate
-		jobs[i] = parexp.Job{
-			Name: fmt.Sprintf("faults/rate=%g", rate),
-			Seed: seed,
-			// Heavier loss means more retransmission rounds and a longer
-			// simulated run; start those first.
-			Cost: rate,
-			Run: func() (any, error) {
-				pt, err := runLossPoint(cfg, rate)
-				if err != nil {
-					return nil, err
-				}
-				return pt, nil
-			},
-		}
-	}
-	for i, r := range parexp.Run(workers, jobs) {
-		if r.Err != nil {
-			return nil, fmt.Errorf("core: loss sweep at rate %g: %w", cfg.Rates[i], r.Err)
-		}
-		res.Points = append(res.Points, r.Value.(LossSweepPoint))
-	}
-	return res, nil
-}
-
-func runLossPoint(cfg LossSweep, rate float64) (LossSweepPoint, error) {
 	pt, _, err := runLossRun(cfg, rate, false)
 	if err != nil {
 		return pt, err
 	}
-	if cfg.AdaptiveColumn {
-		apt, ast, err := runLossRun(cfg, rate, true)
-		if err != nil {
-			return pt, fmt.Errorf("adaptive column: %w", err)
-		}
-		pt.Adaptive = &LossSweepAdaptive{
-			Delivered:   apt.Delivered,
-			Failed:      apt.Failed,
-			GoodputMbps: apt.GoodputMbps,
-			ElapsedNS:   apt.ElapsedNS,
-			Retransmits: apt.Retransmits,
-			Timeouts:    apt.Timeouts,
-			FastRetx:    ast.FastRetx,
-			RTTSamples:  ast.RTTSamples,
-		}
+	apt, ast, err := runLossRun(cfg, rate, true)
+	if err != nil {
+		return pt, fmt.Errorf("adaptive column: %w", err)
+	}
+	pt.Adaptive = LossSweepAdaptive{
+		Delivered:   apt.Delivered,
+		Failed:      apt.Failed,
+		GoodputMbps: apt.GoodputMbps,
+		ElapsedNS:   apt.ElapsedNS,
+		Retransmits: apt.Retransmits,
+		Timeouts:    apt.Timeouts,
+		FastRetx:    ast.FastRetx,
+		RTTSamples:  ast.RTTSamples,
 	}
 	return pt, nil
 }

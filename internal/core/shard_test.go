@@ -30,28 +30,6 @@ func requireInvariant(t *testing.T, name string, run func(shards int) string) {
 	}
 }
 
-// TestLatencyShardInvariance pins Table 1's apparatus: the ping-pong
-// crosses the shard boundary twice per round, so every cross-shard
-// delivery stamp is load-bearing for the measured RTT.
-func TestLatencyShardInvariance(t *testing.T) {
-	requireInvariant(t, "latency", func(shards int) string {
-		out := ""
-		for _, kind := range []ProtoKind{ATMRaw, UDPIP} {
-			opt := alOptions()
-			opt.Shards = shards
-			tb := NewTestbed(opt)
-			d, err := tb.RunLatency(kind, 1024, 3)
-			if err != nil {
-				t.Fatalf("RunLatency(%v, shards=%d): %v", kind, shards, err)
-			}
-			out += fmt.Sprintf("%v rtt=%v now=%v ab=%+v ba=%+v\n",
-				kind, d, tb.Now(), tb.AB.Stats(), tb.BA.Stats())
-			tb.Shutdown()
-		}
-		return out
-	})
-}
-
 // TestFigure3ShardInvariance pins the receive-throughput apparatus.
 // Fictitious traffic never leaves host B's shard; the test checks that
 // the group scheduler itself (windows, clock advance, horizon) is

@@ -99,8 +99,9 @@ const (
 // back to back. The experiment is serial by construction — one engine
 // regardless of Options.Shards, since every tenant shares the two hosts
 // and there is no cross-host lookahead to exploit — so its artifacts
-// are byte-identical at any shard count; the bench's shard diff pins
-// that the flag plumbing does not perturb them.
+// are byte-identical at any shard count; the scenario registry's
+// shard-invariance test pins that the flag plumbing does not perturb
+// them.
 func RunTenants(opt Options, w Tenants) (*TenantsResult, error) {
 	opt = opt.withDefaults()
 	if w.Tenants <= 0 {
@@ -125,9 +126,7 @@ func RunTenants(opt Options, w Tenants) (*TenantsResult, error) {
 	// Each tenant pins a four-page transmit run on each host, plus the
 	// mux pools, the receive-side fbufs, and slack; grow physical memory
 	// with the tenant count so scale, not memory exhaustion, is measured.
-	if need := 2048 + 6*w.Tenants; opt.MemPages < need {
-		opt.MemPages = need
-	}
+	pages := max(hostMemPages, 2048+6*w.Tenants)
 
 	// Pace the steady senders so their aggregate offered load stays
 	// below the receive path's service rate (~200 Mbps in total): the
@@ -155,8 +154,8 @@ func RunTenants(opt Options, w Tenants) (*TenantsResult, error) {
 	}
 
 	e := sim.NewEngine(opt.Seed)
-	hA := hostsim.New(e, opt.Profile, opt.MemPages)
-	hB := hostsim.New(e, opt.Profile, opt.MemPages)
+	hA := hostsim.New(e, opt.Profile, pages)
+	hB := hostsim.New(e, opt.Profile, pages)
 	if w.PDUBytes > 4*hA.Mem.PageSize() {
 		return nil, fmt.Errorf("core: tenant PDU of %d bytes exceeds one transmit run", w.PDUBytes)
 	}

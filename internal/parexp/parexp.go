@@ -173,16 +173,6 @@ func FirstErr(results []Result) error {
 	return nil
 }
 
-// Walls returns every job's wall time in canonical order — input for
-// percentile summaries of a batch.
-func Walls(results []Result) []time.Duration {
-	out := make([]time.Duration, len(results))
-	for i := range results {
-		out[i] = results[i].Wall
-	}
-	return out
-}
-
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of ds by
 // nearest-rank on a sorted copy; 0 for an empty slice.
 func Percentile(ds []time.Duration, p float64) time.Duration {

@@ -1,7 +1,6 @@
-package main
+package scenario
 
 import (
-	"flag"
 	"fmt"
 	"time"
 
@@ -14,20 +13,11 @@ import (
 	"repro/internal/fbuf"
 	"repro/internal/hostsim"
 	"repro/internal/msg"
-	"repro/internal/parexp"
 	"repro/internal/proto"
 	"repro/internal/queue"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
-
-var flagAblations = flag.Bool("ablations", false, "run the design-choice ablation experiments")
-
-func init() { extraSections = append(extraSections, runAblations) }
-
-// extraSections lets auxiliary files contribute output sections.
-var extraSections []func()
 
 // ringTime measures §2.1.1's queue-discipline ablation: one push/pop
 // pair over a lock-free or a spin-lock host/board ring.
@@ -72,8 +62,8 @@ func ringTime(spin bool) time.Duration {
 
 // inval measures §2.3's cache-invalidation ablation: a 16 KB receive on
 // the DECstation under the given policy.
-func inval(policy driver.CachePolicy) float64 {
-	opt := dsOptions()
+func inval(cfg Config, policy driver.CachePolicy) float64 {
+	opt := cfg.options(dsOptions())
 	opt.Driver = driver.Config{Cache: policy}
 	tb := core.NewTestbed(opt)
 	defer tb.Shutdown()
@@ -101,9 +91,9 @@ func wire(slow bool) time.Duration {
 
 // strat measures §2.6: delivery correctness under link skew for one
 // reassembly strategy.
-func strat(s board.ReassemblyStrategy) string {
+func strat(cfg Config, s board.ReassemblyStrategy) string {
 	skew := atm.ConstantSkew{PerLink: []time.Duration{0, 9 * time.Microsecond, 3 * time.Microsecond, 14 * time.Microsecond}}
-	opt := alOptions()
+	opt := cfg.options(alOptions())
 	opt.Board = board.Config{Strategy: s}
 	opt.Link.Skew = skew
 	tb := core.NewTestbed(opt)
@@ -169,9 +159,9 @@ func fb(cached bool) time.Duration {
 // lossy measures the §2.3 premise: RDP delivery over a 1%-lossy link.
 // LossRate draws from the shared engine RNG per cell, which is
 // partition-dependent, so this ablation always runs on the serial
-// engine regardless of -shards.
-func lossy() string {
-	opt := alOptions()
+// engine regardless of Config.Shards.
+func lossy(cfg Config) string {
+	opt := cfg.options(alOptions())
 	opt.Link.LossRate = 0.01
 	opt.Shards = 0
 	tb := core.NewTestbed(opt)
@@ -194,61 +184,4 @@ func lossy() string {
 	})
 	tb.RunUntil(tb.Now().Add(time.Second))
 	return fmt.Sprintf("%d/10 delivered, %d retransmits", got, tb.A.RDP.Stats().Retransmits)
-}
-
-func runAblations() {
-	if !(*flagAblations || *flagAll) {
-		return
-	}
-
-	// Each variant is one independent simulation; the experiment/variant
-	// labels reproduce the table layout (the experiment label only on its
-	// first variant's row).
-	cells := []struct {
-		job        string // ablations/<slug>
-		experiment string
-		variant    string
-		run        func() string
-	}{
-		{"ring/lockfree", "§2.1.1 host/board queue", "lock-free 1R1W", func() string { return fmt.Sprintf("%v/op", ringTime(false)) }},
-		{"ring/spinlock", "", "spin-lock", func() string { return fmt.Sprintf("%v/op", ringTime(true)) }},
-		{"inval/lazy", "§2.3 cache invalidation", "lazy", func() string { return fmt.Sprintf("%.0f Mbps", inval(driver.CacheLazy)) }},
-		{"inval/eager", "", "eager", func() string { return fmt.Sprintf("%.0f Mbps", inval(driver.CacheEager)) }},
-		{"wiring/primitive", "§2.4 wiring (4 pages)", "low-level primitive", func() string { return wire(false).String() }},
-		{"wiring/standard", "", "standard service", func() string { return wire(true).String() }},
-		{"skew/four-aal5", "§2.6 reassembly under skew", "four-aal5", func() string { return strat(board.FourAAL5) }},
-		{"skew/seqnum", "", "seqnum", func() string { return strat(board.SeqNum) }},
-		{"skew/arrival-order", "", "arrival-order", func() string { return strat(board.ArrivalOrder) }},
-		{"fbuf/cached", "§3.1 fbuf transfer (16 KB)", "cached", func() string { return fb(true).String() }},
-		{"fbuf/uncached", "", "uncached", func() string { return fb(false).String() }},
-		{"rdp-loss/go-back-n", "§2.3 1% cell loss + RDP", "go-back-N", func() string { return lossy() }},
-	}
-	var jobs []parexp.Job
-	for _, c := range cells {
-		c := c
-		jobs = append(jobs, parexp.Job{
-			Name: "ablations/" + c.job,
-			Run:  func() (any, error) { return c.run(), nil },
-		})
-	}
-	jobs = selected(jobs)
-	if len(jobs) == 0 {
-		return
-	}
-	fmt.Println("== Ablations (design choices of §2-§3) ==")
-	results := runJobs(jobs)
-	byName := map[string]parexp.Result{}
-	for _, r := range results {
-		byName[r.Name] = r
-	}
-
-	tab := stats.Table{Cols: []string{"experiment", "variant", "result"}}
-	for _, c := range cells {
-		r, ok := byName["ablations/"+c.job]
-		if !ok || r.Err != nil {
-			continue
-		}
-		tab.AddRow(c.experiment, c.variant, r.Value.(string))
-	}
-	fmt.Println(tab.Render())
 }
