@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -143,22 +142,6 @@ func TestFanInOverloadDropsButNeverCorrupts(t *testing.T) {
 	}
 	if res.Delivered >= res.Sent {
 		t.Errorf("overload delivered %d/%d — not an overload", res.Delivered, res.Sent)
-	}
-}
-
-func TestFanInDeterministic(t *testing.T) {
-	run := func() *FanInResult {
-		cl := NewCluster(Options{}, 9)
-		defer cl.Shutdown()
-		res, err := cl.RunFanIn(workload.DefaultFanIn())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(), run()
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("same seed, different results:\n%+v\n%+v", a, b)
 	}
 }
 

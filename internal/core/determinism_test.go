@@ -4,57 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-	"time"
-
-	"repro/internal/board"
-	"repro/internal/sim"
 )
-
-// These tests guard the event-core overhaul's contract: event pooling,
-// cell-train delivery, and the zero-length-sleep fast path are pure
-// performance changes — a fixed seed must yield bit-for-bit identical
-// simulated results. Each experiment runs twice on fresh systems and
-// the outcomes are compared exactly (no tolerance).
-
-func TestLatencyDeterministic(t *testing.T) {
-	run := func() time.Duration {
-		tb := NewTestbed(alOptions())
-		defer tb.Shutdown()
-		d, err := tb.RunLatency(UDPIP, 1024, 3)
-		if err != nil {
-			t.Fatalf("RunLatency: %v", err)
-		}
-		return d
-	}
-	if a, b := run(), run(); a != b {
-		t.Errorf("latency not deterministic: %v vs %v", a, b)
-	}
-}
-
-func TestFigure3ReceiveDeterministic(t *testing.T) {
-	run := func() (float64, board.Stats, sim.Time) {
-		opt := alOptions()
-		opt.Board = board.Config{RxDMA: board.DoubleCell}
-		tb := NewTestbed(opt)
-		defer tb.Shutdown()
-		mbps, err := tb.RunReceiveThroughput(16384, 8)
-		if err != nil {
-			t.Fatalf("RunReceiveThroughput: %v", err)
-		}
-		return mbps, tb.B.Board.Stats(), tb.Eng.Now()
-	}
-	m1, s1, n1 := run()
-	m2, s2, n2 := run()
-	if m1 != m2 {
-		t.Errorf("throughput not deterministic: %v vs %v Mbps", m1, m2)
-	}
-	if s1 != s2 {
-		t.Errorf("board stats not deterministic:\n  %+v\n  %+v", s1, s2)
-	}
-	if n1 != n2 {
-		t.Errorf("final clock not deterministic: %v vs %v", n1, n2)
-	}
-}
 
 // TestLossSweepDeterministic is the fault plane's acceptance gate: a
 // fault-injected loss sweep (burst loss plus corruption and

@@ -6,15 +6,15 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/board"
 	"repro/internal/fault"
 	"repro/internal/workload"
 )
 
-// These tests are the sharded engine's acceptance gate: partitioning a
-// topology over a conservative-parallel ShardGroup is a pure
-// performance change, so every calibrated experiment must produce
-// byte-identical results at any shard count. Each fingerprint includes
+// Partitioning a topology over a conservative-parallel ShardGroup is a
+// pure performance change, so every experiment must produce
+// byte-identical results at any shard count. internal/scenario's
+// TestScenarios checks that for every registered scenario; the tests
+// here cover what no scenario builds sharded. Each fingerprint includes
 // the final virtual clock and the behavioural counters, compared
 // exactly (no tolerance) against the serial inline path.
 
@@ -28,67 +28,6 @@ func requireInvariant(t *testing.T, name string, run func(shards int) string) {
 			t.Errorf("%s diverges at shards=%d:\nserial:  %s\nsharded: %s", name, k, want, got)
 		}
 	}
-}
-
-// TestFigure3ShardInvariance pins the receive-throughput apparatus.
-// Fictitious traffic never leaves host B's shard; the test checks that
-// the group scheduler itself (windows, clock advance, horizon) is
-// invisible to a single-shard workload.
-func TestFigure3ShardInvariance(t *testing.T) {
-	requireInvariant(t, "figure3", func(shards int) string {
-		opt := alOptions()
-		opt.Board = board.Config{RxDMA: board.DoubleCell}
-		opt.Shards = shards
-		tb := NewTestbed(opt)
-		defer tb.Shutdown()
-		mbps, err := tb.RunReceiveThroughput(16384, 6)
-		if err != nil {
-			t.Fatalf("RunReceiveThroughput(shards=%d): %v", shards, err)
-		}
-		return fmt.Sprintf("mbps=%v now=%v board=%+v", mbps, tb.Now(), tb.B.Board.Stats())
-	})
-}
-
-// TestFigure4ShardInvariance pins the isolated-transmit apparatus
-// (no links at all, so the group runs with no registered lookahead).
-func TestFigure4ShardInvariance(t *testing.T) {
-	requireInvariant(t, "figure4", func(shards int) string {
-		opt := dsOptions()
-		opt.TxIsolated = true
-		opt.Shards = shards
-		tb := NewTestbed(opt)
-		defer tb.Shutdown()
-		mbps, err := tb.RunTransmitThroughput(16384, 6)
-		if err != nil {
-			t.Fatalf("RunTransmitThroughput(shards=%d): %v", shards, err)
-		}
-		cells, bytes := tb.SinkStats()
-		return fmt.Sprintf("mbps=%v now=%v cells=%d bytes=%d", mbps, tb.Now(), cells, bytes)
-	})
-}
-
-// TestFanInShardInvariance pins the switched-cluster incast: with the
-// fabric on its own shard and three client nodes spread over the rest,
-// every cell crosses two shard boundaries and the server's per-client
-// accounting depends on the exact merged delivery order.
-func TestFanInShardInvariance(t *testing.T) {
-	requireInvariant(t, "fanin", func(shards int) string {
-		opt := dsOptions()
-		opt.Shards = shards
-		cl := NewCluster(opt, 4)
-		defer cl.Shutdown()
-		res, err := cl.RunFanIn(workload.FanIn{
-			Clients:      3,
-			MessageBytes: 2048,
-			Messages:     6,
-			Gap:          500 * time.Microsecond,
-			Stagger:      100 * time.Microsecond,
-		})
-		if err != nil {
-			t.Fatalf("RunFanIn(shards=%d): %v", shards, err)
-		}
-		return fmt.Sprintf("%+v now=%v", res, cl.Now())
-	})
 }
 
 // TestFanInFaultShardInvariance exercises the paced cross-shard link

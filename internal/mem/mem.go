@@ -42,11 +42,10 @@ type Memory struct {
 	pageSize int
 	data     []byte
 	wired    []int  // wire count per frame
-	owned    []bool // frame currently allocated
+	owned    []bool // frame currently allocated; the free list holds exactly the others
 	free     []Frame
 	rng      *rand.Rand
 	scramble bool
-	inFree   []bool // scratch for AllocContiguous's free-run scan
 }
 
 // Config configures a Memory.
@@ -120,26 +119,17 @@ func (m *Memory) AllocFrame() (Frame, error) {
 
 // AllocContiguous makes a best-effort attempt to allocate n physically
 // contiguous frames (the OS support the paper reports experimenting with
-// in §2.2). It scans the free set for the lowest-addressed run of n free
-// frames; if none exists it fails rather than falling back, so callers
-// can implement their own fallback policy.
+// in §2.2). It scans for the lowest-addressed run of n frames that are
+// not owned, which is exactly the free set; if none exists it fails
+// rather than falling back, so callers can implement their own fallback
+// policy.
 func (m *Memory) AllocContiguous(n int) ([]Frame, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("mem: AllocContiguous(%d)", n)
 	}
-	if m.inFree == nil {
-		m.inFree = make([]bool, m.Pages())
-	} else {
-		for i := range m.inFree {
-			m.inFree[i] = false
-		}
-	}
-	for _, f := range m.free {
-		m.inFree[f] = true
-	}
 	run := 0
 	for i := 0; i < m.Pages(); i++ {
-		if m.inFree[i] {
+		if !m.owned[i] {
 			run++
 		} else {
 			run = 0

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -121,6 +122,74 @@ func TestAllocContiguous(t *testing.T) {
 			t.Fatalf("contiguous frame %d handed out twice", f)
 		}
 	}
+}
+
+// Over random AllocFrame/FreeFrame/AllocContiguous sequences the free
+// list is exactly the set of frames not owned, and AllocContiguous picks
+// the lowest-addressed free run a brute-force search over the free list
+// finds (or fails exactly when there is none).
+func TestAllocContiguousMatchesFreeList(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		m := New(Config{Pages: 96, Seed: seed})
+		rng := rand.New(rand.NewSource(seed))
+		var held []Frame
+		for step := 0; step < 400; step++ {
+			switch op := rng.Intn(3); {
+			case op == 0:
+				if f, err := m.AllocFrame(); err == nil {
+					held = append(held, f)
+				}
+			case op == 1 && len(held) > 0:
+				i := rng.Intn(len(held))
+				m.FreeFrame(held[i])
+				held = append(held[:i], held[i+1:]...)
+			default:
+				n := 1 + rng.Intn(6)
+				want, ok := lowestFreeRun(m.free, n)
+				frames, err := m.AllocContiguous(n)
+				if ok != (err == nil) || (ok && frames[0] != want) {
+					t.Fatalf("seed %d step %d: AllocContiguous(%d) = %v, %v; brute force: start %d, found %v",
+						seed, step, n, frames, err, want, ok)
+				}
+				held = append(held, frames...)
+			}
+			inFree := make([]bool, m.Pages())
+			for _, f := range m.free {
+				if inFree[f] {
+					t.Fatalf("seed %d step %d: frame %d on the free list twice", seed, step, f)
+				}
+				inFree[f] = true
+			}
+			for f := range inFree {
+				if inFree[f] == m.owned[f] {
+					t.Fatalf("seed %d step %d: frame %d free-listed %v, owned %v", seed, step, f, inFree[f], m.owned[f])
+				}
+			}
+		}
+	}
+}
+
+// lowestFreeRun returns the start of the lowest run of n consecutive
+// frames that all appear on free.
+func lowestFreeRun(free []Frame, n int) (Frame, bool) {
+	in := make(map[Frame]bool, len(free))
+	for _, f := range free {
+		in[f] = true
+	}
+	lowest, found := Frame(0), false
+	for _, f := range free {
+		run := true
+		for j := 0; j < n; j++ {
+			if !in[f+Frame(j)] {
+				run = false
+				break
+			}
+		}
+		if run && (!found || f < lowest) {
+			lowest, found = f, true
+		}
+	}
+	return lowest, found
 }
 
 func TestAllocContiguousExhaustion(t *testing.T) {

@@ -16,11 +16,8 @@
 // serial path the harness used before parallel execution existed.
 //
 // A panicking job is recovered into that job's Result.Err, so one bad
-// configuration cannot kill the rest of a sweep. Per-job wall time and
-// a heap-allocation count are recorded for the scaling benchmarks;
-// the allocation count is exact at Workers==1 and includes concurrently
-// running siblings' allocations otherwise (the Go runtime only exposes
-// process-wide counters).
+// configuration cannot kill the rest of a sweep. Per-job wall time is
+// recorded for the scaling benchmarks.
 package parexp
 
 import (
@@ -61,10 +58,6 @@ type Result struct {
 	Err   error // Run's error, or the recovered panic
 	// Wall is the job's wall-clock execution time.
 	Wall time.Duration
-	// Allocs is the process heap-allocation delta bracketing the job:
-	// exact when Workers==1, an upper bound (it includes concurrent
-	// siblings) otherwise.
-	Allocs uint64
 }
 
 // Runner executes batches of jobs.
@@ -145,14 +138,9 @@ func dispatchOrder(jobs []Job) []int {
 func runOne(j *Job) (res Result) {
 	res.Name = j.Name
 	res.Seed = j.Seed
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
 	start := time.Now()
 	defer func() {
 		res.Wall = time.Since(start)
-		var after runtime.MemStats
-		runtime.ReadMemStats(&after)
-		res.Allocs = after.Mallocs - before.Mallocs
 		if p := recover(); p != nil {
 			res.Value = nil
 			res.Err = fmt.Errorf("parexp: job %q panicked: %v\n%s", j.Name, p, debug.Stack())
@@ -171,23 +159,4 @@ func FirstErr(results []Result) error {
 		}
 	}
 	return nil
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of ds by
-// nearest-rank on a sorted copy; 0 for an empty slice.
-func Percentile(ds []time.Duration, p float64) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	sorted := make([]time.Duration, len(ds))
-	copy(sorted, ds)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := int(p/100*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
 }

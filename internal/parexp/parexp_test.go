@@ -192,24 +192,7 @@ func TestWallAndAllocsRecorded(t *testing.T) {
 		}
 		return len(buf), nil
 	}}}
-	r := Run(1, jobs)[0]
-	if r.Wall <= 0 {
+	if r := Run(1, jobs)[0]; r.Wall <= 0 {
 		t.Error("no wall time recorded")
-	}
-	if r.Allocs < 100 {
-		t.Errorf("allocs = %d, want ≥ 100", r.Allocs)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	ds := []time.Duration{5, 1, 4, 2, 3}
-	if p := Percentile(ds, 50); p != 3 {
-		t.Errorf("p50 = %v, want 3", p)
-	}
-	if p := Percentile(ds, 100); p != 5 {
-		t.Errorf("p100 = %v, want 5", p)
-	}
-	if p := Percentile(nil, 50); p != 0 {
-		t.Errorf("p50 of empty = %v, want 0", p)
 	}
 }

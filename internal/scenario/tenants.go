@@ -51,6 +51,7 @@ type tenantsReport struct {
 
 // tenantsWall is the wall-clock section: the demux lookup's time.
 type tenantsWall struct {
+	wallHeader
 	DemuxNsPerCell float64 `json:"demux_ns_per_cell"`
 }
 
@@ -210,7 +211,7 @@ func measureTenantsDemux() (tenantsDemux, tenantsWall, error) {
 		return tenantsDemux{}, tenantsWall{}, errors.New("tenants: demux lookup returned nil")
 	}
 	return tenantsDemux{BoundVCIs: tab.Len(), LookupsPerRep: nVCIs, AllocsPerCell: allocs / nVCIs},
-		tenantsWall{DemuxNsPerCell: float64(wall.Nanoseconds()) / float64(reps*nVCIs)}, nil
+		tenantsWall{wallHeader: newWallHeader(), DemuxNsPerCell: float64(wall.Nanoseconds()) / float64(reps*nVCIs)}, nil
 }
 
 // checkTenants is the multi-tenant plane's gate: every sweep point is

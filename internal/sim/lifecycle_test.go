@@ -238,15 +238,19 @@ func TestProcSpawnAllocs(t *testing.T) {
 }
 
 // BenchmarkProcSwitch measures one sleep/wake round trip of a proc: a
-// switch into the body and a switch back to the engine.
+// switch into the body and a switch back to the engine. Two procs sleep
+// 1 ns in lockstep, so each wakeup ties with the other proc's and none
+// can be elided (a lone sleeper would measure BenchmarkSleepElided).
 func BenchmarkProcSwitch(b *testing.B) {
 	e := NewEngine(1)
 	defer e.Shutdown()
-	e.Go("spin", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(time.Nanosecond)
-		}
-	})
+	for j := 0; j < 2; j++ {
+		e.Go("spin", func(p *Proc) {
+			for i := 0; i < b.N/2; i++ {
+				p.Sleep(time.Nanosecond)
+			}
+		})
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()

@@ -203,15 +203,16 @@ func BenchmarkChanTrySendTryRecv(b *testing.B) {
 	}
 }
 
-// With an empty queue the zero-length sleep takes the quiet fast path:
-// no event, no goroutine handoff.
-func BenchmarkSleepZeroFastPath(b *testing.B) {
+// BenchmarkSleepElided measures a sleep whose wakeup is the engine's
+// next event: the proc advances the clock itself, with no event and no
+// coroutine switch (TestSleepElidedZeroAlloc pins it at 0 allocs).
+func BenchmarkSleepElided(b *testing.B) {
 	e := NewEngine(1)
 	defer e.Shutdown()
 	b.ReportAllocs()
 	e.Go("spin", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			p.Sleep(0)
+			p.Sleep(1)
 		}
 	})
 	e.Run()

@@ -144,41 +144,33 @@ func (p *Proc) block() {
 	}
 }
 
-// Sleep suspends the proc for d of virtual time.
-//
-// A zero-length sleep is a scheduling point: any event already queued
-// at the current instant runs before Sleep returns. When no such event
-// exists (and no Stop is pending), the proc's wakeup would be the very
-// next event executed, so Sleep returns immediately instead of paying
-// the event and the coroutine switch — the simulated behaviour is
-// identical either way.
+// Sleep suspends the proc for d of virtual time. A zero-length sleep
+// is a scheduling point: any event already queued at the current
+// instant runs before Sleep returns.
 func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: proc %s: negative sleep %v", p.name, d))
 	}
-	if d == 0 {
-		if p.eng.quietNow() {
-			return
-		}
-		p.eng.AtCall(p.eng.now, resumeProc, p)
-		p.block()
-		return
-	}
-	p.eng.AtCall(p.eng.now.Add(d), resumeProc, p)
-	p.block()
+	p.SleepUntil(p.eng.now.Add(d))
 }
 
-// SleepUntil suspends the proc until instant t (a no-op scheduling point
-// if t is not after the current time, with the same fast path as a
-// zero-length Sleep).
+// SleepUntil suspends the proc until instant t (a scheduling point at
+// the current instant if t is not after it).
+//
+// When the wakeup would be the very next event Run executes, the proc
+// does not go through the queue: it takes the wakeup's sequence number,
+// counts it as fired and moves the clock to t itself (Engine.advance),
+// with no event and no coroutine switch. The simulated behaviour, event
+// count and sequence stamps are identical either way.
 func (p *Proc) SleepUntil(t Time) {
-	if t <= p.eng.now {
-		if p.eng.quietNow() {
-			return
-		}
-		t = p.eng.now
+	e := p.eng
+	if t < e.now {
+		t = e.now
 	}
-	p.eng.AtCall(t, resumeProc, p)
+	if e.advance(t) {
+		return
+	}
+	e.AtCall(t, resumeProc, p)
 	p.block()
 }
 

@@ -436,13 +436,24 @@ func (e *Engine) Cancel(ev Event) {
 // events stay queued for the Run after that.
 func (e *Engine) Stop() { e.stopped = true }
 
-// quietNow reports that no queued event can run at the current instant
-// and no stop is pending. A zero-length scheduling point may then
-// return without going through the queue: the wakeup it would schedule
-// is guaranteed to be the very next event executed, so skipping the
-// round-trip is unobservable in simulated behaviour.
-func (e *Engine) quietNow() bool {
-	return !e.stopped && (len(e.pq) == 0 || e.pq[0].at > e.now)
+// advance is the direct time advance behind every proc sleep. A proc
+// about to schedule its own wakeup at t asks whether that wakeup would
+// be the next event Run executes: the engine is running (Shutdown
+// unwinds killed procs outside Run, and their sleeps must still block),
+// no Stop is pending, t is within the run's horizon, and every queued
+// event fires strictly after t (one at t was scheduled earlier and runs
+// first). If so, advance does here exactly what scheduling the wakeup
+// and Run firing it would have done — consume a sequence number, count
+// the event, set the clock to t — and reports true; nothing else can
+// observe the difference. Otherwise it changes nothing.
+func (e *Engine) advance(t Time) bool {
+	if !e.running || e.stopped || (e.limit != 0 && t > e.limit) || (len(e.pq) > 0 && e.pq[0].at <= t) {
+		return false
+	}
+	e.seq++
+	e.fired++
+	e.now = t
+	return true
 }
 
 // Run executes events in order until the queue is empty, Stop is called,
