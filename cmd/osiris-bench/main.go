@@ -8,9 +8,8 @@
 //
 // Every table row, figure point, ablation cell, and sweep point is an
 // independent, seeded, deterministic simulation, so the harness fans
-// them across a parexp worker pool (-workers). Orthogonally, -shards
-// partitions each simulated system over a conservative-parallel engine
-// group. Results are byte-identical at any worker or shard count.
+// them across a parexp worker pool (-workers). Results are
+// byte-identical at any worker count.
 //
 // A full-size run without -run writes each scenario's BENCH_*.json
 // artifact into -out; -quick and -run runs write none.
@@ -21,7 +20,7 @@
 //	osiris-bench -quick                   # coarser sweeps, fewer messages
 //	osiris-bench -run table1 -quick       # one scenario
 //	osiris-bench -run 'fig3/double.*65536'  # single sweep points by job name
-//	osiris-bench -run 'incast|tenants' -shards=4
+//	osiris-bench -run 'incast|tenants' -workers=1
 package main
 
 import (
@@ -40,7 +39,6 @@ var (
 	flagRun     = flag.String("run", "", "regexp selecting jobs by name; names start with the scenario name, e.g. 'table1', 'fig3/double.*65536', 'incast|tenants' (default: every scenario)")
 	flagQuick   = flag.Bool("quick", false, "coarser sweeps and fewer messages per point")
 	flagWorkers = flag.Int("workers", 0, "parallel experiment workers (0 = GOMAXPROCS, 1 = serial)")
-	flagShards  = flag.Int("shards", 1, "engine shards per simulated system (results are byte-identical)")
 	flagPerCell = flag.Bool("percell", false, "force the switch's per-cell fabric instead of train forwarding (results are byte-identical)")
 	flagOut     = flag.String("out", ".", "directory for the BENCH_*.json artifacts of a full-size run without -run (empty: write none)")
 	flagCPUProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -54,7 +52,7 @@ func main() {
 
 // run executes the selected scenarios and returns the exit code.
 func run() int {
-	cfg := scenario.Config{Quick: *flagQuick, Workers: *flagWorkers, Shards: *flagShards, PerCell: *flagPerCell}
+	cfg := scenario.Config{Quick: *flagQuick, Workers: *flagWorkers, PerCell: *flagPerCell}
 	if *flagRun != "" {
 		re, err := regexp.Compile(*flagRun)
 		if err != nil {

@@ -99,25 +99,6 @@ func (cfg LinkConfig) deterministic() bool {
 	return false
 }
 
-// DrawsEngineRand reports whether the configuration consumes the
-// engine's shared RNG per cell: a LossRate coin, or a skew model not
-// known to ignore the RNG (nil means the NoSkew default). Such links
-// cannot cross shards — the shared stream is drawn in delivery order,
-// which depends on the partition — so the partitioner uses this to
-// refuse the topology rather than silently diverge. Fault injectors do
-// not count: they draw from site-derived streams that are identical at
-// any shard count.
-func (cfg LinkConfig) DrawsEngineRand() bool {
-	if cfg.LossRate > 0 {
-		return true
-	}
-	switch cfg.Skew.(type) {
-	case nil, NoSkew, ConstantSkew:
-		return false
-	}
-	return true
-}
-
 // LinkStats counts link activity. Sent + Duplicated = Delivered + Lost
 // once the link drains (every accepted or injector-cloned cell is
 // eventually delivered or lost).
@@ -181,30 +162,26 @@ type Link struct {
 	armPending  bool // arm event scheduled at the next accept instant
 	notFull     *sim.Cond
 
-	// Stamped mode (xid != 0, local deterministic links only): delivery
+	// Stamped mode (xid != 0, deterministic links only): delivery
 	// events carry an explicit canonical stamp (schedAt, xid, seq) via
 	// InjectStamped instead of the engine's implicit scheduling stamp.
 	//
 	// Why: at a tied delivery instant the engine orders events by
-	// (at, schedAt, xid, seq). Implicitly stamped local events tie-break
-	// by global scheduling order (xid 0, engine seq), which depends on
-	// how the topology is partitioned; cross-shard events tie-break by
-	// their channel id. A workload that drives many symmetric senders
-	// into one switch port — fan-in incast is the canonical case — ties
-	// constantly (senders re-phase-lock on the shared egress
-	// serialization grid even when started staggered), so the serial and
-	// sharded runs diverge. Stamping local links with the same
-	// construction-order channel ids the cross-shard path uses makes the
-	// tie-break a pure function of the topology: byte-identical behavior
-	// at any shard count. The stamp mimics the serial machine exactly
-	// (schedAt = max(accept, previous delivery), per-link monotone seq),
-	// so a stamped link in isolation times identically to an unstamped
-	// one; only tie ORDER against other links is pinned.
+	// (at, schedAt, xid, seq). An implicitly stamped event tie-breaks by
+	// global scheduling order (xid 0, engine seq), which shifts whenever
+	// any unrelated activity schedules one more or one fewer event. A
+	// workload that drives many symmetric senders into one switch port —
+	// fan-in incast is the canonical case — ties constantly (senders
+	// re-phase-lock on the shared egress serialization grid even when
+	// started staggered). Stamping a link with a construction-order id
+	// makes that tie-break a fixed function of the topology, and the
+	// committed result fingerprints pin the order it produces. The stamp
+	// mimics the implicit machine exactly (schedAt = max(accept, previous
+	// delivery), per-link monotone seq), so a stamped link in isolation
+	// times identically to an unstamped one; only tie ORDER against
+	// other links is pinned.
 	xid  uint64
-	lseq uint64 // per-link stamp counter (monotone, matches xlink.xseq)
-
-	// Cross-shard half (nil for a link local to one engine). See xlink.go.
-	x *xlink
+	lseq uint64 // per-link stamp counter (monotone)
 }
 
 // NewLink creates a link; lossy or randomly skewed configurations also
@@ -259,11 +236,6 @@ func (l *Link) Send(p *sim.Proc, c Cell) {
 	// The transmit FIFO is virtual: a queued cell occupies a slot from
 	// Send until its serialization starts, exactly when the paced
 	// machine's dequeue would have freed it.
-	if l.x != nil {
-		// No local walker pops delivered entries on a cross-shard link;
-		// prune the slots that have already freed instead.
-		l.purgeServed(l.eng.Now())
-	}
 	for l.queued(l.eng.Now()) >= linkFIFODepth {
 		l.armSlotWake()
 		l.notFull.Wait(p)
@@ -285,12 +257,7 @@ func (l *Link) Send(p *sim.Proc, c Cell) {
 	}
 	l.lastDeliver = at
 	l.stats.Sent++
-	if l.x != nil {
-		// The occupancy ring keeps only the timing of the slot; the cell
-		// itself travels through the cross-shard buffer.
-		l.push(linkCell{serStart: serStart, deliver: at, accept: now})
-		l.sendRemote(c, at, prevLast)
-	} else if l.xid != 0 {
+	if l.xid != 0 {
 		l.pushStamped(c, serStart, at, now, prevLast)
 	} else {
 		l.push(linkCell{c: c, serStart: serStart, deliver: at, accept: now})
@@ -304,10 +271,12 @@ func (l *Link) Send(p *sim.Proc, c Cell) {
 	}
 }
 
-// pushStamped is the stamped-local Send/SendScheduled tail: push the
-// cell with its canonical stamp (the same schedAt mimicry sendRemote
-// performs) and make sure a stamped walker event is pending. The
-// walker invariant in stamped mode is simple — armed iff the train is
+// pushStamped is the stamped Send/SendScheduled tail: push the cell
+// with its canonical stamp and make sure a stamped walker event is
+// pending. schedAt is where the implicit machine would have scheduled
+// the delivery: at the accept instant if the walker was idle, else at
+// the previous cell's delivery, where the walker re-arms. The walker
+// invariant in stamped mode is simple — armed iff the train is
 // non-empty — because the stamp is explicit, so arming never has to
 // wait for the accept instant the way the implicit machine does.
 func (l *Link) pushStamped(c Cell, serStart, at, accept, prevLast sim.Time) {
@@ -339,9 +308,6 @@ func (l *Link) SendScheduled(t sim.Time, c Cell) sim.Time {
 	if !l.det {
 		panic("atm: SendScheduled on a non-deterministic link")
 	}
-	if l.x != nil {
-		l.purgeServed(l.eng.Now())
-	}
 	u := l.slotFree(t)
 	serStart := u
 	if l.frontier > serStart {
@@ -356,11 +322,6 @@ func (l *Link) SendScheduled(t sim.Time, c Cell) sim.Time {
 	}
 	l.lastDeliver = at
 	l.stats.Sent++
-	if l.x != nil {
-		l.push(linkCell{serStart: serStart, deliver: at, accept: u})
-		l.sendRemoteAt(c, at, prevLast, u)
-		return u
-	}
 	if l.xid != 0 {
 		l.pushStamped(c, serStart, at, u, prevLast)
 		return u
@@ -563,10 +524,6 @@ func (l *Link) pace(p *sim.Proc) {
 		// advance lastDeliver: later cells keep their earlier slots and
 		// overtake the delayed one, bounded by the injector's ReorderMax.
 		deliverAt := at.Add(act.Delay)
-		if l.x != nil {
-			l.paceRemote(c, deliverAt, act.Duplicate)
-			continue
-		}
 		cell := c
 		l.eng.At(deliverAt, func() {
 			l.stats.Delivered++
@@ -608,12 +565,10 @@ func NewStripeGroup(e *sim.Engine, width int, cfg LinkConfig) *StripeGroup {
 	return g
 }
 
-// Stamp puts a local group's links in stamped mode, numbering them in
-// stripe order with channel ids drawn from next — the ids a
-// cross-shard constructor (NewCrossStripeGroup) would draw for the same
-// links in the same construction order. Same-instant deliveries from
-// different links then order identically at any shard count (see the
-// stamped-mode comment on Link).
+// Stamp puts the group's links in stamped mode, numbering them in
+// stripe order with ids drawn from next. Drawn in construction order,
+// the ids fix how same-instant deliveries from different links order
+// (see the stamped-mode comment on Link).
 func (g *StripeGroup) Stamp(next func() uint64) {
 	for _, l := range g.links {
 		l.xid = next()

@@ -17,8 +17,8 @@ import "fmt"
 // silently aliasing another cell's bytes.
 //
 // The pool is engine-local like every other simulation structure:
-// callers on one engine shard own their pool exclusively, so there is
-// no locking.
+// callers on one engine own their pool exclusively, so there is no
+// locking.
 type PayloadPool struct {
 	chunks [][]poolSlot
 	free   []int32 // slot indices currently free, LIFO for cache warmth

@@ -108,14 +108,6 @@ type vPoint struct {
 type SwitchPort struct {
 	index int
 	eng   *sim.Engine
-	// now is the quiesced-clock source for snapshot settling (Stats,
-	// QueueLen): the engine clock for a serial fabric, the shard group's
-	// latest clock for a sharded one. The distinction matters at a
-	// horizon cut — the fabric engine's own clock stops at its last
-	// executed event, which in a sharded run can lag the global quiesce
-	// instant, and settling short would credit fewer in-flight forwards
-	// than the serial run counts.
-	now   func() sim.Time
 	comp  string // trace track label, precomputed (Emit stays alloc-free)
 	in    *StripeGroup
 	out   *StripeGroup
@@ -159,7 +151,7 @@ func (pt *SwitchPort) Stats() SwitchPortStats {
 		// Credit every virtual forward whose accept instant has passed:
 		// the per-cell machine counts Forwarded when the arbiter's Send
 		// returns, so a horizon-cut run must not count the in-flight tail.
-		pt.settle(pt.now(), true)
+		pt.settle(pt.eng.Now(), true)
 	}
 	return pt.stats
 }
@@ -175,7 +167,7 @@ func (pt *SwitchPort) Injector() *fault.Injector { return pt.inj }
 // at the same quiesced instant.
 func (pt *SwitchPort) QueueLen() int {
 	if pt.vMode == vModeTrain {
-		pt.settle(pt.now(), true)
+		pt.settle(pt.eng.Now(), true)
 		return pt.vqLen - pt.vqPop
 	}
 	return pt.queue.Len()
@@ -245,34 +237,15 @@ type inPortVCI struct {
 // NewSwitch creates a switch with nports ports and starts one egress
 // arbiter process per port.
 func NewSwitch(e *sim.Engine, nports int, cfg SwitchConfig) *Switch {
-	return newSwitch(nil, e, nil, nports, cfg)
-}
-
-// NewShardedSwitch creates a switch whose fabric runs on engine e of
-// group g while the node attached to port i lives on nodeEng[i]. Ports
-// whose node engine is e itself get ordinary local links; every other
-// port's ingress and egress stripe groups become cross-shard links, so
-// the port is a shard boundary with the link PropDelay as lookahead.
-func NewShardedSwitch(g *sim.ShardGroup, e *sim.Engine, nodeEng []*sim.Engine, cfg SwitchConfig) *Switch {
-	return newSwitch(g, e, nodeEng, len(nodeEng), cfg)
-}
-
-// newSwitch is the shared builder. nodeEng may be nil (all ports local
-// to e); otherwise nodeEng[i] is port i's far-end engine.
-func newSwitch(g *sim.ShardGroup, e *sim.Engine, nodeEng []*sim.Engine, nports int, cfg SwitchConfig) *Switch {
 	if nports < 2 {
 		panic("atm: a switch needs at least 2 ports")
 	}
 	cfg = cfg.withDefaults()
 	sw := &Switch{eng: e, cfg: cfg, routes: make(map[VCI]int)}
-	// nextXID numbers the fabric's local links for the canonical
-	// tie-break. Without a shard group it mirrors the ShardGroup.NextXID
-	// sequence, so a link gets the same channel id at any shard count.
+	// nextXID numbers the fabric's links 1, 2, 3, … in construction
+	// order for the canonical same-instant tie-break.
 	var xid uint64
 	nextXID := func() uint64 { xid++; return xid }
-	if g != nil {
-		nextXID = g.NextXID
-	}
 	for i := 0; i < nports; i++ {
 		inCfg, outCfg := cfg.Link, cfg.Link
 		if site := cfg.Link.FaultSite; site == "" {
@@ -283,43 +256,25 @@ func newSwitch(g *sim.ShardGroup, e *sim.Engine, nodeEng []*sim.Engine, nports i
 			inCfg.FaultSite = fmt.Sprintf("%s/in%d", site, i)
 			outCfg.FaultSite = fmt.Sprintf("%s/out%d", site, i)
 		}
-		far := e
-		if nodeEng != nil && nodeEng[i] != nil {
-			far = nodeEng[i]
-		}
 		pt := &SwitchPort{
 			index: i,
 			eng:   e,
-			now:   e.Now,
 			comp:  fmt.Sprintf("sw-port%d", i),
 			queue: sim.NewChan[laneCell](e, cfg.QueueCells),
 			inj:   fault.New(e, fmt.Sprintf("sw/port%d", i), cfg.Fault),
 		}
-		if g != nil {
-			pt.now = g.Now
-		}
-		if far == e {
-			pt.in = NewStripeGroup(e, cfg.Width, inCfg)
-			pt.out = NewStripeGroup(e, cfg.Width, outCfg)
-			// Stamp the local links with the channel ids the cross-shard
-			// constructor would have assigned (same construction order:
-			// ingress lanes then egress lanes, port by port). Delivery
-			// tie-break order among the fabric's links is then a function
-			// of the topology alone — a serial run, a sharded run, and a
-			// run where this port happens to share the fabric's shard all
-			// order same-instant cells from different links identically.
-			// Without this, symmetric fan-in workloads (whose senders
-			// phase-lock on the egress serialization grid) diverge across
-			// shard counts.
-			pt.in.Stamp(nextXID)
-			pt.out.Stamp(nextXID)
-		} else {
-			// Ingress carries node → switch, egress switch → node. The
-			// node's board paces sends on its own shard; deliveries into
-			// sw.forward and the board's receive path cross at barriers.
-			pt.in = NewCrossStripeGroup(g, far, e, cfg.Width, inCfg)
-			pt.out = NewCrossStripeGroup(g, e, far, cfg.Width, outCfg)
-		}
+		// Ingress carries node → switch, egress switch → node. Stamp
+		// both in construction order (ingress lanes then egress lanes,
+		// port by port), so same-instant cells from different links
+		// order by a function of the topology alone rather than by
+		// global scheduling order. Symmetric fan-in workloads, whose
+		// senders phase-lock on the egress serialization grid, tie
+		// constantly, and the committed fingerprints pin the order this
+		// numbering produces.
+		pt.in = NewStripeGroup(e, cfg.Width, inCfg)
+		pt.out = NewStripeGroup(e, cfg.Width, outCfg)
+		pt.in.Stamp(nextXID)
+		pt.out.Stamp(nextXID)
 		in := i
 		pt.in.SetReceiver(func(c Cell, lane int) { sw.forward(in, c, lane) })
 		sw.ports = append(sw.ports, pt)

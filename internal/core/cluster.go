@@ -8,6 +8,7 @@ import (
 	"repro/internal/board"
 	"repro/internal/driver"
 	"repro/internal/hostsim"
+	"repro/internal/metrics"
 	"repro/internal/msg"
 	"repro/internal/proto"
 	"repro/internal/sim"
@@ -25,22 +26,13 @@ import (
 // directly, preserving the paper's §4 apparatus bit for bit — so Fabric
 // is nil there.
 type Cluster struct {
-	// Eng is the single engine of a serial cluster (Options.Shards ≤ 1).
-	// It is nil when the cluster is sharded, so stale direct uses fail
-	// loudly instead of silently reading one shard; sharded-aware code
-	// goes through the dispatch methods (Run, RunUntil, Now, Events, Go,
-	// EngFor) which work at any shard count.
-	Eng *sim.Engine
-	// Group coordinates the engine shards of a sharded cluster
-	// (Options.Shards > 1); nil for the serial inline path.
-	Group *sim.ShardGroup
+	// Eng is the one engine every node, link and the switch run on.
+	Eng   *sim.Engine
 	Opt   Options
 	Nodes []*Node
 	// Fabric is the cell switch joining the nodes (nil for the two-node
 	// back-to-back testbed).
 	Fabric *atm.Switch
-	engs   []*sim.Engine // per-node engines (sharded only)
-	plan   ShardPlan
 	nextID int
 }
 
@@ -84,12 +76,8 @@ func NewCluster(opt Options, n int) *Cluster {
 		panic("core: a cluster needs at least 2 nodes")
 	}
 	opt = opt.withDefaults()
-	if opt.Shards > 1 {
-		checkShardable(opt)
-		return buildShardedCluster(opt, n, clusterPlan(opt.Shards, n))
-	}
 	e := sim.NewEngine(opt.Seed)
-	cl := &Cluster{Eng: e, Opt: opt, plan: ShardPlan{Shards: 1, FabricShard: 0, NodeShard: make([]int, n)}}
+	cl := &Cluster{Eng: e, Opt: opt}
 	width := opt.Board.StripeWidth
 	if width == 0 {
 		width = atm.StripeWidth
@@ -123,15 +111,22 @@ func (cl *Cluster) allocVCI() atm.VCI {
 // Node returns node i.
 func (cl *Cluster) Node(i int) *Node { return cl.Nodes[i] }
 
-// Shutdown tears the simulation down — every shard's procs and, for a
-// sharded cluster, the group's worker goroutines.
-func (cl *Cluster) Shutdown() {
-	if cl.Group != nil {
-		cl.Group.Shutdown()
-		return
+// Events returns the cumulative executed-event count of the
+// simulation — the denominator for events/sec measurements.
+func (cl *Cluster) Events() uint64 { return cl.Eng.Events() }
+
+// registerEngineDiag registers the engine's event count as a diagnostic
+// metric (SampleDiag): it measures the execution substrate, not the
+// simulated system, so it stays out of canonical snapshots.
+func (cl *Cluster) registerEngineDiag() {
+	if r := cl.Opt.Metrics; r != nil {
+		e := cl.Eng
+		r.SampleDiag("engine/events", metrics.KindCounter, func() int64 { return int64(e.Events()) })
 	}
-	cl.Eng.Shutdown()
 }
+
+// Shutdown tears the simulation down, terminating every proc.
+func (cl *Cluster) Shutdown() { cl.Eng.Shutdown() }
 
 // OpenPair opens a unidirectional connection path from node `from` to
 // node `to` for the given protocol: it allocates a fresh VCI, installs
@@ -240,17 +235,16 @@ func (cl *Cluster) RunLatency(from, to int, kind ProtoKind, msgSize, rounds int)
 
 	// The whole measuring apparatus — the experiment proc, the reply
 	// condition, and the reverse receive session rrx — lives on node
-	// `from`, so under sharding it all runs on that node's engine and the
-	// only cross-shard traffic is the cells themselves.
+	// `from`.
 	var rtts []time.Duration
-	gotReply := sim.NewCond(cl.EngFor(from))
+	gotReply := sim.NewCond(cl.Eng)
 	replied := false
 	rrx.SetHandler(func(p *sim.Proc, m *msg.Message) {
 		replied = true
 		gotReply.Broadcast()
 	})
 	done := false
-	cl.Go(from, "latency-experiment", func(p *sim.Proc) {
+	cl.Eng.Go("latency-experiment", func(p *sim.Proc) {
 		for i := 0; i < rounds+1; i++ {
 			m, free, err := alloc(src.Host.Kernel, msgSize)
 			if err != nil {
@@ -273,7 +267,7 @@ func (cl *Cluster) RunLatency(from, to int, kind ProtoKind, msgSize, rounds int)
 		}
 		done = true
 	})
-	cl.Run()
+	cl.Eng.Run()
 	if !done || len(rtts) == 0 {
 		return 0, fmt.Errorf("core: latency experiment did not complete (%d/%d rounds)", len(rtts), rounds)
 	}
@@ -327,10 +321,10 @@ func (cl *Cluster) RunReceiveThroughput(node, msgSize, count int) (float64, erro
 	})
 	nd.Board.StartFictitious(v, frags, 0, 1)
 	// Generous horizon: the slowest plausible rate is ~20 Mbps.
-	horizon := cl.Now().Add(time.Duration(count) * (time.Duration(msgSize)*8*50*time.Nanosecond + 10*time.Millisecond))
-	cl.RunUntil(horizon)
+	horizon := cl.Eng.Now().Add(time.Duration(count) * (time.Duration(msgSize)*8*50*time.Nanosecond + 10*time.Millisecond))
+	cl.Eng.RunUntil(horizon)
 	nd.Board.StopFictitious()
-	cl.Run()
+	cl.Eng.Run()
 	if received < 2 {
 		return 0, fmt.Errorf("core: receive experiment delivered %d/%d messages", received, count)
 	}

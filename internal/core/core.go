@@ -121,17 +121,6 @@ type Options struct {
 	// the metric name set of configurations that never open an ADC. No-op
 	// when Metrics is nil.
 	ADCMetrics bool
-	// Shards partitions the topology over that many engine shards run by
-	// a conservative-parallel scheduler (sim.ShardGroup), with the link
-	// propagation delay as lookahead. 0 or 1 selects the exact serial
-	// inline path — one engine, no group, no worker goroutines — the
-	// same discipline as parexp's Workers=1. Values above the component
-	// count are clamped (a cluster of n nodes uses at most n+1 shards:
-	// the switch plus one per node; a testbed uses at most 2). Results
-	// are byte-identical at every shard count; configurations that draw
-	// per-cell randomness from the shared engine RNG (Link.LossRate,
-	// random skew) refuse to shard.
-	Shards int
 }
 
 func (o Options) withDefaults() Options {
@@ -193,67 +182,46 @@ type txSink struct {
 	last  sim.Time
 }
 
-// NewTestbed builds the apparatus. With Options.Shards > 1 each host
-// gets its own engine shard (host A on shard 0, host B on shard 1) and
-// the two directed stripe groups become the cross-shard boundary; the
-// calibrated results are byte-identical either way.
+// NewTestbed builds the apparatus.
 func NewTestbed(opt Options) *Testbed {
 	opt = opt.withDefaults()
-	var cl *Cluster
-	if opt.Shards > 1 {
-		checkShardable(opt)
-		plan := testbedPlan()
-		g := sim.NewShardGroup(opt.Seed, plan.Shards)
-		cl = &Cluster{Group: g, Opt: opt, plan: plan}
-		cl.engs = []*sim.Engine{g.Engine(plan.NodeShard[0]), g.Engine(plan.NodeShard[1])}
-		cl.Nodes = []*Node{
-			buildNode(cl.engs[0], opt, "A", 1),
-			buildNode(cl.engs[1], opt, "B", 2),
-		}
-	} else {
-		e := sim.NewEngine(opt.Seed)
-		cl = &Cluster{Eng: e, Opt: opt, plan: ShardPlan{Shards: 1, FabricShard: -1, NodeShard: []int{0, 0}}}
-		cl.Nodes = []*Node{
-			buildNode(e, opt, "A", 1),
-			buildNode(e, opt, "B", 2),
-		}
+	e := sim.NewEngine(opt.Seed)
+	cl := &Cluster{Eng: e, Opt: opt}
+	cl.Nodes = []*Node{
+		buildNode(e, opt, "A", 1),
+		buildNode(e, opt, "B", 2),
 	}
 	cl.registerEngineDiag()
 	tb := &Testbed{Cluster: cl, A: cl.Nodes[0], B: cl.Nodes[1]}
 
 	if opt.TxIsolated {
-		eA := cl.EngFor(0)
 		tb.sink = &txSink{}
 		tb.A.Board.SetTxSink(func(c atm.Cell, _ int) {
 			if tb.sink.cells == 0 {
-				tb.sink.first = eA.Now()
+				tb.sink.first = e.Now()
 			}
 			tb.sink.cells++
 			tb.sink.bytes += int64(c.Len)
-			tb.sink.last = eA.Now()
+			tb.sink.last = e.Now()
 		})
 		return tb
 	}
 
 	// Each direction gets its own fault site so the A→B and B→A
-	// injectors draw from independent deterministic streams.
+	// injectors draw from independent deterministic streams. The links
+	// are stamped 1, 2, 3, … in construction order (A→B lanes, then
+	// B→A), which fixes how a delivery tied with another event at the
+	// same instant orders; the committed fingerprints pin that order
+	// (unstamped, Table 1's DEC 5000/200 UDP/IP 1 KB round trip moves
+	// by ~40 ns).
 	var xid uint64
 	wire := func(from, to int, site string) *atm.StripeGroup {
 		lc := opt.Link
 		if lc.Fault != nil && lc.FaultSite == "" {
 			lc.FaultSite = site
 		}
-		var g *atm.StripeGroup
-		if cl.Group != nil {
-			g = atm.NewCrossStripeGroup(cl.Group, cl.EngFor(from), cl.EngFor(to), atm.StripeWidth, lc)
-		} else {
-			g = atm.NewStripeGroup(cl.Eng, atm.StripeWidth, lc)
-			// The channel ids NewCrossStripeGroup draws in a sharded
-			// testbed: without them a link delivery tied with a local
-			// event orders differently serial and sharded (Table 1's
-			// DEC 5000/200 UDP/IP 1 KB round trip moved by ~40 ns).
-			g.Stamp(func() uint64 { xid++; return xid })
-		}
+		g := atm.NewStripeGroup(e, atm.StripeWidth, lc)
+		g.Stamp(func() uint64 { xid++; return xid })
 		cl.Nodes[from].Board.AttachTxLinks(g.Links())
 		cl.Nodes[to].Board.AttachRxLinks(g)
 		return g
@@ -326,7 +294,7 @@ func (tb *Testbed) RunTransmitThroughput(msgSize, count int) (float64, error) {
 		return 0, err
 	}
 	done := false
-	tb.Go(0, "tx-experiment", func(p *sim.Proc) {
+	tb.Eng.Go("tx-experiment", func(p *sim.Proc) {
 		// Queue back-to-back so the transmit path pipelines; buffers are
 		// freed only after the final flush.
 		var frees []func()
@@ -346,7 +314,7 @@ func (tb *Testbed) RunTransmitThroughput(msgSize, count int) (float64, error) {
 		}
 		done = true
 	})
-	tb.Run()
+	tb.Eng.Run()
 	if !done || tb.sink.cells == 0 {
 		return 0, fmt.Errorf("core: transmit experiment did not complete")
 	}

@@ -194,22 +194,17 @@ func (cl *Cluster) runFanIn(w workload.FanIn, t fanInTransport) (*fanInRun, erro
 			slack
 	}
 
-	// The receive handlers below all run on node 0's shard, so perClient
-	// and corrupt are single-shard state even in a sharded cluster.
 	run := &fanInRun{
 		w:         w,
 		perClient: stats.NewPerNode(),
 		pushed:    make([]int, w.Clients),
 		done:      make([]bool, w.Clients),
 	}
-	start := cl.Now()
+	start := cl.Eng.Now()
 
-	// sendAt is written by each client's proc on its own shard and read
-	// by the server's delivery handler on shard 0; every (client,
-	// message) slot is a distinct location and the write precedes the
-	// read through the cells' own cross-shard channel hops, so the
-	// access is ordered at any shard count and the observed latencies —
-	// simulated time minus simulated time — are shard-invariant.
+	// sendAt is written by each client's proc when it pushes a message
+	// and read by the server's delivery handler; every (client, message)
+	// slot is a distinct location.
 	var sendAt [][]sim.Time
 	if t.latency != nil {
 		sendAt = make([][]sim.Time, w.Clients)
@@ -247,13 +242,12 @@ func (cl *Cluster) runFanIn(w workload.FanIn, t fanInTransport) (*fanInRun, erro
 		})
 	}
 
-	// Per-client sender state on distinct memory locations: each proc
-	// runs on its own node's shard.
+	// Per-client sender state on distinct memory locations.
 	for c := 0; c < w.Clients; c++ {
 		c := c
 		nd := cl.Nodes[c+1]
 		tx := txs[c]
-		cl.Go(c+1, fmt.Sprintf("%s-client-%d", t.name, c), func(p *sim.Proc) {
+		cl.Eng.Go(fmt.Sprintf("%s-client-%d", t.name, c), func(p *sim.Proc) {
 			if w.Stagger > 0 && c > 0 {
 				p.Sleep(time.Duration(c) * w.Stagger)
 			}
@@ -286,14 +280,14 @@ func (cl *Cluster) runFanIn(w workload.FanIn, t fanInTransport) (*fanInRun, erro
 		})
 	}
 
-	cl.RunUntil(cl.Now().Add(t.horizon))
+	cl.Eng.RunUntil(cl.Eng.Now().Add(t.horizon))
 	if t.reliable {
 		for c := 0; c < w.Clients; c++ {
 			txs[c].Close()
 			rxs[c].Close()
 		}
 	}
-	cl.Run() // drain in-flight cells and deliveries
+	cl.Eng.Run() // drain in-flight cells and deliveries
 	return run, nil
 }
 

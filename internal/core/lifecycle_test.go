@@ -6,32 +6,19 @@ import (
 	"time"
 )
 
-// pending sums the queued events of a cluster, serial or sharded.
-func pending(cl *Cluster) int {
-	if cl.Group != nil {
-		return cl.Group.Pending()
-	}
-	return cl.Eng.Pending()
-}
-
 // TestShutdownWithoutRun: tearing down a freshly built testbed or
 // cluster runs no proc body — nothing is executed and nothing new is
 // scheduled — and every proc coroutine is reaped.
 func TestShutdownWithoutRun(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
-		for _, shards := range []int{1, 2} {
-			opt := dsOptions()
-			opt.Shards = shards
-			tb := NewTestbed(opt)
-			cl := NewCluster(Options{Shards: shards}, 3)
-			for _, c := range []*Cluster{tb.Cluster, cl} {
-				n := pending(c)
-				c.Shutdown()
-				if got := pending(c); got != n || c.Events() != 0 {
-					t.Fatalf("shards=%d: Shutdown ran proc bodies: pending %d → %d, %d events",
-						shards, n, got, c.Events())
-				}
+		tb := NewTestbed(dsOptions())
+		cl := NewCluster(Options{}, 3)
+		for _, c := range []*Cluster{tb.Cluster, cl} {
+			n := c.Eng.Pending()
+			c.Shutdown()
+			if got := c.Eng.Pending(); got != n || c.Events() != 0 {
+				t.Fatalf("Shutdown ran proc bodies: pending %d → %d, %d events", n, got, c.Events())
 			}
 		}
 	}

@@ -22,20 +22,14 @@ func pacedFanIn() workload.FanIn {
 	}
 }
 
-func runInstrumentedFanIn(t *testing.T, shards int, reg *metrics.Registry, tl *trace.Timeline) *FanInResult {
+func runInstrumentedFanIn(t *testing.T, reg *metrics.Registry, tl *trace.Timeline) *FanInResult {
 	t.Helper()
-	cl := NewCluster(Options{Shards: shards, Metrics: reg}, 4)
+	cl := NewCluster(Options{Metrics: reg}, 4)
 	defer cl.Shutdown()
 	if tl != nil {
-		// Typed tracing on every shard's engine: the invariant under
-		// test is that recording changes nothing the experiment reports.
-		for i := 0; i < cl.Plan().Shards; i++ {
-			if cl.Group != nil {
-				tl.Attach(cl.Group.Engine(i), "shard")
-			} else {
-				tl.Attach(cl.Eng, "cluster")
-			}
-		}
+		// The invariant under test is that recording changes nothing
+		// the experiment reports.
+		tl.Attach(cl.Eng, "cluster")
 	}
 	res, err := cl.RunFanIn(pacedFanIn())
 	if err != nil {
@@ -49,9 +43,9 @@ func runInstrumentedFanIn(t *testing.T, shards int, reg *metrics.Registry, tl *t
 // metric families plus typed trace recording — leaves the simulated
 // outcome identical to the uninstrumented run, field for field.
 func TestMetricsAndTracingDoNotPerturbExperiment(t *testing.T) {
-	bare := runInstrumentedFanIn(t, 1, nil, nil)
+	bare := runInstrumentedFanIn(t, nil, nil)
 	tl := trace.NewTimeline()
-	instr := runInstrumentedFanIn(t, 1, metrics.New(), tl)
+	instr := runInstrumentedFanIn(t, metrics.New(), tl)
 	if !reflect.DeepEqual(bare, instr) {
 		t.Errorf("telemetry perturbed the experiment:\nbare:  %+v\ninstr: %+v", bare, instr)
 	}
@@ -61,35 +55,26 @@ func TestMetricsAndTracingDoNotPerturbExperiment(t *testing.T) {
 }
 
 // TestMetricsSnapshotDeterministic pins the canonical-snapshot
-// guarantee: byte-identical JSON run to run and at every shard count.
-// Diagnostic metrics (engine substrate) legitimately differ across
-// shard counts and are excluded by Snapshot(false); this test is what
-// keeps that split honest.
+// guarantee: byte-identical JSON run to run.
 func TestMetricsSnapshotDeterministic(t *testing.T) {
-	snap := func(shards int) []byte {
+	snap := func() []byte {
 		reg := metrics.New()
-		runInstrumentedFanIn(t, shards, reg, nil)
+		runInstrumentedFanIn(t, reg, nil)
 		data, err := json.Marshal(reg.Snapshot(false))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return data
 	}
-	base := snap(1)
-	if again := snap(1); string(again) != string(base) {
-		t.Error("snapshot differs between two identical serial runs")
-	}
-	for _, shards := range []int{2, 4} {
-		if got := snap(shards); string(got) != string(base) {
-			t.Errorf("snapshot at shards=%d differs from serial", shards)
-		}
+	if base, again := snap(), snap(); string(again) != string(base) {
+		t.Error("snapshot differs between two identical runs")
 	}
 }
 
 // TestFanInReportsPerPortStats checks the fan-in result surfaces each
 // fabric port's counters with the server port first.
 func TestFanInReportsPerPortStats(t *testing.T) {
-	res := runInstrumentedFanIn(t, 1, nil, nil)
+	res := runInstrumentedFanIn(t, nil, nil)
 	if len(res.Ports) != 4 {
 		t.Fatalf("got %d port entries, want 4", len(res.Ports))
 	}

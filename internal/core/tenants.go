@@ -95,13 +95,23 @@ const (
 	hogPDUBytes    = 2048
 )
 
+// tenantPDUIntact reports whether data is an undamaged tenant PDU:
+// exactly n bytes, every one of them byte(vci), the pattern each
+// tenant's sender writes.
+func tenantPDUIntact(data []byte, n int, vci atm.VCI) bool {
+	if len(data) != n {
+		return false
+	}
+	for _, b := range data {
+		if b != byte(vci) {
+			return false
+		}
+	}
+	return true
+}
+
 // RunTenants drives the multi-tenant workload between two hosts wired
-// back to back. The experiment is serial by construction — one engine
-// regardless of Options.Shards, since every tenant shares the two hosts
-// and there is no cross-host lookahead to exploit — so its artifacts
-// are byte-identical at any shard count; the scenario registry's
-// shard-invariance test pins that the flag plumbing does not perturb
-// them.
+// back to back, on one engine.
 func RunTenants(opt Options, w Tenants) (*TenantsResult, error) {
 	opt = opt.withDefaults()
 	if w.Tenants <= 0 {
@@ -315,7 +325,7 @@ func RunTenants(opt Options, w Tenants) (*TenantsResult, error) {
 					fbm.Free(fb)
 				}
 				data, err := m.Bytes()
-				if err != nil || len(data) != w.PDUBytes || data[0] != byte(vci) {
+				if err != nil || !tenantPDUIntact(data, w.PDUBytes, vci) {
 					return
 				}
 				delivered[i]++

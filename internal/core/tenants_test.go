@@ -120,3 +120,24 @@ func TestTenantsFbufMissesUnderChurn(t *testing.T) {
 		t.Fatal("no hits at all; even freshly defined paths missed")
 	}
 }
+
+// TestTenantPDUCheckIsByteExact pins the receive check RunTenants
+// counts deliveries with: a PDU whose length and leading bytes are
+// right but whose last byte is damaged must not count as delivered.
+func TestTenantPDUCheckIsByteExact(t *testing.T) {
+	const n, vci = 2048, 137
+	pdu := make([]byte, n)
+	for i := range pdu {
+		pdu[i] = vci
+	}
+	if !tenantPDUIntact(pdu, n, vci) {
+		t.Fatal("intact PDU rejected")
+	}
+	if tenantPDUIntact(pdu[:n-1], n, vci) {
+		t.Fatal("short PDU accepted")
+	}
+	pdu[n-1] ^= 0x01
+	if tenantPDUIntact(pdu, n, vci) {
+		t.Fatal("PDU corrupted at its last byte accepted")
+	}
+}

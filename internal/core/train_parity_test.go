@@ -31,21 +31,13 @@ func runFanInConfigured(t *testing.T, opt Options, w workload.FanIn) (*FanInResu
 // goodput, drop counts, per-port high-water marks, and every telemetry
 // sample including the queue-delay sketch — identical to the per-cell
 // queue/arbiter machine, in the lossless paced regime and in incast
-// collapse, at every shard count. The shards loop doubles as the train
-// path's shard-invariance regression: cross-engine trains must replay
-// with the same stamps the resident path computes.
+// collapse.
 func TestTrainForwardingMatchesPerCellFabric(t *testing.T) {
 	regimes := []struct {
 		name string
-		// drained reports whether the run quiesces with no in-flight
-		// work. Only a drained run's telemetry snapshot is comparable
-		// across shard counts: a sharded incast run halts at a slightly
-		// different horizon cut, freezing mid-flight counters at a
-		// different stage (identically so for both fabric machines).
-		drained bool
-		w       workload.FanIn
+		w    workload.FanIn
 	}{
-		{"paced", true, workload.FanIn{
+		{"paced", workload.FanIn{
 			Clients: 3, MessageBytes: 4096, Messages: 4,
 			Gap:     2 * time.Millisecond,
 			Stagger: 500 * time.Microsecond,
@@ -54,29 +46,20 @@ func TestTrainForwardingMatchesPerCellFabric(t *testing.T) {
 		// queue overflows, so trains split around tail-drops mid-PDU.
 		// 6×16 KB concurrent bursts overrun the default 256-cell output
 		// queue (the test asserts drops actually happened).
-		{"incast", false, workload.FanIn{Clients: 6, MessageBytes: 16384, Messages: 2}},
+		{"incast", workload.FanIn{Clients: 6, MessageBytes: 16384, Messages: 2}},
 	}
 	for _, reg := range regimes {
 		t.Run(reg.name, func(t *testing.T) {
-			baseRes, baseSnap := runFanInConfigured(t, Options{}, reg.w)
-			if reg.name == "incast" && baseRes.SwitchDropped == 0 {
+			train, trainSnap := runFanInConfigured(t, Options{}, reg.w)
+			if reg.name == "incast" && train.SwitchDropped == 0 {
 				t.Fatal("incast regime recorded no switch drops; the test is not exercising train splits")
 			}
-			for _, shards := range []int{1, 2, 4} {
-				train, trainSnap := runFanInConfigured(t, Options{Shards: shards}, reg.w)
-				percell, percellSnap := runFanInConfigured(t, Options{Shards: shards, PerCellFabric: true}, reg.w)
-				if !reflect.DeepEqual(train, percell) {
-					t.Errorf("shards=%d: train result differs from per-cell fabric:\ntrain:   %+v\npercell: %+v", shards, train, percell)
-				}
-				if !reflect.DeepEqual(trainSnap, percellSnap) {
-					t.Errorf("shards=%d: train metrics snapshot differs from per-cell fabric", shards)
-				}
-				if !reflect.DeepEqual(train, baseRes) {
-					t.Errorf("shards=%d: train result differs from shards=1 baseline:\ngot:  %+v\nwant: %+v", shards, train, baseRes)
-				}
-				if reg.drained && !reflect.DeepEqual(trainSnap, baseSnap) {
-					t.Errorf("shards=%d: train metrics snapshot differs from shards=1 baseline", shards)
-				}
+			percell, percellSnap := runFanInConfigured(t, Options{PerCellFabric: true}, reg.w)
+			if !reflect.DeepEqual(train, percell) {
+				t.Errorf("train result differs from per-cell fabric:\ntrain:   %+v\npercell: %+v", train, percell)
+			}
+			if !reflect.DeepEqual(trainSnap, percellSnap) {
+				t.Error("train metrics snapshot differs from per-cell fabric")
 			}
 		})
 	}

@@ -16,7 +16,7 @@
 //  3. Snapshots are canonical: metrics sort by name, structs encode
 //     with a fixed field order (no maps), and no wall-clock state is
 //     embedded — the same seed yields byte-identical snapshots on
-//     every run and at any shard/worker count.
+//     every run and at any worker count.
 //
 // Two observation styles coexist:
 //
@@ -30,7 +30,7 @@
 //     hot-path cost.
 //
 // Metrics whose value legitimately depends on the execution substrate
-// (shard count, worker count, wall clock) are registered via the Diag
+// (engine internals, worker count, wall clock) are registered via the Diag
 // variants and excluded from canonical snapshots; they never appear
 // in byte-compared artifacts.
 package metrics
@@ -153,10 +153,9 @@ type entry struct {
 // Sample registration is a no-op.
 //
 // Registration must happen single-threaded (topology construction
-// time). Runtime mutation of a push metric is confined to the
-// engine-shard goroutine that owns the instrumented component, and
-// snapshots are taken after the run quiesces, so no locking is
-// needed; see DESIGN §11 for the happens-before argument.
+// time). Runtime mutation of a push metric happens on the engine that
+// owns the instrumented component, one event at a time, and snapshots
+// are taken after the run quiesces, so no locking is needed.
 type Registry struct {
 	entries []entry
 	index   map[string]int
@@ -231,8 +230,8 @@ func (r *Registry) Sample(name string, kind Kind, fn func() int64) {
 
 // SampleDiag registers a diagnostic sampled metric: evaluated at
 // snapshot time but excluded from canonical snapshots because its
-// value depends on the execution substrate (shard count, workers,
-// wall clock) rather than on simulated behaviour. No-op if r is nil.
+// value depends on the execution substrate (engine internals,
+// workers, wall clock) rather than on simulated behaviour. No-op if r is nil.
 func (r *Registry) SampleDiag(name string, kind Kind, fn func() int64) {
 	if r == nil {
 		return
@@ -269,7 +268,7 @@ type Value struct {
 
 // Snapshot materializes the registry. Canonical snapshots
 // (includeDiag=false) contain only simulated-behaviour metrics and
-// are byte-identical per seed at any shard/worker count once JSON
+// are byte-identical per seed at any worker count once JSON
 // encoded: entries sort by name and contain no maps or timestamps.
 // Nil registries snapshot to nil.
 func (r *Registry) Snapshot(includeDiag bool) []Value {

@@ -116,12 +116,12 @@ func strat(cfg Config, s board.ReassemblyStrategy) string {
 			verdict = "CORRUPTS"
 		}
 	})
-	tb.Go(0, "s", func(p *sim.Proc) {
+	tb.Eng.Go("s", func(p *sim.Proc) {
 		m, _ := msg.FromBytes(tb.A.Host.Kernel, data)
 		tx.Push(p, m)
 		tb.A.Drv.Flush(p)
 	})
-	tb.RunUntil(tb.Now().Add(50 * time.Millisecond))
+	tb.Eng.RunUntil(tb.Eng.Now().Add(50 * time.Millisecond))
 	return verdict
 }
 
@@ -157,13 +157,9 @@ func fb(cached bool) time.Duration {
 }
 
 // lossy measures the §2.3 premise: RDP delivery over a 1%-lossy link.
-// LossRate draws from the shared engine RNG per cell, which is
-// partition-dependent, so this ablation always runs on the serial
-// engine regardless of Config.Shards.
 func lossy(cfg Config) string {
 	opt := cfg.options(alOptions())
 	opt.Link.LossRate = 0.01
-	opt.Shards = 0
 	tb := core.NewTestbed(opt)
 	defer tb.Shutdown()
 	tx, err := tb.A.RDP.Open(proto.RDPOpen{Remote: 2, VCI: 60, Window: 4})
@@ -176,12 +172,12 @@ func lossy(cfg Config) string {
 	}
 	got := 0
 	rxs.SetHandler(func(p *sim.Proc, m *msg.Message) { got++ })
-	tb.Go(0, "s", func(p *sim.Proc) {
+	tb.Eng.Go("s", func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {
 			mm, _ := msg.FromBytes(tb.A.Host.Kernel, workload.Payload(3000, byte(i)))
 			tx.Push(p, mm)
 		}
 	})
-	tb.RunUntil(tb.Now().Add(time.Second))
+	tb.Eng.RunUntil(tb.Eng.Now().Add(time.Second))
 	return fmt.Sprintf("%d/10 delivered, %d retransmits", got, tb.A.RDP.Stats().Retransmits)
 }

@@ -14,8 +14,8 @@ import (
 )
 
 // metricsExperiment is one instrumented run's canonical snapshot. Only
-// simulated-behaviour metrics appear (diagnostics are excluded, since
-// they vary with the shard count).
+// simulated-behaviour metrics appear (diagnostics, which describe the
+// engine rather than the simulated system, are excluded).
 type metricsExperiment struct {
 	Name    string          `json:"name"`
 	Metrics []metrics.Value `json:"metrics"`

@@ -89,7 +89,7 @@ func table1(cfg Config) (Report, error) {
 						Size:     size,
 						PaperUS:  paper[r.opt.Profile.Name+" "+r.kind.String()][size],
 						RTTNS:    rtt.Nanoseconds(),
-						State:    stateOf(tb.Now(), tb.AB.Stats(), tb.BA.Stats()),
+						State:    stateOf(tb.Eng.Now(), tb.AB.Stats(), tb.BA.Stats()),
 					}, nil
 				},
 			})
@@ -157,10 +157,10 @@ func figure(cfg Config, fig, title, plotTitle, note string, curves []curve, tran
 					if transmit {
 						pt.Mbps, err = tb.RunTransmitThroughput(size, cfg.msgs())
 						cells, bytes := tb.SinkStats()
-						pt.State = stateOf(tb.Now(), cells, bytes)
+						pt.State = stateOf(tb.Eng.Now(), cells, bytes)
 					} else {
 						pt.Mbps, err = tb.RunReceiveThroughput(size, cfg.msgs())
-						pt.State = stateOf(tb.Now(), tb.B.Board.Stats())
+						pt.State = stateOf(tb.Eng.Now(), tb.B.Board.Stats())
 					}
 					return pt, err
 				},

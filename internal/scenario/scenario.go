@@ -2,13 +2,12 @@
 // the paper's evaluation (§4: Table 1, Figures 2-4), the design
 // ablations, the extension planes (fault sweep, reliable incast,
 // multi-tenant scale-out, telemetry snapshots) and the simulator's own
-// wall-clock measurements (core cost, worker and shard scaling).
+// wall-clock measurements (core cost, worker scaling).
 //
 // Every scenario runs under one Config and returns a Report whose
 // deterministic part is canonical JSON, kept apart from any wall-clock
 // measurement. That JSON is a fixed function of the scenario and
-// Config.Quick: it is byte-identical at any worker count, shard count,
-// fabric mode, telemetry setting and GOMAXPROCS, which TestScenarios
+// Config.Quick: it is byte-identical at any worker count, fabric mode, telemetry setting and GOMAXPROCS, which TestScenarios
 // checks for the whole registry. A scenario's Check holds the gates its
 // result must pass. cmd/osiris-bench is a loop over All.
 package scenario
@@ -35,9 +34,6 @@ type Config struct {
 	// Workers sizes the parexp pool that runs a scenario's independent
 	// jobs: 0 selects GOMAXPROCS, 1 runs them serially in order.
 	Workers int
-	// Shards partitions each simulated system over that many engine
-	// shards (core.Options.Shards).
-	Shards int
 	// PerCell forces the switch's per-cell fabric instead of train
 	// forwarding (core.Options.PerCellFabric).
 	PerCell bool
@@ -108,7 +104,6 @@ func All() []Scenario {
 		{Name: "metrics", Artifact: "BENCH_metrics.json", Run: metricsSnapshots},
 		{Name: "simcore", Artifact: "BENCH_simcore.json", Run: simcore, Check: checkSimcore},
 		{Name: "parallel", Artifact: "BENCH_parallel.json", Run: parallel, Check: checkScaling},
-		{Name: "shards", Artifact: "BENCH_shards.json", Run: shards, Check: checkScaling},
 	}
 }
 
@@ -116,7 +111,6 @@ func All() []Scenario {
 // base options. Call it once per simulated system: a metrics registry
 // serves one topology.
 func (c Config) options(o core.Options) core.Options {
-	o.Shards = c.Shards
 	o.PerCellFabric = c.PerCell
 	if c.Telemetry {
 		o.Metrics = metrics.New()

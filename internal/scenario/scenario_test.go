@@ -26,7 +26,6 @@ var serial = cell{"serial", Config{Quick: true, Workers: 1}}
 // across all of them and serial.
 var matrix = []cell{
 	{"workers=4", Config{Quick: true, Workers: 4}},
-	{"shards=4", Config{Quick: true, Workers: 4, Shards: 4}},
 	{"percell", Config{Quick: true, Workers: 4, PerCell: true}},
 	{"telemetry", Config{Quick: true, Workers: 4, Telemetry: true}},
 }
@@ -40,8 +39,8 @@ var alone = map[string]bool{"simcore": true, "tenants": true}
 // TestScenarios runs every registered scenario at quick size, serially
 // at GOMAXPROCS 1 and then across the matrix at GOMAXPROCS 2: each
 // report must pass its scenario's Check, and its deterministic JSON
-// must not depend on GOMAXPROCS, the worker count, the shard count, the
-// fabric mode or the telemetry plane.
+// must not depend on GOMAXPROCS, the worker count, the fabric mode or
+// the telemetry plane.
 func TestScenarios(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole registry five times")

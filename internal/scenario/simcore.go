@@ -26,8 +26,8 @@ type simcoreResult struct {
 }
 
 // simcoreWallResult is one workload's wall-clock measurement: the best
-// of its repetitions. Events sit here because a sharded engine skips
-// wakeups a serial one executes.
+// of its repetitions. Events sit here beside the rate they are the
+// denominator of.
 type simcoreWallResult struct {
 	Name          string  `json:"name"`
 	WallSeconds   float64 `json:"wall_seconds"`
@@ -90,7 +90,7 @@ func measure(name string, fn func() (events uint64, simTime time.Duration, cells
 // the workload whose plateau the paper shows is link-limited, so any
 // simulator overhead here directly stretches the wall clock.
 func simcoreFig3(cfg Config) (simcoreRun, error) {
-	opt := cfg.serial(alOptions())
+	opt := cfg.options(alOptions())
 	opt.Board = board.Config{RxDMA: board.DoubleCell}
 	tb := core.NewTestbed(opt)
 	defer tb.Shutdown()
@@ -98,7 +98,7 @@ func simcoreFig3(cfg Config) (simcoreRun, error) {
 		ev0 := tb.Events()
 		mbps, err := tb.RunReceiveThroughput(65536, 32)
 		st := tb.B.Board.Stats()
-		return tb.Events() - ev0, time.Duration(tb.Now()), st.CellsRx, map[string]float64{
+		return tb.Events() - ev0, time.Duration(tb.Eng.Now()), st.CellsRx, map[string]float64{
 			"mbps":     mbps,
 			"cells_rx": float64(st.CellsRx),
 		}, err
@@ -110,7 +110,7 @@ func simcoreFig3(cfg Config) (simcoreRun, error) {
 // switching, reassembly, or delivery accounting moves at least one.
 func simcoreFanIn(cfg Config) (simcoreRun, error) {
 	w := pacedFanIn()
-	cl := core.NewCluster(cfg.serial(core.Options{}), w.Clients+1)
+	cl := core.NewCluster(cfg.options(core.Options{}), w.Clients+1)
 	defer cl.Shutdown()
 	return measure("fanin_4x8k", func() (uint64, time.Duration, int64, map[string]float64, error) {
 		ev0 := cl.Events()
@@ -119,7 +119,7 @@ func simcoreFanIn(cfg Config) (simcoreRun, error) {
 			return 0, 0, 0, nil, err
 		}
 		bs := cl.Nodes[0].Board.Stats()
-		return cl.Events() - ev0, time.Duration(cl.Now()), res.SwitchForwarded + res.SwitchDropped, map[string]float64{
+		return cl.Events() - ev0, time.Duration(cl.Eng.Now()), res.SwitchForwarded + res.SwitchDropped, map[string]float64{
 			"delivered":        float64(res.Delivered),
 			"aggregate_mbps":   res.AggregateMbps,
 			"switch_forwarded": float64(res.SwitchForwarded),
@@ -128,15 +128,6 @@ func simcoreFanIn(cfg Config) (simcoreRun, error) {
 			"pdus_dropped":     float64(bs.PDUsDropped),
 		}, nil
 	})
-}
-
-// serial is options on the serial engine, whatever Config.Shards says:
-// simcore measures the serial hot path, and its allocation gate is
-// calibrated there (the shards scenario measures the sharded engine).
-func (c Config) serial(o core.Options) core.Options {
-	o = c.options(o)
-	o.Shards = 0
-	return o
 }
 
 // simcore is the simulation core's wall-clock benchmark. Every workload

@@ -71,8 +71,7 @@ const tenantsHogName = "tenants/hog/32"
 // measured directly: allocations per cell (deterministic) and wall
 // ns per cell (in the wall section).
 //
-// core.RunTenants runs on one serial engine whatever Config.Shards
-// says, and registers no telemetry unless asked for the ADC families.
+// core.RunTenants builds its own system, and registers no telemetry unless asked for the ADC families.
 func tenants(cfg Config) (Report, error) {
 	churn, counts := 32, []int{8, 64, 256, 1024}
 	if cfg.Quick {

@@ -270,30 +270,3 @@ func BenchmarkProcSpawn(b *testing.B) {
 		e.Run()
 	}
 }
-
-// On a sharded group the body runs on a shard worker; its Goexit is
-// carried over to the goroutine driving the group instead of hanging
-// the barrier.
-func TestGoexitInShardedBodyEndsGroupGoroutine(t *testing.T) {
-	g := NewShardGroup(1, 2)
-	defer g.Shutdown()
-	g.Engine(1).Go("exit", func(p *Proc) {
-		p.Sleep(time.Nanosecond)
-		runtime.Goexit()
-	})
-	returned := false
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		g.Run()
-		returned = true
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("group hung after a body called runtime.Goexit")
-	}
-	if returned {
-		t.Fatal("Run returned after the body called runtime.Goexit")
-	}
-}

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
 	"time"
 )
 
@@ -52,14 +51,13 @@ func (t Time) String() string { return time.Duration(t).String() }
 type eventNode struct {
 	at Time
 	// schedAt is the virtual instant the event was scheduled at, and xid
-	// identifies the scheduling source: 0 for events scheduled by this
-	// engine's own activities, a stable cross-shard channel id for events
-	// injected by another shard. Together with seq they form the
-	// canonical execution order (at, schedAt, xid, seq). For a standalone
-	// engine seq is assigned in scheduling order and schedAt is
-	// nondecreasing in it, so the refined order coincides exactly with
-	// the historical (at, seq) order; the extra keys matter only when
-	// shards merge event streams.
+	// identifies the scheduling source: 0 for events scheduled through
+	// the engine's own At/After forms, a topology-fixed id for a stamped
+	// link's deliveries (InjectStamped). Together with seq they form the
+	// canonical execution order (at, schedAt, xid, seq). Among xid-0
+	// events seq is assigned in scheduling order and schedAt is
+	// nondecreasing in it, so for them the order is exactly (at, seq);
+	// the extra keys decide only how stamped deliveries tie.
 	schedAt      Time
 	xid          uint64
 	seq          uint64
@@ -113,13 +111,8 @@ type Engine struct {
 	limit    Time // 0 means no limit
 	recorder func(TraceEvent)
 	running  bool
-	// shard/group identify the engine's place in a ShardGroup (zero /
-	// nil for a standalone engine).
-	shard int
-	group *ShardGroup
-	// sites records every DeriveRand site name, for the collision and
-	// partition-independence regression checks.
-	sites map[string]int
+	// sites is the set of DeriveRand site names, checked for collisions.
+	sites map[string]struct{}
 }
 
 // NewEngine returns an engine with its virtual clock at zero and its
@@ -145,14 +138,18 @@ func (e *Engine) Seed() int64 { return e.seed }
 // never perturb each other or Engine.Rand, so adding or removing one
 // injection site leaves every other site's draws — and therefore the
 // rest of the simulation — bit-for-bit unchanged.
+//
+// Deriving the same site twice panics: two components sharing a site
+// would silently read one pseudo-random stream in lockstep, which is
+// exactly the coupling DeriveRand exists to prevent.
 func (e *Engine) DeriveRand(site string) *rand.Rand {
+	if _, dup := e.sites[site]; dup {
+		panic(fmt.Sprintf("sim: DeriveRand site %q derived twice: streams must never be shared", site))
+	}
 	if e.sites == nil {
-		e.sites = make(map[string]int)
+		e.sites = make(map[string]struct{})
 	}
-	e.sites[site]++
-	if e.group != nil {
-		e.group.registerSite(site, e.shard)
-	}
+	e.sites[site] = struct{}{}
 	h := fnv.New64a()
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], uint64(e.seed))
@@ -160,25 +157,6 @@ func (e *Engine) DeriveRand(site string) *rand.Rand {
 	h.Write([]byte(site))
 	return rand.New(rand.NewSource(int64(h.Sum64())))
 }
-
-// DerivedSites returns every site name DeriveRand has been called with
-// on this engine, sorted. The derived stream is a pure function of
-// (seed, site) — never of the engine identity — so a partitioned
-// topology reproduces the serial run's streams exactly as long as the
-// site set is collision-free and partition-independent; this accessor
-// exists for the regression tests that pin both properties.
-func (e *Engine) DerivedSites() []string {
-	out := make([]string, 0, len(e.sites))
-	for s := range e.sites {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Shard returns the engine's index within its ShardGroup (0 for a
-// standalone engine).
-func (e *Engine) Shard() int { return e.shard }
 
 // TraceEvent is one typed trace record, the engine's only trace
 // plane. The Ph byte follows the Chrome trace-event phase convention
@@ -233,10 +211,12 @@ func (e *Engine) Emit(ev TraceEvent) {
 
 // less orders the heap by the canonical key (at, schedAt, xid, seq):
 // fire time first, then scheduling time, then scheduling source, then
-// per-source insertion order. For a standalone engine every event has
-// xid 0 and seq increases with schedAt, so this is exactly the
-// historical (at, seq) order; the refinement gives cross-shard merges a
-// partition-independent tie-break.
+// per-source insertion order. Events scheduled through At/After have
+// xid 0 and seq increasing with schedAt, so among them this is exactly
+// (at, seq). A stamped link's deliveries carry a topology-fixed xid,
+// which makes their tie-break a function of the topology rather than of
+// global scheduling order; the committed result fingerprints pin the
+// order it produces.
 func (e *Engine) less(i, j int) bool {
 	a, b := e.pq[i], e.pq[j]
 	if a.at != b.at {
@@ -350,16 +330,13 @@ func (e *Engine) schedule(t Time, cb func(any), arg any) Event {
 
 // InjectStamped schedules cb(arg) at instant t carrying an explicit
 // canonical-order stamp (schedAt, xid, seq) instead of this engine's
-// own scheduling stamp. It is the cross-shard delivery primitive: a
-// sending shard computes the stamp its scheduling call would have
-// produced in a serial run, and the receiving shard merges the event
-// into its queue in exactly that position. xid must be a non-zero,
-// topology-stable channel id (0 is reserved for locally scheduled
-// events); seq need only be monotone per xid. The engine's own seq
-// counter is not consumed, so injection leaves local stamps untouched.
-//
-// Call it only from the receiving engine's own event context, or while
-// the engine is not running (the shard barrier).
+// own scheduling stamp. Stamped links deliver through it: the link
+// computes the schedAt its implicit delivery event would have carried,
+// and its topology-fixed xid decides how the delivery ties with other
+// events at the same (at, schedAt). xid must be non-zero (0 is reserved
+// for events scheduled through At/After); seq need only be monotone
+// per xid. The engine's own seq counter is not consumed, so injection
+// leaves every other event's stamp untouched.
 func (e *Engine) InjectStamped(t, schedAt Time, xid, seq uint64, cb func(any), arg any) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: injecting event at %v, before now %v", t, e.now))
@@ -375,14 +352,6 @@ func (e *Engine) InjectStamped(t, schedAt Time, xid, seq uint64, cb func(any), a
 	n.cb = cb
 	n.arg = arg
 	e.heapPush(n)
-}
-
-// NextEventTime reports the fire time of the earliest queued event.
-func (e *Engine) NextEventTime() (Time, bool) {
-	if len(e.pq) == 0 {
-		return 0, false
-	}
-	return e.pq[0].at, true
 }
 
 // callFunc adapts the closure scheduling forms to the callback+argument
@@ -501,35 +470,14 @@ func (e *Engine) RunFor(d time.Duration) Time {
 // RunUntil runs the simulation until the virtual clock would pass t;
 // events scheduled after t remain queued and the clock is advanced to t.
 func (e *Engine) RunUntil(t Time) Time {
-	e.runTo(t)
-	if e.now < t {
-		e.now = t
-	}
-	return e.now
-}
-
-// runTo executes events with at ≤ t but, unlike RunUntil, leaves the
-// clock at the last executed event rather than advancing it to t. The
-// shard scheduler uses it for lookahead windows: an idle shard's clock
-// must not jump to the window edge, or a later-injected event could
-// land in its apparent past.
-func (e *Engine) runTo(t Time) {
 	prev := e.limit
 	e.limit = t
 	e.Run()
 	e.limit = prev
-}
-
-// advanceTo moves an idle engine's clock forward to t (a no-op if the
-// clock is already past t). The shard scheduler applies the RunUntil
-// clock-advance contract group-wide with it once all windows are done.
-func (e *Engine) advanceTo(t Time) {
-	if e.running {
-		panic("sim: advanceTo during Run")
-	}
 	if e.now < t {
 		e.now = t
 	}
+	return e.now
 }
 
 // Pending reports the number of events in the queue.

@@ -267,3 +267,84 @@ func TestRunUntilZeroHorizonRunsNothing(t *testing.T) {
 		t.Error("event lost after horizon run")
 	}
 }
+
+// TestInjectStampedCanonicalOrder: events carrying explicit stamps
+// merge into the queue in (at, schedAt, xid, seq) order, with locally
+// scheduled events (xid 0) winning ties against injected ones.
+func TestInjectStampedCanonicalOrder(t *testing.T) {
+	e := NewEngine(1)
+	var got []string
+	rec := func(a any) { got = append(got, a.(string)) }
+
+	const at = Time(100)
+	// Local events: schedAt = 0 (scheduled now), xid = 0.
+	e.AtCall(at, rec, "local-1")
+	e.AtCall(at, rec, "local-2")
+	// Injected: later schedAt sorts last regardless of xid; equal
+	// schedAt sorts by xid, then per-xid seq.
+	e.InjectStamped(at, 50, 1, 7, rec, "x1-late")
+	e.InjectStamped(at, 0, 2, 1, rec, "x2-a")
+	e.InjectStamped(at, 0, 1, 3, rec, "x1-b")
+	e.InjectStamped(at, 0, 1, 2, rec, "x1-a")
+	e.Run()
+
+	want := []string{"local-1", "local-2", "x1-a", "x1-b", "x2-a", "x1-late"}
+	if len(got) != len(want) {
+		t.Fatalf("executed %d events, want %d: %v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("execution order %v, want %v", got, want)
+		}
+	}
+}
+
+func TestInjectStampedValidation(t *testing.T) {
+	e := NewEngine(1)
+	mustPanic := func(name string, fn func()) {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		fn()
+	}
+	mustPanic("zero xid", func() { e.InjectStamped(10, 0, 0, 1, func(any) {}, nil) })
+	e.At(5, func() {})
+	e.Run()
+	mustPanic("past injection", func() { e.InjectStamped(1, 0, 1, 1, func(any) {}, nil) })
+}
+
+// TestSingleEngineOrderUnchanged: for events scheduled through At the
+// canonical comparator must reproduce plain (at, seq) order exactly.
+func TestSingleEngineOrderUnchanged(t *testing.T) {
+	e := NewEngine(1)
+	var got []int
+	for i := 0; i < 10; i++ {
+		i := i
+		e.At(Time(50*(i%3)), func() { got = append(got, i) })
+	}
+	e.Run()
+	// Same fire time ⇒ scheduling order; times 0, 50, 100 interleaved.
+	want := []int{0, 3, 6, 9, 1, 4, 7, 2, 5, 8}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("order %v, want %v", got, want)
+		}
+	}
+}
+
+// TestDuplicateDeriveSitePanics: two components deriving the same site
+// would silently share one pseudo-random stream, so the second
+// derivation panics.
+func TestDuplicateDeriveSitePanics(t *testing.T) {
+	e := NewEngine(1)
+	e.DeriveRand("injector/x")
+	e.DeriveRand("injector/y")
+	defer func() {
+		if recover() == nil {
+			t.Fatal("duplicate DeriveRand site did not panic")
+		}
+	}()
+	e.DeriveRand("injector/x")
+}

@@ -15,11 +15,9 @@ import (
 //
 // Each attached engine gets its own lane (a Chrome "process"), and
 // each distinct component within a lane gets a named thread track.
-// In a sharded run every engine's goroutine appends only to its own
-// lane, and export happens after the run quiesces, so no locking is
-// needed; the export merge is canonical — ordered by (time, lane
-// attach order, emission index) — making the JSON byte-identical per
-// seed at any shard count for deterministic configs.
+// The export merge is canonical — ordered by (time, lane attach order,
+// emission index) — so the JSON is byte-identical per seed for
+// deterministic configs.
 type Timeline struct {
 	lanes []*lane
 }
@@ -33,7 +31,7 @@ type lane struct {
 func NewTimeline() *Timeline { return &Timeline{} }
 
 // Attach installs the timeline as eng's typed-trace recorder, under
-// the given lane label (e.g. "shard0"). Call before the run starts.
+// the given lane label (e.g. "testbed"). Call before the run starts.
 func (tl *Timeline) Attach(eng *sim.Engine, label string) {
 	ln := &lane{label: label}
 	tl.lanes = append(tl.lanes, ln)

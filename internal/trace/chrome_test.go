@@ -11,7 +11,7 @@ import (
 
 func emitSample(tl *Timeline) *sim.Engine {
 	e := sim.NewEngine(1)
-	tl.Attach(e, "shard0")
+	tl.Attach(e, "host0")
 	e.At(1000, func() {
 		e.Emit(sim.TraceEvent{At: e.Now(), Ph: 'i', Comp: "board", Cat: sim.CatIRQ, Name: "rx-irq"})
 		e.Emit(sim.TraceEvent{At: e.Now(), Ph: 'C', Comp: "port0", Cat: sim.CatQueue, Name: "depth", Arg: 3})
@@ -75,7 +75,7 @@ func TestTimelineChromeExport(t *testing.T) {
 	if meta < 3 { // two thread_name tracks + one process_name
 		t.Errorf("metadata records = %d, want >= 3", meta)
 	}
-	if !strings.Contains(buf.String(), `"name":"shard0"`) {
+	if !strings.Contains(buf.String(), `"name":"host0"`) {
 		t.Errorf("lane label missing from process_name metadata")
 	}
 }

@@ -24,7 +24,7 @@ func textSample(t *testing.T) (render func(cats []string, limit int) string, lin
 	tl := NewTimeline()
 	emitSample(tl)
 	e := sim.NewEngine(1)
-	tl.Attach(e, "shard1")
+	tl.Attach(e, "host1")
 	e.At(1000, func() {
 		e.Emit(sim.TraceEvent{At: e.Now(), Ph: 'i', Comp: "sw-port1", Cat: sim.CatDrop, Name: "queue-overflow", Arg: 7})
 	})
