@@ -112,18 +112,12 @@ type LinkStats struct {
 // linkCell is one in-flight cell of a deterministic link's train:
 // serStart is the instant its transmit-FIFO slot frees (when the old
 // pacing process would have dequeued it to start serialization), and
-// deliver is the instant the receiver callback runs. accept is the
-// instant the sender's Send returned — for a proc sender that is the
-// push instant, but a virtual sender (SendScheduled) may push a cell
-// whose accept lies in the future, and the walker must not claim the
-// delivery event before a real sender would have scheduled it.
-// schedAt/seq are the cell's canonical delivery stamp, filled only on
-// stamped links (Link.xid != 0); see the stamped-link comment on Link.
+// deliver is the instant the receiver callback runs. schedAt/seq are
+// the cell's canonical delivery stamp; see the stamp comment on Link.
 type linkCell struct {
 	c        Cell
 	serStart sim.Time
 	deliver  sim.Time
-	accept   sim.Time
 	schedAt  sim.Time
 	seq      uint64
 }
@@ -159,33 +153,29 @@ type Link struct {
 	frontier    sim.Time // serialization end of the newest accepted cell
 	walkerArmed bool
 	slotArmed   bool
-	armPending  bool // arm event scheduled at the next accept instant
 	notFull     *sim.Cond
 
-	// Stamped mode (xid != 0, deterministic links only): delivery
-	// events carry an explicit canonical stamp (schedAt, xid, seq) via
-	// InjectStamped instead of the engine's implicit scheduling stamp.
-	//
-	// Why: at a tied delivery instant the engine orders events by
-	// (at, schedAt, xid, seq). An implicitly stamped event tie-breaks by
-	// global scheduling order (xid 0, engine seq), which shifts whenever
-	// any unrelated activity schedules one more or one fewer event. A
-	// workload that drives many symmetric senders into one switch port —
-	// fan-in incast is the canonical case — ties constantly (senders
-	// re-phase-lock on the shared egress serialization grid even when
-	// started staggered). Stamping a link with a construction-order id
-	// makes that tie-break a fixed function of the topology, and the
-	// committed result fingerprints pin the order it produces. The stamp
-	// mimics the implicit machine exactly (schedAt = max(accept, previous
-	// delivery), per-link monotone seq), so a stamped link in isolation
-	// times identically to an unstamped one; only tie ORDER against
-	// other links is pinned.
+	// A cell-train delivery event carries an explicit canonical stamp
+	// (schedAt, xid, seq) via InjectStamped. At a tied delivery instant
+	// the engine orders events by (at, schedAt, xid, seq); xid is drawn
+	// from the engine at construction, so how same-instant deliveries
+	// from different links order is a fixed function of the topology
+	// rather than of global scheduling order, which shifts whenever any
+	// unrelated activity schedules one more or one fewer event.
+	// Symmetric fan-in workloads tie constantly (senders phase-lock on a
+	// shared egress serialization grid), and the committed result
+	// fingerprints pin the order this numbering produces. schedAt is
+	// where a sender-scheduled delivery would have been scheduled — the
+	// accept instant if the train was empty, else the previous cell's
+	// delivery — and seq is monotone per link. A paced link draws an
+	// id too, so the numbering does not depend on the configuration.
 	xid  uint64
 	lseq uint64 // per-link stamp counter (monotone)
 }
 
-// NewLink creates a link; lossy or randomly skewed configurations also
-// start a pacing process.
+// NewLink creates a link and draws its stamp id from the engine, so
+// links number in construction order; lossy or randomly skewed
+// configurations also start a pacing process.
 func NewLink(e *sim.Engine, cfg LinkConfig) *Link {
 	if cfg.RateBps == 0 {
 		cfg.RateBps = DefaultLinkRate
@@ -196,7 +186,7 @@ func NewLink(e *sim.Engine, cfg LinkConfig) *Link {
 	if cfg.Skew == nil {
 		cfg.Skew = NoSkew{}
 	}
-	l := &Link{eng: e, cfg: cfg}
+	l := &Link{eng: e, cfg: cfg, xid: e.NewStampID()}
 	l.cellTime = time.Duration(int64(CellSize*8) * int64(time.Second) / cfg.RateBps)
 	if cfg.Fault != nil {
 		site := cfg.FaultSite
@@ -236,60 +226,13 @@ func (l *Link) Send(p *sim.Proc, c Cell) {
 	// The transmit FIFO is virtual: a queued cell occupies a slot from
 	// Send until its serialization starts, exactly when the paced
 	// machine's dequeue would have freed it.
-	for l.queued(l.eng.Now()) >= linkFIFODepth {
+	for l.slotFree(l.eng.Now()) > l.eng.Now() {
 		l.armSlotWake()
 		l.notFull.Wait(p)
 	}
-	now := l.eng.Now()
-	serStart := now
-	if l.frontier > serStart {
-		serStart = l.frontier
-	}
-	serEnd := serStart.Add(l.cellTime)
-	l.frontier = serEnd
-	// Skew models in train mode never draw; passing a nil RNG turns any
-	// violation of that invariant into a loud failure instead of silent
-	// nondeterminism.
-	at := serEnd.Add(l.cfg.PropDelay + l.cfg.Skew.Delay(l.cfg.Index, nil))
-	prevLast := l.lastDeliver
-	if at <= l.lastDeliver {
-		at = l.lastDeliver + 1 // preserve per-link FIFO order
-	}
-	l.lastDeliver = at
-	l.stats.Sent++
-	if l.xid != 0 {
-		l.pushStamped(c, serStart, at, now, prevLast)
-	} else {
-		l.push(linkCell{c: c, serStart: serStart, deliver: at, accept: now})
-		if !l.walkerArmed && !l.armPending {
-			l.walkerArmed = true
-			l.eng.AtCall(at, linkDeliverCB, l)
-		}
-	}
+	l.commit(l.eng.Now(), c)
 	if l.notFull.Waiting() > 0 {
 		l.armSlotWake()
-	}
-}
-
-// pushStamped is the stamped Send/SendScheduled tail: push the cell
-// with its canonical stamp and make sure a stamped walker event is
-// pending. schedAt is where the implicit machine would have scheduled
-// the delivery: at the accept instant if the walker was idle, else at
-// the previous cell's delivery, where the walker re-arms. The walker
-// invariant in stamped mode is simple — armed iff the train is
-// non-empty — because the stamp is explicit, so arming never has to
-// wait for the accept instant the way the implicit machine does.
-func (l *Link) pushStamped(c Cell, serStart, at, accept, prevLast sim.Time) {
-	schedAt := accept
-	if prevLast > schedAt {
-		schedAt = prevLast
-	}
-	l.lseq++
-	l.push(linkCell{c: c, serStart: serStart, deliver: at, accept: accept, schedAt: schedAt, seq: l.lseq})
-	if !l.walkerArmed {
-		l.walkerArmed = true
-		head := l.at(0)
-		l.eng.InjectStamped(head.deliver, head.schedAt, l.xid, head.seq, linkDeliverCB, l)
 	}
 }
 
@@ -299,48 +242,42 @@ func (l *Link) pushStamped(c Cell, serStart, at, accept, prevLast sim.Time) {
 // instant and nondecreasing across calls, and the caller must be the
 // link's only sender (the switch's egress arbiter is; boards are not).
 // The link performs exactly the state transitions Send would have
-// performed had a proc executed it at t — virtual-FIFO blocking,
-// serialization pacing, the per-link FIFO-order bump, walker arming at
-// the accept instant — and returns the instant Send would have
-// returned: the first u ≥ t at which the transmit FIFO has a free
-// slot. Deterministic (cell-train) links only.
+// performed had a proc executed it at t and returns the instant Send
+// would have returned: the first u ≥ t at which the transmit FIFO has
+// a free slot. Deterministic (cell-train) links only.
 func (l *Link) SendScheduled(t sim.Time, c Cell) sim.Time {
 	if !l.det {
 		panic("atm: SendScheduled on a non-deterministic link")
 	}
 	u := l.slotFree(t)
-	serStart := u
-	if l.frontier > serStart {
-		serStart = l.frontier
-	}
+	l.commit(u, c)
+	return u
+}
+
+// commit accepts c into the train at instant u, the moment its sender
+// leaves the blocking loop: serialize it behind the frontier, bump its
+// delivery past the previous one to keep per-link FIFO order, stamp it,
+// and arm the walker if the train was empty.
+func (l *Link) commit(u sim.Time, c Cell) {
+	serStart := max(u, l.frontier)
 	serEnd := serStart.Add(l.cellTime)
 	l.frontier = serEnd
+	// Skew models in train mode never draw; passing a nil RNG turns any
+	// violation of that invariant into a loud failure instead of silent
+	// nondeterminism.
 	at := serEnd.Add(l.cfg.PropDelay + l.cfg.Skew.Delay(l.cfg.Index, nil))
-	prevLast := l.lastDeliver
+	schedAt := max(u, l.lastDeliver)
 	if at <= l.lastDeliver {
 		at = l.lastDeliver + 1 // preserve per-link FIFO order
 	}
 	l.lastDeliver = at
 	l.stats.Sent++
-	if l.xid != 0 {
-		l.pushStamped(c, serStart, at, u, prevLast)
-		return u
+	l.lseq++
+	l.push(linkCell{c: c, serStart: serStart, deliver: at, schedAt: schedAt, seq: l.lseq})
+	if !l.walkerArmed {
+		l.walkerArmed = true
+		l.eng.InjectStamped(at, schedAt, l.xid, l.lseq, linkDeliverCB, l)
 	}
-	l.push(linkCell{c: c, serStart: serStart, deliver: at, accept: u})
-	if !l.walkerArmed && !l.armPending {
-		if u <= l.eng.Now() {
-			// A proc sender would have armed right here, right now.
-			l.walkerArmed = true
-			l.eng.AtCall(at, linkDeliverCB, l)
-		} else {
-			// A proc sender would still be blocked; it would arm the
-			// walker only at the accept instant, and the delivery event
-			// must carry that instant as its scheduling stamp.
-			l.armPending = true
-			l.eng.AtCall(u, linkArmCB, l)
-		}
-	}
-	return u
 }
 
 // slotFree returns the first instant u ≥ t at which the virtual
@@ -361,31 +298,6 @@ func (l *Link) slotFree(t sim.Time) sim.Time {
 		}
 	}
 	return t
-}
-
-// linkArmCB fires at a virtually sent cell's accept instant: the proc
-// sender being mimicked would arm the delivery walker here, so the
-// delivery event's canonical (at, schedAt) stamp matches the serial
-// per-cell machine exactly.
-func linkArmCB(a any) {
-	l := a.(*Link)
-	l.armPending = false
-	l.walkerArmed = true
-	l.eng.AtCall(l.at(0).deliver, linkDeliverCB, l)
-}
-
-// queued counts train cells still occupying a transmit-FIFO slot at
-// instant now (serialization not yet started). Entries are in push
-// order with nondecreasing serStart, so scan from the newest.
-func (l *Link) queued(now sim.Time) int {
-	n := 0
-	for i := l.count - 1; i >= 0; i-- {
-		if l.at(i).serStart <= now {
-			break
-		}
-		n++
-	}
-	return n
 }
 
 // armSlotWake schedules a wakeup at the next serialization boundary —
@@ -415,12 +327,8 @@ func linkSlotCB(a any) {
 }
 
 // linkDeliverCB is the train walker: deliver the front cell, then
-// re-arm for the next one. Deliveries are strictly increasing per link,
-// so a single event walks the whole train. A next cell pushed by
-// SendScheduled whose accept instant is still ahead is not claimed yet:
-// in the serial per-cell machine the walker would have found an empty
-// train here and the (blocked) sender would arm at the accept instant,
-// so the re-arm defers to linkArmCB to keep the delivery stamp exact.
+// re-arm with the next cell's own stamp. Deliveries are strictly
+// increasing per link, so a single event walks the whole train.
 func linkDeliverCB(a any) {
 	l := a.(*Link)
 	e := l.pop()
@@ -430,18 +338,7 @@ func linkDeliverCB(a any) {
 	}
 	if l.count > 0 {
 		nxt := l.at(0)
-		if l.xid != 0 {
-			// Stamped mode: the canonical stamp is explicit, so re-arm
-			// directly with the next cell's own stamp (the accept-instant
-			// deferral below exists only to make the implicit stamp right).
-			l.eng.InjectStamped(nxt.deliver, nxt.schedAt, l.xid, nxt.seq, linkDeliverCB, l)
-		} else if nxt.accept > l.eng.Now() {
-			l.walkerArmed = false
-			l.armPending = true
-			l.eng.AtCall(nxt.accept, linkArmCB, l)
-		} else {
-			l.eng.AtCall(nxt.deliver, linkDeliverCB, l)
-		}
+		l.eng.InjectStamped(nxt.deliver, nxt.schedAt, l.xid, nxt.seq, linkDeliverCB, l)
 	} else {
 		l.walkerArmed = false
 	}
@@ -563,16 +460,6 @@ func NewStripeGroup(e *sim.Engine, width int, cfg LinkConfig) *StripeGroup {
 		g.links = append(g.links, NewLink(e, c))
 	}
 	return g
-}
-
-// Stamp puts the group's links in stamped mode, numbering them in
-// stripe order with ids drawn from next. Drawn in construction order,
-// the ids fix how same-instant deliveries from different links order
-// (see the stamped-mode comment on Link).
-func (g *StripeGroup) Stamp(next func() uint64) {
-	for _, l := range g.links {
-		l.xid = next()
-	}
 }
 
 // Width returns the number of physical links.

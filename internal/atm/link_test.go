@@ -247,3 +247,32 @@ func TestLinkStatsStableAfterShutdown(t *testing.T) {
 		}
 	}
 }
+
+// TestLinksTieInConstructionOrder: deliveries from different links that
+// fall on the same instant, and were accepted at the same instant, run
+// in the order the links were built, whatever order they were sent in.
+func TestLinksTieInConstructionOrder(t *testing.T) {
+	e := sim.NewEngine(1)
+	l0 := NewLink(e, LinkConfig{Index: 0})
+	l1 := NewLink(e, LinkConfig{Index: 1})
+	var order []int
+	var at []sim.Time
+	rx := func(c Cell, link int) {
+		order = append(order, link)
+		at = append(at, e.Now())
+	}
+	l0.SetReceiver(rx)
+	l1.SetReceiver(rx)
+	e.Go("tx", func(p *sim.Proc) {
+		l1.Send(p, Cell{Len: CellPayload})
+		l0.Send(p, Cell{Len: CellPayload})
+	})
+	e.Run()
+	e.Shutdown()
+	if len(order) != 2 || at[0] != at[1] {
+		t.Fatalf("deliveries %v at %v, want two at one instant", order, at)
+	}
+	if order[0] != 0 || order[1] != 1 {
+		t.Errorf("tie order = %v, want [0 1] (construction order)", order)
+	}
+}

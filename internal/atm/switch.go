@@ -242,10 +242,6 @@ func NewSwitch(e *sim.Engine, nports int, cfg SwitchConfig) *Switch {
 	}
 	cfg = cfg.withDefaults()
 	sw := &Switch{eng: e, cfg: cfg, routes: make(map[VCI]int)}
-	// nextXID numbers the fabric's links 1, 2, 3, … in construction
-	// order for the canonical same-instant tie-break.
-	var xid uint64
-	nextXID := func() uint64 { xid++; return xid }
 	for i := 0; i < nports; i++ {
 		inCfg, outCfg := cfg.Link, cfg.Link
 		if site := cfg.Link.FaultSite; site == "" {
@@ -263,18 +259,13 @@ func NewSwitch(e *sim.Engine, nports int, cfg SwitchConfig) *Switch {
 			queue: sim.NewChan[laneCell](e, cfg.QueueCells),
 			inj:   fault.New(e, fmt.Sprintf("sw/port%d", i), cfg.Fault),
 		}
-		// Ingress carries node → switch, egress switch → node. Stamp
-		// both in construction order (ingress lanes then egress lanes,
-		// port by port), so same-instant cells from different links
-		// order by a function of the topology alone rather than by
-		// global scheduling order. Symmetric fan-in workloads, whose
-		// senders phase-lock on the egress serialization grid, tie
-		// constantly, and the committed fingerprints pin the order this
-		// numbering produces.
+		// Ingress carries node → switch, egress switch → node. The
+		// links draw their stamp ids in construction order (ingress
+		// lanes then egress lanes, port by port); the committed
+		// fingerprints pin the same-instant tie order this numbering
+		// produces (see the stamp comment on Link).
 		pt.in = NewStripeGroup(e, cfg.Width, inCfg)
 		pt.out = NewStripeGroup(e, cfg.Width, outCfg)
-		pt.in.Stamp(nextXID)
-		pt.out.Stamp(nextXID)
 		in := i
 		pt.in.SetReceiver(func(c Cell, lane int) { sw.forward(in, c, lane) })
 		sw.ports = append(sw.ports, pt)

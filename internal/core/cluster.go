@@ -78,15 +78,11 @@ func NewCluster(opt Options, n int) *Cluster {
 	opt = opt.withDefaults()
 	e := sim.NewEngine(opt.Seed)
 	cl := &Cluster{Eng: e, Opt: opt}
-	width := opt.Board.StripeWidth
-	if width == 0 {
-		width = atm.StripeWidth
-	}
 	for i := 0; i < n; i++ {
 		cl.Nodes = append(cl.Nodes, buildNode(e, opt, fmt.Sprintf("n%d", i), proto.HostAddr(i+1)))
 	}
 	cl.Fabric = atm.NewSwitch(e, n, atm.SwitchConfig{
-		Width:         width,
+		Width:         opt.stripeWidth(),
 		Link:          opt.Link,
 		QueueCells:    opt.FabricQueueCells,
 		MarkThreshold: opt.FabricMarkThreshold,
@@ -128,6 +124,18 @@ func (cl *Cluster) registerEngineDiag() {
 // Shutdown tears the simulation down, terminating every proc.
 func (cl *Cluster) Shutdown() { cl.Eng.Shutdown() }
 
+// checkPair rejects a node pair that is out of range or joins a node to
+// itself.
+func (cl *Cluster) checkPair(from, to int) error {
+	if from < 0 || from >= len(cl.Nodes) || to < 0 || to >= len(cl.Nodes) {
+		return fmt.Errorf("core: node pair (%d,%d) out of range [0,%d)", from, to, len(cl.Nodes))
+	}
+	if from == to {
+		return fmt.Errorf("core: cannot open a pair from node %d to itself", from)
+	}
+	return nil
+}
+
 // OpenPair opens a unidirectional connection path from node `from` to
 // node `to` for the given protocol: it allocates a fresh VCI, installs
 // the switch route (when a fabric is present — a duplicate VCI on the
@@ -137,11 +145,8 @@ func (cl *Cluster) Shutdown() { cl.Eng.Shutdown() }
 // Reverse traffic needs its own pair, as in the paper's ping-pong
 // apparatus.
 func (cl *Cluster) OpenPair(from, to int, kind ProtoKind) (tx, rx xkernel.Session, err error) {
-	if from < 0 || from >= len(cl.Nodes) || to < 0 || to >= len(cl.Nodes) {
-		return nil, nil, fmt.Errorf("core: node pair (%d,%d) out of range [0,%d)", from, to, len(cl.Nodes))
-	}
-	if from == to {
-		return nil, nil, fmt.Errorf("core: cannot open a pair from node %d to itself", from)
+	if err := cl.checkPair(from, to); err != nil {
+		return nil, nil, err
 	}
 	v := cl.allocVCI()
 	if cl.Fabric != nil {
@@ -175,11 +180,8 @@ func (cl *Cluster) OpenPair(from, to int, kind ProtoKind) (tx, rx xkernel.Sessio
 // caller sets the transport knobs (Window, Adaptive, …). tx is the
 // sending session on `from`, rx the delivering session on `to`.
 func (cl *Cluster) OpenPairRDP(from, to int, o proto.RDPOpen) (tx, rx xkernel.Session, err error) {
-	if from < 0 || from >= len(cl.Nodes) || to < 0 || to >= len(cl.Nodes) {
-		return nil, nil, fmt.Errorf("core: node pair (%d,%d) out of range [0,%d)", from, to, len(cl.Nodes))
-	}
-	if from == to {
-		return nil, nil, fmt.Errorf("core: cannot open a pair from node %d to itself", from)
+	if err := cl.checkPair(from, to); err != nil {
+		return nil, nil, err
 	}
 	v := cl.allocVCI()
 	if cl.Fabric != nil {

@@ -163,3 +163,32 @@ func TestFanInValidation(t *testing.T) {
 		t.Error("zero messages did not error")
 	}
 }
+
+// TestTestbedHonoursStripeWidth: the testbed and the tenants experiment
+// build their links at the board's stripe width, as NewCluster does, so
+// a narrower board runs instead of tripping the board's link-count
+// check.
+func TestTestbedHonoursStripeWidth(t *testing.T) {
+	for _, width := range []int{1, 2} {
+		opt := Options{}
+		opt.Board.StripeWidth = width
+		tb := NewTestbed(opt)
+		if got := tb.AB.Width(); got != width {
+			t.Errorf("width %d: testbed built %d links", width, got)
+		}
+		rtt, err := tb.RunLatency(UDPIP, 1024, 3)
+		tb.Shutdown()
+		if err != nil || rtt <= 0 {
+			t.Fatalf("width %d: rtt %v, err %v", width, rtt, err)
+		}
+	}
+	opt := Options{}
+	opt.Board.StripeWidth = 2
+	res, err := RunTenants(opt, Tenants{Tenants: 8, PDUs: 2, PDUBytes: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Shortfall != 0 {
+		t.Errorf("width 2 tenants shortfall %d (delivered %d/%d)", res.Shortfall, res.Delivered, res.Sent)
+	}
+}

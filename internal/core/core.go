@@ -134,6 +134,16 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// stripeWidth is the number of physical links per direction: the
+// board's StripeWidth, or atm.StripeWidth when unset (the board's own
+// default), so links and board always agree.
+func (o Options) stripeWidth() int {
+	if o.Board.StripeWidth == 0 {
+		return atm.StripeWidth
+	}
+	return o.Board.StripeWidth
+}
+
 // resolveSeed maps a Seed field's zero value to DefaultSeed and the
 // ZeroSeed sentinel to a literal zero.
 func resolveSeed(seed int64) int64 {
@@ -209,19 +219,15 @@ func NewTestbed(opt Options) *Testbed {
 
 	// Each direction gets its own fault site so the A→B and B→A
 	// injectors draw from independent deterministic streams. The links
-	// are stamped 1, 2, 3, … in construction order (A→B lanes, then
-	// B→A), which fixes how a delivery tied with another event at the
-	// same instant orders; the committed fingerprints pin that order
-	// (unstamped, Table 1's DEC 5000/200 UDP/IP 1 KB round trip moves
-	// by ~40 ns).
-	var xid uint64
+	// draw their stamp ids in construction order (A→B lanes, then B→A),
+	// which fixes how a delivery tied with another event at the same
+	// instant orders; the committed fingerprints pin that order.
 	wire := func(from, to int, site string) *atm.StripeGroup {
 		lc := opt.Link
 		if lc.Fault != nil && lc.FaultSite == "" {
 			lc.FaultSite = site
 		}
-		g := atm.NewStripeGroup(e, atm.StripeWidth, lc)
-		g.Stamp(func() uint64 { xid++; return xid })
+		g := atm.NewStripeGroup(e, opt.stripeWidth(), lc)
 		cl.Nodes[from].Board.AttachTxLinks(g.Links())
 		cl.Nodes[to].Board.AttachRxLinks(g)
 		return g
@@ -229,11 +235,6 @@ func NewTestbed(opt Options) *Testbed {
 	tb.AB = wire(0, 1, "tb/ab")
 	tb.BA = wire(1, 0, "tb/ba")
 	return tb
-}
-
-// openPair opens matching sessions on A and B for the given protocol.
-func (tb *Testbed) openPair(kind ProtoKind) (a, b xkernel.Session, err error) {
-	return tb.OpenPair(0, 1, kind)
 }
 
 // alloc builds a message of n pattern bytes in space, returning it with

@@ -275,7 +275,7 @@ func TestLossyNetworkDropsButNeverCorrupts(t *testing.T) {
 	tb := NewTestbed(opt)
 	defer tb.Shutdown()
 
-	sa, sb, err := tb.openPair(UDPIP)
+	sa, sb, err := tb.OpenPair(0, 1, UDPIP)
 	if err != nil {
 		t.Fatal(err)
 	}

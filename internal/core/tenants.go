@@ -192,8 +192,8 @@ func RunTenants(opt Options, w Tenants) (*TenantsResult, error) {
 	}
 	bA := board.New(e, hA, cfgA)
 	bB := board.New(e, hB, cfgB)
-	ab := atm.NewStripeGroup(e, atm.StripeWidth, opt.Link)
-	ba := atm.NewStripeGroup(e, atm.StripeWidth, opt.Link)
+	ab := atm.NewStripeGroup(e, opt.stripeWidth(), opt.Link)
+	ba := atm.NewStripeGroup(e, opt.stripeWidth(), opt.Link)
 	bA.AttachTxLinks(ab.Links())
 	bB.AttachRxLinks(ab)
 	bB.AttachTxLinks(ba.Links())

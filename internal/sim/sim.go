@@ -52,8 +52,8 @@ type eventNode struct {
 	at Time
 	// schedAt is the virtual instant the event was scheduled at, and xid
 	// identifies the scheduling source: 0 for events scheduled through
-	// the engine's own At/After forms, a topology-fixed id for a stamped
-	// link's deliveries (InjectStamped). Together with seq they form the
+	// the engine's own At/After forms, a link's topology-fixed id for
+	// its deliveries (InjectStamped). Together with seq they form the
 	// canonical execution order (at, schedAt, xid, seq). Among xid-0
 	// events seq is assigned in scheduling order and schedAt is
 	// nondecreasing in it, so for them the order is exactly (at, seq);
@@ -113,6 +113,8 @@ type Engine struct {
 	running  bool
 	// sites is the set of DeriveRand site names, checked for collisions.
 	sites map[string]struct{}
+	// xids is the last id handed out by NewStampID.
+	xids uint64
 }
 
 // NewEngine returns an engine with its virtual clock at zero and its
@@ -213,7 +215,7 @@ func (e *Engine) Emit(ev TraceEvent) {
 // fire time first, then scheduling time, then scheduling source, then
 // per-source insertion order. Events scheduled through At/After have
 // xid 0 and seq increasing with schedAt, so among them this is exactly
-// (at, seq). A stamped link's deliveries carry a topology-fixed xid,
+// (at, seq). A link's deliveries carry its topology-fixed xid,
 // which makes their tie-break a function of the topology rather than of
 // global scheduling order; the committed result fingerprints pin the
 // order it produces.
@@ -330,12 +332,12 @@ func (e *Engine) schedule(t Time, cb func(any), arg any) Event {
 
 // InjectStamped schedules cb(arg) at instant t carrying an explicit
 // canonical-order stamp (schedAt, xid, seq) instead of this engine's
-// own scheduling stamp. Stamped links deliver through it: the link
-// computes the schedAt its implicit delivery event would have carried,
-// and its topology-fixed xid decides how the delivery ties with other
-// events at the same (at, schedAt). xid must be non-zero (0 is reserved
-// for events scheduled through At/After); seq need only be monotone
-// per xid. The engine's own seq counter is not consumed, so injection
+// own scheduling stamp. Cell-train links deliver through it: the link
+// computes the schedAt its delivery event would have carried had the
+// sender scheduled it, and its topology-fixed xid (from NewStampID)
+// decides how the delivery ties with other events at the same
+// (at, schedAt). xid must be non-zero (0 is reserved for events
+// scheduled through At/After); seq need only be monotone per xid. The engine's own seq counter is not consumed, so injection
 // leaves every other event's stamp untouched.
 func (e *Engine) InjectStamped(t, schedAt Time, xid, seq uint64, cb func(any), arg any) {
 	if t < e.now {
@@ -352,6 +354,15 @@ func (e *Engine) InjectStamped(t, schedAt Time, xid, seq uint64, cb func(any), a
 	n.cb = cb
 	n.arg = arg
 	e.heapPush(n)
+}
+
+// NewStampID returns a fresh non-zero id for InjectStamped, numbering
+// 1, 2, 3, … in call order. Every link draws one at construction, so
+// the ids — and with them the order of same-instant deliveries from
+// different links — are a function of the topology alone.
+func (e *Engine) NewStampID() uint64 {
+	e.xids++
+	return e.xids
 }
 
 // callFunc adapts the closure scheduling forms to the callback+argument
