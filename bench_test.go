@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dpm"
 	"repro/internal/driver"
+	"repro/internal/fault"
 	"repro/internal/fbuf"
 	"repro/internal/hostsim"
 	"repro/internal/mem"
@@ -891,7 +892,9 @@ func BenchmarkLossyNetwork(b *testing.B) {
 	run := func(loss float64) (deliveredFrac float64) {
 		opt := alOpt()
 		opt.Checksum = true
-		opt.Link.LossRate = loss
+		if loss > 0 {
+			opt.Link.Fault = &fault.Config{Loss: fault.Bernoulli{P: loss}}
+		}
 		tb := core.NewTestbed(opt)
 		defer tb.Shutdown()
 		const n = 10

@@ -16,6 +16,7 @@ import (
 	"repro/internal/atm"
 	"repro/internal/core"
 	"repro/internal/driver"
+	"repro/internal/fault"
 	"repro/internal/hostsim"
 	"repro/internal/msg"
 	"repro/internal/proto"
@@ -27,14 +28,14 @@ import (
 const (
 	messages = 15
 	msgBytes = 3000
-	lossRate = 0.01 // 1% of cells vanish A→B
+	lossRate = 0.01 // 1% of cells vanish, in each direction
 )
 
 func transfer(protoName string) (delivered, intact int, retx int64, took time.Duration) {
 	tb := core.NewTestbed(core.Options{
 		Profile: hostsim.DEC3000_600(),
 		Driver:  driver.Config{Cache: driver.CacheNone},
-		Link:    atm.LinkConfig{LossRate: lossRate},
+		Link:    atm.LinkConfig{Fault: &fault.Config{Loss: fault.Bernoulli{P: lossRate}}},
 		Seed:    7,
 	})
 	defer tb.Shutdown()

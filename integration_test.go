@@ -9,6 +9,7 @@ import (
 	"repro/internal/board"
 	"repro/internal/core"
 	"repro/internal/driver"
+	"repro/internal/fault"
 	"repro/internal/hostsim"
 	"repro/internal/msg"
 	"repro/internal/proto"
@@ -96,9 +97,12 @@ func TestFullRunDeterminism(t *testing.T) {
 			Profile:  hostsim.DEC5000_200(),
 			Driver:   driver.Config{Cache: driver.CacheLazy},
 			Checksum: true,
-			Link:     atm.LinkConfig{Skew: atm.QueueingSkew{Max: 5 * time.Microsecond}, LossRate: 0.002},
-			Board:    board.Config{Strategy: board.FourAAL5, RxDMA: board.DoubleCell},
-			Seed:     1234,
+			Link: atm.LinkConfig{
+				Skew:  atm.QueueingSkew{Max: 5 * time.Microsecond},
+				Fault: &fault.Config{Loss: fault.Bernoulli{P: 0.002}},
+			},
+			Board: board.Config{Strategy: board.FourAAL5, RxDMA: board.DoubleCell},
+			Seed:  1234,
 		}
 		tb := core.NewTestbed(opt)
 		defer tb.Shutdown()

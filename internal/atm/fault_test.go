@@ -2,7 +2,6 @@ package atm
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/sim"
@@ -15,45 +14,6 @@ func sendCells(e *sim.Engine, l *Link, n int) {
 			l.Send(p, Cell{Seq: uint32(i), Len: CellPayload})
 		}
 	})
-}
-
-func TestLinkDownWindowDrainsAndResumes(t *testing.T) {
-	// A link that goes down mid-stream: cells already in flight deliver,
-	// cells serialized during the outage are lost, and delivery resumes
-	// cleanly once the window ends — no wedge, no reordering.
-	e := sim.NewEngine(1)
-	down := fault.Window{From: sim.Time(50 * time.Microsecond), To: sim.Time(150 * time.Microsecond)}
-	l := NewLink(e, LinkConfig{Fault: &fault.Config{Down: []fault.Window{down}}, FaultSite: "t"})
-	var seqs []uint32
-	var times []sim.Time
-	l.SetReceiver(func(c Cell, _ int) { seqs = append(seqs, c.Seq); times = append(times, e.Now()) })
-	sendCells(e, l, 100)
-	e.Run()
-	e.Shutdown()
-
-	st := l.Stats()
-	fs := l.Injector().Stats()
-	if fs.DownDropped == 0 {
-		t.Fatalf("no cells lost to the down window: %+v", fs)
-	}
-	if st.Lost != fs.DownDropped || st.Sent != st.Delivered+st.Lost {
-		t.Errorf("stats don't balance: link %+v fault %+v", st, fs)
-	}
-	if len(seqs) == 0 {
-		t.Fatal("nothing delivered")
-	}
-	// Delivery resumes after the window with the post-outage cells, in order.
-	if last := times[len(times)-1]; last <= down.To {
-		t.Errorf("no delivery after the outage (last at %v)", last)
-	}
-	for i := 1; i < len(seqs); i++ {
-		if seqs[i] <= seqs[i-1] {
-			t.Fatalf("out-of-order delivery around outage: %v", seqs)
-		}
-		if times[i] < times[i-1] {
-			t.Fatalf("delivery times went backwards")
-		}
-	}
 }
 
 func TestLinkCorruptionFlipsOneBit(t *testing.T) {
@@ -100,35 +60,6 @@ func TestLinkDuplication(t *testing.T) {
 	}
 }
 
-func TestLinkReorderingIsBounded(t *testing.T) {
-	e := sim.NewEngine(9)
-	l := NewLink(e, LinkConfig{Fault: &fault.Config{ReorderProb: 0.3, ReorderMax: 30 * time.Microsecond}, FaultSite: "t"})
-	var seqs []uint32
-	l.SetReceiver(func(c Cell, _ int) { seqs = append(seqs, c.Seq) })
-	sendCells(e, l, 200)
-	e.Run()
-	e.Shutdown()
-	if len(seqs) != 200 {
-		t.Fatalf("delivered %d/200", len(seqs))
-	}
-	inversions, maxDisp := 0, 0
-	for i, s := range seqs {
-		if d := int(s) - i; d > maxDisp {
-			maxDisp = d
-		}
-		if i > 0 && s < seqs[i-1] {
-			inversions++
-		}
-	}
-	if inversions == 0 {
-		t.Fatalf("ReorderProb=0.3 produced no reordering")
-	}
-	// 30 µs of delay at ~2.7 µs/cell bounds displacement to ~12 cells.
-	if maxDisp > 20 {
-		t.Errorf("displacement %d exceeds the reorder bound", maxDisp)
-	}
-}
-
 func TestLinkFaultDeterministicForFixedSeed(t *testing.T) {
 	run := func() ([]uint32, LinkStats, fault.Stats) {
 		e := sim.NewEngine(1234)
@@ -136,8 +67,6 @@ func TestLinkFaultDeterministicForFixedSeed(t *testing.T) {
 			Loss:        fault.BurstLoss(0.05, 4),
 			CorruptProb: 0.01,
 			DupProb:     0.01,
-			ReorderProb: 0.05,
-			ReorderMax:  20 * time.Microsecond,
 		}, FaultSite: "t"})
 		var seqs []uint32
 		l.SetReceiver(func(c Cell, _ int) { seqs = append(seqs, c.Seq) })

@@ -68,15 +68,11 @@ type LinkConfig struct {
 	PropDelay time.Duration // propagation delay (default 1µs)
 	Index     int           // link index within its stripe group
 	Skew      SkewModel     // nil means NoSkew
-	// LossRate is the probability that a cell is lost in the network
-	// (drawn per cell from the engine's seeded source). The paper's
-	// premise: "the underlying network is not reliable" (§2.3).
-	LossRate float64
-	// Fault composes the full fault plane — burst loss, corruption,
-	// duplication, bounded reordering, down windows — on this link. The
-	// injector draws from a stream derived from (seed, FaultSite, link
-	// index), never from the engine's main RNG, so enabling it leaves
-	// the LossRate/skew draw order untouched.
+	// Fault injects loss, corruption and duplication on this link — the
+	// only place the simulated network is unreliable, the paper's
+	// premise (§2.3). The injector draws from a stream derived from
+	// (seed, FaultSite, link index), never from the engine's main RNG,
+	// so enabling it leaves the skew draw order untouched.
 	Fault *fault.Config
 	// FaultSite names the injection site (the link index is appended);
 	// distinct links sharing a config must get distinct sites.
@@ -89,7 +85,7 @@ type LinkConfig struct {
 // qualify; a custom SkewModel conservatively falls back to the paced
 // per-cell event machine.
 func (cfg LinkConfig) deterministic() bool {
-	if cfg.LossRate > 0 || cfg.Fault != nil {
+	if cfg.Fault != nil {
 		return false
 	}
 	switch cfg.Skew.(type) {
@@ -126,14 +122,15 @@ type linkCell struct {
 // are paced out at line rate and delivered, in order, to the receiver
 // callback after propagation delay plus model skew.
 //
-// When the configuration is loss-free and its skew model draws no
+// When the configuration is fault-free and its skew model draws no
 // randomness, the link runs in cell-train mode: serialization times are
 // computed arithmetically at Send, queued cells form a train of
 // precomputed delivery instants, and a single walker event re-arms
 // itself along the train — no pacing goroutine, no per-cell scheduling
-// events, and the same simulated timings as the paced machine. Lossy or
-// randomly skewed configurations fall back to a per-cell pacing process
-// so the RNG is consumed cell by cell in the original draw order.
+// events, and the same simulated timings as the paced machine. Faulted
+// or randomly skewed configurations fall back to a per-cell pacing
+// process so the RNG is consumed cell by cell in the original draw
+// order.
 type Link struct {
 	eng         *sim.Engine
 	cfg         LinkConfig
@@ -174,7 +171,7 @@ type Link struct {
 }
 
 // NewLink creates a link and draws its stamp id from the engine, so
-// links number in construction order; lossy or randomly skewed
+// links number in construction order; faulted or randomly skewed
 // configurations also start a pacing process.
 func NewLink(e *sim.Engine, cfg LinkConfig) *Link {
 	if cfg.RateBps == 0 {
@@ -389,21 +386,16 @@ func (l *Link) Stats() LinkStats { return l.stats }
 // is off); its Stats follow the Link.Stats snapshot discipline.
 func (l *Link) Injector() *fault.Injector { return l.inj }
 
-// pace is the fallback per-cell machine for lossy, randomly skewed, or
-// fault-injected links: it consumes the engine RNG one cell at a time,
-// in serialization order, which the arithmetic train cannot reproduce.
-// The legacy LossRate coin is drawn from the engine RNG exactly where
-// it always was; the injector draws only from its own derived stream,
-// so enabling it never shifts existing seeded runs.
+// pace is the fallback per-cell machine for fault-injected or randomly
+// skewed links: it applies the injector and draws the skew one cell at
+// a time, in serialization order, which the arithmetic train cannot
+// reproduce. Skew draws come from the engine RNG; the injector draws
+// only from its own derived stream.
 func (l *Link) pace(p *sim.Proc) {
 	for {
 		c := l.queue.Recv(p)
 		p.Sleep(l.cellTime) // serialization
-		if l.cfg.LossRate > 0 && l.eng.Rand().Float64() < l.cfg.LossRate {
-			l.stats.Lost++
-			continue
-		}
-		act := l.inj.Apply(p.Now())
+		act := l.inj.Apply()
 		if act.Drop {
 			l.stats.Lost++
 			continue
@@ -417,12 +409,8 @@ func (l *Link) pace(p *sim.Proc) {
 			at = l.lastDeliver + 1 // preserve per-link FIFO order
 		}
 		l.lastDeliver = at
-		// Reordering delay lands after the FIFO commitment and does not
-		// advance lastDeliver: later cells keep their earlier slots and
-		// overtake the delayed one, bounded by the injector's ReorderMax.
-		deliverAt := at.Add(act.Delay)
 		cell := c
-		l.eng.At(deliverAt, func() {
+		l.eng.At(at, func() {
 			l.stats.Delivered++
 			if l.deliver != nil {
 				l.deliver(cell, l.cfg.Index)
@@ -430,7 +418,7 @@ func (l *Link) pace(p *sim.Proc) {
 		})
 		if act.Duplicate {
 			l.stats.Duplicated++
-			l.eng.At(deliverAt+1, func() {
+			l.eng.At(at+1, func() {
 				l.stats.Delivered++
 				if l.deliver != nil {
 					l.deliver(cell, l.cfg.Index)

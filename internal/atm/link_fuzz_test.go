@@ -1,0 +1,109 @@
+package atm
+
+import (
+	"math/bits"
+	"testing"
+	"time"
+
+	"repro/internal/fault"
+	"repro/internal/sim"
+)
+
+// linkFuzzByte is byte j of cell seq's payload as sent.
+func linkFuzzByte(seq uint32, j int) byte { return byte(int(seq)*7 + j*13 + 1) }
+
+// FuzzLinkFault is the oracle for the faulted (paced) link: random burst
+// loss, corruption, duplication and queueing skew over one seeded run.
+// At quiesce every cell must be accounted for — Sent + Duplicated =
+// Delivered + Lost, and the injector saw exactly the link's cells,
+// drops and clones. Deliveries must never go back in time and must keep
+// per-link order, each duplicate directly behind its original with the
+// same bytes; a corrupted cell differs from what was sent in exactly one
+// bit.
+func FuzzLinkFault(f *testing.F) {
+	f.Add(int64(1), uint8(20), uint8(4), uint8(10), uint8(10), uint16(5000), uint16(300))
+	f.Add(int64(7), uint8(0), uint8(0), uint8(255), uint8(255), uint16(0), uint16(64))
+	f.Add(int64(3), uint8(255), uint8(15), uint8(0), uint8(40), uint16(20000), uint16(511))
+	f.Add(int64(2), uint8(0), uint8(0), uint8(0), uint8(0), uint16(5000), uint16(100))
+	f.Fuzz(func(t *testing.T, seed int64, mean, burst, corrupt, dup uint8, skewNS, cells uint16) {
+		cfg := &fault.Config{
+			CorruptProb: float64(corrupt) / 255,
+			DupProb:     float64(dup) / 255,
+		}
+		if mean > 0 {
+			cfg.Loss = fault.BurstLoss(float64(mean)/510, float64(1+burst%16))
+		}
+		n := 1 + int(cells%512)
+
+		e := sim.NewEngine(seed)
+		defer e.Shutdown()
+		l := NewLink(e, LinkConfig{
+			Skew:      QueueingSkew{Max: time.Duration(skewNS%20000) * time.Nanosecond},
+			Fault:     cfg,
+			FaultSite: "fz",
+		})
+		type delivery struct {
+			c  Cell
+			at sim.Time
+		}
+		var got []delivery
+		l.SetReceiver(func(c Cell, _ int) { got = append(got, delivery{c, e.Now()}) })
+		e.Go("tx", func(p *sim.Proc) {
+			for i := 0; i < n; i++ {
+				c := Cell{Seq: uint32(i), Len: CellPayload}
+				for j := range c.Payload {
+					c.Payload[j] = linkFuzzByte(c.Seq, j)
+				}
+				l.Send(p, c)
+			}
+		})
+		e.Run()
+
+		// A config that can inject nothing builds no injector.
+		ls, fs := l.Stats(), l.Injector().Stats()
+		if ls.Sent != int64(n) || ls.Sent+ls.Duplicated != ls.Delivered+ls.Lost ||
+			l.Injector() != nil && (fs.Cells != ls.Sent || fs.Dropped != ls.Lost || fs.Duplicated != ls.Duplicated) {
+			t.Fatalf("cells not conserved over %d sent: link %+v, injector %+v", n, ls, fs)
+		}
+		if int64(len(got)) != ls.Delivered {
+			t.Fatalf("receiver saw %d cells, link delivered %d", len(got), ls.Delivered)
+		}
+
+		var dups, corrupted int64
+		for i, d := range got {
+			if i > 0 {
+				prev := got[i-1]
+				if d.at < prev.at {
+					t.Fatalf("delivery %d at %v before delivery %d at %v", i, d.at, i-1, prev.at)
+				}
+				switch {
+				case d.c.Seq == prev.c.Seq:
+					if i > 1 && got[i-2].c.Seq == d.c.Seq {
+						t.Fatalf("cell %d delivered three times", d.c.Seq)
+					}
+					if d.c != prev.c {
+						t.Fatalf("duplicate of cell %d differs from its original", d.c.Seq)
+					}
+					dups++
+					continue
+				case d.c.Seq < prev.c.Seq:
+					t.Fatalf("cell %d delivered after cell %d", d.c.Seq, prev.c.Seq)
+				}
+			}
+			flipped := 0
+			for j, b := range d.c.Payload {
+				flipped += bits.OnesCount8(b ^ linkFuzzByte(d.c.Seq, j))
+			}
+			switch flipped {
+			case 0:
+			case 1:
+				corrupted++
+			default:
+				t.Fatalf("cell %d arrived with %d flipped bits", d.c.Seq, flipped)
+			}
+		}
+		if dups != fs.Duplicated || corrupted != fs.Corrupted {
+			t.Fatalf("observed %d duplicates and %d corrupted cells, injector %+v", dups, corrupted, fs)
+		}
+	})
+}

@@ -3,7 +3,6 @@ package atm
 import (
 	"fmt"
 
-	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
@@ -26,11 +25,6 @@ type SwitchConfig struct {
 	// DefaultSwitchQueueCells). Cells routed to a full queue are
 	// dropped and counted in the port's Dropped statistic.
 	QueueCells int
-	// Fault injects faults at every output port's queue entry (one
-	// injector per port, each with its own derived RNG stream) —
-	// modelling a flaky fabric element rather than a flaky link. The
-	// per-lane link fault plane is configured on Link.Fault instead.
-	Fault *fault.Config
 	// MarkThreshold enables ECN-style congestion marking: when a cell
 	// enters an output queue whose occupancy (cells ahead of it) is at
 	// least this threshold, the switch sets the cell's CE bit and counts
@@ -113,7 +107,6 @@ type SwitchPort struct {
 	out   *StripeGroup
 	queue *sim.Chan[laneCell]
 	stats SwitchPortStats
-	inj   *fault.Injector // output-side injector (nil when off)
 
 	// mQDelay is the egress queueing-delay sketch (µs), nil unless
 	// RegisterMetrics installed one.
@@ -155,10 +148,6 @@ func (pt *SwitchPort) Stats() SwitchPortStats {
 	}
 	return pt.stats
 }
-
-// Injector exposes the port's output-side fault injector (nil when
-// fault injection is off).
-func (pt *SwitchPort) Injector() *fault.Injector { return pt.inj }
 
 // QueueLen reports the cells currently waiting in the output queue. In
 // train mode the queue is virtual: the count is the number of accepted
@@ -242,22 +231,20 @@ func NewSwitch(e *sim.Engine, nports int, cfg SwitchConfig) *Switch {
 	}
 	cfg = cfg.withDefaults()
 	sw := &Switch{eng: e, cfg: cfg, routes: make(map[VCI]int)}
+	site := cfg.Link.FaultSite
+	if site == "" {
+		site = "sw"
+	}
 	for i := 0; i < nports; i++ {
+		// Give every lane of every port its own injection stream.
 		inCfg, outCfg := cfg.Link, cfg.Link
-		if site := cfg.Link.FaultSite; site == "" {
-			// Give every lane of every port its own injection stream.
-			inCfg.FaultSite = fmt.Sprintf("sw/in%d", i)
-			outCfg.FaultSite = fmt.Sprintf("sw/out%d", i)
-		} else {
-			inCfg.FaultSite = fmt.Sprintf("%s/in%d", site, i)
-			outCfg.FaultSite = fmt.Sprintf("%s/out%d", site, i)
-		}
+		inCfg.FaultSite = fmt.Sprintf("%s/in%d", site, i)
+		outCfg.FaultSite = fmt.Sprintf("%s/out%d", site, i)
 		pt := &SwitchPort{
 			index: i,
 			eng:   e,
 			comp:  fmt.Sprintf("sw-port%d", i),
 			queue: sim.NewChan[laneCell](e, cfg.QueueCells),
-			inj:   fault.New(e, fmt.Sprintf("sw/port%d", i), cfg.Fault),
 		}
 		// Ingress carries node → switch, egress switch → node. The
 		// links draw their stamp ids in construction order (ingress
@@ -365,25 +352,7 @@ func (sw *Switch) forward(inPort int, c Cell, lane int) {
 		sw.trainForward(op, c, lane)
 		return
 	}
-	act := op.inj.Apply(sw.eng.Now())
-	if act.Drop {
-		return // counted by the injector
-	}
-	if act.CorruptBit >= 0 && c.Len > 0 {
-		bit := act.CorruptBit % (8 * c.Len)
-		c.Payload[bit/8] ^= 1 << (bit % 8)
-	}
-	lc := laneCell{c: c, lane: lane}
-	if act.Delay > 0 {
-		// Bounded reordering: the delayed cell re-enters the queue later,
-		// letting cells behind it overtake.
-		sw.eng.AfterCall(act.Delay, delayedEnqueueCB, &delayedCell{sw: sw, op: op, lc: lc})
-	} else {
-		sw.enqueue(op, lc)
-	}
-	if act.Duplicate {
-		sw.enqueue(op, lc)
-	}
+	sw.enqueue(op, laneCell{c: c, lane: lane})
 }
 
 // enqueue enters one cell into an output port's bounded queue (event
@@ -422,13 +391,12 @@ func (sw *Switch) enqueue(op *SwitchPort, lc laneCell) {
 
 // latchMode decides, once per port, whether cells routed to this port
 // take the train-forwarding fast path or the per-cell queue machine.
-// Anything that observes or perturbs cells one at a time — an
-// output-side fault injector, trace recording, or an egress link that
-// draws randomness per cell — forces per-cell mode; so does the
-// explicit PerCellFabric knob.
+// Anything that observes or perturbs cells one at a time — trace
+// recording, or an egress link that injects faults or draws skew per
+// cell — forces per-cell mode; so does the explicit PerCellFabric knob.
 func (pt *SwitchPort) latchMode(forcePerCell bool) {
 	pt.vMode = vModePerCell
-	if forcePerCell || pt.inj != nil || pt.eng.Recording() {
+	if forcePerCell || pt.eng.Recording() {
 		return
 	}
 	for _, l := range pt.out.links {
@@ -552,18 +520,6 @@ func (pt *SwitchPort) vqPush(e vPoint) {
 	pt.vqLen++
 }
 
-// delayedCell carries a reorder-delayed cell to its deferred enqueue.
-type delayedCell struct {
-	sw *Switch
-	op *SwitchPort
-	lc laneCell
-}
-
-func delayedEnqueueCB(a any) {
-	d := a.(*delayedCell)
-	d.sw.enqueue(d.op, d.lc)
-}
-
 // Stats sums the per-port counters. The same snapshot discipline as
 // SwitchPort.Stats applies.
 func (sw *Switch) Stats() SwitchStats {
@@ -612,14 +568,4 @@ func (sw *Switch) RegisterMetrics(r *metrics.Registry, prefix string) {
 		r.Sample(p+"/queue_high_water", metrics.KindHighWater, func() int64 { return pt.Stats().HighWater })
 		pt.mQDelay = r.Quantiles(p+"/queue_delay_us", 0.5, 0.9, 0.99)
 	}
-}
-
-// FaultStats sums the per-port injector counters (zero when fault
-// injection is off).
-func (sw *Switch) FaultStats() fault.Stats {
-	var s fault.Stats
-	for _, pt := range sw.ports {
-		s.Add(pt.inj.Stats())
-	}
-	return s
 }

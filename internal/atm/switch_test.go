@@ -3,6 +3,7 @@ package atm
 import (
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -316,5 +317,62 @@ func TestSwitchDropEventsMatchStats(t *testing.T) {
 	}
 	if events != dropped+noRoute {
 		t.Errorf("%d drop events, stats count %d drops", events, dropped+noRoute)
+	}
+}
+
+func TestSwitchPortStatsDropsAndHighWater(t *testing.T) {
+	// Two senders fan into one egress port with a tiny queue: overflow
+	// must show up in Dropped and the occupancy peak in HighWater. The
+	// snapshot is read between engine steps (the Link.Stats discipline),
+	// which the -race runs of this package verify is safe.
+	e := sim.NewEngine(1)
+	defer e.Shutdown()
+	sw := NewSwitch(e, 3, SwitchConfig{QueueCells: 8})
+	if err := sw.Route(10, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Route(11, 2); err != nil {
+		t.Fatal(err)
+	}
+	var got []rxRecord
+	collect(sw.Port(2), &got)
+	const perSender = 100
+	for s := 0; s < 2; s++ {
+		vci := VCI(10 + s)
+		in := sw.Port(s).Ingress()
+		e.Go("tx", func(p *sim.Proc) {
+			for i := 0; i < perSender; i++ {
+				in.Send(p, Cell{VCI: vci, Seq: uint32(i), Len: CellPayload})
+			}
+		})
+	}
+	// Slice the run and read snapshots between steps: counters must be
+	// coherent and monotonic at every quiescent point.
+	var prev SwitchPortStats
+	for i := 0; i < 40; i++ {
+		e.RunUntil(e.Now().Add(50 * time.Microsecond))
+		st := sw.Port(2).Stats()
+		if st.Dropped < prev.Dropped || st.Forwarded < prev.Forwarded || st.HighWater < prev.HighWater {
+			t.Fatalf("counters went backwards: %+v after %+v", st, prev)
+		}
+		prev = st
+	}
+	e.Run()
+	st := sw.Port(2).Stats()
+	if st.Dropped == 0 {
+		t.Errorf("fan-in overload produced no drops: %+v", st)
+	}
+	if st.HighWater == 0 || st.HighWater > 8 {
+		t.Errorf("HighWater = %d, want in (0, 8]", st.HighWater)
+	}
+	agg := sw.Stats()
+	if agg.HighWater != st.HighWater {
+		t.Errorf("aggregate HighWater %d != port HighWater %d", agg.HighWater, st.HighWater)
+	}
+	if in0 := sw.Port(0).Stats(); in0.In != perSender {
+		t.Errorf("port 0 In = %d, want %d", in0.In, perSender)
+	}
+	if int64(len(got))+st.Dropped != 2*perSender {
+		t.Errorf("delivered %d + dropped %d != sent %d", len(got), st.Dropped, 2*perSender)
 	}
 }

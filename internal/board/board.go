@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/atm"
 	"repro/internal/dpm"
-	"repro/internal/fault"
 	"repro/internal/hostsim"
 	"repro/internal/mem"
 	"repro/internal/metrics"
@@ -201,10 +200,6 @@ type Config struct {
 	// placement arithmetic and surface through the AAL5 error check
 	// instead. Counted in CellsDuplicate.
 	RejectDuplicates bool
-	// RxFault injects faults (drop/corrupt/duplicate/delay) at the
-	// receive FIFO entry — modelling a marginal board front end, as
-	// opposed to a faulty link or switch.
-	RxFault *fault.Config
 
 	// RxFIFOQuota caps how many cells any one channel may hold in the
 	// shared on-board receive FIFO (0 = unlimited, the seed behaviour).
@@ -389,8 +384,7 @@ type Board struct {
 	// delivery, so steady-state transmission allocates nothing.
 	txPool *atm.PayloadPool
 
-	rxInj      *fault.Injector // receive-path injector (nil when off)
-	reasmTimer sim.Event       // pending ReasmTimeout sweep, if any
+	reasmTimer sim.Event // pending ReasmTimeout sweep, if any
 
 	stats Stats
 
@@ -470,7 +464,6 @@ func New(e *sim.Engine, h *hostsim.Host, cfg Config) *Board {
 		trkTx:  cfg.Name + "-tx",
 		txPool: atm.NewPayloadPool(),
 	}
-	b.rxInj = fault.New(e, cfg.Name+"/rx", cfg.RxFault)
 	for i := 0; i < NumChannels; i++ {
 		ch := &Channel{
 			board:  b,
@@ -610,46 +603,13 @@ func (b *Board) AttachRxLinks(g *atm.StripeGroup) {
 	g.SetReceiver(b.receiveCell)
 }
 
-// receiveCell runs in link-delivery (event) context: it applies the
-// board's receive-path fault injector, then enters the cell FIFO.
+// receiveCell runs in link-delivery (event) context: it enters one
+// cell into the receive FIFO, dropping on overflow. Under RxFIFOQuota
+// the cell is charged to its VCI's channel first, and dropped instead
+// if that channel already holds its quota of the shared FIFO —
+// per-tenant isolation at the earliest demultiplexing point (§3.1).
 func (b *Board) receiveCell(c atm.Cell, link int) {
-	act := b.rxInj.Apply(b.eng.Now())
-	if act.Drop {
-		return // counted by the injector
-	}
-	if act.CorruptBit >= 0 && c.Len > 0 {
-		bit := act.CorruptBit % (8 * c.Len)
-		c.Payload[bit/8] ^= 1 << (bit % 8)
-	}
 	rc := rxCell{c: c, link: link}
-	if act.Delay > 0 {
-		b.eng.AfterCall(act.Delay, rxDelayedCB, &delayedRxCell{b: b, rc: rc})
-	} else {
-		b.enterRxFIFO(rc)
-	}
-	if act.Duplicate {
-		b.enterRxFIFO(rc)
-	}
-}
-
-// delayedRxCell carries a reorder-delayed cell to its deferred FIFO
-// entry.
-type delayedRxCell struct {
-	b  *Board
-	rc rxCell
-}
-
-func rxDelayedCB(a any) {
-	d := a.(*delayedRxCell)
-	d.b.enterRxFIFO(d.rc)
-}
-
-// enterRxFIFO enters one cell into the receive FIFO (event context),
-// dropping on overflow. Under RxFIFOQuota the cell is charged to its
-// VCI's channel first, and dropped instead if that channel already
-// holds its quota of the shared FIFO — per-tenant isolation at the
-// earliest demultiplexing point (§3.1).
-func (b *Board) enterRxFIFO(rc rxCell) {
 	if q := b.cfg.RxFIFOQuota; q > 0 {
 		if ch := b.demux.Lookup(rc.c.VCI); ch != nil {
 			if ch.fifoCells >= q {
@@ -685,10 +645,6 @@ func (b *Board) fifoOverflow(vci atm.VCI) {
 		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: sim.CatDrop, Name: "rx-fifo-overflow", Arg: int64(vci)})
 	}
 }
-
-// RxInjector exposes the board's receive-path fault injector (nil when
-// off).
-func (b *Board) RxInjector() *fault.Injector { return b.rxInj }
 
 // OpenChannel marks channel i usable, sets its priority, and restricts
 // the physical frames its descriptors may reference (nil = unrestricted,

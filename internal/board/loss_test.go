@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/atm"
+	"repro/internal/fault"
 	"repro/internal/hostsim"
 	"repro/internal/sim"
 )
@@ -18,7 +19,11 @@ func lossPair(t *testing.T, lossRate float64, strategy ReassemblyStrategy, seed 
 	hB := hostsim.New(e, hostsim.DEC3000_600(), 2048)
 	bA := New(e, hA, Config{Name: "A", Strategy: strategy})
 	bB := New(e, hB, Config{Name: "B", Strategy: strategy})
-	ab := atm.NewStripeGroup(e, 4, atm.LinkConfig{LossRate: lossRate})
+	var lc atm.LinkConfig
+	if lossRate > 0 {
+		lc.Fault = &fault.Config{Loss: fault.Bernoulli{P: lossRate}}
+	}
+	ab := atm.NewStripeGroup(e, 4, lc)
 	links := make([]*atm.Link, 4)
 	for i := range links {
 		links[i] = ab.Link(i)
@@ -120,7 +125,7 @@ func TestLossRecoveryAcrossPDUs(t *testing.T) {
 
 func TestLinkLossStatsCounted(t *testing.T) {
 	e := sim.NewEngine(9)
-	l := atm.NewLink(e, atm.LinkConfig{LossRate: 0.5})
+	l := atm.NewLink(e, atm.LinkConfig{Fault: &fault.Config{Loss: fault.Bernoulli{P: 0.5}}})
 	delivered := 0
 	l.SetReceiver(func(atm.Cell, int) { delivered++ })
 	e.Go("tx", func(p *sim.Proc) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/atm"
+	"repro/internal/fault"
 	"repro/internal/workload"
 )
 
@@ -190,5 +191,33 @@ func TestTestbedHonoursStripeWidth(t *testing.T) {
 	}
 	if res.Shortfall != 0 {
 		t.Errorf("width 2 tenants shortfall %d (delivered %d/%d)", res.Shortfall, res.Delivered, res.Sent)
+	}
+}
+
+func TestBackToBackTopologiesTakeAFaultedLink(t *testing.T) {
+	// Both directions of a back-to-back pair share the caller's link
+	// config, so each must derive its own injector stream, whether the
+	// caller names a fault site or not. A zero-probability loss model
+	// builds live injectors without changing what is delivered.
+	for _, site := range []string{"", "x"} {
+		opt := Options{Link: atm.LinkConfig{Fault: &fault.Config{Loss: fault.Bernoulli{}}, FaultSite: site}}
+		tb := NewTestbed(opt)
+		rtt, err := tb.RunLatency(UDPIP, 1024, 3)
+		tb.Shutdown()
+		if err != nil || rtt <= 0 {
+			t.Fatalf("site %q: testbed rtt %v, err %v", site, rtt, err)
+		}
+		for dir, g := range map[string]*atm.StripeGroup{"A→B": tb.AB, "B→A": tb.BA} {
+			if fs, ls := g.FaultStats(), g.Stats(); fs.Cells == 0 || fs.Cells != ls.Sent {
+				t.Errorf("site %q %s: injector saw %d of %d cells", site, dir, fs.Cells, ls.Sent)
+			}
+		}
+		res, err := RunTenants(opt, Tenants{Tenants: 8, PDUs: 2, PDUBytes: 1024})
+		if err != nil {
+			t.Fatalf("site %q: tenants: %v", site, err)
+		}
+		if res.Shortfall != 0 {
+			t.Errorf("site %q: tenants shortfall %d (delivered %d/%d)", site, res.Shortfall, res.Delivered, res.Sent)
+		}
 	}
 }

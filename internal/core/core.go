@@ -217,24 +217,32 @@ func NewTestbed(opt Options) *Testbed {
 		return tb
 	}
 
-	// Each direction gets its own fault site so the A→B and B→A
-	// injectors draw from independent deterministic streams. The links
-	// draw their stamp ids in construction order (A→B lanes, then B→A),
-	// which fixes how a delivery tied with another event at the same
-	// instant orders; the committed fingerprints pin that order.
-	wire := func(from, to int, site string) *atm.StripeGroup {
+	tb.AB, tb.BA = wireBackToBack(e, opt, tb.A.Board, tb.B.Board)
+	return tb
+}
+
+// wireBackToBack links boards a and b directly, one stripe group per
+// direction. Each direction's fault site is the caller's FaultSite
+// (default "tb") suffixed with /ab or /ba, as the switch suffixes
+// /in%d and /out%d, so the two directions' injectors draw from
+// independent deterministic streams. The links draw their stamp ids in
+// construction order (A→B lanes, then B→A), which fixes how a delivery
+// tied with another event at the same instant orders; the committed
+// fingerprints pin that order.
+func wireBackToBack(e *sim.Engine, opt Options, a, b *board.Board) (ab, ba *atm.StripeGroup) {
+	site := opt.Link.FaultSite
+	if site == "" {
+		site = "tb"
+	}
+	wire := func(from, to *board.Board, dir string) *atm.StripeGroup {
 		lc := opt.Link
-		if lc.Fault != nil && lc.FaultSite == "" {
-			lc.FaultSite = site
-		}
+		lc.FaultSite = site + "/" + dir
 		g := atm.NewStripeGroup(e, opt.stripeWidth(), lc)
-		cl.Nodes[from].Board.AttachTxLinks(g.Links())
-		cl.Nodes[to].Board.AttachRxLinks(g)
+		from.AttachTxLinks(g.Links())
+		to.AttachRxLinks(g)
 		return g
 	}
-	tb.AB = wire(0, 1, "tb/ab")
-	tb.BA = wire(1, 0, "tb/ba")
-	return tb
+	return wire(a, b, "ab"), wire(b, a, "ba")
 }
 
 // alloc builds a message of n pattern bytes in space, returning it with

@@ -7,6 +7,7 @@ import (
 	"repro/internal/atm"
 	"repro/internal/board"
 	"repro/internal/driver"
+	"repro/internal/fault"
 	"repro/internal/hostsim"
 	"repro/internal/msg"
 	"repro/internal/sim"
@@ -271,7 +272,7 @@ func TestLossyNetworkDropsButNeverCorrupts(t *testing.T) {
 	// reassembly shortfall), but nothing corrupt is ever delivered.
 	opt := alOptions()
 	opt.Checksum = true
-	opt.Link.LossRate = 0.005
+	opt.Link.Fault = &fault.Config{Loss: fault.Bernoulli{P: 0.005}}
 	tb := NewTestbed(opt)
 	defer tb.Shutdown()
 

@@ -340,10 +340,17 @@ func runLossRun(cfg LossSweep, rate float64, adaptive bool) (LossSweepPoint, pro
 		pt.GoodputMbps = stats.Mbps(int64(pt.Delivered)*int64(cfg.MessageBytes), time.Duration(pt.ElapsedNS))
 	}
 
+	// Every cell is accounted for at quiesce: each link delivered or
+	// lost every cell it accepted or cloned, and its injector saw
+	// exactly those cells.
 	for _, g := range []*atm.StripeGroup{tb.AB, tb.BA} {
-		fs := g.FaultStats()
+		ls, fs := g.Stats(), g.FaultStats()
+		if ls.Sent+ls.Duplicated != ls.Delivered+ls.Lost ||
+			fc != nil && (fs.Cells != ls.Sent || fs.Dropped != ls.Lost || fs.Duplicated != ls.Duplicated) {
+			return pt, st, fmt.Errorf("cells not conserved at quiesce: link %+v, injector %+v", ls, fs)
+		}
 		pt.CellsOffered += fs.Cells
-		pt.CellsLost += fs.Dropped + fs.DownDropped
+		pt.CellsLost += fs.Dropped
 		pt.CellsCorrupted += fs.Corrupted
 		pt.CellsDuplicated += fs.Duplicated
 	}

@@ -192,12 +192,7 @@ func RunTenants(opt Options, w Tenants) (*TenantsResult, error) {
 	}
 	bA := board.New(e, hA, cfgA)
 	bB := board.New(e, hB, cfgB)
-	ab := atm.NewStripeGroup(e, opt.stripeWidth(), opt.Link)
-	ba := atm.NewStripeGroup(e, opt.stripeWidth(), opt.Link)
-	bA.AttachTxLinks(ab.Links())
-	bB.AttachRxLinks(ab)
-	bB.AttachTxLinks(ba.Links())
-	bA.AttachRxLinks(ba)
+	wireBackToBack(e, opt, bA, bB)
 	mgA := adc.NewManager(hA, bA)
 	mgB := adc.NewManager(hB, bB)
 	fbm := fbuf.NewManager(hB, w.FbufPaths)

@@ -3,10 +3,9 @@
 // The paper's premise is that "the underlying network is not reliable"
 // (§2.3): real OSIRIS deployments saw skew, cell loss, and flaky links,
 // and the adaptor software had to survive them. This package models the
-// unreliability systematically: an Injector sits on a cell path — a
-// physical link, a switch output port, or a board's receive FIFO — and
-// decides, per cell, whether to drop, corrupt, duplicate, or delay it,
-// or to black-hole it during a scheduled link-down window.
+// unreliability systematically: an Injector sits on a physical link —
+// the one injection site — and decides, per cell, whether to drop,
+// corrupt, or duplicate it.
 //
 // Determinism is the design center. Every injector draws from its own
 // pseudo-random stream derived from (engine seed, site name) via
@@ -14,20 +13,18 @@
 //
 //   - a fixed seed reproduces every fault decision bit for bit;
 //   - injectors never consume the engine's main RNG, so enabling fault
-//     injection at one site does not perturb the timing draws (skew,
-//     legacy LossRate) the calibrated experiments depend on;
+//     injection on one link does not perturb the skew draws the
+//     calibrated experiments depend on;
 //   - adding an injection site never shifts another site's stream.
 //
-// Loss is pluggable: Bernoulli reproduces the legacy i.i.d. LossRate
-// coin flip, while GilbertElliott models the bursty loss that switch
-// queue overruns and marginal optics actually produce — the regime the
-// reassembly timeouts and RDP backoff are designed to degrade
-// gracefully under.
+// Loss is pluggable: Bernoulli is the i.i.d. per-cell coin flip, while
+// GilbertElliott models the bursty loss that switch queue overruns and
+// marginal optics actually produce — the regime the reassembly
+// timeouts and RDP backoff are designed to degrade gracefully under.
 package fault
 
 import (
 	"math/rand"
-	"time"
 
 	"repro/internal/sim"
 )
@@ -36,13 +33,6 @@ import (
 // a full ATM cell payload. Callers reduce the drawn index modulo the
 // actual payload length, so partial cells corrupt uniformly too.
 const MaxPayloadBits = 44 * 8
-
-// Window is a half-open interval of virtual time [From, To) during
-// which the faulted element is down: every cell crossing it is lost.
-type Window struct {
-	From sim.Time
-	To   sim.Time
-}
 
 // Config describes the fault mix for one injection site. The zero value
 // injects nothing. One Config may be shared (read-only) by many
@@ -55,14 +45,6 @@ type Config struct {
 	CorruptProb float64
 	// DupProb is the per-cell probability of delivering the cell twice.
 	DupProb float64
-	// ReorderProb is the per-cell probability of delaying the cell by a
-	// uniform extra delay in [0, ReorderMax], letting later cells on the
-	// same path overtake it (bounded reordering).
-	ReorderProb float64
-	// ReorderMax bounds the reordering delay.
-	ReorderMax time.Duration
-	// Down lists scheduled outage windows for this site.
-	Down []Window
 }
 
 // enabled reports whether the config can ever inject anything.
@@ -70,45 +52,37 @@ func (c *Config) enabled() bool {
 	if c == nil {
 		return false
 	}
-	return c.Loss != nil || c.CorruptProb > 0 || c.DupProb > 0 ||
-		c.ReorderProb > 0 || len(c.Down) > 0
+	return c.Loss != nil || c.CorruptProb > 0 || c.DupProb > 0
 }
 
 // Action is the injector's verdict for one cell. The zero Action (with
 // CorruptBit -1) passes the cell through untouched.
 type Action struct {
-	// Drop discards the cell (loss or down-window).
+	// Drop discards the cell.
 	Drop bool
 	// Duplicate delivers a second copy immediately behind the original.
 	Duplicate bool
 	// CorruptBit is the payload bit index to flip, or -1 for none.
 	// Callers reduce it modulo the cell's actual payload bit count.
 	CorruptBit int
-	// Delay is extra delivery delay applied after any in-order
-	// commitment, so a delayed cell may be overtaken (reordering).
-	Delay time.Duration
 }
 
 // Stats counts one injector's decisions. Cells counts every cell
 // offered; the per-cause counters are not exclusive (a cell can be both
 // corrupted and duplicated).
 type Stats struct {
-	Cells       int64
-	Dropped     int64 // lost by the loss model
-	DownDropped int64 // lost inside a down window
-	Corrupted   int64
-	Duplicated  int64
-	Reordered   int64
+	Cells      int64
+	Dropped    int64 // lost by the loss model
+	Corrupted  int64
+	Duplicated int64
 }
 
 // Add accumulates other into s (for aggregating across sites).
 func (s *Stats) Add(other Stats) {
 	s.Cells += other.Cells
 	s.Dropped += other.Dropped
-	s.DownDropped += other.DownDropped
 	s.Corrupted += other.Corrupted
 	s.Duplicated += other.Duplicated
-	s.Reordered += other.Reordered
 }
 
 // LossModel is a per-cell loss process. start returns a fresh state
@@ -123,8 +97,7 @@ type lossState interface {
 	lose(rng *rand.Rand) bool
 }
 
-// Bernoulli is i.i.d. per-cell loss with probability P — the legacy
-// LossRate model, expressed as a LossModel.
+// Bernoulli is i.i.d. per-cell loss with probability P.
 type Bernoulli struct {
 	P float64
 }
@@ -241,21 +214,14 @@ func New(e *sim.Engine, site string, cfg *Config) *Injector {
 	return inj
 }
 
-// Apply decides the fate of one cell crossing the site at instant now.
-// Safe on a nil receiver (pass-through).
-func (inj *Injector) Apply(now sim.Time) Action {
+// Apply decides the fate of one cell crossing the site. Safe on a nil
+// receiver (pass-through).
+func (inj *Injector) Apply() Action {
 	act := Action{CorruptBit: -1}
 	if inj == nil {
 		return act
 	}
 	inj.stats.Cells++
-	for _, w := range inj.cfg.Down {
-		if now >= w.From && now < w.To {
-			inj.stats.DownDropped++
-			act.Drop = true
-			return act
-		}
-	}
 	if inj.loss != nil && inj.loss.lose(inj.rng) {
 		inj.stats.Dropped++
 		act.Drop = true
@@ -268,10 +234,6 @@ func (inj *Injector) Apply(now sim.Time) Action {
 	if inj.cfg.DupProb > 0 && inj.rng.Float64() < inj.cfg.DupProb {
 		act.Duplicate = true
 		inj.stats.Duplicated++
-	}
-	if inj.cfg.ReorderProb > 0 && inj.rng.Float64() < inj.cfg.ReorderProb {
-		act.Delay = time.Duration(inj.rng.Int63n(int64(inj.cfg.ReorderMax) + 1))
-		inj.stats.Reordered++
 	}
 	return act
 }

@@ -2,7 +2,6 @@ package fault
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/sim"
 )
@@ -16,8 +15,8 @@ func TestNilAndZeroConfigInjectNothing(t *testing.T) {
 		t.Fatalf("zero config produced an injector")
 	}
 	var inj *Injector
-	act := inj.Apply(0)
-	if act.Drop || act.Duplicate || act.Delay != 0 || act.CorruptBit != -1 {
+	act := inj.Apply()
+	if act.Drop || act.Duplicate || act.CorruptBit != -1 {
 		t.Fatalf("nil injector acted: %+v", act)
 	}
 	if s := inj.Stats(); s != (Stats{}) {
@@ -31,7 +30,7 @@ func TestBernoulliRateAndDeterminism(t *testing.T) {
 		e := sim.NewEngine(42)
 		inj := New(e, "link", cfg)
 		for i := 0; i < 10000; i++ {
-			seq = append(seq, inj.Apply(sim.Time(i)).Drop)
+			seq = append(seq, inj.Apply().Drop)
 		}
 		return inj.Stats().Dropped, seq
 	}
@@ -57,7 +56,7 @@ func TestDistinctSitesDistinctStreams(t *testing.T) {
 	b := New(e, "siteB", cfg)
 	same := 0
 	for i := 0; i < 1000; i++ {
-		if a.Apply(0).Drop == b.Apply(0).Drop {
+		if a.Apply().Drop == b.Apply().Drop {
 			same++
 		}
 	}
@@ -78,7 +77,7 @@ func TestGilbertElliottBurstsAndMean(t *testing.T) {
 	dropped, bursts := 0, 0
 	inBurst := false
 	for i := 0; i < n; i++ {
-		if inj.Apply(0).Drop {
+		if inj.Apply().Drop {
 			dropped++
 			if !inBurst {
 				bursts++
@@ -102,34 +101,12 @@ func TestGilbertElliottBurstsAndMean(t *testing.T) {
 	}
 }
 
-func TestDownWindow(t *testing.T) {
-	e := sim.NewEngine(1)
-	inj := New(e, "dw", &Config{Down: []Window{{From: 100, To: 200}}})
-	if inj.Apply(99).Drop {
-		t.Errorf("dropped before window")
-	}
-	if !inj.Apply(100).Drop || !inj.Apply(199).Drop {
-		t.Errorf("window [100,200) did not drop")
-	}
-	if inj.Apply(200).Drop {
-		t.Errorf("dropped at window end (half-open)")
-	}
-	if s := inj.Stats(); s.DownDropped != 2 || s.Dropped != 0 {
-		t.Errorf("stats = %+v, want DownDropped=2", s)
-	}
-}
-
-func TestCorruptDupReorderDraws(t *testing.T) {
+func TestCorruptDupDraws(t *testing.T) {
 	e := sim.NewEngine(3)
-	inj := New(e, "mix", &Config{
-		CorruptProb: 0.5,
-		DupProb:     0.5,
-		ReorderProb: 0.5,
-		ReorderMax:  10 * time.Microsecond,
-	})
-	var corrupted, duplicated, reordered int
+	inj := New(e, "mix", &Config{CorruptProb: 0.5, DupProb: 0.5})
+	var corrupted, duplicated int
 	for i := 0; i < 2000; i++ {
-		act := inj.Apply(0)
+		act := inj.Apply()
 		if act.Drop {
 			t.Fatalf("dropped with no loss model")
 		}
@@ -142,14 +119,8 @@ func TestCorruptDupReorderDraws(t *testing.T) {
 		if act.Duplicate {
 			duplicated++
 		}
-		if act.Delay > 0 {
-			reordered++
-			if act.Delay > 10*time.Microsecond {
-				t.Fatalf("reorder delay %v exceeds max", act.Delay)
-			}
-		}
 	}
-	for name, n := range map[string]int{"corrupted": corrupted, "duplicated": duplicated, "reordered": reordered} {
+	for name, n := range map[string]int{"corrupted": corrupted, "duplicated": duplicated} {
 		if n < 700 || n > 1300 {
 			t.Errorf("%s = %d/2000, far from 1000", name, n)
 		}

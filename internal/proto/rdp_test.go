@@ -8,6 +8,7 @@ import (
 	"repro/internal/atm"
 	"repro/internal/board"
 	"repro/internal/driver"
+	"repro/internal/fault"
 	"repro/internal/hostsim"
 	"repro/internal/msg"
 	"repro/internal/sim"
@@ -22,7 +23,11 @@ func newLossyStackPair(t *testing.T, loss float64, seed int64) *stackPair {
 	hB := hostsim.New(e, hostsim.DEC3000_600(), 4096)
 	bA := board.New(e, hA, board.Config{Name: "A"})
 	bB := board.New(e, hB, board.Config{Name: "B"})
-	ab := atm.NewStripeGroup(e, 4, atm.LinkConfig{LossRate: loss})
+	var lc atm.LinkConfig
+	if loss > 0 {
+		lc.Fault = &fault.Config{Loss: fault.Bernoulli{P: loss}}
+	}
+	ab := atm.NewStripeGroup(e, 4, lc)
 	ba := atm.NewStripeGroup(e, 4, atm.LinkConfig{})
 	linksOf := func(g *atm.StripeGroup) []*atm.Link {
 		ls := make([]*atm.Link, g.Width())

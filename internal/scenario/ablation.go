@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dpm"
 	"repro/internal/driver"
+	"repro/internal/fault"
 	"repro/internal/fbuf"
 	"repro/internal/hostsim"
 	"repro/internal/msg"
@@ -159,7 +160,7 @@ func fb(cached bool) time.Duration {
 // lossy measures the §2.3 premise: RDP delivery over a 1%-lossy link.
 func lossy(cfg Config) string {
 	opt := cfg.options(alOptions())
-	opt.Link.LossRate = 0.01
+	opt.Link.Fault = &fault.Config{Loss: fault.Bernoulli{P: 0.01}}
 	tb := core.NewTestbed(opt)
 	defer tb.Shutdown()
 	tx, err := tb.A.RDP.Open(proto.RDPOpen{Remote: 2, VCI: 60, Window: 4})
