@@ -20,7 +20,9 @@ const DefaultLinkRate = 155_000_000
 // delayed relative to cells sent on other links."
 type SkewModel interface {
 	// Delay returns the additional latency for the next cell on link.
-	Delay(link int, rng *rand.Rand) time.Duration
+	// rng returns the link's own pseudo-random stream, deriving it on
+	// the first call; a model that draws nothing never calls it.
+	Delay(link int, rng func() *rand.Rand) time.Duration
 }
 
 // NoSkew delays nothing: all links behave identically (the AURORA
@@ -28,7 +30,7 @@ type SkewModel interface {
 type NoSkew struct{}
 
 // Delay implements SkewModel.
-func (NoSkew) Delay(int, *rand.Rand) time.Duration { return 0 }
+func (NoSkew) Delay(int, func() *rand.Rand) time.Duration { return 0 }
 
 // ConstantSkew gives each link a fixed extra delay — differing physical
 // path lengths or multiplexing equipment (§2.6 causes 1 and 2).
@@ -37,7 +39,7 @@ type ConstantSkew struct {
 }
 
 // Delay implements SkewModel.
-func (s ConstantSkew) Delay(link int, _ *rand.Rand) time.Duration {
+func (s ConstantSkew) Delay(link int, _ func() *rand.Rand) time.Duration {
 	if link < len(s.PerLink) {
 		return s.PerLink[link]
 	}
@@ -52,11 +54,11 @@ type QueueingSkew struct {
 }
 
 // Delay implements SkewModel.
-func (s QueueingSkew) Delay(_ int, rng *rand.Rand) time.Duration {
+func (s QueueingSkew) Delay(_ int, rng func() *rand.Rand) time.Duration {
 	if s.Max <= 0 {
 		return 0
 	}
-	return time.Duration(rng.Int63n(int64(s.Max) + 1))
+	return time.Duration(rng().Int63n(int64(s.Max) + 1))
 }
 
 // linkFIFODepth is a link's transmit-side FIFO depth in cells.
@@ -70,34 +72,19 @@ type LinkConfig struct {
 	Skew      SkewModel     // nil means NoSkew
 	// Fault injects loss, corruption and duplication on this link — the
 	// only place the simulated network is unreliable, the paper's
-	// premise (§2.3). The injector draws from a stream derived from
-	// (seed, FaultSite, link index), never from the engine's main RNG,
-	// so enabling it leaves the skew draw order untouched.
+	// premise (§2.3).
 	Fault *fault.Config
-	// FaultSite names the injection site (the link index is appended);
-	// distinct links sharing a config must get distinct sites.
+	// FaultSite names the link's random streams (the link index is
+	// appended): the injector draws from a stream derived from
+	// (seed, "fault/"+site), a drawing skew model from one derived from
+	// (seed, "skew/"+site). Distinct links sharing a config that injects
+	// faults or draws skew must get distinct sites.
 	FaultSite string
 }
 
-// deterministic reports whether the configuration draws no randomness
-// per cell, so the link can compute every serialization and delivery
-// time arithmetically. Only the skew models known to ignore the RNG
-// qualify; a custom SkewModel conservatively falls back to the paced
-// per-cell event machine.
-func (cfg LinkConfig) deterministic() bool {
-	if cfg.Fault != nil {
-		return false
-	}
-	switch cfg.Skew.(type) {
-	case NoSkew, ConstantSkew:
-		return true
-	}
-	return false
-}
-
 // LinkStats counts link activity. Sent + Duplicated = Delivered + Lost
-// once the link drains (every accepted or injector-cloned cell is
-// eventually delivered or lost).
+// once the link drains: a lost cell counts when it is accepted, and
+// every other accepted or injector-cloned cell is eventually delivered.
 type LinkStats struct {
 	Sent       int64
 	Delivered  int64
@@ -105,32 +92,28 @@ type LinkStats struct {
 	Duplicated int64 // injector-cloned cells added to the stream
 }
 
-// linkCell is one in-flight cell of a deterministic link's train:
-// serStart is the instant its transmit-FIFO slot frees (when the old
-// pacing process would have dequeued it to start serialization), and
-// deliver is the instant the receiver callback runs. schedAt/seq are
-// the cell's canonical delivery stamp; see the stamp comment on Link.
+// linkCell is one in-flight cell of a link's train: deliver is the
+// instant the receiver callback runs, and schedAt/seq are the cell's
+// canonical delivery stamp; see the stamp comment on Link.
 type linkCell struct {
-	c        Cell
-	serStart sim.Time
-	deliver  sim.Time
-	schedAt  sim.Time
-	seq      uint64
+	c       Cell
+	deliver sim.Time
+	schedAt sim.Time
+	seq     uint64
 }
 
 // Link is one unidirectional physical link. Cells submitted with Send
-// are paced out at line rate and delivered, in order, to the receiver
+// are serialized at line rate and delivered, in order, to the receiver
 // callback after propagation delay plus model skew.
 //
-// When the configuration is fault-free and its skew model draws no
-// randomness, the link runs in cell-train mode: serialization times are
-// computed arithmetically at Send, queued cells form a train of
-// precomputed delivery instants, and a single walker event re-arms
-// itself along the train — no pacing goroutine, no per-cell scheduling
-// events, and the same simulated timings as the paced machine. Faulted
-// or randomly skewed configurations fall back to a per-cell pacing
-// process so the RNG is consumed cell by cell in the original draw
-// order.
+// The link is a cell train: serialization times are computed
+// arithmetically when a cell is accepted, accepted cells form a train
+// of precomputed delivery instants, and a single walker event re-arms
+// itself along the train, so the link runs no process and schedules
+// no per-cell events. The injector's verdict and the skew draw are
+// taken at acceptance, in FIFO order, each from the link's own derived
+// stream; a lost cell still serializes and holds its transmit-FIFO
+// slot, but never enters the train.
 type Link struct {
 	eng         *sim.Engine
 	cfg         LinkConfig
@@ -139,40 +122,41 @@ type Link struct {
 	deliver     func(c Cell, link int)
 	stats       LinkStats
 	inj         *fault.Injector // nil unless cfg.Fault injects something
+	skewRng     *rand.Rand      // derived on the skew model's first draw
+	// skewRand is deriveSkewRand, bound once so that handing it to the
+	// skew model per cell does not allocate.
+	skewRand func() *rand.Rand
 
-	// Paced (fallback) mode.
-	queue *sim.Chan[Cell]
-
-	// Cell-train (deterministic) mode.
-	det         bool
 	train       []linkCell // ring buffer, grown on demand
 	head, count int
 	frontier    sim.Time // serialization end of the newest accepted cell
+	// starts holds the serialization starts of the last linkFIFODepth
+	// accepted cells, oldest at starts[next]: the virtual transmit FIFO.
+	starts      [linkFIFODepth]sim.Time
+	next        int
 	walkerArmed bool
 	slotArmed   bool
 	notFull     *sim.Cond
 
-	// A cell-train delivery event carries an explicit canonical stamp
-	// (schedAt, xid, seq) via InjectStamped. At a tied delivery instant
-	// the engine orders events by (at, schedAt, xid, seq); xid is drawn
-	// from the engine at construction, so how same-instant deliveries
-	// from different links order is a fixed function of the topology
-	// rather than of global scheduling order, which shifts whenever any
+	// A delivery event carries an explicit canonical stamp (schedAt,
+	// xid, seq) via InjectStamped. At a tied delivery instant the engine
+	// orders events by (at, schedAt, xid, seq); xid is drawn from the
+	// engine at construction, so how same-instant deliveries from
+	// different links order is a fixed function of the topology rather
+	// than of global scheduling order, which shifts whenever any
 	// unrelated activity schedules one more or one fewer event.
 	// Symmetric fan-in workloads tie constantly (senders phase-lock on a
 	// shared egress serialization grid), and the committed result
 	// fingerprints pin the order this numbering produces. schedAt is
 	// where a sender-scheduled delivery would have been scheduled — the
 	// accept instant if the train was empty, else the previous cell's
-	// delivery — and seq is monotone per link. A paced link draws an
-	// id too, so the numbering does not depend on the configuration.
+	// delivery — and seq is monotone per link.
 	xid  uint64
 	lseq uint64 // per-link stamp counter (monotone)
 }
 
 // NewLink creates a link and draws its stamp id from the engine, so
-// links number in construction order; faulted or randomly skewed
-// configurations also start a pacing process.
+// links number in construction order.
 func NewLink(e *sim.Engine, cfg LinkConfig) *Link {
 	if cfg.RateBps == 0 {
 		cfg.RateBps = DefaultLinkRate
@@ -183,24 +167,38 @@ func NewLink(e *sim.Engine, cfg LinkConfig) *Link {
 	if cfg.Skew == nil {
 		cfg.Skew = NoSkew{}
 	}
-	l := &Link{eng: e, cfg: cfg, xid: e.NewStampID()}
+	l := &Link{
+		eng:     e,
+		cfg:     cfg,
+		xid:     e.NewStampID(),
+		train:   make([]linkCell, linkFIFODepth+4),
+		notFull: sim.NewCond(e),
+	}
 	l.cellTime = time.Duration(int64(CellSize*8) * int64(time.Second) / cfg.RateBps)
+	l.skewRand = l.deriveSkewRand
 	if cfg.Fault != nil {
-		site := cfg.FaultSite
-		if site == "" {
-			site = "link"
-		}
-		l.inj = fault.New(e, site+"/l"+strconv.Itoa(cfg.Index), cfg.Fault)
+		l.inj = fault.New(e, l.site(), cfg.Fault)
 	}
-	if cfg.deterministic() {
-		l.det = true
-		l.train = make([]linkCell, linkFIFODepth+4)
-		l.notFull = sim.NewCond(e)
-		return l
-	}
-	l.queue = sim.NewChan[Cell](e, linkFIFODepth)
-	e.Go("link-pacer", l.pace)
 	return l
+}
+
+// site is the link's per-link stream name: FaultSite (default "link")
+// with the link index appended.
+func (l *Link) site() string {
+	site := l.cfg.FaultSite
+	if site == "" {
+		site = "link"
+	}
+	return site + "/l" + strconv.Itoa(l.cfg.Index)
+}
+
+// deriveSkewRand returns the skew model's stream, deriving it on first
+// use so links whose model never draws claim no stream.
+func (l *Link) deriveSkewRand() *rand.Rand {
+	if l.skewRng == nil {
+		l.skewRng = l.eng.DeriveRand("skew/" + l.site())
+	}
+	return l.skewRng
 }
 
 // CellTime returns the serialization time of one cell at line rate.
@@ -215,14 +213,8 @@ func (l *Link) SetReceiver(fn func(c Cell, link int)) { l.deliver = fn }
 // transmit FIFO is full — the backpressure the board's segmentation
 // loop experiences.
 func (l *Link) Send(p *sim.Proc, c Cell) {
-	if !l.det {
-		l.queue.Send(p, c)
-		l.stats.Sent++
-		return
-	}
-	// The transmit FIFO is virtual: a queued cell occupies a slot from
-	// Send until its serialization starts, exactly when the paced
-	// machine's dequeue would have freed it.
+	// The transmit FIFO is virtual: a cell occupies a slot from Send
+	// until its serialization starts.
 	for l.slotFree(l.eng.Now()) > l.eng.Now() {
 		l.armSlotWake()
 		l.notFull.Wait(p)
@@ -241,36 +233,51 @@ func (l *Link) Send(p *sim.Proc, c Cell) {
 // The link performs exactly the state transitions Send would have
 // performed had a proc executed it at t and returns the instant Send
 // would have returned: the first u ≥ t at which the transmit FIFO has
-// a free slot. Deterministic (cell-train) links only.
+// a free slot.
 func (l *Link) SendScheduled(t sim.Time, c Cell) sim.Time {
-	if !l.det {
-		panic("atm: SendScheduled on a non-deterministic link")
-	}
 	u := l.slotFree(t)
 	l.commit(u, c)
 	return u
 }
 
-// commit accepts c into the train at instant u, the moment its sender
-// leaves the blocking loop: serialize it behind the frontier, bump its
-// delivery past the previous one to keep per-link FIFO order, stamp it,
-// and arm the walker if the train was empty.
+// commit accepts c at instant u, the moment its sender leaves the
+// blocking loop — the one place a link cell's fate is decided: it
+// serializes behind the frontier and takes a FIFO slot, then the
+// injector may drop it, flip one payload bit, or clone it directly
+// behind itself, and whatever survives enters the train.
 func (l *Link) commit(u sim.Time, c Cell) {
 	serStart := max(u, l.frontier)
-	serEnd := serStart.Add(l.cellTime)
-	l.frontier = serEnd
-	// Skew models in train mode never draw; passing a nil RNG turns any
-	// violation of that invariant into a loud failure instead of silent
-	// nondeterminism.
-	at := serEnd.Add(l.cfg.PropDelay + l.cfg.Skew.Delay(l.cfg.Index, nil))
+	l.frontier = serStart.Add(l.cellTime)
+	l.starts[l.next] = serStart
+	l.next = (l.next + 1) % linkFIFODepth
+	l.stats.Sent++
+	act := l.inj.Apply()
+	if act.Drop {
+		l.stats.Lost++
+		return
+	}
+	if act.CorruptBit >= 0 && c.Len > 0 {
+		bit := act.CorruptBit % (8 * c.Len)
+		c.Payload[bit/8] ^= 1 << (bit % 8)
+	}
+	l.enter(u, c, l.frontier.Add(l.cfg.PropDelay+l.cfg.Skew.Delay(l.cfg.Index, l.skewRand)))
+	if act.Duplicate {
+		l.stats.Duplicated++
+		l.enter(u, c, l.lastDeliver+1)
+	}
+}
+
+// enter appends c to the train for delivery at at, bumped past the
+// previous delivery to keep per-link FIFO order, stamps it, and arms
+// the walker if the train was empty.
+func (l *Link) enter(u sim.Time, c Cell, at sim.Time) {
 	schedAt := max(u, l.lastDeliver)
 	if at <= l.lastDeliver {
-		at = l.lastDeliver + 1 // preserve per-link FIFO order
+		at = l.lastDeliver + 1
 	}
 	l.lastDeliver = at
-	l.stats.Sent++
 	l.lseq++
-	l.push(linkCell{c: c, serStart: serStart, deliver: at, schedAt: schedAt, seq: l.lseq})
+	l.push(linkCell{c: c, deliver: at, schedAt: schedAt, seq: l.lseq})
 	if !l.walkerArmed {
 		l.walkerArmed = true
 		l.eng.InjectStamped(at, schedAt, l.xid, l.lseq, linkDeliverCB, l)
@@ -280,33 +287,23 @@ func (l *Link) commit(u sim.Time, c Cell) {
 // slotFree returns the first instant u ≥ t at which the virtual
 // transmit FIFO has a free slot — the instant a sender arriving at t
 // would come out of the Send blocking loop. Serialization starts are
-// strictly increasing along the train, so if the FIFO is full at t the
-// answer is the start instant of the linkFIFODepth-th entry from the
-// tail.
+// strictly increasing, so the FIFO is full at t exactly when the oldest
+// of the last linkFIFODepth starts is still ahead of t, and that start
+// frees the slot.
 func (l *Link) slotFree(t sim.Time) sim.Time {
-	n := 0
-	for i := l.count - 1; i >= 0; i-- {
-		if l.at(i).serStart <= t {
-			break
-		}
-		n++
-		if n >= linkFIFODepth {
-			return l.at(i).serStart
-		}
-	}
-	return t
+	return max(t, l.starts[l.next])
 }
 
 // armSlotWake schedules a wakeup at the next serialization boundary —
-// the instant the paced machine's dequeue would have signalled a
-// blocked sender — unless one is already pending.
+// the instant a transmit-FIFO slot frees for a blocked sender — unless
+// one is already pending.
 func (l *Link) armSlotWake() {
 	if l.slotArmed {
 		return
 	}
 	now := l.eng.Now()
-	for i := 0; i < l.count; i++ {
-		if s := l.at(i).serStart; s > now {
+	for i := 0; i < linkFIFODepth; i++ {
+		if s := l.starts[(l.next+i)%linkFIFODepth]; s > now {
 			l.slotArmed = true
 			l.eng.AtCall(s, linkSlotCB, l)
 			return
@@ -385,48 +382,6 @@ func (l *Link) Stats() LinkStats { return l.stats }
 // Injector exposes the link's fault injector (nil when fault injection
 // is off); its Stats follow the Link.Stats snapshot discipline.
 func (l *Link) Injector() *fault.Injector { return l.inj }
-
-// pace is the fallback per-cell machine for fault-injected or randomly
-// skewed links: it applies the injector and draws the skew one cell at
-// a time, in serialization order, which the arithmetic train cannot
-// reproduce. Skew draws come from the engine RNG; the injector draws
-// only from its own derived stream.
-func (l *Link) pace(p *sim.Proc) {
-	for {
-		c := l.queue.Recv(p)
-		p.Sleep(l.cellTime) // serialization
-		act := l.inj.Apply()
-		if act.Drop {
-			l.stats.Lost++
-			continue
-		}
-		if act.CorruptBit >= 0 && c.Len > 0 {
-			bit := act.CorruptBit % (8 * c.Len)
-			c.Payload[bit/8] ^= 1 << (bit % 8)
-		}
-		at := p.Now().Add(l.cfg.PropDelay + l.cfg.Skew.Delay(l.cfg.Index, l.eng.Rand()))
-		if at <= l.lastDeliver {
-			at = l.lastDeliver + 1 // preserve per-link FIFO order
-		}
-		l.lastDeliver = at
-		cell := c
-		l.eng.At(at, func() {
-			l.stats.Delivered++
-			if l.deliver != nil {
-				l.deliver(cell, l.cfg.Index)
-			}
-		})
-		if act.Duplicate {
-			l.stats.Duplicated++
-			l.eng.At(at+1, func() {
-				l.stats.Delivered++
-				if l.deliver != nil {
-					l.deliver(cell, l.cfg.Index)
-				}
-			})
-		}
-	}
-}
 
 // StripeGroup bundles width physical links into one logical channel with
 // cell-level round-robin striping (§2.6).

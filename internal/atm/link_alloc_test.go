@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
@@ -24,26 +25,45 @@ func measureLinkRun(e *sim.Engine, l *Link, cells int) uint64 {
 	return after.Mallocs - before.Mallocs
 }
 
-// A deterministic link runs in train mode: serialization and delivery
-// times are arithmetic, one pooled walker event drains the train, and
-// the Send→deliver path must not allocate per cell. The bound leaves
-// room for the fixed per-run cost (one proc + goroutine) only — the old
+// Every link is a cell train: serialization and delivery times are
+// arithmetic, one pooled walker event drains the train, and the
+// Send→deliver path must not allocate per cell — fault-free, faulted
+// (the injector's verdict is taken at acceptance) or randomly skewed
+// (the draw comes from the link's own stream). The bound leaves room
+// for the fixed per-run cost (one proc + goroutine) only — a
 // closure-per-cell design would exceed it by two orders of magnitude.
 func TestLinkSendDeliverSteadyStateAllocs(t *testing.T) {
-	e := sim.NewEngine(1)
-	defer e.Shutdown()
-	l := NewLink(e, LinkConfig{PropDelay: time.Microsecond})
-	delivered := 0
-	l.SetReceiver(func(Cell, int) { delivered++ })
+	for _, tc := range []struct {
+		name string
+		cfg  LinkConfig
+	}{
+		{"fault-free", LinkConfig{}},
+		{"faulted", LinkConfig{Fault: &fault.Config{
+			Loss:        fault.Bernoulli{P: 0.05},
+			CorruptProb: 0.05,
+			DupProb:     0.05,
+		}}},
+		{"skewed", LinkConfig{Skew: QueueingSkew{Max: 5 * time.Microsecond}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := sim.NewEngine(1)
+			defer e.Shutdown()
+			tc.cfg.PropDelay = time.Microsecond
+			l := NewLink(e, tc.cfg)
+			delivered := 0
+			l.SetReceiver(func(Cell, int) { delivered++ })
 
-	const warm, cells = 200, 2000
-	measureLinkRun(e, l, warm) // warm the event pool and train ring
-	allocs := measureLinkRun(e, l, cells)
-	if delivered != warm+cells {
-		t.Fatalf("delivered %d cells, want %d", delivered, warm+cells)
-	}
-	if allocs > 64 {
-		t.Errorf("sending %d cells allocated %d objects, want ≤ 64", cells, allocs)
+			const warm, cells = 200, 2000
+			measureLinkRun(e, l, warm) // warm the event pool and train ring
+			allocs := measureLinkRun(e, l, cells)
+			if st := l.Stats(); int64(delivered) != st.Delivered || st.Sent != warm+cells ||
+				st.Sent+st.Duplicated != st.Delivered+st.Lost {
+				t.Fatalf("receiver saw %d cells, link stats %+v over %d sent", delivered, st, warm+cells)
+			}
+			if allocs > 64 {
+				t.Errorf("sending %d cells allocated %d objects, want ≤ 64", cells, allocs)
+			}
+		})
 	}
 }
 

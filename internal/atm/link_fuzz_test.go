@@ -12,14 +12,26 @@ import (
 // linkFuzzByte is byte j of cell seq's payload as sent.
 func linkFuzzByte(seq uint32, j int) byte { return byte(int(seq)*7 + j*13 + 1) }
 
-// FuzzLinkFault is the oracle for the faulted (paced) link: random burst
-// loss, corruption, duplication and queueing skew over one seeded run.
-// At quiesce every cell must be accounted for — Sent + Duplicated =
+// linkFuzzDelivery is one cell as the receiver saw it.
+type linkFuzzDelivery struct {
+	c  Cell
+	at sim.Time
+}
+
+// FuzzLinkFault is the oracle for the faulted link: random burst loss,
+// corruption, duplication and queueing skew over one seeded run. At
+// quiesce every cell must be accounted for — Sent + Duplicated =
 // Delivered + Lost, and the injector saw exactly the link's cells,
 // drops and clones. Deliveries must never go back in time and must keep
 // per-link order, each duplicate directly behind its original with the
 // same bytes; a corrupted cell differs from what was sent in exactly one
-// bit.
+// bit. Both entry points reach the same acceptance step: a second,
+// identically configured link fed through SendScheduled at the
+// instants the blocking Send was called must return the instants Send
+// returned and produce the same deliveries and counters. Faults and
+// skew act after serialization — a lost cell still holds its transmit
+// slot — so Send must also return at the same instants as on a clean
+// link.
 func FuzzLinkFault(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(4), uint8(10), uint8(10), uint16(5000), uint16(300))
 	f.Add(int64(7), uint8(0), uint8(0), uint8(255), uint8(255), uint16(0), uint16(64))
@@ -34,30 +46,66 @@ func FuzzLinkFault(f *testing.F) {
 			cfg.Loss = fault.BurstLoss(float64(mean)/510, float64(1+burst%16))
 		}
 		n := 1 + int(cells%512)
-
-		e := sim.NewEngine(seed)
-		defer e.Shutdown()
-		l := NewLink(e, LinkConfig{
+		cell := func(i int) Cell {
+			c := Cell{Seq: uint32(i), Len: CellPayload}
+			for j := range c.Payload {
+				c.Payload[j] = linkFuzzByte(c.Seq, j)
+			}
+			return c
+		}
+		// run sends the n cells through a fresh link configured by lc,
+		// either from a proc with Send (called == nil; the call and
+		// return instants are recorded) or with SendScheduled at the
+		// given call instants (the returned instants are recorded).
+		run := func(lc LinkConfig, called []sim.Time) (l *Link, got []linkFuzzDelivery, calls, rets []sim.Time) {
+			e := sim.NewEngine(seed)
+			t.Cleanup(e.Shutdown)
+			l = NewLink(e, lc)
+			l.SetReceiver(func(c Cell, _ int) { got = append(got, linkFuzzDelivery{c, e.Now()}) })
+			if called == nil {
+				e.Go("tx", func(p *sim.Proc) {
+					for i := 0; i < n; i++ {
+						calls = append(calls, p.Now())
+						l.Send(p, cell(i))
+						rets = append(rets, p.Now())
+					}
+				})
+			} else {
+				for i, at := range called {
+					rets = append(rets, l.SendScheduled(at, cell(i)))
+				}
+			}
+			e.Run()
+			return l, got, calls, rets
+		}
+		lc := LinkConfig{
 			Skew:      QueueingSkew{Max: time.Duration(skewNS%20000) * time.Nanosecond},
 			Fault:     cfg,
 			FaultSite: "fz",
-		})
-		type delivery struct {
-			c  Cell
-			at sim.Time
 		}
-		var got []delivery
-		l.SetReceiver(func(c Cell, _ int) { got = append(got, delivery{c, e.Now()}) })
-		e.Go("tx", func(p *sim.Proc) {
-			for i := 0; i < n; i++ {
-				c := Cell{Seq: uint32(i), Len: CellPayload}
-				for j := range c.Payload {
-					c.Payload[j] = linkFuzzByte(c.Seq, j)
-				}
-				l.Send(p, c)
+		l, got, calls, rets := run(lc, nil)
+		ls2, got2, _, rets2 := run(lc, calls)
+		_, _, _, clean := run(LinkConfig{}, nil)
+		for i := range rets {
+			if rets2[i] != rets[i] {
+				t.Fatalf("cell %d: SendScheduled(%v) returned %v, Send returned %v", i, calls[i], rets2[i], rets[i])
 			}
-		})
-		e.Run()
+			if rets[i] != clean[i] {
+				t.Fatalf("cell %d: Send returned at %v, at %v on a clean link", i, rets[i], clean[i])
+			}
+		}
+		if len(got2) != len(got) {
+			t.Fatalf("SendScheduled delivered %d cells, Send %d", len(got2), len(got))
+		}
+		for i := range got {
+			if got2[i] != got[i] {
+				t.Fatalf("delivery %d differs:\nSend:          %+v\nSendScheduled: %+v", i, got[i], got2[i])
+			}
+		}
+		if ls2.Stats() != l.Stats() || ls2.Injector().Stats() != l.Injector().Stats() {
+			t.Fatalf("stats differ: Send %+v %+v, SendScheduled %+v %+v",
+				l.Stats(), l.Injector().Stats(), ls2.Stats(), ls2.Injector().Stats())
+		}
 
 		// A config that can inject nothing builds no injector.
 		ls, fs := l.Stats(), l.Injector().Stats()

@@ -1,6 +1,7 @@
 package atm
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -198,23 +199,28 @@ func TestLinkStats(t *testing.T) {
 }
 
 func TestSkewModels(t *testing.T) {
-	e := sim.NewEngine(3)
-	if (NoSkew{}).Delay(0, e.Rand()) != 0 {
+	rng := rand.New(rand.NewSource(3))
+	draws := 0
+	src := func() *rand.Rand { draws++; return rng }
+	if (NoSkew{}).Delay(0, src) != 0 {
 		t.Error("NoSkew delayed")
 	}
 	cs := ConstantSkew{PerLink: []time.Duration{5}}
-	if cs.Delay(0, e.Rand()) != 5 || cs.Delay(7, e.Rand()) != 0 {
+	if cs.Delay(0, src) != 5 || cs.Delay(7, src) != 0 {
 		t.Error("ConstantSkew wrong")
+	}
+	if (QueueingSkew{}).Delay(0, src) != 0 {
+		t.Error("zero-max QueueingSkew delayed")
+	}
+	if draws != 0 {
+		t.Errorf("models that never draw asked for the stream %d times", draws)
 	}
 	qs := QueueingSkew{Max: 100}
 	for i := 0; i < 50; i++ {
-		d := qs.Delay(0, e.Rand())
+		d := qs.Delay(0, src)
 		if d < 0 || d > 100 {
 			t.Fatalf("QueueingSkew out of range: %v", d)
 		}
-	}
-	if (QueueingSkew{}).Delay(0, e.Rand()) != 0 {
-		t.Error("zero-max QueueingSkew delayed")
 	}
 }
 

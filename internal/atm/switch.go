@@ -34,9 +34,10 @@ type SwitchConfig struct {
 	// pins this.
 	MarkThreshold int
 	// PerCellFabric forces every output port onto the per-cell
-	// queue/arbiter machine even when the train-forwarding fast path
-	// would apply. The two machines produce byte-identical results; the
-	// knob exists so CI can diff them and so anomalies can be bisected.
+	// queue/arbiter machine instead of train forwarding, on faulted and
+	// skewed links as on clean ones. The two machines produce
+	// byte-identical results; the knob exists so CI and the differential
+	// tests can diff them and so anomalies can be bisected.
 	PerCellFabric bool
 }
 
@@ -236,7 +237,7 @@ func NewSwitch(e *sim.Engine, nports int, cfg SwitchConfig) *Switch {
 		site = "sw"
 	}
 	for i := 0; i < nports; i++ {
-		// Give every lane of every port its own injection stream.
+		// Give every lane of every port its own fault and skew streams.
 		inCfg, outCfg := cfg.Link, cfg.Link
 		inCfg.FaultSite = fmt.Sprintf("%s/in%d", site, i)
 		outCfg.FaultSite = fmt.Sprintf("%s/out%d", site, i)
@@ -391,18 +392,14 @@ func (sw *Switch) enqueue(op *SwitchPort, lc laneCell) {
 
 // latchMode decides, once per port, whether cells routed to this port
 // take the train-forwarding fast path or the per-cell queue machine.
-// Anything that observes or perturbs cells one at a time — trace
-// recording, or an egress link that injects faults or draws skew per
-// cell — forces per-cell mode; so does the explicit PerCellFabric knob.
+// Trace recording, which observes cells one at a time, forces per-cell
+// mode; so does the explicit PerCellFabric knob. Faulted and randomly
+// skewed egress links need neither: every link is a cell train that
+// decides each cell's fate at acceptance, whichever machine feeds it.
 func (pt *SwitchPort) latchMode(forcePerCell bool) {
 	pt.vMode = vModePerCell
 	if forcePerCell || pt.eng.Recording() {
 		return
-	}
-	for _, l := range pt.out.links {
-		if !l.det {
-			return
-		}
 	}
 	pt.vMode = vModeTrain
 	// Capacity: the virtual queue holds at most QueueCells undequeued

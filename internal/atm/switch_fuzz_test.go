@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
@@ -14,25 +15,48 @@ type fuzzDelivery struct {
 	port, lane int
 	vci        VCI
 	seq        uint32
-	tag        byte // first payload byte, checked against the sender's pattern
-	ce         bool // ECN mark set by the congested output queue
+	payload    [CellPayload]byte // the first byte is checked against the sender's pattern
+	ce         bool              // ECN mark set by the congested output queue
 	at         sim.Time
 }
 
+// switchRun is everything observable from one replayed schedule.
+type switchRun struct {
+	deliveries []fuzzDelivery
+	stats      []SwitchPortStats
+	sent       int
+	in, out    LinkStats // summed over every port's ingress / egress links
+}
+
+// linkFaults turns the fuzzer's four link inputs into the link config
+// every switch lane gets: Bernoulli loss, corruption and duplication
+// probabilities, and a queueing-skew bound of up to 25.5µs.
+func linkFaults(loss, corrupt, dup, skew uint8) LinkConfig {
+	lc := LinkConfig{Skew: QueueingSkew{Max: time.Duration(skew) * 100 * time.Nanosecond}}
+	if loss|corrupt|dup != 0 {
+		lc.Fault = &fault.Config{CorruptProb: float64(corrupt) / 255, DupProb: float64(dup) / 255}
+		if loss > 0 {
+			lc.Fault.Loss = fault.Bernoulli{P: float64(loss) / 510}
+		}
+	}
+	return lc
+}
+
 // runSwitchSchedule replays one fuzz-derived schedule through a 3-port
-// switch and returns everything observable: the delivery log and the
-// per-port counters. Senders stage each cell's payload in a PayloadPool
-// and free the handle after the ingress Send returns (the board's
-// transmit discipline), so pool misuse — leak, double free, stale
-// handle — panics loudly inside the run.
-func runSwitchSchedule(t *testing.T, data []byte, perCell bool) ([]fuzzDelivery, []SwitchPortStats, int) {
+// switch whose lanes are configured by lc and returns everything
+// observable: the delivery log and the per-port and link counters.
+// Senders stage each cell's payload in a PayloadPool and free the
+// handle after the ingress Send returns (the board's transmit
+// discipline), so pool misuse — leak, double free, stale handle —
+// panics loudly inside the run.
+func runSwitchSchedule(t *testing.T, data []byte, perCell bool, lc LinkConfig) switchRun {
 	t.Helper()
 	e := sim.NewEngine(99)
 	defer e.Shutdown()
 	// A tiny output queue so bursts tail-drop mid-PDU, splitting trains,
 	// with a mark threshold below it so schedules also exercise the ECN
 	// band between first-mark and tail-drop.
-	sw := NewSwitch(e, 3, SwitchConfig{QueueCells: 8, MarkThreshold: 4, PerCellFabric: perCell})
+	sw := NewSwitch(e, 3, SwitchConfig{QueueCells: 8, MarkThreshold: 4, PerCellFabric: perCell, Link: lc})
 	pool := NewPayloadPool()
 
 	// VCI 10 and 11 start routed to ports 1 and 2; route-change ops
@@ -50,7 +74,7 @@ func runSwitchSchedule(t *testing.T, data []byte, perCell bool) ([]fuzzDelivery,
 		sw.Port(port).Egress().SetReceiver(func(c Cell, lane int) {
 			deliveries = append(deliveries, fuzzDelivery{
 				port: port, lane: lane, vci: c.VCI, seq: c.Seq,
-				tag: c.Payload[0], ce: c.CE, at: e.Now(),
+				payload: c.Payload, ce: c.CE, at: e.Now(),
 			})
 		})
 	}
@@ -97,11 +121,33 @@ func runSwitchSchedule(t *testing.T, data []byte, perCell bool) ([]fuzzDelivery,
 	if pool.Live() != 0 {
 		t.Fatalf("pool leak: %d buffers live after quiesce", pool.Live())
 	}
-	stats := make([]SwitchPortStats, sw.NumPorts())
-	for i := range stats {
-		stats[i] = sw.Port(i).Stats()
+	r := switchRun{deliveries: deliveries, stats: make([]SwitchPortStats, sw.NumPorts()), sent: sent}
+	for i := range r.stats {
+		r.stats[i] = sw.Port(i).Stats()
+		in, out := sw.Port(i).Ingress().Stats(), sw.Port(i).Egress().Stats()
+		r.in.Sent += in.Sent
+		r.in.Lost += in.Lost
+		r.in.Duplicated += in.Duplicated
+		r.out.Sent += out.Sent
+		r.out.Lost += out.Lost
+		r.out.Duplicated += out.Duplicated
 	}
-	return deliveries, stats, sent
+	return r
+}
+
+// compareRuns requires the two machines to agree on every delivery
+// (compareDeliveries) and on every port's counters.
+func compareRuns(t *testing.T, train, percell switchRun) {
+	t.Helper()
+	compareDeliveries(t, train.deliveries, percell.deliveries)
+	for i := range train.stats {
+		if train.stats[i] != percell.stats[i] {
+			t.Fatalf("port %d stats differ:\ntrain:   %+v\npercell: %+v", i, train.stats[i], percell.stats[i])
+		}
+	}
+	if train.in != percell.in || train.out != percell.out {
+		t.Fatalf("link stats differ:\ntrain:   in %+v out %+v\npercell: in %+v out %+v", train.in, train.out, percell.in, percell.out)
+	}
 }
 
 // compareDeliveries requires the two machines' delivery logs to match per
@@ -146,41 +192,54 @@ func compareDeliveries(t *testing.T, train, percell []fuzzDelivery) {
 // high-water counters. Tiny queues force mid-train tail-drops (train
 // splits) and route changes re-target mid-stream (train boundaries);
 // payloads staged through the cell pool verify no handle is leaked,
-// double-freed, or recycled while its bytes are still in flight.
+// double-freed, or recycled while its bytes are still in flight. The
+// four link inputs put loss, corruption, duplication and queueing skew
+// on every lane, so the faulted, skewed link is held to the same
+// agreement.
 func FuzzSwitchTrainPool(f *testing.F) {
-	f.Add([]byte{0x07, 0x85, 0x0E, 0xC0, 0x06, 0x81, 0x0F})
-	f.Add([]byte{0x0E, 0x0F, 0x0E, 0x0F, 0xC1, 0x0E, 0x0F, 0x86, 0x0E})
-	f.Add([]byte{0xC0, 0xC1, 0x01, 0x00, 0x80, 0x01})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte{0x07, 0x85, 0x0E, 0xC0, 0x06, 0x81, 0x0F}, uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add([]byte{0x0E, 0x0F, 0x0E, 0x0F, 0xC1, 0x0E, 0x0F, 0x86, 0x0E}, uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add([]byte{0xC0, 0xC1, 0x01, 0x00, 0x80, 0x01}, uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add([]byte{0x0E, 0x0F, 0x0E, 0x0F, 0xC1, 0x0E, 0x0F, 0x86, 0x0E}, uint8(20), uint8(30), uint8(30), uint8(50))
+	f.Add([]byte{0x07, 0x85, 0x0E, 0xC0, 0x06, 0x81, 0x0F}, uint8(0), uint8(0), uint8(0), uint8(255))
+	f.Fuzz(func(t *testing.T, data []byte, loss, corrupt, dup, skew uint8) {
 		if len(data) > 256 {
 			data = data[:256]
 		}
-		train, trainStats, sent := runSwitchSchedule(t, data, false)
-		percell, percellStats, _ := runSwitchSchedule(t, data, true)
-
-		compareDeliveries(t, train, percell)
-		for i := range trainStats {
-			if trainStats[i] != percellStats[i] {
-				t.Fatalf("port %d stats differ:\ntrain:   %+v\npercell: %+v", i, trainStats[i], percellStats[i])
-			}
-		}
+		lc := linkFaults(loss, corrupt, dup, skew)
+		run := runSwitchSchedule(t, data, false, lc)
+		compareRuns(t, run, runSwitchSchedule(t, data, true, lc))
+		train, trainStats := run.deliveries, run.stats
 
 		// Conservation: every cell offered at port 0 is forwarded or
-		// dropped, and forwarded cells all reached a receiver intact.
+		// dropped, and forwarded cells all reached a receiver. A faulted
+		// link loses and clones cells on the way into and out of the
+		// switch, so those counts enter the balance.
 		in := trainStats[0].In
-		if in != int64(sent) {
-			t.Fatalf("port 0 saw %d cells, sent %d", in, sent)
+		if lc.Fault != nil {
+			in += run.in.Lost - run.in.Duplicated
+		}
+		if in != int64(run.sent) {
+			t.Fatalf("port 0 saw %d cells, sent %d", trainStats[0].In, run.sent)
 		}
 		var fwd, dropped int64
 		for _, st := range trainStats {
 			fwd += st.Forwarded
 			dropped += st.Dropped
 		}
-		if fwd+dropped != in {
-			t.Fatalf("conservation: forwarded %d + dropped %d != in %d", fwd, dropped, in)
+		if fwd+dropped != trainStats[0].In {
+			t.Fatalf("conservation: forwarded %d + dropped %d != in %d", fwd, dropped, trainStats[0].In)
 		}
-		if int64(len(train)) != fwd {
-			t.Fatalf("delivered %d cells but Forwarded = %d", len(train), fwd)
+		delivered := int64(len(train))
+		if lc.Fault != nil {
+			delivered += run.out.Lost - run.out.Duplicated
+		}
+		if delivered != fwd {
+			t.Fatalf("delivered %d cells but Forwarded = %d (egress links %+v)", len(train), fwd, run.out)
+		}
+		if lc.Fault != nil {
+			// Loss, clones and flipped bits void the per-cell checks below.
+			return
 		}
 
 		// Every Marked cell was accepted, so at quiesce each one must
@@ -216,31 +275,33 @@ func FuzzSwitchTrainPool(f *testing.F) {
 				t.Fatalf("port %d lane %d VCI %d: seq %d arrived after %d", d.port, d.lane, d.vci, d.seq, prev)
 			}
 			lastSeq[fl] = int64(d.seq)
-			if want := byte(d.seq) ^ byte(d.vci); d.tag != want {
-				t.Fatalf("VCI %d seq %d payload tag %#x, want %#x (pool recycled in flight?)", d.vci, d.seq, d.tag, want)
+			if want := byte(d.seq) ^ byte(d.vci); d.payload[0] != want {
+				t.Fatalf("VCI %d seq %d payload tag %#x, want %#x (pool recycled in flight?)", d.vci, d.seq, d.payload[0], want)
 			}
 		}
 	})
 }
 
 // TestSwitchTrainPoolSeeds replays the seed corpus as a plain test so
-// the differential check runs under `go test` even without -fuzz.
+// the differential check runs under `go test` even without -fuzz; the
+// last three seeds run on lossy, corrupting, duplicating and skewed
+// lanes.
 func TestSwitchTrainPoolSeeds(t *testing.T) {
-	seeds := [][]byte{
-		{0x07, 0x85, 0x0E, 0xC0, 0x06, 0x81, 0x0F},
-		{0x0E, 0x0F, 0x0E, 0x0F, 0xC1, 0x0E, 0x0F, 0x86, 0x0E},
-		{0xC0, 0xC1, 0x01, 0x00, 0x80, 0x01},
+	seeds := []struct {
+		data                     []byte
+		loss, corrupt, dup, skew uint8
+	}{
+		{data: []byte{0x07, 0x85, 0x0E, 0xC0, 0x06, 0x81, 0x0F}},
+		{data: []byte{0x0E, 0x0F, 0x0E, 0x0F, 0xC1, 0x0E, 0x0F, 0x86, 0x0E}},
+		{data: []byte{0xC0, 0xC1, 0x01, 0x00, 0x80, 0x01}},
+		{[]byte{0x0E, 0x0F, 0x0E, 0x0F, 0xC1, 0x0E, 0x0F, 0x86, 0x0E}, 20, 30, 30, 50},
+		{[]byte{0x07, 0x85, 0x0E, 0xC0, 0x06, 0x81, 0x0F}, 0, 0, 0, 255},
+		{[]byte{0x0E, 0x0F, 0x0E, 0x0F, 0x0E, 0x0F, 0x0E}, 120, 0, 200, 10},
 	}
-	for i, data := range seeds {
+	for i, sd := range seeds {
 		t.Run(fmt.Sprintf("seed%d", i), func(t *testing.T) {
-			train, trainStats, _ := runSwitchSchedule(t, data, false)
-			percell, percellStats, _ := runSwitchSchedule(t, data, true)
-			compareDeliveries(t, train, percell)
-			for j := range trainStats {
-				if trainStats[j] != percellStats[j] {
-					t.Fatalf("port %d stats differ", j)
-				}
-			}
+			lc := linkFaults(sd.loss, sd.corrupt, sd.dup, sd.skew)
+			compareRuns(t, runSwitchSchedule(t, sd.data, false, lc), runSwitchSchedule(t, sd.data, true, lc))
 		})
 	}
 }

@@ -68,7 +68,7 @@ func buildNode(e *sim.Engine, opt Options, name string, addr proto.HostAddr) *No
 // NewCluster builds n nodes (n ≥ 2) joined by a cell switch: each
 // node's transmit links feed a switch ingress port and its receive side
 // subscribes to the matching egress port. The switch's links share the
-// cluster's Options.Link configuration (skew, loss, rate), so a cell
+// cluster's Options.Link configuration (rate, skew, faults), so a cell
 // crosses two link hops — node→switch and switch→node — as it would in
 // a real switched ATM fabric.
 func NewCluster(opt Options, n int) *Cluster {

@@ -69,9 +69,9 @@ type Options struct {
 	MTU int
 	// Checksum enables the UDP data checksum (the "UDP-CS" curves).
 	Checksum bool
-	// Link configures the physical links (skew models etc.). In a
-	// switched cluster the same configuration applies to both hops
-	// (node→switch and switch→node).
+	// Link configures the physical links: rate, propagation delay,
+	// skew model and fault injection. In a switched cluster the same
+	// configuration applies to both hops (node→switch and switch→node).
 	Link atm.LinkConfig
 	// FabricQueueCells bounds each switch output port's cell queue in a
 	// switched cluster (default atm.DefaultSwitchQueueCells); cells

@@ -12,9 +12,9 @@
 // sim.Engine.DeriveRand, so:
 //
 //   - a fixed seed reproduces every fault decision bit for bit;
-//   - injectors never consume the engine's main RNG, so enabling fault
-//     injection on one link does not perturb the skew draws the
-//     calibrated experiments depend on;
+//   - the engine has no shared RNG, and a link's skew model draws from
+//     a stream of its own, so enabling fault injection on one link does
+//     not perturb the skew draws the calibrated experiments depend on;
 //   - adding an injection site never shifts another site's stream.
 //
 // Loss is pluggable: Bernoulli is the i.i.d. per-cell coin flip, while

@@ -240,7 +240,7 @@ type rdpSession struct {
 	// keeps retransmitting at the base rate, while a dead one backs off
 	// exponentially until MaxRetries fails the session. rng is a
 	// session-private derived stream so the jitter draws never perturb
-	// the engine's main RNG sequence.
+	// any other component's draws.
 	consecutive int
 	rng         *rand.Rand
 	err         error // terminal error (ErrMaxRetries); nil while healthy

@@ -105,7 +105,6 @@ type Engine struct {
 	// between bodies, reused by Go before a new coroutine is made.
 	workers  []*worker
 	idle     []*worker
-	rng      *rand.Rand
 	fired    uint64
 	stopped  bool
 	limit    Time // 0 means no limit
@@ -117,29 +116,27 @@ type Engine struct {
 	xids uint64
 }
 
-// NewEngine returns an engine with its virtual clock at zero and its
-// pseudo-random source seeded with seed (simulation components that need
-// randomness must draw from Engine.Rand for runs to be reproducible).
+// NewEngine returns an engine with its virtual clock at zero. The
+// engine has no shared pseudo-random source: a simulation component
+// that needs randomness draws from its own stream, derived from seed
+// and a site name with DeriveRand, for runs to be reproducible.
 func NewEngine(seed int64) *Engine {
-	return &Engine{seed: seed, rng: rand.New(rand.NewSource(seed))}
+	return &Engine{seed: seed}
 }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Rand returns the engine's deterministic pseudo-random source.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
-
 // Seed returns the seed the engine was constructed with.
 func (e *Engine) Seed() int64 { return e.seed }
 
 // DeriveRand returns an independent deterministic pseudo-random source
-// keyed by the engine seed and a site name. Components that draw
-// randomness out-of-band from the main simulation (fault injectors,
-// jittered timers) must each use their own derived source: the streams
-// never perturb each other or Engine.Rand, so adding or removing one
-// injection site leaves every other site's draws — and therefore the
-// rest of the simulation — bit-for-bit unchanged.
+// keyed by the engine seed and a site name. It is the engine's only
+// source of randomness: every component that draws (fault injectors,
+// skew models, jittered timers) uses its own derived source. The
+// streams never perturb each other, so adding or removing one site
+// leaves every other site's draws — and therefore the rest of the
+// simulation — bit-for-bit unchanged.
 //
 // Deriving the same site twice panics: two components sharing a site
 // would silently read one pseudo-random stream in lockstep, which is

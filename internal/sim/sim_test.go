@@ -176,15 +176,36 @@ func TestTimeArithmetic(t *testing.T) {
 	}
 }
 
+// TestDeterministicRand: the engine's only randomness is DeriveRand,
+// and a derived stream is a function of (seed, site) alone — the same
+// pair reproduces it, and changing either one gives a different stream.
 func TestDeterministicRand(t *testing.T) {
-	a := NewEngine(42).Rand().Int63()
-	b := NewEngine(42).Rand().Int63()
-	if a != b {
-		t.Error("same seed produced different random streams")
+	first := func(seed int64, site string) [4]int64 {
+		r := NewEngine(seed).DeriveRand(site)
+		var v [4]int64
+		for i := range v {
+			v[i] = r.Int63()
+		}
+		return v
 	}
-	c := NewEngine(43).Rand().Int63()
-	if a == c {
-		t.Error("different seeds produced identical first values (suspicious)")
+	a := first(42, "skew/x/l0")
+	if b := first(42, "skew/x/l0"); a != b {
+		t.Error("same seed and site produced different streams")
+	}
+	if c := first(43, "skew/x/l0"); a == c {
+		t.Error("different seeds produced the same stream")
+	}
+	if d := first(42, "skew/x/l1"); a == d {
+		t.Error("different sites produced the same stream")
+	}
+	// Sites are independent of derivation order on one engine.
+	e := NewEngine(42)
+	e.DeriveRand("skew/x/l1")
+	r := e.DeriveRand("skew/x/l0")
+	for i, want := range a {
+		if got := r.Int63(); got != want {
+			t.Fatalf("draw %d after deriving another site first: %d, want %d", i, got, want)
+		}
 	}
 }
 
