@@ -28,15 +28,9 @@ import (
 
 // -metrics attaches a telemetry registry to each regime's cluster and
 // writes both canonical snapshots to the given file. Stdout is
-// byte-identical with or without it — CI diffs the two — which pins the
-// tentpole invariant: observing the system must not change what it does.
+// byte-identical with or without it: observing the system must not
+// change what it does (TestMetricsAndTracingDoNotPerturbExperiment).
 var flagMetrics = flag.String("metrics", "", "write both regimes' canonical telemetry snapshots to this JSON file")
-
-// -percell forces the switch's per-cell queue/arbiter machine instead of
-// train-preserving forwarding. Stdout is byte-identical either way — CI
-// diffs the two — pinning that the arithmetic fast path computes exactly
-// what the per-cell fabric does.
-var flagPerCell = flag.Bool("percell", false, "force the switch's per-cell fabric instead of train forwarding")
 
 func registry() *metrics.Registry {
 	if *flagMetrics == "" {
@@ -52,7 +46,7 @@ func main() {
 	// Paced regime: lossless fan-in under the server's receive ceiling.
 	// Each regime gets its own registry (metric names are per-topology).
 	pacedReg := registry()
-	cl := core.NewCluster(core.Options{Metrics: pacedReg, PerCellFabric: *flagPerCell}, w.Clients+1)
+	cl := core.NewCluster(core.Options{Metrics: pacedReg}, w.Clients+1)
 	res, err := cl.RunFanIn(w)
 	if err != nil {
 		log.Fatal(err)
@@ -79,7 +73,7 @@ func main() {
 
 	// Overload regime: incast collapse at the switch's output port.
 	overReg := registry()
-	over, err := core.RunFanIn(core.Options{Metrics: overReg, PerCellFabric: *flagPerCell}, w.Clients, w.MessageBytes, w.Messages)
+	over, err := core.RunFanIn(core.Options{Metrics: overReg}, w.Clients, w.MessageBytes, w.Messages)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -148,7 +142,7 @@ func main() {
 		if err := os.WriteFile(*flagMetrics, append(data, '\n'), 0o644); err != nil {
 			log.Fatal(err)
 		}
-		// Stderr, not stdout: stdout must diff clean against a -metrics-less run.
+		// Stderr, not stdout: stdout must match a run without -metrics.
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *flagMetrics)
 	}
 }

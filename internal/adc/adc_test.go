@@ -33,16 +33,9 @@ func newADCRig(t *testing.T) *adcRig {
 	bB := board.New(e, hB, board.Config{Name: "B"})
 	ab := atm.NewStripeGroup(e, 4, atm.LinkConfig{})
 	ba := atm.NewStripeGroup(e, 4, atm.LinkConfig{})
-	linksOf := func(g *atm.StripeGroup) []*atm.Link {
-		ls := make([]*atm.Link, g.Width())
-		for i := range ls {
-			ls[i] = g.Link(i)
-		}
-		return ls
-	}
-	bA.AttachTxLinks(linksOf(ab))
+	bA.AttachTxLinks(ab.Links())
 	bB.AttachRxLinks(ab)
-	bB.AttachTxLinks(linksOf(ba))
+	bB.AttachTxLinks(ba.Links())
 	bA.AttachRxLinks(ba)
 	return &adcRig{eng: e, hA: hA, hB: hB, bA: bA, bB: bB,
 		mgA: NewManager(hA, bA), mgB: NewManager(hB, bB)}

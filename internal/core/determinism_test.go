@@ -13,16 +13,22 @@ import (
 // marshal to bit-identical JSON across two runs with the same seed.
 func TestLossSweepDeterministic(t *testing.T) {
 	run := func() []byte {
-		res, err := RunLossSweep(LossSweep{
+		sweep := LossSweep{
 			Rates:       []float64{0.001, 0.01},
 			CorruptProb: 0.001,
 			DupProb:     0.001,
 			Messages:    12,
 			Seed:        77,
-		})
-		if err != nil {
-			t.Fatalf("RunLossSweep: %v", err)
 		}
+		var points []LossSweepPoint
+		for _, rate := range sweep.Rates {
+			pt, err := RunLossPoint(sweep, rate)
+			if err != nil {
+				t.Fatalf("rate %g: %v", rate, err)
+			}
+			points = append(points, pt)
+		}
+		res := sweep.Result(points)
 		var totalLost int64
 		for _, pt := range res.Points {
 			// At these rates the session must survive: every message

@@ -182,21 +182,6 @@ func (c LossSweep) Result(points []LossSweepPoint) *LossSweepResult {
 	}
 }
 
-// RunLossSweep runs every swept rate in order (RunLossPoint) and
-// assembles the report.
-func RunLossSweep(cfg LossSweep) (*LossSweepResult, error) {
-	cfg = cfg.withDefaults()
-	var points []LossSweepPoint
-	for _, rate := range cfg.Rates {
-		pt, err := RunLossPoint(cfg, rate)
-		if err != nil {
-			return nil, fmt.Errorf("core: loss sweep at rate %g: %w", rate, err)
-		}
-		points = append(points, pt)
-	}
-	return cfg.Result(points), nil
-}
-
 // RunLossPoint drives one rate of the fault-plane capstone: it builds a
 // fresh testbed whose links (both directions, independent deterministic
 // streams) run the configured burst-loss injector, opens one RDP

@@ -31,16 +31,9 @@ func newPair(t *testing.T, prof func() hostsim.Profile, bcfg board.Config, dcfg 
 	bB := board.New(e, hB, cb)
 	ab := atm.NewStripeGroup(e, 4, atm.LinkConfig{})
 	ba := atm.NewStripeGroup(e, 4, atm.LinkConfig{})
-	linksOf := func(g *atm.StripeGroup) []*atm.Link {
-		ls := make([]*atm.Link, g.Width())
-		for i := range ls {
-			ls[i] = g.Link(i)
-		}
-		return ls
-	}
-	bA.AttachTxLinks(linksOf(ab))
+	bA.AttachTxLinks(ab.Links())
 	bB.AttachRxLinks(ab)
-	bB.AttachTxLinks(linksOf(ba))
+	bB.AttachTxLinks(ba.Links())
 	bA.AttachRxLinks(ba)
 	dA := New(e, hA, bA, dcfg)
 	dB := New(e, hB, bB, dcfg)

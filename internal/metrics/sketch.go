@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -147,61 +146,6 @@ func orderStat(sorted []float64, q float64) float64 {
 	return sorted[lo] + frac*(sorted[lo+1]-sorted[lo])
 }
 
-// Merge folds o into s. Both sketches must target the same
-// quantiles. The merge is deterministic but order-sensitive
-// (a.Merge(b) and b.Merge(a) may differ in low-order bits), so
-// callers that need canonical results must merge in a canonical
-// order, exactly like the parexp result merge. o is not modified.
-//
-// Initialized estimators combine by piecewise-linear CDF averaging:
-// the union of both marker sets is re-sampled at the ideal marker
-// fractions of the combined stream, and marker positions reset to
-// their ideal values. Empirically this keeps the estimate within the
-// same error band as feeding one sketch the concatenated stream (see
-// sketch_test.go).
-func (s *Sketch) Merge(o *Sketch) {
-	if s == nil || o == nil || o.count == 0 {
-		return
-	}
-	if len(s.qs) != len(o.qs) {
-		panic("metrics: merging sketches with different targets")
-	}
-	for i := range s.qs {
-		if s.qs[i] != o.qs[i] {
-			panic("metrics: merging sketches with different targets")
-		}
-	}
-	if o.count < 5 {
-		for i := 0; i < int(o.count); i++ {
-			s.Observe(o.buf[i])
-		}
-		return
-	}
-	if s.count < 5 {
-		old := s.buf
-		oldn := int(s.count)
-		s.count = o.count
-		s.min, s.max = o.min, o.max
-		s.buf = o.buf
-		copy(s.est, o.est)
-		for i := 0; i < oldn; i++ {
-			s.Observe(old[i])
-		}
-		return
-	}
-	ca, cb := s.count, o.count
-	for k := range s.est {
-		s.est[k] = mergeP2(&s.est[k], ca, &o.est[k], cb)
-	}
-	s.count = ca + cb
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-}
-
 // p2 is a single-quantile P² estimator: five marker heights h at
 // (float) positions n, tracked against desired positions np moving by
 // dn per observation.
@@ -266,90 +210,4 @@ func (p *p2) parabolic(i int, d float64) float64 {
 func (p *p2) linear(i int, d float64) float64 {
 	j := i + int(d)
 	return p.h[i] + d*(p.h[j]-p.h[i])/(p.n[j]-p.n[i])
-}
-
-// cdf evaluates the estimator's piecewise-linear empirical CDF at x,
-// mapping marker i to cumulative fraction (n[i]-1)/(c-1).
-func (p *p2) cdf(c int64, x float64) float64 {
-	if x <= p.h[0] {
-		return 0
-	}
-	if x >= p.h[4] {
-		return 1
-	}
-	for i := 0; i < 4; i++ {
-		if x < p.h[i+1] {
-			den := p.h[i+1] - p.h[i]
-			t := 0.0
-			if den > 0 {
-				t = (x - p.h[i]) / den
-			}
-			r := p.n[i] + t*(p.n[i+1]-p.n[i])
-			return (r - 1) / (float64(c) - 1)
-		}
-	}
-	return 1
-}
-
-// mergeP2 combines two initialized estimators for the same target
-// quantile by count-weighted CDF averaging over the union of their
-// marker heights, then re-samples five markers at the combined
-// stream's ideal fractions.
-func mergeP2(a *p2, ca int64, b *p2, cb int64) p2 {
-	var knots [10]float64
-	copy(knots[0:5], a.h[:])
-	copy(knots[5:10], b.h[:])
-	sort.Float64s(knots[:])
-	wa, wb := float64(ca), float64(cb)
-	var fs [10]float64
-	for i, x := range knots {
-		fs[i] = (wa*a.cdf(ca, x) + wb*b.cdf(cb, x)) / (wa + wb)
-	}
-	q := a.q
-	fr := [5]float64{0, q / 2, q, (1 + q) / 2, 1}
-	n := ca + cb
-	var out p2
-	out.q = q
-	for i, f := range fr {
-		out.h[i] = invertCDF(&knots, &fs, f)
-	}
-	for i := 1; i < 5; i++ {
-		if out.h[i] < out.h[i-1] {
-			out.h[i] = out.h[i-1]
-		}
-	}
-	for i, f := range fr {
-		ideal := 1 + f*(float64(n)-1)
-		out.n[i] = math.Round(ideal)
-		out.np[i] = ideal
-	}
-	// Marker positions must stay strictly increasing for the update
-	// rule's divisions; nudge collisions apart (only reachable for
-	// very small combined counts).
-	for i := 1; i < 5; i++ {
-		if out.n[i] <= out.n[i-1] {
-			out.n[i] = out.n[i-1] + 1
-		}
-	}
-	out.dn = [5]float64{0, q / 2, q, (1 + q) / 2, 1}
-	return out
-}
-
-// invertCDF finds x with F(x) = f on the piecewise-linear CDF given
-// by (knots, fs).
-func invertCDF(knots *[10]float64, fs *[10]float64, f float64) float64 {
-	if f <= fs[0] {
-		return knots[0]
-	}
-	for j := 1; j < 10; j++ {
-		if fs[j] >= f {
-			den := fs[j] - fs[j-1]
-			if den <= 0 {
-				return knots[j-1]
-			}
-			t := (f - fs[j-1]) / den
-			return knots[j-1] + t*(knots[j]-knots[j-1])
-		}
-	}
-	return knots[9]
 }

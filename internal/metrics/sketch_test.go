@@ -109,106 +109,6 @@ func TestSketchDeterministicState(t *testing.T) {
 	}
 }
 
-func TestSketchMergeDeterministic(t *testing.T) {
-	mkPair := func() (*Sketch, *Sketch) {
-		rng := rand.New(rand.NewSource(11))
-		a := NewSketch(0.5, 0.9, 0.99)
-		b := NewSketch(0.5, 0.9, 0.99)
-		for i := 0; i < 8000; i++ {
-			a.Observe(rng.Float64() * 100)
-		}
-		for i := 0; i < 6000; i++ {
-			b.Observe(rng.ExpFloat64() * 40)
-		}
-		return a, b
-	}
-	a1, b1 := mkPair()
-	a2, b2 := mkPair()
-	a1.Merge(b1)
-	a2.Merge(b2)
-	if !reflect.DeepEqual(a1, a2) {
-		t.Fatalf("same merge inputs produced different merged state")
-	}
-}
-
-func TestSketchMergeAccuracy(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	all := make([]float64, 0, 40000)
-	parts := make([]*Sketch, 4)
-	for p := range parts {
-		parts[p] = NewSketch(0.5, 0.9, 0.99)
-		for i := 0; i < 10000; i++ {
-			x := rng.Float64() * 1000
-			parts[p].Observe(x)
-			all = append(all, x)
-		}
-	}
-	merged := parts[0]
-	for _, p := range parts[1:] {
-		merged.Merge(p)
-	}
-	if merged.Count() != 40000 {
-		t.Fatalf("merged count = %d, want 40000", merged.Count())
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		got := merged.Quantile(q)
-		want := exactQ(all, q)
-		rel := math.Abs(got-want) / want
-		t.Logf("merged p%g: sketch=%.6g exact=%.6g rel-err=%.4f", q*100, got, want, rel)
-		if rel > 0.05 {
-			t.Errorf("merged p%g: sketch=%.6g exact=%.6g rel-err=%.4f > 0.05", q*100, got, want, rel)
-		}
-	}
-}
-
-func TestSketchMergeSmallSides(t *testing.T) {
-	// Uninitialized (<5 obs) sketches merge by replay, in both
-	// directions.
-	a := NewSketch(0.5)
-	b := NewSketch(0.5)
-	a.Observe(1)
-	a.Observe(2)
-	b.Observe(3)
-	a.Merge(b)
-	if a.Count() != 3 || a.Quantile(0.5) != 2 {
-		t.Errorf("small-small merge: count=%d p50=%g", a.Count(), a.Quantile(0.5))
-	}
-
-	big := NewSketch(0.5)
-	for i := 1; i <= 1000; i++ {
-		big.Observe(float64(i))
-	}
-	small := NewSketch(0.5)
-	small.Observe(500.5)
-	smallFirst := NewSketch(0.5)
-	smallFirst.Observe(500.5)
-	smallFirst.Merge(big)
-	big.Merge(small)
-	if big.Count() != 1001 || smallFirst.Count() != 1001 {
-		t.Fatalf("counts after mixed merges: %d, %d", big.Count(), smallFirst.Count())
-	}
-	for name, s := range map[string]*Sketch{"big<-small": big, "small<-big": smallFirst} {
-		if got := s.Quantile(0.5); math.Abs(got-500.5) > 25 {
-			t.Errorf("%s p50 = %g, want ~500.5", name, got)
-		}
-	}
-}
-
-func TestSketchMergeTargetMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("mismatched merge targets must panic")
-		}
-	}()
-	a := NewSketch(0.5)
-	b := NewSketch(0.9)
-	for i := 0; i < 10; i++ {
-		a.Observe(float64(i))
-		b.Observe(float64(i))
-	}
-	a.Merge(b)
-}
-
 func TestSketchTargetsSortedDeduped(t *testing.T) {
 	s := NewSketch(0.99, 0.5, 0.99, 0.9)
 	want := []float64{0.5, 0.9, 0.99}

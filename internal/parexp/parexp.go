@@ -30,16 +30,13 @@ import (
 )
 
 // Job is one independent experiment. Run must be self-contained: it
-// builds whatever simulated system it needs (seeded from Seed or from
-// configuration it captured), runs it, and returns the outcome. Run
-// must not touch state shared with other jobs.
+// builds whatever simulated system it needs from configuration it
+// captured, runs it, and returns the outcome. Run must not touch state
+// shared with other jobs.
 type Job struct {
 	// Name identifies the job in results, error reports, and the
 	// harness's -run filter, e.g. "fig3/double-cell DMA/65536".
 	Name string
-	// Seed is the simulation seed the job runs with, carried into the
-	// Result for reporting. parexp does not interpret it.
-	Seed int64
 	// Cost is an optional scheduling hint: when any job in a batch sets
 	// a non-zero Cost, parallel workers start jobs in descending Cost
 	// order (longest-processing-time-first), which tightens the makespan
@@ -53,7 +50,6 @@ type Job struct {
 // submitted in.
 type Result struct {
 	Name  string
-	Seed  int64
 	Value any   // Run's return value; nil if it errored or panicked
 	Err   error // Run's error, or the recovered panic
 	// Wall is the job's wall-clock execution time.
@@ -137,7 +133,6 @@ func dispatchOrder(jobs []Job) []int {
 // barrier.
 func runOne(j *Job) (res Result) {
 	res.Name = j.Name
-	res.Seed = j.Seed
 	start := time.Now()
 	defer func() {
 		res.Wall = time.Since(start)

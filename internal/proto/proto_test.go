@@ -34,16 +34,9 @@ func newStackPair(t *testing.T, prof func() hostsim.Profile, mtu int, dcfg drive
 	bB := board.New(e, hB, board.Config{Name: "B"})
 	ab := atm.NewStripeGroup(e, 4, atm.LinkConfig{})
 	ba := atm.NewStripeGroup(e, 4, atm.LinkConfig{})
-	linksOf := func(g *atm.StripeGroup) []*atm.Link {
-		ls := make([]*atm.Link, g.Width())
-		for i := range ls {
-			ls[i] = g.Link(i)
-		}
-		return ls
-	}
-	bA.AttachTxLinks(linksOf(ab))
+	bA.AttachTxLinks(ab.Links())
 	bB.AttachRxLinks(ab)
-	bB.AttachTxLinks(linksOf(ba))
+	bB.AttachTxLinks(ba.Links())
 	bA.AttachRxLinks(ba)
 	dA := driver.New(e, hA, bA, dcfg)
 	dB := driver.New(e, hB, bB, dcfg)

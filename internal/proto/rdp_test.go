@@ -29,16 +29,9 @@ func newLossyStackPair(t *testing.T, loss float64, seed int64) *stackPair {
 	}
 	ab := atm.NewStripeGroup(e, 4, lc)
 	ba := atm.NewStripeGroup(e, 4, atm.LinkConfig{})
-	linksOf := func(g *atm.StripeGroup) []*atm.Link {
-		ls := make([]*atm.Link, g.Width())
-		for i := range ls {
-			ls[i] = g.Link(i)
-		}
-		return ls
-	}
-	bA.AttachTxLinks(linksOf(ab))
+	bA.AttachTxLinks(ab.Links())
 	bB.AttachRxLinks(ab)
-	bB.AttachTxLinks(linksOf(ba))
+	bB.AttachTxLinks(ba.Links())
 	bA.AttachRxLinks(ba)
 	dA := driver.New(e, hA, bA, driver.Config{Cache: driver.CacheNone})
 	dB := driver.New(e, hB, bB, driver.Config{Cache: driver.CacheNone})

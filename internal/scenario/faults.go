@@ -32,7 +32,6 @@ func faults(cfg Config) (Report, error) {
 		rate := rate
 		jobs = append(jobs, parexp.Job{
 			Name: fmt.Sprintf("faults/rate=%g", rate),
-			Seed: core.DefaultSeed,
 			// Heavier loss means more retransmission rounds and a longer
 			// simulated run; start those first.
 			Cost: rate,

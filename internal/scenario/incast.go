@@ -103,7 +103,6 @@ func incast(cfg Config) (Report, error) {
 		}
 		jobs = append(jobs, parexp.Job{
 			Name: c.Name,
-			Seed: core.DefaultSeed,
 			// The unpaced points churn the longest; start them first.
 			Cost: float64(w.MessageBytes) / float64(1+w.Gap),
 			Run: func() (any, error) {

@@ -5,10 +5,12 @@ import (
 	"time"
 
 	"repro/internal/board"
+	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/hostsim"
 	"repro/internal/parexp"
+	"repro/internal/proto"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -74,7 +76,6 @@ func table1(cfg Config) (Report, error) {
 			r, size := r, size
 			jobs = append(jobs, parexp.Job{
 				Name: fmt.Sprintf("table1/%s/%s/%d", r.opt.Profile.Name, r.kind, size),
-				Seed: core.DefaultSeed,
 				Cost: float64(size),
 				Run: func() (any, error) {
 					tb := core.NewTestbed(cfg.options(r.opt))
@@ -143,7 +144,6 @@ func figure(cfg Config, fig, title, plotTitle, note string, curves []curve, tran
 			c, size := c, size
 			jobs = append(jobs, parexp.Job{
 				Name: fmt.Sprintf("%s/%s/%d", fig, c.name, size),
-				Seed: core.DefaultSeed,
 				// Sizes serve as cost hints so the pool starts the big
 				// points first.
 				Cost: float64(size),
@@ -252,25 +252,50 @@ type ablationRow struct {
 }
 
 // ablations runs the design-choice experiments of §2-§3, each variant
-// one independent simulation (ablation.go).
+// one independent simulation (ablation.go). A rig's error fails its job
+// and with it the scenario.
 func ablations(cfg Config) (Report, error) {
+	lazy := driver.Config{Cache: driver.CacheLazy}
 	// The experiment label appears only on its first variant's row.
 	rows := []struct {
 		job, experiment, variant string
-		run                      func() string
+		run                      func() (string, error)
 	}{
-		{"ring/lockfree", "§2.1.1 host/board queue", "lock-free 1R1W", func() string { return fmt.Sprintf("%v/op", ringTime(false)) }},
-		{"ring/spinlock", "", "spin-lock", func() string { return fmt.Sprintf("%v/op", ringTime(true)) }},
-		{"inval/lazy", "§2.3 cache invalidation", "lazy", func() string { return fmt.Sprintf("%.0f Mbps", inval(cfg, driver.CacheLazy)) }},
-		{"inval/eager", "", "eager", func() string { return fmt.Sprintf("%.0f Mbps", inval(cfg, driver.CacheEager)) }},
-		{"wiring/primitive", "§2.4 wiring (4 pages)", "low-level primitive", func() string { return wire(false).String() }},
-		{"wiring/standard", "", "standard service", func() string { return wire(true).String() }},
-		{"skew/four-aal5", "§2.6 reassembly under skew", "four-aal5", func() string { return strat(cfg, board.FourAAL5) }},
-		{"skew/seqnum", "", "seqnum", func() string { return strat(cfg, board.SeqNum) }},
-		{"skew/arrival-order", "", "arrival-order", func() string { return strat(cfg, board.ArrivalOrder) }},
-		{"fbuf/cached", "§3.1 fbuf transfer (16 KB)", "cached", func() string { return fb(true).String() }},
-		{"fbuf/uncached", "", "uncached", func() string { return fb(false).String() }},
-		{"rdp-loss/go-back-n", "§2.3 1% cell loss + RDP", "go-back-N", func() string { return lossy(cfg) }},
+		{"ring/lockfree", "§2.1.1 host/board queue", "lock-free 1R1W", func() (string, error) { return ringTime(false) }},
+		{"ring/spinlock", "", "spin-lock", func() (string, error) { return ringTime(true) }},
+		{"irq/isolated", "§2.1.2 interrupts per PDU", "isolated PDUs", func() (string, error) { return irqPerPDU(false) }},
+		{"irq/burst", "", "burst, busy host", func() (string, error) { return irqPerPDU(true) }},
+		{"irq-discipline/coalesced", "§2.1.2 4 KB receive, 5000/200", "burst-coalesced", func() (string, error) { return rxMbps(cfg, lazy, board.Config{}, 4096, 10) }},
+		{"irq-discipline/per-pdu", "", "interrupt per PDU", func() (string, error) { return rxMbps(cfg, lazy, board.Config{InterruptPerPDU: true}, 4096, 10) }},
+		{"frag/naive-mtu", "§2.2 buffers per 16 KB msg", "4 KB MTU, misaligned (paper ≤14)", func() (string, error) { return fragBuffers(cfg, 4096, 128) }},
+		{"frag/page-aligned-mtu", "", "page-aligned MTU", func() (string, error) { return fragBuffers(cfg, 4096+proto.IPHeaderSize, 0) }},
+		{"vdma/descriptor-chain", "§2.2 send, scattered 4 pages", "descriptor chain", func() (string, error) { return sendTime(false) }},
+		{"vdma/virtual-dma", "", "virtual DMA", func() (string, error) { return sendTime(true) }},
+		{"contig/fragmenting", "§2.2 buffers per 4-page msg", "fragmenting", func() (string, error) { return contigBuffers(false) }},
+		{"contig/contiguous", "", "contiguous", func() (string, error) { return contigBuffers(true) }},
+		{"inval/lazy", "§2.3 cache invalidation", "lazy", func() (string, error) { return rxMbps(cfg, lazy, board.Config{}, 16384, 8) }},
+		{"inval/eager", "", "eager", func() (string, error) {
+			return rxMbps(cfg, driver.Config{Cache: driver.CacheEager}, board.Config{}, 16384, 8)
+		}},
+		{"rdp-loss/go-back-n", "§2.3 1% cell loss + RDP", "go-back-N", func() (string, error) { return lossy(cfg) }},
+		{"wiring/primitive", "§2.4 wiring (4 pages)", "low-level primitive", func() (string, error) { return wire(false) }},
+		{"wiring/standard", "", "standard service", func() (string, error) { return wire(true) }},
+		{"dma/tx-single", "§2.5.1 DMA ceiling", "tx single-cell (paper 367)", func() (string, error) { return busMbps(2000, 44, (*bus.Bus).DMARead) }},
+		{"dma/rx-single", "", "rx single-cell (paper 463)", func() (string, error) { return busMbps(2000, 44, (*bus.Bus).DMAWrite) }},
+		{"dma/tx-double", "", "tx double-cell (paper 503)", func() (string, error) { return busMbps(2000, 88, (*bus.Bus).DMARead) }},
+		{"dma/rx-double", "", "rx double-cell (paper 587)", func() (string, error) { return busMbps(2000, 88, (*bus.Bus).DMAWrite) }},
+		{"skew/four-aal5", "§2.6 reassembly under skew", "four-aal5", func() (string, error) { return strat(cfg, board.FourAAL5) }},
+		{"skew/seqnum", "", "seqnum", func() (string, error) { return strat(cfg, board.SeqNum) }},
+		{"skew/arrival-order", "", "arrival-order", func() (string, error) { return strat(cfg, board.ArrivalOrder) }},
+		{"combine/no-skew", "§2.6 double-cell combining", "no skew", func() (string, error) { return combined(0) }},
+		{"combine/skewed", "", "one link 3 cells late", func() (string, error) { return combined(3) }},
+		{"pio/dma", "§2.7 moving cells to the host", "DMA", func() (string, error) { return busMbps(1000, 44, (*bus.Bus).DMAWrite) }},
+		{"pio/pio", "", "PIO", func() (string, error) { return busMbps(1000, 44, pioRead) }},
+		{"fbuf/cached", "§3.1 fbuf transfer (16 KB)", "cached", func() (string, error) { return fb(true) }},
+		{"fbuf/uncached", "", "uncached", func() (string, error) { return fb(false) }},
+		{"prio/overload", "§3.1 priority overload", "early demux", priorityDelivery},
+		{"adc/kernel", "§3.2 1 KB round trip, 3000/600", "kernel to kernel", func() (string, error) { return pingRTT(false) }},
+		{"adc/user", "", "user to user via ADC", func() (string, error) { return pingRTT(true) }},
 	}
 	var jobs []parexp.Job
 	for _, r := range rows {
@@ -278,7 +303,8 @@ func ablations(cfg Config) (Report, error) {
 		jobs = append(jobs, parexp.Job{
 			Name: "ablations/" + r.job,
 			Run: func() (any, error) {
-				return ablationRow{Job: r.job, Experiment: r.experiment, Variant: r.variant, Result: r.run()}, nil
+				res, err := r.run()
+				return ablationRow{Job: r.job, Experiment: r.experiment, Variant: r.variant, Result: res}, err
 			},
 		})
 	}

@@ -91,7 +91,6 @@ func tenants(cfg Config) (Report, error) {
 		sp := sp
 		jobs = append(jobs, parexp.Job{
 			Name: sp.name,
-			Seed: core.DefaultSeed,
 			// The big tenant counts dominate; start them first.
 			Cost: float64(sp.w.Tenants),
 			Run:  func() (any, error) { return core.RunTenants(cfg.options(core.Options{}), sp.w) },
