@@ -121,8 +121,14 @@ func (cl *Cluster) registerEngineDiag() {
 	}
 }
 
-// Shutdown tears the simulation down, terminating every proc.
-func (cl *Cluster) Shutdown() { cl.Eng.Shutdown() }
+// Shutdown tears the simulation down, terminating every proc, and
+// releases every node's physical memory.
+func (cl *Cluster) Shutdown() {
+	cl.Eng.Shutdown()
+	for _, n := range cl.Nodes {
+		n.Host.Mem.Release()
+	}
+}
 
 // checkPair rejects a node pair that is out of range or joins a node to
 // itself.

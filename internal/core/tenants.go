@@ -429,6 +429,8 @@ func RunTenants(opt Options, w Tenants) (*TenantsResult, error) {
 	})
 	e.RunUntil(e.Now().Add(w.Horizon))
 	e.Shutdown()
+	hA.Mem.Release()
+	hB.Mem.Release()
 	if setupErr != nil {
 		return nil, setupErr
 	}

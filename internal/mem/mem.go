@@ -15,6 +15,7 @@ package mem
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 )
 
 // PhysAddr is a physical byte address.
@@ -41,8 +42,9 @@ func (b PhysBuffer) End() PhysAddr { return b.Addr + PhysAddr(b.Len) }
 type Memory struct {
 	pageSize int
 	data     []byte
-	wired    []int  // wire count per frame
-	owned    []bool // frame currently allocated; the free list holds exactly the others
+	unmap    func([]byte) error // returns data to the OS; nil when the Go heap holds it
+	wired    []int              // wire count per frame
+	owned    []bool             // frame currently allocated; the free list holds exactly the others
 	free     []Frame
 	rng      *rand.Rand
 	scramble bool
@@ -60,7 +62,9 @@ type Config struct {
 	Sequential bool
 }
 
-// New returns a Memory configured by cfg.
+// New returns a Memory configured by cfg. On unix its bytes come from
+// an anonymous mapping, so the kernel supplies zero pages on first touch
+// and building a host costs nothing per byte; Release returns them.
 func New(cfg Config) *Memory {
 	if cfg.PageSize == 0 {
 		cfg.PageSize = 4096
@@ -71,9 +75,21 @@ func New(cfg Config) *Memory {
 	if cfg.PageSize&(cfg.PageSize-1) != 0 {
 		panic("mem: page size must be a power of two")
 	}
+	data, unmap := backing(cfg.PageSize * cfg.Pages)
+	m := newMemory(cfg, data)
+	m.unmap = unmap
+	if unmap != nil {
+		runtime.SetFinalizer(m, (*Memory).Release) // a backstop for an owner that never calls Release
+	}
+	return m
+}
+
+// newMemory builds a Memory of cfg's (defaulted) geometry over data,
+// which must hold PageSize*Pages zero bytes.
+func newMemory(cfg Config, data []byte) *Memory {
 	m := &Memory{
 		pageSize: cfg.PageSize,
-		data:     make([]byte, cfg.PageSize*cfg.Pages),
+		data:     data,
 		wired:    make([]int, cfg.Pages),
 		owned:    make([]bool, cfg.Pages),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
@@ -87,6 +103,22 @@ func New(cfg Config) *Memory {
 		m.rng.Shuffle(len(m.free), func(i, j int) { m.free[i], m.free[j] = m.free[j], m.free[i] })
 	}
 	return m
+}
+
+// Release returns the physical memory to the OS. Any later access
+// panics with the out-of-range message, as the bytes are gone. Calling
+// it again does nothing.
+func (m *Memory) Release() {
+	data, unmap := m.data, m.unmap
+	// data goes first, so that a use after release fails the bounds
+	// check instead of faulting on an unmapped page.
+	m.data, m.unmap = nil, nil
+	runtime.SetFinalizer(m, nil)
+	if unmap != nil {
+		if err := unmap(data); err != nil {
+			panic(fmt.Sprintf("mem: releasing physical memory: %v", err))
+		}
+	}
 }
 
 // PageSize returns the frame size in bytes.
@@ -184,8 +216,8 @@ func (m *Memory) FreeFrame(f Frame) {
 	}
 }
 
-// Wire increments the wire count of the frame containing a. A wired
-// frame is ineligible for reclamation by the paging daemon (§2.4).
+// Wire increments the wire count of frame f. A wired frame is
+// ineligible for reclamation by the paging daemon (§2.4).
 func (m *Memory) Wire(f Frame) { m.wired[f]++ }
 
 // Unwire decrements the wire count of frame f.
@@ -206,9 +238,11 @@ func (m *Memory) Reclaim(f Frame) error {
 	if m.wired[f] > 0 {
 		return fmt.Errorf("mem: frame %d is wired", f)
 	}
-	start := int(f) * m.pageSize
-	for i := 0; i < m.pageSize; i++ {
-		m.data[start+i] = 0xDE
+	a := m.FrameAddr(f)
+	m.check(a, m.pageSize)
+	page := m.data[a : int(a)+m.pageSize]
+	for i := range page {
+		page[i] = 0xDE
 	}
 	return nil
 }

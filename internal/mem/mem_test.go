@@ -2,7 +2,9 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -334,4 +336,107 @@ func TestWordRoundTripQuick(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// One seeded random sequence of accesses, frame-crossing and out of
+// range ones included, leaves New's memory and a heap-backed one
+// holding the same bytes after every step, returning the same results
+// and panicking the same way.
+func TestBackingsAgree(t *testing.T) {
+	cfg := Config{PageSize: 4096, Pages: 8}
+	size := cfg.PageSize * cfg.Pages
+	mapped := New(cfg)
+	defer mapped.Release()
+	heap := newMemory(cfg, make([]byte, size))
+	for _, m := range []*Memory{mapped, heap} {
+		m.Wire(0) // so that Reclaim(0) takes the refusal path
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	addr := func() PhysAddr {
+		switch rng.Intn(4) {
+		case 0: // just below a frame boundary, so most accesses cross it
+			return PhysAddr((1+rng.Intn(cfg.Pages))*cfg.PageSize - 1 - rng.Intn(8))
+		case 1: // at or near the end of memory
+			return PhysAddr(size - rng.Intn(16))
+		default:
+			return PhysAddr(rng.Intn(size))
+		}
+	}
+	wordAddr := func() PhysAddr {
+		a := addr()
+		if rng.Intn(8) > 0 {
+			a &^= 3 // mostly aligned; an unaligned one must panic alike
+		}
+		return a
+	}
+	run := func(m *Memory, op func(*Memory) any) (res, panicked any) {
+		defer func() { panicked = recover() }()
+		return op(m), nil
+	}
+
+	panics, crossings := 0, 0
+	for step := 0; step < 3000; step++ {
+		var desc string
+		var op func(*Memory) any
+		switch k := rng.Intn(6); k {
+		case 0, 1, 2:
+			a, n := addr(), rng.Intn(64)
+			if int(a)/cfg.PageSize != (int(a)+n-1)/cfg.PageSize {
+				crossings++
+			}
+			switch k {
+			case 0:
+				desc = fmt.Sprintf("Read(%d, %d)", a, n)
+				op = func(m *Memory) any { return m.Read(a, n) }
+			case 1:
+				desc = fmt.Sprintf("ReadInto(%d, [%d])", a, n)
+				op = func(m *Memory) any { dst := make([]byte, n); m.ReadInto(a, dst); return dst }
+			default:
+				src := make([]byte, n)
+				rng.Read(src)
+				desc = fmt.Sprintf("Write(%d, [%d])", a, n)
+				op = func(m *Memory) any { m.Write(a, src); return nil }
+			}
+		case 3:
+			a := wordAddr()
+			desc = fmt.Sprintf("ReadWord(%d)", a)
+			op = func(m *Memory) any { return m.ReadWord(a) }
+		case 4:
+			a, v := wordAddr(), rng.Uint32()
+			desc = fmt.Sprintf("WriteWord(%d, %#x)", a, v)
+			op = func(m *Memory) any { m.WriteWord(a, v); return nil }
+		default:
+			f := Frame(rng.Intn(cfg.Pages + 1))
+			desc = fmt.Sprintf("Reclaim(%d)", f)
+			op = func(m *Memory) any { return m.Reclaim(f) }
+		}
+		r1, p1 := run(mapped, op)
+		r2, p2 := run(heap, op)
+		if fmt.Sprint(r1) != fmt.Sprint(r2) || fmt.Sprint(p1) != fmt.Sprint(p2) {
+			t.Fatalf("step %d %s: mapped gave %v (panic %v), heap %v (panic %v)", step, desc, r1, p1, r2, p2)
+		}
+		if !bytes.Equal(mapped.data, heap.data) {
+			t.Fatalf("step %d %s: the backings' bytes differ", step, desc)
+		}
+		if p1 != nil {
+			panics++
+		}
+	}
+	if panics < 100 || crossings < 100 {
+		t.Errorf("sequence too tame: %d panics, %d frame crossings", panics, crossings)
+	}
+}
+
+func TestRelease(t *testing.T) {
+	m := New(Config{Pages: 4})
+	m.WriteWord(0, 1)
+	m.Release()
+	m.Release() // a second call does nothing
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "beyond physical memory size 0") {
+			t.Errorf("ReadWord after Release panicked with %q, want the bounds message", msg)
+		}
+	}()
+	m.ReadWord(0)
 }
