@@ -19,6 +19,7 @@ package cache
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 
 	"repro/internal/mem"
 )
@@ -58,14 +59,21 @@ type Stats struct {
 
 // Cache is a direct-mapped, write-through, no-write-allocate data cache —
 // the organization of the DECstation 5000/200's 64 KB D-cache.
+//
+// Its line store comes from mem.Backing: an anonymous mapping on unix,
+// so the 2 MB store of a DEC 3000 cache costs nothing to build, and a
+// page of it only when a line in that page is first filled. A slot is
+// read only while its line is valid, which means after a fill, so what
+// the store held before is never seen.
 type Cache struct {
 	mem      *mem.Memory
 	policy   CoherencePolicy
 	lineSize int
 	nLines   int
 	valid    []bool
-	tags     []uint32 // line-aligned physical address of cached line
-	data     []byte   // nLines * lineSize backing store
+	tags     []uint32           // line-aligned physical address of cached line
+	data     []byte             // nLines * lineSize line store
+	unmap    func([]byte) error // returns data to the OS; nil when the Go heap holds it
 	stats    Stats
 }
 
@@ -87,6 +95,18 @@ func New(m *mem.Memory, cfg Config) *Cache {
 	if cfg.Size%cfg.LineSize != 0 {
 		panic("cache: size not a multiple of line size")
 	}
+	data, unmap := mem.Backing(cfg.Size)
+	c := newWithStore(m, cfg, data)
+	c.unmap = unmap
+	if unmap != nil {
+		runtime.SetFinalizer(c, (*Cache).Release) // a backstop for an owner that never calls Release
+	}
+	return c
+}
+
+// newWithStore builds a cache of cfg's (defaulted) geometry over the line
+// store data, which must hold cfg.Size bytes of any content.
+func newWithStore(m *mem.Memory, cfg Config, data []byte) *Cache {
 	n := cfg.Size / cfg.LineSize
 	return &Cache{
 		mem:      m,
@@ -95,7 +115,23 @@ func New(m *mem.Memory, cfg Config) *Cache {
 		nLines:   n,
 		valid:    make([]bool, n),
 		tags:     make([]uint32, n),
-		data:     make([]byte, cfg.Size),
+		data:     data,
+	}
+}
+
+// Release returns the line store to the OS. Any later access that
+// touches a line panics, as the store is gone. Calling it again does
+// nothing.
+func (c *Cache) Release() {
+	data, unmap := c.data, c.unmap
+	// data goes first, so that a use after release fails a bounds
+	// check instead of faulting on an unmapped page.
+	c.data, c.unmap = nil, nil
+	runtime.SetFinalizer(c, nil)
+	if unmap != nil {
+		if err := unmap(data); err != nil {
+			panic(fmt.Sprintf("cache: releasing the line store: %v", err))
+		}
 	}
 }
 

@@ -2,6 +2,9 @@ package cache
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -247,5 +250,80 @@ func TestCoherentWithoutDMAQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestRelease(t *testing.T) {
+	c, _ := newCache(Incoherent)
+	var buf [4]byte
+	c.Read(0, buf[:])
+	c.Release()
+	c.Release() // a second call does nothing
+	defer func() {
+		if _, ok := recover().(runtime.Error); !ok {
+			t.Error("Read after Release did not fail a bounds check")
+		}
+	}()
+	c.Read(0, buf[:])
+}
+
+// Property: over one seeded random sequence of CPU reads and writes, DMA
+// writes, invalidations and flushes, under either coherence policy, a
+// cache whose line store starts full of 0xDE behaves exactly as one
+// whose store starts zeroed: the same bytes, hits, misses and stale
+// reads. So a slot's content before its line's first fill is never seen,
+// and the store may come from memory nobody cleared.
+func TestUnfilledStoreNeverObserved(t *testing.T) {
+	for _, policy := range []CoherencePolicy{Incoherent, DMAUpdate} {
+		cfg := Config{Size: 1024, LineSize: 16, Policy: policy}
+		zero := newWithStore(mem.New(mem.Config{Pages: 1}), cfg, make([]byte, cfg.Size))
+		dirty := newWithStore(mem.New(mem.Config{Pages: 1}), cfg, bytes.Repeat([]byte{0xDE}, cfg.Size))
+		span := 2 * cfg.Size // twice the cache, so lines both hit and conflict
+		rng := rand.New(rand.NewSource(int64(policy) + 1))
+		for step := 0; step < 5000; step++ {
+			a, n := rng.Intn(span-64), 1+rng.Intn(64)
+			var got, want [2]int
+			var desc string
+			switch rng.Intn(8) {
+			case 0, 1, 2:
+				desc = fmt.Sprintf("Read(%d, %d)", a, n)
+				bz, bd := make([]byte, n), make([]byte, n)
+				want[0], want[1] = zero.Read(mem.PhysAddr(a), bz)
+				got[0], got[1] = dirty.Read(mem.PhysAddr(a), bd)
+				if !bytes.Equal(bz, bd) {
+					t.Fatalf("%v step %d %s: read %x, zeroed store read %x", policy, step, desc, bd, bz)
+				}
+			case 3, 4:
+				src := make([]byte, n)
+				rng.Read(src)
+				desc = fmt.Sprintf("Write(%d, [%d])", a, n)
+				want[0], want[1] = zero.Write(mem.PhysAddr(a), src)
+				got[0], got[1] = dirty.Write(mem.PhysAddr(a), src)
+			case 5:
+				src := make([]byte, n)
+				rng.Read(src)
+				desc = fmt.Sprintf("DMAWrite(%d, [%d])", a, n)
+				zero.DMAWrite(mem.PhysAddr(a), src)
+				dirty.DMAWrite(mem.PhysAddr(a), src)
+			case 6:
+				desc = fmt.Sprintf("Invalidate(%d, %d)", a, n)
+				want[0] = zero.Invalidate(mem.PhysAddr(a), n)
+				got[0] = dirty.Invalidate(mem.PhysAddr(a), n)
+			default:
+				if rng.Intn(8) > 0 {
+					continue // flush rarely, so that lines live long enough to go stale
+				}
+				desc = "FlushAll()"
+				zero.FlushAll()
+				dirty.FlushAll()
+			}
+			if got != want || dirty.Stats() != zero.Stats() {
+				t.Fatalf("%v step %d %s: returned %v with stats %+v, zeroed store %v with %+v",
+					policy, step, desc, got, dirty.Stats(), want, zero.Stats())
+			}
+		}
+		if st := zero.Stats(); st.ReadMisses == 0 || st.ReadHits == 0 || st.WriteHits == 0 || (policy == Incoherent && st.StaleReads == 0) {
+			t.Errorf("%v: sequence too tame: %+v", policy, st)
+		}
 	}
 }

@@ -122,11 +122,11 @@ func (cl *Cluster) registerEngineDiag() {
 }
 
 // Shutdown tears the simulation down, terminating every proc, and
-// releases every node's physical memory.
+// releases every node's physical memory and cache line store.
 func (cl *Cluster) Shutdown() {
 	cl.Eng.Shutdown()
 	for _, n := range cl.Nodes {
-		n.Host.Mem.Release()
+		n.Host.Release()
 	}
 }
 

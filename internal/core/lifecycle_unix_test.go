@@ -6,13 +6,15 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/hostsim"
 )
 
 // TestBuildLeavesHostMemoryOffTheHeap: building a testbed or a 9-node
 // cluster allocates little on the Go heap, because each host's 16 MB of
-// physical memory is mapped from the OS (on the heap the two builds
-// would take 34 MB and 154 MB), and Shutdown releases every node's
-// memory.
+// physical memory and its cache's line store (2 MB on a DEC 3000/600)
+// are mapped from the OS (on the heap the builds would take 34 MB,
+// 154 MB and 5 MB), and Shutdown releases every node's memory and cache.
 func TestBuildLeavesHostMemoryOffTheHeap(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -20,6 +22,7 @@ func TestBuildLeavesHostMemoryOffTheHeap(t *testing.T) {
 		build func() *Cluster
 	}{
 		{"NewTestbed", 2 << 20, func() *Cluster { return NewTestbed(Options{}).Cluster }},
+		{"NewTestbed(DEC3000/600)", 2 << 20, func() *Cluster { return NewTestbed(Options{Profile: hostsim.DEC3000_600()}).Cluster }},
 		{"NewCluster(9)", 8 << 20, func() *Cluster { return NewCluster(Options{}, 9) }},
 	} {
 		var before, after runtime.MemStats
@@ -38,6 +41,16 @@ func TestBuildLeavesHostMemoryOffTheHeap(t *testing.T) {
 					}
 				}()
 				n.Host.Mem.ReadWord(0)
+			}()
+			func() {
+				defer func() {
+					// The cache fails on its own released store, before
+					// it would reach memory.
+					if _, ok := recover().(runtime.Error); !ok {
+						t.Errorf("%s node %d: a cache Read after Shutdown did not fail a bounds check", c.name, i)
+					}
+				}()
+				n.Host.Cache.Read(0, make([]byte, 4))
 			}()
 		}
 	}

@@ -429,8 +429,8 @@ func RunTenants(opt Options, w Tenants) (*TenantsResult, error) {
 	})
 	e.RunUntil(e.Now().Add(w.Horizon))
 	e.Shutdown()
-	hA.Mem.Release()
-	hB.Mem.Release()
+	hA.Release()
+	hB.Release()
 	if setupErr != nil {
 		return nil, setupErr
 	}

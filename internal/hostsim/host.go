@@ -45,6 +45,14 @@ func New(e *sim.Engine, prof Profile, memPages int) *Host {
 	return h
 }
 
+// Release returns the host's physical memory and its cache's line store
+// to the OS, at teardown: any later access to either panics. Calling it
+// again does nothing.
+func (h *Host) Release() {
+	h.Mem.Release()
+	h.Cache.Release()
+}
+
 // Compute charges d of CPU time to p, serializing with other CPU users.
 // The profile's CPUMemTrafficRatio fraction of the work additionally
 // occupies the memory path in ComputeChunk slices, so on a serialized

@@ -44,8 +44,14 @@ type Memory struct {
 	data     []byte
 	unmap    func([]byte) error // returns data to the OS; nil when the Go heap holds it
 	wired    []int              // wire count per frame
-	owned    []bool             // frame currently allocated; the free list holds exactly the others
+	owned    []bool             // frame currently allocated
+	// free lists every frame not owned, plus stale entries: frames
+	// AllocContiguous took without unlisting them. Each entry appears
+	// once, and stale counts the owned ones. Dropping the stale entries
+	// leaves the free list an eager allocator would hold, in its order.
 	free     []Frame
+	stale    int
+	low      Frame // every frame below low is owned
 	rng      *rand.Rand
 	scramble bool
 }
@@ -75,7 +81,7 @@ func New(cfg Config) *Memory {
 	if cfg.PageSize&(cfg.PageSize-1) != 0 {
 		panic("mem: page size must be a power of two")
 	}
-	data, unmap := backing(cfg.PageSize * cfg.Pages)
+	data, unmap := Backing(cfg.PageSize * cfg.Pages)
 	m := newMemory(cfg, data)
 	m.unmap = unmap
 	if unmap != nil {
@@ -128,7 +134,7 @@ func (m *Memory) PageSize() int { return m.pageSize }
 func (m *Memory) Pages() int { return len(m.wired) }
 
 // FreePages returns the number of unallocated frames.
-func (m *Memory) FreePages() int { return len(m.free) }
+func (m *Memory) FreePages() int { return len(m.free) - m.stale }
 
 // FrameAddr returns the physical address of the first byte of f.
 func (m *Memory) FrameAddr(f Frame) PhysAddr { return PhysAddr(int(f) * m.pageSize) }
@@ -140,6 +146,10 @@ func (m *Memory) FrameOf(a PhysAddr) Frame { return Frame(int(a) / m.pageSize) }
 // scrambled (unless configured Sequential) so that frames backing a
 // contiguous virtual range are rarely physically adjacent.
 func (m *Memory) AllocFrame() (Frame, error) {
+	for len(m.free) > 0 && m.owned[m.free[len(m.free)-1]] {
+		m.free = m.free[:len(m.free)-1]
+		m.stale--
+	}
 	if len(m.free) == 0 {
 		return 0, fmt.Errorf("mem: out of physical memory")
 	}
@@ -152,15 +162,19 @@ func (m *Memory) AllocFrame() (Frame, error) {
 // AllocContiguous makes a best-effort attempt to allocate n physically
 // contiguous frames (the OS support the paper reports experimenting with
 // in §2.2). It scans for the lowest-addressed run of n frames that are
-// not owned, which is exactly the free set; if none exists it fails
-// rather than falling back, so callers can implement their own fallback
-// policy.
+// not owned; if none exists it fails rather than falling back, so
+// callers can implement their own fallback policy. The run's frames stay
+// on the free list as stale entries, so the call costs O(n) beyond the
+// scan rather than a pass over the whole list.
 func (m *Memory) AllocContiguous(n int) ([]Frame, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("mem: AllocContiguous(%d)", n)
 	}
+	for int(m.low) < m.Pages() && m.owned[m.low] {
+		m.low++
+	}
 	run := 0
-	for i := 0; i < m.Pages(); i++ {
+	for i := int(m.low); i < m.Pages(); i++ {
 		if !m.owned[i] {
 			run++
 		} else {
@@ -169,30 +183,28 @@ func (m *Memory) AllocContiguous(n int) ([]Frame, error) {
 		if run == n {
 			start := i - n + 1
 			frames := make([]Frame, n)
-			for j := 0; j < n; j++ {
+			for j := range frames {
 				frames[j] = Frame(start + j)
+				m.owned[start+j] = true
 			}
-			m.removeRun(Frame(start), n)
-			for _, f := range frames {
-				m.owned[f] = true
-			}
+			m.stale += n
 			return frames, nil
 		}
 	}
 	return nil, fmt.Errorf("mem: no run of %d contiguous free frames", n)
 }
 
-// removeRun drops the contiguous frames [start, start+n) from the free
-// list, preserving the order of the survivors.
-func (m *Memory) removeRun(start Frame, n int) {
-	end := start + Frame(n)
+// compact drops the stale entries from the free list, preserving the
+// order of the survivors.
+func (m *Memory) compact() {
 	kept := m.free[:0]
 	for _, f := range m.free {
-		if f < start || f >= end {
+		if !m.owned[f] {
 			kept = append(kept, f)
 		}
 	}
 	m.free = kept
+	m.stale = 0
 }
 
 // FreeFrame returns f to the free list. Freeing a wired frame panics:
@@ -204,7 +216,13 @@ func (m *Memory) FreeFrame(f Frame) {
 	if m.wired[f] > 0 {
 		panic(fmt.Sprintf("mem: freeing wired frame %d", f))
 	}
+	if m.stale > 0 {
+		m.compact() // else f, if still listed as stale, would be listed twice
+	}
 	m.owned[f] = false
+	if f < m.low {
+		m.low = f
+	}
 	if m.scramble && len(m.free) > 0 {
 		// Insert at a random position to keep the free list fragmented.
 		i := m.rng.Intn(len(m.free) + 1)

@@ -126,10 +126,10 @@ func TestAllocContiguous(t *testing.T) {
 	}
 }
 
-// Over random AllocFrame/FreeFrame/AllocContiguous sequences the free
-// list is exactly the set of frames not owned, and AllocContiguous picks
-// the lowest-addressed free run a brute-force search over the free list
-// finds (or fails exactly when there is none).
+// Over random AllocFrame/FreeFrame/AllocContiguous sequences the live
+// free list is exactly the set of frames not owned, and AllocContiguous
+// picks the lowest-addressed free run a brute-force search over the
+// live free list finds (or fails exactly when there is none).
 func TestAllocContiguousMatchesFreeList(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		m := New(Config{Pages: 96, Seed: seed})
@@ -147,7 +147,7 @@ func TestAllocContiguousMatchesFreeList(t *testing.T) {
 				held = append(held[:i], held[i+1:]...)
 			default:
 				n := 1 + rng.Intn(6)
-				want, ok := lowestFreeRun(m.free, n)
+				want, ok := lowestFreeRun(liveFree(t, m), n)
 				frames, err := m.AllocContiguous(n)
 				if ok != (err == nil) || (ok && frames[0] != want) {
 					t.Fatalf("seed %d step %d: AllocContiguous(%d) = %v, %v; brute force: start %d, found %v",
@@ -156,7 +156,7 @@ func TestAllocContiguousMatchesFreeList(t *testing.T) {
 				held = append(held, frames...)
 			}
 			inFree := make([]bool, m.Pages())
-			for _, f := range m.free {
+			for _, f := range liveFree(t, m) {
 				if inFree[f] {
 					t.Fatalf("seed %d step %d: frame %d on the free list twice", seed, step, f)
 				}
@@ -169,6 +169,36 @@ func TestAllocContiguousMatchesFreeList(t *testing.T) {
 			}
 		}
 	}
+}
+
+// liveFree returns m's free list without its stale entries: the list an
+// eager allocator would hold. It fails t unless every frame appears on
+// the raw list at most once and the owned entries number m.stale.
+func liveFree(t testing.TB, m *Memory) []Frame {
+	t.Helper()
+	listed := make([]bool, m.Pages())
+	var live []Frame
+	stale := 0
+	for _, f := range m.free {
+		if listed[f] {
+			t.Fatalf("frame %d on the free list twice", f)
+		}
+		listed[f] = true
+		if m.owned[f] {
+			stale++
+		} else {
+			live = append(live, f)
+		}
+	}
+	if stale != m.stale {
+		t.Fatalf("%d stale entries on the free list, counted %d", stale, m.stale)
+	}
+	for f := Frame(0); f < m.low; f++ {
+		if !m.owned[f] {
+			t.Fatalf("frame %d is free, below the low-water mark %d", f, m.low)
+		}
+	}
+	return live
 }
 
 // lowestFreeRun returns the start of the lowest run of n consecutive

@@ -105,7 +105,7 @@ func irqPerPDU(burst bool) (string, error) {
 	})
 	e.RunUntil(e.Now().Add(200 * time.Millisecond))
 	e.Shutdown()
-	h.Mem.Release()
+	h.Release()
 	if received == 0 {
 		return "", errors.New("no PDUs received")
 	}
@@ -184,7 +184,7 @@ func sendTime(vdma bool) (string, error) {
 	})
 	e.Run()
 	e.Shutdown()
-	h.Mem.Release()
+	h.Release()
 	out := fmt.Sprintf("%.2f µs/send", cost.Seconds()*1e6)
 	if vdma {
 		out += fmt.Sprintf(", %d map entries", d.Stats().SGMapEntries)
@@ -198,7 +198,7 @@ func sendTime(vdma bool) (string, error) {
 func contigBuffers(contig bool) (string, error) {
 	e := sim.NewEngine(1)
 	h := hostsim.New(e, hostsim.DEC5000_200(), 4096)
-	defer h.Mem.Release()
+	defer h.Release()
 	defer e.Shutdown()
 	data := workload.Payload(4*4096, 2)
 	var m *msg.Message
@@ -253,7 +253,7 @@ func wire(slow bool) (string, error) {
 	})
 	e.Run()
 	e.Shutdown()
-	h.Mem.Release()
+	h.Release()
 	return cost.String(), nil
 }
 
@@ -363,7 +363,7 @@ func combined(lag int) (string, error) {
 	})
 	e.RunUntil(e.Now().Add(100 * time.Millisecond))
 	e.Shutdown()
-	h.Mem.Release()
+	h.Release()
 	s := bd.Stats()
 	total := 2*s.CombinedDMAs + s.SingleDMAs
 	if err == nil && total == 0 {
@@ -403,7 +403,7 @@ func fb(cached bool) (string, error) {
 	})
 	e.Run()
 	e.Shutdown()
-	h.Mem.Release()
+	h.Release()
 	return cost.String(), err
 }
 
@@ -468,7 +468,7 @@ func priorityDelivery() (string, error) {
 	})
 	e.Run()
 	e.Shutdown()
-	h.Mem.Release()
+	h.Release()
 	return fmt.Sprintf("%.4g%% high, %.4g%% low delivered",
 		100*float64(hiGot)/float64(mix.Messages), 100*float64(loGot)/float64(mix.Messages)), err
 }
@@ -543,8 +543,8 @@ func pingRTT(useADC bool) (string, error) {
 	})
 	e.Run()
 	e.Shutdown()
-	hA.Mem.Release()
-	hB.Mem.Release()
+	hA.Release()
+	hB.Release()
 	if err == nil && out == 0 {
 		err = errors.New("no reply")
 	}
