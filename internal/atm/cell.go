@@ -97,20 +97,29 @@ func ParseTrailer(buf []byte) Trailer {
 // Framing: EOM is set on the last cell assigned to each link; Last on
 // the final cell overall.
 func Segment(vci VCI, pdu []byte, width int, withSeq bool) []Cell {
+	return SegmentInto(nil, vci, pdu, width, withSeq)
+}
+
+// SegmentInto is Segment writing the cells into dst's storage, which it
+// grows only when dst is too short, and returning them. Whatever dst
+// held is overwritten: every field of every returned cell is set. Each
+// cell's payload is copied straight from pdu and the trailer written
+// into the last cell, so a PDU is copied once and checksummed once.
+func SegmentInto(dst []Cell, vci VCI, pdu []byte, width int, withSeq bool) []Cell {
 	if width <= 0 {
 		panic("atm: Segment width must be positive")
 	}
 	n := CellsFor(len(pdu))
-	padded := make([]byte, n*CellPayload)
-	copy(padded, pdu)
-	PutTrailer(padded, Trailer{Length: uint32(len(pdu)), CRC: Checksum(pdu)})
-
-	cells := make([]Cell, n)
-	for i := 0; i < n; i++ {
+	if cap(dst) < n {
+		dst = make([]Cell, n)
+	}
+	cells := dst[:n]
+	for i := range cells {
 		c := &cells[i]
-		c.VCI = vci
-		c.Len = CellPayload
-		copy(c.Payload[:], padded[i*CellPayload:(i+1)*CellPayload])
+		*c = Cell{VCI: vci, Len: CellPayload}
+		if off := i * CellPayload; off < len(pdu) {
+			copy(c.Payload[:], pdu[off:])
+		}
 		if withSeq {
 			c.Seq = uint32(i)
 		}
@@ -121,7 +130,9 @@ func Segment(vci VCI, pdu []byte, width int, withSeq bool) []Cell {
 			c.EOM = true
 		}
 	}
-	cells[n-1].Last = true
+	last := &cells[n-1]
+	last.Last = true
+	PutTrailer(last.Payload[:], Trailer{Length: uint32(len(pdu)), CRC: Checksum(pdu)})
 	return cells
 }
 

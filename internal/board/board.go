@@ -378,6 +378,8 @@ type Board struct {
 
 	// shadowPool recycles the CheckCRC shadow buffers across PDUs.
 	shadowPool [][]byte
+	// reasmPool holds finished reassembly states for reuse.
+	reasmPool []*reasmState
 
 	// txPool stages outgoing cell payloads flyweight-style: the
 	// transmit DMA engine borrows a buffer per cell and frees it on
@@ -447,6 +449,11 @@ type rxCell struct {
 	// while the cell sits in the FIFO.
 	qch *Channel
 }
+
+// Release returns the board's dual-port memory to the OS, at teardown,
+// as hostsim.Host.Release does for its host: any later ring or
+// dual-port memory access panics. Calling it again does nothing.
+func (b *Board) Release() { b.DPM.Release() }
 
 // New creates a board attached to host h. Interrupts are delivered to
 // the host's interrupt controller. The transmit processor, receive

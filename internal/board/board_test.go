@@ -673,23 +673,33 @@ func TestTransmitFullNotifyInterrupt(t *testing.T) {
 	}
 }
 
+// TestFictitiousGenerator runs a two-message source three times. The
+// source builds every message into the same buffer, so a generator
+// that read a message after its next pull would deliver the wrong one.
 func TestFictitiousGenerator(t *testing.T) {
 	r := newRig(t, Config{})
 	ch := r.b.KernelChannel()
 	r.b.BindVCI(5, 0)
-	pdu := pattern(2000, 17)
+	const msgs, reps = 2, 3
+	buf := make([]byte, 2000)
+	pulls := 0
+	src := func(i int) [][]byte {
+		pulls++
+		copy(buf, pattern(len(buf), byte(17+i)))
+		return [][]byte{buf}
+	}
 	count := 0
 	r.eng.Go("host", func(p *sim.Proc) {
 		r.supplyFree(t, p, ch, 32, 4096)
-		r.b.StartFictitious(5, [][]byte{pdu}, 0, 3)
-		for count < 3 {
+		r.b.StartFictitious(5, msgs, src, 0, reps)
+		for count < msgs*reps {
 			got, ok := r.recvPDU(p, ch, 50*time.Millisecond)
 			if !ok {
 				t.Error("fictitious PDU missing")
 				return
 			}
-			if !bytes.Equal(got, pdu) {
-				t.Error("fictitious PDU corrupted")
+			if !bytes.Equal(got, pattern(len(buf), byte(17+count%msgs))) {
+				t.Errorf("fictitious PDU %d corrupted", count)
 			}
 			count++
 			// Recycle buffers.
@@ -698,8 +708,8 @@ func TestFictitiousGenerator(t *testing.T) {
 	})
 	r.eng.Run()
 	r.eng.Shutdown()
-	if count != 3 {
-		t.Fatalf("received %d fictitious PDUs", count)
+	if count != msgs*reps || pulls != msgs*reps {
+		t.Fatalf("received %d fictitious PDUs from %d pulls, want %d", count, pulls, msgs*reps)
 	}
 }
 

@@ -2,6 +2,7 @@ package board
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"repro/internal/atm"
@@ -129,4 +130,38 @@ func FuzzReasmIngest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReasmResetMatchesNew: a reassembly state the receive processor
+// reuses must start its next PDU exactly as a new one would, whatever
+// the last PDU left in it.
+func TestReasmResetMatchesNew(t *testing.T) {
+	const width = 4
+	for _, strategy := range []ReassemblyStrategy{FourAAL5, SeqNum, ArrivalOrder} {
+		rs := newReasmState(nil, 5, width)
+		live := 0
+		pop := func() (queue.Desc, bool) {
+			live++
+			return queue.Desc{Addr: mem.PhysAddr(live * 0x10000), Len: 256}, true
+		}
+		cells := atm.Segment(5, make([]byte, 700), width, strategy == SeqNum)
+		cells[3].CE = true
+		for i, c := range cells {
+			rc := rxCell{c: c, link: i % width}
+			rs.markSeq(c.Seq)
+			off, n, _, ok := rs.ingest(strategy, rc, width)
+			if !ok {
+				t.Fatalf("%v: cell %d rejected", strategy, i)
+			}
+			rs.record(off, c.Payload[:n])
+			rs.extent(off, n, nil, pop)
+		}
+		rs.dropping = true
+		rs.duePushes(true)
+		rs.shadow = nil // retired: the shadow went back to its pool
+		rs.reset(nil, 9)
+		if got, want := fmt.Sprintf("%+v", *rs), fmt.Sprintf("%+v", *newReasmState(nil, 9, width)); got != want {
+			t.Errorf("%v: reset state\n%s\nwant\n%s", strategy, got, want)
+		}
+	}
 }

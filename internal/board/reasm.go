@@ -45,13 +45,25 @@ type reasmState struct {
 }
 
 func newReasmState(ch *Channel, vci atm.VCI, width int) *reasmState {
-	return &reasmState{
+	rs := &reasmState{linkCount: make([]int, width), eomSeen: make([]bool, width)}
+	rs.reset(ch, vci)
+	return rs
+}
+
+// reset readies rs for a new PDU on vci, as newReasmState would, but
+// keeps the storage of its slices.
+func (rs *reasmState) reset(ch *Channel, vci atm.VCI) {
+	clear(rs.linkCount)
+	clear(rs.eomSeen)
+	*rs = reasmState{
 		ch:        ch,
 		vci:       vci,
 		total:     -1,
 		pduLen:    -1,
-		linkCount: make([]int, width),
-		eomSeen:   make([]bool, width),
+		bufs:      rs.bufs[:0],
+		linkCount: rs.linkCount,
+		eomSeen:   rs.eomSeen,
+		seenSeq:   rs.seenSeq[:0],
 	}
 }
 

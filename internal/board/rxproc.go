@@ -45,7 +45,13 @@ func (b *Board) rxProc(p *sim.Proc) {
 func (b *Board) getReasm(ch *Channel, vci atm.VCI) *reasmState {
 	rs := ch.reasm[vci]
 	if rs == nil {
-		rs = newReasmState(ch, vci, b.cfg.StripeWidth)
+		if n := len(b.reasmPool); n > 0 {
+			rs = b.reasmPool[n-1]
+			b.reasmPool = b.reasmPool[:n-1]
+			rs.reset(ch, vci)
+		} else {
+			rs = newReasmState(ch, vci, b.cfg.StripeWidth)
+		}
 		rs.firstArrival = b.eng.Now()
 		ch.reasm[vci] = rs
 		if b.mReasmOpen != nil {
@@ -224,7 +230,7 @@ func (b *Board) handleCell(p *sim.Proc, rc rxCell) {
 			b.eng.Emit(sim.TraceEvent{At: rs.firstArrival, Dur: b.eng.Now() - rs.firstArrival, Ph: 'X', Comp: b.trkRx, Cat: sim.CatPDU, Name: "reasm", Arg: int64(rs.pduLen)})
 		}
 		delete(ch.reasm, rc.c.VCI)
-		b.releaseShadow(rs)
+		b.retireReasm(rs)
 	} else {
 		pushes, _ := rs.duePushes(false)
 		cmd.pushes = pushes
@@ -264,7 +270,17 @@ func (b *Board) finishRxPDU(p *sim.Proc, ch *Channel, rs *reasmState, delivered 
 		}
 	}
 	delete(ch.reasm, rs.vci)
+	b.retireReasm(rs)
+}
+
+// retireReasm returns a finished reassembly's shadow buffer and keeps
+// the state for the next getReasm. Only the receive processor retires
+// one, at the end of handling the cell that finished it: it is then the
+// only holder. A reassembly the timeout sweep aborts is not reused,
+// since the sweep runs between the processor's yields.
+func (b *Board) retireReasm(rs *reasmState) {
 	b.releaseShadow(rs)
+	b.reasmPool = append(b.reasmPool, rs)
 }
 
 // rxDMAEngine is the receive DMA controller: one bus write transaction

@@ -17,7 +17,6 @@
 package cache
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 
@@ -175,8 +174,7 @@ func (c *Cache) Read(pa mem.PhysAddr, dst []byte) (hits, misses int) {
 			hits++
 			c.stats.ReadHits++
 			cached := c.lineSlot(idx)
-			fresh := c.mem.Read(mem.PhysAddr(lineAddr), c.lineSize)
-			if !bytes.Equal(cached, fresh) {
+			if !c.mem.Equal(mem.PhysAddr(lineAddr), cached) {
 				c.stats.StaleReads++
 			}
 			copy(dst[off:off+n], cached[within:within+n])
@@ -284,7 +282,7 @@ func (c *Cache) StaleLines(pa mem.PhysAddr, n int) int {
 	for lineAddr := a - a%uint32(c.lineSize); lineAddr < end; lineAddr += uint32(c.lineSize) {
 		idx := c.index(lineAddr)
 		if c.valid[idx] && c.tags[idx] == lineAddr {
-			if !bytes.Equal(c.lineSlot(idx), c.mem.Read(mem.PhysAddr(lineAddr), c.lineSize)) {
+			if !c.mem.Equal(mem.PhysAddr(lineAddr), c.lineSlot(idx)) {
 				stale++
 			}
 		}

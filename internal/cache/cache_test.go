@@ -177,6 +177,34 @@ func TestStaleLinesDiagnostic(t *testing.T) {
 	}
 }
 
+// TestReadHitAndStaleLinesDoNotAllocate pins the in-place comparison of
+// a hit's cached line with memory: reading a resident line, fresh or
+// stale, and counting stale lines allocate nothing.
+func TestReadHitAndStaleLinesDoNotAllocate(t *testing.T) {
+	c, _ := newCache(Incoherent)
+	var buf [64]byte
+	c.Read(0, buf[:])
+	check := func(what string, wantStale int) {
+		t.Helper()
+		before := c.Stats().StaleReads
+		if a := testing.AllocsPerRun(100, func() { c.Read(0, buf[:]) }); a != 0 {
+			t.Errorf("%s: %v allocations per 4-line hit, want 0", what, a)
+		}
+		if a := testing.AllocsPerRun(100, func() { c.StaleLines(0, len(buf)) }); a != 0 {
+			t.Errorf("%s: %v allocations per StaleLines, want 0", what, a)
+		}
+		if got := c.StaleLines(0, len(buf)); got != wantStale {
+			t.Errorf("%s: StaleLines = %d, want %d", what, got, wantStale)
+		}
+		if wantStale > 0 && c.Stats().StaleReads == before {
+			t.Errorf("%s: hits on stale lines not counted", what)
+		}
+	}
+	check("fresh", 0)
+	c.DMAWrite(16, bytes.Repeat([]byte{0xFF}, 32))
+	check("stale", 2)
+}
+
 func TestNaturalEvictionBoundsStaleness(t *testing.T) {
 	// The paper's lazy-invalidation argument (§2.3): if the CPU touches
 	// much more data than the cache holds between reuses of a DMA buffer,

@@ -122,10 +122,12 @@ func (cl *Cluster) registerEngineDiag() {
 }
 
 // Shutdown tears the simulation down, terminating every proc, and
-// releases every node's physical memory and cache line store.
+// releases every node's physical memory, cache line store and board
+// dual-port memory.
 func (cl *Cluster) Shutdown() {
 	cl.Eng.Shutdown()
 	for _, n := range cl.Nodes {
+		n.Board.Release()
 		n.Host.Release()
 	}
 }
@@ -223,12 +225,16 @@ func (cl *Cluster) RunLatency(from, to int, kind ProtoKind, msgSize, rounds int)
 		return 0, err
 	}
 	src, dst := cl.Nodes[from], cl.Nodes[to]
-	// The remote node echoes every message back on the reverse session.
+	// The remote node echoes every message back on the reverse session,
+	// gathering it into a scratch buffer that allocFrom copies into
+	// simulated memory before the push yields.
+	var scratch []byte
 	frx.SetHandler(func(p *sim.Proc, m *msg.Message) {
-		data, err := m.Bytes()
+		data, err := m.AppendBytes(scratch[:0])
 		if err != nil {
 			return
 		}
+		scratch = data
 		reply, freeReply, err := allocFrom(dst.Host.Kernel, data)
 		if err != nil {
 			return
@@ -253,8 +259,9 @@ func (cl *Cluster) RunLatency(from, to int, kind ProtoKind, msgSize, rounds int)
 	})
 	done := false
 	cl.Eng.Go("latency-experiment", func(p *sim.Proc) {
+		data := messagePattern(msgSize)
 		for i := 0; i < rounds+1; i++ {
-			m, free, err := alloc(src.Host.Kernel, msgSize)
+			m, free, err := allocFrom(src.Host.Kernel, data)
 			if err != nil {
 				return
 			}
@@ -307,12 +314,12 @@ func (cl *Cluster) RunReceiveThroughput(node, msgSize, count int) (float64, erro
 	for i := range payload {
 		payload[i] = byte(i*13 + 5)
 	}
-	// Build the whole run's traffic with distinct IP idents so a dropped
-	// fragment under overload cannot corrupt a later message's
-	// reassembly.
-	var frags [][]byte
-	for i := 0; i < count; i++ {
-		frags = append(frags, proto.BuildUDPFragments(payload, 1, 2, remote.Addr, nd.Addr, cl.Opt.MTU, cl.Opt.Checksum, uint32(1000+i))...)
+	// The generator pulls one message at a time. Each carries a distinct
+	// IP ident so a dropped fragment under overload cannot corrupt a
+	// later message's reassembly.
+	var frags proto.UDPFragments
+	src := func(i int) [][]byte {
+		return frags.Build(payload, 1, 2, remote.Addr, nd.Addr, cl.Opt.MTU, cl.Opt.Checksum, uint32(1000+i))
 	}
 
 	received := 0
@@ -327,7 +334,7 @@ func (cl *Cluster) RunReceiveThroughput(node, msgSize, count int) (float64, erro
 		}
 		lastDone = p.Now()
 	})
-	nd.Board.StartFictitious(v, frags, 0, 1)
+	nd.Board.StartFictitious(v, count, src, 0, 1)
 	// Generous horizon: the slowest plausible rate is ~20 Mbps.
 	horizon := cl.Eng.Now().Add(time.Duration(count) * (time.Duration(msgSize)*8*50*time.Nanosecond + 10*time.Millisecond))
 	cl.Eng.RunUntil(horizon)

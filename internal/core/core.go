@@ -245,17 +245,15 @@ func wireBackToBack(e *sim.Engine, opt Options, a, b *board.Board) (ab, ba *atm.
 	return wire(a, b, "ab"), wire(b, a, "ba")
 }
 
-// alloc builds a message of n pattern bytes in space, returning it with
-// a free function.
-func alloc(space *mem.AddressSpace, n int) (*msg.Message, func(), error) {
-	if n == 0 {
-		return msg.New(), func() {}, nil
-	}
+// messagePattern returns the n bytes every message of the latency and
+// transmit experiments carries. allocFrom copies them into simulated
+// memory, so one pattern serves a whole experiment.
+func messagePattern(n int) []byte {
 	data := make([]byte, n)
 	for i := range data {
 		data[i] = byte(i*31 + 7)
 	}
-	return allocFrom(space, data)
+	return data
 }
 
 // RunLatency measures the average round-trip time for messages of the
@@ -266,7 +264,8 @@ func (tb *Testbed) RunLatency(kind ProtoKind, msgSize, rounds int) (time.Duratio
 	return tb.Cluster.RunLatency(0, 1, kind, msgSize, rounds)
 }
 
-// allocFrom is alloc with caller-provided contents.
+// allocFrom builds a message of data's bytes in space, returning it with
+// a free function.
 func allocFrom(space *mem.AddressSpace, data []byte) (*msg.Message, func(), error) {
 	m, err := msg.FromBytes(space, data)
 	if err != nil {
@@ -307,8 +306,9 @@ func (tb *Testbed) RunTransmitThroughput(msgSize, count int) (float64, error) {
 		// Queue back-to-back so the transmit path pipelines; buffers are
 		// freed only after the final flush.
 		var frees []func()
+		data := messagePattern(msgSize)
 		for i := 0; i < count; i++ {
-			m, free, err := alloc(tb.A.Host.Kernel, msgSize)
+			m, free, err := allocFrom(tb.A.Host.Kernel, data)
 			if err != nil {
 				return
 			}

@@ -216,8 +216,11 @@ func (cl *Cluster) runFanIn(w workload.FanIn, t fanInTransport) (*fanInRun, erro
 	// One circuit per client: node c+1 → node 0. Each gets its own VCI
 	// and switch route, so the server's board runs one AAL5 reassembly
 	// per client concurrently (§2.6 strategy two).
+	// Every delivery is gathered into one scratch buffer: the handler
+	// neither blocks nor keeps the bytes.
 	txs := make([]xkernel.Session, w.Clients)
 	rxs := make([]xkernel.Session, w.Clients)
+	var scratch []byte
 	for c := 0; c < w.Clients; c++ {
 		tx, rx, err := t.open(c)
 		if err != nil {
@@ -225,11 +228,12 @@ func (cl *Cluster) runFanIn(w workload.FanIn, t fanInTransport) (*fanInRun, erro
 		}
 		txs[c], rxs[c] = tx, rx
 		rx.SetHandler(func(p *sim.Proc, m *msg.Message) {
-			data, err := m.Bytes()
+			data, err := m.AppendBytes(scratch[:0])
 			if err != nil {
 				run.corrupt++
 				return
 			}
+			scratch = data
 			client, seq, ok := w.Verify(data)
 			if !ok {
 				run.corrupt++
@@ -251,11 +255,13 @@ func (cl *Cluster) runFanIn(w workload.FanIn, t fanInTransport) (*fanInRun, erro
 			if w.Stagger > 0 && c > 0 {
 				p.Sleep(time.Duration(c) * w.Stagger)
 			}
+			var payload []byte // copied into simulated memory before each push
 			for m := 0; m < w.Messages; m++ {
 				if sendAt != nil {
 					sendAt[c][m] = p.Now()
 				}
-				mm, free, err := allocFrom(nd.Host.Kernel, w.Payload(c, m))
+				payload = w.PayloadInto(payload, c, m)
+				mm, free, err := allocFrom(nd.Host.Kernel, payload)
 				if err != nil {
 					return
 				}

@@ -7,14 +7,16 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dpm"
 	"repro/internal/hostsim"
 )
 
 // TestBuildLeavesHostMemoryOffTheHeap: building a testbed or a 9-node
 // cluster allocates little on the Go heap, because each host's 16 MB of
-// physical memory and its cache's line store (2 MB on a DEC 3000/600)
-// are mapped from the OS (on the heap the builds would take 34 MB,
-// 154 MB and 5 MB), and Shutdown releases every node's memory and cache.
+// physical memory, its cache's line store (2 MB on a DEC 3000/600) and
+// its board's 128 KB dual-port memory are mapped from the OS (on the
+// heap the builds would take 34 MB, 154 MB and 5 MB), and Shutdown
+// releases every node's memory, cache and dual-port memory.
 func TestBuildLeavesHostMemoryOffTheHeap(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -51,6 +53,14 @@ func TestBuildLeavesHostMemoryOffTheHeap(t *testing.T) {
 					}
 				}()
 				n.Host.Cache.Read(0, make([]byte, 4))
+			}()
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.Contains(msg, "dpm: access at 0x0 beyond 0") {
+						t.Errorf("%s node %d: dual-port ReadWord after Shutdown panicked with %q, want the bounds message", c.name, i, msg)
+					}
+				}()
+				n.Board.DPM.ReadWord(nil, dpm.Board, 0)
 			}()
 		}
 	}

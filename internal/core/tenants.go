@@ -295,6 +295,11 @@ func RunTenants(opt Options, w Tenants) (*TenantsResult, error) {
 			})
 		}
 
+		// Every tenant's delivery is gathered into one scratch buffer, and
+		// every sender's pattern staged in another: neither is held
+		// across a yield.
+		var rxScratch []byte
+		txScratch := make([]byte, w.PDUBytes)
 		for i := 0; i < w.Tenants; i++ {
 			i := i
 			vci := atm.VCI(tenantsBaseVCI + i)
@@ -319,8 +324,12 @@ func RunTenants(opt Options, w Tenants) (*TenantsResult, error) {
 				if fb, err := fbm.Alloc(hp, vci, drvDom, w.PDUBytes); err == nil {
 					fbm.Free(fb)
 				}
-				data, err := m.Bytes()
-				if err != nil || !tenantPDUIntact(data, w.PDUBytes, vci) {
+				data, err := m.AppendBytes(rxScratch[:0])
+				if err != nil {
+					return
+				}
+				rxScratch = data
+				if !tenantPDUIntact(data, w.PDUBytes, vci) {
 					return
 				}
 				delivered[i]++
@@ -335,11 +344,10 @@ func RunTenants(opt Options, w Tenants) (*TenantsResult, error) {
 				if err != nil || size < w.PDUBytes {
 					return
 				}
-				payload := make([]byte, w.PDUBytes)
-				for j := range payload {
-					payload[j] = byte(vci)
+				for j := range txScratch {
+					txScratch[j] = byte(vci)
 				}
-				if err := appA.Space.WriteVirt(va, payload); err != nil {
+				if err := appA.Space.WriteVirt(va, txScratch); err != nil {
 					return
 				}
 				pt := a.Driver().OpenPath(vci, nil)
@@ -429,6 +437,8 @@ func RunTenants(opt Options, w Tenants) (*TenantsResult, error) {
 	})
 	e.RunUntil(e.Now().Add(w.Horizon))
 	e.Shutdown()
+	bA.Release()
+	bB.Release()
 	hA.Release()
 	hB.Release()
 	if setupErr != nil {

@@ -16,9 +16,11 @@ package dpm
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/bus"
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -72,18 +74,40 @@ type Stats struct {
 	BoardWrites int64
 }
 
-// Memory is one board's dual-port memory.
+// Memory is one board's dual-port memory. Its bytes come from
+// mem.Backing, so building a board does not clear 128 KB on the heap.
 type Memory struct {
 	eng   *sim.Engine
 	bus   *bus.Bus
 	data  []byte
+	unmap func([]byte) error // returns data to the OS; nil when the Go heap holds it
 	locks [2]bool
 	stats Stats
 }
 
 // New returns a dual-port memory whose host-side accesses are priced on b.
 func New(e *sim.Engine, b *bus.Bus) *Memory {
-	return &Memory{eng: e, bus: b, data: make([]byte, Size)}
+	data, unmap := mem.Backing(Size)
+	m := &Memory{eng: e, bus: b, data: data, unmap: unmap}
+	if unmap != nil {
+		runtime.SetFinalizer(m, (*Memory).Release) // a backstop for an owner that never calls Release
+	}
+	return m
+}
+
+// Release returns the memory's bytes to the OS, at teardown: any later
+// word access panics in its bounds check. Calling it again does nothing.
+func (m *Memory) Release() {
+	data, unmap := m.data, m.unmap
+	// data goes first, so that a use after release fails the bounds
+	// check instead of faulting on an unmapped page.
+	m.data, m.unmap = nil, nil
+	runtime.SetFinalizer(m, nil)
+	if unmap != nil {
+		if err := unmap(data); err != nil {
+			panic(fmt.Sprintf("dpm: releasing the dual-port memory: %v", err))
+		}
+	}
 }
 
 // TxPageOff returns the offset of transmit queue page i.

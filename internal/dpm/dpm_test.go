@@ -135,3 +135,27 @@ func TestAccessorString(t *testing.T) {
 		t.Error("Accessor strings wrong")
 	}
 }
+
+// TestRelease: a fresh memory reads zero everywhere, and after Release
+// (twice, the second a no-op) a word access fails the bounds check
+// before it charges anything.
+func TestRelease(t *testing.T) {
+	e, d := newDPM()
+	e.Go("board", func(p *sim.Proc) {
+		for _, off := range []uint32{0, HalfSize, Size - 4} {
+			if got := d.ReadWord(p, Board, off); got != 0 {
+				t.Errorf("fresh word at %#x = %#x, want 0", off, got)
+			}
+		}
+	})
+	e.Run()
+	e.Shutdown()
+	d.Release()
+	d.Release()
+	defer func() {
+		if msg, _ := recover().(string); msg != "dpm: access at 0x100 beyond 0" {
+			t.Errorf("ReadWord after Release panicked with %q, want the bounds message", msg)
+		}
+	}()
+	d.ReadWord(nil, Board, 0x100)
+}

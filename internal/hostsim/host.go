@@ -1,6 +1,7 @@
 package hostsim
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/bus"
@@ -22,6 +23,7 @@ type Host struct {
 	Kernel *mem.AddressSpace
 
 	segPool [][]mem.PhysBuffer // scratch slices for per-PDU segment lists
+	bufPool [][]byte           // scratch buffers for Checksum's data pass
 }
 
 // New builds a host from a profile. memPages sizes physical memory (0
@@ -93,13 +95,20 @@ func (h *Host) Compute(p *sim.Proc, d time.Duration) {
 // contend with DMA. It returns the bytes the CPU observed — stale bytes
 // included, if the cache was stale (§2.3).
 func (h *Host) CPUReadData(p *sim.Proc, segs []mem.PhysBuffer) []byte {
+	return h.AppendCPUReadData(p, nil, segs)
+}
+
+// AppendCPUReadData is CPUReadData appending the observed bytes to dst,
+// so a caller can read into storage it reuses. The read yields to price
+// it, so dst must stay the caller's until it returns.
+func (h *Host) AppendCPUReadData(p *sim.Proc, dst []byte, segs []mem.PhysBuffer) []byte {
 	total := 0
 	for _, seg := range segs {
 		total += seg.Len
 	}
-	out := make([]byte, total)
+	base := len(dst)
+	out := slices.Grow(dst, total)[:base+total]
 	line := h.Cache.LineSize()
-	base := 0
 	for _, seg := range segs {
 		buf := out[base : base+seg.Len]
 		// Read line by line so misses are individually priced.
@@ -164,11 +173,21 @@ func (h *Host) InvalidateData(p *sim.Proc, segs []mem.PhysBuffer) {
 // segments as the CPU would: reading every word through the cache (with
 // miss traffic) plus the ALU cost per word. It returns the 16-bit
 // checksum over the bytes the CPU actually observed.
+//
+// The bytes are read into a buffer from the host's pool, which the read
+// holds across its yields, and summed before the ALU cost is charged,
+// so the buffer is back in the pool by then.
 func (h *Host) Checksum(p *sim.Proc, segs []mem.PhysBuffer) uint16 {
-	data := h.CPUReadData(p, segs)
+	var buf []byte
+	if n := len(h.bufPool); n > 0 {
+		buf, h.bufPool = h.bufPool[n-1], h.bufPool[:n-1]
+	}
+	data := h.AppendCPUReadData(p, buf[:0], segs)
+	sum := InternetChecksum(data)
+	h.bufPool = append(h.bufPool, data)
 	words := (len(data) + 3) / 4
 	h.Compute(p, h.Prof.Cycles(words*h.Prof.ChecksumCyclesPerWord))
-	return InternetChecksum(data)
+	return sum
 }
 
 // InternetChecksum is the RFC 1071 ones-complement sum over data.

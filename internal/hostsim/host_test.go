@@ -316,3 +316,43 @@ func TestInterruptDispatchAllocs(t *testing.T) {
 		t.Errorf("handler ran %d times, want 1002", runs)
 	}
 }
+
+// TestChecksumSteadyStateAllocs: Checksum reads into a buffer from the
+// host's pool, so once the pool holds one large enough a checksum pass
+// allocates nothing, on either machine's bus; and it still sums the
+// bytes the CPU observed.
+func TestChecksumSteadyStateAllocs(t *testing.T) {
+	for _, prof := range []Profile{DEC5000_200(), DEC3000_600()} {
+		e := sim.NewEngine(1)
+		h := New(e, prof, 64)
+		data := make([]byte, 3000)
+		for i := range data {
+			data[i] = byte(i*7 + 3)
+		}
+		pa := h.Mem.FrameAddr(3) + 100
+		h.Mem.Write(pa, data)
+		// Two segments, the second straddling a frame boundary.
+		segs := []mem.PhysBuffer{{Addr: pa, Len: 1000}, {Addr: pa + 1000, Len: 2000}}
+		kick := sim.NewChan[struct{}](e, 1)
+		var sum uint16
+		e.Go("cpu", func(p *sim.Proc) {
+			for {
+				kick.Recv(p)
+				sum = h.Checksum(p, segs)
+			}
+		})
+		run := func() {
+			kick.TrySend(struct{}{})
+			e.Run()
+		}
+		run() // warm-up: fills the pool and the cache
+		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+			t.Errorf("%s: %v allocations per Checksum, want 0", prof.Name, allocs)
+		}
+		if want := InternetChecksum(data); sum != want {
+			t.Errorf("%s: Checksum = %#x, want %#x", prof.Name, sum, want)
+		}
+		e.Shutdown()
+		h.Release()
+	}
+}

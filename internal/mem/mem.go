@@ -13,6 +13,7 @@
 package mem
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -283,6 +284,13 @@ func (m *Memory) Read(a PhysAddr, n int) []byte {
 func (m *Memory) ReadInto(a PhysAddr, dst []byte) {
 	m.check(a, len(dst))
 	copy(dst, m.data[a:int(a)+len(dst)])
+}
+
+// Equal reports whether the len(b) bytes starting at physical address a
+// equal b, comparing in place.
+func (m *Memory) Equal(a PhysAddr, b []byte) bool {
+	m.check(a, len(b))
+	return bytes.Equal(m.data[a:int(a)+len(b)], b)
 }
 
 // Write copies src to physical memory starting at a.

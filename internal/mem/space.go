@@ -159,22 +159,29 @@ func (s *AddressSpace) Free(va VirtAddr, n int) error {
 // page table across page boundaries.
 func (s *AddressSpace) ReadVirt(va VirtAddr, n int) ([]byte, error) {
 	out := make([]byte, n)
-	off := 0
-	for n > 0 {
-		pa, err := s.Translate(va)
-		if err != nil {
-			return nil, err
-		}
-		chunk := int(s.pageSize() - s.PageOffset(va))
-		if chunk > n {
-			chunk = n
-		}
-		s.mem.ReadInto(pa, out[off:off+chunk])
-		off += chunk
-		va += VirtAddr(chunk)
-		n -= chunk
+	if err := s.ReadVirtInto(va, out); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// ReadVirtInto copies len(dst) bytes starting at virtual address va into
+// dst, following the page table across page boundaries.
+func (s *AddressSpace) ReadVirtInto(va VirtAddr, dst []byte) error {
+	for len(dst) > 0 {
+		pa, err := s.Translate(va)
+		if err != nil {
+			return err
+		}
+		chunk := int(s.pageSize() - s.PageOffset(va))
+		if chunk > len(dst) {
+			chunk = len(dst)
+		}
+		s.mem.ReadInto(pa, dst[:chunk])
+		va += VirtAddr(chunk)
+		dst = dst[chunk:]
+	}
+	return nil
 }
 
 // WriteVirt copies src to virtual address va, following the page table

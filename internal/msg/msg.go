@@ -12,6 +12,7 @@ package msg
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mem"
 )
@@ -247,15 +248,24 @@ func (m *Message) TrimPrefix(n int) (*Message, error) {
 // Bytes gathers the full message contents (copying; used by test
 // verification and by explicitly-priced data-touching operations).
 func (m *Message) Bytes() ([]byte, error) {
-	out := make([]byte, 0, m.Len())
+	return m.AppendBytes(make([]byte, 0, m.Len()))
+}
+
+// AppendBytes appends the full message contents to dst, reading each
+// fragment straight into it, and returns the extended slice. It
+// allocates only when dst lacks the capacity, so a receive handler can
+// gather every delivery into one scratch buffer.
+func (m *Message) AppendBytes(dst []byte) ([]byte, error) {
+	n := len(dst)
+	dst = slices.Grow(dst, m.Len())
 	for _, f := range m.frags {
-		b, err := f.Space.ReadVirt(f.VA, f.Len)
-		if err != nil {
+		dst = dst[:n+f.Len]
+		if err := f.Space.ReadVirtInto(f.VA, dst[n:]); err != nil {
 			return nil, err
 		}
-		out = append(out, b...)
+		n += f.Len
 	}
-	return out, nil
+	return dst, nil
 }
 
 // PhysSegments decomposes the whole message into physically contiguous

@@ -154,6 +154,36 @@ func TestAppend(t *testing.T) {
 	}
 }
 
+// TestAppendBytes: a three-fragment message spanning pages appends its
+// bytes after dst's, reading straight into dst's storage — no
+// allocation when dst has the capacity — and an empty message leaves
+// dst as it was.
+func TestAppendBytes(t *testing.T) {
+	s := testSpace(8)
+	hdr, _ := FromBytes(s, []byte("hdr:"))
+	body, _ := FromBytes(s, pattern(9000))
+	tail, _ := FromBytes(s, []byte(":end"))
+	m := hdr.Append(body).Append(tail)
+	want := append(append([]byte("prefix"), "hdr:"...), append(pattern(9000), ":end"...)...)
+
+	buf := make([]byte, 0, len(want))
+	var got []byte
+	if allocs := testing.AllocsPerRun(100, func() {
+		got, _ = m.AppendBytes(append(buf[:0], "prefix"...))
+	}); allocs != 0 {
+		t.Errorf("AppendBytes into a large enough buffer: %v allocations, want 0", allocs)
+	}
+	if !bytes.Equal(got, want) || &got[0] != &buf[:1][0] {
+		t.Error("AppendBytes did not append the message in place")
+	}
+	if got, _ := m.AppendBytes([]byte("prefix")); !bytes.Equal(got, want) {
+		t.Error("AppendBytes into a short buffer lost bytes")
+	}
+	if got, _ := New().AppendBytes(buf[:3]); len(got) != 3 {
+		t.Errorf("empty message appended %d bytes", len(got)-3)
+	}
+}
+
 func TestPhysSegmentsHeaderPlusBody(t *testing.T) {
 	// The §2.2 figure: a PDU of header + n-page body occupies about
 	// n+2 physical buffers when the body is not page aligned.

@@ -82,6 +82,35 @@ func TestIPDuplicateFragmentTolerated(t *testing.T) {
 	sp.eng.Shutdown()
 }
 
+// TestIPReusedPartialForgetsFragments: a finished reassembly's record
+// is reused for the next datagram, which must not see its fragments. The
+// second datagram's first fragment arrives twice and its middle one
+// never, so its byte count completes over a hole: it must be dropped,
+// not stitched with the first datagram's middle fragment.
+func TestIPReusedPartialForgetsFragments(t *testing.T) {
+	sp := newStackPair(t, hostsim.DEC3000_600, 4096, driver.Config{Cache: driver.CacheNone})
+	sess, lens := openRawIP(t, sp)
+	first := BuildUDPFragments(pattern(10_000, 1), 1, 2, 1, 2, 4096, false, 60)
+	for _, f := range first {
+		injectFragment(t, sp, sess, f)
+	}
+	second := BuildUDPFragments(pattern(10_000, 2), 1, 2, 1, 2, 4096, false, 61)
+	if len(first) != 3 || len(second) != 3 {
+		t.Fatalf("fragments = %d and %d, want 3", len(first), len(second))
+	}
+	dropped := sp.ipB.Stats().Dropped
+	injectFragment(t, sp, sess, second[0])
+	injectFragment(t, sp, sess, second[0])
+	injectFragment(t, sp, sess, second[2])
+	if len(*lens) != 1 {
+		t.Errorf("delivered %d PDUs, want only the first", len(*lens))
+	}
+	if sp.ipB.Stats().Dropped != dropped+1 {
+		t.Errorf("Dropped rose by %d, want 1 for the holed datagram", sp.ipB.Stats().Dropped-dropped)
+	}
+	sp.eng.Shutdown()
+}
+
 func TestIPPartialStateEviction(t *testing.T) {
 	// More concurrent half-finished reassemblies than maxPartials: the
 	// oldest is abandoned and its buffers released; a subsequent complete

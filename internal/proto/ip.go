@@ -132,6 +132,9 @@ type ipSession struct {
 	reasm      map[uint32]*ipPartial
 	reasmOrder []uint32 // insertion order, for the staleness cap
 	lastCE     bool     // the PDU being delivered upward carried a CE mark
+
+	spareParts []*ipPartial   // finished reassembly records, reused
+	joined     []msg.Fragment // fragment views of a PDU being stitched
 }
 
 // maxPartials bounds concurrent fragment reassemblies per session; the
@@ -252,8 +255,8 @@ func (s *ipSession) demux(p *sim.Proc, m *msg.Message) {
 		s.ip.stats.Dropped++
 		return
 	}
-	hdr, err := readThroughCache(p, s.ip.host, m, IPHeaderSize)
-	if err != nil {
+	var hdr [IPHeaderSize]byte
+	if err := readThroughCache(p, s.ip.host, m, hdr[:]); err != nil {
 		s.ip.stats.Dropped++
 		return
 	}
@@ -261,7 +264,7 @@ func (s *ipSession) demux(p *sim.Proc, m *msg.Message) {
 		// Possibly stale cache lines (§2.3): invalidate and re-evaluate
 		// before declaring the packet in error.
 		if s.ip.drv.RecoverData(p, m) {
-			hdr, err = readThroughCache(p, s.ip.host, m, IPHeaderSize)
+			err := readThroughCache(p, s.ip.host, m, hdr[:])
 			if err == nil && binary.BigEndian.Uint16(hdr[18:]) == hostsim.InternetChecksum(hdr[:18]) {
 				s.ip.stats.HdrRecovered++
 				goto ok
@@ -305,7 +308,7 @@ ok:
 				s.dropPartial(p, oldest, op)
 			}
 		}
-		part = &ipPartial{frags: make(map[uint32]*msg.Message), total: -1}
+		part = s.newPartial()
 		s.reasm[ident] = part
 		s.reasmOrder = append(s.reasmOrder, ident)
 	}
@@ -323,7 +326,7 @@ ok:
 		return
 	}
 	// Complete: stitch the fragment views together in offset order.
-	assembled := msg.New()
+	joined := s.joined[:0]
 	for pos := 0; pos < part.total; {
 		f := part.frags[uint32(pos)]
 		if f == nil {
@@ -331,18 +334,42 @@ ok:
 			s.dropPartial(p, ident, part)
 			return
 		}
-		assembled = assembled.Append(f)
+		joined = append(joined, f.Fragments()...)
 		pos += f.Len()
 	}
+	s.joined = joined
+	assembled := msg.New(joined...)
 	s.forget(ident)
 	s.ip.stats.PDUsRecv++
 	if s.upper != nil {
 		s.lastCE = part.ce
 		s.upper(p, assembled)
 	}
+	s.release(p, part)
+}
+
+// newPartial returns an empty reassembly record, reusing a finished one
+// when the session has one.
+func (s *ipSession) newPartial() *ipPartial {
+	if n := len(s.spareParts); n > 0 {
+		part := s.spareParts[n-1]
+		s.spareParts = s.spareParts[:n-1]
+		return part
+	}
+	return &ipPartial{frags: make(map[uint32]*msg.Message), total: -1}
+}
+
+// release hands a forgotten reassembly's retained driver messages back
+// and keeps the emptied record for reuse: nothing else refers to it once
+// it is out of s.reasm.
+func (s *ipSession) release(p *sim.Proc, part *ipPartial) {
 	for _, rm := range part.retained {
 		s.ip.drv.Release(p, rm)
 	}
+	clear(part.frags)
+	clear(part.retained)
+	*part = ipPartial{frags: part.frags, retained: part.retained[:0], total: -1}
+	s.spareParts = append(s.spareParts, part)
 }
 
 func (s *ipSession) forget(ident uint32) {
@@ -358,17 +385,16 @@ func (s *ipSession) forget(ident uint32) {
 func (s *ipSession) dropPartial(p *sim.Proc, ident uint32, part *ipPartial) {
 	s.forget(ident)
 	s.ip.stats.Dropped++
-	for _, rm := range part.retained {
-		s.ip.drv.Release(p, rm)
-	}
+	s.release(p, part)
 }
 
-// readThroughCache reads the first n bytes of m through the host's data
-// cache, paying touch and miss costs — and observing stale lines, if
-// any, exactly as the CPU would.
-func readThroughCache(p *sim.Proc, h *hostsim.Host, m *msg.Message, n int) ([]byte, error) {
-	if n < 0 || n > m.Len() {
-		return nil, fmt.Errorf("proto: read %d of %d-byte message", n, m.Len())
+// readThroughCache reads the first len(hdr) bytes of m into hdr through
+// the host's data cache, paying touch and miss costs — and observing
+// stale lines, if any, exactly as the CPU would.
+func readThroughCache(p *sim.Proc, h *hostsim.Host, m *msg.Message, hdr []byte) error {
+	n := len(hdr)
+	if n > m.Len() {
+		return fmt.Errorf("proto: read %d of %d-byte message", n, m.Len())
 	}
 	// Walk the first n bytes fragment by fragment instead of materializing
 	// a head message; the shared append slice merges abutting physical
@@ -387,13 +413,13 @@ func readThroughCache(p *sim.Proc, h *hostsim.Host, m *msg.Message, n int) ([]by
 		segs, err = f.Space.AppendPhysSegments(segs, f.VA, l)
 		if err != nil {
 			h.PutSegs(segs)
-			return nil, err
+			return err
 		}
 		remaining -= l
 	}
-	out := h.CPUReadData(p, segs)
+	h.AppendCPUReadData(p, hdr[:0], segs)
 	h.PutSegs(segs)
-	return out, nil
+	return nil
 }
 
 // writeThroughCache writes data at va via the (write-through) cache so

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/atm"
@@ -228,6 +229,8 @@ type rdpSession struct {
 	sendBase uint32 // oldest unacknowledged sequence number
 	nextSeq  uint32
 	unacked  map[uint32][]byte
+	spare    [][]byte // acknowledged copies, reused by the next Push
+	stage    []byte   // segment staging, reused by every sendSegment
 	timer    sim.Event
 	notFull  *sim.Cond
 	acked    *sim.Cond
@@ -294,7 +297,11 @@ func (s *rdpSession) Push(p *sim.Proc, m *msg.Message) error {
 	if s.err != nil {
 		return s.err
 	}
-	data, err := m.Bytes()
+	var buf []byte
+	if n := len(s.spare); n > 0 {
+		buf, s.spare = s.spare[n-1][:0], s.spare[:n-1]
+	}
+	data, err := m.AppendBytes(buf)
 	if err != nil {
 		return err
 	}
@@ -345,7 +352,9 @@ func (s *rdpSession) effWindow() uint32 {
 }
 
 // sendSegment builds the header (+ checksummed payload for data) and
-// pushes it through IP.
+// pushes it through IP. The segment is staged in the session's buffer,
+// which is written through the cache into kernel memory before the push
+// can yield, so the buffer is free again for the next segment.
 func (s *rdpSession) sendSegment(p *sim.Proc, typ byte, seq uint32, payload []byte) error {
 	host := s.r.host
 	total := RDPHeaderSize + len(payload)
@@ -353,7 +362,9 @@ func (s *rdpSession) sendSegment(p *sim.Proc, typ byte, seq uint32, payload []by
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, total)
+	s.stage = slices.Grow(s.stage[:0], total)[:total]
+	buf := s.stage
+	clear(buf[:RDPHeaderSize])
 	buf[0] = typ
 	if s.addr.Adaptive && s.pendingECE {
 		// Echo the fabric's CE mark back to the sender. One-shot: the
@@ -538,8 +549,8 @@ func (s *rdpSession) demux(p *sim.Proc, m *msg.Message) {
 	if m.Len() < RDPHeaderSize {
 		return
 	}
-	hdr, err := readThroughCache(p, s.r.host, m, RDPHeaderSize)
-	if err != nil {
+	var hdr [RDPHeaderSize]byte
+	if err := readThroughCache(p, s.r.host, m, hdr[:]); err != nil {
 		return
 	}
 	typ := hdr[0]
@@ -644,6 +655,7 @@ func (s *rdpSession) processAck(ack uint32, ece bool) {
 	now := s.r.host.Eng.Now()
 	ackedSegs := uint32(0)
 	for s.sendBase != s.nextSeq && s.sendBase != ack {
+		s.spare = append(s.spare, s.unacked[s.sendBase])
 		delete(s.unacked, s.sendBase)
 		if s.addr.Adaptive {
 			if sample, ok := s.est.Acked(s.sendBase, now); ok {

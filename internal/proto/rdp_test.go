@@ -228,3 +228,47 @@ func TestRDPDeterministicUnderLoss(t *testing.T) {
 		t.Errorf("non-deterministic: (%d,%d) vs (%d,%d)", r1, t1, r2, t2)
 	}
 }
+
+// TestRDPStagingEchoesECEOnce: segments are staged in one buffer per
+// session, so a header flag set for one segment must not leak into the
+// next. The receiver owes one ECE echo; with one segment in flight at a
+// time, each later ack starts a new window, and any stale echo on it
+// would cost the sender another backoff.
+func TestRDPStagingEchoesECEOnce(t *testing.T) {
+	sp := newLossyStackPair(t, 0, 1)
+	rA, rB := NewRDP(sp.hA, sp.ipA), NewRDP(sp.hB, sp.ipB)
+	a, err := rA.Open(RDPOpen{Remote: 2, VCI: 12, Window: 4, Adaptive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := rB.Open(RDPOpen{Remote: 1, VCI: 12, Window: 4, Adaptive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, rx := a.(*rdpSession), b.(*rdpSession)
+	delivered := 0
+	rx.SetHandler(func(p *sim.Proc, m *msg.Message) { delivered++ })
+	rx.pendingECE = true
+	const n = 6
+	sp.eng.Go("sender", func(p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			m, _ := msg.FromBytes(sp.hA.Kernel, pattern(3000, byte(i)))
+			if err := tx.Push(p, m); err != nil {
+				t.Error(err)
+				return
+			}
+			tx.WaitAcked(p)
+		}
+	})
+	sp.eng.Run()
+	sp.eng.Shutdown()
+	if delivered != n {
+		t.Fatalf("delivered %d/%d", delivered, n)
+	}
+	if got := rB.Stats().EcnEchoed; got != 1 {
+		t.Errorf("receiver echoed ECE %d times, want 1", got)
+	}
+	if got := rA.Stats().EcnBackoffs; got != 1 {
+		t.Errorf("sender backed off %d times, want 1", got)
+	}
+}

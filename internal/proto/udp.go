@@ -127,8 +127,8 @@ func (s *udpSession) demux(p *sim.Proc, m *msg.Message) {
 		s.u.stats.Dropped++
 		return
 	}
-	hdr, err := readThroughCache(p, s.u.host, m, UDPHeaderSize)
-	if err != nil {
+	var hdr [UDPHeaderSize]byte
+	if err := readThroughCache(p, s.u.host, m, hdr[:]); err != nil {
 		s.u.stats.Dropped++
 		return
 	}

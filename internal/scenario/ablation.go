@@ -65,6 +65,7 @@ func ringTime(spin bool) (string, error) {
 	})
 	end := e.Run()
 	e.Shutdown()
+	d.Release()
 	return fmt.Sprintf("%v/op", time.Duration(end)/ops), nil
 }
 
@@ -105,6 +106,7 @@ func irqPerPDU(burst bool) (string, error) {
 	})
 	e.RunUntil(e.Now().Add(200 * time.Millisecond))
 	e.Shutdown()
+	bd.Release()
 	h.Release()
 	if received == 0 {
 		return "", errors.New("no PDUs received")
@@ -184,6 +186,7 @@ func sendTime(vdma bool) (string, error) {
 	})
 	e.Run()
 	e.Shutdown()
+	bd.Release()
 	h.Release()
 	out := fmt.Sprintf("%.2f µs/send", cost.Seconds()*1e6)
 	if vdma {
@@ -363,6 +366,7 @@ func combined(lag int) (string, error) {
 	})
 	e.RunUntil(e.Now().Add(100 * time.Millisecond))
 	e.Shutdown()
+	bd.Release()
 	h.Release()
 	s := bd.Stats()
 	total := 2*s.CombinedDMAs + s.SingleDMAs
@@ -468,6 +472,7 @@ func priorityDelivery() (string, error) {
 	})
 	e.Run()
 	e.Shutdown()
+	bd.Release()
 	h.Release()
 	return fmt.Sprintf("%.4g%% high, %.4g%% low delivered",
 		100*float64(hiGot)/float64(mix.Messages), 100*float64(loGot)/float64(mix.Messages)), err
@@ -543,6 +548,8 @@ func pingRTT(useADC bool) (string, error) {
 	})
 	e.Run()
 	e.Shutdown()
+	bA.Release()
+	bB.Release()
 	hA.Release()
 	hB.Release()
 	if err == nil && out == 0 {

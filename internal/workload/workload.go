@@ -4,7 +4,6 @@
 package workload
 
 import (
-	"bytes"
 	"encoding/binary"
 	"time"
 )
@@ -36,12 +35,26 @@ func Doubling(lo, hi int) []int {
 // detectable.
 func Payload(n int, seed byte) []byte {
 	out := make([]byte, n)
-	x := uint32(seed)*2654435761 + 1
-	for i := range out {
-		x = x*1664525 + 1013904223
-		out[i] = byte(x >> 24)
-	}
+	fillPayload(out, seed)
 	return out
+}
+
+// payloadGen yields the bytes of Payload(·, seed) in order.
+type payloadGen uint32
+
+func newPayloadGen(seed byte) payloadGen { return payloadGen(uint32(seed)*2654435761 + 1) }
+
+func (g *payloadGen) next() byte {
+	*g = *g*1664525 + 1013904223
+	return byte(*g >> 24)
+}
+
+// fillPayload writes Payload(len(dst), seed) into dst.
+func fillPayload(dst []byte, seed byte) {
+	g := newPayloadGen(seed)
+	for i := range dst {
+		dst[i] = g.next()
+	}
 }
 
 // PriorityMix describes the §3.1 overload experiment: a high- and a
@@ -111,15 +124,29 @@ func (f FanIn) TotalBytes() int64 {
 // content (distinct per client and message) with the identity header in
 // the first FanInHeaderBytes.
 func (f FanIn) Payload(client, msg int) []byte {
-	out := Payload(f.MessageBytes, byte(client*31+msg*7+1))
-	binary.BigEndian.PutUint32(out[0:4], uint32(client))
-	binary.BigEndian.PutUint32(out[4:8], uint32(msg))
-	return out
+	return f.PayloadInto(nil, client, msg)
 }
 
+// PayloadInto is Payload writing the message into dst's storage, which
+// it grows only when dst is too short, and returning it.
+func (f FanIn) PayloadInto(dst []byte, client, msg int) []byte {
+	if cap(dst) < f.MessageBytes {
+		dst = make([]byte, f.MessageBytes)
+	}
+	dst = dst[:f.MessageBytes]
+	fillPayload(dst, f.seed(client, msg))
+	binary.BigEndian.PutUint32(dst[0:4], uint32(client))
+	binary.BigEndian.PutUint32(dst[4:8], uint32(msg))
+	return dst
+}
+
+// seed is the Payload seed of client's msg-th message.
+func (f FanIn) seed(client, msg int) byte { return byte(client*31 + msg*7 + 1) }
+
 // Verify checks a received payload byte for byte against what Payload
-// would have produced for the identity in its header. ok is false on a
-// short payload, an out-of-range identity, or any content mismatch.
+// would have produced for the identity in its header, generating the
+// expected bytes as it compares them. ok is false on a short payload, an
+// out-of-range identity, or any content mismatch.
 func (f FanIn) Verify(data []byte) (client, msg int, ok bool) {
 	if len(data) < FanInHeaderBytes {
 		return 0, 0, false
@@ -132,9 +159,13 @@ func (f FanIn) Verify(data []byte) (client, msg int, ok bool) {
 	if len(data) != f.MessageBytes {
 		return client, msg, false
 	}
-	want := f.Payload(client, msg)
-	if !bytes.Equal(data, want) {
-		return client, msg, false
+	// The header is the identity just read back; the generator still
+	// steps over its bytes, which Payload overwrote.
+	g := newPayloadGen(f.seed(client, msg))
+	for i := range data {
+		if b := g.next(); i >= FanInHeaderBytes && data[i] != b {
+			return client, msg, false
+		}
 	}
 	return client, msg, true
 }

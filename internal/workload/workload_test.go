@@ -109,6 +109,49 @@ func TestFanInVerifyRejectsDamage(t *testing.T) {
 	}
 }
 
+// TestFanInVerifyInPlace: Verify generates the expected bytes as it
+// compares, so it allocates nothing, yet still rejects a wrong length
+// and a one-byte change anywhere. Changing the low bit of the client or
+// message id leaves the identity in range, so only the body comparison
+// can catch it. PayloadInto rebuilds a message in a dirty buffer.
+func TestFanInVerifyInPlace(t *testing.T) {
+	f := DefaultFanIn()
+	p := f.Payload(2, 3)
+	if allocs := testing.AllocsPerRun(100, func() { f.Verify(p) }); allocs != 0 {
+		t.Errorf("Verify: %v allocations, want 0", allocs)
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{
+		{"one byte long", append(f.Payload(2, 3), 0)},
+		{"one byte short", p[:len(p)-1]},
+		{"client id", flip(p, 3)},
+		{"message id", flip(p, 7)},
+		{"first body byte", flip(p, FanInHeaderBytes)},
+		{"body", flip(p, len(p)/2)},
+		{"last byte", flip(p, len(p)-1)},
+	} {
+		if client, msg, ok := f.Verify(c.data); ok {
+			t.Errorf("%s: verified as client %d message %d", c.name, client, msg)
+		}
+	}
+	dirty := make([]byte, f.MessageBytes+10)
+	for i := range dirty {
+		dirty[i] = 0xDE
+	}
+	if got := f.PayloadInto(dirty, 2, 3); string(got) != string(p) || &got[0] != &dirty[0] {
+		t.Error("PayloadInto did not rebuild the message in place")
+	}
+}
+
+// flip returns a copy of b with the low bit of byte i inverted.
+func flip(b []byte, i int) []byte {
+	out := append([]byte(nil), b...)
+	out[i] ^= 1
+	return out
+}
+
 func TestFanInTotalBytes(t *testing.T) {
 	f := FanIn{Clients: 3, MessageBytes: 100, Messages: 4}
 	if f.TotalBytes() != 1200 {
