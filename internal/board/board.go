@@ -374,6 +374,7 @@ type Board struct {
 	// the processors take, the DMA engines return. Host-side memory
 	// reuse only — no simulated effect.
 	segPool  [][]mem.PhysBuffer
+	descPool [][]queue.Desc
 	dataPool [][]byte
 
 	// shadowPool recycles the CheckCRC shadow buffers across PDUs.
@@ -417,6 +418,24 @@ func (b *Board) getSegs() []mem.PhysBuffer {
 func (b *Board) putSegs(s []mem.PhysBuffer) {
 	if s != nil {
 		b.segPool = append(b.segPool, s)
+	}
+}
+
+// getDescs takes a recycled descriptor list for an rxCmd's pushes (or
+// makes one).
+func (b *Board) getDescs() []queue.Desc {
+	if n := len(b.descPool); n > 0 {
+		s := b.descPool[n-1]
+		b.descPool = b.descPool[:n-1]
+		return s[:0]
+	}
+	return make([]queue.Desc, 0, 2)
+}
+
+// putDescs returns a descriptor list the receive DMA engine published.
+func (b *Board) putDescs(s []queue.Desc) {
+	if s != nil {
+		b.descPool = append(b.descPool, s)
 	}
 }
 
@@ -862,15 +881,16 @@ func reasmSweepCB(a any) {
 // queued (the caller retries shortly).
 func (b *Board) timeoutReasm(ch *Channel, rs *reasmState) bool {
 	if rs.anyPushed() {
-		marker := rxCmd{ch: ch, pushes: []queue.Desc{{VCI: rs.vci, Flags: queue.FlagErr}}}
+		marker := rxCmd{ch: ch, pushes: append(b.getDescs(), abortMarker(rs.vci))}
 		if !b.rxCmds.TrySend(marker) {
+			b.putDescs(marker.pushes)
 			return false
 		}
 		b.stats.RxAbortMarkers++
 	}
-	scratch := rs.abort()
-	ch.stash = append(ch.stash, scratch...)
-	b.stats.ScratchRecycled += int64(len(scratch))
+	stashed := len(ch.stash)
+	ch.stash = rs.abort(ch.stash)
+	b.stats.ScratchRecycled += int64(len(ch.stash) - stashed)
 	b.stats.PDUsTimedOut++
 	if b.eng.Recording() {
 		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: sim.CatDrop, Name: "reasm-timeout", Arg: int64(rs.vci)})

@@ -105,21 +105,21 @@ func FuzzReasmIngest(f *testing.F) {
 			}
 			if complete {
 				rs.crcOK()
-				pushes, scratch := rs.duePushes(true)
+				pushes, scratch := rs.duePushes(true, nil, nil)
 				account(pushes)
 				account(scratch)
 				rs = newReasmState(nil, 5, width)
 			} else {
 				if rs.errorDetected(width) {
-					account(rs.abort())
+					account(rs.abort(nil))
 					rs = newReasmState(nil, 5, width)
 					continue
 				}
-				pushes, _ := rs.duePushes(false)
+				pushes, _ := rs.duePushes(false, nil, nil)
 				account(pushes)
 			}
 		}
-		account(rs.abort())
+		account(rs.abort(nil))
 
 		if len(returned) != live {
 			t.Fatalf("popped %d buffers, %d accounted for", live, len(returned))
@@ -157,7 +157,7 @@ func TestReasmResetMatchesNew(t *testing.T) {
 			rs.extent(off, n, nil, pop)
 		}
 		rs.dropping = true
-		rs.duePushes(true)
+		rs.duePushes(true, nil, nil)
 		rs.shadow = nil // retired: the shadow went back to its pool
 		rs.reset(nil, 9)
 		if got, want := fmt.Sprintf("%+v", *rs), fmt.Sprintf("%+v", *newReasmState(nil, 9, width)); got != want {

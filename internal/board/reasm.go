@@ -256,10 +256,11 @@ const maxPadSpan = atm.CellPayload + atm.TrailerSize - 1
 // to the receive queue", §2.1.1); on completion the remaining buffers
 // follow, the final one flagged EOP and carrying the PDU length in Aux.
 // Wholly-scrap buffers (pad/trailer bytes written beyond the PDU data
-// before the length was known) are recycled via the scratch list.
-func (rs *reasmState) duePushes(complete bool) (pushes []queue.Desc, scratch []queue.Desc) {
+// before the length was known) are recycled onto stash. Both lists are
+// the caller's, appended to and returned.
+func (rs *reasmState) duePushes(complete bool, pushes, stash []queue.Desc) ([]queue.Desc, []queue.Desc) {
 	if complete {
-		return rs.finalPushes()
+		return rs.finalPushes(pushes, stash)
 	}
 	for i := range rs.bufs {
 		b := &rs.bufs[i]
@@ -287,10 +288,10 @@ func (rs *reasmState) duePushes(complete bool) (pushes []queue.Desc, scratch []q
 		b.pushed = true
 		pushes = append(pushes, d)
 	}
-	return pushes, nil
+	return pushes, stash
 }
 
-func (rs *reasmState) finalPushes() (pushes []queue.Desc, scratch []queue.Desc) {
+func (rs *reasmState) finalPushes(pushes, stash []queue.Desc) ([]queue.Desc, []queue.Desc) {
 	lastDataBuf := 0
 	for i := range rs.bufs {
 		if rs.bufs[i].base < rs.pduLen {
@@ -312,7 +313,7 @@ func (rs *reasmState) finalPushes() (pushes []queue.Desc, scratch []queue.Desc) 
 		b.pushed = true
 		if i > lastDataBuf {
 			// Pure scrap beyond the data: recycle silently.
-			scratch = append(scratch, b.desc)
+			stash = append(stash, b.desc)
 			continue
 		}
 		d := b.desc
@@ -329,7 +330,7 @@ func (rs *reasmState) finalPushes() (pushes []queue.Desc, scratch []queue.Desc) 
 		}
 		pushes = append(pushes, d)
 	}
-	return pushes, scratch
+	return pushes, stash
 }
 
 // maxTrackedSeq bounds the SeqNum duplicate bitmap: sequence numbers at
@@ -405,14 +406,14 @@ func (rs *reasmState) anyPushed() bool {
 	return false
 }
 
-// abort returns every un-pushed buffer for recycling when reassembly is
-// abandoned.
-func (rs *reasmState) abort() (scratch []queue.Desc) {
+// abort appends every un-pushed buffer to stash for recycling when
+// reassembly is abandoned, and returns stash.
+func (rs *reasmState) abort(stash []queue.Desc) []queue.Desc {
 	for i := range rs.bufs {
 		if !rs.bufs[i].pushed {
 			rs.bufs[i].pushed = true
-			scratch = append(scratch, rs.bufs[i].desc)
+			stash = append(stash, rs.bufs[i].desc)
 		}
 	}
-	return scratch
+	return stash
 }

@@ -218,10 +218,9 @@ func (b *Board) handleCell(p *sim.Proc, rc rxCell) {
 	cmd := rxCmd{ch: ch, segs: segs, data: data, combined: combined}
 	if complete {
 		b.ensureEOPBuffer(p, ch, rs)
-		pushes, scratch := rs.duePushes(true)
-		ch.stash = append(ch.stash, scratch...)
-		b.stats.ScratchRecycled += int64(len(scratch))
-		cmd.pushes = pushes
+		stashed := len(ch.stash)
+		cmd.pushes, ch.stash = rs.duePushes(true, b.getDescs(), ch.stash)
+		b.stats.ScratchRecycled += int64(len(ch.stash) - stashed)
 		b.stats.PDUsRx++
 		if b.mReasmSpan != nil {
 			b.mReasmSpan.Observe((b.eng.Now() - rs.firstArrival).Microseconds())
@@ -232,8 +231,7 @@ func (b *Board) handleCell(p *sim.Proc, rc rxCell) {
 		delete(ch.reasm, rc.c.VCI)
 		b.retireReasm(rs)
 	} else {
-		pushes, _ := rs.duePushes(false)
-		cmd.pushes = pushes
+		cmd.pushes, _ = rs.duePushes(false, b.getDescs(), nil)
 	}
 	b.rxCmds.Send(p, cmd)
 }
@@ -257,12 +255,12 @@ func (b *Board) ensureEOPBuffer(p *sim.Proc, ch *Channel, rs *reasmState) {
 // partial delivery and recycle its buffers.
 func (b *Board) finishRxPDU(p *sim.Proc, ch *Channel, rs *reasmState, delivered bool) {
 	if !delivered && rs.anyPushed() {
-		b.rxCmds.Send(p, rxCmd{ch: ch, pushes: []queue.Desc{{VCI: rs.vci, Flags: queue.FlagErr}}})
+		b.rxCmds.Send(p, rxCmd{ch: ch, pushes: append(b.getDescs(), abortMarker(rs.vci))})
 		b.stats.RxAbortMarkers++
 	}
-	scratch := rs.abort()
-	ch.stash = append(ch.stash, scratch...)
-	b.stats.ScratchRecycled += int64(len(scratch))
+	stashed := len(ch.stash)
+	ch.stash = rs.abort(ch.stash)
+	b.stats.ScratchRecycled += int64(len(ch.stash) - stashed)
 	if !delivered {
 		b.stats.PDUsDropped++
 		if b.eng.Recording() {
@@ -305,5 +303,12 @@ func (b *Board) rxDMAEngine(p *sim.Proc) {
 		}
 		b.putRxData(cmd.data)
 		b.putSegs(cmd.segs)
+		b.putDescs(cmd.pushes)
 	}
+}
+
+// abortMarker is the descriptor telling the driver to discard the
+// partial delivery of vci's PDU.
+func abortMarker(vci atm.VCI) queue.Desc {
+	return queue.Desc{VCI: vci, Flags: queue.FlagErr}
 }

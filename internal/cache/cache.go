@@ -19,6 +19,7 @@ package cache
 import (
 	"fmt"
 	"runtime"
+	"unsafe"
 
 	"repro/internal/mem"
 )
@@ -59,22 +60,31 @@ type Stats struct {
 // Cache is a direct-mapped, write-through, no-write-allocate data cache —
 // the organization of the DECstation 5000/200's 64 KB D-cache.
 //
-// Its line store comes from mem.Backing: an anonymous mapping on unix,
-// so the 2 MB store of a DEC 3000 cache costs nothing to build, and a
-// page of it only when a line in that page is first filled. A slot is
-// read only while its line is valid, which means after a fill, so what
-// the store held before is never seen.
+// Its line store and tag array come from mem.Backing: anonymous
+// mappings on unix, so the 2 MB store and 256 KB of tags of a DEC 3000
+// cache cost nothing to build, and a page of either only when a line in
+// it is first filled. A slot is read only while its line is valid,
+// which means after a fill, so what the store held before is never
+// seen. The zero tag marks an invalid slot, so the zero-filled tag
+// array starts with every line invalid.
 type Cache struct {
 	mem      *mem.Memory
 	policy   CoherencePolicy
 	lineSize int
 	nLines   int
-	valid    []bool
-	tags     []uint32           // line-aligned physical address of cached line
+	tags     []uint32           // tagOf(line address) of the cached line; 0 when invalid
 	data     []byte             // nLines * lineSize line store
-	unmap    func([]byte) error // returns data to the OS; nil when the Go heap holds it
+	unmap    func([]byte) error // returns data and tags to the OS; nil when the Go heap holds them
 	stats    Stats
 }
+
+// tagOf is the tag of the line at lineAddr. Lines are an even number of
+// bytes long, so the low bit of a line address is free to mark the slot
+// valid, and physical line 0 still has a nonzero tag.
+func tagOf(lineAddr uint32) uint32 { return lineAddr | 1 }
+
+// hit reports whether slot idx holds the line at lineAddr.
+func (c *Cache) hit(idx int, lineAddr uint32) bool { return c.tags[idx] == tagOf(lineAddr) }
 
 // Config configures a Cache.
 type Config struct {
@@ -95,7 +105,8 @@ func New(m *mem.Memory, cfg Config) *Cache {
 		panic("cache: size not a multiple of line size")
 	}
 	data, unmap := mem.Backing(cfg.Size)
-	c := newWithStore(m, cfg, data)
+	tags, _ := mem.Backing(4 * (cfg.Size / cfg.LineSize))
+	c := newWithStore(m, cfg, data, unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(tags))), len(tags)/4))
 	c.unmap = unmap
 	if unmap != nil {
 		runtime.SetFinalizer(c, (*Cache).Release) // a backstop for an owner that never calls Release
@@ -104,33 +115,38 @@ func New(m *mem.Memory, cfg Config) *Cache {
 }
 
 // newWithStore builds a cache of cfg's (defaulted) geometry over the line
-// store data, which must hold cfg.Size bytes of any content.
-func newWithStore(m *mem.Memory, cfg Config, data []byte) *Cache {
-	n := cfg.Size / cfg.LineSize
+// store data, which must hold cfg.Size bytes of any content, and the
+// zeroed tag array tags, one per line.
+func newWithStore(m *mem.Memory, cfg Config, data []byte, tags []uint32) *Cache {
+	if cfg.LineSize%2 != 0 {
+		panic("cache: odd line size")
+	}
 	return &Cache{
 		mem:      m,
 		policy:   cfg.Policy,
 		lineSize: cfg.LineSize,
-		nLines:   n,
-		valid:    make([]bool, n),
-		tags:     make([]uint32, n),
+		nLines:   cfg.Size / cfg.LineSize,
+		tags:     tags,
 		data:     data,
 	}
 }
 
-// Release returns the line store to the OS. Any later access that
-// touches a line panics, as the store is gone. Calling it again does
-// nothing.
+// Release returns the line store and the tags to the OS. Any later
+// access panics, as they are gone. Calling it again does nothing.
 func (c *Cache) Release() {
-	data, unmap := c.data, c.unmap
-	// data goes first, so that a use after release fails a bounds
+	data, tags, unmap := c.data, c.tags, c.unmap
+	// The fields go first, so that a use after release fails a bounds
 	// check instead of faulting on an unmapped page.
-	c.data, c.unmap = nil, nil
+	c.data, c.tags, c.unmap = nil, nil, nil
 	runtime.SetFinalizer(c, nil)
-	if unmap != nil {
-		if err := unmap(data); err != nil {
-			panic(fmt.Sprintf("cache: releasing the line store: %v", err))
-		}
+	if unmap == nil {
+		return
+	}
+	if err := unmap(data); err != nil {
+		panic(fmt.Sprintf("cache: releasing the line store: %v", err))
+	}
+	if err := unmap(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(tags))), 4*len(tags))); err != nil {
+		panic(fmt.Sprintf("cache: releasing the tags: %v", err))
 	}
 }
 
@@ -170,7 +186,7 @@ func (c *Cache) Read(pa mem.PhysAddr, dst []byte) (hits, misses int) {
 		if n > len(dst)-off {
 			n = len(dst) - off
 		}
-		if c.valid[idx] && c.tags[idx] == lineAddr {
+		if c.hit(idx, lineAddr) {
 			hits++
 			c.stats.ReadHits++
 			cached := c.lineSlot(idx)
@@ -181,8 +197,7 @@ func (c *Cache) Read(pa mem.PhysAddr, dst []byte) (hits, misses int) {
 		} else {
 			misses++
 			c.stats.ReadMisses++
-			c.valid[idx] = true
-			c.tags[idx] = lineAddr
+			c.tags[idx] = tagOf(lineAddr)
 			c.mem.ReadInto(mem.PhysAddr(lineAddr), c.lineSlot(idx))
 			copy(dst[off:off+n], c.lineSlot(idx)[within:within+n])
 		}
@@ -207,7 +222,7 @@ func (c *Cache) Write(pa mem.PhysAddr, src []byte) (hits, misses int) {
 		if n > len(src)-off {
 			n = len(src) - off
 		}
-		if c.valid[idx] && c.tags[idx] == lineAddr {
+		if c.hit(idx, lineAddr) {
 			hits++
 			c.stats.WriteHits++
 			copy(c.lineSlot(idx)[within:within+n], src[off:off+n])
@@ -239,7 +254,7 @@ func (c *Cache) DMAWrite(pa mem.PhysAddr, src []byte) {
 		if n > len(src)-off {
 			n = len(src) - off
 		}
-		if c.valid[idx] && c.tags[idx] == lineAddr {
+		if c.hit(idx, lineAddr) {
 			copy(c.lineSlot(idx)[within:within+n], src[off:off+n])
 		}
 		a += uint32(n)
@@ -255,8 +270,8 @@ func (c *Cache) Invalidate(pa mem.PhysAddr, n int) (words int) {
 	end := a + uint32(n)
 	for lineAddr := a - a%uint32(c.lineSize); lineAddr < end; lineAddr += uint32(c.lineSize) {
 		idx := c.index(lineAddr)
-		if c.valid[idx] && c.tags[idx] == lineAddr {
-			c.valid[idx] = false
+		if c.hit(idx, lineAddr) {
+			c.tags[idx] = 0
 		}
 	}
 	// Cost is charged per word of the *range*, whether or not each word
@@ -268,9 +283,7 @@ func (c *Cache) Invalidate(pa mem.PhysAddr, n int) (words int) {
 
 // FlushAll empties the whole cache (the DECstation's cache-swap trick).
 func (c *Cache) FlushAll() {
-	for i := range c.valid {
-		c.valid[i] = false
-	}
+	clear(c.tags)
 }
 
 // StaleLines reports how many cached lines overlapping [pa, pa+n) differ
@@ -281,7 +294,7 @@ func (c *Cache) StaleLines(pa mem.PhysAddr, n int) int {
 	stale := 0
 	for lineAddr := a - a%uint32(c.lineSize); lineAddr < end; lineAddr += uint32(c.lineSize) {
 		idx := c.index(lineAddr)
-		if c.valid[idx] && c.tags[idx] == lineAddr {
+		if c.hit(idx, lineAddr) {
 			if !c.mem.Equal(mem.PhysAddr(lineAddr), c.lineSlot(idx)) {
 				stale++
 			}
@@ -295,5 +308,5 @@ func (c *Cache) Resident(pa mem.PhysAddr) bool {
 	a := uint32(pa)
 	lineAddr := a - a%uint32(c.lineSize)
 	idx := c.index(lineAddr)
-	return c.valid[idx] && c.tags[idx] == lineAddr
+	return c.hit(idx, lineAddr)
 }

@@ -300,16 +300,39 @@ func TestRelease(t *testing.T) {
 // cache whose line store starts full of 0xDE behaves exactly as one
 // whose store starts zeroed: the same bytes, hits, misses and stale
 // reads. So a slot's content before its line's first fill is never seen,
-// and the store may come from memory nobody cleared.
+// and the store may come from memory nobody cleared. And a line not
+// filled since it was last dropped never hits: the zero tag of a fresh
+// or emptied slot marks it invalid, physical line 0 included, which the
+// sequence starts with and keeps coming back to.
 func TestUnfilledStoreNeverObserved(t *testing.T) {
 	for _, policy := range []CoherencePolicy{Incoherent, DMAUpdate} {
 		cfg := Config{Size: 1024, LineSize: 16, Policy: policy}
-		zero := newWithStore(mem.New(mem.Config{Pages: 1}), cfg, make([]byte, cfg.Size))
-		dirty := newWithStore(mem.New(mem.Config{Pages: 1}), cfg, bytes.Repeat([]byte{0xDE}, cfg.Size))
+		lines := cfg.Size / cfg.LineSize
+		zero := newWithStore(mem.New(mem.Config{Pages: 1}), cfg, make([]byte, cfg.Size), make([]uint32, lines))
+		dirty := newWithStore(mem.New(mem.Config{Pages: 1}), cfg, bytes.Repeat([]byte{0xDE}, cfg.Size), make([]uint32, lines))
+		// filled holds the lines read in since they were last invalidated
+		// or flushed; a conflict may have evicted one since, so it bounds
+		// the hits from above.
+		filled := map[uint32]bool{}
+		spanned := func(a, n int) []uint32 {
+			var ls []uint32
+			for l := a - a%cfg.LineSize; l < a+n; l += cfg.LineSize {
+				ls = append(ls, uint32(l))
+			}
+			return ls
+		}
+		if h, m := dirty.Read(0, make([]byte, 4)); h != 0 || m != 1 {
+			t.Fatalf("%v: first read of physical line 0: %d hits, %d misses, want a miss", policy, h, m)
+		}
+		zero.Read(0, make([]byte, 4))
+		filled[0] = true
 		span := 2 * cfg.Size // twice the cache, so lines both hit and conflict
 		rng := rand.New(rand.NewSource(int64(policy) + 1))
 		for step := 0; step < 5000; step++ {
 			a, n := rng.Intn(span-64), 1+rng.Intn(64)
+			if step%16 == 0 {
+				a = 0
+			}
 			var got, want [2]int
 			var desc string
 			switch rng.Intn(8) {
@@ -320,6 +343,16 @@ func TestUnfilledStoreNeverObserved(t *testing.T) {
 				got[0], got[1] = dirty.Read(mem.PhysAddr(a), bd)
 				if !bytes.Equal(bz, bd) {
 					t.Fatalf("%v step %d %s: read %x, zeroed store read %x", policy, step, desc, bd, bz)
+				}
+				unfilled := 0
+				for _, l := range spanned(a, n) {
+					if !filled[l] {
+						unfilled++
+					}
+					filled[l] = true
+				}
+				if got[1] < unfilled {
+					t.Fatalf("%v step %d %s: %d misses, but %d of its lines were not filled", policy, step, desc, got[1], unfilled)
 				}
 			case 3, 4:
 				src := make([]byte, n)
@@ -337,6 +370,9 @@ func TestUnfilledStoreNeverObserved(t *testing.T) {
 				desc = fmt.Sprintf("Invalidate(%d, %d)", a, n)
 				want[0] = zero.Invalidate(mem.PhysAddr(a), n)
 				got[0] = dirty.Invalidate(mem.PhysAddr(a), n)
+				for _, l := range spanned(a, n) {
+					delete(filled, l)
+				}
 			default:
 				if rng.Intn(8) > 0 {
 					continue // flush rarely, so that lines live long enough to go stale
@@ -344,6 +380,7 @@ func TestUnfilledStoreNeverObserved(t *testing.T) {
 				desc = "FlushAll()"
 				zero.FlushAll()
 				dirty.FlushAll()
+				clear(filled)
 			}
 			if got != want || dirty.Stats() != zero.Stats() {
 				t.Fatalf("%v step %d %s: returned %v with stats %+v, zeroed store %v with %+v",

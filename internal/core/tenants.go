@@ -8,6 +8,7 @@ import (
 	"repro/internal/atm"
 	"repro/internal/board"
 	"repro/internal/dpm"
+	"repro/internal/driver"
 	"repro/internal/fbuf"
 	"repro/internal/hostsim"
 	"repro/internal/msg"
@@ -284,8 +285,10 @@ func RunTenants(opt Options, w Tenants) (*TenantsResult, error) {
 					return
 				}
 				pt := hog.Driver().OpenPath(tenantsHogVCI, nil)
+				// Every PDU is the same buffer, and Flush waits until the
+				// driver is done with the message, so one serves them all.
+				mm := msg.New(msg.Fragment{Space: hogApp.Space, VA: va, Len: hogPDUBytes})
 				for n := 0; n < hogPDUs; n++ {
-					mm := msg.New(msg.Fragment{Space: hogApp.Space, VA: va, Len: hogPDUBytes})
 					if err := hog.Driver().Send(p, pt, mm, nil); err != nil {
 						return
 					}
@@ -351,8 +354,8 @@ func RunTenants(opt Options, w Tenants) (*TenantsResult, error) {
 					return
 				}
 				pt := a.Driver().OpenPath(vci, nil)
+				mm := msg.New(msg.Fragment{Space: appA.Space, VA: va, Len: w.PDUBytes}) // reused as the hog's is
 				for n := 0; n < w.PDUs; n++ {
-					mm := msg.New(msg.Fragment{Space: appA.Space, VA: va, Len: w.PDUBytes})
 					if err := a.Driver().Send(p, pt, mm, nil); err != nil {
 						return
 					}
@@ -404,7 +407,7 @@ func RunTenants(opt Options, w Tenants) (*TenantsResult, error) {
 					}
 					sendDone := false
 					mm := msg.New(msg.Fragment{Space: appA.Space, VA: va, Len: w.PDUBytes})
-					if err := a.Driver().Send(p, spt, mm, func(*sim.Proc) { sendDone = true }); err != nil {
+					if err := a.Driver().Send(p, spt, mm, driver.CompletionFunc(func(*sim.Proc) { sendDone = true })); err != nil {
 						fail(err)
 						return
 					}

@@ -116,8 +116,22 @@ type Stats struct {
 }
 
 // Handler receives an inbound PDU for a path. The message views the
-// driver's receive buffers; it is valid until the handler returns.
+// driver's receive buffers; it and every view derived from it are valid
+// until the handler returns, unless the handler Retains it.
 type Handler func(p *sim.Proc, m *msg.Message)
+
+// Completion is told when a sent PDU's transmission has completed (the
+// tail pointer passed its descriptors). Layers that keep one record per
+// PDU in flight implement it on that record, so a send costs no closure.
+type Completion interface {
+	TxDone(p *sim.Proc)
+}
+
+// CompletionFunc adapts a function to a Completion.
+type CompletionFunc func(p *sim.Proc)
+
+// TxDone calls f.
+func (f CompletionFunc) TxDone(p *sim.Proc) { f(p) }
 
 // Path is a connection's binding to a VCI (§3.1: "each path is bound to
 // an unused VCI by the device driver").
@@ -131,7 +145,7 @@ type Path struct {
 type txPending struct {
 	descs int
 	m     *msg.Message
-	done  func(p *sim.Proc)
+	done  Completion
 }
 
 // rxBuffer is one receive buffer owned by the driver.
@@ -174,8 +188,11 @@ type Driver struct {
 
 	paths map[atm.VCI]*Path
 
-	// Transmit side.
+	// Transmit side. pending is a ring: pendHead is its oldest entry
+	// and pendLen its length.
 	pending   []txPending
+	pendHead  int
+	pendLen   int
 	lastTail  uint32
 	txCredits int // descriptors known consumed but not yet matched
 	txCond    *sim.Cond
@@ -189,12 +206,22 @@ type Driver struct {
 	freeMu  *mutex       // serializes the host's writer side of the free ring
 	partial []queue.Desc // descs of the PDU being accumulated
 
-	// Buffer retention (fragment reassembly above the driver).
-	currentMsg  *msg.Message
-	currentBufs []*rxBuffer
-	currentCE   bool // the PDU being delivered carried a fabric CE mark
-	retainFlag  bool
-	retained    map[*msg.Message][]*rxBuffer
+	// Delivery scratch, reused by every PDU: the fragments and buffers
+	// of the PDU being delivered, and the message handed to the handler
+	// (nil after a Retain took it; the next delivery takes a spare).
+	rxFrags []msg.Fragment
+	rxBufs  []*rxBuffer
+	rxMsg   *msg.Message
+
+	// Buffer retention (fragment reassembly above the driver). A
+	// retained message keeps a copy of its buffer list; Release returns
+	// both to the spares.
+	currentMsg *msg.Message
+	currentCE  bool // the PDU being delivered carried a fabric CE mark
+	retainFlag bool
+	retained   map[*msg.Message][]*rxBuffer
+	spareMsgs  []*msg.Message
+	spareBufs  [][]*rxBuffer
 
 	stats Stats
 	trk   string // trace track label, precomputed so Emit never concatenates
@@ -403,10 +430,11 @@ func (d *Driver) ClosePath(pt *Path) {
 func (pt *Path) SetHandler(h Handler) { pt.handler = h }
 
 // Send queues a message for transmission on a path and returns once all
-// its descriptors are queued (not when transmission completes; register
-// onComplete for that, e.g. to free header buffers). The message's pages
-// are wired for the DMA and unwired at completion (§2.4).
-func (d *Driver) Send(p *sim.Proc, pt *Path, m *msg.Message, onComplete func(p *sim.Proc)) error {
+// its descriptors are queued (not when transmission completes; pass a
+// Completion for that, e.g. to free header buffers, or nil). The driver
+// holds m until then: its pages are wired for the DMA and unwired at
+// completion (§2.4), just before done runs.
+func (d *Driver) Send(p *sim.Proc, pt *Path, m *msg.Message, done Completion) error {
 	segs, err := m.AppendPhysSegments(d.host.GetSegs())
 	if err != nil {
 		d.host.PutSegs(segs)
@@ -461,7 +489,7 @@ func (d *Driver) Send(p *sim.Proc, pt *Path, m *msg.Message, onComplete func(p *
 	}
 	d.stats.TxPDUs++
 	d.stats.TxBuffers += int64(len(segs))
-	d.pending = append(d.pending, txPending{descs: len(segs), m: m, done: onComplete})
+	d.pushPending(txPending{descs: len(segs), m: m, done: done})
 	d.b.KickTx()
 	// Transmit-complete detection piggybacks on other driver activity.
 	d.reclaimLocked(p)
@@ -487,24 +515,40 @@ func (d *Driver) reclaimLocked(p *sim.Proc) {
 	}
 	d.lastTail = tail
 	d.txCredits += delta
-	for len(d.pending) > 0 && d.txCredits >= d.pending[0].descs {
-		ent := d.pending[0]
-		d.pending = d.pending[1:]
+	for d.pendLen > 0 && d.txCredits >= d.pending[d.pendHead].descs {
+		ent := d.pending[d.pendHead]
+		d.pending[d.pendHead] = txPending{}
+		d.pendHead = (d.pendHead + 1) % len(d.pending)
+		d.pendLen--
 		d.txCredits -= ent.descs
 		if err := ent.m.UnwireAll(); err != nil {
 			panic(err)
 		}
 		if ent.done != nil {
-			ent.done(p)
+			ent.done.TxDone(p)
 		}
 	}
 }
 
+// pushPending appends a sent PDU to the pending ring, doubling the ring
+// when it is full.
+func (d *Driver) pushPending(ent txPending) {
+	if d.pendLen == len(d.pending) {
+		grown := make([]txPending, max(8, 2*len(d.pending)))
+		for i := 0; i < d.pendLen; i++ {
+			grown[i] = d.pending[(d.pendHead+i)%len(d.pending)]
+		}
+		d.pending, d.pendHead = grown, 0
+	}
+	d.pending[(d.pendHead+d.pendLen)%len(d.pending)] = ent
+	d.pendLen++
+}
+
 // Flush blocks until every queued PDU has completed transmission.
 func (d *Driver) Flush(p *sim.Proc) {
-	for len(d.pending) > 0 {
+	for d.pendLen > 0 {
 		d.reclaim(p)
-		if len(d.pending) > 0 {
+		if d.pendLen > 0 {
 			p.Sleep(5 * time.Microsecond)
 		}
 	}
@@ -548,7 +592,7 @@ func (d *Driver) rxThread(p *sim.Proc) {
 			d.partial = append(d.partial, desc)
 			if desc.Flags&queue.FlagEOP != 0 {
 				d.deliverPDU(p, d.partial)
-				d.partial = nil
+				d.partial = d.partial[:0]
 			}
 		}
 		if processed {
@@ -575,12 +619,13 @@ func (d *Driver) abortPartial(vci atm.VCI) {
 		}
 		d.reserve = append(d.reserve, rb)
 	}
-	d.partial = nil
+	d.partial = d.partial[:0]
 }
 
 // deliverPDU assembles a message view over the received buffers, applies
 // the cache policy, and hands it up the bound path. The buffers return
-// to the reserve pool when the handler finishes.
+// to the reserve pool when the handler finishes, unless it retained the
+// message.
 func (d *Driver) deliverPDU(p *sim.Proc, descs []queue.Desc) {
 	d.stats.RxPDUs++
 	if eng := d.host.Eng; eng.Recording() {
@@ -588,8 +633,7 @@ func (d *Driver) deliverPDU(p *sim.Proc, descs []queue.Desc) {
 	}
 	d.host.Compute(p, d.host.Prof.DriverRxPerPDU+time.Duration(len(descs)-1)*d.host.Prof.DriverPerBuffer)
 
-	var frags []msg.Fragment
-	var bufs []*rxBuffer
+	frags, bufs := d.rxFrags[:0], d.rxBufs[:0]
 	ce := false
 	for _, desc := range descs {
 		if desc.Flags&queue.FlagCE != 0 {
@@ -607,19 +651,41 @@ func (d *Driver) deliverPDU(p *sim.Proc, descs []queue.Desc) {
 			d.host.InvalidateData(p, []mem.PhysBuffer{{Addr: desc.Addr, Len: int(desc.Len)}})
 		}
 	}
-	m := msg.New(frags...)
+	d.rxFrags, d.rxBufs = frags, bufs
+	if d.rxMsg == nil {
+		d.rxMsg = d.spareMsg()
+	}
+	m := d.rxMsg.SetFragments(frags...)
 	pt := d.paths[descs[len(descs)-1].VCI]
-	d.currentMsg, d.currentBufs, d.currentCE, d.retainFlag = m, bufs, ce, false
+	d.currentMsg, d.currentCE, d.retainFlag = m, ce, false
 	if pt != nil && pt.handler != nil {
 		pt.handler(p, m)
 	}
 	if d.retainFlag {
-		d.retained[m] = bufs
+		// The retaining layer now owns m and the buffers; the next
+		// delivery takes another message.
+		var held []*rxBuffer
+		if n := len(d.spareBufs); n > 0 {
+			held, d.spareBufs = d.spareBufs[n-1], d.spareBufs[:n-1]
+		}
+		d.retained[m] = append(held, bufs...)
+		d.rxMsg = nil
 	} else {
 		// Handler done: recycle the buffers.
 		d.reserve = append(d.reserve, bufs...)
 	}
-	d.currentMsg, d.currentBufs, d.currentCE, d.retainFlag = nil, nil, false, false
+	d.currentMsg, d.currentCE, d.retainFlag = nil, false, false
+}
+
+// spareMsg returns a message for the next delivery: one a Release gave
+// back, or a new one.
+func (d *Driver) spareMsg() *msg.Message {
+	if n := len(d.spareMsgs); n > 0 {
+		m := d.spareMsgs[n-1]
+		d.spareMsgs = d.spareMsgs[:n-1]
+		return m
+	}
+	return new(msg.Message)
 }
 
 // CEMarked, called from within a path handler, reports whether the PDU
@@ -629,10 +695,11 @@ func (d *Driver) deliverPDU(p *sim.Proc, descs []queue.Desc) {
 func (d *Driver) CEMarked() bool { return d.currentCE }
 
 // Retain, called from within a path handler, transfers ownership of the
-// PDU's receive buffers to the caller — an upper protocol holding a
-// fragment for reassembly. The buffers must eventually come back via
-// Release or the receive pool shrinks (exactly the resource the paper's
-// copy-free data path has to manage, §2.2/§3.1).
+// delivered message and the PDU's receive buffers to the caller — an
+// upper protocol holding a fragment for reassembly. Both must come back
+// via Release, or the receive pool shrinks (exactly the resource the
+// paper's copy-free data path has to manage, §2.2/§3.1); m must not be
+// used after that.
 func (d *Driver) Retain(m *msg.Message) {
 	if m != d.currentMsg {
 		panic("driver: Retain outside the delivering handler")
@@ -654,6 +721,9 @@ func (d *Driver) Release(_ *sim.Proc, m *msg.Message) {
 	}
 	delete(d.retained, m)
 	d.reserve = append(d.reserve, bufs...)
+	clear(bufs)
+	d.spareBufs = append(d.spareBufs, bufs[:0])
+	d.spareMsgs = append(d.spareMsgs, m)
 }
 
 // RecoverData is the lazy-invalidation recovery path (§2.3): when a

@@ -153,7 +153,7 @@ func TestTransmitCompletionUnwiresPages(t *testing.T) {
 		m, _ := msg.FromBytes(pr.hA.Kernel, data)
 		frag := m.Fragments()[0]
 		fr, _ := frag.Space.Mapped(frag.Space.VPN(frag.VA))
-		pr.dA.Send(p, ptA, m, func(p *sim.Proc) { completed = true })
+		pr.dA.Send(p, ptA, m, CompletionFunc(func(p *sim.Proc) { completed = true }))
 		if !pr.hA.Mem.Wired(fr) {
 			t.Error("pages not wired during transmit")
 		}
@@ -221,7 +221,7 @@ func TestBackToBackThroughputReachesLinkRegion(t *testing.T) {
 			}
 			va := m.Fragments()[0].VA
 			sp := m.Fragments()[0].Space
-			if err := pr.dA.Send(p, ptA, m, func(p *sim.Proc) { sp.Free(va, size) }); err != nil {
+			if err := pr.dA.Send(p, ptA, m, CompletionFunc(func(p *sim.Proc) { sp.Free(va, size) })); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -345,7 +345,7 @@ func TestInterruptsPerBurstBelowOnePerPDU(t *testing.T) {
 		for i := 0; i < n; i++ {
 			m, _ := msg.FromBytes(pr.hA.Kernel, data)
 			va, sp := m.Fragments()[0].VA, m.Fragments()[0].Space
-			pr.dA.Send(p, ptA, m, func(p *sim.Proc) { sp.Free(va, 2048) })
+			pr.dA.Send(p, ptA, m, CompletionFunc(func(p *sim.Proc) { sp.Free(va, 2048) }))
 		}
 		pr.dA.Flush(p)
 	})
@@ -377,7 +377,7 @@ func TestTxStallAndNotifyProtocol(t *testing.T) {
 		for i := 0; i < n; i++ {
 			m, _ := msg.FromBytes(pr.hA.Kernel, data)
 			va, sp := m.Fragments()[0].VA, m.Fragments()[0].Space
-			pr.dA.Send(p, ptA, m, func(p *sim.Proc) { sp.Free(va, 2048) })
+			pr.dA.Send(p, ptA, m, CompletionFunc(func(p *sim.Proc) { sp.Free(va, 2048) }))
 		}
 		pr.dA.Flush(p)
 	})

@@ -100,6 +100,51 @@ func TestDemotionUnmapsConsumers(t *testing.T) {
 	e.Run()
 }
 
+// TestDemotionKeepsOnlyProducerAndRemaps demotes an fbuf mapped into a
+// three-domain path: only the producer's mapping is left, at its old
+// address, and transferring the fbuf into a consumer maps it there again.
+func TestDemotionKeepsOnlyProducerAndRemaps(t *testing.T) {
+	e, h, _ := newRig()
+	m := NewManager(h, 1)
+	drv := NewDomain(h, "drv")
+	srv := NewDomain(h, "srv")
+	app := NewDomain(h, "app")
+	e.Go("t", func(p *sim.Proc) {
+		if err := m.DefinePath(p, 7, []*Domain{drv, srv, app}, 1, 8192); err != nil {
+			t.Fatal(err)
+		}
+		f, err := m.Alloc(p, 7, drv, 8192)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drvVA, _ := f.VA(drv)
+		m.Free(f)
+		if err := m.DefinePath(p, 8, []*Domain{drv}, 1, 4096); err != nil {
+			t.Fatal(err) // capacity 1: evicts path 7, demoting f
+		}
+		if len(f.vas) != 1 || f.vas[0] != (mapping{drv, drvVA}) {
+			t.Fatalf("mappings after demotion = %v, want only the producer's at %#x", f.vas, drvVA)
+		}
+		if err := f.Write(drv, 4096, []byte("again")); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Transfer(p, drv, app); err != nil {
+			t.Fatal(err)
+		}
+		if !f.MappedIn(app) || f.MappedIn(srv) {
+			t.Fatalf("after transfer into app: mapped in app %v, srv %v", f.MappedIn(app), f.MappedIn(srv))
+		}
+		got, err := f.Read(app, 4096, 5)
+		if err != nil || string(got) != "again" {
+			t.Fatalf("read through the new mapping = %q, %v", got, err)
+		}
+		if got := m.Stats().UncachedTransfers; got != 1 {
+			t.Fatalf("uncached transfers = %d, want 1", got)
+		}
+	})
+	e.Run()
+}
+
 // TestOutstandingFbufDemotesAtFree evicts a path while its fbuf is in
 // flight: the fbuf must keep working (it is still mapped) and demote
 // only when freed.

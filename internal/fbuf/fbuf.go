@@ -57,10 +57,27 @@ type Fbuf struct {
 	mgr    *Manager
 	frames []mem.Frame
 	size   int
-	vas    map[*Domain]mem.VirtAddr
-	path   atm.VCI // the path whose pool owns it; 0 for uncached
+	vas    []mapping // in mapping order: a cached fbuf's path chain first
+	path   atm.VCI   // the path whose pool owns it; 0 for uncached
 	pool   *pathPool
 	cached bool
+}
+
+// mapping is an fbuf's virtual address in one domain. An fbuf is mapped
+// into a handful of domains at most, so a list beats a map.
+type mapping struct {
+	d  *Domain
+	va mem.VirtAddr
+}
+
+// lookup returns the fbuf's address in d, if it is mapped there.
+func (f *Fbuf) lookup(d *Domain) (mem.VirtAddr, bool) {
+	for _, mp := range f.vas {
+		if mp.d == d {
+			return mp.va, true
+		}
+	}
+	return 0, false
 }
 
 // Size returns the fbuf's capacity in bytes.
@@ -71,14 +88,14 @@ func (f *Fbuf) Cached() bool { return f.cached }
 
 // MappedIn reports whether the fbuf is currently mapped in d.
 func (f *Fbuf) MappedIn(d *Domain) bool {
-	_, ok := f.vas[d]
+	_, ok := f.lookup(d)
 	return ok
 }
 
 // VA returns the fbuf's virtual address in domain d; the fbuf must be
 // mapped there.
 func (f *Fbuf) VA(d *Domain) (mem.VirtAddr, error) {
-	va, ok := f.vas[d]
+	va, ok := f.lookup(d)
 	if !ok {
 		return 0, fmt.Errorf("fbuf: not mapped in domain %s", d.Name)
 	}
@@ -129,11 +146,11 @@ func (f *Fbuf) PhysBuffers() []mem.PhysBuffer {
 // hand-off; an uncached fbuf pays per-page mapping work on its way into
 // the destination domain (§3.1).
 func (f *Fbuf) Transfer(p *sim.Proc, from, to *Domain) error {
-	if _, ok := f.vas[from]; !ok {
+	if !f.MappedIn(from) {
 		return fmt.Errorf("fbuf: transfer from %s, where it is not mapped", from.Name)
 	}
 	prof := f.mgr.host.Prof
-	if _, mapped := f.vas[to]; mapped {
+	if f.MappedIn(to) {
 		f.mgr.host.Compute(p, prof.FbufTransfer)
 		f.mgr.stats.CachedTransfers++
 		return nil
@@ -144,7 +161,7 @@ func (f *Fbuf) Transfer(p *sim.Proc, from, to *Domain) error {
 	if err != nil {
 		return err
 	}
-	f.vas[to] = va
+	f.vas = append(f.vas, mapping{to, va})
 	f.mgr.stats.UncachedTransfers++
 	f.mgr.stats.PagesMapped += int64(len(f.frames))
 	return nil
@@ -312,17 +329,20 @@ func (m *Manager) unmapFrom(f *Fbuf, d *Domain, va mem.VirtAddr) {
 }
 
 // demote strips an fbuf of its cached status: every mapping except the
-// producer's (the path's first domain) is torn out of the page tables
-// and the fbuf joins the uncached pool.
+// producer's (the path's first domain) is torn out of the page tables,
+// in mapping order, and the fbuf joins the uncached pool.
 func (m *Manager) demote(f *Fbuf) {
 	keep := f.pool.domains[0]
-	for d, va := range f.vas {
-		if d == keep {
+	kept := f.vas[:0]
+	for _, mp := range f.vas {
+		if mp.d == keep {
+			kept = append(kept, mp)
 			continue
 		}
-		m.unmapFrom(f, d, va)
+		m.unmapFrom(f, mp.d, mp.va)
 	}
-	f.vas = map[*Domain]mem.VirtAddr{keep: f.vas[keep]}
+	clear(f.vas[len(kept):])
+	f.vas = kept
 	f.cached = false
 	f.path = 0
 	f.pool = nil
@@ -332,8 +352,8 @@ func (m *Manager) demote(f *Fbuf) {
 
 // destroy unmaps an fbuf everywhere and returns its frames to the host.
 func (m *Manager) destroy(f *Fbuf) {
-	for d, va := range f.vas {
-		m.unmapFrom(f, d, va)
+	for _, mp := range f.vas {
+		m.unmapFrom(f, mp.d, mp.va)
 	}
 	f.vas = nil
 	for _, fr := range f.frames {
@@ -344,7 +364,9 @@ func (m *Manager) destroy(f *Fbuf) {
 	f.cached = false
 }
 
-func (m *Manager) newFbuf(size int) (*Fbuf, error) {
+// newFbuf allocates an fbuf of at least size bytes, mapped nowhere yet,
+// with room for mappings into domains domains.
+func (m *Manager) newFbuf(size, domains int) (*Fbuf, error) {
 	ps := m.host.Mem.PageSize()
 	pages := (size + ps - 1) / ps
 	frames := make([]mem.Frame, 0, pages)
@@ -362,7 +384,7 @@ func (m *Manager) newFbuf(size int) (*Fbuf, error) {
 		mgr:    m,
 		frames: frames,
 		size:   pages * ps,
-		vas:    make(map[*Domain]mem.VirtAddr),
+		vas:    make([]mapping, 0, domains),
 	}, nil
 }
 
@@ -392,7 +414,7 @@ func (m *Manager) DefinePath(p *sim.Proc, vci atm.VCI, domains []*Domain, count,
 		return err
 	}
 	for i := 0; i < count; i++ {
-		f, err := m.newFbuf(size)
+		f, err := m.newFbuf(size, len(domains))
 		if err != nil {
 			return fail(err)
 		}
@@ -405,7 +427,7 @@ func (m *Manager) DefinePath(p *sim.Proc, vci atm.VCI, domains []*Domain, count,
 			if err != nil {
 				return fail(err)
 			}
-			f.vas[d] = va
+			f.vas = append(f.vas, mapping{d, va})
 			m.host.Compute(p, time.Duration(len(f.frames))*m.host.Prof.FbufMapPerPage)
 		}
 	}
@@ -481,18 +503,18 @@ func (m *Manager) AllocUncached(p *sim.Proc, origin *Domain, size int) (*Fbuf, e
 	for i, f := range m.uncached {
 		if f.size >= size {
 			m.uncached = append(m.uncached[:i], m.uncached[i+1:]...)
-			if _, ok := f.vas[origin]; !ok {
+			if !f.MappedIn(origin) {
 				va, err := origin.Space.MapFrames(f.frames)
 				if err != nil {
 					return nil, err
 				}
-				f.vas[origin] = va
+				f.vas = append(f.vas, mapping{origin, va})
 				m.host.Compute(p, time.Duration(len(f.frames))*m.host.Prof.FbufMapPerPage)
 			}
 			return f, nil
 		}
 	}
-	f, err := m.newFbuf(size)
+	f, err := m.newFbuf(size, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -500,7 +522,7 @@ func (m *Manager) AllocUncached(p *sim.Proc, origin *Domain, size int) (*Fbuf, e
 	if err != nil {
 		return nil, err
 	}
-	f.vas[origin] = va
+	f.vas = append(f.vas, mapping{origin, va})
 	m.host.Compute(p, time.Duration(len(f.frames))*m.host.Prof.FbufMapPerPage)
 	return f, nil
 }

@@ -65,7 +65,7 @@ func ProvisionPath(p *sim.Proc, h *hostsim.Host, b *board.Board, mgr *Manager,
 			mgr:    mgr,
 			frames: frames,
 			size:   pages * ps,
-			vas:    make(map[*Domain]mem.VirtAddr),
+			vas:    make([]mapping, 0, len(domains)),
 			cached: true,
 			path:   vci,
 		}
@@ -74,7 +74,7 @@ func ProvisionPath(p *sim.Proc, h *hostsim.Host, b *board.Board, mgr *Manager,
 			if err != nil {
 				return nil, err
 			}
-			f.vas[d] = va
+			f.vas = append(f.vas, mapping{d, va})
 			h.Compute(p, profMapCost(h, pages))
 		}
 		for _, fr := range frames {

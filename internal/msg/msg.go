@@ -25,8 +25,14 @@ type Fragment struct {
 }
 
 // Message is a sequence of fragments. The zero value is an empty message.
-// Operations return new Message values sharing the underlying memory;
-// the bytes themselves are never copied by message manipulation.
+// The bytes themselves are never copied by message manipulation.
+//
+// Every operation comes in two forms. The Set* methods and SplitInto
+// rewrite a caller-owned Message in place, reusing its fragment storage,
+// so a layer that keeps one Message per in-flight PDU allocates nothing
+// in steady state; the receiver may also be an operand. The allocating
+// forms (New, Prepend, Append, Split, TrimPrefix) wrap them, returning
+// a fresh Message.
 //
 // Messages must not be copied by value: short fragment lists live in the
 // inline array, so a copy would alias the original's storage.
@@ -35,27 +41,37 @@ type Message struct {
 	inline [4]Fragment // in-struct storage for short fragment lists
 }
 
-// newMessage returns an empty message whose fragment list has room for n
-// entries — in the struct itself when n fits the inline array, so the
-// typical header+data chain costs a single allocation.
-func newMessage(n int) *Message {
-	m := &Message{}
-	if n <= len(m.inline) {
-		m.frags = m.inline[:0]
-	} else {
-		m.frags = make([]Fragment, 0, n)
+// storage returns m's fragment storage emptied, with room for n
+// entries: the storage m already owns when it is large enough (the
+// caller may still be reading the old entries through an operand that
+// is m itself), the inline array for a fresh short list, and a new
+// slice otherwise.
+func (m *Message) storage(n int) []Fragment {
+	switch {
+	case cap(m.frags) >= n:
+		return m.frags[:0]
+	case m.frags == nil && n <= len(m.inline):
+		return m.inline[:0]
+	default:
+		return make([]Fragment, 0, n)
 	}
-	return m
 }
 
 // New builds a message from fragments (empty fragments are dropped).
 func New(frags ...Fragment) *Message {
-	m := newMessage(len(frags))
+	return new(Message).SetFragments(frags...)
+}
+
+// SetFragments rebuilds m from frags (empty fragments are dropped) and
+// returns m. frags may be m's own Fragments.
+func (m *Message) SetFragments(frags ...Fragment) *Message {
+	dst := m.storage(len(frags))
 	for _, f := range frags {
 		if f.Len > 0 {
-			m.frags = append(m.frags, f)
+			dst = append(dst, f)
 		}
 	}
+	m.frags = dst
 	return m
 }
 
@@ -158,47 +174,79 @@ func (m *Message) Prepend(f Fragment) *Message {
 	if f.Len == 0 {
 		return m
 	}
-	out := newMessage(len(m.frags) + 1)
-	out.frags = append(out.frags, f)
-	out.frags = append(out.frags, m.frags...)
-	return out
+	return new(Message).SetPrepend(f, m)
+}
+
+// SetPrepend sets m to f followed by src and returns m (an empty f is
+// dropped). src may be m.
+func (m *Message) SetPrepend(f Fragment, src *Message) *Message {
+	if f.Len == 0 {
+		return m.SetFragments(src.frags...)
+	}
+	n := len(src.frags)
+	dst := m.storage(n + 1)[:n+1]
+	copy(dst[1:], src.frags) // a memmove, so src may be m
+	dst[0] = f
+	m.frags = dst
+	return m
 }
 
 // Append returns the concatenation m ++ other.
 func (m *Message) Append(other *Message) *Message {
-	out := newMessage(len(m.frags) + len(other.frags))
-	out.frags = append(out.frags, m.frags...)
-	out.frags = append(out.frags, other.frags...)
-	return out
+	return new(Message).SetAppend(m, other)
+}
+
+// SetAppend sets m to the concatenation a ++ b and returns m. Either
+// operand may be m.
+func (m *Message) SetAppend(a, b *Message) *Message {
+	na, nb := len(a.frags), len(b.frags)
+	dst := m.storage(na + nb)[:na+nb]
+	// b first: when b is m its entries move right, and when a is m its
+	// entries stay where they are.
+	copy(dst[na:], b.frags)
+	copy(dst, a.frags)
+	m.frags = dst
+	return m
 }
 
 // Split returns the first n bytes and the remainder as two messages
 // sharing the underlying memory (used by IP fragmentation).
 func (m *Message) Split(n int) (head, tail *Message, err error) {
-	if n < 0 || n > m.Len() {
-		return nil, nil, fmt.Errorf("msg: split at %d of %d-byte message", n, m.Len())
-	}
-	// Count the fragments on each side of the cut so both slices are
-	// allocated exactly once at final size (splitting runs per PDU on
-	// the protocol hot path).
-	nh, nt := m.splitCounts(n)
-	head = newMessage(nh)
-	tail = newMessage(nt)
-	remaining := n
-	for _, f := range m.frags {
-		switch {
-		case remaining >= f.Len:
-			head.frags = append(head.frags, f)
-			remaining -= f.Len
-		case remaining > 0:
-			head.frags = append(head.frags, Fragment{Space: f.Space, VA: f.VA, Len: remaining})
-			tail.frags = append(tail.frags, Fragment{Space: f.Space, VA: f.VA + mem.VirtAddr(remaining), Len: f.Len - remaining})
-			remaining = 0
-		default:
-			tail.frags = append(tail.frags, f)
-		}
+	head, tail = new(Message), new(Message)
+	if err := m.SplitInto(n, head, tail); err != nil {
+		return nil, nil, err
 	}
 	return head, tail, nil
+}
+
+// SplitInto sets head to m's first n bytes and tail to the remainder.
+// tail may be m; head must be neither m nor tail. On error neither
+// changes.
+func (m *Message) SplitInto(n int, head, tail *Message) error {
+	if head == m || head == tail {
+		panic("msg: SplitInto head aliases its source or tail")
+	}
+	if err := m.checkCut(n); err != nil {
+		return err
+	}
+	nh, _ := m.splitCounts(n)
+	dst := head.storage(nh)
+	remaining := n
+	for _, f := range m.frags[:nh] {
+		f.Len = min(f.Len, remaining)
+		remaining -= f.Len
+		dst = append(dst, f)
+	}
+	head.frags = dst
+	return tail.SetTrimPrefix(m, n)
+}
+
+// checkCut reports whether n is a valid cut point of m.
+func (m *Message) checkCut(n int) error {
+	if l := m.Len(); n < 0 || n > l {
+		return fmt.Errorf("msg: split at %d of %d-byte message", n, l)
+	}
+	return nil
 }
 
 // splitCounts returns how many fragments a Split(n) would place in the
@@ -225,24 +273,37 @@ func (m *Message) splitCounts(n int) (nh, nt int) {
 // x-kernel header strip operation. Unlike Split it never materializes
 // the discarded head.
 func (m *Message) TrimPrefix(n int) (*Message, error) {
-	if n < 0 || n > m.Len() {
-		return nil, fmt.Errorf("msg: split at %d of %d-byte message", n, m.Len())
+	tail := new(Message)
+	if err := tail.SetTrimPrefix(m, n); err != nil {
+		return nil, err
 	}
-	_, nt := m.splitCounts(n)
-	tail := newMessage(nt)
+	return tail, nil
+}
+
+// SetTrimPrefix sets m to src with its first n bytes removed. src may
+// be m. On error m is unchanged.
+func (m *Message) SetTrimPrefix(src *Message, n int) error {
+	if err := src.checkCut(n); err != nil {
+		return err
+	}
+	_, nt := src.splitCounts(n)
+	// Each kept fragment lands at an index no later than the one it is
+	// read from, so trimming m in place never overwrites an unread entry.
+	dst := m.storage(nt)
 	remaining := n
-	for _, f := range m.frags {
+	for _, f := range src.frags {
 		switch {
 		case remaining >= f.Len:
 			remaining -= f.Len
 		case remaining > 0:
-			tail.frags = append(tail.frags, Fragment{Space: f.Space, VA: f.VA + mem.VirtAddr(remaining), Len: f.Len - remaining})
+			dst = append(dst, Fragment{Space: f.Space, VA: f.VA + mem.VirtAddr(remaining), Len: f.Len - remaining})
 			remaining = 0
 		default:
-			tail.frags = append(tail.frags, f)
+			dst = append(dst, f)
 		}
 	}
-	return tail, nil
+	m.frags = dst
+	return nil
 }
 
 // Bytes gathers the full message contents (copying; used by test

@@ -118,6 +118,7 @@ func (ip *IP) Open(addr any) (xkernel.Session, error) {
 type ipPartial struct {
 	frags    map[uint32]*msg.Message // fragOff -> payload view
 	retained []*msg.Message          // driver messages held for release
+	views    []*msg.Message          // the payload views in frags
 	got      int
 	total    int  // -1 until the final fragment arrives
 	ce       bool // any fragment arrived CE-marked
@@ -135,6 +136,13 @@ type ipSession struct {
 
 	spareParts []*ipPartial   // finished reassembly records, reused
 	joined     []msg.Fragment // fragment views of a PDU being stitched
+
+	// Receive views handed upward, valid until the upper handler
+	// returns: an unfragmented payload, and a stitched datagram.
+	payload, assembled msg.Message
+	spareViews         []*msg.Message // reassembly payload views, reused
+
+	spareSends []*ipSend // finished send records, reused
 }
 
 // maxPartials bounds concurrent fragment reassemblies per session; the
@@ -160,42 +168,33 @@ func (s *ipSession) Push(p *sim.Proc, m *msg.Message) error {
 	return s.PushDone(p, m, nil)
 }
 
-// PushDone is Push with a completion callback that runs once every
-// fragment of the PDU has actually been transmitted (tail advance past
-// its descriptors) — upper layers use it to free header buffers whose
-// bytes the DMA reads asynchronously.
-func (s *ipSession) PushDone(p *sim.Proc, m *msg.Message, done func(p *sim.Proc)) error {
+// PushDone is Push with a completion that runs once every fragment of
+// the PDU has actually been transmitted (tail advance past its
+// descriptors) — upper layers use it to free header buffers whose bytes
+// the DMA reads asynchronously. done may be nil.
+func (s *ipSession) PushDone(p *sim.Proc, m *msg.Message, done driver.Completion) error {
 	maxData := s.ip.mtu - IPHeaderSize
 	total := m.Len()
 	s.ip.ident++
 	ident := s.ip.ident
+	r := s.newSend(done)
 	rest := m
-	outstanding := 0
-	var sent bool
-	fragDone := func(p *sim.Proc) {
-		outstanding--
-		if outstanding == 0 && sent && done != nil {
-			done(p)
-		}
-	}
 	for off := 0; ; {
 		take := rest.Len()
 		if take > maxData {
 			take = maxData
 		}
-		var frag *msg.Message
-		var err error
+		pkt := r.packet()
 		if take == rest.Len() {
-			frag = rest // final fragment: no need to carve an empty tail
+			pkt.SetFragments(rest.Fragments()...) // final fragment: no need to carve an empty tail
 		} else {
-			frag, rest, err = rest.Split(take)
-			if err != nil {
+			if err := rest.SplitInto(take, pkt, &r.rest); err != nil {
 				return err
 			}
+			rest = &r.rest
 		}
 		mf := off+take < total
-		outstanding++
-		if err := s.sendFragment(p, frag, ident, uint32(off), mf, fragDone); err != nil {
+		if err := s.sendFragment(p, r, pkt, ident, uint32(off), mf); err != nil {
 			return err
 		}
 		off += take
@@ -203,15 +202,112 @@ func (s *ipSession) PushDone(p *sim.Proc, m *msg.Message, done func(p *sim.Proc)
 			break
 		}
 	}
-	sent = true
-	if outstanding == 0 && done != nil {
-		done(p)
-	}
+	r.sent = true
+	r.finish(p)
 	s.ip.stats.PDUsSent++
 	return nil
 }
 
-func (s *ipSession) sendFragment(p *sim.Proc, payload *msg.Message, ident, off uint32, mf bool, fragDone func(p *sim.Proc)) error {
+// ipSend is one PushDone in flight: the payload left to fragment, each
+// fragment's packet and header buffer, and the upper completion. It is
+// the driver's Completion for every fragment, and returns to its
+// session's free list once the whole PDU is queued and its last
+// fragment has been transmitted: until then the driver holds the
+// packets.
+type ipSend struct {
+	s       *ipSession
+	done    driver.Completion
+	rest    msg.Message
+	pkts    []*msg.Message // one per fragment; reused with the record
+	hdrs    []mem.VirtAddr // header buffer of each fragment queued
+	retired int            // fragments whose transmission completed
+	sent    bool           // every fragment is queued
+}
+
+// newSend returns a cleared send record, reusing a finished one when the
+// session has one.
+func (s *ipSession) newSend(done driver.Completion) *ipSend {
+	var r *ipSend
+	if n := len(s.spareSends); n > 0 {
+		r, s.spareSends = s.spareSends[n-1], s.spareSends[:n-1]
+	} else {
+		r = &ipSend{s: s}
+	}
+	r.done = done
+	return r
+}
+
+// packet returns the message for the next fragment.
+func (r *ipSend) packet() *msg.Message {
+	i := len(r.hdrs)
+	if i == len(r.pkts) {
+		r.pkts = append(r.pkts, new(msg.Message))
+	}
+	return r.pkts[i]
+}
+
+// TxDone retires the oldest queued fragment: the driver completes a
+// path's PDUs in the order they were sent.
+func (r *ipSend) TxDone(p *sim.Proc) {
+	// Header buffer freed once the DMA has read it.
+	if err := r.s.ip.host.Kernel.Free(r.hdrs[r.retired], IPHeaderSize); err != nil {
+		panic(err)
+	}
+	r.retired++
+	r.finish(p)
+}
+
+// finish runs the upper completion and recycles the record once every
+// fragment is queued and transmitted.
+func (r *ipSend) finish(p *sim.Proc) {
+	if !r.sent || r.retired < len(r.hdrs) {
+		return
+	}
+	done := r.done
+	r.done, r.hdrs, r.retired, r.sent = nil, r.hdrs[:0], 0, false
+	r.s.spareSends = append(r.s.spareSends, r)
+	if done != nil {
+		done.TxDone(p)
+	}
+}
+
+// bufSend is one datagram an upper layer pushes through IP whose first
+// bytes sit in a kernel buffer the DMA reads asynchronously (UDP's
+// header, RDP's staged segment). It is IP's Completion for the
+// datagram: once the last fragment has been transmitted it frees the
+// buffer and returns to its session's free list.
+type bufSend struct {
+	free   *[]*bufSend // the owning session's free list
+	kernel *mem.AddressSpace
+	va     mem.VirtAddr
+	n      int
+	m      msg.Message // the datagram, held by IP until completion
+}
+
+// newBufSend returns a record for an n-byte kernel buffer at va, reusing
+// one from free when there is one.
+func newBufSend(free *[]*bufSend, kernel *mem.AddressSpace, va mem.VirtAddr, n int) *bufSend {
+	var r *bufSend
+	if k := len(*free); k > 0 {
+		r, *free = (*free)[k-1], (*free)[:k-1]
+	} else {
+		r = &bufSend{free: free}
+	}
+	r.kernel, r.va, r.n = kernel, va, n
+	return r
+}
+
+// TxDone frees the buffer and recycles the record.
+func (r *bufSend) TxDone(*sim.Proc) {
+	if err := r.kernel.Free(r.va, r.n); err != nil {
+		panic(err)
+	}
+	*r.free = append(*r.free, r)
+}
+
+// sendFragment puts a header buffer in front of the fragment payload in
+// pkt and queues it with r as its completion.
+func (s *ipSession) sendFragment(p *sim.Proc, r *ipSend, pkt *msg.Message, ident, off uint32, mf bool) error {
 	s.ip.host.Compute(p, ipCost(s.ip.host.Prof.ProtoSendPerPDU))
 	hdrVA, err := s.ip.host.Kernel.Alloc(IPHeaderSize)
 	if err != nil {
@@ -222,7 +318,7 @@ func (s *ipSession) sendFragment(p *sim.Proc, payload *msg.Message, ident, off u
 	hdr[1] = s.proto
 	hdr[2] = byte(s.ip.local)
 	hdr[3] = byte(s.remote)
-	binary.BigEndian.PutUint32(hdr[4:], uint32(payload.Len()))
+	binary.BigEndian.PutUint32(hdr[4:], uint32(pkt.Len()))
 	binary.BigEndian.PutUint32(hdr[8:], ident)
 	binary.BigEndian.PutUint32(hdr[12:], off)
 	if mf {
@@ -233,16 +329,10 @@ func (s *ipSession) sendFragment(p *sim.Proc, payload *msg.Message, ident, off u
 	if err := writeThroughCache(s.ip.host, s.ip.host.Kernel, hdrVA, hdr[:]); err != nil {
 		return err
 	}
-	packet := payload.Prepend(msg.Fragment{Space: s.ip.host.Kernel, VA: hdrVA, Len: IPHeaderSize})
+	pkt.SetPrepend(msg.Fragment{Space: s.ip.host.Kernel, VA: hdrVA, Len: IPHeaderSize}, pkt)
+	r.hdrs = append(r.hdrs, hdrVA)
 	s.ip.stats.FragsSent++
-	kernel := s.ip.host.Kernel
-	return s.ip.drv.Send(p, s.path, packet, func(p *sim.Proc) {
-		// Header buffer freed once the DMA has read it.
-		if err := kernel.Free(hdrVA, IPHeaderSize); err != nil {
-			panic(err)
-		}
-		fragDone(p)
-	})
+	return s.ip.drv.Send(p, s.path, pkt, r)
 }
 
 // demux is the driver's upcall: parse and verify the header (through
@@ -283,14 +373,11 @@ ok:
 		s.ip.stats.Dropped++
 		return
 	}
-	payload, err := m.TrimPrefix(IPHeaderSize)
-	if err != nil {
-		s.ip.stats.Dropped++
-		return
-	}
-
+	// m holds at least a header (checked above): the strips cannot fail.
 	if off == 0 && !mf {
 		// Unfragmented fast path.
+		payload := &s.payload
+		payload.SetTrimPrefix(m, IPHeaderSize)
 		s.ip.stats.PDUsRecv++
 		if s.upper != nil {
 			s.lastCE = s.ip.drv.CEMarked()
@@ -298,6 +385,8 @@ ok:
 		}
 		return
 	}
+	payload := s.newView()
+	payload.SetTrimPrefix(m, IPHeaderSize)
 
 	part := s.reasm[ident]
 	if part == nil {
@@ -314,6 +403,7 @@ ok:
 	}
 	s.ip.drv.Retain(m)
 	part.retained = append(part.retained, m)
+	part.views = append(part.views, payload)
 	if s.ip.drv.CEMarked() {
 		part.ce = true
 	}
@@ -338,7 +428,7 @@ ok:
 		pos += f.Len()
 	}
 	s.joined = joined
-	assembled := msg.New(joined...)
+	assembled := s.assembled.SetFragments(joined...)
 	s.forget(ident)
 	s.ip.stats.PDUsRecv++
 	if s.upper != nil {
@@ -359,16 +449,29 @@ func (s *ipSession) newPartial() *ipPartial {
 	return &ipPartial{frags: make(map[uint32]*msg.Message), total: -1}
 }
 
+// newView returns a message for a reassembly payload view, reusing one
+// a released reassembly gave back.
+func (s *ipSession) newView() *msg.Message {
+	if n := len(s.spareViews); n > 0 {
+		v := s.spareViews[n-1]
+		s.spareViews = s.spareViews[:n-1]
+		return v
+	}
+	return new(msg.Message)
+}
+
 // release hands a forgotten reassembly's retained driver messages back
-// and keeps the emptied record for reuse: nothing else refers to it once
-// it is out of s.reasm.
+// and keeps the emptied record and its payload views for reuse: nothing
+// else refers to them once it is out of s.reasm.
 func (s *ipSession) release(p *sim.Proc, part *ipPartial) {
 	for _, rm := range part.retained {
 		s.ip.drv.Release(p, rm)
 	}
+	s.spareViews = append(s.spareViews, part.views...)
 	clear(part.frags)
 	clear(part.retained)
-	*part = ipPartial{frags: part.frags, retained: part.retained[:0], total: -1}
+	clear(part.views)
+	*part = ipPartial{frags: part.frags, retained: part.retained[:0], views: part.views[:0], total: -1}
 	s.spareParts = append(s.spareParts, part)
 }
 

@@ -229,8 +229,9 @@ type rdpSession struct {
 	sendBase uint32 // oldest unacknowledged sequence number
 	nextSeq  uint32
 	unacked  map[uint32][]byte
-	spare    [][]byte // acknowledged copies, reused by the next Push
-	stage    []byte   // segment staging, reused by every sendSegment
+	spare    [][]byte   // acknowledged copies, reused by the next Push
+	stage    []byte     // segment staging, reused by every sendSegment
+	sends    []*bufSend // finished send records, reused
 	timer    sim.Event
 	notFull  *sim.Cond
 	acked    *sim.Cond
@@ -263,6 +264,7 @@ type rdpSession struct {
 
 	// Receiver state.
 	expected uint32
+	payload  msg.Message // the view handed upward, valid until it returns
 }
 
 // cwndUnit is one segment of congestion window in fixed-point units.
@@ -384,13 +386,9 @@ func (s *rdpSession) sendSegment(p *sim.Proc, typ byte, seq uint32, payload []by
 	if err := writeThroughCache(host, host.Kernel, va, buf); err != nil {
 		return err
 	}
-	m := msg.New(msg.Fragment{Space: host.Kernel, VA: va, Len: total})
-	kernel := host.Kernel
-	return s.lower.(*ipSession).PushDone(p, m, func(p *sim.Proc) {
-		if err := kernel.Free(va, total); err != nil {
-			panic(err)
-		}
-	})
+	r := newBufSend(&s.sends, host.Kernel, va, total)
+	r.m.SetFragments(msg.Fragment{Space: host.Kernel, VA: va, Len: total})
+	return s.lower.(*ipSession).PushDone(p, &r.m, r)
 }
 
 // backoffGraceRounds is how many barren rounds run at the base timeout
@@ -462,23 +460,27 @@ func (s *rdpSession) armTimer() {
 	if s.timer.Pending() || s.sendBase == s.nextSeq || s.closed {
 		return
 	}
-	eng := s.r.host.Eng
-	s.timer = eng.After(s.timeoutInterval(), func() {
-		s.timer = sim.Event{}
-		if s.closed || s.sendBase == s.nextSeq {
-			return
-		}
-		s.r.stats.Timeouts++
-		s.consecutive++
-		if s.addr.MaxRetries > 0 && s.consecutive > s.addr.MaxRetries {
-			s.fail(ErrMaxRetries)
-			return
-		}
-		if s.addr.Adaptive {
-			s.onTimeout()
-		}
-		s.retxWork.Broadcast()
-	})
+	s.timer = s.r.host.Eng.AfterCall(s.timeoutInterval(), rdpTimeoutCB, s)
+}
+
+// rdpTimeoutCB is the retransmit timer's expiry, in AfterCall form so
+// arming it allocates nothing.
+func rdpTimeoutCB(arg any) {
+	s := arg.(*rdpSession)
+	s.timer = sim.Event{}
+	if s.closed || s.sendBase == s.nextSeq {
+		return
+	}
+	s.r.stats.Timeouts++
+	s.consecutive++
+	if s.addr.MaxRetries > 0 && s.consecutive > s.addr.MaxRetries {
+		s.fail(ErrMaxRetries)
+		return
+	}
+	if s.addr.Adaptive {
+		s.onTimeout()
+	}
+	s.retxWork.Broadcast()
 }
 
 // fail terminates the session: it records the error, closes the lower
@@ -576,8 +578,8 @@ func (s *rdpSession) demux(p *sim.Proc, m *msg.Message) {
 	if int(plen) != m.Len()-RDPHeaderSize {
 		return
 	}
-	payload, err := m.TrimPrefix(RDPHeaderSize)
-	if err != nil {
+	payload := &s.payload
+	if err := payload.SetTrimPrefix(m, RDPHeaderSize); err != nil {
 		return
 	}
 	if seq != s.expected {
@@ -587,7 +589,8 @@ func (s *rdpSession) demux(p *sim.Proc, m *msg.Message) {
 		return
 	}
 	// Verify the payload (through the cache, with lazy recovery).
-	segs, err := payload.PhysSegments()
+	segs, err := payload.AppendPhysSegments(s.r.host.GetSegs())
+	defer s.r.host.PutSegs(segs)
 	if err != nil {
 		return
 	}

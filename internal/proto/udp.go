@@ -70,6 +70,9 @@ type udpSession struct {
 	addr  UDPOpen
 	lower xkernel.Session
 	upper xkernel.Handler
+
+	payload msg.Message // the view handed upward, valid until it returns
+	sends   []*bufSend  // finished send records, reused
 }
 
 // SetHandler implements xkernel.Session.
@@ -108,16 +111,12 @@ func (s *udpSession) Push(p *sim.Proc, m *msg.Message) error {
 	if err := writeThroughCache(s.u.host, s.u.host.Kernel, hdrVA, hdr[:]); err != nil {
 		return err
 	}
-	dgram := m.Prepend(msg.Fragment{Space: s.u.host.Kernel, VA: hdrVA, Len: UDPHeaderSize})
+	// The DMA reads the header asynchronously; the record frees it only
+	// once every fragment of this datagram has completed transmission.
+	r := newBufSend(&s.sends, s.u.host.Kernel, hdrVA, UDPHeaderSize)
+	r.m.SetPrepend(msg.Fragment{Space: s.u.host.Kernel, VA: hdrVA, Len: UDPHeaderSize}, m)
 	s.u.stats.Sent++
-	kernel := s.u.host.Kernel
-	// The DMA reads the header asynchronously; free it only once every
-	// fragment of this datagram has completed transmission.
-	return s.lower.(*ipSession).PushDone(p, dgram, func(p *sim.Proc) {
-		if err := kernel.Free(hdrVA, UDPHeaderSize); err != nil {
-			panic(err)
-		}
-	})
+	return s.lower.(*ipSession).PushDone(p, &r.m, r)
 }
 
 // demux verifies and strips the UDP header and delivers the payload.
@@ -138,8 +137,8 @@ func (s *udpSession) demux(p *sim.Proc, m *msg.Message) {
 		s.u.stats.Dropped++
 		return
 	}
-	payload, err := m.TrimPrefix(UDPHeaderSize)
-	if err != nil {
+	payload := &s.payload
+	if err := payload.SetTrimPrefix(m, UDPHeaderSize); err != nil {
 		s.u.stats.Dropped++
 		return
 	}
