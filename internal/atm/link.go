@@ -213,16 +213,28 @@ func (l *Link) SetReceiver(fn func(c Cell, link int)) { l.deliver = fn }
 // transmit FIFO is full — the backpressure the board's segmentation
 // loop experiences.
 func (l *Link) Send(p *sim.Proc, c Cell) {
+	for !l.SendCont(&c, p.Cont()) {
+		p.Park()
+	}
+}
+
+// SendCont submits *c and reports true if the link's transmit FIFO has
+// a free slot; otherwise it queues k to run at the next serialization
+// boundary and reports false, and the caller tries again from k: the
+// continuation form of Send. The link copies the cell; c is not kept.
+func (l *Link) SendCont(c *Cell, k sim.Cont) bool {
 	// The transmit FIFO is virtual: a cell occupies a slot from Send
 	// until its serialization starts.
-	for l.slotFree(l.eng.Now()) > l.eng.Now() {
+	if l.slotFree(l.eng.Now()) > l.eng.Now() {
 		l.armSlotWake()
-		l.notFull.Wait(p)
+		l.notFull.WaitCont(k)
+		return false
 	}
-	l.commit(l.eng.Now(), c)
+	l.commit(l.eng.Now(), *c)
 	if l.notFull.Waiting() > 0 {
 		l.armSlotWake()
 	}
+	return true
 }
 
 // SendScheduled transmits a cell on behalf of a virtual sender — one

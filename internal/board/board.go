@@ -366,26 +366,25 @@ type Board struct {
 
 	txWork  *sim.Cond
 	txRR    int // round-robin cursor among equal-priority channels
-	txCmds  *sim.Chan[txCmd]
-	rxCmds  *sim.Chan[rxCmd]
+	txCmds  *sim.Chan[*txCmd]
+	rxCmds  *sim.Chan[*rxCmd]
 	fireCtl *sim.Chan[fictReq]
 
-	// Scratch pools for the per-cell slices carried in DMA commands;
-	// the processors take, the DMA engines return. Host-side memory
-	// reuse only — no simulated effect.
-	segPool  [][]mem.PhysBuffer
-	descPool [][]queue.Desc
-	dataPool [][]byte
+	// The DMA controllers and the fictitious-PDU generator: hardware
+	// state machines advanced by events, not processes.
+	txDMA txDMA
+	rxDMA rxDMA
+	fict  fictGen
+
+	// Command record pools: the processors take, the DMA controllers
+	// return. Host-side memory reuse only — no simulated effect.
+	txCmdPool []*txCmd
+	rxCmdPool []*rxCmd
 
 	// shadowPool recycles the CheckCRC shadow buffers across PDUs.
 	shadowPool [][]byte
 	// reasmPool holds finished reassembly states for reuse.
 	reasmPool []*reasmState
-
-	// txPool stages outgoing cell payloads flyweight-style: the
-	// transmit DMA engine borrows a buffer per cell and frees it on
-	// delivery, so steady-state transmission allocates nothing.
-	txPool *atm.PayloadPool
 
 	reasmTimer sim.Event // pending ReasmTimeout sweep, if any
 
@@ -404,59 +403,6 @@ type Board struct {
 	trkTx string
 }
 
-// getSegs takes a recycled extent slice (or makes one).
-func (b *Board) getSegs() []mem.PhysBuffer {
-	if n := len(b.segPool); n > 0 {
-		s := b.segPool[n-1]
-		b.segPool = b.segPool[:n-1]
-		return s[:0]
-	}
-	return make([]mem.PhysBuffer, 0, 2)
-}
-
-// putSegs returns an extent slice consumed by a DMA engine.
-func (b *Board) putSegs(s []mem.PhysBuffer) {
-	if s != nil {
-		b.segPool = append(b.segPool, s)
-	}
-}
-
-// getDescs takes a recycled descriptor list for an rxCmd's pushes (or
-// makes one).
-func (b *Board) getDescs() []queue.Desc {
-	if n := len(b.descPool); n > 0 {
-		s := b.descPool[n-1]
-		b.descPool = b.descPool[:n-1]
-		return s[:0]
-	}
-	return make([]queue.Desc, 0, 2)
-}
-
-// putDescs returns a descriptor list the receive DMA engine published.
-func (b *Board) putDescs(s []queue.Desc) {
-	if s != nil {
-		b.descPool = append(b.descPool, s)
-	}
-}
-
-// getRxData takes a recycled receive staging buffer (or makes one big
-// enough for a double-cell DMA).
-func (b *Board) getRxData() []byte {
-	if n := len(b.dataPool); n > 0 {
-		d := b.dataPool[n-1]
-		b.dataPool = b.dataPool[:n-1]
-		return d[:0]
-	}
-	return make([]byte, 0, 2*atm.CellPayload)
-}
-
-// putRxData returns a staging buffer consumed by the receive DMA engine.
-func (b *Board) putRxData(d []byte) {
-	if d != nil {
-		b.dataPool = append(b.dataPool, d)
-	}
-}
-
 type rxCell struct {
 	c    atm.Cell
 	link int
@@ -469,15 +415,66 @@ type rxCell struct {
 	qch *Channel
 }
 
+// Command queue depths of the two DMA controllers.
+const (
+	txCmdDepth = 8
+	rxCmdDepth = 16
+)
+
+// fillCmdPools makes the command records a board can have in use at
+// once — a full queue, one in its controller and one its processor is
+// building — from one slab per kind, so the run takes records instead
+// of allocating them. The pools still grow if that is ever exceeded.
+func (b *Board) fillCmdPools() {
+	const inUse = 2 // one in the controller, one being built
+	const cellSegs = 2
+	tx := make([]txCmd, txCmdDepth+inUse)
+	txSegs := make([]mem.PhysBuffer, cellSegs*len(tx))
+	b.txCmdPool = make([]*txCmd, len(tx))
+	for i := range tx {
+		tx[i].segs = txSegs[cellSegs*i : cellSegs*i : cellSegs*(i+1)]
+		b.txCmdPool[i] = &tx[i]
+	}
+	// A receive command carries up to a double-cell DMA's payload in
+	// at most two extents and usually one or two descriptors.
+	const data = 2 * atm.CellPayload
+	rx := make([]rxCmd, rxCmdDepth+inUse)
+	rxData := make([]byte, data*len(rx))
+	rxSegs := make([]mem.PhysBuffer, cellSegs*len(rx))
+	rxPushes := make([]queue.Desc, cellSegs*len(rx))
+	b.rxCmdPool = make([]*rxCmd, len(rx))
+	for i := range rx {
+		rx[i].data = rxData[data*i : data*i : data*(i+1)]
+		rx[i].segs = rxSegs[cellSegs*i : cellSegs*i : cellSegs*(i+1)]
+		rx[i].pushes = rxPushes[cellSegs*i : cellSegs*i : cellSegs*(i+1)]
+		b.rxCmdPool[i] = &rx[i]
+	}
+}
+
 // Release returns the board's dual-port memory to the OS, at teardown,
 // as hostsim.Host.Release does for its host: any later ring or
 // dual-port memory access panics. Calling it again does nothing.
 func (b *Board) Release() { b.DPM.Release() }
 
 // New creates a board attached to host h. Interrupts are delivered to
-// the host's interrupt controller. The transmit processor, receive
-// processor and both DMA controllers start immediately.
+// the host's interrupt controller. The transmit and receive processors
+// start immediately as processes; the two DMA controllers and the
+// fictitious-PDU generator take their first step at the same instant,
+// each in the slot a process started there would have run in.
 func New(e *sim.Engine, h *hostsim.Host, cfg Config) *Board {
+	b := build(e, h, cfg)
+	now := e.Now()
+	e.Go(b.cfg.Name+"-txproc", b.txProc)
+	e.AtCall(now, txDMAStep, &b.txDMA)
+	e.Go(b.cfg.Name+"-rxproc", b.rxProc)
+	e.AtCall(now, rxDMAStep, &b.rxDMA)
+	e.AtCall(now, fictStep, &b.fict)
+	return b
+}
+
+// build constructs a board whose processors and engines have not
+// started.
+func build(e *sim.Engine, h *hostsim.Host, cfg Config) *Board {
 	cfg = cfg.withDefaults()
 	b := &Board{
 		eng:    e,
@@ -488,7 +485,6 @@ func New(e *sim.Engine, h *hostsim.Host, cfg Config) *Board {
 		irq:    h.Int.Assert,
 		trkRx:  cfg.Name + "-rx",
 		trkTx:  cfg.Name + "-tx",
-		txPool: atm.NewPayloadPool(),
 	}
 	for i := 0; i < NumChannels; i++ {
 		ch := &Channel{
@@ -512,15 +508,13 @@ func New(e *sim.Engine, h *hostsim.Host, cfg Config) *Board {
 	b.chans[0].open = true // the kernel's channel
 
 	b.txWork = sim.NewCond(e)
-	b.txCmds = sim.NewChan[txCmd](e, 8)
-	b.rxCmds = sim.NewChan[rxCmd](e, 16)
+	b.txCmds = sim.NewChan[*txCmd](e, txCmdDepth)
+	b.rxCmds = sim.NewChan[*rxCmd](e, rxCmdDepth)
 	b.fireCtl = sim.NewChan[fictReq](e, 1)
-
-	e.Go(cfg.Name+"-txproc", b.txProc)
-	e.Go(cfg.Name+"-txdma", b.txDMAEngine)
-	e.Go(cfg.Name+"-rxproc", b.rxProc)
-	e.Go(cfg.Name+"-rxdma", b.rxDMAEngine)
-	e.Go(cfg.Name+"-fict", b.fictProc)
+	b.fillCmdPools()
+	b.txDMA.init(b)
+	b.rxDMA.init(b)
+	b.fict.init(b)
 	return b
 }
 
@@ -606,7 +600,8 @@ func (b *Board) AttachTxLinks(links []*atm.Link) {
 
 // SetTxSink installs a callback that absorbs transmitted cells when no
 // links are attached — used to isolate the transmit side (Figure 4) and
-// by unit tests. It runs in the DMA engine's proc context.
+// by unit tests. It runs in the transmit DMA controller's event
+// context, so it must not block.
 func (b *Board) SetTxSink(fn func(c atm.Cell, link int)) { b.txSink = fn }
 
 // InjectCell delivers a cell directly into the receive FIFO, as if it
@@ -839,7 +834,7 @@ const reasmSweepRetry = 10 * time.Microsecond
 func reasmSweepCB(a any) {
 	b := a.(*Board)
 	b.reasmTimer = sim.Event{}
-	if b.cfg.ReasmTimeout <= 0 {
+	if b.cfg.ReasmTimeout <= 0 || b.eng.Halted() {
 		return
 	}
 	now := b.eng.Now()
@@ -881,9 +876,9 @@ func reasmSweepCB(a any) {
 // queued (the caller retries shortly).
 func (b *Board) timeoutReasm(ch *Channel, rs *reasmState) bool {
 	if rs.anyPushed() {
-		marker := rxCmd{ch: ch, pushes: append(b.getDescs(), abortMarker(rs.vci))}
+		marker := b.abortCmd(ch, rs.vci)
 		if !b.rxCmds.TrySend(marker) {
-			b.putDescs(marker.pushes)
+			b.putRxCmd(marker)
 			return false
 		}
 		b.stats.RxAbortMarkers++
@@ -946,142 +941,4 @@ func (b *Board) HeldReasmBufs() int {
 		}
 	}
 	return n
-}
-
-// pushRecvDesc queues a filled-buffer descriptor on a channel's receive
-// ring and asserts the receive interrupt only when the ring was empty
-// before the push — the §2.1.2 discipline that keeps interrupts well
-// below one per PDU for bursts. Runs in the rx DMA engine's context so
-// the descriptor never becomes visible before its data.
-func (b *Board) pushRecvDesc(p *sim.Proc, ch *Channel, d queue.Desc) {
-	if b.cfg.RecvDropGrace > 0 {
-		b.pushRecvDescBounded(p, ch, d)
-		return
-	}
-	// Refresh the tail so emptiness is judged against the host's actual
-	// consumption, then push; interrupt only on the empty→non-empty
-	// transition (or unconditionally under the traditional ablation).
-	ch.RecvRing.ObserveTail(p, dpm.Board)
-	wasEmpty := ch.RecvRing.WriterLen() == 0
-	for !ch.RecvRing.TryPush(p, dpm.Board, d) {
-		// Host is far behind; wait for it to drain.
-		p.Sleep(2 * time.Microsecond)
-	}
-	b.recvPushIRQ(ch, wasEmpty)
-}
-
-func (b *Board) recvPushIRQ(ch *Channel, wasEmpty bool) {
-	if b.cfg.InterruptPerPDU || wasEmpty {
-		b.stats.RxIRQs++
-		if b.eng.Recording() {
-			b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: sim.CatIRQ, Name: "rx-irq", Arg: int64(ch.Index)})
-		}
-		b.irq(RxIRQBase + ch.Index)
-	}
-}
-
-// pushRecvDescBounded is the RecvDropGrace push path. The receive DMA
-// engine is one shared processor, so a channel whose host never reaps
-// its receive ring must not hold it hostage: after the grace wait the
-// descriptor's PDU is dropped instead. Dropping preserves two driver
-// invariants — a PDU's descriptors arrive whole (so every descriptor
-// of a dropped PDU after the first is discarded until its EOP), and a
-// partial delivery is always terminated by an abort marker (deferred
-// until the ring has room, pushed before any later delivery).
-func (b *Board) pushRecvDescBounded(p *sim.Proc, ch *Channel, d queue.Desc) {
-	isMarker := d.Flags&queue.FlagErr != 0
-	if ch.rxDropUntilEOP {
-		if !isMarker {
-			if d.Flags&queue.FlagEOP != 0 {
-				ch.rxDropUntilEOP = false
-			}
-			b.dropRecvDesc(ch, d)
-			return
-		}
-		// An abort marker terminates the dropped PDU too, and subsumes
-		// any marker still owed.
-		ch.rxDropUntilEOP = false
-	}
-	if ch.rxNeedAbort && !isMarker {
-		// A deferred abort marker must precede the next delivery.
-		marker := queue.Desc{VCI: d.VCI, Flags: queue.FlagErr}
-		if !b.tryPushRecv(p, ch, marker) {
-			// Still no room: this PDU is dropped as well; the marker
-			// stays owed (one marker suffices — no data reached the
-			// ring in between).
-			b.beginRecvDrop(ch, d)
-			return
-		}
-		b.stats.RxAbortMarkers++
-		ch.rxNeedAbort = false
-		ch.rxPduPushed = false
-	}
-	if !b.tryPushRecv(p, ch, d) {
-		if isMarker {
-			// The marker itself found no room; owe it.
-			ch.rxNeedAbort = true
-			ch.rxPduPushed = false
-			b.dropRecvDesc(ch, d)
-			return
-		}
-		b.beginRecvDrop(ch, d)
-		return
-	}
-	if isMarker {
-		ch.rxNeedAbort = false
-		ch.rxPduPushed = false
-	} else {
-		ch.rxPduPushed = d.Flags&queue.FlagEOP == 0
-	}
-}
-
-// beginRecvDrop records the start of a dropped PDU at descriptor d:
-// the buffer is recycled on-board, the rest of the PDU will be
-// discarded, and an abort marker is owed if part of the PDU already
-// reached the host.
-func (b *Board) beginRecvDrop(ch *Channel, d queue.Desc) {
-	b.dropRecvDesc(ch, d)
-	if d.Flags&queue.FlagEOP == 0 {
-		ch.rxDropUntilEOP = true
-	}
-	if ch.rxPduPushed {
-		ch.rxNeedAbort = true
-		ch.rxPduPushed = false
-	}
-}
-
-// dropRecvDesc counts one dropped descriptor and recycles its buffer
-// into the channel's scratch stash (the board keeps the buffer: the
-// host never saw the descriptor, so only the board can reuse it).
-func (b *Board) dropRecvDesc(ch *Channel, d queue.Desc) {
-	ch.ringDropped++
-	b.stats.RecvRingDropped++
-	if d.Len > 0 {
-		ch.stash = append(ch.stash, queue.Desc{Addr: d.Addr, Len: d.Len})
-		b.stats.ScratchRecycled++
-	}
-	if b.eng.Recording() {
-		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: sim.CatDrop, Name: "recv-ring-drop", Arg: int64(ch.Index)})
-	}
-}
-
-// tryPushRecv attempts a ring push, waiting at most RecvDropGrace for
-// the host to drain; reports success. Interrupt discipline matches the
-// unbounded path.
-func (b *Board) tryPushRecv(p *sim.Proc, ch *Channel, d queue.Desc) bool {
-	const step = 2 * time.Microsecond
-	var waited time.Duration
-	ch.RecvRing.ObserveTail(p, dpm.Board)
-	wasEmpty := ch.RecvRing.WriterLen() == 0
-	for !ch.RecvRing.TryPush(p, dpm.Board, d) {
-		if waited >= b.cfg.RecvDropGrace {
-			return false
-		}
-		p.Sleep(step)
-		waited += step
-		ch.RecvRing.ObserveTail(p, dpm.Board)
-		wasEmpty = ch.RecvRing.WriterLen() == 0
-	}
-	b.recvPushIRQ(ch, wasEmpty)
-	return true
 }

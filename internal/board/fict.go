@@ -51,44 +51,126 @@ func (b *Board) StopFictitious() {
 	b.fireCtl.TrySend(fictReq{stop: true})
 }
 
-// fictProc runs the generator. It shares the receive FIFO with the link
-// path, so generated cells exercise exactly the reassembly, DMA, and
-// interrupt machinery that real traffic does. Each PDU is segmented
-// into the same cell storage: the FIFO holds cells by value.
-func (b *Board) fictProc(p *sim.Proc) {
-	var cells []atm.Cell
+// fictGen is the generator, a firmware loop that paces cells: it
+// shares the receive FIFO with the link path, so generated cells
+// exercise exactly the reassembly, DMA, and interrupt machinery that
+// real traffic does. Each PDU is segmented into the same cell storage:
+// the FIFO holds cells by value. It runs as a continuation: run is its
+// one event callback, looping until it must wait for a request, for
+// room in the FIFO, or for the next cell slot.
+type fictGen struct {
+	b        *Board
+	k        sim.Cont // (fictStep, the generator)
+	pc       uint8
+	req      fictReq
+	interval time.Duration
+	sent     int      // sequence repetitions finished
+	m        int      // message of the sequence
+	pdus     [][]byte // message m's PDUs
+	pi       int      // PDU of pdus
+	cells    []atm.Cell
+	ci       int // cell of cells
+	pace     sim.Hold
+}
+
+// fictGen states.
+const (
+	fictIdle uint8 = iota // waiting for a request
+	fictRep               // begin a repetition of the sequence
+	fictMsg               // fetch message m
+	fictPDU               // segment PDU pi
+	fictCell              // send cell ci
+	fictPace              // wait out the interval after a cell
+)
+
+func (g *fictGen) init(b *Board) {
+	g.b = b
+	g.k = sim.Cont{Fn: fictStep, Arg: g}
+}
+
+// fictStep is the generator's event callback. Once the engine is shut
+// down it does nothing, as a killed process would.
+func fictStep(a any) {
+	g := a.(*fictGen)
+	if g.b.eng.Halted() {
+		return
+	}
+	g.run()
+}
+
+func (g *fictGen) run() {
+	b := g.b
 	for {
-		req := b.fireCtl.Recv(p)
-		if req.stop {
-			continue
-		}
-		interval := req.interval
-		if interval == 0 {
-			interval = DefaultFictInterval
-		}
-		sent := 0
-		for req.count == 0 || sent < req.count {
+		switch g.pc {
+		case fictIdle:
+			req, ok := b.fireCtl.RecvCont(g.k)
+			if !ok {
+				return
+			}
+			if req.stop {
+				continue
+			}
+			g.req, g.interval, g.sent = req, req.interval, 0
+			if g.interval == 0 {
+				g.interval = DefaultFictInterval
+			}
+			g.pc = fictRep
+		case fictRep:
+			if g.req.count != 0 && g.sent >= g.req.count {
+				g.stop()
+				continue
+			}
 			if r, ok := b.fireCtl.TryRecv(); ok && r.stop {
-				break
+				g.stop()
+				continue
 			}
-			for m := 0; m < req.msgs; m++ {
-				for _, pdu := range req.src(m) {
-					cells = atm.SegmentInto(cells, req.vci, pdu, b.cfg.StripeWidth, b.cfg.Strategy.UsesSeqNumbers())
-					for i := range cells {
-						b.rxFIFO.Send(p, rxCell{c: cells[i], link: i % b.cfg.StripeWidth})
-						if b.mRxFIFOHW != nil {
-							b.mRxFIFOHW.Observe(int64(b.rxFIFO.Len()))
-						}
-						if b.eng.Recording() {
-							b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'C', Comp: b.trkRx, Cat: sim.CatQueue, Name: "rx-fifo", Arg: int64(b.rxFIFO.Len())})
-						}
-						if interval > 0 {
-							p.Sleep(interval)
-						}
-					}
-				}
+			g.m, g.pc = 0, fictMsg
+		case fictMsg:
+			if g.m == g.req.msgs {
+				g.sent++
+				g.pc = fictRep
+				continue
 			}
-			sent++
+			g.pdus, g.pi, g.pc = g.req.src(g.m), 0, fictPDU
+		case fictPDU:
+			if g.pi == len(g.pdus) {
+				g.m++
+				g.pc = fictMsg
+				continue
+			}
+			g.cells = atm.SegmentInto(g.cells, g.req.vci, g.pdus[g.pi], b.cfg.StripeWidth, b.cfg.Strategy.UsesSeqNumbers())
+			g.ci, g.pc = 0, fictCell
+		case fictCell:
+			if g.ci == len(g.cells) {
+				g.pi++
+				g.pc = fictPDU
+				continue
+			}
+			if !b.rxFIFO.SendCont(rxCell{c: g.cells[g.ci], link: g.ci % b.cfg.StripeWidth}, g.k) {
+				return
+			}
+			if b.mRxFIFOHW != nil {
+				b.mRxFIFOHW.Observe(int64(b.rxFIFO.Len()))
+			}
+			if b.eng.Recording() {
+				b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'C', Comp: b.trkRx, Cat: sim.CatQueue, Name: "rx-fifo", Arg: int64(b.rxFIFO.Len())})
+			}
+			g.ci++
+			if g.interval > 0 {
+				g.pace = b.eng.Delay(g.interval)
+				g.pc = fictPace
+			}
+		case fictPace:
+			if !g.pace.Step(g.k) {
+				return
+			}
+			g.pc = fictCell
 		}
 	}
+}
+
+// stop ends the request: the generator waits for the next one.
+func (g *fictGen) stop() {
+	g.req, g.pdus = fictReq{}, nil
+	g.pc = fictIdle
 }

@@ -32,6 +32,8 @@ type txStream struct {
 // advance is still pending in the DMA engine).
 
 // txCmd is one cell's worth of work for the transmit DMA controller.
+// Records come from the board's pool (getTxCmd) and travel by pointer;
+// the controller returns each one when the cell is out.
 type txCmd struct {
 	ch      *Channel
 	segs    []mem.PhysBuffer // host memory extents to gather (0..2)
@@ -221,14 +223,15 @@ func (b *Board) gather(p *sim.Proc, ch *Channel) bool {
 // §2.1.2: the host, having found the ring full, sets the notify flag;
 // the board asserts an interrupt once the ring has drained to half.
 func (b *Board) checkNotifyFlag(p *sim.Proc, ch *Channel) {
-	if b.DPM.ReadWord(p, dpm.Board, ch.NotifyFlagOff()) == 0 {
-		return
+	if ch.TxRing.ReaderNotify(p, dpm.Board, ch.NotifyFlagOff()) {
+		b.txIRQ(ch)
 	}
-	if ch.TxRing.ReaderLen(p, dpm.Board) <= ch.TxRing.Slots()/2 {
-		b.DPM.WriteWord(p, dpm.Board, ch.NotifyFlagOff(), 0)
-		b.stats.TxIRQs++
-		b.irq(TxIRQBase + ch.Index)
-	}
+}
+
+// txIRQ asserts ch's transmit interrupt.
+func (b *Board) txIRQ(ch *Channel) {
+	b.stats.TxIRQs++
+	b.irq(TxIRQBase + ch.Index)
 }
 
 // take walks the descriptor chain gathering up to want bytes as physical
@@ -265,7 +268,8 @@ func (b *Board) emitCell(p *sim.Proc, ch *Channel) {
 	st := &ch.tx
 	p.Sleep(b.cfg.CellOverheadTx)
 
-	cmd := txCmd{ch: ch, vci: st.vci}
+	cmd := b.getTxCmd()
+	cmd.ch, cmd.vci = ch, st.vci
 	if b.cfg.Strategy.UsesSeqNumbers() {
 		cmd.hasSeq = true
 		cmd.seq = uint32(st.cellIdx)
@@ -278,9 +282,9 @@ func (b *Board) emitCell(p *sim.Proc, ch *Channel) {
 	}
 
 	if b.cfg.TxPolicy == FixedCell {
-		segs, taken := st.take(want, true, b.getSegs())
+		var taken int
+		cmd.segs, taken = st.take(want, true, cmd.segs)
 		st.bytePos += taken
-		cmd.segs = segs
 		cmd.dataLen = taken
 		if taken < want {
 			b.stats.PartialCellsTx++
@@ -292,11 +296,11 @@ func (b *Board) emitCell(p *sim.Proc, ch *Channel) {
 			b.chargeDRR(ch, 0) // the trailer cell occupies a slot too
 			b.txSubmit(p, cmd)
 			p.Sleep(b.cfg.CellOverheadTx)
-			trailerCmd := txCmd{
-				ch: ch, vci: st.vci, trailer: true, eom: true, last: true,
-				linkIdx: st.cellIdx % b.cfg.StripeWidth,
-			}
-			if cmd.hasSeq {
+			trailerCmd := b.getTxCmd()
+			trailerCmd.ch, trailerCmd.vci = ch, st.vci
+			trailerCmd.trailer, trailerCmd.eom, trailerCmd.last = true, true, true
+			trailerCmd.linkIdx = st.cellIdx % b.cfg.StripeWidth
+			if b.cfg.Strategy.UsesSeqNumbers() {
 				trailerCmd.hasSeq = true
 				trailerCmd.seq = uint32(st.cellIdx)
 			}
@@ -312,14 +316,14 @@ func (b *Board) emitCell(p *sim.Proc, ch *Channel) {
 
 	// BoundaryStop / ArbitraryLength: cells are always full; a cell
 	// spanning a buffer boundary is composed from two DMA segments.
-	segs, taken := st.take(want, false, b.getSegs())
+	var taken int
+	cmd.segs, taken = st.take(want, false, cmd.segs)
 	if taken != want {
 		panic("board: descriptor chain shorter than PDU length")
 	}
-	if len(segs) > 1 {
+	if len(cmd.segs) > 1 {
 		b.stats.SplitCellsTx++
 	}
-	cmd.segs = segs
 	cmd.dataLen = taken
 	b.chargeDRR(ch, taken)
 	isLast := st.cellIdx == st.total-1
@@ -348,99 +352,180 @@ func (b *Board) finishPDU(ch *Channel) {
 	b.stats.PDUsTx++
 }
 
-func (b *Board) txSubmit(p *sim.Proc, cmd txCmd) {
+func (b *Board) txSubmit(p *sim.Proc, cmd *txCmd) {
 	b.txCmds.Send(p, cmd)
 	if b.mTxFIFOHW != nil {
 		b.mTxFIFOHW.Observe(int64(b.txCmds.Len()))
 	}
 }
 
-// txDMAEngine is the transmit DMA controller plus cell generator: it
+// getTxCmd takes a command record from the pool (or makes one).
+func (b *Board) getTxCmd() *txCmd {
+	if n := len(b.txCmdPool); n > 0 {
+		cmd := b.txCmdPool[n-1]
+		b.txCmdPool = b.txCmdPool[:n-1]
+		return cmd
+	}
+	return &txCmd{}
+}
+
+// putTxCmd returns a finished command record to the pool.
+func (b *Board) putTxCmd(cmd *txCmd) {
+	*cmd = txCmd{segs: cmd.segs[:0]}
+	b.txCmdPool = append(b.txCmdPool, cmd)
+}
+
+// txDMA is the transmit DMA controller plus cell generator, a hardware
+// state machine the transmit processor programs through txCmds: it
 // gathers each cell's bytes from host memory (one bus transaction per
 // segment — the §2.5.2 page-boundary-stop behaviour), maintains the
 // per-channel AAL5 CRC/length accumulators, and hands finished cells to
-// the physical links.
-func (b *Board) txDMAEngine(p *sim.Proc) {
-	type aal5 struct {
-		crc uint32
-		len uint32
+// the physical links. It runs as a continuation: run is its one event
+// callback, looping through its states until it must wait for a
+// command, the bus, a link or a dual-port access.
+type txDMA struct {
+	b   *Board
+	k   sim.Cont // (txDMAStep, the engine)
+	pc  uint8
+	cmd *txCmd
+	seg int // next segment of cmd
+	pos int // its offset in stage
+	bus sim.Hold
+	op  queue.Op // the tail advance, then the notify-flag check
+	// aal5 holds each channel's running AAL5 CRC and length.
+	aal5 [NumChannels]struct{ crc, len uint32 }
+	// stage gathers one cell's payload; the cell is assembled from it.
+	stage [atm.CellPayload]byte
+	cell  atm.Cell
+}
+
+// txDMA states.
+const (
+	txIdle    uint8 = iota // waiting for a command
+	txSeg                  // issue the next segment's bus read
+	txSegWait              // in the bus read
+	txSend                 // hand the cell to its link
+	txAdvance              // in the ring's tail advance
+	txNotify               // in the notify-flag check
+)
+
+func (x *txDMA) init(b *Board) {
+	x.b = b
+	x.k = sim.Cont{Fn: txDMAStep, Arg: x}
+}
+
+// txDMAStep is the controller's event callback. Once the engine is
+// shut down it does nothing, as a killed process would.
+func txDMAStep(a any) {
+	x := a.(*txDMA)
+	if x.b.eng.Halted() {
+		return
 	}
-	state := make(map[int]*aal5)
-	table := crc32.MakeTable(crc32.IEEE)
+	x.run()
+}
+
+func (x *txDMA) run() {
+	b := x.b
 	for {
-		cmd := b.txCmds.Recv(p)
-		acc := state[cmd.ch.Index]
-		if acc == nil {
-			acc = &aal5{}
-			state[cmd.ch.Index] = acc
-		}
-		// Stage the cell in a pooled flyweight buffer rather than a
-		// stack array: the gather below crosses enough call boundaries
-		// that escape analysis heap-allocates a local, one per cell.
-		hnd, payload := b.txPool.Get()
-		pos := 0
-		for _, seg := range cmd.segs {
-			b.host.Bus.DMARead(p, seg.Len)
-			b.host.Mem.ReadInto(seg.Addr, payload[pos:pos+seg.Len])
-			pos += seg.Len
-		}
-		acc.crc = crc32.Update(acc.crc, table, payload[:cmd.dataLen])
-		acc.len += uint32(cmd.dataLen)
-		cellLen := cmd.dataLen
-		if cmd.trailer {
-			cellLen += cmd.pad
-			tr := atm.Trailer{Length: acc.len, CRC: acc.crc}
-			atm.PutTrailer(payload[:cellLen+atm.TrailerSize], tr)
-			cellLen += atm.TrailerSize
-			*acc = aal5{}
-		} else if cmd.pad > 0 {
-			cellLen += cmd.pad
-		}
-		cell := atm.Cell{
-			VCI:  cmd.vci,
-			EOM:  cmd.eom,
-			Last: cmd.last,
-			Len:  cellLen,
-		}
-		if cmd.hasSeq {
-			cell.Seq = cmd.seq
-		}
-		copy(cell.Payload[:], payload[:cellLen])
-		b.stats.CellsTx++
-		if b.eng.Recording() {
-			b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkTx, Cat: sim.CatCell, Name: "cell-tx", Arg: int64(cell.VCI)})
-		}
-		b.deliverCell(p, cell, cmd.linkIdx)
-		b.txPool.Put(hnd) // free on delivery
-		b.putSegs(cmd.segs)
-		if cmd.advance > 0 {
+		switch x.pc {
+		case txIdle:
+			cmd, ok := b.txCmds.RecvCont(x.k)
+			if !ok {
+				return
+			}
+			x.cmd, x.seg, x.pos, x.pc = cmd, 0, 0, txSeg
+		case txSeg:
+			if x.seg < len(x.cmd.segs) {
+				x.bus = b.host.Bus.DMARead(x.cmd.segs[x.seg].Len)
+				x.pc = txSegWait
+				continue
+			}
+			x.assemble()
+			x.pc = txSend
+		case txSegWait:
+			if !x.bus.Step(x.k) {
+				return
+			}
+			seg := x.cmd.segs[x.seg]
+			b.host.Mem.ReadInto(seg.Addr, x.stage[x.pos:x.pos+seg.Len])
+			x.pos += seg.Len
+			x.seg++
+			x.pc = txSeg
+		case txSend:
+			if b.outLinks != nil {
+				if !b.outLinks[x.cmd.linkIdx].SendCont(&x.cell, x.k) {
+					return
+				}
+			} else if b.txSink != nil {
+				b.txSink(x.cell, x.cmd.linkIdx)
+			}
+			cmd := x.cmd
+			if cmd.advance == 0 {
+				x.done()
+				continue
+			}
 			if b.cfg.InterruptPerPDU {
 				// Traditional transmit-complete interrupt (§2.1.2's
 				// "traditionally signalled to the host using an
 				// interrupt") — the ablation baseline.
-				b.stats.TxIRQs++
-				b.irq(TxIRQBase + cmd.ch.Index)
+				b.txIRQ(cmd.ch)
 			}
 			// peekAhead and the ring's reader cursor must move together
 			// with no scheduling point in between, or a concurrent gather
 			// by the transmit processor would compute a stale peek index;
-			// ReaderAdvance mutates its cursor before its (yielding)
-			// dual-port store, so decrementing first keeps the pair atomic.
+			// the advance moves its cursor before its dual-port store, so
+			// decrementing first keeps the pair atomic.
 			cmd.ch.peekAhead -= cmd.advance
-			cmd.ch.TxRing.ReaderAdvance(p, dpm.Board, cmd.advance)
-			b.checkNotifyFlag(p, cmd.ch)
+			x.op = cmd.ch.TxRing.Advance(dpm.Board, cmd.advance)
+			x.pc = txAdvance
+		case txAdvance:
+			if !x.op.Step(x.k) {
+				return
+			}
+			x.op = x.cmd.ch.TxRing.Notify(dpm.Board, x.cmd.ch.NotifyFlagOff())
+			x.pc = txNotify
+		case txNotify:
+			if !x.op.Step(x.k) {
+				return
+			}
+			if x.op.OK() {
+				b.txIRQ(x.cmd.ch)
+			}
+			x.done()
 		}
 	}
 }
 
-// deliverCell hands a finished cell to the attached link, or to the test
-// sink when no links are attached.
-func (b *Board) deliverCell(p *sim.Proc, cell atm.Cell, linkIdx int) {
-	if b.outLinks != nil {
-		b.outLinks[linkIdx].Send(p, cell)
-		return
+// assemble frames the gathered payload as the command's cell, folding
+// it into the channel's AAL5 CRC and length and closing them out with
+// the trailer on the PDU's final cell.
+func (x *txDMA) assemble() {
+	b, cmd := x.b, x.cmd
+	acc := &x.aal5[cmd.ch.Index]
+	acc.crc = crc32.Update(acc.crc, crc32.IEEETable, x.stage[:cmd.dataLen])
+	acc.len += uint32(cmd.dataLen)
+	cellLen := cmd.dataLen
+	if cmd.trailer {
+		cellLen += cmd.pad
+		atm.PutTrailer(x.stage[:cellLen+atm.TrailerSize], atm.Trailer{Length: acc.len, CRC: acc.crc})
+		cellLen += atm.TrailerSize
+		acc.crc, acc.len = 0, 0
+	} else if cmd.pad > 0 {
+		cellLen += cmd.pad
 	}
-	if b.txSink != nil {
-		b.txSink(cell, linkIdx)
+	x.cell = atm.Cell{VCI: cmd.vci, EOM: cmd.eom, Last: cmd.last, Len: cellLen}
+	if cmd.hasSeq {
+		x.cell.Seq = cmd.seq
 	}
+	copy(x.cell.Payload[:], x.stage[:cellLen])
+	b.stats.CellsTx++
+	if b.eng.Recording() {
+		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkTx, Cat: sim.CatCell, Name: "cell-tx", Arg: int64(x.cell.VCI)})
+	}
+}
+
+// done returns the finished command and goes back to waiting.
+func (x *txDMA) done() {
+	x.b.putTxCmd(x.cmd)
+	x.cmd, x.pc = nil, txIdle
 }

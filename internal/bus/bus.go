@@ -132,38 +132,40 @@ func (b *Bus) Cycles(n int) time.Duration { return time.Duration(n) * b.CycleTim
 // WordsFor returns the number of bus words needed to carry n bytes.
 func (b *Bus) WordsFor(n int) int { return (n + b.cfg.WordBytes - 1) / b.cfg.WordBytes }
 
-// DMARead performs one DMA read transaction (an option card reading host
-// memory — the transmit direction) of the given number of bytes,
-// blocking p for the transaction's bus occupancy.
-func (b *Bus) DMARead(p *sim.Proc, bytes int) {
+// DMARead returns one DMA read transaction (an option card reading host
+// memory — the transmit direction) of the given number of bytes: the
+// bus occupancy as a transaction on the TURBOchannel, counted when it is
+// issued. The board's DMA engines step it as continuations; a proc runs
+// it with Do.
+func (b *Bus) DMARead(bytes int) sim.Hold {
 	words := b.WordsFor(bytes)
 	b.stats.DMAReadTxns++
 	b.stats.DMAReadWords += int64(words)
-	b.channel.Use(p, b.Cycles(b.cfg.DMAReadOverhead+words))
+	return b.channel.Hold(b.Cycles(b.cfg.DMAReadOverhead + words))
 }
 
-// DMAWrite performs one DMA write transaction (an option card writing
+// DMAWrite returns one DMA write transaction (an option card writing
 // host memory — the receive direction).
-func (b *Bus) DMAWrite(p *sim.Proc, bytes int) {
+func (b *Bus) DMAWrite(bytes int) sim.Hold {
 	words := b.WordsFor(bytes)
 	b.stats.DMAWriteTxns++
 	b.stats.DMAWriteWords += int64(words)
-	b.channel.Use(p, b.Cycles(b.cfg.DMAWriteOverhead+words))
+	return b.channel.Hold(b.Cycles(b.cfg.DMAWriteOverhead + words))
 }
 
-// PIORead performs programmed-I/O reads of the given number of words by
+// PIORead returns programmed-I/O reads of the given number of words by
 // the host CPU from an option card (each word is its own transaction —
 // this is why PIO reads across the TURBOchannel are so slow, §2.7).
-func (b *Bus) PIORead(p *sim.Proc, words int) {
+func (b *Bus) PIORead(words int) sim.Hold {
 	b.stats.PIOWords += int64(words)
-	b.channel.Use(p, b.Cycles(b.cfg.PIOReadCycles*words))
+	return b.channel.Hold(b.Cycles(b.cfg.PIOReadCycles * words))
 }
 
-// PIOWrite performs programmed-I/O writes of the given number of words
+// PIOWrite returns programmed-I/O writes of the given number of words
 // by the host CPU to an option card.
-func (b *Bus) PIOWrite(p *sim.Proc, words int) {
+func (b *Bus) PIOWrite(words int) sim.Hold {
 	b.stats.PIOWords += int64(words)
-	b.channel.Use(p, b.Cycles(b.cfg.PIOWriteCycles*words))
+	return b.channel.Hold(b.Cycles(b.cfg.PIOWriteCycles * words))
 }
 
 // MemCycles converts a memory-clock cycle count to virtual time.

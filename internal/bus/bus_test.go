@@ -53,7 +53,7 @@ func TestDMATransactionOccupancy(t *testing.T) {
 	b := New(e, Config{})
 	var done sim.Time
 	e.Go("dma", func(p *sim.Proc) {
-		b.DMAWrite(p, 44) // 8 + 11 = 19 cycles = 760 ns
+		b.DMAWrite(44).Do(p) // 8 + 11 = 19 cycles = 760 ns
 		done = p.Now()
 	})
 	e.Run()
@@ -71,7 +71,7 @@ func TestMeasuredRateMatchesCeiling(t *testing.T) {
 	const n = 1000
 	e.Go("dma", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
-			b.DMAWrite(p, 44)
+			b.DMAWrite(44).Do(p)
 		}
 	})
 	end := e.Run()
@@ -92,7 +92,7 @@ func TestSerializedContention(t *testing.T) {
 		var dmaDone sim.Time
 		e.Go("dma", func(p *sim.Proc) {
 			for i := 0; i < 100; i++ {
-				b.DMAWrite(p, 44)
+				b.DMAWrite(44).Do(p)
 			}
 			dmaDone = p.Now()
 		})
@@ -123,13 +123,13 @@ func TestPIOSlowerThanDMAPerWord(t *testing.T) {
 	var pioDone, dmaDone time.Duration
 	e.Go("pio", func(p *sim.Proc) {
 		start := p.Now()
-		b.PIORead(p, 11) // one cell payload, word at a time
+		b.PIORead(11).Do(p) // one cell payload, word at a time
 		pioDone = time.Duration(p.Now() - start)
 	})
 	e.Run()
 	e.Go("dma", func(p *sim.Proc) {
 		start := p.Now()
-		b.DMARead(p, 44)
+		b.DMARead(44).Do(p)
 		dmaDone = time.Duration(p.Now() - start)
 	})
 	e.Run()
@@ -143,9 +143,9 @@ func TestStatsAccumulate(t *testing.T) {
 	e := sim.NewEngine(1)
 	b := New(e, Config{})
 	e.Go("x", func(p *sim.Proc) {
-		b.DMARead(p, 44)
-		b.DMAWrite(p, 88)
-		b.PIOWrite(p, 3)
+		b.DMARead(44).Do(p)
+		b.DMAWrite(88).Do(p)
+		b.PIOWrite(3).Do(p)
 		b.CPUMemWrite(p, 2)
 	})
 	e.Run()
@@ -213,7 +213,7 @@ func TestMemClockDecoupledFromBusClock(t *testing.T) {
 	b2 := New(e2, Config{MemClockHz: 100_000_000})
 	e2.Go("dma", func(p *sim.Proc) {
 		start := p.Now()
-		b2.DMAWrite(p, 44) // 19 cycles at 40 ns = 760 ns
+		b2.DMAWrite(44).Do(p) // 19 cycles at 40 ns = 760 ns
 		dma = time.Duration(p.Now() - start)
 	})
 	e2.Run()
@@ -230,7 +230,7 @@ func TestCPUOccupyContendsOnlyWhenSerialized(t *testing.T) {
 		var dmaDone sim.Time
 		e.Go("dma", func(p *sim.Proc) {
 			for i := 0; i < 50; i++ {
-				b.DMAWrite(p, 44)
+				b.DMAWrite(44).Do(p)
 			}
 			dmaDone = p.Now()
 		})

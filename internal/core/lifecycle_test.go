@@ -4,6 +4,11 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/board"
+	"repro/internal/bus"
+	"repro/internal/dpm"
+	"repro/internal/proto"
 )
 
 // TestShutdownWithoutRun: tearing down a freshly built testbed or
@@ -29,5 +34,60 @@ func TestShutdownWithoutRun(t *testing.T) {
 		}
 		runtime.Gosched()
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestBoardEnginesInertAfterShutdown: procs die at Shutdown, but the
+// board's DMA controllers and fictitious-PDU generator are event
+// continuations whose wakeups stay queued. A testbed stopped
+// mid-transfer and torn down — which also releases every host's memory
+// and board's dual-port memory — must let a later RunFor fire those
+// events without a panic and without moving any board, bus or
+// dual-port memory counter.
+func TestBoardEnginesInertAfterShutdown(t *testing.T) {
+	runs := map[string]func(tb *Testbed){
+		// The generator feeding B's receive path, unpaced.
+		"receive": func(tb *Testbed) {
+			if _, err := tb.B.Raw.Open(proto.RawOpen{VCI: 61}); err != nil {
+				t.Fatal(err)
+			}
+			pdu := make([]byte, 8192)
+			tb.B.Board.StartFictitious(61, 4, func(int) [][]byte { return [][]byte{pdu} }, -1, 0)
+			tb.Eng.RunFor(150 * time.Microsecond)
+		},
+		// UDP round trips over the links: both transmit paths.
+		"latency": func(tb *Testbed) {
+			tb.Eng.At(tb.Eng.Now().Add(150*time.Microsecond), tb.Eng.Stop)
+			tb.RunLatency(UDPIP, 4096, 50)
+		},
+	}
+	for name, run := range runs {
+		t.Run(name, func(t *testing.T) {
+			tb := NewTestbed(alOptions())
+			run(tb)
+			type counters struct {
+				board [2]board.Stats
+				bus   [2]bus.Stats
+				dpm   [2]dpm.Stats
+			}
+			snap := func() (c counters) {
+				for i, n := range []*Node{tb.A, tb.B} {
+					c.board[i], c.bus[i], c.dpm[i] = n.Board.Stats(), n.Host.Bus.Stats(), n.Board.DPM.Stats()
+				}
+				return c
+			}
+			if s := snap(); s.bus[0].DMAWriteTxns+s.bus[1].DMAWriteTxns == 0 {
+				t.Fatalf("stopped before any transfer: %+v", s)
+			}
+			tb.Shutdown()
+			if tb.Eng.Pending() == 0 {
+				t.Fatal("nothing left queued: the transfer was not stopped mid-way")
+			}
+			before := snap()
+			tb.Eng.RunFor(time.Millisecond)
+			if after := snap(); after != before {
+				t.Fatalf("counters moved after Shutdown:\nbefore %+v\nafter  %+v", before, after)
+			}
+		})
 	}
 }

@@ -15,6 +15,7 @@
 package dpm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"time"
@@ -126,58 +127,107 @@ func RxPageOff(i int) uint32 {
 	return uint32(HalfSize + i*PageSize)
 }
 
-func (m *Memory) charge(p *sim.Proc, who Accessor, write bool) {
-	switch who {
-	case Host:
-		if write {
-			m.stats.HostWrites++
-			m.bus.PIOWrite(p, 1)
-		} else {
-			m.stats.HostReads++
-			m.bus.PIORead(p, 1)
-		}
-	case Board:
-		if write {
-			m.stats.BoardWrites++
-		} else {
-			m.stats.BoardReads++
-		}
-		p.Sleep(BoardAccessTime)
+// cost counts one access by who and returns its price: programmed I/O
+// across the bus for the host, BoardAccessTime for the board.
+func (m *Memory) cost(who Accessor, write bool) sim.Hold {
+	if who == Host {
+		return m.hostCost(write)
 	}
+	if write {
+		m.stats.BoardWrites++
+	} else {
+		m.stats.BoardReads++
+	}
+	return m.eng.Delay(BoardAccessTime)
+}
+
+func (m *Memory) hostCost(write bool) sim.Hold {
+	if write {
+		m.stats.HostWrites++
+		return m.bus.PIOWrite(1)
+	}
+	m.stats.HostReads++
+	return m.bus.PIORead(1)
 }
 
 func (m *Memory) checkWord(off uint32) {
-	if off%4 != 0 {
-		panic(fmt.Sprintf("dpm: unaligned word access at %#x", off))
-	}
-	if int(off)+4 > len(m.data) {
-		panic(fmt.Sprintf("dpm: access at %#x beyond %d", off, len(m.data)))
+	if off%4 != 0 || int(off)+4 > len(m.data) {
+		m.badWord(off)
 	}
 }
 
+func (m *Memory) badWord(off uint32) {
+	if off%4 != 0 {
+		panic(fmt.Sprintf("dpm: unaligned word access at %#x", off))
+	}
+	panic(fmt.Sprintf("dpm: access at %#x beyond %d", off, len(m.data)))
+}
+
+// Access is one atomic 32-bit word access in continuation form. Its
+// accessor's cost is counted when it is made; the word is loaded or
+// stored once that cost has elapsed, at the instant the access takes
+// effect. Step advances it (sim.Hold's protocol); ReadWord and WriteWord
+// are its proc forms.
+type Access struct {
+	m     *Memory
+	off   uint32
+	val   uint32
+	write bool
+	cost  sim.Hold
+}
+
+// Read returns a load of the word at byte offset off by who.
+func (m *Memory) Read(who Accessor, off uint32) Access {
+	m.checkWord(off)
+	return Access{m: m, off: off, cost: m.cost(who, false)}
+}
+
+// Write returns a store of v to the word at byte offset off by who.
+func (m *Memory) Write(who Accessor, off uint32, v uint32) Access {
+	m.checkWord(off)
+	return Access{m: m, off: off, val: v, write: true, cost: m.cost(who, true)}
+}
+
+// Step advances the access with k as the continuation to wake, and
+// reports whether it has taken effect.
+func (a *Access) Step(k sim.Cont) bool {
+	if !a.cost.Step(k) {
+		return false
+	}
+	if a.write {
+		a.m.store(a.off, a.val)
+	} else {
+		a.val = a.m.load(a.off)
+	}
+	return true
+}
+
+func (m *Memory) load(off uint32) uint32     { return binary.LittleEndian.Uint32(m.data[off:]) }
+func (m *Memory) store(off uint32, v uint32) { binary.LittleEndian.PutUint32(m.data[off:], v) }
+
+// Val returns the word a finished load read (or a store wrote).
+func (a *Access) Val() uint32 { return a.val }
+
 // ReadWord performs an atomic 32-bit load at byte offset off, charging
-// the accessor's cost to p.
+// the accessor's cost to p: Read as a proc runs it, with no Access
+// built.
 func (m *Memory) ReadWord(p *sim.Proc, who Accessor, off uint32) uint32 {
 	m.checkWord(off)
-	m.charge(p, who, false)
-	d := m.data[off : off+4]
-	return uint32(d[0]) | uint32(d[1])<<8 | uint32(d[2])<<16 | uint32(d[3])<<24
+	m.cost(who, false).Do(p)
+	return m.load(off)
 }
 
 // WriteWord performs an atomic 32-bit store at byte offset off.
 func (m *Memory) WriteWord(p *sim.Proc, who Accessor, off uint32, v uint32) {
 	m.checkWord(off)
-	m.charge(p, who, true)
-	m.data[off] = byte(v)
-	m.data[off+1] = byte(v >> 8)
-	m.data[off+2] = byte(v >> 16)
-	m.data[off+3] = byte(v >> 24)
+	m.cost(who, true).Do(p)
+	m.store(off, v)
 }
 
 // TestAndSet atomically sets register r and returns its previous value.
 // A return of false means the caller acquired the lock.
 func (m *Memory) TestAndSet(p *sim.Proc, who Accessor, r Register) bool {
-	m.charge(p, who, true)
+	m.cost(who, true).Do(p)
 	prev := m.locks[r]
 	m.locks[r] = true
 	return prev
@@ -185,7 +235,7 @@ func (m *Memory) TestAndSet(p *sim.Proc, who Accessor, r Register) bool {
 
 // ClearLock releases register r.
 func (m *Memory) ClearLock(p *sim.Proc, who Accessor, r Register) {
-	m.charge(p, who, true)
+	m.cost(who, true).Do(p)
 	m.locks[r] = false
 }
 

@@ -457,7 +457,7 @@ func (d *Driver) Send(p *sim.Proc, pt *Path, m *msg.Message, done Completion) er
 		// per-physical-buffer driver cost disappears but the map update
 		// is paid on every message (§2.2).
 		d.host.Compute(p, d.host.Prof.DriverTxPerPDU+time.Duration(pages)*d.host.Prof.SGMapPerEntry)
-		d.host.Bus.PIOWrite(p, 2*pages)
+		d.host.Bus.PIOWrite(2 * pages).Do(p)
 		d.stats.SGMapEntries += int64(pages)
 	} else {
 		d.host.Compute(p, d.host.Prof.DriverTxPerPDU+time.Duration(len(segs)-1)*d.host.Prof.DriverPerBuffer)

@@ -18,7 +18,7 @@ func TestComputeStretchesUnderDMAContention(t *testing.T) {
 		if withDMA {
 			e.Go("dma", func(p *sim.Proc) {
 				for i := 0; i < 2000; i++ {
-					h.Bus.DMAWrite(p, 44)
+					h.Bus.DMAWrite(44).Do(p)
 				}
 			})
 		}
@@ -51,7 +51,7 @@ func TestComputeDoesNotStretchOnCrossbar(t *testing.T) {
 	h := New(e, DEC3000_600(), 64)
 	e.Go("dma", func(p *sim.Proc) {
 		for i := 0; i < 2000; i++ {
-			h.Bus.DMAWrite(p, 44)
+			h.Bus.DMAWrite(44).Do(p)
 		}
 	})
 	var took time.Duration
@@ -76,7 +76,7 @@ func TestDMAStretchedByCPUTrafficOnlyWhenSerialized(t *testing.T) {
 		var took sim.Time
 		e.Go("dma", func(p *sim.Proc) {
 			for i := 0; i < 1000; i++ {
-				h.Bus.DMAWrite(p, 44)
+				h.Bus.DMAWrite(44).Do(p)
 			}
 			took = p.Now()
 		})

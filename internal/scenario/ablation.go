@@ -262,12 +262,12 @@ func wire(slow bool) (string, error) {
 
 // busMbps measures the TURBOchannel arithmetic of §2.5.1 and §2.7: the
 // throughput of n back-to-back moves of bytes each on an idle bus.
-func busMbps(n, bytes int, move func(b *bus.Bus, p *sim.Proc, bytes int)) (string, error) {
+func busMbps(n, bytes int, move func(b *bus.Bus, bytes int) sim.Hold) (string, error) {
 	e := sim.NewEngine(1)
 	bs := bus.New(e, bus.Config{})
 	e.Go("mover", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
-			move(bs, p, bytes)
+			move(bs, bytes).Do(p)
 		}
 	})
 	end := e.Run()
@@ -276,7 +276,7 @@ func busMbps(n, bytes int, move func(b *bus.Bus, p *sim.Proc, bytes int)) (strin
 }
 
 // pioRead moves bytes into the host by word-at-a-time programmed I/O.
-func pioRead(b *bus.Bus, p *sim.Proc, bytes int) { b.PIORead(p, b.WordsFor(bytes)) }
+func pioRead(b *bus.Bus, bytes int) sim.Hold { return b.PIORead(b.WordsFor(bytes)) }
 
 // strat measures §2.6: delivery correctness under link skew for one
 // reassembly strategy.

@@ -8,13 +8,26 @@ import (
 	"repro/internal/board"
 	"repro/internal/core"
 	"repro/internal/parexp"
+	"repro/internal/sim"
 )
 
 // allocGate bounds fanin_4x8k's heap allocations per simulated cell.
 // Allocation counts are deterministic, unlike wall time, so the gate
-// reads the same at any GOMAXPROCS; 0.25 leaves headroom over the
-// measured ~0.18 on the switched fan-in hot path.
-const allocGate = 0.25
+// reads the same at any GOMAXPROCS; 0.08 leaves about 40% headroom
+// over the measured 0.056 on the switched fan-in hot path.
+const allocGate = 0.08
+
+// resumeGates bound each workload's proc resumes per simulated cell:
+// coroutine switches, each dearer than a plain event. Like allocation
+// counts they are deterministic. Each gate leaves about 10% headroom
+// over the highest measured level: 1.47 on fig3_receive_64k, and on
+// fanin_4x8k 5.01 with cell-train links and 6.01 with per-cell ones.
+// While the DMA engines and the fictitious-PDU generator ran as procs
+// these read 3.21 and 8.36 (trains).
+var resumeGates = map[string]float64{
+	"fig3_receive_64k": 1.6,
+	"fanin_4x8k":       6.6,
+}
 
 // simcoreResult is one workload's simulated outcome, bit-for-bit stable
 // for a fixed seed.
@@ -27,15 +40,17 @@ type simcoreResult struct {
 
 // simcoreWallResult is one workload's wall-clock measurement: the best
 // of its repetitions. Events sit here beside the rate they are the
-// denominator of.
+// denominator of, and proc resumes beside them.
 type simcoreWallResult struct {
-	Name          string  `json:"name"`
-	WallSeconds   float64 `json:"wall_seconds"`
-	Events        uint64  `json:"events"`
-	Allocs        uint64  `json:"allocs"`
-	EventsPerSec  float64 `json:"events_per_sec"`
-	NsPerCell     float64 `json:"ns_per_cell"`
-	AllocsPerCell float64 `json:"allocs_per_cell"`
+	Name           string  `json:"name"`
+	WallSeconds    float64 `json:"wall_seconds"`
+	Events         uint64  `json:"events"`
+	Resumes        uint64  `json:"resumes"`
+	Allocs         uint64  `json:"allocs"`
+	EventsPerSec   float64 `json:"events_per_sec"`
+	NsPerCell      float64 `json:"ns_per_cell"`
+	ResumesPerCell float64 `json:"resumes_per_cell"`
+	AllocsPerCell  float64 `json:"allocs_per_cell"`
 }
 
 // simcoreReport is the BENCH_simcore.json schema.
@@ -55,31 +70,35 @@ type simcoreRun struct {
 	wall simcoreWallResult
 }
 
-// measure runs fn with the memory accounting bracketed, attributing the
-// wall time, allocation delta, executed events, and simulated cells to
-// one named workload. Setup (system construction) happens in the
-// caller, outside the bracket, so steady-state per-cell costs dominate.
-func measure(name string, fn func() (events uint64, simTime time.Duration, cells int64, check map[string]float64, err error)) (simcoreRun, error) {
+// measure runs fn on engine e with the memory accounting bracketed,
+// attributing the wall time, allocation delta, executed events, proc
+// resumes and simulated cells to one named workload. Setup (system
+// construction) happens in the caller, outside the bracket, so
+// steady-state per-cell costs dominate.
+func measure(name string, e *sim.Engine, fn func() (simTime time.Duration, cells int64, check map[string]float64, err error)) (simcoreRun, error) {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
+	ev0, res0 := e.Events(), e.Resumes()
 	start := time.Now()
-	events, simTime, cells, check, err := fn()
+	simTime, cells, check, err := fn()
 	wall := time.Since(start)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		return simcoreRun{}, err
 	}
+	events, resumes := e.Events()-ev0, e.Resumes()-res0
 	allocs := after.Mallocs - before.Mallocs
 	r := simcoreRun{
 		det:  simcoreResult{Name: name, SimSeconds: simTime.Seconds(), Cells: cells, Check: check},
-		wall: simcoreWallResult{Name: name, WallSeconds: wall.Seconds(), Events: events, Allocs: allocs},
+		wall: simcoreWallResult{Name: name, WallSeconds: wall.Seconds(), Events: events, Resumes: resumes, Allocs: allocs},
 	}
 	if wall > 0 {
 		r.wall.EventsPerSec = float64(events) / wall.Seconds()
 	}
 	if cells > 0 {
 		r.wall.NsPerCell = float64(wall.Nanoseconds()) / float64(cells)
+		r.wall.ResumesPerCell = float64(resumes) / float64(cells)
 		r.wall.AllocsPerCell = float64(allocs) / float64(cells)
 	}
 	return r, nil
@@ -94,11 +113,10 @@ func simcoreFig3(cfg Config) (simcoreRun, error) {
 	opt.Board = board.Config{RxDMA: board.DoubleCell}
 	tb := core.NewTestbed(opt)
 	defer tb.Shutdown()
-	return measure("fig3_receive_64k", func() (uint64, time.Duration, int64, map[string]float64, error) {
-		ev0 := tb.Events()
+	return measure("fig3_receive_64k", tb.Eng, func() (time.Duration, int64, map[string]float64, error) {
 		mbps, err := tb.RunReceiveThroughput(65536, 32)
 		st := tb.B.Board.Stats()
-		return tb.Events() - ev0, time.Duration(tb.Eng.Now()), st.CellsRx, map[string]float64{
+		return time.Duration(tb.Eng.Now()), st.CellsRx, map[string]float64{
 			"mbps":     mbps,
 			"cells_rx": float64(st.CellsRx),
 		}, err
@@ -112,14 +130,13 @@ func simcoreFanIn(cfg Config) (simcoreRun, error) {
 	w := pacedFanIn()
 	cl := core.NewCluster(cfg.options(core.Options{}), w.Clients+1)
 	defer cl.Shutdown()
-	return measure("fanin_4x8k", func() (uint64, time.Duration, int64, map[string]float64, error) {
-		ev0 := cl.Events()
+	return measure("fanin_4x8k", cl.Eng, func() (time.Duration, int64, map[string]float64, error) {
 		res, err := cl.RunFanIn(w)
 		if err != nil {
-			return 0, 0, 0, nil, err
+			return 0, 0, nil, err
 		}
 		bs := cl.Nodes[0].Board.Stats()
-		return cl.Events() - ev0, time.Duration(cl.Eng.Now()), res.SwitchForwarded + res.SwitchDropped, map[string]float64{
+		return time.Duration(cl.Eng.Now()), res.SwitchForwarded + res.SwitchDropped, map[string]float64{
 			"delivered":        float64(res.Delivered),
 			"aggregate_mbps":   res.AggregateMbps,
 			"switch_forwarded": float64(res.SwitchForwarded),
@@ -163,7 +180,7 @@ func simcore(cfg Config) (Report, error) {
 	if err != nil || len(vals) == 0 {
 		return Report{}, err
 	}
-	report := simcoreReport{Schema: "osiris-simbench/2"}
+	report := simcoreReport{Schema: "osiris-simbench/3"}
 	wall := simcoreWall{wallHeader: newWallHeader()}
 	text := "== Simulator core wall-clock benchmarks ==\n"
 	for i, w := range workloads {
@@ -182,8 +199,8 @@ func simcore(cfg Config) (Report, error) {
 		}
 		report.Results = append(report.Results, best.det)
 		wall.Results = append(wall.Results, best.wall)
-		text += fmt.Sprintf("%-18s %8.0f events/s  %7.0f ns/cell  %6.2f allocs/cell  (sim %v in wall %v)\n",
-			w.name, best.wall.EventsPerSec, best.wall.NsPerCell, best.wall.AllocsPerCell,
+		text += fmt.Sprintf("%-18s %8.0f events/s  %7.0f ns/cell  %5.2f resumes/cell  %6.2f allocs/cell  (sim %v in wall %v)\n",
+			w.name, best.wall.EventsPerSec, best.wall.NsPerCell, best.wall.ResumesPerCell, best.wall.AllocsPerCell,
 			time.Duration(best.det.SimSeconds*1e9).Round(time.Microsecond),
 			time.Duration(best.wall.WallSeconds*1e9).Round(time.Microsecond))
 	}
@@ -192,11 +209,15 @@ func simcore(cfg Config) (Report, error) {
 	return r, err
 }
 
-// checkSimcore is the allocation gate on the switched fan-in hot path.
+// checkSimcore gates allocations on the switched fan-in hot path and
+// proc resumes on every workload.
 func checkSimcore(r Report) error {
 	for _, w := range r.value.(simcoreWall).Results {
 		if w.Name == "fanin_4x8k" && w.AllocsPerCell > allocGate {
 			return fmt.Errorf("simcore: %s at %.3f allocs/cell exceeds the %.3f gate", w.Name, w.AllocsPerCell, allocGate)
+		}
+		if g, ok := resumeGates[w.Name]; ok && w.ResumesPerCell > g {
+			return fmt.Errorf("simcore: %s at %.3f proc resumes/cell exceeds the %.3f gate", w.Name, w.ResumesPerCell, g)
 		}
 	}
 	return nil

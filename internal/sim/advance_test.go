@@ -128,20 +128,22 @@ func TestSleepElidedZeroAlloc(t *testing.T) {
 	}
 }
 
-// sleepProgram runs a multi-proc program decoded from data and returns
-// its execution trace — (proc, time) after every operation, plain
-// events as they fire, and the clock whenever Run or RunUntil returns
-// with work left — and the engine's event count. With
-// blocker set, an extra proc sleeps 1 ns at a time until the program's
-// procs finish, so a wakeup is pending at every nanosecond and no
+// sleepProgram runs a multi-activity program decoded from data and
+// returns its execution trace — (activity, time) after every operation,
+// plain events as they fire, and the clock whenever Run or RunUntil
+// returns with work left — and the engine's event count. The program's
+// activities are procs, or with cont set continuation-driven state
+// machines (sleepScript) running the same operations. With blocker
+// set, an extra proc sleeps 1 ns at a time until the program's
+// activities finish, so a wakeup is pending at every nanosecond and no
 // positive sleep of the program can be elided.
 //
-// data[0] picks the number of procs and data[1] the RunUntil step (0:
-// one Run); every further byte is one operation of proc i%procs: a
-// sleep, a SleepUntil around now, a plain event scheduled ahead, or a
-// Stop (under a single Run only: RunUntil moves the clock to its
-// horizon even when stopped early).
-func sleepProgram(data []byte, blocker bool) (trace []string, events uint64) {
+// data[0] picks the number of activities and data[1] the RunUntil step
+// (0: one Run); every further byte is one operation of activity
+// i%procs: a sleep, a SleepUntil around now, a plain event scheduled
+// ahead, or a Stop (under a single Run only: RunUntil moves the clock
+// to its horizon even when stopped early).
+func sleepProgram(data []byte, blocker, cont bool) (trace []string, events uint64) {
 	e := NewEngine(1)
 	defer e.Shutdown()
 	procs := 1 + int(data[0]%4)
@@ -150,29 +152,45 @@ func sleepProgram(data []byte, blocker bool) (trace []string, events uint64) {
 	for i, b := range data[2:] {
 		ops[i%procs] = append(ops[i%procs], b)
 	}
-	live, plain := procs, 0 // program procs running, plain events pending
+	live, plain := procs, 0 // program activities running, plain events pending
+	// sleepOp performs operation b of activity i, at index j; for a
+	// sleep it returns the wakeup instant (ok false: no sleep).
+	sleepOp := func(i, j int, b byte) (t Time, ok bool) {
+		arg := int64(b & 31)
+		switch b >> 5 {
+		case 0, 1, 2, 3:
+			return e.Now() + Time(arg%8), true
+		case 4:
+			return e.Now() + Time(arg%11) - 3, true
+		case 5:
+			plain++
+			e.After(time.Duration(arg%8), func() {
+				plain--
+				trace = append(trace, fmt.Sprintf("ev%d.%d@%d", i, j, e.Now()))
+			})
+		case 6:
+			if step == 0 {
+				e.Stop()
+			}
+		case 7:
+			return e.Now() + Time(arg), true
+		}
+		return 0, false
+	}
 	for i := range ops {
+		if cont {
+			s := &sleepScript{e: e, ops: ops[i], op: func(j int, b byte) (Time, bool) { return sleepOp(i, j, b) }}
+			s.k = Cont{Fn: func(any) { s.run() }}
+			s.post = func(j int) { trace = append(trace, fmt.Sprintf("p%d@%d", i, e.Now())) }
+			s.done = func() { live-- }
+			e.AtCall(e.Now(), s.k.Fn, nil)
+			continue
+		}
 		e.Go("p", func(p *Proc) {
 			defer func() { live-- }()
 			for j, b := range ops[i] {
-				arg := int64(b & 31)
-				switch b >> 5 {
-				case 0, 1, 2, 3:
-					p.Sleep(time.Duration(arg % 8))
-				case 4:
-					p.SleepUntil(p.Now() + Time(arg%11) - 3)
-				case 5:
-					plain++
-					e.After(time.Duration(arg%8), func() {
-						plain--
-						trace = append(trace, fmt.Sprintf("ev%d.%d@%d", i, j, e.Now()))
-					})
-				case 6:
-					if step == 0 {
-						e.Stop()
-					}
-				case 7:
-					p.Sleep(time.Duration(arg))
+				if t, ok := sleepOp(i, j, b); ok {
+					p.SleepUntil(t)
 				}
 				trace = append(trace, fmt.Sprintf("p%d@%d", i, p.Now()))
 			}
@@ -201,20 +219,45 @@ func sleepProgram(data []byte, blocker bool) (trace []string, events uint64) {
 	return trace, e.Events() - base
 }
 
+// sleepScript runs a sleepProgram activity as a continuation: a
+// trampoline over its operations that returns to the engine only when
+// WakeAt had to schedule its wakeup.
+type sleepScript struct {
+	e        *Engine
+	k        Cont
+	ops      []byte
+	j        int
+	sleeping bool
+	op       func(j int, b byte) (Time, bool)
+	post     func(j int)
+	done     func()
+}
+
+func (s *sleepScript) run() {
+	for ; s.j < len(s.ops); s.j++ {
+		if !s.sleeping {
+			if t, ok := s.op(s.j, s.ops[s.j]); ok && !s.e.WakeAt(t, s.k) {
+				s.sleeping = true
+				return
+			}
+		}
+		s.sleeping = false
+		s.post(s.j)
+	}
+	s.done()
+}
+
 // FuzzSleepElision is the oracle for direct time advance: a program's
 // execution trace and event count are the same whether its sleeps are
 // elided or, beside a blocker, all go through the queue.
 func FuzzSleepElision(f *testing.F) {
-	f.Add([]byte{0, 0, 1, 2, 3})
-	f.Add([]byte{1, 0, 1, 1, 0xa0, 0x81, 2, 0xe5})
-	f.Add([]byte{3, 5, 0x03, 0x85, 0xa2, 0xc0, 0x07, 0x90, 0xf1, 0x00, 0xa0, 0x26})
-	f.Add([]byte{2, 1, 0xc0, 0xc0, 0x1f, 0x9f, 0xa7, 0x61})
+	addSleepSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 || len(data) > 66 {
 			return
 		}
-		got, gotEvents := sleepProgram(data, false)
-		want, wantEvents := sleepProgram(data, true)
+		got, gotEvents := sleepProgram(data, false, false)
+		want, wantEvents := sleepProgram(data, true, false)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("elided trace\n%v\nqueued trace\n%v", got, want)
 		}
@@ -222,4 +265,32 @@ func FuzzSleepElision(f *testing.F) {
 			t.Fatalf("Events() = %d elided, %d queued", gotEvents, wantEvents)
 		}
 	})
+}
+
+// FuzzContSleepElision extends FuzzSleepElision to continuation
+// sleeps: the program run as continuations, eliding through WakeAt's
+// trampoline, traces and counts exactly as the proc program does with
+// every sleep queued.
+func FuzzContSleepElision(f *testing.F) {
+	addSleepSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 || len(data) > 66 {
+			return
+		}
+		got, gotEvents := sleepProgram(data, false, true)
+		want, wantEvents := sleepProgram(data, true, false)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("continuation trace\n%v\nqueued proc trace\n%v", got, want)
+		}
+		if gotEvents != wantEvents {
+			t.Fatalf("Events() = %d continuation, %d queued proc", gotEvents, wantEvents)
+		}
+	})
+}
+
+func addSleepSeeds(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 2, 3})
+	f.Add([]byte{1, 0, 1, 1, 0xa0, 0x81, 2, 0xe5})
+	f.Add([]byte{3, 5, 0x03, 0x85, 0xa2, 0xc0, 0x07, 0x90, 0xf1, 0x00, 0xa0, 0x26})
+	f.Add([]byte{2, 1, 0xc0, 0xc0, 0x1f, 0x9f, 0xa7, 0x61})
 }

@@ -1,8 +1,9 @@
 package sim
 
-// Chan is a bounded FIFO channel between simulated processes, the CSP
+// Chan is a bounded FIFO channel between simulated activities, the CSP
 // analog for the simulation world. Send blocks while the channel is full,
-// Recv blocks while it is empty. A capacity of zero is not supported
+// Recv blocks while it is empty; SendCont and RecvCont are their
+// continuation forms, waiting in the same queues. A capacity of zero is not supported
 // (rendezvous can be built from two capacity-1 channels when needed).
 //
 // The buffer is a fixed ring allocated at construction, so steady-state
@@ -68,11 +69,20 @@ func (c *Chan[T]) pop() T {
 
 // Send enqueues v, blocking p while the channel is full.
 func (c *Chan[T]) Send(p *Proc, v T) {
-	for c.Full() {
-		c.notFull.Wait(p)
+	for !c.SendCont(v, p.Cont()) {
+		p.block()
 	}
-	c.push(v)
-	c.notEmpty.Signal()
+}
+
+// SendCont enqueues v and reports true if there is room; otherwise it
+// queues k to run when room may have been made and reports false, and
+// the caller tries again from k: the continuation form of Send.
+func (c *Chan[T]) SendCont(v T, k Cont) bool {
+	if c.TrySend(v) {
+		return true
+	}
+	c.notFull.WaitCont(k)
+	return false
 }
 
 // TrySend enqueues v if there is room and reports whether it did.
@@ -88,12 +98,23 @@ func (c *Chan[T]) TrySend(v T) bool {
 
 // Recv dequeues the oldest item, blocking p while the channel is empty.
 func (c *Chan[T]) Recv(p *Proc) T {
-	for c.Empty() {
-		c.notEmpty.Wait(p)
+	for {
+		if v, ok := c.RecvCont(p.Cont()); ok {
+			return v
+		}
+		p.block()
 	}
-	v := c.pop()
-	c.notFull.Signal()
-	return v
+}
+
+// RecvCont dequeues the oldest item if one is buffered; otherwise it
+// queues k to run when an item may have arrived and reports false, and
+// the caller tries again from k: the continuation form of Recv.
+func (c *Chan[T]) RecvCont(k Cont) (T, bool) {
+	v, ok := c.TryRecv()
+	if !ok {
+		c.notEmpty.WaitCont(k)
+	}
+	return v, ok
 }
 
 // TryRecv dequeues the oldest item if one is buffered. It never blocks

@@ -72,6 +72,21 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 // wakeup with AtCall(t, resumeProc, p) allocates nothing.
 func resumeProc(a any) { a.(*Proc).resume() }
 
+// Cont returns the proc's continuation, (resumeProc, p): what every
+// blocking primitive queues or schedules for it.
+func (p *Proc) Cont() Cont { return Cont{Fn: resumeProc, Arg: p} }
+
+// Park suspends p until its continuation runs. It is how a proc runs a
+// continuation-form operation to completion:
+//
+//	for !op.Step(p.Cont()) {
+//		p.Park()
+//	}
+//
+// A proc that parks with its continuation neither queued nor scheduled
+// sleeps until Shutdown. Called only from proc context.
+func (p *Proc) Park() { p.block() }
+
 // loop is the worker's coroutine body: run the bound proc, then park
 // until the engine binds the next one. It returns when stop is called,
 // which makes yield report false.
@@ -120,6 +135,7 @@ func (p *Proc) resume() {
 	if p.done {
 		return
 	}
+	p.eng.resumes++
 	w := p.w
 	w.next()
 	if p.done {
@@ -159,19 +175,13 @@ func (p *Proc) Sleep(d time.Duration) {
 //
 // When the wakeup would be the very next event Run executes, the proc
 // does not go through the queue: it takes the wakeup's sequence number,
-// counts it as fired and moves the clock to t itself (Engine.advance),
+// counts it as fired and moves the clock to t itself (Engine.WakeAt),
 // with no event and no coroutine switch. The simulated behaviour, event
 // count and sequence stamps are identical either way.
 func (p *Proc) SleepUntil(t Time) {
-	e := p.eng
-	if t < e.now {
-		t = e.now
+	if !p.eng.WakeAt(t, p.Cont()) {
+		p.block()
 	}
-	if e.advance(t) {
-		return
-	}
-	e.AtCall(t, resumeProc, p)
-	p.block()
 }
 
 // Done reports whether the proc body has returned.

@@ -4,13 +4,13 @@ import "time"
 
 // Resource models a resource that at most one activity may hold at a
 // time, with FIFO arbitration — a bus, a memory port, a DMA engine.
+// Procs (Acquire) and continuations (AcquireCont) wait in one queue.
 // It also accumulates busy time so utilization can be reported.
 type Resource struct {
 	eng       *Engine
 	name      string
-	holder    *Proc // nil when free
 	held      bool
-	queue     []*Proc
+	queue     []Cont
 	busySince Time
 	busyTotal time.Duration
 }
@@ -23,16 +23,24 @@ func NewResource(e *Engine, name string) *Resource {
 // Acquire blocks p until it holds the resource. Waiters are served in
 // FIFO order.
 func (r *Resource) Acquire(p *Proc) {
-	if r.held {
-		r.queue = append(r.queue, p)
+	if !r.AcquireCont(p.Cont()) {
+		// Our predecessor's Release transfers ownership to us before
+		// resuming us, so the resource is ours when block returns.
 		p.block()
-		// Our predecessor's Release transferred ownership to us before
-		// resuming us, so the resource is already ours here.
-		return
+	}
+}
+
+// AcquireCont takes the resource and reports true if it is free;
+// otherwise it queues k, which the Release that hands the resource
+// over schedules, and reports false: the continuation form of Acquire.
+func (r *Resource) AcquireCont(k Cont) bool {
+	if r.held {
+		r.queue = append(r.queue, k)
+		return false
 	}
 	r.held = true
-	r.holder = p
 	r.busySince = r.eng.now
+	return true
 }
 
 // Release frees the resource or hands it to the longest waiter.
@@ -43,29 +51,25 @@ func (r *Resource) Release() {
 	r.busyTotal += time.Duration(r.eng.now - r.busySince)
 	if len(r.queue) == 0 {
 		r.held = false
-		r.holder = nil
 		return
 	}
 	next := r.queue[0]
 	copy(r.queue, r.queue[1:])
+	r.queue[len(r.queue)-1] = Cont{}
 	r.queue = r.queue[:len(r.queue)-1]
-	r.holder = next
 	r.busySince = r.eng.now
-	r.eng.AtCall(r.eng.now, resumeProc, next)
+	r.eng.wake(r.eng.now, next)
 }
 
 // Use acquires the resource, holds it for d of virtual time, and
-// releases it. This is the common pattern for a priced bus transaction.
-func (r *Resource) Use(p *Proc, d time.Duration) {
-	r.Acquire(p)
-	p.Sleep(d)
-	r.Release()
-}
+// releases it: the proc form of Hold, the common pattern for a priced
+// bus transaction.
+func (r *Resource) Use(p *Proc, d time.Duration) { r.Hold(d).Do(p) }
 
 // Held reports whether the resource is currently held.
 func (r *Resource) Held() bool { return r.held }
 
-// QueueLen reports the number of procs waiting for the resource.
+// QueueLen reports the number of activities waiting for the resource.
 func (r *Resource) QueueLen() int { return len(r.queue) }
 
 // BusyTime returns the total virtual time the resource has been held.

@@ -106,7 +106,9 @@ type Engine struct {
 	workers  []*worker
 	idle     []*worker
 	fired    uint64
+	resumes  uint64 // proc resumes (coroutine switches into a body)
 	stopped  bool
+	halted   bool // Shutdown has run
 	limit    Time // 0 means no limit
 	recorder func(TraceEvent)
 	running  bool
@@ -413,9 +415,9 @@ func (e *Engine) Cancel(ev Event) {
 // events stay queued for the Run after that.
 func (e *Engine) Stop() { e.stopped = true }
 
-// advance is the direct time advance behind every proc sleep. A proc
-// about to schedule its own wakeup at t asks whether that wakeup would
-// be the next event Run executes: the engine is running (Shutdown
+// advance is the direct time advance behind every sleep (WakeAt). An
+// activity about to schedule its own wakeup at t asks whether that
+// wakeup would be the next event Run executes: the engine is running (Shutdown
 // unwinds killed procs outside Run, and their sleeps must still block),
 // no Stop is pending, t is within the run's horizon, and every queued
 // event fires strictly after t (one at t was scheduled earlier and runs
@@ -496,15 +498,25 @@ func (e *Engine) Pending() int { return len(e.pq) }
 // events/sec measurements.
 func (e *Engine) Events() uint64 { return e.fired }
 
+// Resumes returns the cumulative number of times the engine switched
+// into a proc body — each costs a coroutine switch on top of its event.
+func (e *Engine) Resumes() uint64 { return e.resumes }
+
+// Halted reports whether Shutdown has run. Procs die at Shutdown;
+// continuation-driven components check Halted when their events fire,
+// so that they too do nothing once the engine is torn down.
+func (e *Engine) Halted() bool { return e.halted }
+
 // Shutdown terminates all live Procs and their coroutines. A blocked
 // proc is unwound through its deferred calls; a proc that never started
 // never runs its body. The engine must not be running. After Shutdown
-// the engine can still schedule plain events but all procs are gone. It
-// is safe to call multiple times.
+// the engine can still schedule plain events but all procs are gone,
+// and Halted reports true. It is safe to call multiple times.
 func (e *Engine) Shutdown() {
 	if e.running {
 		panic("sim: Shutdown during Run")
 	}
+	e.halted = true
 	for _, w := range e.workers {
 		w.stop()
 		if w.p != nil {
