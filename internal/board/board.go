@@ -3,12 +3,13 @@
 // Following the paper's central observation that "software running on
 // the two 80960s controls the send/receive functionality of the adaptor,
 // and ... this code effectively defines the software interface between
-// the host and the adaptor" (§1), the board here is ordinary code
-// running as two simulated processes — a transmit processor and a
-// receive processor — over the dual-port memory, a pair of DMA
-// controllers, and the striped ATM links. Changing "firmware" policy
-// (reassembly strategy, DMA length, interrupt discipline) is a
-// configuration of this package, exactly as reprogramming the i960s was.
+// the host and the adaptor" (§1), the board here is ordinary code: the
+// firmware of a transmit processor and a receive processor, written as
+// resumable state machines driven by simulation events, over the
+// dual-port memory, a pair of DMA controllers, and the striped ATM
+// links. Changing "firmware" policy (reassembly strategy, DMA length,
+// interrupt discipline) is a configuration of this package, exactly as
+// reprogramming the i960s was.
 //
 // The board exposes sixteen transmit queue pages and sixteen
 // free/receive queue-page pairs (§3.2). Channel 0 is the kernel's; the
@@ -370,8 +371,10 @@ type Board struct {
 	rxCmds  *sim.Chan[*rxCmd]
 	fireCtl *sim.Chan[fictReq]
 
-	// The DMA controllers and the fictitious-PDU generator: hardware
-	// state machines advanced by events, not processes.
+	// The processors, the DMA controllers and the fictitious-PDU
+	// generator: state machines advanced by events, not processes.
+	txCPU txProcessor
+	rxCPU rxProcessor
 	txDMA txDMA
 	rxDMA rxDMA
 	fict  fictGen
@@ -457,16 +460,16 @@ func (b *Board) fillCmdPools() {
 func (b *Board) Release() { b.DPM.Release() }
 
 // New creates a board attached to host h. Interrupts are delivered to
-// the host's interrupt controller. The transmit and receive processors
-// start immediately as processes; the two DMA controllers and the
-// fictitious-PDU generator take their first step at the same instant,
-// each in the slot a process started there would have run in.
+// the host's interrupt controller. The board starts no process: its two
+// processors, two DMA controllers and fictitious-PDU generator are
+// state machines advanced by events, each taking its first step now,
+// in the slot a process started here would have run in.
 func New(e *sim.Engine, h *hostsim.Host, cfg Config) *Board {
 	b := build(e, h, cfg)
 	now := e.Now()
-	e.Go(b.cfg.Name+"-txproc", b.txProc)
+	e.AtCall(now, txProcStep, &b.txCPU)
 	e.AtCall(now, txDMAStep, &b.txDMA)
-	e.Go(b.cfg.Name+"-rxproc", b.rxProc)
+	e.AtCall(now, rxProcStep, &b.rxCPU)
 	e.AtCall(now, rxDMAStep, &b.rxDMA)
 	e.AtCall(now, fictStep, &b.fict)
 	return b
@@ -512,6 +515,8 @@ func build(e *sim.Engine, h *hostsim.Host, cfg Config) *Board {
 	b.rxCmds = sim.NewChan[*rxCmd](e, rxCmdDepth)
 	b.fireCtl = sim.NewChan[fictReq](e, 1)
 	b.fillCmdPools()
+	b.txCPU.init(b)
+	b.rxCPU.init(b)
 	b.txDMA.init(b)
 	b.rxDMA.init(b)
 	b.fict.init(b)
@@ -755,11 +760,11 @@ func (b *Board) RevokeVCIFrames(i int, v atm.VCI) {
 	}
 }
 
-// SetViolationHook installs a callback invoked (in board proc context)
-// on every authorization violation with the channel index and the
-// offending descriptor's VCI — 0 when the descriptor carries no tag
-// (free-ring buffers). adc.Manager uses it to attribute violations to
-// the virtual ADC that issued the descriptor.
+// SetViolationHook installs a callback invoked (in the board's event
+// context, so it must not block) on every authorization violation with
+// the channel index and the offending descriptor's VCI — 0 when the
+// descriptor carries no tag (free-ring buffers). adc.Manager uses it to
+// attribute violations to the virtual ADC that issued the descriptor.
 func (b *Board) SetViolationHook(fn func(ch int, vci atm.VCI)) { b.vioHook = fn }
 
 // KickTx tells the transmit processor that new descriptors may be

@@ -635,6 +635,60 @@ func TestADCFrameAuthorization(t *testing.T) {
 	}
 }
 
+// TestADCViolationBehindInFlightPDU: an unauthorized PDU queued right
+// behind an authorized one is discarded in ring order, after the first
+// PDU's cells: the tail cannot pass descriptors still being read (it
+// used to, and the first PDU's own advance then ran past the head and
+// panicked). The PDU behind it flows normally.
+func TestADCViolationBehindInFlightPDU(t *testing.T) {
+	r := newRig(t, Config{})
+	defer r.eng.Shutdown()
+	goodFrames, _ := r.host.Mem.AllocContiguous(2)
+	r.b.OpenChannel(1, 1, goodFrames)
+	ch := r.b.Channel(1)
+	badFrame, _ := r.host.Mem.AllocFrame()
+	first, second := pattern(2000, 1), pattern(300, 2)
+	firstPA, secondPA := r.host.Mem.FrameAddr(goodFrames[0]), r.host.Mem.FrameAddr(goodFrames[1])
+	r.host.Mem.Write(firstPA, first)
+	r.host.Mem.Write(secondPA, second)
+
+	var cells []atm.Cell
+	r.b.SetTxSink(func(c atm.Cell, link int) { cells = append(cells, c) })
+	var tail uint32
+	r.eng.Go("app", func(p *sim.Proc) {
+		for _, d := range []queue.Desc{
+			{Addr: firstPA, Len: uint32(len(first)), VCI: 11, Flags: queue.FlagEOP},
+			{Addr: r.host.Mem.FrameAddr(badFrame), Len: 100, VCI: 11, Flags: queue.FlagEOP},
+			{Addr: secondPA, Len: uint32(len(second)), VCI: 11, Flags: queue.FlagEOP},
+		} {
+			ch.TxRing.TryPush(p, dpm.Host, d)
+		}
+		r.b.KickTx()
+		p.Sleep(time.Millisecond)
+		tail = ch.TxRing.ObserveTail(p, dpm.Host)
+	})
+	r.eng.Run()
+	if st := r.b.Stats(); st.Violations != 1 || st.PDUsTx != 2 {
+		t.Fatalf("Violations %d, PDUsTx %d; want 1 and 2", st.Violations, st.PDUsTx)
+	}
+	if tail != 3 {
+		t.Errorf("tail = %d, want 3: every descriptor consumed", tail)
+	}
+	n := atm.CellsFor(len(first))
+	if len(cells) != n+atm.CellsFor(len(second)) {
+		t.Fatalf("cells transmitted = %d, want only the two authorized PDUs", len(cells))
+	}
+	for i, want := range [][]byte{first, second} {
+		part := cells[:n]
+		if i == 1 {
+			part = cells[n:]
+		}
+		if _, got, err := atm.Reassemble(part); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("authorized PDU %d corrupted: %v", i, err)
+		}
+	}
+}
+
 func TestTransmitFullNotifyInterrupt(t *testing.T) {
 	// Fill the tx ring beyond capacity, set the notify flag, and verify
 	// the board raises the half-empty interrupt exactly once (§2.1.2).
@@ -868,5 +922,38 @@ func TestStrategyAndModeStrings(t *testing.T) {
 	}
 	if !SeqNum.UsesSeqNumbers() || FourAAL5.UsesSeqNumbers() {
 		t.Error("UsesSeqNumbers")
+	}
+}
+
+// TestBoardRunsNoProc: New starts no process, so a board receiving a
+// fictitious-generator stream — processors, DMA controllers and
+// generator all busy — makes no proc resume. The host is kept out of
+// it: the free ring is stocked before the measured run, the receive
+// ring is large enough to hold every descriptor, and interrupts, which
+// start a host handler proc, are counted instead of raised.
+func TestBoardRunsNoProc(t *testing.T) {
+	r := newRig(t, Config{RxDMA: DoubleCell, RecvRingSlots: 64})
+	defer r.eng.Shutdown()
+	irqs := 0
+	r.b.irq = func(int) { irqs++ }
+	r.b.BindVCI(9, 0)
+	ch := r.b.KernelChannel()
+	r.eng.Go("stock", func(p *sim.Proc) { r.supplyFree(t, p, ch, 40, 4096) })
+	r.eng.Run()
+	resumes := r.eng.Resumes()
+
+	const msgs, size = 8, 8000
+	pdu := pattern(size, 1)
+	r.b.StartFictitious(9, msgs, func(int) [][]byte { return [][]byte{pdu} }, 0, 1)
+	r.eng.Run()
+	st := r.b.Stats()
+	if st.PDUsRx != msgs || st.CellsRx != msgs*int64(atm.CellsFor(size)) || st.CombinedDMAs == 0 {
+		t.Fatalf("the stream was not received whole: %+v", st)
+	}
+	if irqs == 0 {
+		t.Error("no receive interrupt was raised")
+	}
+	if n := r.eng.Resumes() - resumes; n != 0 {
+		t.Errorf("receiving %d PDUs made %d proc resumes, want 0", msgs, n)
 	}
 }

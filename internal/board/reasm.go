@@ -202,22 +202,21 @@ func (rs *reasmState) errorDetected(width int) bool {
 	return rs.received != rs.total || atm.CellsFor(rs.pduLen) != rs.total
 }
 
-// extent returns the host-memory extents covering [off, off+n) of the
-// PDU appended to segs (a caller-supplied scratch slice), popping free
-// buffers as needed (and splitting across buffer boundaries, the
-// receive-side analogue of the boundary-stop DMA). ok=false means the
-// channel is out of receive buffers.
-func (rs *reasmState) extent(off, n int, segs []mem.PhysBuffer, pop func() (queue.Desc, bool)) ([]mem.PhysBuffer, bool) {
-	for off+n > rs.covered {
-		d, got := pop()
-		if !got {
-			return segs, false
-		}
-		rs.bufs = append(rs.bufs, rxBuf{desc: d, base: rs.covered})
-		rs.covered += int(d.Len)
-	}
+// addBuf appends receive buffer d, which covers the next d.Len bytes
+// of the PDU. The receive processor pops buffers while off+n > covered
+// for the bytes [off, off+n) a cell writes, then slices them.
+func (rs *reasmState) addBuf(d queue.Desc) {
+	rs.bufs = append(rs.bufs, rxBuf{desc: d, base: rs.covered})
+	rs.covered += int(d.Len)
+}
+
+// slice returns the host-memory extents covering [off, off+n) of the
+// PDU appended to segs (a caller-supplied scratch slice), split across
+// buffer boundaries: the receive-side analogue of the boundary-stop
+// DMA. The buffers must already cover the range.
+func (rs *reasmState) slice(off, n int, segs []mem.PhysBuffer) []mem.PhysBuffer {
 	if n == 0 {
-		return segs, true
+		return segs
 	}
 	// Locate the buffer containing off (linear scan; buffer lists are
 	// short) and slice the range across boundaries.
@@ -241,7 +240,7 @@ func (rs *reasmState) extent(off, n int, segs []mem.PhysBuffer, pop func() (queu
 		})
 		b.got += end - start
 	}
-	return segs, true
+	return segs
 }
 
 // maxPadSpan bounds how far pad+trailer bytes can reach back from the

@@ -28,20 +28,345 @@ type rxCmd struct {
 // header when deciding on a double-cell DMA (§2.5.1).
 const combinePeekCost = 150 * time.Nanosecond
 
-// rxProc is the receive on-board processor: it drains the cell FIFO,
-// demultiplexes by VCI (the early demultiplexing decision fbufs and ADCs
-// rely on, §3.1), runs the skew-tolerant reassembly, and issues commands
-// to the receive DMA controller — combining contiguous payload pairs
-// into double-cell DMAs when so configured.
-func (b *Board) rxProc(p *sim.Proc) {
+// rxProcessor is the receive on-board processor: it drains the cell
+// FIFO, demultiplexes by VCI (the early demultiplexing decision fbufs
+// and ADCs rely on, §3.1), runs the skew-tolerant reassembly, and
+// issues commands to the receive DMA controller — combining contiguous
+// payload pairs into double-cell DMAs when so configured. It is
+// firmware written as a resumable state machine: run is its one event
+// callback, looping through its states until it must wait for a cell,
+// for its per-cell time, for a free-ring read or for room in the DMA
+// command queue.
+type rxProcessor struct {
+	b  *Board
+	k  sim.Cont // (rxProcStep, the processor)
+	pc uint8
+	// The cell in hand, and its successor when the two are combined
+	// into one double-cell DMA.
+	rc, rc2 rxCell
+	ch      *Channel
+	rs      *reasmState
+	cmd     *rxCmd // the command being built, or an abort marker
+	off, n  int    // the PDU bytes cmd writes
+	done    bool   // the cell completes its PDU
+	// The free-ring pop in progress (popFree).
+	popping bool
+	op      queue.Op
+	buf     queue.Desc // the buffer popFree took
+	bufOK   bool
+}
+
+// rxProcessor states.
+const (
+	rxpWait    uint8 = iota // waiting for a cell
+	rxpCell                 // the cell's firmware time is up: demultiplex and ingest it
+	rxpCombine              // the combining peek's time is up: ingest the second cell
+	rxpPlace                // check the PDU, then pop buffers until the cell's bytes are covered
+	rxpEOP                  // a completed PDU takes a buffer for its EOP descriptor if it has none
+	rxpSend                 // queue cmd for the DMA controller
+	rxpAbort                // queue an abandoned PDU's abort marker
+)
+
+func (x *rxProcessor) init(b *Board) {
+	x.b = b
+	x.k = sim.Cont{Fn: rxProcStep, Arg: x}
+}
+
+// rxProcStep is the processor's event callback. Once the engine is
+// shut down it does nothing, as a killed process would.
+func rxProcStep(a any) {
+	x := a.(*rxProcessor)
+	if x.b.eng.Halted() {
+		return
+	}
+	x.run()
+}
+
+func (x *rxProcessor) run() {
+	b := x.b
 	for {
-		rc := b.rxFIFO.Recv(p)
-		if rc.qch != nil {
-			rc.qch.fifoCells-- // release the RxFIFOQuota charge
+		switch x.pc {
+		case rxpWait:
+			rc, ok := b.rxFIFO.RecvCont(x.k)
+			if !ok {
+				return
+			}
+			if rc.qch != nil {
+				rc.qch.fifoCells-- // release the RxFIFOQuota charge
+			}
+			b.stats.CellsRx++
+			x.rc, x.pc = rc, rxpCell
+			if !b.eng.WakeAt(b.eng.Now().Add(cellOverheadRx), x.k) {
+				return
+			}
+		case rxpCell:
+			if !x.ingest() {
+				return
+			}
+		case rxpCombine:
+			rs := x.rs
+			_, dl2, c2, ok2 := rs.ingest(b.cfg.Strategy, x.rc2, b.cfg.StripeWidth)
+			if ok2 {
+				x.cmd.data = append(x.cmd.data, x.rc2.c.Payload[:dl2]...)
+				x.cmd.combined = true
+				if b.cfg.CheckCRC && dl2 > 0 {
+					rs.record(x.off+x.n, x.rc2.c.Payload[:dl2])
+				}
+				x.n += dl2
+				x.done = c2
+			}
+			x.pc = rxpPlace
+		case rxpPlace:
+			if !x.place() {
+				return
+			}
+		case rxpEOP:
+			rs := x.rs
+			if len(rs.bufs) == 0 {
+				if !x.popFree() {
+					return
+				}
+				if x.bufOK {
+					rs.addBuf(x.buf)
+				}
+			}
+			x.complete()
+			x.pc = rxpSend
+		case rxpSend:
+			if !b.rxCmds.SendCont(x.cmd, x.k) {
+				return
+			}
+			x.cmd, x.pc = nil, rxpWait
+		case rxpAbort:
+			if !b.rxCmds.SendCont(x.cmd, x.k) {
+				return
+			}
+			b.stats.RxAbortMarkers++
+			x.cmd = nil
+			b.dropReasm(x.ch, x.rs)
+			x.pc = rxpWait
 		}
-		b.stats.CellsRx++
-		p.Sleep(cellOverheadRx)
-		b.handleCell(p, rc)
+	}
+}
+
+// ingest demultiplexes the cell in hand and places it in its
+// reassembly, building the DMA command for its bytes; with double-cell
+// DMA it looks at the next cell header and, if that payload lands
+// right after this one, takes the next cell into the same command
+// (§2.5.1). Skew makes this opportunity rare (§2.6). It reports false
+// when it has to wait out the look at the second header.
+func (x *rxProcessor) ingest() bool {
+	b, rc := x.b, &x.rc
+	x.pc = rxpWait
+	ch := b.demux.Lookup(rc.c.VCI)
+	if ch == nil || !ch.open {
+		b.stats.CellsNoVCI++
+		return true
+	}
+	if ch.resync[rc.c.VCI] {
+		// AAL5 resynchronization (Config.ReasmResync): a framing error
+		// aborted a PDU mid-stream, so cells up to and including the next
+		// Last cell belong to the abandoned PDU and must not open a new
+		// reassembly — the Last cell marks the boundary where clean
+		// framing resumes.
+		b.stats.CellsResync++
+		if rc.c.Last {
+			delete(ch.resync, rc.c.VCI)
+		}
+		return true
+	}
+	rs := b.getReasm(ch, rc.c.VCI)
+	x.ch, x.rs = ch, rs
+	// Refresh the idle clock before any wait below: a reassembly being
+	// actively fed must never expire mid-cell.
+	b.noteReasmActivity(rs)
+
+	if b.cfg.RejectDuplicates && rs.duplicate(b.cfg.Strategy, *rc) {
+		b.stats.CellsDuplicate++
+		if b.eng.Recording() {
+			b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: sim.CatDrop, Name: "dup-cell", Arg: int64(rc.c.VCI)})
+		}
+		return true
+	}
+
+	off, dataLen, complete, ok := rs.ingest(b.cfg.Strategy, *rc, b.cfg.StripeWidth)
+	if !ok {
+		// Placement failure (e.g. partial cell under a placement
+		// strategy): abandon the PDU.
+		rs.dropping = true
+		if rc.c.Last || rs.lastSeen {
+			x.abandon()
+		}
+		return true
+	}
+
+	cmd := b.getRxCmd()
+	cmd.data = append(cmd.data, rc.c.Payload[:dataLen]...)
+	x.cmd, x.off, x.n, x.done = cmd, off, dataLen, complete
+	if b.cfg.CheckCRC && dataLen > 0 {
+		if rs.shadow == nil {
+			rs.shadow = b.getShadow()
+		}
+		rs.record(off, rc.c.Payload[:dataLen])
+	}
+	x.pc = rxpPlace
+
+	if b.cfg.RxDMA == DoubleCell && !complete && dataLen == atm.CellPayload && !rs.dropping {
+		if next, okPeek := b.rxFIFO.Peek(); okPeek && next.c.VCI == rc.c.VCI && !next.c.Last &&
+			!(b.cfg.RejectDuplicates && rs.duplicate(b.cfg.Strategy, next)) {
+			if noff, okp := rs.wouldPlaceAt(b.cfg.Strategy, next, b.cfg.StripeWidth); okp && noff == off+dataLen {
+				if popped, _ := b.rxFIFO.TryRecv(); popped.qch != nil {
+					popped.qch.fifoCells-- // release the RxFIFOQuota charge
+				}
+				b.stats.CellsRx++
+				x.rc2, x.pc = next, rxpCombine
+				return b.eng.WakeAt(b.eng.Now().Add(combinePeekCost), x.k)
+			}
+		}
+	}
+	return true
+}
+
+// place checks the PDU the cell belongs to and pops free buffers until
+// they cover the cell's bytes, then slices the command's extents. It
+// reports false while it waits on a free-ring read.
+func (x *rxProcessor) place() bool {
+	b, ch, rs, cmd := x.b, x.ch, x.rs, x.cmd
+	if !x.popping {
+		if rs.dropping {
+			b.putRxCmd(cmd)
+			x.cmd, x.pc = nil, rxpWait
+			if x.done {
+				x.abandon()
+			}
+			return true
+		}
+		if !x.done && b.cfg.Strategy != ArrivalOrder && rs.errorDetected(b.cfg.StripeWidth) {
+			// Cells were lost in the network: discard the PDU (AAL5-style).
+			b.putRxCmd(cmd)
+			x.cmd = nil
+			if b.cfg.ReasmResync && !x.rc.c.Last {
+				// The stream is mid-PDU: swallow the abandoned PDU's tail so
+				// its Last cell cannot seed a frame-shifted reassembly.
+				ch.resync[x.rc.c.VCI] = true
+			}
+			x.abandon()
+			return true
+		}
+	}
+	for x.off+x.n > rs.covered {
+		if !x.popFree() {
+			return false
+		}
+		if !x.bufOK {
+			b.putRxCmd(cmd)
+			x.cmd, x.pc = nil, rxpWait
+			// Out of receive buffers: the board drops the PDU before it
+			// consumes any host resources — under overload this is what
+			// sheds low-priority traffic early (§3.1).
+			rs.dropping = true
+			if x.done {
+				x.abandon()
+			}
+			return true
+		}
+		rs.addBuf(x.buf)
+	}
+	cmd.segs = rs.slice(x.off, x.n, cmd.segs)
+
+	if x.done && b.cfg.CheckCRC && !rs.crcOK() {
+		// The recomputed AAL5 CRC disagrees with the trailer: a corrupted
+		// cell slipped through with consistent framing. Discard the PDU
+		// before it reaches the host (§2.3: error mechanisms are in place).
+		b.putRxCmd(cmd)
+		x.cmd = nil
+		b.stats.PDUsCRCDropped++
+		if b.eng.Recording() {
+			b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: sim.CatDrop, Name: "crc-mismatch", Arg: int64(x.rc.c.VCI)})
+		}
+		x.abandon()
+		return true
+	}
+
+	cmd.ch = ch
+	if x.done {
+		x.pc = rxpEOP
+	} else {
+		cmd.pushes, _ = rs.duePushes(false, cmd.pushes, nil)
+		x.pc = rxpSend
+	}
+	return true
+}
+
+// complete publishes a finished PDU's remaining descriptors through
+// the command and retires its reassembly.
+func (x *rxProcessor) complete() {
+	b, ch, rs, cmd := x.b, x.ch, x.rs, x.cmd
+	stashed := len(ch.stash)
+	cmd.pushes, ch.stash = rs.duePushes(true, cmd.pushes, ch.stash)
+	b.stats.ScratchRecycled += int64(len(ch.stash) - stashed)
+	b.stats.PDUsRx++
+	if b.mReasmSpan != nil {
+		b.mReasmSpan.Observe((b.eng.Now() - rs.firstArrival).Microseconds())
+	}
+	if b.eng.Recording() {
+		b.eng.Emit(sim.TraceEvent{At: rs.firstArrival, Dur: b.eng.Now() - rs.firstArrival, Ph: 'X', Comp: b.trkRx, Cat: sim.CatPDU, Name: "reasm", Arg: int64(rs.pduLen)})
+	}
+	delete(ch.reasm, x.rc.c.VCI)
+	b.retireReasm(rs)
+}
+
+// abandon retires x.rs, an abandoned reassembly. If part of the PDU
+// already streamed to the host, an abort-marker descriptor (FlagErr)
+// first follows it through the DMA command queue — so it orders behind
+// any in-flight data — telling the driver to discard the partial
+// delivery and recycle its buffers.
+func (x *rxProcessor) abandon() {
+	if x.rs.anyPushed() {
+		x.cmd = x.b.abortCmd(x.ch, x.rs.vci)
+		x.pc = rxpAbort
+		return
+	}
+	x.b.dropReasm(x.ch, x.rs)
+	x.pc = rxpWait
+}
+
+// popFree takes the next receive buffer for x.ch into x.buf: internally
+// recycled scratch first, then the host-supplied free ring, validating
+// ADC frame authorization (§3.2). It reports false while it waits on
+// the ring; bufOK is false when there is none.
+func (x *rxProcessor) popFree() bool {
+	b, ch := x.b, x.ch
+	for {
+		if !x.popping {
+			if n := len(ch.stash); n > 0 {
+				x.buf, x.bufOK = ch.stash[n-1], true
+				ch.stash = ch.stash[:n-1]
+				return true
+			}
+			x.op.Pop(ch.FreeRing, dpm.Board)
+			x.popping = true
+		}
+		if !x.op.Step(x.k) {
+			return false
+		}
+		x.popping = false
+		d := x.op.Desc()
+		if !x.op.OK() {
+			x.bufOK = false
+			return true
+		}
+		if d.Len == 0 {
+			// A zero-length buffer can never make reassembly progress;
+			// discard it (firmware sanity check).
+			continue
+		}
+		if !b.authorized(ch, d) {
+			b.violation(ch, d.VCI, b.trkRx)
+			continue // discard the illegal buffer, try the next
+		}
+		x.buf, x.bufOK = d, true
+		return true
 	}
 }
 
@@ -64,209 +389,15 @@ func (b *Board) getReasm(ch *Channel, vci atm.VCI) *reasmState {
 	return rs
 }
 
-// popFree takes the next receive buffer for ch: internally recycled
-// scratch first, then the host-supplied free ring, validating ADC frame
-// authorization (§3.2).
-func (b *Board) popFree(p *sim.Proc, ch *Channel) (queue.Desc, bool) {
-	for {
-		if n := len(ch.stash); n > 0 {
-			d := ch.stash[n-1]
-			ch.stash = ch.stash[:n-1]
-			return d, true
-		}
-		d, ok := ch.FreeRing.TryPop(p, dpm.Board)
-		if !ok {
-			return queue.Desc{}, false
-		}
-		if d.Len == 0 {
-			// A zero-length buffer can never make reassembly progress;
-			// discard it (firmware sanity check).
-			continue
-		}
-		if !b.authorized(ch, d) {
-			b.violation(ch, d.VCI, b.trkRx)
-			continue // discard the illegal buffer, try the next
-		}
-		return d, true
-	}
-}
-
-func (b *Board) handleCell(p *sim.Proc, rc rxCell) {
-	ch := b.demux.Lookup(rc.c.VCI)
-	if ch == nil || !ch.open {
-		b.stats.CellsNoVCI++
-		return
-	}
-	if ch.resync[rc.c.VCI] {
-		// AAL5 resynchronization (Config.ReasmResync): a framing error
-		// aborted a PDU mid-stream, so cells up to and including the next
-		// Last cell belong to the abandoned PDU and must not open a new
-		// reassembly — the Last cell marks the boundary where clean
-		// framing resumes.
-		b.stats.CellsResync++
-		if rc.c.Last {
-			delete(ch.resync, rc.c.VCI)
-		}
-		return
-	}
-	rs := b.getReasm(ch, rc.c.VCI)
-	// Refresh the idle clock before any sleep below: a reassembly being
-	// actively fed must never expire mid-cell.
-	b.noteReasmActivity(rs)
-
-	if b.cfg.RejectDuplicates && rs.duplicate(b.cfg.Strategy, rc) {
-		b.stats.CellsDuplicate++
-		if b.eng.Recording() {
-			b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: sim.CatDrop, Name: "dup-cell", Arg: int64(rc.c.VCI)})
-		}
-		return
-	}
-
-	off, dataLen, complete, ok := rs.ingest(b.cfg.Strategy, rc, b.cfg.StripeWidth)
-	if !ok {
-		// Placement failure (e.g. partial cell under a placement
-		// strategy): abandon the PDU.
-		rs.dropping = true
-		if rc.c.Last || rs.lastSeen {
-			b.finishRxPDU(p, ch, rs, false)
-		}
-		return
-	}
-
-	cmd := b.getRxCmd()
-	cmd.data = append(cmd.data, rc.c.Payload[:dataLen]...)
-	n := dataLen
-	if b.cfg.CheckCRC && dataLen > 0 {
-		if rs.shadow == nil {
-			rs.shadow = b.getShadow()
-		}
-		rs.record(off, rc.c.Payload[:dataLen])
-	}
-
-	// Double-cell combining: look at the next cell header; if its
-	// payload lands immediately after this one, issue a single longer
-	// DMA (§2.5.1). Skew makes this opportunity rare (§2.6).
-	if b.cfg.RxDMA == DoubleCell && !complete && dataLen == atm.CellPayload && !rs.dropping {
-		if next, okPeek := b.rxFIFO.Peek(); okPeek && next.c.VCI == rc.c.VCI && !next.c.Last &&
-			!(b.cfg.RejectDuplicates && rs.duplicate(b.cfg.Strategy, next)) {
-			if noff, okp := rs.wouldPlaceAt(b.cfg.Strategy, next, b.cfg.StripeWidth); okp && noff == off+dataLen {
-				if popped, _ := b.rxFIFO.TryRecv(); popped.qch != nil {
-					popped.qch.fifoCells-- // release the RxFIFOQuota charge
-				}
-				b.stats.CellsRx++
-				p.Sleep(combinePeekCost)
-				_, dl2, c2, ok2 := rs.ingest(b.cfg.Strategy, next, b.cfg.StripeWidth)
-				if ok2 {
-					cmd.data = append(cmd.data, next.c.Payload[:dl2]...)
-					n += dl2
-					complete = c2
-					cmd.combined = true
-					if b.cfg.CheckCRC && dl2 > 0 {
-						rs.record(off+dataLen, next.c.Payload[:dl2])
-					}
-				}
-			}
-		}
-	}
-
-	if rs.dropping {
-		b.putRxCmd(cmd)
-		if complete {
-			b.finishRxPDU(p, ch, rs, false)
-		}
-		return
-	}
-
-	if !complete && b.cfg.Strategy != ArrivalOrder && rs.errorDetected(b.cfg.StripeWidth) {
-		// Cells were lost in the network: discard the PDU (AAL5-style).
-		b.putRxCmd(cmd)
-		if b.cfg.ReasmResync && !rc.c.Last {
-			// The stream is mid-PDU: swallow the abandoned PDU's tail so
-			// its Last cell cannot seed a frame-shifted reassembly.
-			ch.resync[rc.c.VCI] = true
-		}
-		b.finishRxPDU(p, ch, rs, false)
-		return
-	}
-
-	var haveBufs bool
-	cmd.segs, haveBufs = rs.extent(off, n, cmd.segs, func() (queue.Desc, bool) { return b.popFree(p, ch) })
-	if !haveBufs {
-		b.putRxCmd(cmd)
-		// Out of receive buffers: the board drops the PDU before it
-		// consumes any host resources — under overload this is what
-		// sheds low-priority traffic early (§3.1).
-		rs.dropping = true
-		if complete {
-			b.finishRxPDU(p, ch, rs, false)
-		}
-		return
-	}
-
-	if complete && b.cfg.CheckCRC && !rs.crcOK() {
-		// The recomputed AAL5 CRC disagrees with the trailer: a corrupted
-		// cell slipped through with consistent framing. Discard the PDU
-		// before it reaches the host (§2.3: error mechanisms are in place).
-		b.putRxCmd(cmd)
-		b.stats.PDUsCRCDropped++
-		if b.eng.Recording() {
-			b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: sim.CatDrop, Name: "crc-mismatch", Arg: int64(rc.c.VCI)})
-		}
-		b.finishRxPDU(p, ch, rs, false)
-		return
-	}
-
-	cmd.ch = ch
-	if complete {
-		b.ensureEOPBuffer(p, ch, rs)
-		stashed := len(ch.stash)
-		cmd.pushes, ch.stash = rs.duePushes(true, cmd.pushes, ch.stash)
-		b.stats.ScratchRecycled += int64(len(ch.stash) - stashed)
-		b.stats.PDUsRx++
-		if b.mReasmSpan != nil {
-			b.mReasmSpan.Observe((b.eng.Now() - rs.firstArrival).Microseconds())
-		}
-		if b.eng.Recording() {
-			b.eng.Emit(sim.TraceEvent{At: rs.firstArrival, Dur: b.eng.Now() - rs.firstArrival, Ph: 'X', Comp: b.trkRx, Cat: sim.CatPDU, Name: "reasm", Arg: int64(rs.pduLen)})
-		}
-		delete(ch.reasm, rc.c.VCI)
-		b.retireReasm(rs)
-	} else {
-		cmd.pushes, _ = rs.duePushes(false, cmd.pushes, nil)
-	}
-	b.rxCmds.Send(p, cmd)
-}
-
-// ensureEOPBuffer guarantees a completed PDU has at least one buffer to
-// carry its EOP descriptor (zero-length PDUs otherwise allocate none).
-func (b *Board) ensureEOPBuffer(p *sim.Proc, ch *Channel, rs *reasmState) {
-	if len(rs.bufs) > 0 {
-		return
-	}
-	if d, ok := b.popFree(p, ch); ok {
-		rs.bufs = append(rs.bufs, rxBuf{desc: d, base: 0})
-		rs.covered += int(d.Len)
-	}
-}
-
-// finishRxPDU retires an abandoned reassembly, recycling its buffers.
-// If part of the PDU already streamed to the host, an abort-marker
-// descriptor (FlagErr) follows it through the DMA command queue — so it
-// orders behind any in-flight data — telling the driver to discard the
-// partial delivery and recycle its buffers.
-func (b *Board) finishRxPDU(p *sim.Proc, ch *Channel, rs *reasmState, delivered bool) {
-	if !delivered && rs.anyPushed() {
-		b.rxCmds.Send(p, b.abortCmd(ch, rs.vci))
-		b.stats.RxAbortMarkers++
-	}
+// dropReasm retires an abandoned reassembly, recycling its buffers;
+// any abort marker it owed the host has been queued.
+func (b *Board) dropReasm(ch *Channel, rs *reasmState) {
 	stashed := len(ch.stash)
 	ch.stash = rs.abort(ch.stash)
 	b.stats.ScratchRecycled += int64(len(ch.stash) - stashed)
-	if !delivered {
-		b.stats.PDUsDropped++
-		if b.eng.Recording() {
-			b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: sim.CatDrop, Name: "pdu-abandoned", Arg: int64(rs.vci)})
-		}
+	b.stats.PDUsDropped++
+	if b.eng.Recording() {
+		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: sim.CatDrop, Name: "pdu-abandoned", Arg: int64(rs.vci)})
 	}
 	delete(ch.reasm, rs.vci)
 	b.retireReasm(rs)
@@ -276,7 +407,7 @@ func (b *Board) finishRxPDU(p *sim.Proc, ch *Channel, rs *reasmState, delivered 
 // the state for the next getReasm. Only the receive processor retires
 // one, at the end of handling the cell that finished it: it is then the
 // only holder. A reassembly the timeout sweep aborts is not reused,
-// since the sweep runs between the processor's yields.
+// since the sweep runs between the processor's waits.
 func (b *Board) retireReasm(rs *reasmState) {
 	b.releaseShadow(rs)
 	b.reasmPool = append(b.reasmPool, rs)
@@ -504,7 +635,7 @@ const (
 
 func (t *recvTry) start(ch *Channel, d queue.Desc) {
 	t.ch, t.d, t.waited, t.ok = ch, d, 0, false
-	t.op = ch.RecvRing.Observe(dpm.Board)
+	t.op.Observe(ch.RecvRing, dpm.Board)
 	t.pc = tryObserve
 }
 
@@ -517,7 +648,7 @@ func (t *recvTry) step(k sim.Cont) bool {
 				return false
 			}
 			t.wasEmpty = ring.WriterLen() == 0
-			t.op = ring.Push(dpm.Board, t.d)
+			t.op.Push(ring, dpm.Board, t.d)
 			t.pc = tryPush
 		case tryPush:
 			if !t.op.Step(k) {
@@ -539,10 +670,10 @@ func (t *recvTry) step(k sim.Cont) bool {
 			}
 			if grace > 0 {
 				t.waited += recvRetry
-				t.op = ring.Observe(dpm.Board)
+				t.op.Observe(ring, dpm.Board)
 				t.pc = tryObserve
 			} else {
-				t.op = ring.Push(dpm.Board, t.d)
+				t.op.Push(ring, dpm.Board, t.d)
 				t.pc = tryPush
 			}
 		}

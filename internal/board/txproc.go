@@ -46,94 +46,188 @@ type txCmd struct {
 	seq     uint32
 	hasSeq  bool
 	linkIdx int
-	advance int // descriptors to consume after this cell (0 unless PDU end)
+	advance int  // descriptors to consume after this cell (0 unless PDU end)
+	discard bool // no cell: only consume the advance descriptors of a discarded PDU
 }
 
-// txProc is the transmit on-board processor: it gathers descriptor
-// chains from the transmit rings (kernel channel plus ADCs, by
-// priority), runs the segmentation algorithm, and feeds the DMA
+// txProcessor is the transmit on-board processor: it gathers
+// descriptor chains from the transmit rings (kernel channel plus ADCs,
+// by priority), runs the segmentation algorithm, and feeds the DMA
 // controller one cell at a time — interleaving cells of PDUs from
 // different channels at cell granularity, the fine-grained multiplexing
-// of §2.5.1.
-func (b *Board) txProc(p *sim.Proc) {
+// of §2.5.1. Like the receive processor it is firmware written as a
+// resumable state machine: run is its one event callback, looping
+// through its states until it must wait for a ring access, for its
+// per-cell time, for room in the DMA command queue or, with nothing to
+// send, for a kick.
+//
+// Each round scans the channels for the one to serve next, gathering
+// descriptor chains as a side effect. Ties rotate round-robin so
+// equal-priority channels interleave cell by cell ("the microprocessor
+// could transmit one cell from each in turn", §2.5.1); with
+// TxDRRQuantum set, the top priority class is served
+// deficit-round-robin instead (drrChoose).
+type txProcessor struct {
+	b  *Board
+	k  sim.Cont // (txProcStep, the processor)
+	pc uint8
+	// The scan.
+	i     int      // channels scanned so far
+	ch    *Channel // the channel being gathered, then the one served
+	best  *Channel // the best ready channel so far (round-robin arbiter)
+	prio  int      // its priority; under DRR the top ready priority
+	ready bool     // DRR: some channel is ready
+	// gather's state and result, and the ring access in progress.
+	gpc uint8
+	got bool
+	op  queue.Op
+	// The command being queued; trailer: a FixedCell trailer cell
+	// follows it.
+	cmd     *txCmd
+	trailer bool
+}
+
+// txProcessor states.
+const (
+	txpPick    uint8 = iota // begin a scan
+	txpScan                 // consider the next channel
+	txpGather               // in gather
+	txpPoll                 // kicked while idle: the poll notices the work
+	txpCell                 // the cell's firmware time is up: build its command
+	txpSubmit               // queue cmd for the DMA controller
+	txpTrailer              // the trailer cell's time is up: build it
+)
+
+func (x *txProcessor) init(b *Board) {
+	x.b = b
+	x.k = sim.Cont{Fn: txProcStep, Arg: x}
+}
+
+// txProcStep is the processor's event callback. Once the engine is
+// shut down it does nothing, as a killed process would.
+func txProcStep(a any) {
+	x := a.(*txProcessor)
+	if x.b.eng.Halted() {
+		return
+	}
+	x.run()
+}
+
+func (x *txProcessor) run() {
+	b := x.b
 	for {
-		ch := b.pickTxChannel(p)
-		if ch == nil {
-			b.txWork.Wait(p)
-			p.Sleep(pollDelay)
-			continue
+		switch x.pc {
+		case txpPick:
+			x.i, x.best, x.prio, x.ready = 0, nil, 0, false
+			x.pc = txpScan
+		case txpScan:
+			if x.i == NumChannels {
+				ch := x.pick()
+				if ch == nil {
+					b.txWork.WaitCont(x.k)
+					x.pc = txpPoll
+					return
+				}
+				x.ch, x.pc = ch, txpCell
+				if !b.eng.WakeAt(b.eng.Now().Add(b.cfg.CellOverheadTx), x.k) {
+					return
+				}
+				continue
+			}
+			ch := b.chans[x.i]
+			if b.cfg.TxDRRQuantum <= 0 {
+				ch = b.chans[(b.txRR+1+x.i)%NumChannels]
+			}
+			switch {
+			case ch == nil || !ch.open:
+				x.i++
+			case ch.tx.active:
+				x.consider(ch, true)
+				x.i++
+			default:
+				x.ch, x.gpc, x.pc = ch, gatherPeek, txpGather
+			}
+		case txpGather:
+			if !x.gather() {
+				return
+			}
+			x.consider(x.ch, x.got)
+			x.i++
+			x.pc = txpScan
+		case txpPoll:
+			x.pc = txpPick
+			if !b.eng.WakeAt(b.eng.Now().Add(pollDelay), x.k) {
+				return
+			}
+		case txpCell:
+			x.build()
+			x.pc = txpSubmit
+		case txpSubmit:
+			if !b.txCmds.SendCont(x.cmd, x.k) {
+				return
+			}
+			b.noteTxCmds()
+			x.cmd, x.pc = nil, txpPick
+			if x.trailer {
+				x.trailer, x.pc = false, txpTrailer
+				if !b.eng.WakeAt(b.eng.Now().Add(b.cfg.CellOverheadTx), x.k) {
+					return
+				}
+			}
+		case txpTrailer:
+			x.buildTrailer()
+			x.pc = txpSubmit
 		}
-		b.emitCell(p, ch)
 	}
 }
 
-// pickTxChannel returns the open channel with ready work of the highest
-// priority, gathering descriptor chains as a side effect. Ties rotate
-// round-robin so equal-priority channels interleave cell by cell — the
-// fine-grained multiplexing of §2.5.1 ("the microprocessor could
-// transmit one cell from each in turn").
-func (b *Board) pickTxChannel(p *sim.Proc) *Channel {
-	if b.cfg.TxDRRQuantum > 0 {
-		return b.pickTxChannelDRR(p)
-	}
-	var best *Channel
-	bestRank := 0
-	for i := 0; i < NumChannels; i++ {
-		idx := (b.txRR + 1 + i) % NumChannels
-		ch := b.chans[idx]
-		if ch == nil || !ch.open {
-			continue
-		}
-		if !ch.tx.active && !b.gather(p, ch) {
-			continue
-		}
-		if best == nil || ch.Priority > bestRank {
-			best = ch
-			bestRank = ch.Priority
-		}
-	}
-	if best != nil {
-		b.txRR = best.Index
-	}
-	return best
-}
-
-// pickTxChannelDRR is the TxDRRQuantum arbiter: strict priority still
-// wins between priority classes, but within the top class channels are
-// served deficit-round-robin on payload bytes — each earns a quantum of
-// byte credit per rotation and transmits while its deficit lasts, so a
-// tenant shipping short PDUs is charged for the bytes it sends, not the
-// cell slots it occupies. Deterministic: index order, one cursor.
-func (b *Board) pickTxChannelDRR(p *sim.Proc) *Channel {
-	// Pass 1: find ready channels (gathering descriptor chains as a
-	// side effect) and the top priority among them. An idle channel's
-	// deficit resets — DRR credit exists only while backlogged.
-	bestPrio := 0
-	any := false
-	for i := 0; i < NumChannels; i++ {
-		ch := b.chans[i]
-		if ch == nil || !ch.open {
-			continue
-		}
-		if !ch.tx.active && !b.gather(p, ch) {
+// consider enters a scanned channel, ready with a gathered PDU or not,
+// into the round's choice. Under DRR an idle channel's deficit resets:
+// DRR credit exists only while backlogged.
+func (x *txProcessor) consider(ch *Channel, ready bool) {
+	if x.b.cfg.TxDRRQuantum > 0 {
+		if !ready {
 			ch.txDeficit = 0
-			continue
+		} else if !x.ready || ch.Priority > x.prio {
+			x.prio, x.ready = ch.Priority, true
 		}
-		if !any || ch.Priority > bestPrio {
-			bestPrio = ch.Priority
-			any = true
+		return
+	}
+	if ready && (x.best == nil || ch.Priority > x.prio) {
+		x.best, x.prio = ch, ch.Priority
+	}
+}
+
+// pick ends the scan with the channel to serve, nil if none is ready.
+func (x *txProcessor) pick() *Channel {
+	b := x.b
+	if b.cfg.TxDRRQuantum > 0 {
+		if !x.ready {
+			return nil
 		}
+		return b.drrChoose(x.prio)
 	}
-	if !any {
-		return nil
+	if x.best != nil {
+		b.txRR = x.best.Index
 	}
-	// Pass 2: from the cursor (inclusive, so the current channel keeps
-	// the link while its deficit lasts), pick the first top-priority
-	// ready channel with credit left.
+	return x.best
+}
+
+// drrChoose is the TxDRRQuantum arbiter: strict priority still wins
+// between priority classes, but within the top class, prio, channels
+// are served deficit-round-robin on payload bytes — each earns a
+// quantum of byte credit per rotation and transmits while its deficit
+// lasts, so a tenant shipping short PDUs is charged for the bytes it
+// sends, not the cell slots it occupies. Deterministic: index order,
+// one cursor.
+func (b *Board) drrChoose(prio int) *Channel {
+	// From the cursor (inclusive, so the current channel keeps the link
+	// while its deficit lasts), pick the first top-priority ready
+	// channel with credit left.
 	for k := 0; k < NumChannels; k++ {
 		idx := (b.txRR + k) % NumChannels
 		ch := b.chans[idx]
-		if ch == nil || !ch.open || !ch.tx.active || ch.Priority != bestPrio {
+		if ch == nil || !ch.open || !ch.tx.active || ch.Priority != prio {
 			continue
 		}
 		if ch.txDeficit > 0 {
@@ -145,19 +239,216 @@ func (b *Board) pickTxChannelDRR(p *sim.Proc) *Channel {
 	// replenish all of them and advance past the cursor.
 	for i := 0; i < NumChannels; i++ {
 		ch := b.chans[i]
-		if ch != nil && ch.open && ch.tx.active && ch.Priority == bestPrio {
+		if ch != nil && ch.open && ch.tx.active && ch.Priority == prio {
 			ch.txDeficit += b.cfg.TxDRRQuantum
 		}
 	}
 	for k := 1; k <= NumChannels; k++ {
 		idx := (b.txRR + k) % NumChannels
 		ch := b.chans[idx]
-		if ch != nil && ch.open && ch.tx.active && ch.Priority == bestPrio {
+		if ch != nil && ch.open && ch.tx.active && ch.Priority == prio {
 			b.txRR = idx
 			return ch
 		}
 	}
-	return nil // unreachable: any == true
+	return nil // unreachable: a channel of priority prio is ready
+}
+
+// gather states.
+const (
+	gatherPeek    uint8 = iota // peek the next descriptor
+	gatherPeeking              // in the peek
+	gatherNotify               // no full PDU: in the notify-flag check
+	gatherDiscard              // queue the discard of a poisoned PDU
+)
+
+// gather peeks descriptors from x.ch's transmit ring until a full PDU
+// (through its EOP descriptor) is visible, then activates the stream;
+// got reports whether a PDU is ready. It reports false while it waits
+// on the ring. Descriptors are not consumed here; the tail advances
+// only after the last cell's DMA (§2.1.2). Whenever the ring shows no
+// full PDU the processor runs the transmit-side interrupt protocol of
+// §2.1.2: the host, having found the ring full, sets the notify flag;
+// the board asserts an interrupt once the ring has drained to half.
+func (x *txProcessor) gather() bool {
+	b, ch := x.b, x.ch
+	st := &ch.tx
+	for {
+		switch x.gpc {
+		case gatherPeek:
+			if !st.eop {
+				x.op.Peek(ch.TxRing, dpm.Board, ch.peekAhead+len(st.descs))
+				x.gpc = gatherPeeking
+				continue
+			}
+			if st.poison {
+				x.cmd = b.discardCmd(ch)
+				x.gpc = gatherDiscard
+				continue
+			}
+			b.activate(ch)
+			x.got = true
+			return true
+		case gatherPeeking:
+			if !x.op.Step(x.k) {
+				return false
+			}
+			if !x.op.OK() {
+				x.op.Notify(ch.TxRing, dpm.Board, ch.NotifyFlagOff())
+				x.gpc = gatherNotify
+				continue
+			}
+			d := x.op.Desc()
+			if !b.authorized(ch, d) {
+				st.poison = true
+				b.violation(ch, d.VCI, b.trkTx)
+			}
+			st.descs = append(st.descs, d)
+			if d.Flags&queue.FlagEOP != 0 {
+				st.eop = true
+			}
+			x.gpc = gatherPeek
+		case gatherNotify:
+			if !x.op.Step(x.k) {
+				return false
+			}
+			if x.op.OK() {
+				b.txIRQ(ch)
+			}
+			x.got = false
+			return true
+		case gatherDiscard:
+			if !b.txCmds.SendCont(x.cmd, x.k) {
+				return false
+			}
+			b.noteTxCmds()
+			x.cmd, x.gpc = nil, gatherPeek
+		}
+	}
+}
+
+// discardCmd retires ch's gathered PDU, which names a frame the channel
+// may not use, and returns the command that consumes its descriptors
+// without transmitting anything. The DMA controller runs it, so the
+// tail moves past them only after every cell ahead of them is out: the
+// tail's advance is the host's transmit-completion signal (§2.1.2) and
+// cannot skip descriptors still being read.
+func (b *Board) discardCmd(ch *Channel) *txCmd {
+	n := len(ch.tx.descs)
+	cmd := b.getTxCmd()
+	cmd.ch, cmd.advance, cmd.discard = ch, n, true
+	ch.peekAhead += n
+	ch.tx = txStream{descs: ch.tx.descs[:0]} // keep the descriptor scratch
+	return cmd
+}
+
+// noteTxCmds observes the DMA command queue's depth after a command
+// was queued.
+func (b *Board) noteTxCmds() {
+	if b.mTxFIFOHW != nil {
+		b.mTxFIFOHW.Observe(int64(b.txCmds.Len()))
+	}
+}
+
+// activate starts transmitting ch's gathered PDU.
+func (b *Board) activate(ch *Channel) {
+	st := &ch.tx
+	st.active = true
+	if b.eng.Recording() {
+		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkTx, Cat: sim.CatPDU, Name: "tx-start", Arg: int64(st.descs[0].VCI)})
+	}
+	st.vci = st.descs[0].VCI
+	st.pduLen = 0
+	for _, d := range st.descs {
+		st.pduLen += int(d.Len)
+	}
+	if b.cfg.TxPolicy != FixedCell {
+		st.total = atm.CellsFor(st.pduLen)
+	}
+}
+
+// build produces the served stream's next cell as x.cmd: it computes
+// the data extents, framing bits and trailer parameters.
+func (x *txProcessor) build() {
+	b, ch := x.b, x.ch
+	st := &ch.tx
+	cmd := b.getTxCmd()
+	x.cmd = cmd
+	cmd.ch, cmd.vci = ch, st.vci
+	if b.cfg.Strategy.UsesSeqNumbers() {
+		cmd.hasSeq = true
+		cmd.seq = uint32(st.cellIdx)
+	}
+	cmd.linkIdx = st.cellIdx % b.cfg.StripeWidth
+
+	want := st.pduLen - st.bytePos
+	if want > atm.CellPayload {
+		want = atm.CellPayload
+	}
+
+	if b.cfg.TxPolicy == FixedCell {
+		var taken int
+		cmd.segs, taken = st.take(want, true, cmd.segs)
+		st.bytePos += taken
+		cmd.dataLen = taken
+		if taken < want {
+			b.stats.PartialCellsTx++
+		}
+		b.chargeDRR(ch, taken)
+		st.cellIdx++
+		if st.bytePos == st.pduLen {
+			// Data exhausted: the trailer goes in its own (partial) cell.
+			b.chargeDRR(ch, 0) // the trailer cell occupies a slot too
+			x.trailer = true
+		}
+		return
+	}
+
+	// BoundaryStop / ArbitraryLength: cells are always full; a cell
+	// spanning a buffer boundary is composed from two DMA segments.
+	var taken int
+	cmd.segs, taken = st.take(want, false, cmd.segs)
+	if taken != want {
+		panic("board: descriptor chain shorter than PDU length")
+	}
+	if len(cmd.segs) > 1 {
+		b.stats.SplitCellsTx++
+	}
+	cmd.dataLen = taken
+	b.chargeDRR(ch, taken)
+	isLast := st.cellIdx == st.total-1
+	cmd.eom = st.total-st.cellIdx <= b.cfg.StripeWidth
+	cmd.last = isLast
+	if isLast {
+		cmd.trailer = true
+		cmd.pad = atm.CellPayload - taken - atm.TrailerSize
+	} else {
+		cmd.pad = atm.CellPayload - taken // pure padding (penultimate cell)
+	}
+	st.bytePos += taken
+	st.cellIdx++
+	if isLast {
+		cmd.advance = len(st.descs)
+		b.finishPDU(ch)
+	}
+}
+
+// buildTrailer produces a FixedCell PDU's trailer cell as x.cmd and
+// retires the stream.
+func (x *txProcessor) buildTrailer() {
+	b, ch := x.b, x.ch
+	st := &ch.tx
+	cmd := b.getTxCmd()
+	x.cmd = cmd
+	cmd.ch, cmd.vci = ch, st.vci
+	cmd.trailer, cmd.eom, cmd.last = true, true, true
+	cmd.linkIdx = st.cellIdx % b.cfg.StripeWidth
+	if b.cfg.Strategy.UsesSeqNumbers() {
+		cmd.hasSeq = true
+		cmd.seq = uint32(st.cellIdx)
+	}
+	cmd.advance = len(st.descs)
+	b.finishPDU(ch)
 }
 
 // chargeDRR debits a transmitted cell's payload bytes against its
@@ -171,61 +462,6 @@ func (b *Board) chargeDRR(ch *Channel, bytes int) {
 		bytes = 1
 	}
 	ch.txDeficit -= bytes
-}
-
-// gather peeks descriptors from ch's transmit ring until a full PDU
-// (through its EOP descriptor) is visible, then activates the stream.
-// It reports whether a PDU is ready. Descriptors are not consumed here;
-// the tail advances only after the last cell's DMA (§2.1.2).
-func (b *Board) gather(p *sim.Proc, ch *Channel) bool {
-	st := &ch.tx
-	for !st.eop {
-		d, ok := ch.TxRing.ReaderPeek(p, dpm.Board, ch.peekAhead+len(st.descs))
-		if !ok {
-			b.checkNotifyFlag(p, ch)
-			return false
-		}
-		if !b.authorized(ch, d) {
-			st.poison = true
-			b.violation(ch, d.VCI, b.trkTx)
-		}
-		st.descs = append(st.descs, d)
-		if d.Flags&queue.FlagEOP != 0 {
-			st.eop = true
-		}
-	}
-	if st.poison {
-		// Discard the whole offending PDU: consume its descriptors
-		// without transmitting anything.
-		n := len(st.descs)
-		ch.TxRing.ReaderAdvance(p, dpm.Board, ch.peekAhead+n)
-		ch.peekAhead = 0
-		ch.tx = txStream{descs: st.descs[:0]} // keep the descriptor scratch
-		b.checkNotifyFlag(p, ch)
-		return b.gather(p, ch)
-	}
-	st.active = true
-	if b.eng.Recording() {
-		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkTx, Cat: sim.CatPDU, Name: "tx-start", Arg: int64(st.descs[0].VCI)})
-	}
-	st.vci = st.descs[0].VCI
-	st.pduLen = 0
-	for _, d := range st.descs {
-		st.pduLen += int(d.Len)
-	}
-	if b.cfg.TxPolicy != FixedCell {
-		st.total = atm.CellsFor(st.pduLen)
-	}
-	return true
-}
-
-// checkNotifyFlag implements the transmit-side interrupt protocol of
-// §2.1.2: the host, having found the ring full, sets the notify flag;
-// the board asserts an interrupt once the ring has drained to half.
-func (b *Board) checkNotifyFlag(p *sim.Proc, ch *Channel) {
-	if ch.TxRing.ReaderNotify(p, dpm.Board, ch.NotifyFlagOff()) {
-		b.txIRQ(ch)
-	}
 }
 
 // txIRQ asserts ch's transmit interrupt.
@@ -261,102 +497,12 @@ func (st *txStream) take(want int, single bool, segs []mem.PhysBuffer) (_ []mem.
 	return segs, taken
 }
 
-// emitCell produces the stream's next cell: it computes the data
-// extents, framing bits and trailer parameters, and queues one command
-// for the DMA controller.
-func (b *Board) emitCell(p *sim.Proc, ch *Channel) {
-	st := &ch.tx
-	p.Sleep(b.cfg.CellOverheadTx)
-
-	cmd := b.getTxCmd()
-	cmd.ch, cmd.vci = ch, st.vci
-	if b.cfg.Strategy.UsesSeqNumbers() {
-		cmd.hasSeq = true
-		cmd.seq = uint32(st.cellIdx)
-	}
-	cmd.linkIdx = st.cellIdx % b.cfg.StripeWidth
-
-	want := st.pduLen - st.bytePos
-	if want > atm.CellPayload {
-		want = atm.CellPayload
-	}
-
-	if b.cfg.TxPolicy == FixedCell {
-		var taken int
-		cmd.segs, taken = st.take(want, true, cmd.segs)
-		st.bytePos += taken
-		cmd.dataLen = taken
-		if taken < want {
-			b.stats.PartialCellsTx++
-		}
-		b.chargeDRR(ch, taken)
-		if st.bytePos == st.pduLen {
-			// Data exhausted: the trailer goes in its own (partial) cell.
-			st.cellIdx++
-			b.chargeDRR(ch, 0) // the trailer cell occupies a slot too
-			b.txSubmit(p, cmd)
-			p.Sleep(b.cfg.CellOverheadTx)
-			trailerCmd := b.getTxCmd()
-			trailerCmd.ch, trailerCmd.vci = ch, st.vci
-			trailerCmd.trailer, trailerCmd.eom, trailerCmd.last = true, true, true
-			trailerCmd.linkIdx = st.cellIdx % b.cfg.StripeWidth
-			if b.cfg.Strategy.UsesSeqNumbers() {
-				trailerCmd.hasSeq = true
-				trailerCmd.seq = uint32(st.cellIdx)
-			}
-			trailerCmd.advance = len(st.descs)
-			b.finishPDU(ch)
-			b.txSubmit(p, trailerCmd)
-			return
-		}
-		st.cellIdx++
-		b.txSubmit(p, cmd)
-		return
-	}
-
-	// BoundaryStop / ArbitraryLength: cells are always full; a cell
-	// spanning a buffer boundary is composed from two DMA segments.
-	var taken int
-	cmd.segs, taken = st.take(want, false, cmd.segs)
-	if taken != want {
-		panic("board: descriptor chain shorter than PDU length")
-	}
-	if len(cmd.segs) > 1 {
-		b.stats.SplitCellsTx++
-	}
-	cmd.dataLen = taken
-	b.chargeDRR(ch, taken)
-	isLast := st.cellIdx == st.total-1
-	cmd.eom = st.total-st.cellIdx <= b.cfg.StripeWidth
-	cmd.last = isLast
-	if isLast {
-		cmd.trailer = true
-		cmd.pad = atm.CellPayload - taken - atm.TrailerSize
-	} else {
-		cmd.pad = atm.CellPayload - taken // pure padding (penultimate cell)
-	}
-	st.bytePos += taken
-	st.cellIdx++
-	if isLast {
-		cmd.advance = len(st.descs)
-		b.finishPDU(ch)
-	}
-	b.txSubmit(p, cmd)
-}
-
 // finishPDU retires the stream state; the descriptor tail advance is
 // carried by the final cell's DMA command.
 func (b *Board) finishPDU(ch *Channel) {
 	ch.peekAhead += len(ch.tx.descs)
 	ch.tx = txStream{descs: ch.tx.descs[:0]} // keep the descriptor scratch
 	b.stats.PDUsTx++
-}
-
-func (b *Board) txSubmit(p *sim.Proc, cmd *txCmd) {
-	b.txCmds.Send(p, cmd)
-	if b.mTxFIFOHW != nil {
-		b.mTxFIFOHW.Observe(int64(b.txCmds.Len()))
-	}
 }
 
 // getTxCmd takes a command record from the pool (or makes one).
@@ -434,6 +580,9 @@ func (x *txDMA) run() {
 				return
 			}
 			x.cmd, x.seg, x.pos, x.pc = cmd, 0, 0, txSeg
+			if cmd.discard {
+				x.consume()
+			}
 		case txSeg:
 			if x.seg < len(x.cmd.segs) {
 				x.bus = b.host.Bus.DMARead(x.cmd.segs[x.seg].Len)
@@ -470,19 +619,12 @@ func (x *txDMA) run() {
 				// interrupt") — the ablation baseline.
 				b.txIRQ(cmd.ch)
 			}
-			// peekAhead and the ring's reader cursor must move together
-			// with no scheduling point in between, or a concurrent gather
-			// by the transmit processor would compute a stale peek index;
-			// the advance moves its cursor before its dual-port store, so
-			// decrementing first keeps the pair atomic.
-			cmd.ch.peekAhead -= cmd.advance
-			x.op = cmd.ch.TxRing.Advance(dpm.Board, cmd.advance)
-			x.pc = txAdvance
+			x.consume()
 		case txAdvance:
 			if !x.op.Step(x.k) {
 				return
 			}
-			x.op = x.cmd.ch.TxRing.Notify(dpm.Board, x.cmd.ch.NotifyFlagOff())
+			x.op.Notify(x.cmd.ch.TxRing, dpm.Board, x.cmd.ch.NotifyFlagOff())
 			x.pc = txNotify
 		case txNotify:
 			if !x.op.Step(x.k) {
@@ -522,6 +664,19 @@ func (x *txDMA) assemble() {
 	if b.eng.Recording() {
 		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkTx, Cat: sim.CatCell, Name: "cell-tx", Arg: int64(x.cell.VCI)})
 	}
+}
+
+// consume starts the ring's tail advance past the command's
+// descriptors. peekAhead and the ring's reader cursor must move
+// together with no scheduling point in between, or a concurrent gather
+// by the transmit processor would compute a stale peek index; the
+// advance moves its cursor before its dual-port store, so decrementing
+// first keeps the pair atomic.
+func (x *txDMA) consume() {
+	ch := x.cmd.ch
+	ch.peekAhead -= x.cmd.advance
+	x.op.Advance(ch.TxRing, dpm.Board, x.cmd.advance)
+	x.pc = txAdvance
 }
 
 // done returns the finished command and goes back to waiting.

@@ -103,12 +103,17 @@ type Bus struct {
 	channel *sim.Resource // the TURBOchannel itself
 	memPort *sim.Resource // CPU<->memory path; == channel when Serialized
 	stats   Stats
+	// The bus and memory clock periods, divided out once: every
+	// transaction is priced in them.
+	cycle, memCycle time.Duration
 }
 
 // New returns a bus bound to engine e.
 func New(e *sim.Engine, cfg Config) *Bus {
 	cfg = cfg.withDefaults()
 	b := &Bus{eng: e, cfg: cfg}
+	b.cycle = time.Duration(int64(time.Second) / cfg.ClockHz)
+	b.memCycle = time.Duration(int64(time.Second) / cfg.MemClockHz)
 	b.channel = sim.NewResource(e, "turbochannel")
 	if cfg.Serialized {
 		b.memPort = b.channel
@@ -122,12 +127,10 @@ func New(e *sim.Engine, cfg Config) *Bus {
 func (b *Bus) Config() Config { return b.cfg }
 
 // CycleTime returns the duration of one bus cycle.
-func (b *Bus) CycleTime() time.Duration {
-	return time.Duration(int64(time.Second) / b.cfg.ClockHz)
-}
+func (b *Bus) CycleTime() time.Duration { return b.cycle }
 
 // Cycles converts a cycle count to virtual time.
-func (b *Bus) Cycles(n int) time.Duration { return time.Duration(n) * b.CycleTime() }
+func (b *Bus) Cycles(n int) time.Duration { return time.Duration(n) * b.cycle }
 
 // WordsFor returns the number of bus words needed to carry n bytes.
 func (b *Bus) WordsFor(n int) int { return (n + b.cfg.WordBytes - 1) / b.cfg.WordBytes }
@@ -169,9 +172,7 @@ func (b *Bus) PIOWrite(words int) sim.Hold {
 }
 
 // MemCycles converts a memory-clock cycle count to virtual time.
-func (b *Bus) MemCycles(n int) time.Duration {
-	return time.Duration(n) * time.Duration(int64(time.Second)/b.cfg.MemClockHz)
-}
+func (b *Bus) MemCycles(n int) time.Duration { return time.Duration(n) * b.memCycle }
 
 // CPUMemRead accounts one CPU-initiated memory read transaction (a cache
 // line fill or uncached load) of the given number of words. On a

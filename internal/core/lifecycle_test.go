@@ -38,33 +38,47 @@ func TestShutdownWithoutRun(t *testing.T) {
 }
 
 // TestBoardEnginesInertAfterShutdown: procs die at Shutdown, but the
-// board's DMA controllers and fictitious-PDU generator are event
-// continuations whose wakeups stay queued. A testbed stopped
+// board's processors, DMA controllers and fictitious-PDU generator are
+// event continuations whose wakeups stay queued. A testbed stopped
 // mid-transfer and torn down — which also releases every host's memory
 // and board's dual-port memory — must let a later RunFor fire those
 // events without a panic and without moving any board, bus or
 // dual-port memory counter.
 func TestBoardEnginesInertAfterShutdown(t *testing.T) {
-	runs := map[string]func(tb *Testbed){
+	runs := map[string]func() *Testbed{
 		// The generator feeding B's receive path, unpaced.
-		"receive": func(tb *Testbed) {
+		"receive": func() *Testbed {
+			tb := NewTestbed(alOptions())
 			if _, err := tb.B.Raw.Open(proto.RawOpen{VCI: 61}); err != nil {
 				t.Fatal(err)
 			}
 			pdu := make([]byte, 8192)
 			tb.B.Board.StartFictitious(61, 4, func(int) [][]byte { return [][]byte{pdu} }, -1, 0)
 			tb.Eng.RunFor(150 * time.Microsecond)
+			return tb
 		},
 		// UDP round trips over the links: both transmit paths.
-		"latency": func(tb *Testbed) {
+		"latency": func() *Testbed {
+			tb := NewTestbed(alOptions())
 			tb.Eng.At(tb.Eng.Now().Add(150*time.Microsecond), tb.Eng.Stop)
 			tb.RunLatency(UDPIP, 4096, 50)
+			return tb
+		},
+		// Messages queued back to back on A's transmit ring, its cells
+		// absorbed by a sink: the transmit processor has PDUs left to
+		// gather from the (released) dual-port memory.
+		"transmit": func() *Testbed {
+			opt := alOptions()
+			opt.TxIsolated = true
+			tb := NewTestbed(opt)
+			tb.Eng.At(tb.Eng.Now().Add(100*time.Microsecond), tb.Eng.Stop)
+			tb.RunTransmitThroughput(16384, 4)
+			return tb
 		},
 	}
 	for name, run := range runs {
 		t.Run(name, func(t *testing.T) {
-			tb := NewTestbed(alOptions())
-			run(tb)
+			tb := run()
 			type counters struct {
 				board [2]board.Stats
 				bus   [2]bus.Stats
@@ -76,17 +90,20 @@ func TestBoardEnginesInertAfterShutdown(t *testing.T) {
 				}
 				return c
 			}
-			if s := snap(); s.bus[0].DMAWriteTxns+s.bus[1].DMAWriteTxns == 0 {
+			if s := snap(); s.bus[0].DMAReadTxns+s.bus[1].DMAWriteTxns == 0 {
 				t.Fatalf("stopped before any transfer: %+v", s)
 			}
 			tb.Shutdown()
 			if tb.Eng.Pending() == 0 {
 				t.Fatal("nothing left queued: the transfer was not stopped mid-way")
 			}
-			before := snap()
+			before, pending, events := snap(), tb.Eng.Pending(), tb.Eng.Events()
 			tb.Eng.RunFor(time.Millisecond)
 			if after := snap(); after != before {
 				t.Fatalf("counters moved after Shutdown:\nbefore %+v\nafter  %+v", before, after)
+			}
+			if fired := tb.Eng.Events() - events; fired+uint64(tb.Eng.Pending()) != uint64(pending) {
+				t.Fatalf("the %d events queued at Shutdown fired %d and left %d: something went on scheduling", pending, fired, tb.Eng.Pending())
 			}
 		})
 	}

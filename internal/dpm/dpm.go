@@ -127,26 +127,29 @@ func RxPageOff(i int) uint32 {
 	return uint32(HalfSize + i*PageSize)
 }
 
-// cost counts one access by who and returns its price: programmed I/O
-// across the bus for the host, BoardAccessTime for the board.
-func (m *Memory) cost(who Accessor, write bool) sim.Hold {
-	if who == Host {
-		return m.hostCost(write)
-	}
-	if write {
+// count counts one access by who.
+func (m *Memory) count(who Accessor, write bool) {
+	switch {
+	case who == Host && write:
+		m.stats.HostWrites++
+	case who == Host:
+		m.stats.HostReads++
+	case write:
 		m.stats.BoardWrites++
-	} else {
+	default:
 		m.stats.BoardReads++
 	}
-	return m.eng.Delay(BoardAccessTime)
 }
 
-func (m *Memory) hostCost(write bool) sim.Hold {
-	if write {
-		m.stats.HostWrites++
+// price returns the cost of one access by who: programmed I/O across
+// the bus for the host, BoardAccessTime for the board.
+func (m *Memory) price(who Accessor, write bool) sim.Hold {
+	switch {
+	case who == Board:
+		return m.eng.Delay(BoardAccessTime)
+	case write:
 		return m.bus.PIOWrite(1)
 	}
-	m.stats.HostReads++
 	return m.bus.PIORead(1)
 }
 
@@ -163,36 +166,55 @@ func (m *Memory) badWord(off uint32) {
 	panic(fmt.Sprintf("dpm: access at %#x beyond %d", off, len(m.data)))
 }
 
-// Access is one atomic 32-bit word access in continuation form. Its
-// accessor's cost is counted when it is made; the word is loaded or
-// stored once that cost has elapsed, at the instant the access takes
-// effect. Step advances it (sim.Hold's protocol); ReadWord and WriteWord
-// are its proc forms.
+// Access is one atomic 32-bit word access in continuation form, the
+// one implementation of a word access: ReadWord and WriteWord run it
+// from a proc. It is counted when it is made; the word is loaded or
+// stored once its accessor's cost has elapsed, at the instant the
+// access takes effect. A board access costs BoardAccessTime, a plain
+// sleep (sim.Engine.WakeAt), so one whose wakeup is the engine's next
+// event takes no event at all; a host access is programmed I/O, a
+// transaction on the bus.
 type Access struct {
-	m     *Memory
-	off   uint32
-	val   uint32
-	write bool
-	cost  sim.Hold
+	m       *Memory
+	off     uint32
+	val     uint32
+	write   bool
+	host    bool
+	waiting bool     // a board access's wakeup is scheduled
+	pio     sim.Hold // a host access's bus transaction
 }
 
-// Read returns a load of the word at byte offset off by who.
-func (m *Memory) Read(who Accessor, off uint32) Access {
-	m.checkWord(off)
-	return Access{m: m, off: off, cost: m.cost(who, false)}
-}
+// Load makes a a load of the word at byte offset off by who. An
+// Access is set up in place, never copied: its fields are written
+// piecemeal, and a copy reading them back whole would stall on that.
+func (a *Access) Load(m *Memory, who Accessor, off uint32) { a.start(m, who, off, 0, false) }
 
-// Write returns a store of v to the word at byte offset off by who.
-func (m *Memory) Write(who Accessor, off uint32, v uint32) Access {
+// Store makes a a store of v to the word at byte offset off by who.
+func (a *Access) Store(m *Memory, who Accessor, off, v uint32) { a.start(m, who, off, v, true) }
+
+func (a *Access) start(m *Memory, who Accessor, off, v uint32, write bool) {
 	m.checkWord(off)
-	return Access{m: m, off: off, val: v, write: true, cost: m.cost(who, true)}
+	m.count(who, write)
+	a.m, a.off, a.val, a.write, a.waiting = m, off, v, write, false
+	a.host = who == Host
+	if a.host {
+		a.pio = m.price(who, write)
+	}
 }
 
 // Step advances the access with k as the continuation to wake, and
 // reports whether it has taken effect.
 func (a *Access) Step(k sim.Cont) bool {
-	if !a.cost.Step(k) {
-		return false
+	if a.host {
+		if !a.pio.Step(k) {
+			return false
+		}
+	} else if !a.waiting {
+		a.waiting = true
+		e := a.m.eng
+		if !e.WakeAt(e.Now().Add(BoardAccessTime), k) {
+			return false
+		}
 	}
 	if a.write {
 		a.m.store(a.off, a.val)
@@ -208,26 +230,34 @@ func (m *Memory) store(off uint32, v uint32) { binary.LittleEndian.PutUint32(m.d
 // Val returns the word a finished load read (or a store wrote).
 func (a *Access) Val() uint32 { return a.val }
 
+// Run completes the access from proc p.
+func (a *Access) Run(p *sim.Proc) {
+	for !a.Step(p.Cont()) {
+		p.Park()
+	}
+}
+
 // ReadWord performs an atomic 32-bit load at byte offset off, charging
-// the accessor's cost to p: Read as a proc runs it, with no Access
-// built.
+// the accessor's cost to p.
 func (m *Memory) ReadWord(p *sim.Proc, who Accessor, off uint32) uint32 {
-	m.checkWord(off)
-	m.cost(who, false).Do(p)
-	return m.load(off)
+	var a Access
+	a.Load(m, who, off)
+	a.Run(p)
+	return a.val
 }
 
 // WriteWord performs an atomic 32-bit store at byte offset off.
 func (m *Memory) WriteWord(p *sim.Proc, who Accessor, off uint32, v uint32) {
-	m.checkWord(off)
-	m.cost(who, true).Do(p)
-	m.store(off, v)
+	var a Access
+	a.Store(m, who, off, v)
+	a.Run(p)
 }
 
 // TestAndSet atomically sets register r and returns its previous value.
 // A return of false means the caller acquired the lock.
 func (m *Memory) TestAndSet(p *sim.Proc, who Accessor, r Register) bool {
-	m.cost(who, true).Do(p)
+	m.count(who, true)
+	m.price(who, true).Do(p)
 	prev := m.locks[r]
 	m.locks[r] = true
 	return prev
@@ -235,7 +265,8 @@ func (m *Memory) TestAndSet(p *sim.Proc, who Accessor, r Register) bool {
 
 // ClearLock releases register r.
 func (m *Memory) ClearLock(p *sim.Proc, who Accessor, r Register) {
-	m.cost(who, true).Do(p)
+	m.count(who, true)
+	m.price(who, true).Do(p)
 	m.locks[r] = false
 }
 

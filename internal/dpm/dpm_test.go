@@ -159,3 +159,55 @@ func TestRelease(t *testing.T) {
 	}()
 	d.ReadWord(nil, Board, 0x100)
 }
+
+// boardReader is a continuation that loads one board word n times.
+type boardReader struct {
+	m    *Memory
+	k    sim.Cont
+	a    Access
+	n    int
+	busy bool
+}
+
+func (r *boardReader) run() {
+	for ; r.n > 0; r.n-- {
+		if !r.busy {
+			r.a.Load(r.m, Board, 8)
+			r.busy = true
+		}
+		if !r.a.Step(r.k) {
+			return
+		}
+		r.busy = false
+	}
+}
+
+// BenchmarkBoardWordElided measures one board-side word load whose
+// wakeup is the engine's next event, so it takes no event: proc is
+// ReadWord from a proc, cont the Access stepped by a continuation, the
+// form the board's firmware and DMA engines use. The continuation form
+// must cost no more than the proc form.
+func BenchmarkBoardWordElided(b *testing.B) {
+	b.Run("proc", func(b *testing.B) {
+		e, m := newDPM()
+		defer e.Shutdown()
+		e.Go("reader", func(p *sim.Proc) {
+			for i := 0; i < b.N; i++ {
+				m.ReadWord(p, Board, 8)
+			}
+		})
+		b.ReportAllocs()
+		b.ResetTimer()
+		e.Run()
+	})
+	b.Run("cont", func(b *testing.B) {
+		e, m := newDPM()
+		defer e.Shutdown()
+		r := &boardReader{m: m, n: b.N}
+		r.k = sim.Cont{Fn: func(any) { r.run() }}
+		e.AtCall(0, r.k.Fn, nil)
+		b.ReportAllocs()
+		b.ResetTimer()
+		e.Run()
+	})
+}

@@ -119,31 +119,19 @@ func (r *Ring) next(i uint32) uint32 { return (i + 1) % r.slots }
 // across the port only when the shadow indicates the ring might be full.
 // It reports whether the descriptor was queued.
 func (r *Ring) TryPush(p *sim.Proc, who dpm.Accessor, d Desc) bool {
-	o := r.Push(who, d)
+	var o Op
+	o.Push(r, who, d)
 	o.Run(p)
-	return o.OK()
+	return o.ok
 }
 
 // TryPop removes the oldest descriptor if the ring is not empty,
 // re-reading the head pointer only when the shadow indicates emptiness.
 func (r *Ring) TryPop(p *sim.Proc, who dpm.Accessor) (Desc, bool) {
-	if r.rTail == r.rSeenHead {
-		r.rSeenHead = r.d.ReadWord(p, who, r.headOff())
-		if r.rTail == r.rSeenHead {
-			return Desc{}, false
-		}
-	}
-	off := r.slotOff(r.rTail)
-	var d Desc
-	d.Addr = mem.PhysAddr(r.d.ReadWord(p, who, off))
-	d.Len = r.d.ReadWord(p, who, off+4)
-	vf := r.d.ReadWord(p, who, off+8)
-	d.VCI = atm.VCI(vf >> 16)
-	d.Flags = uint16(vf)
-	d.Aux = r.d.ReadWord(p, who, off+12)
-	r.rTail = r.next(r.rTail)
-	r.d.WriteWord(p, who, r.tailOff(), r.rTail)
-	return d, true
+	var o Op
+	o.Pop(r, who)
+	o.Run(p)
+	return o.d, o.ok
 }
 
 // WriterFull reports, from the writer's perspective, whether the ring is
@@ -166,65 +154,19 @@ func (r *Ring) ReaderEmpty(p *sim.Proc, who dpm.Accessor) bool {
 	return r.rTail == r.rSeenHead
 }
 
-// ReaderPeek returns the k-th descriptor from the tail without consuming
-// it, refreshing the head shadow as needed. The OSIRIS transmit
-// processor reads descriptors this way and only advances the tail once
-// the buffers have actually been DMA'd, because the tail's advance is
-// the host's transmit-completion signal (§2.1.2).
-func (r *Ring) ReaderPeek(p *sim.Proc, who dpm.Accessor, k int) (Desc, bool) {
-	avail := int((r.rSeenHead + r.slots - r.rTail) % r.slots)
-	if k >= avail {
-		r.rSeenHead = r.d.ReadWord(p, who, r.headOff())
-		avail = int((r.rSeenHead + r.slots - r.rTail) % r.slots)
-		if k >= avail {
-			return Desc{}, false
-		}
-	}
-	off := r.slotOff((r.rTail + uint32(k)) % r.slots)
-	var d Desc
-	d.Addr = mem.PhysAddr(r.d.ReadWord(p, who, off))
-	d.Len = r.d.ReadWord(p, who, off+4)
-	vf := r.d.ReadWord(p, who, off+8)
-	d.VCI = atm.VCI(vf >> 16)
-	d.Flags = uint16(vf)
-	d.Aux = r.d.ReadWord(p, who, off+12)
-	return d, true
-}
-
-// ReaderAdvance consumes n descriptors previously examined with
-// ReaderPeek, publishing the new tail in one store.
-func (r *Ring) ReaderAdvance(p *sim.Proc, who dpm.Accessor, n int) {
-	o := r.Advance(who, n)
-	o.Run(p)
-}
-
-// ReaderLen returns the number of queued descriptors from the reader's
-// perspective, refreshing the head shadow.
-func (r *Ring) ReaderLen(p *sim.Proc, who dpm.Accessor) int {
-	o := r.op(who, opLen)
-	o.Run(p)
-	return o.n
-}
-
 // ObserveTail reads the tail pointer across the port; the transmit path
 // uses the tail's advance — instead of an interrupt — to learn that the
 // board consumed buffers (§2.1.2).
 func (r *Ring) ObserveTail(p *sim.Proc, who dpm.Accessor) uint32 {
-	o := r.Observe(who)
+	var o Op
+	o.Observe(r, who)
 	o.Run(p)
 	return uint32(o.n)
 }
 
-// ReaderNotify runs the reader's half of the transmit-side interrupt
-// protocol of §2.1.2 and reports whether to interrupt the host: the
-// host, having found the ring full, sets the notify flag word at byte
-// offset flag; once the ring has drained to half (HalfEmptyPoint) the
-// reader clears the flag and interrupts.
-func (r *Ring) ReaderNotify(p *sim.Proc, who dpm.Accessor, flag uint32) bool {
-	o := r.Notify(who, flag)
-	o.Run(p)
-	return o.OK()
-}
+// readerAvail is the number of queued descriptors by the reader's
+// shadow of the head.
+func (r *Ring) readerAvail() int { return int((r.rSeenHead + r.slots - r.rTail) % r.slots) }
 
 // WriterLen returns the number of queued descriptors from the writer's
 // shadow state (no bus traffic).
@@ -240,82 +182,107 @@ func (r *Ring) String() string {
 	return fmt.Sprintf("ring@%#x[%d]", r.base, r.slots)
 }
 
-// Op is a ring operation in continuation form, for an accessor that
-// runs as a state machine rather than a proc (the board's DMA
-// engines). Each of its word accesses costs its accessor's price and
-// takes effect at its own instant (dpm.Access), exactly as the proc
-// form's do: the proc forms above run the same Op. Step advances it
-// with k as the continuation to wake, and reports whether it has
-// finished.
+// Op is one ring operation in continuation form and the one
+// implementation of it: the proc forms (TryPush, TryPop, ObserveTail)
+// run an Op with Run, and the board's firmware and DMA engines, which
+// are state machines rather than procs, step one. Each word access
+// costs its accessor's price and takes effect at its own instant
+// (dpm.Access). The method naming the operation (Push, Pop, Peek, ...)
+// sets an Op up in place; an Op is not copied. Step advances it with k
+// as the continuation to wake, and reports whether it has finished.
 type Op struct {
 	r    *Ring
 	who  dpm.Accessor
 	kind opKind
 	pc   uint8
-	// The word access the op waits on: at off, storing val if store,
-	// else loading into val. Step makes it a dpm.Access in a.
-	busy, store, started bool
-	off, val             uint32
-	a                    dpm.Access
-	d                    Desc   // opPush: the descriptor
-	flag                 uint32 // opNotify: the flag word's offset
-	n                    int    // opAdvance: the count; results of opLen and opObserve
-	ok                   bool   // results of opPush and opNotify
+	busy bool       // waiting on a
+	a    dpm.Access // the word access in progress; a state after a load finds the word in it
+	ok   bool       // results of Push, Pop, Peek and Notify
+	at   uint32     // Notify: the flag word's offset; Pop, Peek: the slot's
+	n    int        // Peek: the index; Advance: the count; results of Len and Observe
+	d    Desc       // Push: the descriptor; result of Pop and Peek
 }
 
 type opKind uint8
 
 const (
-	opPush    opKind = iota // TryPush
-	opAdvance               // ReaderAdvance
-	opLen                   // ReaderLen
-	opObserve               // ObserveTail
-	opNotify                // ReaderNotify
+	opPush opKind = iota
+	opPop
+	opPeek
+	opAdvance
+	opLen
+	opObserve
+	opNotify
 )
 
-func (r *Ring) op(who dpm.Accessor, kind opKind) Op { return Op{r: r, who: who, kind: kind} }
+func (o *Op) start(r *Ring, who dpm.Accessor, kind opKind) {
+	o.r, o.who, o.kind, o.pc, o.busy, o.ok = r, who, kind, 0, false, false
+}
 
-// Push returns TryPush(who, d) as an Op; OK reports whether d was queued.
-func (r *Ring) Push(who dpm.Accessor, d Desc) Op {
-	o := r.op(who, opPush)
+// Push makes o append d to r if r is not full, re-reading the tail
+// pointer only when the writer's shadow says r might be full; OK
+// reports whether d was queued.
+func (o *Op) Push(r *Ring, who dpm.Accessor, d Desc) {
+	o.start(r, who, opPush)
 	o.d = d
-	return o
 }
 
-// Advance returns ReaderAdvance(who, n) as an Op.
-func (r *Ring) Advance(who dpm.Accessor, n int) Op {
-	o := r.op(who, opAdvance)
+// Pop makes o remove r's oldest descriptor if r is not empty,
+// re-reading the head pointer only when the reader's shadow says r is
+// empty; OK reports whether there was one, and Desc returns it.
+func (o *Op) Pop(r *Ring, who dpm.Accessor) {
+	o.start(r, who, opPop)
+	o.n, o.d = 0, Desc{}
+}
+
+// Peek makes o read r's k-th descriptor from the tail without
+// consuming it, refreshing the head shadow as needed; OK reports
+// whether there was one, and Desc returns it. The OSIRIS transmit
+// processor reads descriptors this way and advances the tail only once
+// the buffers have been DMA'd, because the tail's advance is the
+// host's transmit-completion signal (§2.1.2).
+func (o *Op) Peek(r *Ring, who dpm.Accessor, k int) {
+	o.start(r, who, opPeek)
+	o.n, o.d = k, Desc{}
+}
+
+// Advance makes o consume n descriptors examined with Peek, publishing
+// the new tail in one store.
+func (o *Op) Advance(r *Ring, who dpm.Accessor, n int) {
+	o.start(r, who, opAdvance)
 	o.n = n
-	return o
 }
 
-// Observe returns ObserveTail(who) as an Op.
-func (r *Ring) Observe(who dpm.Accessor) Op { return r.op(who, opObserve) }
+// Len makes o count the queued descriptors from the reader's side,
+// refreshing the head shadow; N returns the count.
+func (o *Op) Len(r *Ring, who dpm.Accessor) { o.start(r, who, opLen) }
 
-// Notify returns ReaderNotify(who, flag) as an Op; OK reports whether
-// to interrupt the host.
-func (r *Ring) Notify(who dpm.Accessor, flag uint32) Op {
-	o := r.op(who, opNotify)
-	o.flag = flag
-	return o
+// Observe makes o read r's tail pointer across the port; N returns it.
+func (o *Op) Observe(r *Ring, who dpm.Accessor) { o.start(r, who, opObserve) }
+
+// Notify makes o run the reader's half of the transmit-side interrupt
+// protocol of §2.1.2: the host, having found r full, sets the notify
+// flag word at byte offset flag; once r has drained to half
+// (HalfEmptyPoint) the reader clears the flag, and OK reports that the
+// host is to be interrupted.
+func (o *Op) Notify(r *Ring, who dpm.Accessor, flag uint32) {
+	o.start(r, who, opNotify)
+	o.at = flag
 }
 
-// OK reports the result of a finished push or notify.
+// OK reports the result of a finished Push, Pop, Peek or Notify.
 func (o *Op) OK() bool { return o.ok }
 
-// Run completes the op from proc p, making each access with the
-// proc's ReadWord and WriteWord.
+// Desc returns the descriptor a finished Pop or Peek read.
+func (o *Op) Desc() Desc { return o.d }
+
+// N returns the result of a finished Len or Observe.
+func (o *Op) N() int { return o.n }
+
+// Run completes the op from proc p.
 func (o *Op) Run(p *sim.Proc) {
-	for !o.next() {
-		if !o.busy {
-			continue
-		}
-		if o.store {
-			o.r.d.WriteWord(p, o.who, o.off, o.val)
-		} else {
-			o.val = o.r.d.ReadWord(p, o.who, o.off)
-		}
-		o.busy = false
+	for !o.Step(p.Cont()) {
+		p.Park()
 	}
 }
 
@@ -323,19 +290,10 @@ func (o *Op) Run(p *sim.Proc) {
 func (o *Op) Step(k sim.Cont) bool {
 	for {
 		if o.busy {
-			if !o.started {
-				o.started = true
-				if o.store {
-					o.a = o.r.d.Write(o.who, o.off, o.val)
-				} else {
-					o.a = o.r.d.Read(o.who, o.off)
-				}
-			}
 			if !o.a.Step(k) {
 				return false
 			}
-			o.val = o.a.Val()
-			o.busy, o.started = false, false
+			o.busy = false
 		}
 		if o.next() {
 			return true
@@ -345,18 +303,19 @@ func (o *Op) Step(k sim.Cont) bool {
 
 // load and put issue a word access, to be followed by state pc.
 func (o *Op) load(off uint32, pc uint8) bool {
-	o.busy, o.store, o.off, o.pc = true, false, off, pc
+	o.a.Load(o.r.d, o.who, off)
+	o.busy, o.pc = true, pc
 	return false
 }
 
 func (o *Op) put(off, v uint32, pc uint8) bool {
-	o.busy, o.store, o.off, o.val, o.pc = true, true, off, v, pc
+	o.a.Store(o.r.d, o.who, off, v)
+	o.busy, o.pc = true, pc
 	return false
 }
 
 // next runs the op from its state to its next word access (issued) or
-// to its end, reporting whether it ended. A state after a load finds
-// the word in o.val.
+// to its end, reporting whether it ended.
 func (o *Op) next() bool {
 	r := o.r
 	switch o.kind {
@@ -368,9 +327,8 @@ func (o *Op) next() bool {
 			}
 			o.pc = 2
 		case 1:
-			r.wSeenTail = o.val
+			r.wSeenTail = o.a.Val()
 			if r.next(r.wHead) == r.wSeenTail {
-				o.ok = false
 				return true
 			}
 			o.pc = 2
@@ -384,11 +342,41 @@ func (o *Op) next() bool {
 			o.ok = true
 			return true
 		}
+	case opPop, opPeek:
+		switch o.pc {
+		case 0:
+			if o.n >= r.readerAvail() {
+				return o.load(r.headOff(), 1)
+			}
+			o.pc = 2
+		case 1:
+			r.rSeenHead = o.a.Val()
+			if o.n >= r.readerAvail() {
+				return true
+			}
+			o.pc = 2
+		case 2:
+			o.at = r.slotOff((r.rTail + uint32(o.n)) % r.slots)
+			return o.load(o.at, 3)
+		case 3, 4, 5:
+			i := o.pc - 3
+			o.d.setWord(i, o.a.Val())
+			return o.load(o.at+4*uint32(i+1), o.pc+1)
+		case 6:
+			o.d.setWord(3, o.a.Val())
+			o.ok = true
+			if o.kind == opPeek {
+				return true
+			}
+			r.rTail = r.next(r.rTail)
+			return o.put(r.tailOff(), r.rTail, 7)
+		default:
+			return true
+		}
 	case opAdvance:
 		if o.pc == 0 {
-			avail := int((r.rSeenHead + r.slots - r.rTail) % r.slots)
-			if o.n > avail {
-				panic("queue: ReaderAdvance past head")
+			if o.n > r.readerAvail() {
+				panic("queue: Advance past head")
 			}
 			r.rTail = (r.rTail + uint32(o.n)) % r.slots
 			return o.put(r.tailOff(), r.rTail, 1)
@@ -398,31 +386,31 @@ func (o *Op) next() bool {
 		if o.pc == 0 {
 			return o.load(r.headOff(), 1)
 		}
-		r.rSeenHead = o.val
-		o.n = int((r.rSeenHead + r.slots - r.rTail) % r.slots)
+		r.rSeenHead = o.a.Val()
+		o.n = r.readerAvail()
 		return true
 	case opObserve:
 		if o.pc == 0 {
 			return o.load(r.tailOff(), 1)
 		}
-		r.wSeenTail = o.val
+		r.wSeenTail = o.a.Val()
 		o.n = int(r.wSeenTail)
 		return true
 	case opNotify:
 		switch o.pc {
 		case 0:
-			return o.load(o.flag, 1)
+			return o.load(o.at, 1)
 		case 1:
-			if o.val == 0 {
+			if o.a.Val() == 0 {
 				return true
 			}
 			return o.load(r.headOff(), 2)
 		case 2:
-			r.rSeenHead = o.val
-			if int((r.rSeenHead+r.slots-r.rTail)%r.slots) > r.HalfEmptyPoint() {
+			r.rSeenHead = o.a.Val()
+			if r.readerAvail() > r.HalfEmptyPoint() {
 				return true
 			}
-			return o.put(o.flag, 0, 3)
+			return o.put(o.at, 0, 3)
 		default:
 			o.ok = true
 			return true
@@ -442,4 +430,19 @@ func (d Desc) word(i uint8) uint32 {
 		return uint32(d.VCI)<<16 | uint32(d.Flags)
 	}
 	return d.Aux
+}
+
+// setWord stores v as the descriptor's i-th dual-port word.
+func (d *Desc) setWord(i uint8, v uint32) {
+	switch i {
+	case 0:
+		d.Addr = mem.PhysAddr(v)
+	case 1:
+		d.Len = v
+	case 2:
+		d.VCI = atm.VCI(v >> 16)
+		d.Flags = uint16(v)
+	default:
+		d.Aux = v
+	}
 }

@@ -275,3 +275,80 @@ func TestRingMatchesModelQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// run completes op o from proc p and returns it, for the Op forms
+// without a proc wrapper.
+func run(p *sim.Proc, o *Op) *Op {
+	o.Run(p)
+	return o
+}
+
+// Peek reads the k-th descriptor without consuming it and fails past
+// the head; Advance then consumes what was peeked, and Len counts what
+// is left.
+func TestPeekAdvanceLen(t *testing.T) {
+	e, d := newRig()
+	defer e.Shutdown()
+	r := NewRing(d, 0, 8)
+	e.Go("board", func(p *sim.Proc) {
+		r.Init(p, dpm.Host)
+		for i := 0; i < 3; i++ {
+			r.TryPush(p, dpm.Host, Desc{Addr: mem.PhysAddr(0x1000 * (i + 1)), Len: uint32(i + 1), VCI: 5, Flags: uint16(i), Aux: 9})
+		}
+		var o Op
+		for k := 0; k < 3; k++ {
+			o.Peek(r, dpm.Board, k)
+			if got := run(p, &o); !got.OK() || got.Desc().Len != uint32(k+1) || got.Desc().Flags != uint16(k) || got.Desc().VCI != 5 || got.Desc().Aux != 9 {
+				t.Errorf("Peek(%d) = %+v, %v", k, got.Desc(), got.OK())
+			}
+		}
+		if o.Peek(r, dpm.Board, 3); run(p, &o).OK() || o.Desc() != (Desc{}) {
+			t.Errorf("Peek past the head = %+v, %v; want none", o.Desc(), o.OK())
+		}
+		o.Advance(r, dpm.Board, 2)
+		run(p, &o)
+		if o.Len(r, dpm.Board); run(p, &o).N() != 1 {
+			t.Errorf("Len after advancing 2 of 3 = %d, want 1", o.N())
+		}
+		if got, ok := r.TryPop(p, dpm.Board); !ok || got.Len != 3 {
+			t.Errorf("pop after the advance = %+v, %v; want the third descriptor", got, ok)
+		}
+		if r.ObserveTail(p, dpm.Host) != 3 {
+			t.Error("the tail the host sees did not move past all three")
+		}
+	})
+	e.Run()
+}
+
+// Notify interrupts only when the host has set the flag and the ring
+// has drained to half, and clears the flag when it does.
+func TestNotifyHalfEmpty(t *testing.T) {
+	e, d := newRig()
+	defer e.Shutdown()
+	r := NewRing(d, 0, 8)
+	const flag = 0x800
+	e.Go("board", func(p *sim.Proc) {
+		r.Init(p, dpm.Host)
+		var o Op
+		if o.Notify(r, dpm.Board, flag); run(p, &o).OK() {
+			t.Error("notified with the flag clear")
+		}
+		for i := 0; i < 7; i++ {
+			r.TryPush(p, dpm.Host, Desc{Len: 1})
+		}
+		d.WriteWord(p, dpm.Host, flag, 1)
+		for i := 0; i < 7; i++ {
+			o.Pop(r, dpm.Board)
+			run(p, &o)
+			o.Notify(r, dpm.Board, flag)
+			want := 6-i <= r.HalfEmptyPoint() && d.ReadWord(p, dpm.Board, flag) != 0
+			if got := run(p, &o).OK(); got != want {
+				t.Errorf("after %d pops: Notify = %v, want %v", i+1, got, want)
+			}
+		}
+		if d.ReadWord(p, dpm.Board, flag) != 0 {
+			t.Error("the notify flag is still set")
+		}
+	})
+	e.Run()
+}

@@ -141,8 +141,9 @@ func TestSleepElidedZeroAlloc(t *testing.T) {
 // data[0] picks the number of activities and data[1] the RunUntil step
 // (0: one Run); every further byte is one operation of activity
 // i%procs: a sleep, a SleepUntil around now, a plain event scheduled
-// ahead, or a Stop (under a single Run only: RunUntil moves the clock
-// to its horizon even when stopped early).
+// ahead, or a Stop (under a single Run only: a RunUntil stopped early
+// moves the clock to its horizon only when nothing is due before it,
+// and the blocker's wakeups always are).
 func sleepProgram(data []byte, blocker, cont bool) (trace []string, events uint64) {
 	e := NewEngine(1)
 	defer e.Shutdown()

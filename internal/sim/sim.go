@@ -1,11 +1,13 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // The engine maintains a virtual clock and an event queue ordered by
-// (time, insertion sequence). Sequential activities — the OSIRIS board's
-// on-board processors, host interrupt handlers, driver threads — run as
-// Procs: runtime coroutines the engine switches into and out of
-// directly, so exactly one of them runs at any instant and every run of
-// a simulation is bit-for-bit reproducible.
+// (time, insertion sequence). Sequential activities — host interrupt
+// handlers, driver threads, protocols and applications — run as Procs:
+// runtime coroutines the engine switches into and out of directly, so
+// exactly one of them runs at any instant and every run of a
+// simulation is bit-for-bit reproducible. Activities written as state
+// machines instead — the OSIRIS board's processors and engines — wait
+// as continuations (Cont), in the same queues, without a coroutine.
 //
 // The event queue is allocation-free in steady state: fired and
 // cancelled events return their storage to an engine-owned free list,
@@ -479,12 +481,14 @@ func (e *Engine) RunFor(d time.Duration) Time {
 
 // RunUntil runs the simulation until the virtual clock would pass t;
 // events scheduled after t remain queued and the clock is advanced to t.
+// A Stop that ends the run early leaves the clock where it stopped, so
+// the events still due at or before t run next, in order.
 func (e *Engine) RunUntil(t Time) Time {
 	prev := e.limit
 	e.limit = t
 	e.Run()
 	e.limit = prev
-	if e.now < t {
+	if e.now < t && (len(e.pq) == 0 || e.pq[0].at > t) {
 		e.now = t
 	}
 	return e.now

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -128,6 +129,41 @@ func TestStopHaltsRun(t *testing.T) {
 	e.Run()
 	if count != 2 {
 		t.Fatalf("events after resume = %d, want 2", count)
+	}
+}
+
+// A Stop in the middle of a RunUntil leaves the clock at the stop, not
+// at the horizon, so the events still due before the horizon are not
+// behind the clock: the next Run drains them in order without panicking.
+func TestRunUntilAfterStop(t *testing.T) {
+	e := NewEngine(1)
+	var fired []Time
+	for _, at := range []Time{10, 20, 30, 40, 60} {
+		at := at
+		e.At(at, func() {
+			fired = append(fired, e.Now())
+			if at == 20 {
+				e.Stop()
+			}
+		})
+	}
+	if now := e.RunUntil(50); now != 20 {
+		t.Fatalf("RunUntil(50) stopped at 20 returned %v, want 20", now)
+	}
+	if now := e.RunUntil(50); now != 50 {
+		t.Fatalf("second RunUntil(50) = %v, want 50", now)
+	}
+	e.Run()
+	want := []Time{10, 20, 30, 40, 60}
+	if fmt.Sprint(fired) != fmt.Sprint(want) {
+		t.Fatalf("fired at %v, want %v", fired, want)
+	}
+	e.At(70, func() { e.Stop() })
+	e.At(80, func() { fired = append(fired, e.Now()) })
+	e.RunUntil(100)
+	e.Run() // the t=80 event is still due: it runs, it does not go backwards
+	if got := fired[len(fired)-1]; got != 80 {
+		t.Fatalf("last event at %v, want 80", got)
 	}
 }
 
