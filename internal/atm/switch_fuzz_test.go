@@ -45,10 +45,8 @@ func linkFaults(loss, corrupt, dup, skew uint8) LinkConfig {
 // runSwitchSchedule replays one fuzz-derived schedule through a 3-port
 // switch whose lanes are configured by lc and returns everything
 // observable: the delivery log and the per-port and link counters.
-// Senders stage each cell's payload in a PayloadPool and free the
-// handle after the ingress Send returns (the board's transmit
-// discipline), so pool misuse — leak, double free, stale handle —
-// panics loudly inside the run.
+// Senders stage each cell's payload in a local array tagged with its
+// sequence number, so a delivery carrying another cell's bytes shows.
 func runSwitchSchedule(t *testing.T, data []byte, perCell bool, lc LinkConfig) switchRun {
 	t.Helper()
 	e := sim.NewEngine(99)
@@ -57,7 +55,6 @@ func runSwitchSchedule(t *testing.T, data []byte, perCell bool, lc LinkConfig) s
 	// with a mark threshold below it so schedules also exercise the ECN
 	// band between first-mark and tail-drop.
 	sw := NewSwitch(e, 3, SwitchConfig{QueueCells: 8, MarkThreshold: 4, PerCellFabric: perCell, Link: lc})
-	pool := NewPayloadPool()
 
 	// VCI 10 and 11 start routed to ports 1 and 2; route-change ops
 	// re-target them mid-run.
@@ -104,13 +101,12 @@ func runSwitchSchedule(t *testing.T, data []byte, perCell bool, lc LinkConfig) s
 				// Burst of 1–8 cells on one VCI through port 0's ingress.
 				n := int(op>>1)&7 + 1
 				for j := 0; j < n; j++ {
-					h, buf := pool.Get()
+					var buf [CellPayload]byte
 					s := seq[vci]
 					seq[vci] = s + 1
 					buf[0] = byte(s) ^ byte(vci)
-					c := Cell{VCI: vci, Seq: s, Len: CellPayload, Payload: *buf}
+					c := Cell{VCI: vci, Seq: s, Len: CellPayload, Payload: buf}
 					sw.Port(0).Ingress().Send(p, c)
-					pool.Put(h) // free on hand-off, as the board does
 					sent++
 				}
 			}
@@ -118,9 +114,6 @@ func runSwitchSchedule(t *testing.T, data []byte, perCell bool, lc LinkConfig) s
 	})
 	e.Run()
 
-	if pool.Live() != 0 {
-		t.Fatalf("pool leak: %d buffers live after quiesce", pool.Live())
-	}
 	r := switchRun{deliveries: deliveries, stats: make([]SwitchPortStats, sw.NumPorts()), sent: sent}
 	for i := range r.stats {
 		r.stats[i] = sw.Port(i).Stats()
@@ -185,18 +178,17 @@ func compareDeliveries(t *testing.T, train, percell []fuzzDelivery) {
 	}
 }
 
-// FuzzSwitchTrainPool drives fuzz-derived burst/gap/route-change
+// FuzzSwitchTrain drives fuzz-derived burst/gap/route-change
 // schedules through the switch twice — train forwarding and the forced
 // per-cell fabric — and requires identical behaviour: the same cells, in
 // the same order, at the same simulated instants, with the same drop and
 // high-water counters. Tiny queues force mid-train tail-drops (train
 // splits) and route changes re-target mid-stream (train boundaries);
-// payloads staged through the cell pool verify no handle is leaked,
-// double-freed, or recycled while its bytes are still in flight. The
-// four link inputs put loss, corruption, duplication and queueing skew
+// each payload's tag must reach the receiver with its cell. The four
+// link inputs put loss, corruption, duplication and queueing skew
 // on every lane, so the faulted, skewed link is held to the same
 // agreement.
-func FuzzSwitchTrainPool(f *testing.F) {
+func FuzzSwitchTrain(f *testing.F) {
 	f.Add([]byte{0x07, 0x85, 0x0E, 0xC0, 0x06, 0x81, 0x0F}, uint8(0), uint8(0), uint8(0), uint8(0))
 	f.Add([]byte{0x0E, 0x0F, 0x0E, 0x0F, 0xC1, 0x0E, 0x0F, 0x86, 0x0E}, uint8(0), uint8(0), uint8(0), uint8(0))
 	f.Add([]byte{0xC0, 0xC1, 0x01, 0x00, 0x80, 0x01}, uint8(0), uint8(0), uint8(0), uint8(0))
@@ -276,7 +268,7 @@ func FuzzSwitchTrainPool(f *testing.F) {
 			}
 			lastSeq[fl] = int64(d.seq)
 			if want := byte(d.seq) ^ byte(d.vci); d.payload[0] != want {
-				t.Fatalf("VCI %d seq %d payload tag %#x, want %#x (pool recycled in flight?)", d.vci, d.seq, d.payload[0], want)
+				t.Fatalf("VCI %d seq %d payload tag %#x, want %#x (payload of another cell?)", d.vci, d.seq, d.payload[0], want)
 			}
 		}
 	})

@@ -124,6 +124,9 @@ const (
 // NumChannels is the number of queue pages per direction (§3.2).
 const NumChannels = dpm.PagesPerHalf
 
+// The board keeps its open channels as a uint16 mask (Board.openMask).
+var _ = [1]int{}[NumChannels-16]
+
 // Fixed firmware parameters.
 const (
 	// freeRingSlots is the free-buffer ring length, the paper's queue
@@ -371,6 +374,10 @@ type Board struct {
 	rxCmds  *sim.Chan[*rxCmd]
 	fireCtl *sim.Chan[fictReq]
 
+	// openMask has bit i set when channel i is open; the transmit scan
+	// visits only those channels.
+	openMask uint16
+
 	// The processors, the DMA controllers and the fictitious-PDU
 	// generator: state machines advanced by events, not processes.
 	txCPU txProcessor
@@ -509,6 +516,7 @@ func build(e *sim.Engine, h *hostsim.Host, cfg Config) *Board {
 		panic("board: tx ring exceeds its queue page")
 	}
 	b.chans[0].open = true // the kernel's channel
+	b.openMask = 1
 
 	b.txWork = sim.NewCond(e)
 	b.txCmds = sim.NewChan[*txCmd](e, txCmdDepth)
@@ -679,6 +687,7 @@ func (b *Board) fifoOverflow(vci atm.VCI) {
 func (b *Board) OpenChannel(i, priority int, allowed []mem.Frame) *Channel {
 	ch := b.Channel(i)
 	ch.open = true
+	b.openMask |= 1 << i
 	ch.Priority = priority
 	if allowed == nil {
 		ch.allowed = nil

@@ -2,6 +2,7 @@ package board
 
 import (
 	"hash/crc32"
+	"math/bits"
 
 	"repro/internal/atm"
 	"repro/internal/dpm"
@@ -121,6 +122,19 @@ func (x *txProcessor) run() {
 			x.i, x.best, x.prio, x.ready = 0, nil, 0, false
 			x.pc = txpScan
 		case txpScan:
+			// Jump to the next open channel in the round's visit order:
+			// index order under DRR, else from past the round-robin
+			// cursor on.
+			open, rot := b.openMask, 0
+			if b.cfg.TxDRRQuantum <= 0 {
+				rot = b.txRR + 1
+				open = bits.RotateLeft16(open, -rot)
+			}
+			if rest := open >> x.i; rest != 0 {
+				x.i += bits.TrailingZeros16(rest)
+			} else {
+				x.i = NumChannels
+			}
 			if x.i == NumChannels {
 				ch := x.pick()
 				if ch == nil {
@@ -134,17 +148,10 @@ func (x *txProcessor) run() {
 				}
 				continue
 			}
-			ch := b.chans[x.i]
-			if b.cfg.TxDRRQuantum <= 0 {
-				ch = b.chans[(b.txRR+1+x.i)%NumChannels]
-			}
-			switch {
-			case ch == nil || !ch.open:
-				x.i++
-			case ch.tx.active:
+			if ch := b.chans[(rot+x.i)%NumChannels]; ch.tx.active {
 				x.consider(ch, true)
 				x.i++
-			default:
+			} else {
 				x.ch, x.gpc, x.pc = ch, gatherPeek, txpGather
 			}
 		case txpGather:

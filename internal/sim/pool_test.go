@@ -153,6 +153,46 @@ func TestScheduleFireZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// A callback's first scheduling takes the fired event's heap slot, and
+// a Cancel inside a callback removes below the fired root: neither
+// allocates, whether the callback reschedules itself or cancels a
+// pending event.
+func TestCallbackRescheduleAndCancelZeroAlloc(t *testing.T) {
+	e := NewEngine(1)
+	defer e.Shutdown()
+	hops := new(int)
+	var hop func(any)
+	hop = func(a any) {
+		if n := a.(*int); *n > 0 {
+			*n--
+			e.AfterCall(1, hop, n)
+		}
+	}
+	reschedule := func() {
+		*hops = 8
+		e.AfterCall(1, hop, hops)
+		e.Run()
+	}
+	var victim Event
+	fired := false
+	fire := func(any) { fired = true }
+	kill := func(any) { e.Cancel(victim) }
+	cancel := func() {
+		victim = e.AfterCall(3, fire, nil)
+		e.AfterCall(2, kill, nil)
+		e.Run()
+	}
+	for name, cycle := range map[string]func(){"reschedule": reschedule, "cancel": cancel} {
+		cycle() // warm the pool
+		if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+			t.Errorf("%s: %.1f allocations per cycle, want 0", name, allocs)
+		}
+	}
+	if fired || !victim.Cancelled() || e.Pending() != 0 {
+		t.Fatalf("fired=%v cancelled=%v pending=%d after the cycles", fired, victim.Cancelled(), e.Pending())
+	}
+}
+
 // The ring-buffer Chan must not allocate on the send/recv fast path.
 func TestChanZeroAllocSteadyState(t *testing.T) {
 	e := NewEngine(1)

@@ -114,6 +114,10 @@ type Engine struct {
 	limit    Time // 0 means no limit
 	recorder func(TraceEvent)
 	running  bool
+	// top: pq[0] is the event Run is firing, already recycled, until
+	// its callback first schedules or returns. Its key precedes every
+	// queued event, so a Cancel meanwhile removes below it.
+	top bool
 	// sites is the set of DeriveRand site names, checked for collisions.
 	sites map[string]struct{}
 	// xids is the last id handed out by NewStampID.
@@ -212,16 +216,16 @@ func (e *Engine) Emit(ev TraceEvent) {
 	}
 }
 
-// less orders the heap by the canonical key (at, schedAt, xid, seq):
+// before orders events by the canonical key (at, schedAt, xid, seq):
 // fire time first, then scheduling time, then scheduling source, then
 // per-source insertion order. Events scheduled through At/After have
 // xid 0 and seq increasing with schedAt, so among them this is exactly
 // (at, seq). A link's deliveries carry its topology-fixed xid,
 // which makes their tie-break a function of the topology rather than of
 // global scheduling order; the committed result fingerprints pin the
-// order it produces.
-func (e *Engine) less(i, j int) bool {
-	a, b := e.pq[i], e.pq[j]
+// order it produces. The key is unique per event, so the order is
+// total and the heap's shape never decides which event runs first.
+func before(a, b *eventNode) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -234,62 +238,87 @@ func (e *Engine) less(i, j int) bool {
 	return a.seq < b.seq
 }
 
-func (e *Engine) swap(i, j int) {
-	e.pq[i], e.pq[j] = e.pq[j], e.pq[i]
-	e.pq[i].index = i
-	e.pq[j].index = j
-}
-
-func (e *Engine) siftUp(i int) {
+// siftUp places n, which belongs at heap index i or above, by moving a
+// hole up from i: each parent that n precedes drops into the hole, and
+// n is written once where the hole stops.
+func (e *Engine) siftUp(n *eventNode, i int) {
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.less(i, parent) {
+		p := (i - 1) / 2
+		pn := e.pq[p]
+		if !before(n, pn) {
 			break
 		}
-		e.swap(i, parent)
-		i = parent
+		e.pq[i] = pn
+		pn.index = i
+		i = p
 	}
+	e.pq[i] = n
+	n.index = i
 }
 
-func (e *Engine) siftDown(i int) {
+// siftDown places n, which belongs at heap index i or below, by moving
+// a hole down from i: the earlier child rises into the hole while it
+// precedes n.
+func (e *Engine) siftDown(n *eventNode, i int) {
+	pq := e.pq
 	for {
-		l := 2*i + 1
-		if l >= len(e.pq) {
-			return
+		c := 2*i + 1
+		if c >= len(pq) {
+			break
 		}
-		m := l
-		if r := l + 1; r < len(e.pq) && e.less(r, l) {
-			m = r
+		cn := pq[c]
+		if r := c + 1; r < len(pq) && before(pq[r], cn) {
+			c, cn = r, pq[r]
 		}
-		if !e.less(m, i) {
-			return
+		if !before(cn, n) {
+			break
 		}
-		e.swap(i, m)
-		i = m
+		pq[i] = cn
+		cn.index = i
+		i = c
 	}
+	pq[i] = n
+	n.index = i
 }
 
+// heapPush queues n. While the root is the event Run just fired (top),
+// n takes its slot and sifts down once: the fired event's removal and
+// its callback's first scheduling are one sift, not two.
 func (e *Engine) heapPush(n *eventNode) {
-	n.index = len(e.pq)
+	if e.top {
+		e.top = false
+		e.siftDown(n, 0)
+		return
+	}
 	e.pq = append(e.pq, n)
-	e.siftUp(n.index)
+	e.siftUp(n, len(e.pq)-1)
 }
 
-// heapRemove detaches the node at heap index i, restoring heap order.
-func (e *Engine) heapRemove(i int) *eventNode {
+// heapRemove detaches the node at heap index i: the last node fills the
+// hole, sifting up or down from it.
+func (e *Engine) heapRemove(i int) {
 	n := e.pq[i]
 	last := len(e.pq) - 1
-	if i != last {
-		e.swap(i, last)
-	}
+	x := e.pq[last]
 	e.pq[last] = nil
 	e.pq = e.pq[:last]
 	if i != last {
-		e.siftDown(i)
-		e.siftUp(i)
+		if i > 0 && before(x, e.pq[(i-1)/2]) {
+			e.siftUp(x, i)
+		} else {
+			e.siftDown(x, i)
+		}
 	}
 	n.index = -1
-	return n
+}
+
+// dropTop completes the removal of the fired root when its callback
+// scheduled nothing into its slot.
+func (e *Engine) dropTop() {
+	if e.top {
+		e.top = false
+		e.heapRemove(0)
+	}
 }
 
 // recycle retires a node (fired or cancelled) to the free list. The
@@ -428,13 +457,23 @@ func (e *Engine) Stop() { e.stopped = true }
 // the event, set the clock to t — and reports true; nothing else can
 // observe the difference. Otherwise it changes nothing.
 func (e *Engine) advance(t Time) bool {
-	if !e.running || e.stopped || (e.limit != 0 && t > e.limit) || (len(e.pq) > 0 && e.pq[0].at <= t) {
+	if !e.running || e.stopped || (e.limit != 0 && t > e.limit) || e.dueBy(t) {
 		return false
 	}
 	e.seq++
 	e.fired++
 	e.now = t
 	return true
+}
+
+// dueBy reports whether a queued event fires at or before t. While the
+// root is the dead fired event (top), the earliest live event is one of
+// its children.
+func (e *Engine) dueBy(t Time) bool {
+	if !e.top {
+		return len(e.pq) > 0 && e.pq[0].at <= t
+	}
+	return len(e.pq) > 1 && e.pq[1].at <= t || len(e.pq) > 2 && e.pq[2].at <= t
 }
 
 // Run executes events in order until the queue is empty, Stop is called,
@@ -449,7 +488,10 @@ func (e *Engine) Run() Time {
 		panic("sim: Run called re-entrantly")
 	}
 	e.running = true
-	defer func() { e.running = false }()
+	defer func() {
+		e.dropTop() // a callback panicked before its root was removed
+		e.running = false
+	}()
 	for !e.stopped && len(e.pq) > 0 {
 		n := e.pq[0]
 		if e.limit != 0 && n.at > e.limit {
@@ -459,15 +501,17 @@ func (e *Engine) Run() Time {
 		if n.at < e.now {
 			panic("sim: event queue went backwards")
 		}
-		e.heapRemove(0)
 		e.now = n.at
 		e.fired++
 		cb, arg := n.cb, n.arg
-		// Recycle before the callback so it can reuse the node for
-		// whatever it schedules; the generation bump makes a self-Cancel
-		// from inside the callback a no-op.
+		// The fired node stays at the root, dead (top), until the
+		// callback's first scheduling takes its slot or the callback
+		// returns. Recycled first, it can be that scheduling's node,
+		// and a self-Cancel from inside the callback is a no-op.
 		e.recycle(n)
+		e.top = true
 		cb(arg)
+		e.dropTop()
 	}
 	e.stopped = false
 	return e.now
@@ -488,14 +532,19 @@ func (e *Engine) RunUntil(t Time) Time {
 	e.limit = t
 	e.Run()
 	e.limit = prev
-	if e.now < t && (len(e.pq) == 0 || e.pq[0].at > t) {
+	if e.now < t && !e.dueBy(t) {
 		e.now = t
 	}
 	return e.now
 }
 
 // Pending reports the number of events in the queue.
-func (e *Engine) Pending() int { return len(e.pq) }
+func (e *Engine) Pending() int {
+	if e.top {
+		return len(e.pq) - 1
+	}
+	return len(e.pq)
+}
 
 // Events returns the cumulative number of events the engine has
 // executed across all Run calls — the denominator for wall-clock

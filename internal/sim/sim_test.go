@@ -405,3 +405,28 @@ func TestDuplicateDeriveSitePanics(t *testing.T) {
 	}()
 	e.DeriveRand("injector/x")
 }
+
+// TestCallbackPanicLeavesQueueConsistent: a callback that panics before
+// scheduling anything leaves its fired event at the heap root; Run's
+// unwinding removes it, so the engine carries on with the rest.
+func TestCallbackPanicLeavesQueueConsistent(t *testing.T) {
+	e := NewEngine(1)
+	var got []Time
+	e.At(1, func() { panic("boom") })
+	e.At(2, func() { got = append(got, e.Now()) })
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want boom", r)
+			}
+		}()
+		e.Run()
+	}()
+	if e.Pending() != 1 || e.Events() != 1 {
+		t.Fatalf("after the panic: pending %d, events %d; want 1, 1", e.Pending(), e.Events())
+	}
+	e.Run()
+	if len(got) != 1 || got[0] != 2 || e.Pending() != 0 {
+		t.Fatalf("fired at %v, pending %d; want [2ns], 0", got, e.Pending())
+	}
+}

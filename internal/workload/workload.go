@@ -39,21 +39,47 @@ func Payload(n int, seed byte) []byte {
 	return out
 }
 
-// payloadGen yields the bytes of Payload(·, seed) in order.
-type payloadGen uint32
+// Payload bytes come from a 32-bit linear congruential generator: byte
+// k is the top byte of its state after k+1 steps from
+// seed·2654435761+1. payloadLanes holds four consecutive states and
+// steps each by four at once — multiplier lcgA⁴ and increment
+// lcgC·(1+lcgA+lcgA²+lcgA³), mod 2³² — so it yields four bytes a step.
+const (
+	lcgA  = 1664525
+	lcgC  = 1013904223
+	lcgA4 = lcgA * lcgA * lcgA * lcgA % (1 << 32)
+	lcgC4 = lcgC * (1 + lcgA + lcgA*lcgA + lcgA*lcgA*lcgA) % (1 << 32)
+)
 
-func newPayloadGen(seed byte) payloadGen { return payloadGen(uint32(seed)*2654435761 + 1) }
+type payloadLanes struct{ a, b, c, d uint32 }
 
-func (g *payloadGen) next() byte {
-	*g = *g*1664525 + 1013904223
-	return byte(*g >> 24)
+func newPayloadLanes(seed byte) payloadLanes {
+	a := (uint32(seed)*2654435761+1)*lcgA + lcgC
+	b := a*lcgA + lcgC
+	c := b*lcgA + lcgC
+	return payloadLanes{a, b, c, c*lcgA + lcgC}
+}
+
+// word returns the lanes' four payload bytes as a little-endian word.
+func (l payloadLanes) word() uint32 {
+	return l.a>>24 | l.b>>16&0xff00 | l.c>>8&0xff0000 | l.d&0xff000000
+}
+
+// step returns the lanes four bytes on. Value receivers keep the lanes
+// in registers.
+func (l payloadLanes) step() payloadLanes {
+	return payloadLanes{l.a*lcgA4 + lcgC4, l.b*lcgA4 + lcgC4, l.c*lcgA4 + lcgC4, l.d*lcgA4 + lcgC4}
 }
 
 // fillPayload writes Payload(len(dst), seed) into dst.
 func fillPayload(dst []byte, seed byte) {
-	g := newPayloadGen(seed)
-	for i := range dst {
-		dst[i] = g.next()
+	l := newPayloadLanes(seed)
+	i := 0
+	for ; i+4 <= len(dst); i, l = i+4, l.step() {
+		binary.LittleEndian.PutUint32(dst[i:], l.word())
+	}
+	for w := l.word(); i < len(dst); i, w = i+1, w>>8 {
+		dst[i] = byte(w)
 	}
 }
 
@@ -160,10 +186,19 @@ func (f FanIn) Verify(data []byte) (client, msg int, ok bool) {
 		return client, msg, false
 	}
 	// The header is the identity just read back; the generator still
-	// steps over its bytes, which Payload overwrote.
-	g := newPayloadGen(f.seed(client, msg))
-	for i := range data {
-		if b := g.next(); i >= FanInHeaderBytes && data[i] != b {
+	// steps over its bytes (whole words), which Payload overwrote.
+	l := newPayloadLanes(f.seed(client, msg))
+	i := 0
+	for ; i < FanInHeaderBytes; i += 4 {
+		l = l.step()
+	}
+	for ; i+4 <= len(data); i, l = i+4, l.step() {
+		if binary.LittleEndian.Uint32(data[i:]) != l.word() {
+			return client, msg, false
+		}
+	}
+	for w := l.word(); i < len(data); i, w = i+1, w>>8 {
+		if data[i] != byte(w) {
 			return client, msg, false
 		}
 	}

@@ -1,6 +1,65 @@
 package workload
 
-import "testing"
+import (
+	"encoding/binary"
+	"testing"
+)
+
+// refPayload is the byte-at-a-time payload generator: byte k is the top
+// byte of the LCG state after k+1 steps. fillPayload and Verify step
+// four bytes at a time and must match it exactly.
+func refPayload(n int, seed byte) []byte {
+	out := make([]byte, n)
+	g := uint32(seed)*2654435761 + 1
+	for i := range out {
+		g = g*1664525 + 1013904223
+		out[i] = byte(g >> 24)
+	}
+	return out
+}
+
+// FuzzPayloadMatchesByteGenerator checks the four-lane generator against
+// refPayload at any length and seed: Payload must equal it, Verify must
+// accept a message built from it, and Verify must reject that message
+// with any one body byte changed.
+func FuzzPayloadMatchesByteGenerator(f *testing.F) {
+	f.Add(uint16(0), byte(0), uint16(0), byte(1))
+	f.Add(uint16(9), byte(1), uint16(0), byte(0x80))
+	f.Add(uint16(1027), byte(200), uint16(1018), byte(1))
+	f.Add(uint16(16384), byte(57), uint16(7), byte(0xFF))
+	f.Fuzz(func(t *testing.T, n uint16, seed byte, at uint16, mask byte) {
+		ref := refPayload(int(n), seed)
+		if got := Payload(int(n), seed); string(got) != string(ref) {
+			t.Fatalf("Payload(%d, %d) differs from the byte generator", n, seed)
+		}
+		if int(n) < FanInHeaderBytes {
+			return
+		}
+		// An identity whose seed is the one drawn: client·31+1 ≡ seed
+		// (mod 256) for client = (seed-1)·31⁻¹, and 31⁻¹ = 223 mod 256.
+		client := int(byte((seed - 1) * 223))
+		fi := FanIn{Clients: client + 1, Messages: 1, MessageBytes: int(n)}
+		if fi.seed(client, 0) != seed {
+			t.Fatalf("identity seed %d, want %d", fi.seed(client, 0), seed)
+		}
+		binary.BigEndian.PutUint32(ref[0:4], uint32(client))
+		binary.BigEndian.PutUint32(ref[4:8], 0)
+		if got := fi.Payload(client, 0); string(got) != string(ref) {
+			t.Fatal("FanIn.Payload differs from the byte generator")
+		}
+		if c, m, ok := fi.Verify(ref); !ok || c != client || m != 0 {
+			t.Fatalf("Verify = %d, %d, %v on a correct message", c, m, ok)
+		}
+		if int(n) == FanInHeaderBytes || mask == 0 {
+			return
+		}
+		i := FanInHeaderBytes + int(at)%(int(n)-FanInHeaderBytes)
+		ref[i] ^= mask
+		if _, _, ok := fi.Verify(ref); ok {
+			t.Fatalf("Verify accepted byte %d of %d changed by %#x", i, n, mask)
+		}
+	})
+}
 
 func TestTable1Sizes(t *testing.T) {
 	got := Table1Sizes()
