@@ -99,9 +99,6 @@ type ADC struct {
 // virtual ADC it is the mux channel's shared driver.
 func (a *ADC) Driver() *driver.Driver { return a.drv }
 
-// App returns the owning application domain.
-func (a *ADC) App() *AppDomain { return a.app }
-
 // Virtual reports whether this ADC is multiplexed onto a shared
 // channel.
 func (a *ADC) Virtual() bool { return a.virtual }

@@ -468,18 +468,3 @@ func (g *StripeGroup) Send(p *sim.Proc, c Cell) {
 	g.links[g.next].Send(p, c)
 	g.next = (g.next + 1) % len(g.links)
 }
-
-// ResetRoundRobin restarts striping at link 0, so each PDU's first cell
-// goes out on a known link (the board does this per PDU).
-func (g *StripeGroup) ResetRoundRobin() { g.next = 0 }
-
-// AggregatePayloadMbps returns the logical channel's payload bandwidth:
-// width × rate × 44/53 — the "516 Mbps data bandwidth available in a
-// 622 Mbps SONET/ATM link" figure of §2.5.1.
-func (g *StripeGroup) AggregatePayloadMbps() float64 {
-	var total float64
-	for _, l := range g.links {
-		total += float64(l.cfg.RateBps)
-	}
-	return total * CellPayload / CellSize / 1e6
-}

@@ -313,18 +313,6 @@ func (sw *Switch) RouteFrom(in int, v VCI, out int) error {
 	return nil
 }
 
-// Unroute removes v's route. Removing an unrouted VCI is a no-op.
-func (sw *Switch) Unroute(v VCI) { delete(sw.routes, v) }
-
-// UnrouteFrom removes the per-input route (in, v), if any.
-func (sw *Switch) UnrouteFrom(in int, v VCI) { delete(sw.inRoutes, inPortVCI{in, v}) }
-
-// RouteOf reports the output port v is routed to.
-func (sw *Switch) RouteOf(v VCI) (port int, ok bool) {
-	port, ok = sw.routes[v]
-	return port, ok
-}
-
 // forward runs in link-delivery (event) context: look the cell's VCI up
 // and enqueue it on the output port, dropping on overflow. It must not
 // block, so the queue is entered with TrySend — exactly the discipline

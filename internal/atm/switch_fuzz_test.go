@@ -89,7 +89,7 @@ func runSwitchSchedule(t *testing.T, data []byte, perCell bool, lc LinkConfig) s
 				if routeOf[vci] == 1 {
 					next = 2
 				}
-				sw.Unroute(vci)
+				delete(sw.routes, vci)
 				if err := sw.Route(vci, next); err != nil {
 					panic(err)
 				}

@@ -54,8 +54,8 @@ func TestSwitchRoutesByVCI(t *testing.T) {
 			t.Errorf("port 2 received VCI %d", r.c.VCI)
 		}
 	}
-	if port, ok := sw.RouteOf(10); !ok || port != 1 {
-		t.Errorf("RouteOf(10) = %d,%v", port, ok)
+	if port, ok := sw.routes[10]; !ok || port != 1 {
+		t.Errorf("route of VCI 10 = %d,%v", port, ok)
 	}
 }
 
@@ -107,13 +107,8 @@ func TestSwitchDuplicateRouteIsError(t *testing.T) {
 		t.Error("re-routing VCI 42 to the same port did not error")
 	}
 	// The original route must be untouched.
-	if port, ok := sw.RouteOf(42); !ok || port != 1 {
-		t.Errorf("RouteOf(42) = %d,%v after failed re-route", port, ok)
-	}
-	// Unroute frees the VCI for reuse.
-	sw.Unroute(42)
-	if err := sw.Route(42, 0); err != nil {
-		t.Errorf("Route after Unroute: %v", err)
+	if port, ok := sw.routes[42]; !ok || port != 1 {
+		t.Errorf("route of VCI 42 = %d,%v after failed re-route", port, ok)
 	}
 }
 

@@ -782,8 +782,13 @@ func (b *Board) SetViolationHook(fn func(ch int, vci atm.VCI)) { b.vioHook = fn 
 // simulation having to burn events on an idle poll loop.
 func (b *Board) KickTx() { b.txWork.Broadcast() }
 
-// KickFree wakes a fictitious-mode generator waiting for free buffers
-// (the real receive processor polls).
+// KickFree tells the board that the host returned buffers to a free
+// ring. Nothing on the receive side waits for them: the receive
+// processor finds free buffers when cells need them. It broadcasts
+// txWork, so it wakes an idle transmit processor into a poll and a scan
+// of its rings that usually finds nothing. That wake is part of the
+// model's event order: without it the paper's experiments keep their
+// results but the faults scenario's goodput moves (DESIGN §7).
 func (b *Board) KickFree() { b.txWork.Broadcast() }
 
 func (b *Board) authorized(ch *Channel, d queue.Desc) bool {

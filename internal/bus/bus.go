@@ -40,11 +40,10 @@ type Config struct {
 	// across the bus (defaults 14 and 9: a one-word transaction).
 	PIOReadCycles  int
 	PIOWriteCycles int
-	// MemReadOverhead / MemWriteOverhead are the fixed per-transaction
-	// costs of CPU-initiated memory traffic (cache fills, write-throughs),
-	// in cycles of the memory clock (defaults 5 and 3).
-	MemReadOverhead  int
-	MemWriteOverhead int
+	// MemReadOverhead is the fixed per-transaction cost of a
+	// CPU-initiated memory read (a cache fill), in cycles of the memory
+	// clock (default 5).
+	MemReadOverhead int
 	// MemClockHz clocks the CPU<->memory path. It defaults to ClockHz,
 	// which is correct for the DECstation (one shared path); a crossbar
 	// machine like the DEC 3000 has a much faster private memory port.
@@ -76,9 +75,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MemReadOverhead == 0 {
 		c.MemReadOverhead = 5
-	}
-	if c.MemWriteOverhead == 0 {
-		c.MemWriteOverhead = 3
 	}
 	if c.MemClockHz == 0 {
 		c.MemClockHz = c.ClockHz
@@ -180,13 +176,6 @@ func (b *Bus) MemCycles(n int) time.Duration { return time.Duration(n) * b.memCy
 func (b *Bus) CPUMemRead(p *sim.Proc, words int) {
 	b.stats.CPUMemWords += int64(words)
 	b.memPort.Use(p, b.MemCycles(b.cfg.MemReadOverhead+words))
-}
-
-// CPUMemWrite accounts one CPU-initiated memory write transaction
-// (write-through traffic) of the given number of words.
-func (b *Bus) CPUMemWrite(p *sim.Proc, words int) {
-	b.stats.CPUMemWords += int64(words)
-	b.memPort.Use(p, b.MemCycles(b.cfg.MemWriteOverhead+words))
 }
 
 // CPUOccupy models general CPU activity whose loads and stores occupy

@@ -146,7 +146,7 @@ func TestStatsAccumulate(t *testing.T) {
 		b.DMARead(44).Do(p)
 		b.DMAWrite(88).Do(p)
 		b.PIOWrite(3).Do(p)
-		b.CPUMemWrite(p, 2)
+		b.CPUMemRead(p, 2)
 	})
 	e.Run()
 	e.Shutdown()

@@ -281,11 +281,6 @@ func (c *Cache) Invalidate(pa mem.PhysAddr, n int) (words int) {
 	return words
 }
 
-// FlushAll empties the whole cache (the DECstation's cache-swap trick).
-func (c *Cache) FlushAll() {
-	clear(c.tags)
-}
-
 // StaleLines reports how many cached lines overlapping [pa, pa+n) differ
 // from memory — a diagnostic for the lazy-invalidation experiment.
 func (c *Cache) StaleLines(pa mem.PhysAddr, n int) int {

@@ -137,17 +137,6 @@ func TestInvalidateCostCountsWholeRange(t *testing.T) {
 	}
 }
 
-func TestFlushAll(t *testing.T) {
-	c, _ := newCache(Incoherent)
-	var buf [4]byte
-	c.Read(0, buf[:])
-	c.Read(64, buf[:])
-	c.FlushAll()
-	if c.Resident(0) || c.Resident(64) {
-		t.Error("lines resident after FlushAll")
-	}
-}
-
 func TestConflictEviction(t *testing.T) {
 	// Two addresses that map to the same set in a 1KB direct-mapped cache
 	// evict each other.
@@ -377,9 +366,9 @@ func TestUnfilledStoreNeverObserved(t *testing.T) {
 				if rng.Intn(8) > 0 {
 					continue // flush rarely, so that lines live long enough to go stale
 				}
-				desc = "FlushAll()"
-				zero.FlushAll()
-				dirty.FlushAll()
+				desc = "flush"
+				clear(zero.tags)
+				clear(dirty.tags)
 				clear(filled)
 			}
 			if got != want || dirty.Stats() != zero.Stats() {

@@ -37,7 +37,7 @@ type Cluster struct {
 }
 
 // buildNode assembles one host: machine, board, driver, and the
-// protocol graph, named and addressed for the topology.
+// protocol stack, named and addressed for the topology.
 func buildNode(e *sim.Engine, opt Options, name string, addr proto.HostAddr) *Node {
 	h := hostsim.New(e, opt.Profile, hostMemPages)
 	bcfg := opt.Board
@@ -49,11 +49,6 @@ func buildNode(e *sim.Engine, opt Options, name string, addr proto.HostAddr) *No
 	n.UDP = proto.NewUDP(h, n.IP)
 	n.RDP = proto.NewRDP(h, n.IP)
 	n.Raw = proto.NewRaw(h, d)
-	n.Graph = xkernel.NewGraph(name + "-kernel")
-	n.Graph.Register(n.IP)
-	n.Graph.Register(n.UDP)
-	n.Graph.Register(n.RDP)
-	n.Graph.Register(n.Raw)
 	if opt.Metrics != nil {
 		b.RegisterMetrics(opt.Metrics, name+"/board")
 		d.RegisterMetrics(opt.Metrics, name+"/driver")
@@ -103,9 +98,6 @@ func (cl *Cluster) allocVCI() atm.VCI {
 	cl.nextID++
 	return atm.VCI(100 + cl.nextID)
 }
-
-// Node returns node i.
-func (cl *Cluster) Node(i int) *Node { return cl.Nodes[i] }
 
 // Events returns the cumulative executed-event count of the
 // simulation — the denominator for events/sec measurements.

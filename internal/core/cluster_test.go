@@ -87,8 +87,8 @@ func TestOpenPairVCICollisionSurfaces(t *testing.T) {
 		t.Errorf("unexpected error: %v", err)
 	}
 	// The claimed route must still point where it was installed.
-	if port, ok := cl.Fabric.RouteOf(atm.VCI(101)); !ok || port != 2 {
-		t.Errorf("RouteOf(101) = %d,%v after collision", port, ok)
+	if err := cl.Fabric.Route(atm.VCI(101), 2); err == nil || !strings.Contains(err.Error(), "already routed to port 2") {
+		t.Errorf("route of VCI 101 after collision: %v", err)
 	}
 }
 

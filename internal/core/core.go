@@ -24,7 +24,6 @@ import (
 	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/xkernel"
 )
 
 // ProtoKind selects the protocol configuration of Table 1.
@@ -165,7 +164,6 @@ type Node struct {
 	UDP   *proto.UDP
 	RDP   *proto.RDP
 	Raw   *proto.Raw
-	Graph *xkernel.Graph
 	// Addr is the node's internetwork address (node index + 1).
 	Addr proto.HostAddr
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/bus"
 	"repro/internal/dpm"
 	"repro/internal/proto"
+	"repro/internal/sim"
 )
 
 // TestShutdownWithoutRun: tearing down a freshly built testbed or
@@ -37,11 +38,27 @@ func TestShutdownWithoutRun(t *testing.T) {
 	}
 }
 
+// haltAt runs run, ending the engine's Run d from now by panicking out
+// of an event there and recovering here: Run unwinds with the rest of
+// its queue intact.
+func haltAt(e *sim.Engine, d time.Duration, run func()) {
+	type halt struct{}
+	e.At(e.Now().Add(d), func() { panic(halt{}) })
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(halt); !ok {
+				panic(r)
+			}
+		}
+	}()
+	run()
+}
+
 // TestBoardEnginesInertAfterShutdown: procs die at Shutdown, but the
 // board's processors, DMA controllers and fictitious-PDU generator are
 // event continuations whose wakeups stay queued. A testbed stopped
 // mid-transfer and torn down — which also releases every host's memory
-// and board's dual-port memory — must let a later RunFor fire those
+// and board's dual-port memory — must let a later RunUntil fire those
 // events without a panic and without moving any board, bus or
 // dual-port memory counter.
 func TestBoardEnginesInertAfterShutdown(t *testing.T) {
@@ -54,14 +71,13 @@ func TestBoardEnginesInertAfterShutdown(t *testing.T) {
 			}
 			pdu := make([]byte, 8192)
 			tb.B.Board.StartFictitious(61, 4, func(int) [][]byte { return [][]byte{pdu} }, -1, 0)
-			tb.Eng.RunFor(150 * time.Microsecond)
+			tb.Eng.RunUntil(tb.Eng.Now().Add(150 * time.Microsecond))
 			return tb
 		},
 		// UDP round trips over the links: both transmit paths.
 		"latency": func() *Testbed {
 			tb := NewTestbed(alOptions())
-			tb.Eng.At(tb.Eng.Now().Add(150*time.Microsecond), tb.Eng.Stop)
-			tb.RunLatency(UDPIP, 4096, 50)
+			haltAt(tb.Eng, 150*time.Microsecond, func() { tb.RunLatency(UDPIP, 4096, 50) })
 			return tb
 		},
 		// Messages queued back to back on A's transmit ring, its cells
@@ -71,8 +87,7 @@ func TestBoardEnginesInertAfterShutdown(t *testing.T) {
 			opt := alOptions()
 			opt.TxIsolated = true
 			tb := NewTestbed(opt)
-			tb.Eng.At(tb.Eng.Now().Add(100*time.Microsecond), tb.Eng.Stop)
-			tb.RunTransmitThroughput(16384, 4)
+			haltAt(tb.Eng, 100*time.Microsecond, func() { tb.RunTransmitThroughput(16384, 4) })
 			return tb
 		},
 	}
@@ -98,7 +113,7 @@ func TestBoardEnginesInertAfterShutdown(t *testing.T) {
 				t.Fatal("nothing left queued: the transfer was not stopped mid-way")
 			}
 			before, pending, events := snap(), tb.Eng.Pending(), tb.Eng.Events()
-			tb.Eng.RunFor(time.Millisecond)
+			tb.Eng.RunUntil(tb.Eng.Now().Add(time.Millisecond))
 			if after := snap(); after != before {
 				t.Fatalf("counters moved after Shutdown:\nbefore %+v\nafter  %+v", before, after)
 			}

@@ -40,10 +40,10 @@ func TestBuildLeavesHostMemoryOffTheHeap(t *testing.T) {
 			func() {
 				defer func() {
 					if msg, _ := recover().(string); !strings.Contains(msg, "beyond physical memory size") {
-						t.Errorf("%s node %d: ReadWord after Shutdown panicked with %q, want the bounds message", c.name, i, msg)
+						t.Errorf("%s node %d: a memory Read after Shutdown panicked with %q, want the bounds message", c.name, i, msg)
 					}
 				}()
-				n.Host.Mem.ReadWord(0)
+				n.Host.Mem.Read(0, 4)
 			}()
 			func() {
 				defer func() {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/atm"
 	"repro/internal/board"
 	"repro/internal/dpm"
-	"repro/internal/driver"
 	"repro/internal/fbuf"
 	"repro/internal/hostsim"
 	"repro/internal/msg"
@@ -110,6 +109,13 @@ func tenantPDUIntact(data []byte, n int, vci atm.VCI) bool {
 	}
 	return true
 }
+
+// churnSend records that a churn tenant's PDU left the board, so the
+// tenant never closes while the transmit DMA still owns its pages.
+type churnSend struct{ done bool }
+
+// TxDone implements driver.Completion.
+func (c *churnSend) TxDone(*sim.Proc) { c.done = true }
 
 // RunTenants drives the multi-tenant workload between two hosts wired
 // back to back, on one engine.
@@ -405,9 +411,9 @@ func RunTenants(opt Options, w Tenants) (*TenantsResult, error) {
 						fail(fmt.Errorf("core: churn tx buffer: %v", err))
 						return
 					}
-					sendDone := false
+					sent := new(churnSend)
 					mm := msg.New(msg.Fragment{Space: appA.Space, VA: va, Len: w.PDUBytes})
-					if err := a.Driver().Send(p, spt, mm, driver.CompletionFunc(func(*sim.Proc) { sendDone = true })); err != nil {
+					if err := a.Driver().Send(p, spt, mm, sent); err != nil {
 						fail(err)
 						return
 					}
@@ -417,10 +423,10 @@ func RunTenants(opt Options, w Tenants) (*TenantsResult, error) {
 					// legitimately drop the PDU) — but never close while the
 					// transmit DMA still owns the tenant's pages.
 					deadline := p.Now().Add(5 * time.Millisecond)
-					for (!sendDone || !got) && p.Now() < deadline {
+					for (!sent.done || !got) && p.Now() < deadline {
 						p.Sleep(20 * time.Microsecond)
 					}
-					for !sendDone {
+					for !sent.done {
 						p.Sleep(20 * time.Microsecond)
 					}
 					a.Driver().ClosePath(spt)

@@ -127,12 +127,6 @@ type Completion interface {
 	TxDone(p *sim.Proc)
 }
 
-// CompletionFunc adapts a function to a Completion.
-type CompletionFunc func(p *sim.Proc)
-
-// TxDone calls f.
-func (f CompletionFunc) TxDone(p *sim.Proc) { f(p) }
-
 // Path is a connection's binding to a VCI (§3.1: "each path is bound to
 // an unused VCI by the device driver").
 type Path struct {

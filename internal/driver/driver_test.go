@@ -40,6 +40,11 @@ func newPair(t *testing.T, prof func() hostsim.Profile, bcfg board.Config, dcfg 
 	return &pair{eng: e, hA: hA, hB: hB, bA: bA, bB: bB, dA: dA, dB: dB}
 }
 
+// completionFunc adapts a function to a Completion.
+type completionFunc func(p *sim.Proc)
+
+func (f completionFunc) TxDone(p *sim.Proc) { f(p) }
+
 func pattern(n int, seed byte) []byte {
 	out := make([]byte, n)
 	for i := range out {
@@ -153,7 +158,7 @@ func TestTransmitCompletionUnwiresPages(t *testing.T) {
 		m, _ := msg.FromBytes(pr.hA.Kernel, data)
 		frag := m.Fragments()[0]
 		fr, _ := frag.Space.Mapped(frag.Space.VPN(frag.VA))
-		pr.dA.Send(p, ptA, m, CompletionFunc(func(p *sim.Proc) { completed = true }))
+		pr.dA.Send(p, ptA, m, completionFunc(func(p *sim.Proc) { completed = true }))
 		if !pr.hA.Mem.Wired(fr) {
 			t.Error("pages not wired during transmit")
 		}
@@ -181,7 +186,7 @@ func TestMultiBufferPDUCounts(t *testing.T) {
 		body, _ := msg.FromBytes(pr.hA.Kernel, data[28:])
 		hdrVA, _ := pr.hA.Kernel.Alloc(28)
 		pr.hA.Kernel.WriteVirt(hdrVA, data[:28])
-		m := body.Prepend(msg.Fragment{Space: pr.hA.Kernel, VA: hdrVA, Len: 28})
+		m := new(msg.Message).SetPrepend(msg.Fragment{Space: pr.hA.Kernel, VA: hdrVA, Len: 28}, body)
 		segs, _ := m.PhysSegments()
 		if len(segs) < 3 {
 			t.Errorf("segments = %d, want several (scattered pages)", len(segs))
@@ -221,7 +226,7 @@ func TestBackToBackThroughputReachesLinkRegion(t *testing.T) {
 			}
 			va := m.Fragments()[0].VA
 			sp := m.Fragments()[0].Space
-			if err := pr.dA.Send(p, ptA, m, CompletionFunc(func(p *sim.Proc) { sp.Free(va, size) })); err != nil {
+			if err := pr.dA.Send(p, ptA, m, completionFunc(func(p *sim.Proc) { sp.Free(va, size) })); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -345,7 +350,7 @@ func TestInterruptsPerBurstBelowOnePerPDU(t *testing.T) {
 		for i := 0; i < n; i++ {
 			m, _ := msg.FromBytes(pr.hA.Kernel, data)
 			va, sp := m.Fragments()[0].VA, m.Fragments()[0].Space
-			pr.dA.Send(p, ptA, m, CompletionFunc(func(p *sim.Proc) { sp.Free(va, 2048) }))
+			pr.dA.Send(p, ptA, m, completionFunc(func(p *sim.Proc) { sp.Free(va, 2048) }))
 		}
 		pr.dA.Flush(p)
 	})
@@ -377,7 +382,7 @@ func TestTxStallAndNotifyProtocol(t *testing.T) {
 		for i := 0; i < n; i++ {
 			m, _ := msg.FromBytes(pr.hA.Kernel, data)
 			va, sp := m.Fragments()[0].VA, m.Fragments()[0].Space
-			pr.dA.Send(p, ptA, m, CompletionFunc(func(p *sim.Proc) { sp.Free(va, 2048) }))
+			pr.dA.Send(p, ptA, m, completionFunc(func(p *sim.Proc) { sp.Free(va, 2048) }))
 		}
 		pr.dA.Flush(p)
 	})

@@ -123,7 +123,11 @@ func (f *Fbuf) Read(d *Domain, off, n int) ([]byte, error) {
 	if off+n > f.size {
 		return nil, fmt.Errorf("fbuf: read [%d,%d) beyond size %d", off, off+n, f.size)
 	}
-	return d.Space.ReadVirt(va+mem.VirtAddr(off), n)
+	out := make([]byte, n)
+	if err := d.Space.ReadVirtInto(va+mem.VirtAddr(off), out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // PhysBuffers returns the fbuf's physical extents (for DMA descriptors).

@@ -150,15 +150,6 @@ func (h *Host) PutSegs(s []mem.PhysBuffer) {
 	h.segPool = append(h.segPool, s)
 }
 
-// CPUWriteData writes data to physical address pa through the cache,
-// charging the CPU touch cost and write-through bus traffic.
-func (h *Host) CPUWriteData(p *sim.Proc, pa mem.PhysAddr, data []byte) {
-	h.Cache.Write(pa, data)
-	words := (len(data) + 3) / 4
-	h.Compute(p, h.Prof.Cycles(words))
-	h.Bus.CPUMemWrite(p, words)
-}
-
 // InvalidateData performs an explicit cache invalidation of the given
 // segments, charging one CPU cycle per 32-bit word (§2.3).
 func (h *Host) InvalidateData(p *sim.Proc, segs []mem.PhysBuffer) {
@@ -285,11 +276,4 @@ func (ic *IntController) Count(line int) int64 {
 		return l.count
 	}
 	return 0
-}
-
-// ResetCounts zeroes the per-line assertion counters.
-func (ic *IntController) ResetCounts() {
-	for _, l := range ic.lines {
-		l.count = 0
-	}
 }

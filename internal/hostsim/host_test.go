@@ -236,10 +236,6 @@ func TestInterruptCoalescing(t *testing.T) {
 	if h.Int.Count(2) != 1 {
 		t.Errorf("Count = %d, want 1 (coalesced asserts don't count)", h.Int.Count(2))
 	}
-	h.Int.ResetCounts()
-	if h.Int.Count(2) != 0 {
-		t.Error("ResetCounts failed")
-	}
 }
 
 func TestInterruptAfterHandlerRunsAgain(t *testing.T) {

@@ -134,8 +134,7 @@ func DEC5000_200() Profile {
 			// The R3000's miss penalty across the shared path was severe;
 			// this overhead, with the serialized-bus contention, yields
 			// the ~80 Mbps CPU-touched ceiling of §4.
-			MemReadOverhead:  14,
-			MemWriteOverhead: 6,
+			MemReadOverhead: 14,
 		},
 		CacheSize:   64 * 1024,
 		CacheLine:   16,
@@ -182,11 +181,10 @@ func DEC3000_600() Profile {
 			// The TURBOchannel itself still runs at 25 MHz; the crossbar
 			// decouples it from CPU/memory traffic, and the private
 			// memory port is much faster.
-			ClockHz:          25_000_000,
-			MemClockHz:       100_000_000,
-			Serialized:       false,
-			MemReadOverhead:  4,
-			MemWriteOverhead: 2,
+			ClockHz:         25_000_000,
+			MemClockHz:      100_000_000,
+			Serialized:      false,
+			MemReadOverhead: 4,
 		},
 		CacheSize:   2 * 1024 * 1024, // 2 MB board-level cache
 		CacheLine:   32,

@@ -298,27 +298,3 @@ func (m *Memory) Write(a PhysAddr, src []byte) {
 	m.check(a, len(src))
 	copy(m.data[a:int(a)+len(src)], src)
 }
-
-// ReadWord returns the 32-bit little-endian word at a (which must be
-// word-aligned). Word operations are the unit of atomicity the dual-port
-// memory guarantees, so the queue code uses them exclusively.
-func (m *Memory) ReadWord(a PhysAddr) uint32 {
-	m.check(a, 4)
-	if a%4 != 0 {
-		panic(fmt.Sprintf("mem: unaligned word read at %d", a))
-	}
-	d := m.data[a : a+4]
-	return uint32(d[0]) | uint32(d[1])<<8 | uint32(d[2])<<16 | uint32(d[3])<<24
-}
-
-// WriteWord stores a 32-bit little-endian word at word-aligned address a.
-func (m *Memory) WriteWord(a PhysAddr, v uint32) {
-	m.check(a, 4)
-	if a%4 != 0 {
-		panic(fmt.Sprintf("mem: unaligned word write at %d", a))
-	}
-	m.data[a] = byte(v)
-	m.data[a+1] = byte(v >> 8)
-	m.data[a+2] = byte(v >> 16)
-	m.data[a+3] = byte(v >> 24)
-}

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestDefaults(t *testing.T) {
@@ -317,35 +316,6 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWordAccess(t *testing.T) {
-	m := New(Config{Pages: 1})
-	m.WriteWord(8, 0xDEADBEEF)
-	if got := m.ReadWord(8); got != 0xDEADBEEF {
-		t.Errorf("ReadWord = %#x", got)
-	}
-	// Little-endian byte order.
-	if b := m.Read(8, 4); !bytes.Equal(b, []byte{0xEF, 0xBE, 0xAD, 0xDE}) {
-		t.Errorf("word bytes = %x", b)
-	}
-}
-
-func TestUnalignedWordPanics(t *testing.T) {
-	m := New(Config{Pages: 1})
-	for _, fn := range []func(){
-		func() { m.ReadWord(2) },
-		func() { m.WriteWord(6, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("unaligned word access did not panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestOutOfBoundsPanics(t *testing.T) {
 	m := New(Config{Pages: 1, PageSize: 4096})
 	defer func() {
@@ -354,18 +324,6 @@ func TestOutOfBoundsPanics(t *testing.T) {
 		}
 	}()
 	m.Read(4090, 100)
-}
-
-func TestWordRoundTripQuick(t *testing.T) {
-	m := New(Config{Pages: 1})
-	f := func(v uint32, slot uint8) bool {
-		a := PhysAddr(slot) * 4
-		m.WriteWord(a, v)
-		return m.ReadWord(a) == v
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
 }
 
 // One seeded random sequence of accesses, frame-crossing and out of
@@ -393,13 +351,6 @@ func TestBackingsAgree(t *testing.T) {
 			return PhysAddr(rng.Intn(size))
 		}
 	}
-	wordAddr := func() PhysAddr {
-		a := addr()
-		if rng.Intn(8) > 0 {
-			a &^= 3 // mostly aligned; an unaligned one must panic alike
-		}
-		return a
-	}
 	run := func(m *Memory, op func(*Memory) any) (res, panicked any) {
 		defer func() { panicked = recover() }()
 		return op(m), nil
@@ -409,7 +360,7 @@ func TestBackingsAgree(t *testing.T) {
 	for step := 0; step < 3000; step++ {
 		var desc string
 		var op func(*Memory) any
-		switch k := rng.Intn(6); k {
+		switch k := rng.Intn(4); k {
 		case 0, 1, 2:
 			a, n := addr(), rng.Intn(64)
 			if int(a)/cfg.PageSize != (int(a)+n-1)/cfg.PageSize {
@@ -428,14 +379,6 @@ func TestBackingsAgree(t *testing.T) {
 				desc = fmt.Sprintf("Write(%d, [%d])", a, n)
 				op = func(m *Memory) any { m.Write(a, src); return nil }
 			}
-		case 3:
-			a := wordAddr()
-			desc = fmt.Sprintf("ReadWord(%d)", a)
-			op = func(m *Memory) any { return m.ReadWord(a) }
-		case 4:
-			a, v := wordAddr(), rng.Uint32()
-			desc = fmt.Sprintf("WriteWord(%d, %#x)", a, v)
-			op = func(m *Memory) any { m.WriteWord(a, v); return nil }
 		default:
 			f := Frame(rng.Intn(cfg.Pages + 1))
 			desc = fmt.Sprintf("Reclaim(%d)", f)
@@ -460,13 +403,13 @@ func TestBackingsAgree(t *testing.T) {
 
 func TestRelease(t *testing.T) {
 	m := New(Config{Pages: 4})
-	m.WriteWord(0, 1)
+	m.Write(0, []byte{1})
 	m.Release()
 	m.Release() // a second call does nothing
 	defer func() {
 		if msg, _ := recover().(string); !strings.Contains(msg, "beyond physical memory size 0") {
-			t.Errorf("ReadWord after Release panicked with %q, want the bounds message", msg)
+			t.Errorf("Read after Release panicked with %q, want the bounds message", msg)
 		}
 	}()
-	m.ReadWord(0)
+	m.Read(0, 4)
 }

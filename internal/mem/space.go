@@ -155,16 +155,6 @@ func (s *AddressSpace) Free(va VirtAddr, n int) error {
 	return nil
 }
 
-// ReadVirt copies n bytes starting at virtual address va, following the
-// page table across page boundaries.
-func (s *AddressSpace) ReadVirt(va VirtAddr, n int) ([]byte, error) {
-	out := make([]byte, n)
-	if err := s.ReadVirtInto(va, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // ReadVirtInto copies len(dst) bytes starting at virtual address va into
 // dst, following the page table across page boundaries.
 func (s *AddressSpace) ReadVirtInto(va VirtAddr, dst []byte) error {

@@ -52,8 +52,8 @@ func TestVirtReadWriteAcrossPages(t *testing.T) {
 	if err := s.WriteVirt(start, pat); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.ReadVirt(start, 100)
-	if err != nil {
+	got := make([]byte, 100)
+	if err := s.ReadVirtInto(start, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, pat) {
@@ -194,8 +194,8 @@ func TestSharedMappingSeesSameBytes(t *testing.T) {
 	if err := a.WriteVirt(a.Base(5)+16, []byte("shared!")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := b.ReadVirt(b.Base(9)+16, 7)
-	if err != nil {
+	got := make([]byte, 7)
+	if err := b.ReadVirtInto(b.Base(9)+16, got); err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != "shared!" {
@@ -275,8 +275,8 @@ func TestVirtRoundTripQuick(t *testing.T) {
 		if err := s.WriteVirt(va+VirtAddr(off), data); err != nil {
 			return false
 		}
-		got, err := s.ReadVirt(va+VirtAddr(off), len(data))
-		return err == nil && bytes.Equal(got, data)
+		got := make([]byte, len(data))
+		return s.ReadVirtInto(va+VirtAddr(off), got) == nil && bytes.Equal(got, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -1,7 +1,7 @@
 // Package metrics is the deterministic telemetry plane: typed metric
-// families (counter, gauge, high-water mark, streaming quantile
-// sketch) registered per component under a Registry and snapshotted
-// into a canonical, seed-stable JSON document.
+// families (sampled counters and gauges, high-water marks, streaming
+// quantile sketches) registered per component under a Registry and
+// snapshotted into a canonical, seed-stable JSON document.
 //
 // Design rules, in priority order:
 //
@@ -20,13 +20,12 @@
 //
 // Two observation styles coexist:
 //
-//   - Push metrics (Counter/Gauge/HighWater/Sketch handles) for values
-//     that must be observed continuously (queue occupancy, per-PDU
-//     latency). The component stores the pointer and mutates it
-//     inline.
-//   - Sampled metrics (Sample/SampleDiag) for values a component
-//     already tracks in its own Stats struct. The registry stores a
-//     closure that is evaluated once, at snapshot time — zero
+//   - Push metrics (HighWater/Sketch handles) for values that must be
+//     observed continuously (queue occupancy, per-PDU latency). The
+//     component stores the pointer and mutates it inline.
+//   - Sampled counters and gauges (Sample/SampleDiag) for values a
+//     component already tracks in its own Stats struct. The registry
+//     stores a closure that is evaluated once, at snapshot time — zero
 //     hot-path cost.
 //
 // Metrics whose value legitimately depends on the execution substrate
@@ -64,58 +63,6 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Counter is a monotonically increasing event count. All methods are
-// no-ops on a nil receiver.
-type Counter struct{ v int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
-}
-
-// Add adds n (n must be >= 0; negative deltas belong on a Gauge).
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v += n
-	}
-}
-
-// Value returns the current count (0 on nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
-// Gauge is an instantaneous level that can move both ways. All
-// methods are no-ops on a nil receiver.
-type Gauge struct{ v int64 }
-
-// Set replaces the level.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v = v
-	}
-}
-
-// Add moves the level by d (may be negative).
-func (g *Gauge) Add(d int64) {
-	if g != nil {
-		g.v += d
-	}
-}
-
-// Value returns the current level (0 on nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
 // HighWater retains the maximum observed value. All methods are
 // no-ops on a nil receiver.
 type HighWater struct{ v int64 }
@@ -141,8 +88,6 @@ type entry struct {
 	kind Kind
 	diag bool // excluded from canonical snapshots
 
-	c      *Counter
-	g      *Gauge
 	h      *HighWater
 	s      *Sketch
 	sample func() int64 // lazily evaluated at snapshot time
@@ -172,26 +117,6 @@ func (r *Registry) add(e entry) {
 	}
 	r.index[e.name] = len(r.entries)
 	r.entries = append(r.entries, e)
-}
-
-// Counter registers and returns a push counter (nil if r is nil).
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	c := &Counter{}
-	r.add(entry{name: name, kind: KindCounter, c: c})
-	return c
-}
-
-// Gauge registers and returns a push gauge (nil if r is nil).
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	g := &Gauge{}
-	r.add(entry{name: name, kind: KindGauge, g: g})
-	return g
 }
 
 // HighWater registers and returns a push high-water mark (nil if r is
@@ -276,31 +201,12 @@ func (r *Registry) Snapshot(includeDiag bool) []Value {
 		return nil
 	}
 	out := make([]Value, 0, len(r.entries))
-	for _, e := range r.entries {
+	for i := range r.entries {
+		e := &r.entries[i]
 		if e.diag && !includeDiag {
 			continue
 		}
-		v := Value{Name: e.name, Kind: e.kind.String(), Diag: e.diag}
-		switch {
-		case e.sample != nil:
-			v.Value = e.sample()
-		case e.c != nil:
-			v.Value = e.c.Value()
-		case e.g != nil:
-			v.Value = e.g.Value()
-		case e.h != nil:
-			v.Value = e.h.Value()
-		case e.s != nil:
-			v.Count = e.s.Count()
-			if v.Count > 0 {
-				v.Min, v.Max = e.s.Min(), e.s.Max()
-				v.Quantiles = make([]QuantileValue, 0, len(e.s.qs))
-				for _, q := range e.s.qs {
-					v.Quantiles = append(v.Quantiles, QuantileValue{Q: q, V: e.s.Quantile(q)})
-				}
-			}
-		}
-		out = append(out, v)
+		out = append(out, e.value())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -317,25 +223,26 @@ func (r *Registry) Get(name string) (Value, bool) {
 	if !ok {
 		return Value{}, false
 	}
-	e := r.entries[i]
+	return r.entries[i].value(), true
+}
+
+// value evaluates e into its snapshot Value.
+func (e *entry) value() Value {
 	v := Value{Name: e.name, Kind: e.kind.String(), Diag: e.diag}
 	switch {
 	case e.sample != nil:
 		v.Value = e.sample()
-	case e.c != nil:
-		v.Value = e.c.Value()
-	case e.g != nil:
-		v.Value = e.g.Value()
 	case e.h != nil:
 		v.Value = e.h.Value()
 	case e.s != nil:
 		v.Count = e.s.Count()
 		if v.Count > 0 {
 			v.Min, v.Max = e.s.Min(), e.s.Max()
+			v.Quantiles = make([]QuantileValue, 0, len(e.s.qs))
 			for _, q := range e.s.qs {
 				v.Quantiles = append(v.Quantiles, QuantileValue{Q: q, V: e.s.Quantile(q)})
 			}
 		}
 	}
-	return v, true
+	return v
 }

@@ -7,11 +7,9 @@ import (
 
 func TestNilRegistryAndNilMetricsAreInert(t *testing.T) {
 	var r *Registry
-	c := r.Counter("c")
-	g := r.Gauge("g")
 	h := r.HighWater("h")
 	s := r.Quantiles("s", 0.5)
-	if c != nil || g != nil || h != nil || s != nil {
+	if h != nil || s != nil {
 		t.Fatalf("nil registry must hand out nil metrics")
 	}
 	r.Sample("x", KindCounter, func() int64 { return 1 })
@@ -24,13 +22,9 @@ func TestNilRegistryAndNilMetricsAreInert(t *testing.T) {
 	}
 
 	// Mutators on nil handles must be safe no-ops.
-	c.Inc()
-	c.Add(5)
-	g.Set(3)
-	g.Add(-1)
 	h.Observe(9)
 	s.Observe(1.5)
-	if c.Value() != 0 || g.Value() != 0 || h.Value() != 0 || s.Count() != 0 {
+	if h.Value() != 0 || s.Count() != 0 {
 		t.Fatalf("nil metric accessors must return zero")
 	}
 	if s.Quantile(0.5) != 0 || s.Min() != 0 || s.Max() != 0 {
@@ -39,14 +33,9 @@ func TestNilRegistryAndNilMetricsAreInert(t *testing.T) {
 }
 
 func TestNilMetricOpsZeroAlloc(t *testing.T) {
-	var c *Counter
-	var g *Gauge
 	var h *HighWater
 	var s *Sketch
 	allocs := testing.AllocsPerRun(1000, func() {
-		c.Inc()
-		c.Add(3)
-		g.Set(7)
 		h.Observe(11)
 		s.Observe(2.5)
 	})
@@ -57,8 +46,6 @@ func TestNilMetricOpsZeroAlloc(t *testing.T) {
 
 func TestEnabledMetricOpsZeroAlloc(t *testing.T) {
 	r := New()
-	c := r.Counter("c")
-	g := r.Gauge("g")
 	h := r.HighWater("h")
 	s := r.Quantiles("s", 0.5, 0.99)
 	for i := 0; i < 16; i++ { // past the sketch init phase
@@ -66,9 +53,7 @@ func TestEnabledMetricOpsZeroAlloc(t *testing.T) {
 	}
 	v := 0.0
 	allocs := testing.AllocsPerRun(1000, func() {
-		c.Inc()
-		g.Add(1)
-		h.Observe(g.Value())
+		h.Observe(int64(v))
 		s.Observe(v)
 		v += 1.5
 	})
@@ -79,17 +64,15 @@ func TestEnabledMetricOpsZeroAlloc(t *testing.T) {
 
 func TestCounterGaugeHighWater(t *testing.T) {
 	r := New()
-	c := r.Counter("c")
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Errorf("counter = %d, want 5", c.Value())
+	var count, level int64
+	r.Sample("c", KindCounter, func() int64 { return count })
+	r.Sample("g", KindGauge, func() int64 { return level })
+	count, level = 5, 7
+	if v, _ := r.Get("c"); v.Value != 5 || v.Kind != "counter" {
+		t.Errorf("counter = %+v, want 5", v)
 	}
-	g := r.Gauge("g")
-	g.Set(10)
-	g.Add(-3)
-	if g.Value() != 7 {
-		t.Errorf("gauge = %d, want 7", g.Value())
+	if v, _ := r.Get("g"); v.Value != 7 || v.Kind != "gauge" {
+		t.Errorf("gauge = %+v, want 7", v)
 	}
 	h := r.HighWater("h")
 	h.Observe(3)
@@ -107,14 +90,14 @@ func TestDuplicateNamePanics(t *testing.T) {
 		}
 	}()
 	r := New()
-	r.Counter("same")
-	r.Gauge("same")
+	r.HighWater("same")
+	r.Sample("same", KindGauge, func() int64 { return 0 })
 }
 
 func TestSnapshotCanonicalOrderAndDiagExclusion(t *testing.T) {
 	r := New()
-	r.Counter("z/last").Add(1)
-	r.Gauge("a/first").Set(2)
+	r.HighWater("z/last").Observe(1)
+	r.Sample("a/first", KindGauge, func() int64 { return 2 })
 	r.Sample("m/sampled", KindCounter, func() int64 { return 42 })
 	r.SampleDiag("b/diag", KindGauge, func() int64 { return 7 })
 

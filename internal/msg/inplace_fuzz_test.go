@@ -53,11 +53,11 @@ func refPrepend(f Fragment, frags []Fragment) []Fragment {
 }
 
 // FuzzMessageInPlaceMatchesFresh applies a byte-coded sequence of
-// strips, prepends, splits, appends and rebuilds to three reused
-// Messages with the in-place forms (SetTrimPrefix, SetPrepend,
-// SplitInto, SetAppend, SetFragments), and the same sequence to fresh
-// Messages with the allocating forms and to a plain-slice model. The
-// reused Messages start dirty, holding fragment lists both longer and
+// strips, prepends, splits, appends and rebuilds (SetTrimPrefix,
+// SetPrepend, SplitInto, SetAppend, SetFragments) to three reused
+// Messages, the same sequence with a fresh zero Message as each
+// destination, and the same sequence to a plain-slice model, the
+// oracle. The reused Messages start dirty, holding fragment lists both longer and
 // shorter than the inline array, and operands alias the destination
 // wherever the in-place forms allow it. After every step all three
 // agree on Fragments() and Len(), including when a cut point is out of
@@ -109,7 +109,8 @@ func FuzzMessageInPlaceMatchesFresh(f *testing.F) {
 				n := next() % (refLen(model[j]) + 2)
 				desc = "strip"
 				err := reused[i].SetTrimPrefix(reused[j], n)
-				fm, ferr := fresh[j].TrimPrefix(n)
+				fm := new(Message)
+				ferr := fm.SetTrimPrefix(fresh[j], n)
 				if n > refLen(model[j]) {
 					if err == nil || ferr == nil {
 						t.Fatalf("step %d: strip %d of %d bytes succeeded", step, n, refLen(model[j]))
@@ -125,7 +126,7 @@ func FuzzMessageInPlaceMatchesFresh(f *testing.F) {
 				f := frag(step, next()%40)
 				desc = "prepend"
 				reused[i].SetPrepend(f, reused[j])
-				fresh[i] = fresh[j].Prepend(f)
+				fresh[i] = new(Message).SetPrepend(f, fresh[j])
 				model[i] = refPrepend(f, model[j])
 			case 2: // split: head is neither the source nor the tail
 				h := (j + 1 + next()%2) % 3
@@ -136,7 +137,8 @@ func FuzzMessageInPlaceMatchesFresh(f *testing.F) {
 				n := next() % (refLen(model[j]) + 2)
 				desc = "split"
 				err := reused[j].SplitInto(n, reused[h], reused[k])
-				fh, ft, ferr := fresh[j].Split(n)
+				fh, ft := new(Message), new(Message)
+				ferr := fresh[j].SplitInto(n, fh, ft)
 				if n > refLen(model[j]) {
 					if err == nil || ferr == nil {
 						t.Fatalf("step %d: split at %d of %d bytes succeeded", step, n, refLen(model[j]))
@@ -152,7 +154,7 @@ func FuzzMessageInPlaceMatchesFresh(f *testing.F) {
 				b := next() % 3
 				desc = "append"
 				reused[i].SetAppend(reused[j], reused[b])
-				fresh[i] = fresh[j].Append(fresh[b])
+				fresh[i] = new(Message).SetAppend(fresh[j], fresh[b])
 				model[i] = append(slices.Clone(model[j]), model[b]...)
 			case 4: // rebuild from new fragments, some empty
 				frs := make([]Fragment, next()%9)

@@ -27,12 +27,10 @@ type Fragment struct {
 // Message is a sequence of fragments. The zero value is an empty message.
 // The bytes themselves are never copied by message manipulation.
 //
-// Every operation comes in two forms. The Set* methods and SplitInto
-// rewrite a caller-owned Message in place, reusing its fragment storage,
-// so a layer that keeps one Message per in-flight PDU allocates nothing
-// in steady state; the receiver may also be an operand. The allocating
-// forms (New, Prepend, Append, Split, TrimPrefix) wrap them, returning
-// a fresh Message.
+// The Set* methods and SplitInto rewrite a caller-owned Message in
+// place, reusing its fragment storage, so a layer that keeps one
+// Message per in-flight PDU allocates nothing in steady state; the
+// receiver may also be an operand. New builds a fresh Message.
 //
 // Messages must not be copied by value: short fragment lists live in the
 // inline array, so a copy would alias the original's storage.
@@ -136,25 +134,6 @@ func FromBytesOffset(space *mem.AddressSpace, data []byte, offset int) (*Message
 	return New(Fragment{Space: space, VA: va, Len: len(data)}), nil
 }
 
-// FromBytesAligned is FromBytes but places the data so that it *ends*
-// exactly at a page boundary — the §2.5.2 arrangement that lets every
-// non-final buffer of a PDU align with the page-boundary-stop DMA.
-func FromBytesAligned(space *mem.AddressSpace, data []byte) (*Message, error) {
-	if len(data) == 0 {
-		return New(), nil
-	}
-	ps := space.Memory().PageSize()
-	offset := (ps - len(data)%ps) % ps
-	va, err := space.AllocAligned(len(data), offset)
-	if err != nil {
-		return nil, err
-	}
-	if err := space.WriteVirt(va, data); err != nil {
-		return nil, err
-	}
-	return New(Fragment{Space: space, VA: va, Len: len(data)}), nil
-}
-
 // Len returns the total message length in bytes.
 func (m *Message) Len() int {
 	n := 0
@@ -168,17 +147,8 @@ func (m *Message) Len() int {
 // mutate it).
 func (m *Message) Fragments() []Fragment { return m.frags }
 
-// Prepend returns a new message with f in front — the x-kernel header
-// push operation.
-func (m *Message) Prepend(f Fragment) *Message {
-	if f.Len == 0 {
-		return m
-	}
-	return new(Message).SetPrepend(f, m)
-}
-
 // SetPrepend sets m to f followed by src and returns m (an empty f is
-// dropped). src may be m.
+// dropped) — the x-kernel header push operation. src may be m.
 func (m *Message) SetPrepend(f Fragment, src *Message) *Message {
 	if f.Len == 0 {
 		return m.SetFragments(src.frags...)
@@ -189,11 +159,6 @@ func (m *Message) SetPrepend(f Fragment, src *Message) *Message {
 	dst[0] = f
 	m.frags = dst
 	return m
-}
-
-// Append returns the concatenation m ++ other.
-func (m *Message) Append(other *Message) *Message {
-	return new(Message).SetAppend(m, other)
 }
 
 // SetAppend sets m to the concatenation a ++ b and returns m. Either
@@ -209,18 +174,9 @@ func (m *Message) SetAppend(a, b *Message) *Message {
 	return m
 }
 
-// Split returns the first n bytes and the remainder as two messages
-// sharing the underlying memory (used by IP fragmentation).
-func (m *Message) Split(n int) (head, tail *Message, err error) {
-	head, tail = new(Message), new(Message)
-	if err := m.SplitInto(n, head, tail); err != nil {
-		return nil, nil, err
-	}
-	return head, tail, nil
-}
-
-// SplitInto sets head to m's first n bytes and tail to the remainder.
-// tail may be m; head must be neither m nor tail. On error neither
+// SplitInto sets head to m's first n bytes and tail to the remainder,
+// sharing the underlying memory (used by IP fragmentation). tail may
+// be m; head must be neither m nor tail. On error neither
 // changes.
 func (m *Message) SplitInto(n int, head, tail *Message) error {
 	if head == m || head == tail {
@@ -249,7 +205,7 @@ func (m *Message) checkCut(n int) error {
 	return nil
 }
 
-// splitCounts returns how many fragments a Split(n) would place in the
+// splitCounts returns how many fragments a cut at n would place in the
 // head and the tail (a fragment straddling the cut counts on both).
 func (m *Message) splitCounts(n int) (nh, nt int) {
 	remaining := n
@@ -269,19 +225,10 @@ func (m *Message) splitCounts(n int) (nh, nt int) {
 	return nh, nt
 }
 
-// TrimPrefix returns the message with its first n bytes removed — the
-// x-kernel header strip operation. Unlike Split it never materializes
-// the discarded head.
-func (m *Message) TrimPrefix(n int) (*Message, error) {
-	tail := new(Message)
-	if err := tail.SetTrimPrefix(m, n); err != nil {
-		return nil, err
-	}
-	return tail, nil
-}
-
-// SetTrimPrefix sets m to src with its first n bytes removed. src may
-// be m. On error m is unchanged.
+// SetTrimPrefix sets m to src with its first n bytes removed — the
+// x-kernel header strip operation. Unlike SplitInto it never
+// materializes the discarded head. src may be m. On error m is
+// unchanged.
 func (m *Message) SetTrimPrefix(src *Message, n int) error {
 	if err := src.checkCut(n); err != nil {
 		return err

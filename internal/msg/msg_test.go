@@ -71,7 +71,7 @@ func TestPrependHeader(t *testing.T) {
 	body, _ := FromBytes(s, pattern(100))
 	hdrVA, _ := s.Alloc(20)
 	s.WriteVirt(hdrVA, []byte("HDRHDRHDRHDRHDRHDR20"))
-	m := body.Prepend(Fragment{Space: s, VA: hdrVA, Len: 20})
+	m := new(Message).SetPrepend(Fragment{Space: s, VA: hdrVA, Len: 20}, body)
 	if m.Len() != 120 {
 		t.Errorf("Len = %d", m.Len())
 	}
@@ -84,7 +84,7 @@ func TestPrependHeader(t *testing.T) {
 	}
 	// Original message untouched.
 	if body.Len() != 100 {
-		t.Error("Prepend mutated receiver")
+		t.Error("SetPrepend mutated its source")
 	}
 }
 
@@ -92,13 +92,13 @@ func TestTrimPrefixStripsHeader(t *testing.T) {
 	s := testSpace(3)
 	data := pattern(500)
 	m, _ := FromBytes(s, data)
-	stripped, err := m.TrimPrefix(100)
-	if err != nil {
+	stripped := new(Message)
+	if err := stripped.SetTrimPrefix(m, 100); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := stripped.Bytes()
 	if !bytes.Equal(got, data[100:]) {
-		t.Error("TrimPrefix wrong bytes")
+		t.Error("SetTrimPrefix wrong bytes")
 	}
 }
 
@@ -106,8 +106,8 @@ func TestSplitSharesMemory(t *testing.T) {
 	s := testSpace(4)
 	data := pattern(8192)
 	m, _ := FromBytes(s, data)
-	head, tail, err := m.Split(5000)
-	if err != nil {
+	head, tail := new(Message), new(Message)
+	if err := m.SplitInto(5000, head, tail); err != nil {
 		t.Fatal(err)
 	}
 	if head.Len() != 5000 || tail.Len() != 3192 {
@@ -127,19 +127,18 @@ func TestSplitSharesMemory(t *testing.T) {
 func TestSplitEdges(t *testing.T) {
 	s := testSpace(5)
 	m, _ := FromBytes(s, pattern(100))
-	h, tl, err := m.Split(0)
-	if err != nil || h.Len() != 0 || tl.Len() != 100 {
-		t.Error("Split(0) wrong")
+	h, tl := new(Message), new(Message)
+	if err := m.SplitInto(0, h, tl); err != nil || h.Len() != 0 || tl.Len() != 100 {
+		t.Error("SplitInto(0) wrong")
 	}
-	h, tl, err = m.Split(100)
-	if err != nil || h.Len() != 100 || tl.Len() != 0 {
-		t.Error("Split(len) wrong")
+	if err := m.SplitInto(100, h, tl); err != nil || h.Len() != 100 || tl.Len() != 0 {
+		t.Error("SplitInto(len) wrong")
 	}
-	if _, _, err = m.Split(101); err == nil {
-		t.Error("Split beyond length accepted")
+	if err := m.SplitInto(101, h, tl); err == nil || h.Len() != 100 || tl.Len() != 0 {
+		t.Error("SplitInto beyond length accepted or changed its outputs")
 	}
-	if _, _, err = m.Split(-1); err == nil {
-		t.Error("Split(-1) accepted")
+	if err := m.SplitInto(-1, h, tl); err == nil {
+		t.Error("SplitInto(-1) accepted")
 	}
 }
 
@@ -147,7 +146,7 @@ func TestAppend(t *testing.T) {
 	s := testSpace(6)
 	a, _ := FromBytes(s, []byte("hello "))
 	b, _ := FromBytes(s, []byte("world"))
-	m := a.Append(b)
+	m := new(Message).SetAppend(a, b)
 	got, _ := m.Bytes()
 	if string(got) != "hello world" {
 		t.Errorf("got %q", got)
@@ -163,7 +162,8 @@ func TestAppendBytes(t *testing.T) {
 	hdr, _ := FromBytes(s, []byte("hdr:"))
 	body, _ := FromBytes(s, pattern(9000))
 	tail, _ := FromBytes(s, []byte(":end"))
-	m := hdr.Append(body).Append(tail)
+	m := new(Message).SetAppend(hdr, body)
+	m.SetAppend(m, tail)
 	want := append(append([]byte("prefix"), "hdr:"...), append(pattern(9000), ":end"...)...)
 
 	buf := make([]byte, 0, len(want))
@@ -188,12 +188,12 @@ func TestPhysSegmentsHeaderPlusBody(t *testing.T) {
 	// The §2.2 figure: a PDU of header + n-page body occupies about
 	// n+2 physical buffers when the body is not page aligned.
 	s := testSpace(7)
-	body, err := FromBytesAligned(s, pattern(2*4096)) // ends on page boundary
+	body, err := FromBytesOffset(s, pattern(2*4096), 0) // ends on page boundary
 	if err != nil {
 		t.Fatal(err)
 	}
 	hdrVA, _ := s.Alloc(28)
-	m := body.Prepend(Fragment{Space: s, VA: hdrVA, Len: 28})
+	m := new(Message).SetPrepend(Fragment{Space: s, VA: hdrVA, Len: 28}, body)
 	segs, err := m.PhysSegments()
 	if err != nil {
 		t.Fatal(err)
@@ -212,10 +212,14 @@ func TestPhysSegmentsHeaderPlusBody(t *testing.T) {
 	}
 }
 
+// TestFromBytesAlignedEndsAtPageBoundary: FromBytesOffset with the
+// offset that leaves room for n bytes before a page boundary places the
+// data so that it ends there — the §2.5.2 arrangement that lets every
+// non-final buffer of a PDU align with the page-boundary-stop DMA.
 func TestFromBytesAlignedEndsAtPageBoundary(t *testing.T) {
 	s := testSpace(8)
 	for _, n := range []int{1, 100, 4096, 5000, 12288} {
-		m, err := FromBytesAligned(s, pattern(n))
+		m, err := FromBytesOffset(s, pattern(n), (4096-n%4096)%4096)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +263,7 @@ func TestString(t *testing.T) {
 	}
 }
 
-// Property: for any content and any split point, Split-then-concatenate
+// Property: for any content and any split point, split-then-concatenate
 // is identity, and PhysSegments always exactly covers the message.
 func TestSplitConcatIdentityQuick(t *testing.T) {
 	s := testSpace(10)
@@ -272,11 +276,11 @@ func TestSplitConcatIdentityQuick(t *testing.T) {
 			return true // allocator exhausted by quick iterations; skip
 		}
 		n := int(at) % (len(data) + 1)
-		head, tail, err := m.Split(n)
-		if err != nil {
+		head, tail := new(Message), new(Message)
+		if err := m.SplitInto(n, head, tail); err != nil {
 			return false
 		}
-		joined, err := head.Append(tail).Bytes()
+		joined, err := tail.SetAppend(head, tail).Bytes()
 		if err != nil || !bytes.Equal(joined, data) {
 			return false
 		}

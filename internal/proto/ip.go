@@ -78,9 +78,6 @@ func NewIP(h *hostsim.Host, drv *driver.Driver, local HostAddr, mtu int) *IP {
 	return &IP{host: h, drv: drv, local: local, mtu: mtu}
 }
 
-// Name implements xkernel.Protocol.
-func (ip *IP) Name() string { return "ip" }
-
 // MTU returns the configured MTU.
 func (ip *IP) MTU() int { return ip.mtu }
 
@@ -98,12 +95,8 @@ type IPOpen struct {
 	Proto  byte
 }
 
-// Open implements xkernel.Protocol.
-func (ip *IP) Open(addr any) (xkernel.Session, error) {
-	a, ok := addr.(IPOpen)
-	if !ok {
-		return nil, fmt.Errorf("proto: ip.Open wants IPOpen, got %T", addr)
-	}
+// Open opens an IP session to a.Remote on the path bound to a.VCI.
+func (ip *IP) Open(a IPOpen) (xkernel.Session, error) {
 	s := &ipSession{
 		ip:     ip,
 		remote: a.Remote,
@@ -501,7 +494,8 @@ func readThroughCache(p *sim.Proc, h *hostsim.Host, m *msg.Message, hdr []byte) 
 	}
 	// Walk the first n bytes fragment by fragment instead of materializing
 	// a head message; the shared append slice merges abutting physical
-	// runs exactly as Split-then-PhysSegments did.
+	// runs exactly as splitting off the head and taking its
+	// PhysSegments would.
 	segs := h.GetSegs()
 	var err error
 	remaining := n

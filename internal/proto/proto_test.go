@@ -280,32 +280,6 @@ func TestLazyInvalidationRecoversStaleChecksum(t *testing.T) {
 	}
 }
 
-func TestGraphRegistersStack(t *testing.T) {
-	sp := newStackPair(t, hostsim.DEC3000_600, 16*1024, driver.Config{Cache: driver.CacheNone})
-	g := xkernel.NewGraph("kernel")
-	g.Register(sp.ipA)
-	g.Register(sp.udpA)
-	g.Register(NewRaw(sp.hA, sp.dA))
-	if len(g.Protocols()) != 3 {
-		t.Errorf("protocols = %v", g.Protocols())
-	}
-	if _, err := g.Lookup("udp"); err != nil {
-		t.Error(err)
-	}
-	if _, err := g.Lookup("tcp"); err == nil {
-		t.Error("lookup of unregistered protocol succeeded")
-	}
-	if g.Domain() != "kernel" {
-		t.Error("domain wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate registration did not panic")
-		}
-	}()
-	g.Register(sp.udpA)
-}
-
 func TestRawSessionRoundTrip(t *testing.T) {
 	sp := newStackPair(t, hostsim.DEC3000_600, 16*1024, driver.Config{Cache: driver.CacheNone})
 	rawA := NewRaw(sp.hA, sp.dA)
@@ -333,20 +307,6 @@ func TestRawSessionRoundTrip(t *testing.T) {
 	}
 	sa.Close()
 	sb.Close()
-}
-
-func TestOpenRejectsWrongAddressType(t *testing.T) {
-	sp := newStackPair(t, hostsim.DEC3000_600, 16*1024, driver.Config{Cache: driver.CacheNone})
-	if _, err := sp.udpA.Open("bogus"); err == nil {
-		t.Error("udp.Open accepted a string")
-	}
-	if _, err := sp.ipA.Open(42); err == nil {
-		t.Error("ip.Open accepted an int")
-	}
-	raw := NewRaw(sp.hA, sp.dA)
-	if _, err := raw.Open(3.14); err == nil {
-		t.Error("raw.Open accepted a float")
-	}
 }
 
 func TestMTUValidation(t *testing.T) {

@@ -1,8 +1,6 @@
 package proto
 
 import (
-	"fmt"
-
 	"repro/internal/atm"
 	"repro/internal/driver"
 	"repro/internal/hostsim"
@@ -24,20 +22,13 @@ func NewRaw(h *hostsim.Host, drv *driver.Driver) *Raw {
 	return &Raw{host: h, drv: drv}
 }
 
-// Name implements xkernel.Protocol.
-func (r *Raw) Name() string { return "atm" }
-
 // RawOpen addresses a raw session: just the VCI.
 type RawOpen struct {
 	VCI atm.VCI
 }
 
-// Open implements xkernel.Protocol.
-func (r *Raw) Open(addr any) (xkernel.Session, error) {
-	a, ok := addr.(RawOpen)
-	if !ok {
-		return nil, fmt.Errorf("proto: raw.Open wants RawOpen, got %T", addr)
-	}
+// Open opens a raw session on a.VCI.
+func (r *Raw) Open(a RawOpen) (xkernel.Session, error) {
 	s := &rawSession{r: r}
 	s.path = r.drv.OpenPath(a.VCI, func(p *sim.Proc, m *msg.Message) {
 		if s.upper != nil {
@@ -61,7 +52,4 @@ func (s *rawSession) SetHandler(h xkernel.Handler) { s.upper = h }
 
 func (s *rawSession) Close() { s.r.drv.ClosePath(s.path) }
 
-var (
-	_ xkernel.Protocol = (*Raw)(nil)
-	_ xkernel.Session  = (*rawSession)(nil)
-)
+var _ xkernel.Session = (*rawSession)(nil)

@@ -70,9 +70,6 @@ const maxBackoffShift = 6
 // NewRDP returns an RDP instance over ip.
 func NewRDP(h *hostsim.Host, ip *IP) *RDP { return &RDP{host: h, ip: ip} }
 
-// Name implements xkernel.Protocol.
-func (r *RDP) Name() string { return "rdp" }
-
 // Stats returns a copy of the counters.
 func (r *RDP) Stats() RDPStats { return r.stats }
 
@@ -182,12 +179,8 @@ const (
 	rdpInitialCwnd = 2
 )
 
-// Open implements xkernel.Protocol.
-func (r *RDP) Open(addr any) (xkernel.Session, error) {
-	a, ok := addr.(RDPOpen)
-	if !ok {
-		return nil, fmt.Errorf("proto: rdp.Open wants RDPOpen, got %T", addr)
-	}
+// Open opens a reliable session over an IP session to a.Remote.
+func (r *RDP) Open(a RDPOpen) (xkernel.Session, error) {
 	if a.Window == 0 {
 		a.Window = 8
 	}
@@ -743,10 +736,7 @@ func (s *rdpSession) sendAck(p *sim.Proc) {
 	}
 }
 
-var (
-	_ xkernel.Protocol = (*RDP)(nil)
-	_ xkernel.Session  = (*rdpSession)(nil)
-)
+var _ xkernel.Session = (*rdpSession)(nil)
 
 // WaitAckedSession lets callers drain an RDP session through the
 // xkernel.Session interface and observe its terminal error.

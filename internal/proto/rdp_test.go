@@ -194,18 +194,6 @@ func TestRDPLargeMessagesFragmentAndSurviveLoss(t *testing.T) {
 	}
 }
 
-func TestRDPOpenValidation(t *testing.T) {
-	sp := newLossyStackPair(t, 0, 3)
-	r := NewRDP(sp.hA, sp.ipA)
-	if _, err := r.Open("nope"); err == nil {
-		t.Error("bad address type accepted")
-	}
-	if r.Name() != "rdp" {
-		t.Error("name wrong")
-	}
-	sp.eng.Shutdown()
-}
-
 func TestRDPDeterministicUnderLoss(t *testing.T) {
 	run := func() (int64, int64) {
 		sp := newLossyStackPair(t, 0.01, 42)

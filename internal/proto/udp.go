@@ -2,7 +2,6 @@ package proto
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"repro/internal/atm"
 	"repro/internal/hostsim"
@@ -33,9 +32,6 @@ func NewUDP(h *hostsim.Host, ip *IP) *UDP {
 	return &UDP{host: h, ip: ip}
 }
 
-// Name implements xkernel.Protocol.
-func (u *UDP) Name() string { return "udp" }
-
 // Stats returns a copy of the counters.
 func (u *UDP) Stats() UDPStats { return u.stats }
 
@@ -50,12 +46,8 @@ type UDPOpen struct {
 	Checksum bool
 }
 
-// Open implements xkernel.Protocol.
-func (u *UDP) Open(addr any) (xkernel.Session, error) {
-	a, ok := addr.(UDPOpen)
-	if !ok {
-		return nil, fmt.Errorf("proto: udp.Open wants UDPOpen, got %T", addr)
-	}
+// Open opens a UDP session over an IP session to a.Remote.
+func (u *UDP) Open(a UDPOpen) (xkernel.Session, error) {
 	lower, err := u.ip.Open(IPOpen{Remote: a.Remote, VCI: a.VCI, Proto: ProtoUDP})
 	if err != nil {
 		return nil, err
@@ -179,8 +171,6 @@ func (s *udpSession) demux(p *sim.Proc, m *msg.Message) {
 }
 
 var (
-	_ xkernel.Protocol = (*UDP)(nil)
-	_ xkernel.Protocol = (*IP)(nil)
-	_ xkernel.Session  = (*udpSession)(nil)
-	_ xkernel.Session  = (*ipSession)(nil)
+	_ xkernel.Session = (*udpSession)(nil)
+	_ xkernel.Session = (*ipSession)(nil)
 )

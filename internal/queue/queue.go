@@ -144,16 +144,6 @@ func (r *Ring) WriterFull(p *sim.Proc, who dpm.Accessor) bool {
 	return r.next(r.wHead) == r.wSeenTail
 }
 
-// ReaderEmpty reports, from the reader's perspective, whether the ring
-// is empty, refreshing the head shadow if needed.
-func (r *Ring) ReaderEmpty(p *sim.Proc, who dpm.Accessor) bool {
-	if r.rTail != r.rSeenHead {
-		return false
-	}
-	r.rSeenHead = r.d.ReadWord(p, who, r.headOff())
-	return r.rTail == r.rSeenHead
-}
-
 // ObserveTail reads the tail pointer across the port; the transmit path
 // uses the tail's advance — instead of an interrupt — to learn that the
 // board consumed buffers (§2.1.2).

@@ -63,8 +63,8 @@ func TestRingEmptyAndFullConditions(t *testing.T) {
 				t.Fatalf("pop %d = %+v, %v", i, got, ok)
 			}
 		}
-		if !r.ReaderEmpty(p, dpm.Board) {
-			t.Error("ReaderEmpty = false on drained ring")
+		if _, ok := r.TryPop(p, dpm.Board); ok {
+			t.Error("pop from a drained ring succeeded")
 		}
 	})
 	e.Run()

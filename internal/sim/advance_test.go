@@ -90,29 +90,9 @@ func TestSleepPastHorizonStaysAsleep(t *testing.T) {
 	}
 }
 
-// A Stop from inside the proc ends the run before its next wakeup, as
-// it would for any event.
-func TestSleepHonoursStop(t *testing.T) {
-	e := NewEngine(1)
-	defer e.Shutdown()
-	var woke Time = -1
-	e.Go("p", func(p *Proc) {
-		p.Sleep(10)
-		e.Stop()
-		p.Sleep(10)
-		woke = p.Now()
-	})
-	if now := e.Run(); now != 10 || woke != -1 || e.Pending() != 1 {
-		t.Fatalf("after Stop: now %v, woke %v, pending %d; want 10, -1, 1", now, woke, e.Pending())
-	}
-	e.Run()
-	if woke != 20 {
-		t.Fatalf("woke at %v, want 20", woke)
-	}
-}
-
-// Each RunFor(1000) wakes the spinner once through the queue; its next
-// 999 sleeps are elided and the one past the horizon parks it again.
+// Each RunUntil 1000 ns ahead wakes the spinner once through the
+// queue; its next 999 sleeps are elided and the one past the horizon
+// parks it again.
 func TestSleepElidedZeroAlloc(t *testing.T) {
 	e := NewEngine(1)
 	defer e.Shutdown()
@@ -121,8 +101,8 @@ func TestSleepElidedZeroAlloc(t *testing.T) {
 			p.Sleep(time.Nanosecond)
 		}
 	})
-	e.RunFor(1000)
-	allocs := testing.AllocsPerRun(100, func() { e.RunFor(1000) })
+	e.RunUntil(e.Now() + 1000)
+	allocs := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 1000) })
 	if allocs != 0 {
 		t.Errorf("999 elided sleeps = %.1f allocs, want 0", allocs)
 	}
@@ -140,10 +120,8 @@ func TestSleepElidedZeroAlloc(t *testing.T) {
 //
 // data[0] picks the number of activities and data[1] the RunUntil step
 // (0: one Run); every further byte is one operation of activity
-// i%procs: a sleep, a SleepUntil around now, a plain event scheduled
-// ahead, or a Stop (under a single Run only: a RunUntil stopped early
-// moves the clock to its horizon only when nothing is due before it,
-// and the blocker's wakeups always are).
+// i%procs: a sleep, a SleepUntil around now, or a plain event scheduled
+// ahead.
 func sleepProgram(data []byte, blocker, cont bool) (trace []string, events uint64) {
 	e := NewEngine(1)
 	defer e.Shutdown()
@@ -165,15 +143,11 @@ func sleepProgram(data []byte, blocker, cont bool) (trace []string, events uint6
 			return e.Now() + Time(arg%11) - 3, true
 		case 5:
 			plain++
-			e.After(time.Duration(arg%8), func() {
+			e.AfterCall(time.Duration(arg%8), func(any) {
 				plain--
 				trace = append(trace, fmt.Sprintf("ev%d.%d@%d", i, j, e.Now()))
-			})
-		case 6:
-			if step == 0 {
-				e.Stop()
-			}
-		case 7:
+			}, nil)
+		case 6, 7:
 			return e.Now() + Time(arg), true
 		}
 		return 0, false

@@ -217,8 +217,8 @@ func TestContResourceGrantAllocatesNothing(t *testing.T) {
 }
 
 // A continuation sleeping alone is always the next event: each
-// RunFor wakes it once through the queue, its other sleeps are elided
-// in its own loop, and none of it allocates.
+// RunUntil step wakes it once through the queue, its other sleeps are
+// elided in its own loop, and none of it allocates.
 func TestContSleepElidedZeroAlloc(t *testing.T) {
 	e := NewEngine(1)
 	var k Cont
@@ -227,14 +227,14 @@ func TestContSleepElidedZeroAlloc(t *testing.T) {
 		}
 	}}
 	e.AtCall(0, k.Fn, nil)
-	e.RunFor(1000)
+	e.RunUntil(e.Now() + 1000)
 	ev := e.Events()
-	allocs := testing.AllocsPerRun(100, func() { e.RunFor(1000) })
+	allocs := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 1000) })
 	if allocs != 0 {
 		t.Errorf("elided continuation sleeps: %.1f allocs, want 0", allocs)
 	}
 	if got := e.Events() - ev; got != 101*1000 {
-		t.Errorf("%d events over 101 RunFor(1000), want %d: every sleep counts", got, 101*1000)
+		t.Errorf("%d events over 101 RunUntil steps of 1000 ns, want %d: every sleep counts", got, 101*1000)
 	}
 	if e.Resumes() != 0 {
 		t.Errorf("%d proc resumes without a proc", e.Resumes())

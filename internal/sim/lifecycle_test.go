@@ -213,8 +213,8 @@ func TestProcSwitchAllocs(t *testing.T) {
 			p.Sleep(time.Nanosecond)
 		}
 	})
-	e.RunFor(time.Nanosecond)
-	allocs := testing.AllocsPerRun(1000, func() { e.RunFor(time.Nanosecond) })
+	e.RunUntil(e.Now() + 1)
+	allocs := testing.AllocsPerRun(1000, func() { e.RunUntil(e.Now() + 1) })
 	if allocs != 0 {
 		t.Errorf("proc switch = %.1f allocs, want 0", allocs)
 	}

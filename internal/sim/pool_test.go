@@ -4,48 +4,6 @@ import (
 	"testing"
 )
 
-// --- Stop-before-Run semantics (documented on Engine.Stop) ---
-
-func TestStopBeforeRunHonoredByNextRun(t *testing.T) {
-	e := NewEngine(1)
-	defer e.Shutdown()
-	fired := false
-	e.At(10, func() { fired = true })
-	e.Stop()
-	e.Run()
-	if fired {
-		t.Fatal("Run after a pre-Run Stop executed an event")
-	}
-	if e.Now() != 0 {
-		t.Fatalf("clock advanced to %v across a stopped Run", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1 (stopped Run must not drain)", e.Pending())
-	}
-	// The stop is consumed: the next Run proceeds normally.
-	e.Run()
-	if !fired {
-		t.Fatal("event lost after the consumed stop")
-	}
-}
-
-func TestStopBeforeRunDoesNotStack(t *testing.T) {
-	e := NewEngine(1)
-	defer e.Shutdown()
-	count := 0
-	e.At(10, func() { count++ })
-	e.Stop()
-	e.Stop() // idempotent: one flag, not a counter
-	e.Run()
-	if count != 0 {
-		t.Fatal("stopped Run executed an event")
-	}
-	e.Run()
-	if count != 1 {
-		t.Fatalf("count = %d, want 1 after the single consumed stop", count)
-	}
-}
-
 // --- Pooled-event handle semantics ---
 
 // A handle to a fired event must stay inert even after its storage is
@@ -72,15 +30,18 @@ func TestPendingAndCancelledTrackGenerations(t *testing.T) {
 	e := NewEngine(1)
 	defer e.Shutdown()
 	ev := e.At(5, func() {})
-	if !ev.Pending() || ev.Cancelled() {
-		t.Fatalf("fresh event: Pending=%v Cancelled=%v", ev.Pending(), ev.Cancelled())
+	if !ev.Pending() {
+		t.Fatal("fresh event not pending")
 	}
 	e.Cancel(ev)
-	if ev.Pending() || !ev.Cancelled() {
-		t.Fatalf("after Cancel: Pending=%v Cancelled=%v", ev.Pending(), ev.Cancelled())
+	if ev.Pending() {
+		t.Fatal("cancelled event still pending")
+	}
+	if reused := e.At(6, func() {}); reused.n != ev.n || !reused.Pending() || ev.Pending() {
+		t.Fatal("the cancelled event's reused storage revived its stale handle")
 	}
 	var zero Event
-	if zero.Pending() || zero.Cancelled() || !zero.IsZero() {
+	if zero.Pending() {
 		t.Fatal("zero Event must be inert")
 	}
 }
@@ -188,8 +149,8 @@ func TestCallbackRescheduleAndCancelZeroAlloc(t *testing.T) {
 			t.Errorf("%s: %.1f allocations per cycle, want 0", name, allocs)
 		}
 	}
-	if fired || !victim.Cancelled() || e.Pending() != 0 {
-		t.Fatalf("fired=%v cancelled=%v pending=%d after the cycles", fired, victim.Cancelled(), e.Pending())
+	if fired || victim.Pending() || e.Pending() != 0 {
+		t.Fatalf("fired=%v victim pending=%v pending=%d after the cycles", fired, victim.Pending(), e.Pending())
 	}
 }
 

@@ -14,7 +14,6 @@ type queueUnderTest interface {
 	inject(t, schedAt Time, xid, seq uint64, label int)
 	cancel(k int)
 	wakeAt(t Time, label int) bool
-	stop()
 	run()
 	runUntil(t Time)
 	pending() int
@@ -89,15 +88,13 @@ func (p *queueProgram) action() int {
 		if p.handles > 0 {
 			p.q.cancel(int(p.next()) % p.handles)
 		}
-	case 6:
+	case 6, 7:
 		l := p.label()
 		ok := p.q.wakeAt(now+d/2, l)
 		p.logf("wake %d at %d: %v", l, now+d/2, ok)
 		if ok {
 			return l
 		}
-	case 7:
-		p.q.stop()
 	}
 	return 0
 }
@@ -146,7 +143,6 @@ func (q *engineQueue) cancel(k int) { q.e.Cancel(q.handles[k]) }
 func (q *engineQueue) wakeAt(t Time, label int) bool {
 	return q.e.WakeAt(t, Cont{Fn: q.fireCB, Arg: label})
 }
-func (q *engineQueue) stop()           { q.e.Stop() }
 func (q *engineQueue) run()            { q.e.Run() }
 func (q *engineQueue) runUntil(t Time) { q.e.RunUntil(t) }
 func (q *engineQueue) pending() int    { return q.e.Pending() }
@@ -154,14 +150,14 @@ func (q *engineQueue) events() uint64  { return q.e.Events() }
 
 // refQueue is the reference: an unordered slice searched linearly for
 // the earliest event by (at, schedAt, xid, seq), with the documented
-// Run, RunUntil, Stop, Cancel and WakeAt semantics written out plainly.
+// Run, RunUntil, Cancel and WakeAt semantics written out plainly.
 type refQueue struct {
-	p                *queueProgram
-	t                Time
-	seq, fired       uint64
-	limit            Time
-	running, stopped bool
-	evs              []refEvent
+	p          *queueProgram
+	t          Time
+	seq, fired uint64
+	limit      Time
+	running    bool
+	evs        []refEvent
 }
 
 type refEvent struct {
@@ -222,8 +218,7 @@ func (q *refQueue) cancel(k int) {
 }
 
 // wakeAt takes the wakeup in place when it would be the next event run:
-// running, no Stop pending, within the horizon, nothing queued at or
-// before it.
+// running, within the horizon, nothing queued at or before it.
 func (q *refQueue) wakeAt(t Time, label int) bool {
 	if t < q.t {
 		t = q.t
@@ -232,7 +227,7 @@ func (q *refQueue) wakeAt(t Time, label int) bool {
 	for _, ev := range q.evs {
 		due = due || ev.at <= t
 	}
-	if q.running && !q.stopped && (q.limit == 0 || t <= q.limit) && !due {
+	if q.running && (q.limit == 0 || t <= q.limit) && !due {
 		q.seq++
 		q.fired++
 		q.t = t
@@ -242,11 +237,9 @@ func (q *refQueue) wakeAt(t Time, label int) bool {
 	return false
 }
 
-func (q *refQueue) stop() { q.stopped = true }
-
 func (q *refQueue) run() {
 	q.running = true
-	for !q.stopped {
+	for {
 		i := q.first()
 		if i < 0 || q.limit != 0 && q.evs[i].at > q.limit {
 			break
@@ -256,7 +249,7 @@ func (q *refQueue) run() {
 		q.fired++
 		q.p.fire(ev.label)
 	}
-	q.running, q.stopped = false, false
+	q.running = false
 }
 
 func (q *refQueue) runUntil(t Time) {
@@ -264,7 +257,7 @@ func (q *refQueue) runUntil(t Time) {
 	q.limit = t
 	q.run()
 	q.limit = prev
-	if i := q.first(); q.t < t && (i < 0 || q.evs[i].at > t) {
+	if q.t < t {
 		q.t = t
 	}
 }
@@ -274,8 +267,8 @@ func (q *refQueue) events() uint64 { return q.fired }
 
 // FuzzEventQueueMatchesReference runs one fuzz-derived program of At,
 // AtCall and InjectStamped (random stamps), Cancel of live and stale
-// handles, WakeAt from inside callbacks (taken in place or not), Stop,
-// Run and RunUntil horizons against the engine and against refQueue,
+// handles, WakeAt from inside callbacks (taken in place or not), Run
+// and RunUntil horizons against the engine and against refQueue,
 // and requires identical logs: the firing order with each firing's
 // instant, Pending and Events; every WakeAt's answer; and Now, Pending
 // and Events after every run.

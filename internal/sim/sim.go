@@ -35,9 +35,6 @@ type Time int64
 // Add returns the instant d after t.
 func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 
-// Sub returns the duration between t and u (t - u).
-func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
-
 // Seconds returns t expressed in seconds.
 func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
@@ -54,21 +51,20 @@ type eventNode struct {
 	at Time
 	// schedAt is the virtual instant the event was scheduled at, and xid
 	// identifies the scheduling source: 0 for events scheduled through
-	// the engine's own At/After forms, a link's topology-fixed id for
+	// the engine's own scheduling forms, a link's topology-fixed id for
 	// its deliveries (InjectStamped). Together with seq they form the
 	// canonical execution order (at, schedAt, xid, seq). Among xid-0
 	// events seq is assigned in scheduling order and schedAt is
 	// nondecreasing in it, so for them the order is exactly (at, seq);
 	// the extra keys decide only how stamped deliveries tie.
-	schedAt      Time
-	xid          uint64
-	seq          uint64
-	cb           func(any)
-	arg          any
-	index        int    // heap index, -1 while off the heap
-	gen          uint64 // bumped on every recycle; live handles match it
-	cancelledGen uint64 // generation of the most recent cancellation
-	free         *eventNode
+	schedAt Time
+	xid     uint64
+	seq     uint64
+	cb      func(any)
+	arg     any
+	index   int    // heap index, -1 while off the heap
+	gen     uint64 // bumped on every recycle; live handles match it
+	free    *eventNode
 }
 
 // Event is a handle to a scheduled callback, returned by the scheduling
@@ -81,19 +77,9 @@ type Event struct {
 	gen uint64
 }
 
-// IsZero reports whether the handle was never assigned a scheduled
-// event.
-func (ev Event) IsZero() bool { return ev.n == nil }
-
 // Pending reports whether the event is still scheduled: it has neither
 // fired nor been cancelled.
 func (ev Event) Pending() bool { return ev.n != nil && ev.n.gen == ev.gen }
-
-// Cancelled reports whether Cancel was called on this event before it
-// fired. The answer is reliable until the engine reuses the event's
-// storage for a later scheduling that is also cancelled; code that
-// needs a durable record of a cancellation should keep its own flag.
-func (ev Event) Cancelled() bool { return ev.n != nil && ev.n.cancelledGen == ev.gen }
 
 // Engine is a discrete-event simulation engine. The zero value is not
 // usable; construct one with NewEngine.
@@ -109,9 +95,8 @@ type Engine struct {
 	idle     []*worker
 	fired    uint64
 	resumes  uint64 // proc resumes (coroutine switches into a body)
-	stopped  bool
-	halted   bool // Shutdown has run
-	limit    Time // 0 means no limit
+	halted   bool   // Shutdown has run
+	limit    Time   // 0 means no limit
 	recorder func(TraceEvent)
 	running  bool
 	// top: pq[0] is the event Run is firing, already recycled, until
@@ -218,7 +203,7 @@ func (e *Engine) Emit(ev TraceEvent) {
 
 // before orders events by the canonical key (at, schedAt, xid, seq):
 // fire time first, then scheduling time, then scheduling source, then
-// per-source insertion order. Events scheduled through At/After have
+// per-source insertion order. Events the engine's own forms schedule have
 // xid 0 and seq increasing with schedAt, so among them this is exactly
 // (at, seq). A link's deliveries carry its topology-fixed xid,
 // which makes their tie-break a function of the topology rather than of
@@ -343,7 +328,7 @@ func (e *Engine) newNode() *eventNode {
 	return n
 }
 
-// schedule is the common path behind At/After/AtCall/AfterCall.
+// schedule is the common path behind At, AtCall and AfterCall.
 func (e *Engine) schedule(t Time, cb func(any), arg any) Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v, before now %v", t, e.now))
@@ -366,8 +351,8 @@ func (e *Engine) schedule(t Time, cb func(any), arg any) Event {
 // computes the schedAt its delivery event would have carried had the
 // sender scheduled it, and its topology-fixed xid (from NewStampID)
 // decides how the delivery ties with other events at the same
-// (at, schedAt). xid must be non-zero (0 is reserved for events
-// scheduled through At/After); seq need only be monotone per xid. The engine's own seq counter is not consumed, so injection
+// (at, schedAt). xid must be non-zero (0 is reserved for the
+// engine's own events); seq need only be monotone per xid. The engine's own seq counter is not consumed, so injection
 // leaves every other event's stamp untouched.
 func (e *Engine) InjectStamped(t, schedAt Time, xid, seq uint64, cb func(any), arg any) {
 	if t < e.now {
@@ -410,16 +395,7 @@ func (e *Engine) At(t Time, fn func()) Event { return e.schedule(t, callFunc, fn
 // site to materialize a capturing closure per event.
 func (e *Engine) AtCall(t Time, cb func(any), arg any) Event { return e.schedule(t, cb, arg) }
 
-// After schedules fn to run d after the current virtual time.
-func (e *Engine) After(d time.Duration, fn func()) Event {
-	if d < 0 {
-		panic("sim: negative delay")
-	}
-	return e.schedule(e.now.Add(d), callFunc, fn)
-}
-
-// AfterCall schedules cb(arg) to run d after the current virtual time —
-// the closure-free form of After.
+// AfterCall schedules cb(arg) to run d after the current virtual time.
 func (e *Engine) AfterCall(d time.Duration, cb func(any), arg any) Event {
 	if d < 0 {
 		panic("sim: negative delay")
@@ -436,28 +412,21 @@ func (e *Engine) Cancel(ev Event) {
 		return
 	}
 	e.heapRemove(n.index)
-	n.cancelledGen = n.gen
 	e.recycle(n)
 }
 
-// Stop makes Run return after the currently executing event completes.
-// Calling Stop while the engine is not running is honored by the next
-// Run, which consumes the stop and returns before executing any event;
-// events stay queued for the Run after that.
-func (e *Engine) Stop() { e.stopped = true }
-
 // advance is the direct time advance behind every sleep (WakeAt). An
 // activity about to schedule its own wakeup at t asks whether that
-// wakeup would be the next event Run executes: the engine is running (Shutdown
-// unwinds killed procs outside Run, and their sleeps must still block),
-// no Stop is pending, t is within the run's horizon, and every queued
-// event fires strictly after t (one at t was scheduled earlier and runs
+// wakeup would be the next event Run executes: the engine is running
+// (Shutdown unwinds killed procs outside Run, and their sleeps must
+// still block), t is within the run's horizon, and every queued event
+// fires strictly after t (one at t was scheduled earlier and runs
 // first). If so, advance does here exactly what scheduling the wakeup
 // and Run firing it would have done — consume a sequence number, count
 // the event, set the clock to t — and reports true; nothing else can
 // observe the difference. Otherwise it changes nothing.
 func (e *Engine) advance(t Time) bool {
-	if !e.running || e.stopped || (e.limit != 0 && t > e.limit) || e.dueBy(t) {
+	if !e.running || (e.limit != 0 && t > e.limit) || e.dueBy(t) {
 		return false
 	}
 	e.seq++
@@ -476,9 +445,9 @@ func (e *Engine) dueBy(t Time) bool {
 	return len(e.pq) > 1 && e.pq[1].at <= t || len(e.pq) > 2 && e.pq[2].at <= t
 }
 
-// Run executes events in order until the queue is empty, Stop is called,
-// or the time limit set by RunUntil-style callers is reached. It returns
-// the virtual time at which the simulation went quiescent.
+// Run executes events in order until the queue is empty or the time
+// limit set by RunUntil is reached. It returns the virtual time at
+// which the simulation went quiescent.
 //
 // Procs that remain blocked on conditions when the queue drains do not
 // keep the simulation alive: with no pending events nothing can ever wake
@@ -492,7 +461,7 @@ func (e *Engine) Run() Time {
 		e.dropTop() // a callback panicked before its root was removed
 		e.running = false
 	}()
-	for !e.stopped && len(e.pq) > 0 {
+	for len(e.pq) > 0 {
 		n := e.pq[0]
 		if e.limit != 0 && n.at > e.limit {
 			// Past the horizon: leave it queued and stop.
@@ -513,26 +482,17 @@ func (e *Engine) Run() Time {
 		cb(arg)
 		e.dropTop()
 	}
-	e.stopped = false
 	return e.now
-}
-
-// RunFor runs the simulation until the virtual clock would pass now+d;
-// events scheduled later stay queued. It returns the time reached.
-func (e *Engine) RunFor(d time.Duration) Time {
-	return e.RunUntil(e.now.Add(d))
 }
 
 // RunUntil runs the simulation until the virtual clock would pass t;
 // events scheduled after t remain queued and the clock is advanced to t.
-// A Stop that ends the run early leaves the clock where it stopped, so
-// the events still due at or before t run next, in order.
 func (e *Engine) RunUntil(t Time) Time {
 	prev := e.limit
 	e.limit = t
 	e.Run()
 	e.limit = prev
-	if e.now < t && !e.dueBy(t) {
+	if e.now < t {
 		e.now = t
 	}
 	return e.now

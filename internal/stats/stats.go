@@ -164,28 +164,6 @@ func RenderFigure(title, xlabel, ylabel string, series []Series) string {
 	return b.String()
 }
 
-// Summary holds simple aggregate statistics.
-type Summary struct {
-	N              int
-	Mean, Min, Max float64
-}
-
-// Summarize computes aggregates over vs.
-func Summarize(vs []float64) Summary {
-	if len(vs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(vs), Min: vs[0], Max: vs[0]}
-	total := 0.0
-	for _, v := range vs {
-		total += v
-		s.Min = math.Min(s.Min, v)
-		s.Max = math.Max(s.Max, v)
-	}
-	s.Mean = total / float64(len(vs))
-	return s
-}
-
 // NodeAgg accumulates one node's deliveries: message and byte counts
 // bracketed by the first and last delivery times (simulation time as an
 // offset from the run's origin).
@@ -234,16 +212,6 @@ func (p *PerNode) Node(node int) NodeAgg {
 		return *a
 	}
 	return NodeAgg{Node: node}
-}
-
-// Nodes returns every node's aggregate, sorted by node id.
-func (p *PerNode) Nodes() []NodeAgg {
-	out := make([]NodeAgg, 0, len(p.nodes))
-	for _, a := range p.nodes {
-		out = append(out, *a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	return out
 }
 
 // Aggregate folds all nodes into one NodeAgg (Node = -1) whose window

@@ -62,16 +62,6 @@ func TestRenderFigureMultiSeries(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3})
-	if s.N != 3 || s.Mean != 2 || s.Min != 1 || s.Max != 3 {
-		t.Errorf("summary = %+v", s)
-	}
-	if Summarize(nil).N != 0 {
-		t.Error("empty summary")
-	}
-}
-
 func TestPerNodeAggregation(t *testing.T) {
 	p := NewPerNode()
 	p.Observe(0, 1000, 1*time.Millisecond)
@@ -88,10 +78,6 @@ func TestPerNodeAggregation(t *testing.T) {
 	if missing := p.Node(9); missing.Messages != 0 || missing.Node != 9 {
 		t.Errorf("absent node agg = %+v", missing)
 	}
-	nodes := p.Nodes()
-	if len(nodes) != 2 || nodes[0].Node != 0 || nodes[1].Node != 1 {
-		t.Errorf("Nodes() = %+v", nodes)
-	}
 	agg := p.Aggregate()
 	if agg.Node != -1 || agg.Messages != 3 || agg.Bytes != 2500 {
 		t.Errorf("aggregate = %+v", agg)
@@ -103,8 +89,8 @@ func TestPerNodeAggregation(t *testing.T) {
 
 func TestPerNodeEmpty(t *testing.T) {
 	p := NewPerNode()
-	if len(p.Nodes()) != 0 {
-		t.Error("empty aggregator has nodes")
+	if a := p.Node(0); a.Messages != 0 || a.Bytes != 0 {
+		t.Error("empty aggregator has node data")
 	}
 	agg := p.Aggregate()
 	if agg.Messages != 0 || agg.Mbps() != 0 {

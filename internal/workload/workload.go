@@ -21,15 +21,6 @@ func FigureSizes() []int {
 	return out
 }
 
-// Doubling returns a doubling ladder from lo to hi inclusive.
-func Doubling(lo, hi int) []int {
-	var out []int
-	for s := lo; s <= hi; s *= 2 {
-		out = append(out, s)
-	}
-	return out
-}
-
 // Payload builds a deterministic test payload of n bytes; distinct
 // seeds give distinct contents so cross-message corruption is
 // detectable.
@@ -146,15 +137,10 @@ func (f FanIn) TotalBytes() int64 {
 	return int64(f.Clients) * int64(f.Messages) * int64(f.MessageBytes)
 }
 
-// Payload builds client's msg-th message: deterministic pseudo-random
-// content (distinct per client and message) with the identity header in
-// the first FanInHeaderBytes.
-func (f FanIn) Payload(client, msg int) []byte {
-	return f.PayloadInto(nil, client, msg)
-}
-
-// PayloadInto is Payload writing the message into dst's storage, which
-// it grows only when dst is too short, and returning it.
+// PayloadInto builds client's msg-th message in dst's storage, which
+// it grows only when dst is too short, and returns it: deterministic
+// pseudo-random content (distinct per client and message) with the
+// identity header in the first FanInHeaderBytes.
 func (f FanIn) PayloadInto(dst []byte, client, msg int) []byte {
 	if cap(dst) < f.MessageBytes {
 		dst = make([]byte, f.MessageBytes)
@@ -166,11 +152,11 @@ func (f FanIn) PayloadInto(dst []byte, client, msg int) []byte {
 	return dst
 }
 
-// seed is the Payload seed of client's msg-th message.
+// seed is the payload seed of client's msg-th message.
 func (f FanIn) seed(client, msg int) byte { return byte(client*31 + msg*7 + 1) }
 
-// Verify checks a received payload byte for byte against what Payload
-// would have produced for the identity in its header, generating the
+// Verify checks a received payload byte for byte against what
+// PayloadInto would have produced for the identity in its header, generating the
 // expected bytes as it compares them. ok is false on a short payload, an
 // out-of-range identity, or any content mismatch.
 func (f FanIn) Verify(data []byte) (client, msg int, ok bool) {
@@ -186,7 +172,7 @@ func (f FanIn) Verify(data []byte) (client, msg int, ok bool) {
 		return client, msg, false
 	}
 	// The header is the identity just read back; the generator still
-	// steps over its bytes (whole words), which Payload overwrote.
+	// steps over its bytes (whole words), which PayloadInto overwrote.
 	l := newPayloadLanes(f.seed(client, msg))
 	i := 0
 	for ; i < FanInHeaderBytes; i += 4 {

@@ -44,8 +44,8 @@ func FuzzPayloadMatchesByteGenerator(f *testing.F) {
 		}
 		binary.BigEndian.PutUint32(ref[0:4], uint32(client))
 		binary.BigEndian.PutUint32(ref[4:8], 0)
-		if got := fi.Payload(client, 0); string(got) != string(ref) {
-			t.Fatal("FanIn.Payload differs from the byte generator")
+		if got := fi.PayloadInto(nil, client, 0); string(got) != string(ref) {
+			t.Fatal("FanIn.PayloadInto differs from the byte generator")
 		}
 		if c, m, ok := fi.Verify(ref); !ok || c != client || m != 0 {
 			t.Fatalf("Verify = %d, %d, %v on a correct message", c, m, ok)
@@ -86,16 +86,6 @@ func TestFigureSizes(t *testing.T) {
 	}
 }
 
-func TestDoubling(t *testing.T) {
-	got := Doubling(8, 64)
-	want := []int{8, 16, 32, 64}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Doubling = %v", got)
-		}
-	}
-}
-
 func TestPayloadDeterministicAndDistinct(t *testing.T) {
 	a := Payload(1000, 1)
 	b := Payload(1000, 1)
@@ -124,23 +114,23 @@ func TestDefaultPriorityMix(t *testing.T) {
 func TestFanInPayloadVerifyRoundTrip(t *testing.T) {
 	f := DefaultFanIn()
 	for _, id := range [][2]int{{0, 0}, {3, 5}, {f.Clients - 1, f.Messages - 1}} {
-		p := f.Payload(id[0], id[1])
+		p := f.PayloadInto(nil, id[0], id[1])
 		if len(p) != f.MessageBytes {
 			t.Fatalf("payload length %d", len(p))
 		}
 		client, msg, ok := f.Verify(p)
 		if !ok || client != id[0] || msg != id[1] {
-			t.Errorf("Verify(Payload(%d,%d)) = %d,%d,%v", id[0], id[1], client, msg, ok)
+			t.Errorf("Verify(PayloadInto(%d,%d)) = %d,%d,%v", id[0], id[1], client, msg, ok)
 		}
 	}
 }
 
 func TestFanInPayloadsDistinct(t *testing.T) {
 	f := DefaultFanIn()
-	if string(f.Payload(0, 0)) == string(f.Payload(1, 0)) {
+	if string(f.PayloadInto(nil, 0, 0)) == string(f.PayloadInto(nil, 1, 0)) {
 		t.Error("different clients share a payload")
 	}
-	if string(f.Payload(0, 0)) == string(f.Payload(0, 1)) {
+	if string(f.PayloadInto(nil, 0, 0)) == string(f.PayloadInto(nil, 0, 1)) {
 		t.Error("different messages share a payload")
 	}
 }
@@ -153,15 +143,15 @@ func TestFanInVerifyRejectsDamage(t *testing.T) {
 	if _, _, ok := f.Verify(make([]byte, 3)); ok {
 		t.Error("short payload verified")
 	}
-	p := f.Payload(2, 3)
+	p := f.PayloadInto(nil, 2, 3)
 	p[f.MessageBytes/2] ^= 1
 	if _, _, ok := f.Verify(p); ok {
 		t.Error("flipped bit verified")
 	}
-	if _, _, ok := f.Verify(f.Payload(2, 3)[:100]); ok {
+	if _, _, ok := f.Verify(f.PayloadInto(nil, 2, 3)[:100]); ok {
 		t.Error("truncated payload verified")
 	}
-	q := f.Payload(0, 0)
+	q := f.PayloadInto(nil, 0, 0)
 	q[3] = 200 // client index out of range
 	if _, _, ok := f.Verify(q); ok {
 		t.Error("out-of-range identity verified")
@@ -175,7 +165,7 @@ func TestFanInVerifyRejectsDamage(t *testing.T) {
 // can catch it. PayloadInto rebuilds a message in a dirty buffer.
 func TestFanInVerifyInPlace(t *testing.T) {
 	f := DefaultFanIn()
-	p := f.Payload(2, 3)
+	p := f.PayloadInto(nil, 2, 3)
 	if allocs := testing.AllocsPerRun(100, func() { f.Verify(p) }); allocs != 0 {
 		t.Errorf("Verify: %v allocations, want 0", allocs)
 	}
@@ -183,7 +173,7 @@ func TestFanInVerifyInPlace(t *testing.T) {
 		name string
 		data []byte
 	}{
-		{"one byte long", append(f.Payload(2, 3), 0)},
+		{"one byte long", append(f.PayloadInto(nil, 2, 3), 0)},
 		{"one byte short", p[:len(p)-1]},
 		{"client id", flip(p, 3)},
 		{"message id", flip(p, 7)},

@@ -1,18 +1,15 @@
-// Package xkernel provides the x-kernel style protocol framework the
-// paper's host software is built on (§1): protocols that open sessions,
-// sessions that push messages down and deliver messages up, and paths —
-// the session chain serving one application-level connection, which the
-// OSIRIS driver binds to a VCI (§3.1).
+// Package xkernel provides the x-kernel style session abstraction the
+// paper's host software is built on (§1): each protocol's typed Open
+// returns a session that pushes messages down and delivers messages up,
+// and a path — the session chain serving one application-level
+// connection — is what the OSIRIS driver binds to a VCI (§3.1).
 //
-// The framework is deliberately protocol-independent: the same graph
-// machinery composes the UDP/IP-like stack of package proto, the raw
-// ATM test protocol, or an application-linked stack replicated into a
-// user domain for an ADC (§3.2).
+// The interface is deliberately protocol-independent: it composes the
+// UDP/IP-like stack of package proto, the raw ATM test protocol, and
+// RDP alike.
 package xkernel
 
 import (
-	"fmt"
-
 	"repro/internal/msg"
 	"repro/internal/sim"
 )
@@ -28,53 +25,4 @@ type Session interface {
 	SetHandler(h Handler)
 	// Close tears the session down.
 	Close()
-}
-
-// Protocol opens sessions toward a participant address. Address types
-// are protocol-specific.
-type Protocol interface {
-	Name() string
-	Open(addr any) (Session, error)
-}
-
-// Graph is a registry of protocols configured into one protection
-// domain — the kernel's graph, or the replicated application-linked
-// graph of an ADC domain.
-type Graph struct {
-	domain string
-	protos map[string]Protocol
-}
-
-// NewGraph returns an empty graph for the named domain.
-func NewGraph(domain string) *Graph {
-	return &Graph{domain: domain, protos: make(map[string]Protocol)}
-}
-
-// Domain returns the protection domain name the graph belongs to.
-func (g *Graph) Domain() string { return g.domain }
-
-// Register adds a protocol to the graph.
-func (g *Graph) Register(pr Protocol) {
-	if _, dup := g.protos[pr.Name()]; dup {
-		panic("xkernel: duplicate protocol " + pr.Name())
-	}
-	g.protos[pr.Name()] = pr
-}
-
-// Lookup finds a protocol by name.
-func (g *Graph) Lookup(name string) (Protocol, error) {
-	pr, ok := g.protos[name]
-	if !ok {
-		return nil, fmt.Errorf("xkernel: %s: no protocol %q", g.domain, name)
-	}
-	return pr, nil
-}
-
-// Protocols returns the registered protocol names (for diagnostics).
-func (g *Graph) Protocols() []string {
-	out := make([]string, 0, len(g.protos))
-	for name := range g.protos {
-		out = append(out, name)
-	}
-	return out
 }
