@@ -164,7 +164,7 @@ func NewManager(h *hostsim.Host, b *board.Board) *Manager {
 	m.inUse[0] = true
 	for i := 1; i < board.NumChannels; i++ {
 		idx := i
-		h.Int.Handle(board.VioIRQBase+idx, func(p *sim.Proc) {
+		h.Int.Handle(board.VioIRQBase+idx, 0, func() {
 			m.violations[idx]++
 			if m.OnViolation != nil {
 				m.OnViolation(idx)

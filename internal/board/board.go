@@ -127,6 +127,9 @@ const NumChannels = dpm.PagesPerHalf
 // The board keeps its open channels as a uint16 mask (Board.openMask).
 var _ = [1]int{}[NumChannels-16]
 
+// allOpen is openMask with every channel open.
+const allOpen = 1<<NumChannels - 1
+
 // Fixed firmware parameters.
 const (
 	// freeRingSlots is the free-buffer ring length, the paper's queue

@@ -233,8 +233,8 @@ func dmaRig(data []byte, procs bool) dmaResult {
 	// Interrupt service instants are part of what is compared.
 	for _, line := range []int{RxIRQBase, TxIRQBase, VioIRQBase, TxIRQBase + 1, VioIRQBase + 1} {
 		line := line
-		h.Int.Handle(line, func(p *sim.Proc) {
-			res.Trace = append(res.Trace, fmt.Sprintf("%d irq %d", p.Now(), line))
+		h.Int.Handle(line, 0, func() {
+			res.Trace = append(res.Trace, fmt.Sprintf("%d irq %d", e.Now(), line))
 		})
 	}
 
@@ -315,7 +315,7 @@ func dmaRig(data []byte, procs bool) dmaResult {
 	if r.cpu > 0 {
 		e.Go("cpu", func(p *sim.Proc) {
 			for p.Now() < sim.Time(horizon) {
-				h.Bus.CPUOccupy(p, r.cpu)
+				h.Bus.CPUOccupy(r.cpu).Do(p)
 				p.Sleep(r.cpu / 2)
 			}
 		})

@@ -124,16 +124,18 @@ func (x *txProcessor) run() {
 		case txpScan:
 			// Jump to the next open channel in the round's visit order:
 			// index order under DRR, else from past the round-robin
-			// cursor on.
-			open, rot := b.openMask, 0
+			// cursor on. With every channel open that is x.i itself.
+			rot := 0
 			if b.cfg.TxDRRQuantum <= 0 {
 				rot = b.txRR + 1
-				open = bits.RotateLeft16(open, -rot)
 			}
-			if rest := open >> x.i; rest != 0 {
-				x.i += bits.TrailingZeros16(rest)
-			} else {
-				x.i = NumChannels
+			if open := b.openMask; open != allOpen {
+				open = bits.RotateLeft16(open, -rot)
+				if rest := open >> x.i; rest != 0 {
+					x.i += bits.TrailingZeros16(rest)
+				} else {
+					x.i = NumChannels
+				}
 			}
 			if x.i == NumChannels {
 				ch := x.pick()

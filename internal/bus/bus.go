@@ -178,17 +178,14 @@ func (b *Bus) CPUMemRead(p *sim.Proc, words int) {
 	b.memPort.Use(p, b.MemCycles(b.cfg.MemReadOverhead+words))
 }
 
-// CPUOccupy models general CPU activity whose loads and stores occupy
-// the memory path for d — on a serialized machine this steals
-// TURBOchannel bandwidth from DMA, and conversely DMA stretches the
-// CPU's effective memory access time (§4: "memory writes and cache
-// fills that result from CPU activity reduce DMA performance").
-func (b *Bus) CPUOccupy(p *sim.Proc, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	b.memPort.Use(p, d)
-}
+// CPUOccupy returns general CPU activity whose loads and stores occupy
+// the memory path for d, as a transaction on the memory port — on a
+// serialized machine this steals TURBOchannel bandwidth from DMA, and
+// conversely DMA stretches the CPU's effective memory access time (§4:
+// "memory writes and cache fills that result from CPU activity reduce
+// DMA performance"). Host CPU work steps it as a continuation; a proc
+// runs it with Do.
+func (b *Bus) CPUOccupy(d time.Duration) sim.Hold { return b.memPort.Hold(d) }
 
 // Stats returns a copy of the accumulated counters.
 func (b *Bus) Stats() Stats { return b.stats }

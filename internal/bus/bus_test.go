@@ -236,7 +236,7 @@ func TestCPUOccupyContendsOnlyWhenSerialized(t *testing.T) {
 		})
 		e.Go("cpu", func(p *sim.Proc) {
 			for i := 0; i < 20; i++ {
-				b.CPUOccupy(p, time.Microsecond)
+				b.CPUOccupy(time.Microsecond).Do(p)
 			}
 		})
 		e.Run()

@@ -123,3 +123,38 @@ func TestBoardEnginesInertAfterShutdown(t *testing.T) {
 		})
 	}
 }
+
+// TestDriverSetupInertAfterShutdown: the drivers' buffer set-up is an
+// event continuation too. A testbed torn down part-way through it must
+// let a later RunUntil fire the set-up's queued events without a panic
+// and without carving, wiring or queueing another buffer.
+func TestDriverSetupInertAfterShutdown(t *testing.T) {
+	tb := NewTestbed(alOptions())
+	tb.Eng.RunUntil(tb.Eng.Now().Add(50 * time.Microsecond))
+	type counters struct {
+		bus   [2]bus.Stats
+		dpm   [2]dpm.Stats
+		pages [2]int
+	}
+	snap := func() (c counters) {
+		for i, n := range []*Node{tb.A, tb.B} {
+			c.bus[i], c.dpm[i], c.pages[i] = n.Host.Bus.Stats(), n.Board.DPM.Stats(), n.Host.Mem.FreePages()
+		}
+		return c
+	}
+	if s := snap(); s.dpm[0].HostWrites == 0 {
+		t.Fatalf("stopped before the set-up wrote a ring: %+v", s)
+	}
+	tb.Shutdown()
+	if tb.Eng.Pending() == 0 {
+		t.Fatal("nothing left queued: the set-up was not stopped mid-way")
+	}
+	before, pending, events := snap(), tb.Eng.Pending(), tb.Eng.Events()
+	tb.Eng.RunUntil(tb.Eng.Now().Add(10 * time.Millisecond))
+	if after := snap(); after != before {
+		t.Fatalf("counters moved after Shutdown:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if fired := tb.Eng.Events() - events; fired+uint64(tb.Eng.Pending()) != uint64(pending) {
+		t.Fatalf("the %d events queued at Shutdown fired %d and left %d: something went on scheduling", pending, fired, tb.Eng.Pending())
+	}
+}

@@ -162,10 +162,21 @@ type mutex struct {
 func newMutex(e *sim.Engine) *mutex { return &mutex{cond: sim.NewCond(e)} }
 
 func (m *mutex) lock(p *sim.Proc) {
-	for m.held {
-		m.cond.Wait(p)
+	for !m.lockCont(p.Cont()) {
+		p.Park()
+	}
+}
+
+// lockCont takes the lock and reports true if it is free; otherwise it
+// queues k to be woken by an unlock and reports false: the
+// continuation form of lock, to be called again when k runs.
+func (m *mutex) lockCont(k sim.Cont) bool {
+	if m.held {
+		m.cond.WaitCont(k)
+		return false
 	}
 	m.held = true
+	return true
 }
 
 func (m *mutex) unlock() {
@@ -196,9 +207,12 @@ type Driver struct {
 	byPA    map[mem.PhysAddr]*rxBuffer
 	bufSlab []rxBuffer // backing store for all rxBuffers, sized up front
 	reserve []*rxBuffer
+	frames  []mem.Frame // scratch for carving a buffer's frame run
 	rxCond  *sim.Cond
 	freeMu  *mutex       // serializes the host's writer side of the free ring
 	partial []queue.Desc // descs of the PDU being accumulated
+
+	setup rxSetup // the buffer pool's set-up, run once by New
 
 	// Delivery scratch, reused by every PDU: the fragments and buffers
 	// of the PDU being delivered, and the message handed to the handler
@@ -241,7 +255,7 @@ func New(e *sim.Engine, h *hostsim.Host, b *board.Board, cfg Config) *Driver {
 		cfg.Space = h.Kernel
 	}
 	// The buffer pool's size is known now; carve the Go-side structures
-	// here, at construction, so the init proc's simulated work (wiring,
+	// here, at construction, so the set-up's simulated work (wiring,
 	// ring pushes) does not interleave with host-heap growth. Purely a
 	// host-side allocation move — the simulated timeline is unchanged.
 	total := cfg.RxBufCount + cfg.ReserveBufs
@@ -264,56 +278,155 @@ func New(e *sim.Engine, h *hostsim.Host, b *board.Board, cfg Config) *Driver {
 		retained: make(map[*msg.Message][]*rxBuffer),
 		trk:      fmt.Sprintf("%s-drv%d", b.Config().Name, cfg.ChannelIndex),
 	}
-	h.Int.Handle(board.RxIRQBase+cfg.ChannelIndex, func(p *sim.Proc) {
-		h.Compute(p, h.Prof.ThreadDispatch)
-		d.rxCond.Broadcast()
-	})
-	h.Int.Handle(board.TxIRQBase+cfg.ChannelIndex, func(p *sim.Proc) {
-		d.txCond.Broadcast()
-	})
+	h.Int.Handle(board.RxIRQBase+cfg.ChannelIndex, h.Prof.ThreadDispatch, d.rxCond.Broadcast)
+	h.Int.Handle(board.TxIRQBase+cfg.ChannelIndex, 0, d.txCond.Broadcast)
 
-	e.Go(fmt.Sprintf("driver-ch%d-init", cfg.ChannelIndex), func(p *sim.Proc) {
-		d.ch.TxRing.Init(p, dpm.Host)
-		d.ch.FreeRing.Init(p, dpm.Host)
-		d.ch.RecvRing.Init(p, dpm.Host)
-		total := cfg.RxBufCount + cfg.ReserveBufs
-		if cfg.BufferFrames != nil {
-			total = len(cfg.BufferFrames)
-		}
-		for i := 0; i < total; i++ {
-			var buf *rxBuffer
-			if cfg.BufferFrames != nil {
-				buf = d.adoptRxBuffer(p, cfg.BufferFrames[i])
-			} else {
-				buf = d.allocRxBuffer(p)
-			}
-			pushed := false
-			if i < total-cfg.ReserveBufs {
-				d.freeMu.lock(p)
-				pushed = d.ch.FreeRing.TryPush(p, dpm.Host, queue.Desc{Addr: buf.pa, Len: uint32(buf.size)})
-				d.freeMu.unlock()
-			}
-			if !pushed {
-				d.reserve = append(d.reserve, buf)
-			}
-		}
-		b.KickFree()
-	})
+	d.setup = rxSetup{d: d, total: total}
+	e.AtCall(e.Now(), rxSetupStep, &d.setup)
 	e.Go(fmt.Sprintf("driver-ch%d-rx", cfg.ChannelIndex), d.rxThread)
 	return d
 }
 
+// rxSetup initializes the channel's rings and sets up the receive
+// buffer pool: it carves and wires each buffer, queues all but the
+// reserve on the free ring, and kicks the board. It is a state machine
+// run by events, not a proc; rxSetupStep is its one event callback.
+type rxSetup struct {
+	d     *Driver
+	total int // buffers to set up
+	i     int // buffers set up so far
+	buf   *rxBuffer
+	rings int // rings initialized so far
+	op    queue.Op
+	w     hostsim.Work
+	pc    uint8
+}
+
+// rxSetup states.
+const (
+	setupRing  uint8 = iota // initialize the next ring
+	setupInit               // in Ring.Init
+	setupCarve              // carve the next buffer
+	setupWire               // wiring its pages
+	setupLock               // take freeMu
+	setupPush               // queue it on the free ring
+)
+
+// rxSetupStep is the set-up's event callback. Once the engine is shut
+// down it does nothing, as a killed process would.
+func rxSetupStep(a any) {
+	s := a.(*rxSetup)
+	if s.d.host.Eng.Halted() {
+		return
+	}
+	s.run()
+}
+
+func (s *rxSetup) run() {
+	d := s.d
+	k := sim.Cont{Fn: rxSetupStep, Arg: s}
+	for {
+		switch s.pc {
+		case setupRing:
+			rings := [...]*queue.Ring{d.ch.TxRing, d.ch.FreeRing, d.ch.RecvRing}
+			if s.rings == len(rings) {
+				s.pc = setupCarve
+				continue
+			}
+			s.op.Init(rings[s.rings], dpm.Host)
+			s.rings++
+			s.pc = setupInit
+		case setupInit:
+			if !s.op.Step(k) {
+				return
+			}
+			s.pc = setupRing
+		case setupCarve:
+			if s.i == s.total {
+				d.b.KickFree()
+				return
+			}
+			pages := 0
+			if d.cfg.BufferFrames != nil {
+				s.buf, pages = d.adoptRxBuffer(d.cfg.BufferFrames[s.i])
+			} else {
+				s.buf, pages = d.allocRxBuffer()
+			}
+			s.w = d.host.Wiring(pages, d.cfg.SlowWiring)
+			s.pc = setupWire
+		case setupWire:
+			if !s.w.Step(k) {
+				return
+			}
+			if s.i < s.total-d.cfg.ReserveBufs {
+				s.pc = setupLock
+			} else {
+				s.done(false)
+			}
+		case setupLock:
+			if !d.freeMu.lockCont(k) {
+				return
+			}
+			s.op.Push(d.ch.FreeRing, dpm.Host, queue.Desc{Addr: s.buf.pa, Len: uint32(s.buf.size)})
+			s.pc = setupPush
+		case setupPush:
+			if !s.op.Step(k) {
+				return
+			}
+			d.freeMu.unlock()
+			s.done(s.op.OK())
+		}
+	}
+}
+
+// done finishes the buffer being set up: pushed onto the free ring, or
+// else held in the reserve.
+func (s *rxSetup) done(pushed bool) {
+	if !pushed {
+		s.d.reserve = append(s.d.reserve, s.buf)
+	}
+	s.buf = nil
+	s.i++
+	s.pc = setupCarve
+}
+
 // allocRxBuffer carves one receive buffer: physically contiguous (the
 // driver's default, possible because the kernel controls these pages)
-// unless PagedRxBufs restricts it to a single page (§2.2). The pages are
-// wired once, up front — they live on the DMA path forever.
-func (d *Driver) allocRxBuffer(p *sim.Proc) *rxBuffer {
+// unless PagedRxBufs restricts it to a single page (§2.2). It returns
+// the buffer and its page count; the pages are wired once, up front —
+// they live on the DMA path forever — and the caller charges the
+// wiring.
+func (d *Driver) allocRxBuffer() (*rxBuffer, int) {
 	m := d.host.Mem
 	pages := (d.cfg.RxBufBytes + m.PageSize() - 1) / m.PageSize()
-	frames, err := m.AllocContiguous(pages)
+	frames, err := m.AppendContiguous(d.frames[:0], pages)
 	if err != nil {
 		panic("driver: out of contiguous memory for receive buffers: " + err.Error())
 	}
+	d.frames = frames
+	buf := d.mapRxBuffer(frames)
+	buf.size = d.cfg.RxBufBytes
+	return buf, pages
+}
+
+// adoptRxBuffer registers a caller-supplied contiguous frame run as one
+// receive buffer, as allocRxBuffer does a carved one.
+func (d *Driver) adoptRxBuffer(frames []mem.Frame) (*rxBuffer, int) {
+	for i := 1; i < len(frames); i++ {
+		if frames[i] != frames[i-1]+1 {
+			panic("driver: BufferFrames run not physically contiguous")
+		}
+	}
+	buf := d.mapRxBuffer(frames)
+	buf.size = len(frames) * d.host.Mem.PageSize()
+	return buf, len(frames)
+}
+
+// mapRxBuffer maps a contiguous frame run in the driver's space, wires
+// its frames and registers it as a receive buffer, whose size the
+// caller sets.
+func (d *Driver) mapRxBuffer(frames []mem.Frame) *rxBuffer {
+	m := d.host.Mem
 	va, err := d.cfg.Space.MapFrames(frames)
 	if err != nil {
 		panic(err)
@@ -321,18 +434,16 @@ func (d *Driver) allocRxBuffer(p *sim.Proc) *rxBuffer {
 	for _, f := range frames {
 		m.Wire(f)
 	}
-	d.host.WirePages(p, pages, d.cfg.SlowWiring)
 	buf := d.newRxBuffer()
 	buf.va = va
 	buf.pa = m.FrameAddr(frames[0])
-	buf.size = d.cfg.RxBufBytes
 	buf.space = d.cfg.Space
 	d.byPA[buf.pa] = buf
 	return buf
 }
 
 // newRxBuffer hands out the next slot of the preallocated slab (the
-// construction-time sizing covers every buffer the init proc creates),
+// construction-time sizing covers every buffer the set-up creates),
 // falling back to the heap otherwise. Callers fill the fields in place —
 // passing a composite literal would defeat the slab, since the escaping
 // fallback path forces the literal itself onto the heap.
@@ -342,32 +453,6 @@ func (d *Driver) newRxBuffer() *rxBuffer {
 		return &d.bufSlab[len(d.bufSlab)-1]
 	}
 	return new(rxBuffer)
-}
-
-// adoptRxBuffer registers a caller-supplied contiguous frame run as one
-// receive buffer, mapping and wiring it in the driver's space.
-func (d *Driver) adoptRxBuffer(p *sim.Proc, frames []mem.Frame) *rxBuffer {
-	m := d.host.Mem
-	for i := 1; i < len(frames); i++ {
-		if frames[i] != frames[i-1]+1 {
-			panic("driver: BufferFrames run not physically contiguous")
-		}
-	}
-	va, err := d.cfg.Space.MapFrames(frames)
-	if err != nil {
-		panic(err)
-	}
-	for _, f := range frames {
-		m.Wire(f)
-	}
-	d.host.WirePages(p, len(frames), d.cfg.SlowWiring)
-	buf := d.newRxBuffer()
-	buf.va = va
-	buf.pa = m.FrameAddr(frames[0])
-	buf.size = len(frames) * m.PageSize()
-	buf.space = d.cfg.Space
-	d.byPA[buf.pa] = buf
-	return buf
 }
 
 // Space returns the address space the driver's buffers live in.

@@ -55,38 +55,105 @@ func (h *Host) Release() {
 	h.Cache.Release()
 }
 
-// Compute charges d of CPU time to p, serializing with other CPU users.
-// The profile's CPUMemTrafficRatio fraction of the work additionally
-// occupies the memory path in ComputeChunk slices, so on a serialized
-// machine CPU activity steals bus bandwidth from concurrent DMA — and
-// contended DMA stretches the CPU work in turn (§4).
+// Compute charges d of CPU time to p, serializing with other CPU users:
+// the proc form of Work.
 func (h *Host) Compute(p *sim.Proc, d time.Duration) {
+	w := h.Work(d)
+	w.Run(p)
+}
+
+// Work is a span of CPU work in continuation form, the one
+// implementation of it: Compute runs one from a proc, and the kernel's
+// interrupt service and the driver's buffer set-up, which are state
+// machines rather than procs, step one. It acquires the CPU, works,
+// and releases the CPU. The profile's CPUMemTrafficRatio fraction of
+// the work additionally occupies the memory path in ComputeChunk
+// slices — each slice a CPU-only sleep, then a hold of the memory port
+// — so on a serialized machine CPU activity steals bus bandwidth from
+// concurrent DMA, and contended DMA stretches the CPU work in turn
+// (§4). Step advances it with k as the continuation to wake, and
+// reports whether it has finished.
+type Work struct {
+	h    *Host
+	left time.Duration // work in slices not yet begun
+	mem  time.Duration // the current slice's memory part
+	port sim.Hold      // the memory-port hold in progress
+	pc   uint8
+}
+
+// Work states.
+const (
+	workAcquire uint8 = iota // take the CPU
+	workSlice                // begin the next slice: its CPU-only part
+	workMem                  // the slice's memory part
+	workPort                 // holding the memory port
+	workDone
+)
+
+// Work returns d of CPU work; d <= 0 is no work, and takes no CPU.
+func (h *Host) Work(d time.Duration) Work {
 	if d <= 0 {
-		return
+		return Work{pc: workDone}
 	}
-	r := h.Prof.CPUMemTrafficRatio
-	if r <= 0 {
-		h.CPU.Use(p, d)
-		return
-	}
-	h.CPU.Acquire(p)
-	chunk := h.Prof.ComputeChunk
-	if chunk <= 0 {
-		chunk = 2 * time.Microsecond
-	}
-	for d > 0 {
-		c := chunk
-		if c > d {
-			c = d
+	return Work{h: h, left: d}
+}
+
+// Step advances the work: it returns false when k has been queued or
+// scheduled (call Step again when k runs) and true once the work is
+// done and the CPU released.
+func (w *Work) Step(k sim.Cont) bool {
+	h := w.h
+	for {
+		switch w.pc {
+		case workAcquire:
+			w.pc = workSlice
+			if !h.CPU.AcquireCont(k) {
+				return false
+			}
+		case workSlice:
+			if w.left <= 0 {
+				h.CPU.Release()
+				w.pc = workDone
+				return true
+			}
+			c := w.left
+			if r := h.Prof.CPUMemTrafficRatio; r > 0 {
+				chunk := h.Prof.ComputeChunk
+				if chunk <= 0 {
+					chunk = 2 * time.Microsecond
+				}
+				c = min(c, chunk)
+				w.mem = time.Duration(float64(c) * r)
+			}
+			w.left -= c
+			w.pc = workMem
+			if cpuPart := c - w.mem; cpuPart > 0 {
+				e := h.Eng
+				if !e.WakeAt(e.Now().Add(cpuPart), k) {
+					return false
+				}
+			}
+		case workMem:
+			w.pc = workSlice
+			if w.mem > 0 {
+				w.port, w.mem, w.pc = h.Bus.CPUOccupy(w.mem), 0, workPort
+			}
+		case workPort:
+			if !w.port.Step(k) {
+				return false
+			}
+			w.pc = workSlice
+		default:
+			return true
 		}
-		memPart := time.Duration(float64(c) * r)
-		if cpuPart := c - memPart; cpuPart > 0 {
-			p.Sleep(cpuPart)
-		}
-		h.Bus.CPUOccupy(p, memPart)
-		d -= c
 	}
-	h.CPU.Release()
+}
+
+// Run completes the work from proc p.
+func (w *Work) Run(p *sim.Proc) {
+	for !w.Step(p.Cont()) {
+		p.Park()
+	}
 }
 
 // CPUReadData reads the given physical segments through the data cache,
@@ -199,32 +266,60 @@ func InternetChecksum(data []byte) uint16 {
 // WirePages charges the cost of wiring n pages using the fast low-level
 // primitive (§2.4); slow selects the heavyweight standard service.
 func (h *Host) WirePages(p *sim.Proc, n int, slow bool) {
+	w := h.Wiring(n, slow)
+	w.Run(p)
+}
+
+// Wiring returns the CPU work of wiring n pages: the continuation form
+// of WirePages.
+func (h *Host) Wiring(n int, slow bool) Work {
 	cost := time.Duration(n) * h.Prof.WirePerPage
 	if slow {
 		cost *= time.Duration(h.Prof.WireSlowFactor)
 	}
-	h.Compute(p, cost)
+	return h.Work(cost)
 }
 
 // IntController dispatches board interrupts to registered handlers.
 // Interrupts are level-triggered and coalescing: asserting a line that
 // is already pending is a no-op, matching the OSIRIS receive-side
 // "interrupt only on empty→non-empty transition" discipline (§2.1.2).
+//
+// Each interrupt's service is a state machine run by events, not a
+// proc: it charges the kernel's service cost, re-arms the line, charges
+// the handler's own cost and calls the handler. A line can be asserted
+// again while its previous service is still charging the handler's
+// cost, so two services of one line can be in progress at once; their
+// records come from a pool.
 type IntController struct {
 	host  *Host
 	lines map[int]*irqLine
+	free  []*irqService // service records not in progress
 }
 
-// irqLine is one interrupt line's state. Its service body is built once,
-// when the line is first used, so dispatching an interrupt spawns a proc
-// without allocating a closure.
+// irqLine is one interrupt line's state.
 type irqLine struct {
-	host    *Host
-	handler func(p *sim.Proc)
+	cost    time.Duration // the handler's CPU cost
+	handler func()
 	pending bool
 	count   int64
-	body    func(p *sim.Proc)
 }
+
+// irqService is one interrupt's service in progress.
+type irqService struct {
+	ic *IntController
+	k  sim.Cont // (irqStep, the record)
+	l  *irqLine
+	w  Work
+	pc uint8
+}
+
+// irqService states.
+const (
+	irqStart   uint8 = iota // the service begins
+	irqKernel               // charging the kernel's interrupt service cost
+	irqHandler              // charging the handler's cost
+)
 
 func newIntController(h *Host) *IntController {
 	return &IntController{host: h, lines: make(map[int]*irqLine)}
@@ -234,32 +329,24 @@ func newIntController(h *Host) *IntController {
 func (ic *IntController) line(n int) *irqLine {
 	l := ic.lines[n]
 	if l == nil {
-		l = &irqLine{host: ic.host}
-		l.body = l.service
+		l = &irqLine{}
 		ic.lines[n] = l
 	}
 	return l
 }
 
-// service charges the kernel's interrupt service cost on the host CPU,
-// re-arms the line, and runs the handler.
-func (l *irqLine) service(p *sim.Proc) {
-	l.host.Compute(p, l.host.Prof.InterruptCost)
-	l.pending = false
-	if l.handler != nil {
-		l.handler(p)
-	}
-}
-
-// Handle registers the handler for an interrupt line. The handler runs
-// in proc context after the interrupt service overhead has been charged.
-func (ic *IntController) Handle(line int, fn func(p *sim.Proc)) {
-	ic.line(line).handler = fn
+// Handle registers the handler for an interrupt line: after the
+// kernel's interrupt service overhead, cost more of CPU time is
+// charged — the handler's own work — and then fn runs, in event
+// context.
+func (ic *IntController) Handle(line int, cost time.Duration, fn func()) {
+	l := ic.line(line)
+	l.cost, l.handler = cost, fn
 }
 
 // Assert raises an interrupt line. Safe to call from event context (the
-// board's side). The kernel's interrupt service cost is charged on the
-// host CPU before the handler body runs.
+// board's side). Its service starts at the current instant, through the
+// event queue.
 func (ic *IntController) Assert(line int) {
 	l := ic.line(line)
 	if l.pending {
@@ -267,7 +354,49 @@ func (ic *IntController) Assert(line int) {
 	}
 	l.pending = true
 	l.count++
-	ic.host.Eng.Go("irq", l.body)
+	var s *irqService
+	if n := len(ic.free); n > 0 {
+		s, ic.free = ic.free[n-1], ic.free[:n-1]
+	} else {
+		s = &irqService{ic: ic}
+		s.k = sim.Cont{Fn: irqStep, Arg: s}
+	}
+	s.l, s.pc = l, irqStart
+	e := ic.host.Eng
+	e.AtCall(e.Now(), irqStep, s)
+}
+
+// irqStep is a service's event callback. Once the engine is shut down
+// it does nothing, as a killed process would.
+func irqStep(a any) {
+	s := a.(*irqService)
+	h := s.ic.host
+	if h.Eng.Halted() {
+		return
+	}
+	for {
+		switch s.pc {
+		case irqStart:
+			s.w, s.pc = h.Work(h.Prof.InterruptCost), irqKernel
+		case irqKernel:
+			if !s.w.Step(s.k) {
+				return
+			}
+			s.l.pending = false
+			s.w, s.pc = h.Work(s.l.cost), irqHandler
+		default:
+			if !s.w.Step(s.k) {
+				return
+			}
+			fn := s.l.handler
+			s.l = nil
+			s.ic.free = append(s.ic.free, s)
+			if fn != nil {
+				fn()
+			}
+			return
+		}
+	}
 }
 
 // Count returns how many times the line was asserted (not coalesced).

@@ -205,7 +205,7 @@ func TestInterruptDispatch(t *testing.T) {
 	e := sim.NewEngine(1)
 	h := New(e, DEC5000_200(), 64)
 	var handled sim.Time
-	h.Int.Handle(1, func(p *sim.Proc) { handled = p.Now() })
+	h.Int.Handle(1, 0, func() { handled = e.Now() })
 	e.At(1000, func() { h.Int.Assert(1) })
 	e.Run()
 	e.Shutdown()
@@ -222,7 +222,7 @@ func TestInterruptCoalescing(t *testing.T) {
 	e := sim.NewEngine(1)
 	h := New(e, DEC5000_200(), 64)
 	runs := 0
-	h.Int.Handle(2, func(p *sim.Proc) { runs++ })
+	h.Int.Handle(2, 0, func() { runs++ })
 	e.At(100, func() {
 		h.Int.Assert(2)
 		h.Int.Assert(2) // still pending: coalesced
@@ -242,7 +242,7 @@ func TestInterruptAfterHandlerRunsAgain(t *testing.T) {
 	e := sim.NewEngine(1)
 	h := New(e, DEC5000_200(), 64)
 	runs := 0
-	h.Int.Handle(3, func(p *sim.Proc) { runs++ })
+	h.Int.Handle(3, 0, func() { runs++ })
 	e.At(100, func() { h.Int.Assert(3) })
 	e.At(sim.Time(200*time.Microsecond), func() { h.Int.Assert(3) })
 	e.Run()
@@ -290,23 +290,23 @@ func TestChecksumDetectsChangeQuick(t *testing.T) {
 	}
 }
 
-// Dispatching an interrupt reuses the line's prebuilt service body and a
-// pooled proc coroutine, so the whole assert-and-service round costs at
-// most the one Proc allocation.
+// Dispatching an interrupt reuses a pooled service record, so once the
+// line and the record exist the whole assert-and-service round
+// allocates nothing.
 func TestInterruptDispatchAllocs(t *testing.T) {
 	e := sim.NewEngine(1)
 	defer e.Shutdown()
 	h := New(e, DEC5000_200(), 64)
 	runs := 0
-	h.Int.Handle(4, func(p *sim.Proc) { runs++ })
+	h.Int.Handle(4, 0, func() { runs++ })
 	h.Int.Assert(4)
-	e.Run() // warm-up: builds the line and the worker coroutine
+	e.Run() // warm-up: builds the line and the service record
 	allocs := testing.AllocsPerRun(1000, func() {
 		h.Int.Assert(4)
 		e.Run()
 	})
-	if allocs > 1 {
-		t.Errorf("Assert+service = %.1f allocs, want ≤1", allocs)
+	if allocs != 0 {
+		t.Errorf("Assert+service = %.1f allocs, want 0", allocs)
 	}
 	if runs != 1002 {
 		t.Errorf("handler ran %d times, want 1002", runs)

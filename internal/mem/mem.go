@@ -168,8 +168,19 @@ func (m *Memory) AllocFrame() (Frame, error) {
 // on the free list as stale entries, so the call costs O(n) beyond the
 // scan rather than a pass over the whole list.
 func (m *Memory) AllocContiguous(n int) ([]Frame, error) {
+	frames, err := m.AppendContiguous(nil, n)
+	if err != nil {
+		return nil, err
+	}
+	return frames, nil
+}
+
+// AppendContiguous is AllocContiguous appending the run's frames to
+// dst, so a caller can carve runs into storage it reuses. On failure
+// it returns dst unchanged.
+func (m *Memory) AppendContiguous(dst []Frame, n int) ([]Frame, error) {
 	if n <= 0 {
-		return nil, fmt.Errorf("mem: AllocContiguous(%d)", n)
+		return dst, fmt.Errorf("mem: AllocContiguous(%d)", n)
 	}
 	for int(m.low) < m.Pages() && m.owned[m.low] {
 		m.low++
@@ -183,16 +194,18 @@ func (m *Memory) AllocContiguous(n int) ([]Frame, error) {
 		}
 		if run == n {
 			start := i - n + 1
-			frames := make([]Frame, n)
-			for j := range frames {
-				frames[j] = Frame(start + j)
-				m.owned[start+j] = true
+			if cap(dst)-len(dst) < n {
+				dst = append(make([]Frame, 0, len(dst)+n), dst...)
+			}
+			for j := start; j <= i; j++ {
+				dst = append(dst, Frame(j))
+				m.owned[j] = true
 			}
 			m.stale += n
-			return frames, nil
+			return dst, nil
 		}
 	}
-	return nil, fmt.Errorf("mem: no run of %d contiguous free frames", n)
+	return dst, fmt.Errorf("mem: no run of %d contiguous free frames", n)
 }
 
 // compact drops the stale entries from the free list, preserving the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -121,6 +122,38 @@ func TestAllocContiguous(t *testing.T) {
 	for _, f := range frames {
 		if got[f] {
 			t.Fatalf("contiguous frame %d handed out twice", f)
+		}
+	}
+}
+
+// AllocContiguous makes the run's frame slice in one allocation, and
+// AppendContiguous into a slice with room for the run makes none and
+// hands out the same run.
+func TestContiguousAllocs(t *testing.T) {
+	m := New(Config{Pages: 64, Seed: 3})
+	scratch := make([]Frame, 0, 4)
+	for _, tc := range []struct {
+		name  string
+		alloc func() []Frame
+		want  float64
+	}{
+		{"AllocContiguous", func() []Frame { f, _ := m.AllocContiguous(4); return f }, 1},
+		{"AppendContiguous", func() []Frame { scratch, _ = m.AppendContiguous(scratch[:0], 4); return scratch }, 0},
+	} {
+		var first []Frame
+		allocs := testing.AllocsPerRun(50, func() {
+			frames := tc.alloc()
+			if first == nil {
+				first = append([]Frame(nil), frames...)
+			} else if !slices.Equal(frames, first) {
+				t.Fatalf("%s: run %v, want %v again", tc.name, frames, first)
+			}
+			for _, f := range frames {
+				m.FreeFrame(f)
+			}
+		})
+		if allocs != tc.want {
+			t.Errorf("%s: %.1f allocs per run, want %.0f", tc.name, allocs, tc.want)
 		}
 	}
 }

@@ -102,9 +102,9 @@ func (r *Ring) Slots() int { return int(r.slots) }
 
 // Init zeroes the head and tail pointers; who pays the access cost.
 func (r *Ring) Init(p *sim.Proc, who dpm.Accessor) {
-	r.d.WriteWord(p, who, r.headOff(), 0)
-	r.d.WriteWord(p, who, r.tailOff(), 0)
-	r.wHead, r.wSeenTail, r.rTail, r.rSeenHead = 0, 0, 0, 0
+	var o Op
+	o.Init(r, who)
+	o.Run(p)
 }
 
 func (r *Ring) headOff() uint32 { return r.base }
@@ -174,8 +174,9 @@ func (r *Ring) String() string {
 
 // Op is one ring operation in continuation form and the one
 // implementation of it: the proc forms (TryPush, TryPop, ObserveTail)
-// run an Op with Run, and the board's firmware and DMA engines, which
-// are state machines rather than procs, step one. Each word access
+// run an Op with Run, and the board's firmware and DMA engines and the
+// driver's buffer set-up, which are state machines rather than procs,
+// step one. Each word access
 // costs its accessor's price and takes effect at its own instant
 // (dpm.Access). The method naming the operation (Push, Pop, Peek, ...)
 // sets an Op up in place; an Op is not copied. Step advances it with k
@@ -203,6 +204,7 @@ const (
 	opLen
 	opObserve
 	opNotify
+	opInit
 )
 
 func (o *Op) start(r *Ring, who dpm.Accessor, kind opKind) {
@@ -259,6 +261,10 @@ func (o *Op) Notify(r *Ring, who dpm.Accessor, flag uint32) {
 	o.start(r, who, opNotify)
 	o.at = flag
 }
+
+// Init makes o zero r's head and tail pointers, one store each, and
+// then reset both sides' shadows of them.
+func (o *Op) Init(r *Ring, who dpm.Accessor) { o.start(r, who, opInit) }
 
 // OK reports the result of a finished Push, Pop, Peek or Notify.
 func (o *Op) OK() bool { return o.ok }
@@ -403,6 +409,16 @@ func (o *Op) next() bool {
 			return o.put(o.at, 0, 3)
 		default:
 			o.ok = true
+			return true
+		}
+	case opInit:
+		switch o.pc {
+		case 0:
+			return o.put(r.headOff(), 0, 1)
+		case 1:
+			return o.put(r.tailOff(), 0, 2)
+		default:
+			r.wHead, r.wSeenTail, r.rTail, r.rSeenHead = 0, 0, 0, 0
 			return true
 		}
 	}

@@ -20,16 +20,14 @@ const allocGate = 0.08
 // resumeGates bound each workload's proc resumes per simulated cell:
 // coroutine switches, each dearer than a plain event. Like allocation
 // counts they are deterministic. Each gate leaves about 10% headroom
-// over the highest measured level: 0.12 on fig3_receive_64k, and on
-// fanin_4x8k 2.07 with cell-train links and 3.07 with per-cell ones.
-// The board starts no proc, so what is left is host software: the
-// driver, protocols, applications and interrupt handlers. While the
-// board's processors ran as procs these read 1.47 and 6.01 (per-cell),
-// and while its DMA engines and generator did too, 3.21 and 8.36
-// (trains).
+// over the highest measured level: 0.095 on fig3_receive_64k, and on
+// fanin_4x8k 1.52 with cell-train links and 2.52 with per-cell ones.
+// Neither the board nor the kernel's interrupt service nor the
+// driver's buffer set-up runs as a proc, so what is left is the
+// driver's receive threads, the protocols and the applications.
 var resumeGates = map[string]float64{
-	"fig3_receive_64k": 0.135,
-	"fanin_4x8k":       3.4,
+	"fig3_receive_64k": 0.105,
+	"fanin_4x8k":       2.8,
 }
 
 // simcoreResult is one workload's simulated outcome, bit-for-bit stable

@@ -4,8 +4,8 @@ import "time"
 
 // Resource models a resource that at most one activity may hold at a
 // time, with FIFO arbitration — a bus, a memory port, a DMA engine.
-// Procs (Acquire) and continuations (AcquireCont) wait in one queue.
-// It also accumulates busy time so utilization can be reported.
+// Procs (Hold.Do, Use) and continuations (AcquireCont) wait in one
+// queue. It also accumulates busy time so utilization can be reported.
 type Resource struct {
 	eng       *Engine
 	name      string
@@ -20,19 +20,10 @@ func NewResource(e *Engine, name string) *Resource {
 	return &Resource{eng: e, name: name}
 }
 
-// Acquire blocks p until it holds the resource. Waiters are served in
-// FIFO order.
-func (r *Resource) Acquire(p *Proc) {
-	if !r.AcquireCont(p.Cont()) {
-		// Our predecessor's Release transfers ownership to us before
-		// resuming us, so the resource is ours when block returns.
-		p.block()
-	}
-}
-
 // AcquireCont takes the resource and reports true if it is free;
 // otherwise it queues k, which the Release that hands the resource
-// over schedules, and reports false: the continuation form of Acquire.
+// over schedules, and reports false. Waiters are served in FIFO order,
+// and the Release that schedules k has already made the resource k's.
 func (r *Resource) AcquireCont(k Cont) bool {
 	if r.held {
 		r.queue = append(r.queue, k)

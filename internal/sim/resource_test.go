@@ -34,7 +34,7 @@ func TestResourceFIFOArbitration(t *testing.T) {
 	for _, name := range []string{"w1", "w2", "w3"} {
 		name := name
 		e.Go(name, func(p *Proc) {
-			r.Acquire(p)
+			acquire(p, r)
 			p.Sleep(10 * time.Nanosecond)
 			order = append(order, name)
 			r.Release()
@@ -104,7 +104,7 @@ func TestResourceHeldAndQueueLen(t *testing.T) {
 		t.Error("fresh resource held")
 	}
 	e.Go("holder", func(p *Proc) {
-		r.Acquire(p)
+		acquire(p, r)
 		p.Sleep(100 * time.Nanosecond)
 		if r.QueueLen() != 1 {
 			t.Errorf("QueueLen = %d, want 1", r.QueueLen())
@@ -113,7 +113,7 @@ func TestResourceHeldAndQueueLen(t *testing.T) {
 	})
 	e.Go("waiter", func(p *Proc) {
 		p.Sleep(10 * time.Nanosecond)
-		r.Acquire(p)
+		acquire(p, r)
 		r.Release()
 	})
 	e.At(50, func() {
@@ -147,5 +147,12 @@ func TestResourceHandoffPreservesTiming(t *testing.T) {
 		if finish[i] != want[i] {
 			t.Fatalf("finish = %v, want %v", finish, want)
 		}
+	}
+}
+
+// acquire blocks p until it holds r.
+func acquire(p *Proc, r *Resource) {
+	if !r.AcquireCont(p.Cont()) {
+		p.Park()
 	}
 }

@@ -487,11 +487,13 @@ func (e *Engine) Run() Time {
 
 // RunUntil runs the simulation until the virtual clock would pass t;
 // events scheduled after t remain queued and the clock is advanced to t.
+// A callback that panics out of RunUntil leaves the previous horizon in
+// force, not t.
 func (e *Engine) RunUntil(t Time) Time {
 	prev := e.limit
 	e.limit = t
+	defer func() { e.limit = prev }()
 	e.Run()
-	e.limit = prev
 	if e.now < t {
 		e.now = t
 	}

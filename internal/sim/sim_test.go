@@ -377,3 +377,24 @@ func TestCallbackPanicLeavesQueueConsistent(t *testing.T) {
 		t.Fatalf("fired at %v, pending %d; want [2ns], 0", got, e.Pending())
 	}
 }
+
+// TestRunUntilPanicRestoresHorizon: a callback that panics out of a
+// RunUntil leaves no horizon behind, so a later Run runs every event.
+func TestRunUntilPanicRestoresHorizon(t *testing.T) {
+	e := NewEngine(1)
+	fired := false
+	e.At(10, func() { panic("halt") })
+	e.At(200, func() { fired = true })
+	func() {
+		defer func() {
+			if r := recover(); r != "halt" {
+				t.Fatalf("recovered %v, want halt", r)
+			}
+		}()
+		e.RunUntil(100)
+	}()
+	e.Run()
+	if !fired || e.Now() != 200 || e.Pending() != 0 {
+		t.Fatalf("after Run: fired %v, now %v, pending %d; want true, 200ns, 0", fired, e.Now(), e.Pending())
+	}
+}
