@@ -155,6 +155,14 @@ type Link struct {
 	lseq uint64 // per-link stamp counter (monotone)
 }
 
+// linkSend is a Send in continuation form: a proc awaits one.
+type linkSend struct {
+	l *Link
+	c Cell
+}
+
+func (s *linkSend) Step(k sim.Cont) bool { return s.l.SendCont(&s.c, k) }
+
 // NewLink creates a link and draws its stamp id from the engine, so
 // links number in construction order.
 func NewLink(e *sim.Engine, cfg LinkConfig) *Link {
@@ -213,9 +221,11 @@ func (l *Link) SetReceiver(fn func(c Cell, link int)) { l.deliver = fn }
 // transmit FIFO is full — the backpressure the board's segmentation
 // loop experiences.
 func (l *Link) Send(p *sim.Proc, c Cell) {
-	for !l.SendCont(&c, p.Cont()) {
-		p.Park()
-	}
+	pl := sim.PoolOf[linkSend](l.eng) // made on first use: no workload sends from a proc
+	s := pl.Take()
+	s.l, s.c = l, c
+	p.Await(s)
+	pl.Put(s)
 }
 
 // SendCont submits *c and reports true if the link's transmit FIFO has

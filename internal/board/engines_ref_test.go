@@ -247,27 +247,27 @@ func (b *Board) fictProc(p *sim.Proc) {
 func readerPeek(p *sim.Proc, r *queue.Ring, k int) (queue.Desc, bool) {
 	var o queue.Op
 	o.Peek(r, dpm.Board, k)
-	o.Run(p)
+	p.Await(&o)
 	return o.Desc(), o.OK()
 }
 
 func readerAdvance(p *sim.Proc, r *queue.Ring, n int) {
 	var o queue.Op
 	o.Advance(r, dpm.Board, n)
-	o.Run(p)
+	p.Await(&o)
 }
 
 func readerNotify(p *sim.Proc, r *queue.Ring, flag uint32) bool {
 	var o queue.Op
 	o.Notify(r, dpm.Board, flag)
-	o.Run(p)
+	p.Await(&o)
 	return o.OK()
 }
 
 func readerLen(p *sim.Proc, r *queue.Ring) int {
 	var o queue.Op
 	o.Len(r, dpm.Board)
-	o.Run(p)
+	p.Await(&o)
 	return o.N()
 }
 

@@ -84,17 +84,21 @@ type Memory struct {
 	unmap func([]byte) error // returns data to the OS; nil when the Go heap holds it
 	locks [2]bool
 	stats Stats
+	accs  *sim.Pool[Access] // records of the accesses procs await
 }
 
 // New returns a dual-port memory whose host-side accesses are priced on b.
 func New(e *sim.Engine, b *bus.Bus) *Memory {
 	data, unmap := mem.Backing(Size)
-	m := &Memory{eng: e, bus: b, data: data, unmap: unmap}
+	m := &Memory{eng: e, bus: b, data: data, unmap: unmap, accs: sim.PoolOf[Access](e)}
 	if unmap != nil {
 		runtime.SetFinalizer(m, (*Memory).Release) // a backstop for an owner that never calls Release
 	}
 	return m
 }
+
+// Engine returns the engine the memory's accesses run on.
+func (m *Memory) Engine() *sim.Engine { return m.eng }
 
 // Release returns the memory's bytes to the OS, at teardown: any later
 // word access panics in its bounds check. Calling it again does nothing.
@@ -167,7 +171,7 @@ func (m *Memory) badWord(off uint32) {
 }
 
 // Access is one atomic 32-bit word access in continuation form, the
-// one implementation of a word access: ReadWord and WriteWord run it
+// one implementation of a word access: ReadWord and WriteWord await it
 // from a proc. It is counted when it is made; the word is loaded or
 // stored once its accessor's cost has elapsed, at the instant the
 // access takes effect. A board access costs BoardAccessTime, a plain
@@ -230,27 +234,23 @@ func (m *Memory) store(off uint32, v uint32) { binary.LittleEndian.PutUint32(m.d
 // Val returns the word a finished load read (or a store wrote).
 func (a *Access) Val() uint32 { return a.val }
 
-// Run completes the access from proc p.
-func (a *Access) Run(p *sim.Proc) {
-	for !a.Step(p.Cont()) {
-		p.Park()
-	}
-}
-
 // ReadWord performs an atomic 32-bit load at byte offset off, charging
 // the accessor's cost to p.
 func (m *Memory) ReadWord(p *sim.Proc, who Accessor, off uint32) uint32 {
-	var a Access
+	a := m.accs.Take()
 	a.Load(m, who, off)
-	a.Run(p)
-	return a.val
+	p.Await(a)
+	v := a.val
+	m.accs.Put(a)
+	return v
 }
 
 // WriteWord performs an atomic 32-bit store at byte offset off.
 func (m *Memory) WriteWord(p *sim.Proc, who Accessor, off uint32, v uint32) {
-	var a Access
+	a := m.accs.Take()
 	a.Store(m, who, off, v)
-	a.Run(p)
+	p.Await(a)
+	m.accs.Put(a)
 }
 
 // TestAndSet atomically sets register r and returns its previous value.

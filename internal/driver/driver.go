@@ -161,16 +161,12 @@ type mutex struct {
 
 func newMutex(e *sim.Engine) *mutex { return &mutex{cond: sim.NewCond(e)} }
 
-func (m *mutex) lock(p *sim.Proc) {
-	for !m.lockCont(p.Cont()) {
-		p.Park()
-	}
-}
+func (m *mutex) lock(p *sim.Proc) { p.Await(m) }
 
-// lockCont takes the lock and reports true if it is free; otherwise it
+// Step takes the lock and reports true if it is free; otherwise it
 // queues k to be woken by an unlock and reports false: the
 // continuation form of lock, to be called again when k runs.
-func (m *mutex) lockCont(k sim.Cont) bool {
+func (m *mutex) Step(k sim.Cont) bool {
 	if m.held {
 		m.cond.WaitCont(k)
 		return false
@@ -364,7 +360,7 @@ func (s *rxSetup) run() {
 				s.done(false)
 			}
 		case setupLock:
-			if !d.freeMu.lockCont(k) {
+			if !d.freeMu.Step(k) {
 				return
 			}
 			s.op.Push(d.ch.FreeRing, dpm.Host, queue.Desc{Addr: s.buf.pa, Len: uint32(s.buf.size)})

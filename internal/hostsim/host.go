@@ -24,6 +24,7 @@ type Host struct {
 
 	segPool [][]mem.PhysBuffer // scratch slices for per-PDU segment lists
 	bufPool [][]byte           // scratch buffers for Checksum's data pass
+	works   *sim.Pool[Work]    // records of the Work procs await
 }
 
 // New builds a host from a profile. memPages sizes physical memory (0
@@ -41,6 +42,7 @@ func New(e *sim.Engine, prof Profile, memPages int) *Host {
 		Cache: cache.New(m, cache.Config{Size: prof.CacheSize, LineSize: prof.CacheLine, Policy: prof.CachePolicy}),
 		Bus:   b,
 		CPU:   sim.NewResource(e, prof.Name+"-cpu"),
+		works: sim.PoolOf[Work](e),
 	}
 	h.Int = newIntController(h)
 	h.Kernel = m.NewSpace(prof.Name + "-kernel")
@@ -57,15 +59,24 @@ func (h *Host) Release() {
 
 // Compute charges d of CPU time to p, serializing with other CPU users:
 // the proc form of Work.
-func (h *Host) Compute(p *sim.Proc, d time.Duration) {
-	w := h.Work(d)
-	w.Run(p)
+func (h *Host) Compute(p *sim.Proc, d time.Duration) { h.await(p, d) }
+
+// await completes d of CPU work from proc p, in a pooled record set up
+// in place.
+func (h *Host) await(p *sim.Proc, d time.Duration) {
+	if d <= 0 {
+		return
+	}
+	w := h.works.Take()
+	*w = Work{h: h, left: d}
+	p.Await(w)
+	h.works.Put(w)
 }
 
 // Work is a span of CPU work in continuation form, the one
-// implementation of it: Compute runs one from a proc, and the kernel's
-// interrupt service and the driver's buffer set-up, which are state
-// machines rather than procs, step one. It acquires the CPU, works,
+// implementation of it: a proc awaits one through Compute, and the
+// kernel's interrupt service and the driver's buffer set-up, which are
+// state machines rather than procs, step one. It acquires the CPU, works,
 // and releases the CPU. The profile's CPUMemTrafficRatio fraction of
 // the work additionally occupies the memory path in ComputeChunk
 // slices — each slice a CPU-only sleep, then a hold of the memory port
@@ -146,13 +157,6 @@ func (w *Work) Step(k sim.Cont) bool {
 		default:
 			return true
 		}
-	}
-}
-
-// Run completes the work from proc p.
-func (w *Work) Run(p *sim.Proc) {
-	for !w.Step(p.Cont()) {
-		p.Park()
 	}
 }
 
@@ -265,19 +269,19 @@ func InternetChecksum(data []byte) uint16 {
 
 // WirePages charges the cost of wiring n pages using the fast low-level
 // primitive (§2.4); slow selects the heavyweight standard service.
-func (h *Host) WirePages(p *sim.Proc, n int, slow bool) {
-	w := h.Wiring(n, slow)
-	w.Run(p)
-}
+func (h *Host) WirePages(p *sim.Proc, n int, slow bool) { h.await(p, h.wireCost(n, slow)) }
 
 // Wiring returns the CPU work of wiring n pages: the continuation form
 // of WirePages.
-func (h *Host) Wiring(n int, slow bool) Work {
+func (h *Host) Wiring(n int, slow bool) Work { return h.Work(h.wireCost(n, slow)) }
+
+// wireCost is the CPU time of wiring n pages.
+func (h *Host) wireCost(n int, slow bool) time.Duration {
 	cost := time.Duration(n) * h.Prof.WirePerPage
 	if slow {
 		cost *= time.Duration(h.Prof.WireSlowFactor)
 	}
-	return h.Work(cost)
+	return cost
 }
 
 // IntController dispatches board interrupts to registered handlers.
@@ -290,11 +294,11 @@ func (h *Host) Wiring(n int, slow bool) Work {
 // the handler's own cost and calls the handler. A line can be asserted
 // again while its previous service is still charging the handler's
 // cost, so two services of one line can be in progress at once; their
-// records come from a pool.
+// records come from the engine's pool.
 type IntController struct {
 	host  *Host
 	lines map[int]*irqLine
-	free  []*irqService // service records not in progress
+	svcs  *sim.Pool[irqService] // service records
 }
 
 // irqLine is one interrupt line's state.
@@ -322,7 +326,7 @@ const (
 )
 
 func newIntController(h *Host) *IntController {
-	return &IntController{host: h, lines: make(map[int]*irqLine)}
+	return &IntController{host: h, lines: make(map[int]*irqLine), svcs: sim.PoolOf[irqService](h.Eng)}
 }
 
 // line returns the state for an interrupt line, creating it on first use.
@@ -354,13 +358,8 @@ func (ic *IntController) Assert(line int) {
 	}
 	l.pending = true
 	l.count++
-	var s *irqService
-	if n := len(ic.free); n > 0 {
-		s, ic.free = ic.free[n-1], ic.free[:n-1]
-	} else {
-		s = &irqService{ic: ic}
-		s.k = sim.Cont{Fn: irqStep, Arg: s}
-	}
+	s := ic.svcs.Take()
+	s.ic, s.k = ic, sim.Cont{Fn: irqStep, Arg: s}
 	s.l, s.pc = l, irqStart
 	e := ic.host.Eng
 	e.AtCall(e.Now(), irqStep, s)
@@ -390,7 +389,7 @@ func irqStep(a any) {
 			}
 			fn := s.l.handler
 			s.l = nil
-			s.ic.free = append(s.ic.free, s)
+			s.ic.svcs.Put(s)
 			if fn != nil {
 				fn()
 			}

@@ -62,15 +62,37 @@ func rigSpans(in *byteStream) []span {
 }
 
 // runSpans runs a worker's program from a proc, charging each span's
-// work with compute and noting when it ends.
-func runSpans(p *sim.Proc, spans []span, compute func(*sim.Proc, time.Duration), note func(i int)) {
+// work with compute and noting when it ends. mark is called wherever
+// the proc's own code runs again.
+func runSpans(p *sim.Proc, spans []span, compute func(*sim.Proc, time.Duration), note func(i int), mark func()) {
+	mark()
 	for i, sp := range spans {
 		if sp.gap > 0 {
 			p.Sleep(sp.gap)
+			mark()
 		}
 		compute(p, sp.work)
+		mark()
 		note(i)
 	}
+}
+
+// oneResume checks that every proc resume is followed by proc code:
+// mark, called wherever a proc's own code runs, counts the times more
+// than one resume happened since its last call, by any proc. A resume
+// that no proc code follows woke a proc in the middle of an operation,
+// only for it to wait again: a Compute resuming its proc per slice.
+type oneResume struct {
+	e     *sim.Engine
+	last  uint64
+	extra int
+}
+
+func (c *oneResume) mark() {
+	if c.e.Resumes()-c.last > 1 {
+		c.extra++
+	}
+	c.last = c.e.Resumes()
 }
 
 // contWorker runs a worker's program as a continuation, stepping Work
@@ -107,17 +129,20 @@ func contWorkerStep(a any) {
 
 // startDMA, when the input asks for it, starts a proc that streams DMA
 // writes with gaps, contending for the TURBOchannel.
-func startDMA(in *byteStream, h *Host, trace *[]string) {
+func startDMA(in *byteStream, h *Host, trace *[]string, mark func()) {
 	if in.next()&1 == 0 {
 		return
 	}
 	n, bytes := 1+in.next()%40, 4*(1+in.next()%22)
 	gap := time.Duration(in.next()%4) * 200 * time.Nanosecond
 	h.Eng.Go("dma", func(p *sim.Proc) {
+		mark()
 		for i := 0; i < n; i++ {
 			h.Bus.DMAWrite(bytes).Do(p)
+			mark()
 			if gap > 0 {
 				p.Sleep(gap)
+				mark()
 			}
 		}
 		*trace = append(*trace, fmt.Sprintf("%d dma done", p.Now()))
@@ -127,52 +152,62 @@ func startDMA(in *byteStream, h *Host, trace *[]string) {
 // runComputeRig runs the Compute rig: workers charging CPU work while
 // DMA contends for the bus. With ref every worker is a proc running
 // computeRef; otherwise each runs Compute or, if the input says so,
-// steps Work as a continuation.
-func runComputeRig(data []byte, ref bool) serviceResult {
+// steps Work as a continuation. It also returns the resumes in the
+// middle of an operation (oneResume), which only ref may make.
+func runComputeRig(data []byte, ref bool) (serviceResult, int) {
 	in := byteStream(data)
 	e := sim.NewEngine(1)
 	h := New(e, rigProfile(&in), 64)
 	var res serviceResult
+	chk := &oneResume{e: e}
 	for id, n := 0, 1+in.next()%4; id < n; id++ {
 		spans, asCont := rigSpans(&in), in.next()&1 == 1
 		note := func(i int) { res.Trace = append(res.Trace, fmt.Sprintf("%d w%d span%d", e.Now(), id, i)) }
 		switch {
 		case ref:
 			e.Go("worker", func(p *sim.Proc) {
-				runSpans(p, spans, func(p *sim.Proc, d time.Duration) { computeRef(h, p, d) }, note)
+				runSpans(p, spans, func(p *sim.Proc, d time.Duration) { computeRef(h, p, d) }, note, chk.mark)
 			})
 		case asCont:
 			c := &contWorker{h: h, spans: spans, note: note}
 			c.k = sim.Cont{Fn: contWorkerStep, Arg: c}
 			e.AtCall(e.Now(), contWorkerStep, c)
 		default:
-			e.Go("worker", func(p *sim.Proc) { runSpans(p, spans, h.Compute, note) })
+			e.Go("worker", func(p *sim.Proc) { runSpans(p, spans, h.Compute, note, chk.mark) })
 		}
 	}
-	startDMA(&in, h, &res.Trace)
+	startDMA(&in, h, &res.Trace, chk.mark)
 	e.Run()
 	e.Shutdown()
 	res.Events, res.Now = e.Events(), e.Now()
 	res.CPUBusy, res.BusBusy = h.CPU.BusyTime(), h.Bus.BusyTime()
-	return res
+	return res, chk.extra
 }
 
 // FuzzComputeMatchesProc checks Work, run from procs by Compute and
 // stepped by continuations, against the proc body it replaced: every
 // span ends at the same instant, with the same event count and the
-// same CPU and bus busy time.
+// same CPU and bus busy time, and Compute resumes its proc at most
+// once, when the work is done.
 func FuzzComputeMatchesProc(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 3, 1, 7, 2, 15, 0, 3, 0, 1, 1, 2, 1, 30, 10, 1})
 	f.Add([]byte{1, 2, 3, 2, 2, 4, 3, 9, 1, 5, 0, 11, 2, 3, 1, 12, 0, 0, 1, 39, 21, 0})
 	f.Add([]byte{0, 1, 2, 3, 0, 15, 0, 15, 0, 15, 1, 0, 2, 0, 6, 1, 0, 5})
 	f.Add([]byte{1, 1, 0, 1, 0, 3, 1, 1, 7, 1, 1, 0, 1, 20, 5, 3})
+	// Computes that wait more than once: a proc stepping Work itself
+	// would be resumed in the middle of them.
+	f.Add([]byte{56, 54, 55, 53, 56, 27, 15, 37, 12, 41, 55, 61, 18})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 64 {
 			return
 		}
-		want, got := runComputeRig(data, true), runComputeRig(data, false)
+		want, _ := runComputeRig(data, true)
+		got, extra := runComputeRig(data, false)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("Work diverges from the proc body\n got %+v\nwant %+v", got, want)
+		}
+		if extra != 0 {
+			t.Fatalf("%d proc resumes in the middle of a Compute", extra)
 		}
 	})
 }
@@ -241,10 +276,10 @@ func runIRQRig(data []byte, ref bool) serviceResult {
 		e.Go("worker", func(p *sim.Proc) {
 			runSpans(p, spans, compute, func(i int) {
 				res.Trace = append(res.Trace, fmt.Sprintf("%d w%d span%d", e.Now(), id, i))
-			})
+			}, func() {})
 		})
 	}
-	startDMA(&in, h, &res.Trace)
+	startDMA(&in, h, &res.Trace, func() {})
 	if cut := in.next(); cut != 0 {
 		e.RunUntil(sim.Time(cut) * sim.Time(4*time.Microsecond))
 		e.Shutdown()
@@ -290,8 +325,8 @@ func FuzzIRQServiceMatchesProc(f *testing.F) {
 }
 
 // A line asserted again while its previous service is still charging
-// the handler's cost starts a second service, which waits for the CPU;
-// the two services hold two records from the pool.
+// the handler's cost starts a second service, which waits for the CPU
+// and runs the handler again.
 func TestInterruptReassertDuringHandlerCost(t *testing.T) {
 	e := sim.NewEngine(1)
 	defer e.Shutdown()
@@ -304,8 +339,5 @@ func TestInterruptReassertDuringHandlerCost(t *testing.T) {
 	want := []sim.Time{sim.Time(30 * time.Microsecond), sim.Time(60 * time.Microsecond)}
 	if !reflect.DeepEqual(ran, want) || h.Int.Count(5) != 2 {
 		t.Fatalf("handler ran at %v, count %d; want %v, 2", ran, h.Int.Count(5), want)
-	}
-	if len(h.Int.free) != 2 {
-		t.Fatalf("%d service records pooled, want 2", len(h.Int.free))
 	}
 }

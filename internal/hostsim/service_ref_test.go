@@ -22,9 +22,7 @@ func computeRef(h *Host, p *sim.Proc, d time.Duration) {
 		h.CPU.Use(p, d)
 		return
 	}
-	if !h.CPU.AcquireCont(p.Cont()) {
-		p.Park()
-	}
+	p.Await(&acquireOp{r: h.CPU})
 	chunk := h.Prof.ComputeChunk
 	if chunk <= 0 {
 		chunk = 2 * time.Microsecond
@@ -44,6 +42,21 @@ func computeRef(h *Host, p *sim.Proc, d time.Duration) {
 		d -= c
 	}
 	h.CPU.Release()
+}
+
+// acquireOp takes a resource, waiting in its queue: computeRef's CPU
+// acquisition, one park as the proc's own acquire loop was.
+type acquireOp struct {
+	r     *sim.Resource
+	asked bool
+}
+
+func (a *acquireOp) Step(k sim.Cont) bool {
+	if a.asked {
+		return true
+	}
+	a.asked = true
+	return a.r.AcquireCont(k)
 }
 
 // irqRef is the interrupt controller whose every interrupt was a new

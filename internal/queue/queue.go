@@ -94,17 +94,26 @@ func NewRing(d *dpm.Memory, base uint32, slots int) *Ring {
 	if base%4 != 0 {
 		panic("queue: ring base must be word aligned")
 	}
-	return &Ring{d: d, base: base, slots: uint32(slots)}
+	r := &Ring{d: d, base: base, slots: uint32(slots)}
+	r.ops() // made now, so that no ring op of a run makes it
+	return r
 }
+
+// ops returns the pool of the records procs await ring ops in: the
+// engine's, shared by every ring on it (a pointer in each Ring would
+// move it up a size class).
+func (r *Ring) ops() *sim.Pool[Op] { return sim.PoolOf[Op](r.d.Engine()) }
 
 // Slots returns the slot count (capacity is Slots()-1).
 func (r *Ring) Slots() int { return int(r.slots) }
 
 // Init zeroes the head and tail pointers; who pays the access cost.
 func (r *Ring) Init(p *sim.Proc, who dpm.Accessor) {
-	var o Op
+	pl := r.ops()
+	o := pl.Take()
 	o.Init(r, who)
-	o.Run(p)
+	p.Await(o)
+	pl.Put(o)
 }
 
 func (r *Ring) headOff() uint32 { return r.base }
@@ -119,19 +128,25 @@ func (r *Ring) next(i uint32) uint32 { return (i + 1) % r.slots }
 // across the port only when the shadow indicates the ring might be full.
 // It reports whether the descriptor was queued.
 func (r *Ring) TryPush(p *sim.Proc, who dpm.Accessor, d Desc) bool {
-	var o Op
+	pl := r.ops()
+	o := pl.Take()
 	o.Push(r, who, d)
-	o.Run(p)
-	return o.ok
+	p.Await(o)
+	ok := o.ok
+	pl.Put(o)
+	return ok
 }
 
 // TryPop removes the oldest descriptor if the ring is not empty,
 // re-reading the head pointer only when the shadow indicates emptiness.
 func (r *Ring) TryPop(p *sim.Proc, who dpm.Accessor) (Desc, bool) {
-	var o Op
+	pl := r.ops()
+	o := pl.Take()
 	o.Pop(r, who)
-	o.Run(p)
-	return o.d, o.ok
+	p.Await(o)
+	d, ok := o.d, o.ok
+	pl.Put(o)
+	return d, ok
 }
 
 // WriterFull reports, from the writer's perspective, whether the ring is
@@ -148,10 +163,13 @@ func (r *Ring) WriterFull(p *sim.Proc, who dpm.Accessor) bool {
 // uses the tail's advance — instead of an interrupt — to learn that the
 // board consumed buffers (§2.1.2).
 func (r *Ring) ObserveTail(p *sim.Proc, who dpm.Accessor) uint32 {
-	var o Op
+	pl := r.ops()
+	o := pl.Take()
 	o.Observe(r, who)
-	o.Run(p)
-	return uint32(o.n)
+	p.Await(o)
+	n := uint32(o.n)
+	pl.Put(o)
+	return n
 }
 
 // readerAvail is the number of queued descriptors by the reader's
@@ -174,9 +192,9 @@ func (r *Ring) String() string {
 
 // Op is one ring operation in continuation form and the one
 // implementation of it: the proc forms (TryPush, TryPop, ObserveTail)
-// run an Op with Run, and the board's firmware and DMA engines and the
-// driver's buffer set-up, which are state machines rather than procs,
-// step one. Each word access
+// await a pooled Op (sim.Proc.Await), and the board's firmware and DMA
+// engines and the driver's buffer set-up, which are state machines
+// rather than procs, step one. Each word access
 // costs its accessor's price and takes effect at its own instant
 // (dpm.Access). The method naming the operation (Push, Pop, Peek, ...)
 // sets an Op up in place; an Op is not copied. Step advances it with k
@@ -274,13 +292,6 @@ func (o *Op) Desc() Desc { return o.d }
 
 // N returns the result of a finished Len or Observe.
 func (o *Op) N() int { return o.n }
-
-// Run completes the op from proc p.
-func (o *Op) Run(p *sim.Proc) {
-	for !o.Step(p.Cont()) {
-		p.Park()
-	}
-}
 
 // Step advances the op and reports whether it has finished.
 func (o *Op) Step(k sim.Cont) bool {

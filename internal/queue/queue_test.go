@@ -279,7 +279,7 @@ func TestRingMatchesModelQuick(t *testing.T) {
 // run completes op o from proc p and returns it, for the Op forms
 // without a proc wrapper.
 func run(p *sim.Proc, o *Op) *Op {
-	o.Run(p)
+	p.Await(o)
 	return o
 }
 

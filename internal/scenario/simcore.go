@@ -13,21 +13,24 @@ import (
 
 // allocGate bounds fanin_4x8k's heap allocations per simulated cell.
 // Allocation counts are deterministic, unlike wall time, so the gate
-// reads the same at any GOMAXPROCS; 0.08 leaves about 40% headroom
-// over the measured 0.056 on the switched fan-in hot path.
-const allocGate = 0.08
+// reads the same at any GOMAXPROCS; 0.034 leaves about 10% headroom
+// over the measured 0.031 on the switched fan-in hot path.
+const allocGate = 0.034
 
 // resumeGates bound each workload's proc resumes per simulated cell:
 // coroutine switches, each dearer than a plain event. Like allocation
 // counts they are deterministic. Each gate leaves about 10% headroom
-// over the highest measured level: 0.095 on fig3_receive_64k, and on
-// fanin_4x8k 1.52 with cell-train links and 2.52 with per-cell ones.
+// over the highest measured level: 0.0234 on fig3_receive_64k, and on
+// fanin_4x8k 0.433 with cell-train links and 1.433 with per-cell ones.
 // Neither the board nor the kernel's interrupt service nor the
-// driver's buffer set-up runs as a proc, so what is left is the
-// driver's receive threads, the protocols and the applications.
+// driver's buffer set-up runs as a proc, and a proc awaiting an
+// operation is resumed once, when it finishes (sim.Proc.Await), so
+// what is left is one resume per wait of the driver's receive
+// threads, the protocols and the applications, and the per-cell
+// switch's drain procs.
 var resumeGates = map[string]float64{
-	"fig3_receive_64k": 0.105,
-	"fanin_4x8k":       2.8,
+	"fig3_receive_64k": 0.026,
+	"fanin_4x8k":       1.58,
 }
 
 // simcoreResult is one workload's simulated outcome, bit-for-bit stable

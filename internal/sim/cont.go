@@ -13,9 +13,22 @@ import "time"
 //
 // Boxing a pointer into Arg stores the pointer, so a Cont built once
 // per activity makes every wait and wakeup allocation-free.
+//
+// A proc does not step an operation itself: Proc.Await parks it once
+// and passes the operation its await continuation, which steps the
+// operation from events and resumes the proc when it has finished.
 type Cont struct {
 	Fn  func(any)
 	Arg any
+}
+
+// Op is an operation in continuation form: Step advances it with k as
+// the continuation to wake when it must wait, reports false when it
+// has queued or scheduled k (Step is called again when k runs), and
+// true once the operation has finished. State machines step ops
+// themselves; a proc runs one with Proc.Await.
+type Op interface {
+	Step(k Cont) bool
 }
 
 // wake schedules k at instant t.
@@ -88,13 +101,15 @@ func (h *Hold) Step(k Cont) bool {
 	return true
 }
 
-// Do runs the transaction to completion from proc p.
+// Do runs the transaction to completion from proc p, in a pooled
+// record.
 func (h Hold) Do(p *Proc) {
 	if h.r == nil {
 		p.SleepUntil(h.e.now.Add(h.d))
 		return
 	}
-	for !h.Step(p.Cont()) {
-		p.block()
-	}
+	rec := h.r.holds.Take()
+	*rec = h
+	p.Await(rec)
+	h.r.holds.Put(rec)
 }

@@ -25,13 +25,16 @@ func (k killedError) Error() string { return "sim: proc " + k.name + " killed at
 // switches straight back when it sleeps, waits on a Cond, or returns.
 // So at most one proc runs at a time, on the engine's own thread of
 // control, and execution order is fully determined by the event queue.
+// A proc runs a continuation-form operation (Op) with Await: one park
+// however many times the operation waits, and one resume, when it
+// finishes.
 type Proc struct {
-	eng      *Engine
-	name     string
-	fn       func(p *Proc)
-	w        *worker // coroutine running the body; nil once done
-	done     bool
-	panicVal any // non-nil if the body panicked; re-raised on the engine goroutine
+	eng  *Engine
+	name string
+	fn   func(p *Proc)
+	w    *worker // coroutine running the body; nil once done
+	op   Op      // the operation p is parked in Await on, if any
+	done bool
 }
 
 // worker is a pooled coroutine that runs proc bodies one after another.
@@ -76,16 +79,36 @@ func resumeProc(a any) { a.(*Proc).resume() }
 // blocking primitive queues or schedules for it.
 func (p *Proc) Cont() Cont { return Cont{Fn: resumeProc, Arg: p} }
 
-// Park suspends p until its continuation runs. It is how a proc runs a
-// continuation-form operation to completion:
+// Await runs op to completion from p, parking p at most once. It steps
+// op in proc context; if op must wait, p parks, and from then on the
+// engine steps op from the await continuation, (awaitStep, p), each
+// time op's wait ends, and resumes p inline in the event in which op
+// finishes. That is the event, at the same instant and with the same
+// stamp, that would have resumed a proc stepping op itself after every
+// wait; only the coroutine switches between the waits go away.
 //
-//	for !op.Step(p.Cont()) {
-//		p.Park()
-//	}
-//
-// A proc that parks with its continuation neither queued nor scheduled
-// sleeps until Shutdown. Called only from proc context.
-func (p *Proc) Park() { p.block() }
+// op must stay valid until Await returns, and it cannot live on p's
+// stack without escaping to the heap at every call: a component keeps
+// its op records in a Pool. Called only from proc context.
+func (p *Proc) Await(op Op) {
+	if op.Step(Cont{Fn: awaitStep, Arg: p}) {
+		return
+	}
+	p.op = op
+	p.block()
+}
+
+// awaitStep is the await continuation: it steps the proc's op and
+// resumes the proc once the op has finished. After Shutdown, when the
+// proc is dead, it does nothing.
+func awaitStep(x any) {
+	p := x.(*Proc)
+	if p.done || !p.op.Step(Cont{Fn: awaitStep, Arg: p}) {
+		return
+	}
+	p.op = nil
+	p.resume()
+}
 
 // loop is the worker's coroutine body: run the bound proc, then park
 // until the engine binds the next one. It returns when stop is called,
@@ -110,7 +133,7 @@ func (p *Proc) run() {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(killedError); !ok {
-				p.panicVal = r
+				p.eng.panicVal = r
 			}
 		}
 		p.done = true
@@ -142,9 +165,8 @@ func (p *Proc) resume() {
 		p.w, w.p = nil, nil
 		p.eng.idle = append(p.eng.idle, w)
 	}
-	if p.panicVal != nil {
-		v := p.panicVal
-		p.panicVal = nil
+	if v := p.eng.panicVal; v != nil {
+		p.eng.panicVal = nil
 		panic(v)
 	}
 }

@@ -13,11 +13,12 @@ type Resource struct {
 	queue     []Cont
 	busySince Time
 	busyTotal time.Duration
+	holds     *Pool[Hold] // records of the Holds procs await (Hold.Do)
 }
 
 // NewResource returns a free resource bound to engine e.
 func NewResource(e *Engine, name string) *Resource {
-	return &Resource{eng: e, name: name}
+	return &Resource{eng: e, name: name, holds: PoolOf[Hold](e)}
 }
 
 // AcquireCont takes the resource and reports true if it is free;

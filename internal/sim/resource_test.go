@@ -153,6 +153,6 @@ func TestResourceHandoffPreservesTiming(t *testing.T) {
 // acquire blocks p until it holds r.
 func acquire(p *Proc, r *Resource) {
 	if !r.AcquireCont(p.Cont()) {
-		p.Park()
+		p.block()
 	}
 }

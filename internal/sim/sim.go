@@ -107,6 +107,13 @@ type Engine struct {
 	sites map[string]struct{}
 	// xids is the last id handed out by NewStampID.
 	xids uint64
+	// pools holds the op-record pools (PoolOf), one *Pool[T] per record
+	// type, in poolSlots unless there are more types than slots.
+	pools     []any
+	poolSlots [8]any
+	// panicVal is a proc body's panic, stashed by Proc.run for
+	// Proc.resume to re-raise on the engine goroutine.
+	panicVal any
 }
 
 // NewEngine returns an engine with its virtual clock at zero. The
@@ -114,7 +121,9 @@ type Engine struct {
 // that needs randomness draws from its own stream, derived from seed
 // and a site name with DeriveRand, for runs to be reproducible.
 func NewEngine(seed int64) *Engine {
-	return &Engine{seed: seed}
+	e := &Engine{seed: seed}
+	e.pools = e.poolSlots[:0]
+	return e
 }
 
 // Now returns the current virtual time.
