@@ -11,11 +11,15 @@
 //	go run ./cmd/osiris-pair -rev 4c93e14
 //
 // Both trees must produce the same simulated outputs: a fingerprint
-// that differs between them fails the run.
+// that differs between them fails the run. Every run rebuilds its tree,
+// so a tree whose HEAD or uncommitted changes differ from what they
+// were before the first pair fails the run too. A worktree that a
+// stopped run left behind is removed at start-up.
 package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -114,12 +118,15 @@ type report struct {
 // config is one comparison: which trees, workloads and how long.
 type config struct {
 	parentDir, changeDir string
-	rev, change          string
+	rev                  string
 	workloads            []string
 	pairs, seconds       int
 	seed                 int64
 	metrics              []metricDef
 	log                  func(format string, args ...any)
+	// state identifies a tree's contents (treeState); nil skips the
+	// check that no tree changes during the pairs.
+	state func(dir string) (string, error)
 }
 
 // The pairs per workload and their seed.
@@ -150,10 +157,6 @@ func pairMain(rev string) error {
 	if err != nil {
 		return err
 	}
-	head, err := git(root, "rev-parse", "HEAD")
-	if err != nil {
-		return err
-	}
 	bench, err := readBenchmark(root)
 	if err != nil {
 		return err
@@ -165,11 +168,8 @@ func pairMain(rev string) error {
 	for _, w := range bench.Workloads {
 		names = append(names, w.Name)
 	}
-	dir := filepath.Join(root, ".bench_build", "pair-"+sha[:12])
-	if _, err := os.Stat(dir); err == nil {
-		return fmt.Errorf("%s exists: remove it with git worktree remove --force %s", dir, dir)
-	}
-	if _, err := git(root, "worktree", "add", "--detach", dir, sha); err != nil {
+	dir, err := addWorktree(root, sha)
+	if err != nil {
 		return err
 	}
 	defer func() {
@@ -179,10 +179,11 @@ func pairMain(rev string) error {
 	}()
 	rep, err := compare(config{
 		parentDir: dir, changeDir: root,
-		rev: sha, change: "working tree at " + head,
+		rev:       sha,
 		workloads: names, pairs: pairs, seconds: bench.RunSeconds, seed: seed,
 		metrics: bench.EndToEnd,
 		log:     func(f string, a ...any) { fmt.Fprintf(os.Stderr, f+"\n", a...) },
+		state:   treeState,
 	})
 	if err != nil {
 		return err
@@ -197,6 +198,38 @@ func pairMain(rev string) error {
 	}
 	fmt.Fprintf(os.Stderr, "osiris-pair: wrote %s\n", path)
 	return nil
+}
+
+// addWorktree checks rev out under .bench_build/pair-<sha>. A directory
+// there is this tool's own, left by a stopped run, so it is removed
+// first.
+func addWorktree(root, sha string) (string, error) {
+	dir := filepath.Join(root, ".bench_build", "pair-"+sha[:12])
+	if err := os.RemoveAll(dir); err != nil {
+		return "", err
+	}
+	if _, err := git(root, "worktree", "prune"); err != nil {
+		return "", err
+	}
+	_, err := git(root, "worktree", "add", "--detach", dir, sha)
+	return dir, err
+}
+
+// treeState identifies what a tree's benchmark builds: its HEAD and a
+// hash of every file git tracks or would track, as it is on disk.
+func treeState(dir string) (string, error) {
+	head, err := git(dir, "rev-parse", "HEAD")
+	if err != nil {
+		return "", err
+	}
+	files, err := git(dir, "ls-files", "--cached", "--others", "--exclude-standard")
+	h := sha256.New()
+	for _, f := range strings.Split(files, "\n") {
+		data, _ := os.ReadFile(filepath.Join(dir, f)) // a deleted file reads as empty
+		fmt.Fprintf(h, "%s %d\n", f, len(data))
+		h.Write(data)
+	}
+	return fmt.Sprintf("%s+%x", head, h.Sum(nil)[:6]), err
 }
 
 // git runs a git command in dir and returns its trimmed output.
@@ -224,11 +257,31 @@ func readBenchmark(root string) (benchmarkDef, error) {
 // compare runs the pairs of every workload and reduces them.
 func compare(cfg config) (report, error) {
 	rep := report{
-		Schema: "osiris-pairs/1", Rev: cfg.rev, Change: cfg.change,
+		Schema: "osiris-pairs/1", Rev: cfg.rev,
 		Seed: cfg.seed, Seconds: cfg.seconds, Pairs: cfg.pairs,
 		Order:        "per workload, pair i runs the parent first when i is even and the change first when i is odd",
 		ResolvedRule: "the change's median differs from the parent's by more than the parent's IQR (q3-q1)",
 	}
+	// A tree's state is recorded before its first run; any later run
+	// finding another state fails.
+	states := map[string]string{}
+	sameTree := func(dir string) error {
+		if cfg.state == nil {
+			return nil
+		}
+		st, err := cfg.state(dir)
+		if was, ok := states[dir]; err == nil && ok && st != was {
+			err = fmt.Errorf("%s changed during the pairs: it was %s, it is %s", dir, was, st)
+		}
+		states[dir] = st
+		return err
+	}
+	for _, dir := range []string{cfg.parentDir, cfg.changeDir} {
+		if err := sameTree(dir); err != nil {
+			return rep, err
+		}
+	}
+	rep.Change = "working tree at " + states[cfg.changeDir]
 	for _, w := range cfg.workloads {
 		var parent, change []run
 		for i := 0; i < cfg.pairs; i++ {
@@ -236,6 +289,9 @@ func compare(cfg config) (report, error) {
 				dir, side := cfg.changeDir, "change"
 				if isParent {
 					dir, side = cfg.parentDir, "parent"
+				}
+				if err := sameTree(dir); err != nil {
+					return rep, err
 				}
 				r, err := benchRun(dir, w, cfg.seed, cfg.seconds)
 				if err != nil {

@@ -1,11 +1,112 @@
 package main
 
 import (
+	"fmt"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// gitRepo makes a repository in a temporary directory with one commit
+// of one file, and returns its root and the commit.
+func gitRepo(t *testing.T) (root, sha string) {
+	t.Helper()
+	if _, err := exec.LookPath("git"); err != nil {
+		t.Skipf("no git: %v", err)
+	}
+	root = t.TempDir()
+	if err := os.WriteFile(filepath.Join(root, "a.go"), []byte("package a\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"init", "-q"},
+		{"add", "a.go"},
+		{"-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "a"},
+	} {
+		if _, err := git(root, args...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sha, err := git(root, "rev-parse", "HEAD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return root, sha
+}
+
+// treeState moves with an edit to a tracked file and with a new
+// untracked one, and comes back when the edit is undone.
+func TestTreeStateSeesEdits(t *testing.T) {
+	root, _ := gitRepo(t)
+	state := func() string {
+		t.Helper()
+		st, err := treeState(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	write := func(name, data string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(root, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clean := state()
+	write("a.go", "package a // edited\n")
+	if state() == clean {
+		t.Error("an edit to a tracked file left the state unchanged")
+	}
+	write("a.go", "package a\n")
+	if state() != clean {
+		t.Error("undoing the edit did not restore the state")
+	}
+	write("b.go", "package a\n")
+	if state() == clean {
+		t.Error("a new untracked file left the state unchanged")
+	}
+}
+
+// compare fails as soon as a tree's state differs from the one recorded
+// before the first pair, without running the benchmark on it.
+func TestCompareFailsWhenATreeChanges(t *testing.T) {
+	calls := 0
+	_, err := compare(config{
+		parentDir: "parent", changeDir: "change", workloads: []string{"w"}, pairs: 1, seconds: 1, seed: 1,
+		state: func(dir string) (string, error) { calls++; return fmt.Sprint(dir, calls), nil },
+	})
+	if err == nil || !strings.Contains(err.Error(), "parent changed during the pairs") {
+		t.Errorf("err = %v", err)
+	}
+}
+
+// A worktree left behind by a stopped run, and a plain directory in
+// its place, are removed at start-up instead of blocking the next run.
+func TestAddWorktreeReplacesLeftover(t *testing.T) {
+	root, sha := gitRepo(t)
+	dir, err := addWorktree(root, sha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The run is killed: its deferred removal never runs.
+	if _, err := addWorktree(root, sha); err != nil {
+		t.Fatalf("second start over a leftover worktree: %v", err)
+	}
+	if _, err := git(root, "worktree", "remove", "--force", dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "junk"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := addWorktree(root, sha); err != nil {
+		t.Fatalf("start over a leftover directory: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "a.go")); err != nil {
+		t.Errorf("the new worktree has no checkout: %v", err)
+	}
+}
 
 // runOf is a run with the given fingerprint and metric values.
 func runOf(fp string, vals map[string]float64) run {
@@ -87,7 +188,7 @@ func TestPairSelf(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, err := compare(config{
-		parentDir: root, changeDir: root, rev: "self", change: "self",
+		parentDir: root, changeDir: root, rev: "self",
 		workloads: []string{"paper_testbed"}, pairs: 1, seconds: 1, seed: 1,
 		metrics: bench.EndToEnd,
 	})

@@ -247,44 +247,22 @@ func (m *Manager) Open(p *sim.Proc, app *AppDomain, vcis []atm.VCI, cfg Config) 
 	if cfg.Virtual {
 		return m.openVirtual(p, app, vcis, cfg)
 	}
-	idx := -1
-	for i := 1; i < board.NumChannels; i++ {
-		if !m.inUse[i] {
-			idx = i
-			break
-		}
-	}
+	idx := m.claimChannel()
 	if idx < 0 {
 		return nil, fmt.Errorf("adc: no free channels")
 	}
-	m.inUse[idx] = true
-
-	pagesPerBuf := (cfg.BufBytes + m.host.Mem.PageSize() - 1) / m.host.Mem.PageSize()
-	var allowed []mem.Frame
-	var bufRuns, txRuns [][]mem.Frame
-	// On any allocation failure the claimed slot and every run carved so
-	// far must go back — nothing is wired yet, so FreeFrame is legal.
-	fail := func(err error) (*ADC, error) {
+	bufRuns, allowed, err := m.allocRuns(nil, nil, cfg.BufCount, m.pagesPerBuf(cfg))
+	var txRuns [][]mem.Frame
+	if err == nil {
+		txRuns, allowed, err = m.allocRuns(nil, allowed, (cfg.ExtraPages+3)/4, 4)
+	}
+	if err != nil {
+		// The claimed slot and every run carved so far go back: nothing
+		// is wired yet, so FreeFrame is legal.
 		m.inUse[idx] = false
 		m.freeRuns(bufRuns)
 		m.freeRuns(txRuns)
 		return nil, err
-	}
-	for i := 0; i < cfg.BufCount; i++ {
-		run, err := m.host.Mem.AllocContiguous(pagesPerBuf)
-		if err != nil {
-			return fail(err)
-		}
-		bufRuns = append(bufRuns, run)
-		allowed = append(allowed, run...)
-	}
-	for got := 0; got < cfg.ExtraPages; got += 4 {
-		run, err := m.host.Mem.AllocContiguous(4)
-		if err != nil {
-			return fail(err)
-		}
-		txRuns = append(txRuns, run)
-		allowed = append(allowed, run...)
 	}
 
 	// Kernel work: open the channel on the board, authorize the pages,
@@ -296,25 +274,12 @@ func (m *Manager) Open(p *sim.Proc, app *AppDomain, vcis []atm.VCI, cfg Config) 
 	}
 	m.host.Compute(p, 2*m.host.Prof.FbufMapPerPage) // queue-page mappings
 	m.host.WirePages(p, len(allowed), cfg.SlowWiring)
-
-	reserve := cfg.BufCount / 4
-	if reserve == 0 {
-		reserve = 1
-	}
-	drv := driver.New(p.Engine(), m.host, m.b, driver.Config{
-		ChannelIndex: idx,
-		Space:        app.Space,
-		BufferFrames: bufRuns,
-		ReserveBufs:  reserve,
-		Cache:        cfg.Cache,
-		SlowWiring:   cfg.SlowWiring,
-	})
 	return &ADC{
 		mgr:      m,
 		app:      app,
 		Index:    idx,
 		VCIs:     append([]atm.VCI(nil), vcis...),
-		drv:      drv,
+		drv:      m.newDriver(p, idx, app.Space, bufRuns, cfg),
 		txFrames: txRuns,
 		txVAs:    make([]mem.VirtAddr, len(txRuns)),
 		txMapped: make([]bool, len(txRuns)),
@@ -335,16 +300,10 @@ func (m *Manager) openVirtual(p *sim.Proc, app *AppDomain, vcis []atm.VCI, cfg C
 	if err != nil {
 		return nil, err
 	}
-	var txRuns [][]mem.Frame
-	var txFrames []mem.Frame
-	for got := 0; got < cfg.ExtraPages; got += 4 {
-		run, err := m.host.Mem.AllocContiguous(4)
-		if err != nil {
-			m.freeRuns(txRuns)
-			return nil, err
-		}
-		txRuns = append(txRuns, run)
-		txFrames = append(txFrames, run...)
+	txRuns, txFrames, err := m.allocRuns(nil, nil, (cfg.ExtraPages+3)/4, 4)
+	if err != nil {
+		m.freeRuns(txRuns)
+		return nil, err
 	}
 	for _, v := range vcis {
 		m.b.BindVCI(v, mux.idx)
@@ -379,13 +338,7 @@ func (m *Manager) openVirtual(p *sim.Proc, app *AppDomain, vcis []atm.VCI, cfg C
 // channel while queue-page pairs remain free (spreading tenants over
 // the adaptor's real channels), then the least-loaded existing mux.
 func (m *Manager) muxFor(p *sim.Proc, cfg Config) (*muxChannel, error) {
-	idx := -1
-	for i := 1; i < board.NumChannels; i++ {
-		if !m.inUse[i] {
-			idx = i
-			break
-		}
-	}
+	idx := m.claimChannel()
 	if idx < 0 {
 		var best *muxChannel
 		for _, mx := range m.muxes {
@@ -398,38 +351,62 @@ func (m *Manager) muxFor(p *sim.Proc, cfg Config) (*muxChannel, error) {
 		}
 		return best, nil
 	}
-	m.inUse[idx] = true
 	// Shared receive pool, owned by the kernel-resident mux driver.
-	pagesPerBuf := (cfg.BufBytes + m.host.Mem.PageSize() - 1) / m.host.Mem.PageSize()
-	var bufRuns [][]mem.Frame
-	var allowed []mem.Frame
-	for i := 0; i < cfg.BufCount; i++ {
-		run, err := m.host.Mem.AllocContiguous(pagesPerBuf)
-		if err != nil {
-			m.inUse[idx] = false
-			m.freeRuns(bufRuns)
-			return nil, err
-		}
-		bufRuns = append(bufRuns, run)
-		allowed = append(allowed, run...)
+	bufRuns, allowed, err := m.allocRuns(nil, nil, cfg.BufCount, m.pagesPerBuf(cfg))
+	if err != nil {
+		m.inUse[idx] = false
+		m.freeRuns(bufRuns)
+		return nil, err
 	}
 	m.b.OpenChannel(idx, cfg.Priority, allowed)
 	m.host.Compute(p, 2*m.host.Prof.FbufMapPerPage)
 	m.host.WirePages(p, len(allowed), cfg.SlowWiring)
-	reserve := cfg.BufCount / 4
-	if reserve == 0 {
-		reserve = 1
+	mx := &muxChannel{idx: idx, drv: m.newDriver(p, idx, nil, bufRuns, cfg)}
+	m.muxes = append(m.muxes, mx)
+	return mx, nil
+}
+
+// claimChannel claims the lowest free board channel above the kernel's,
+// or returns -1 if there is none.
+func (m *Manager) claimChannel() int {
+	for i := 1; i < board.NumChannels; i++ {
+		if !m.inUse[i] {
+			m.inUse[i] = true
+			return i
+		}
 	}
-	drv := driver.New(p.Engine(), m.host, m.b, driver.Config{
+	return -1
+}
+
+// pagesPerBuf is the pages one receive buffer of cfg spans.
+func (m *Manager) pagesPerBuf(cfg Config) int {
+	return (cfg.BufBytes + m.host.Mem.PageSize() - 1) / m.host.Mem.PageSize()
+}
+
+// allocRuns appends n runs of pages contiguous frames each to runs, and
+// their frames to frames, stopping at the first failure.
+func (m *Manager) allocRuns(runs [][]mem.Frame, frames []mem.Frame, n, pages int) ([][]mem.Frame, []mem.Frame, error) {
+	for ; n > 0; n-- {
+		run, err := m.host.Mem.AllocContiguous(pages)
+		if err != nil {
+			return runs, frames, err
+		}
+		runs, frames = append(runs, run), append(frames, run...)
+	}
+	return runs, frames, nil
+}
+
+// newDriver builds channel idx's driver over the receive buffer runs,
+// mapped in space (nil: the kernel's).
+func (m *Manager) newDriver(p *sim.Proc, idx int, space *mem.AddressSpace, bufRuns [][]mem.Frame, cfg Config) *driver.Driver {
+	return driver.New(p.Engine(), m.host, m.b, driver.Config{
 		ChannelIndex: idx,
+		Space:        space,
 		BufferFrames: bufRuns,
-		ReserveBufs:  reserve,
+		ReserveBufs:  max(cfg.BufCount/4, 1),
 		Cache:        cfg.Cache,
 		SlowWiring:   cfg.SlowWiring,
 	})
-	mx := &muxChannel{idx: idx, drv: drv}
-	m.muxes = append(m.muxes, mx)
-	return mx, nil
 }
 
 func (m *Manager) freeRuns(runs [][]mem.Frame) {

@@ -222,7 +222,7 @@ func (l *Link) SetReceiver(fn func(c Cell, link int)) { l.deliver = fn }
 // loop experiences.
 func (l *Link) Send(p *sim.Proc, c Cell) {
 	pl := sim.PoolOf[linkSend](l.eng) // made on first use: no workload sends from a proc
-	s := pl.Take()
+	s := sim.TakeNew(pl)
 	s.l, s.c = l, c
 	p.Await(s)
 	pl.Put(s)

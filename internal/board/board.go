@@ -17,6 +17,7 @@
 package board
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -389,15 +390,15 @@ type Board struct {
 	rxDMA rxDMA
 	fict  fictGen
 
-	// Command record pools: the processors take, the DMA controllers
-	// return. Host-side memory reuse only — no simulated effect.
-	txCmdPool []*txCmd
-	rxCmdPool []*rxCmd
-
-	// shadowPool recycles the CheckCRC shadow buffers across PDUs.
-	shadowPool [][]byte
-	// reasmPool holds finished reassembly states for reuse.
-	reasmPool []*reasmState
+	// Record pools, host-side memory reuse only, with no simulated
+	// effect: the processors take command records and the DMA
+	// controllers return them. The receive processor takes reassembly
+	// states, which keep their slices' storage; it returns one at the end
+	// of handling the cell that finished it, and the timeout sweep one
+	// the processor is not handling a cell of (rxProcessor.holds).
+	txCmdPool sim.Pool[*txCmd]
+	rxCmdPool sim.Pool[*rxCmd]
+	reasmPool sim.Pool[*reasmState]
 
 	reasmTimer sim.Event // pending ReasmTimeout sweep, if any
 
@@ -443,11 +444,12 @@ func (b *Board) fillCmdPools() {
 	const cellSegs = 2
 	tx := make([]txCmd, txCmdDepth+inUse)
 	txSegs := make([]mem.PhysBuffer, cellSegs*len(tx))
-	b.txCmdPool = make([]*txCmd, len(tx))
+	txRecs := make([]*txCmd, len(tx))
 	for i := range tx {
 		tx[i].segs = txSegs[cellSegs*i : cellSegs*i : cellSegs*(i+1)]
-		b.txCmdPool[i] = &tx[i]
+		txRecs[i] = &tx[i]
 	}
+	b.txCmdPool.Stock(txRecs)
 	// A receive command carries up to a double-cell DMA's payload in
 	// at most two extents and usually one or two descriptors.
 	const data = 2 * atm.CellPayload
@@ -455,13 +457,14 @@ func (b *Board) fillCmdPools() {
 	rxData := make([]byte, data*len(rx))
 	rxSegs := make([]mem.PhysBuffer, cellSegs*len(rx))
 	rxPushes := make([]queue.Desc, cellSegs*len(rx))
-	b.rxCmdPool = make([]*rxCmd, len(rx))
+	rxRecs := make([]*rxCmd, len(rx))
 	for i := range rx {
 		rx[i].data = rxData[data*i : data*i : data*(i+1)]
 		rx[i].segs = rxSegs[cellSegs*i : cellSegs*i : cellSegs*(i+1)]
 		rx[i].pushes = rxPushes[cellSegs*i : cellSegs*i : cellSegs*(i+1)]
-		b.rxCmdPool[i] = &rx[i]
+		rxRecs[i] = &rx[i]
 	}
+	b.rxCmdPool.Stock(rxRecs)
 }
 
 // Release returns the board's dual-port memory to the OS, at teardown,
@@ -894,9 +897,13 @@ func reasmSweepCB(a any) {
 // to the channel's scratch stash, and if part of the PDU already
 // streamed to the host, an abort-marker descriptor (FlagErr) follows
 // the in-flight DMA so the driver discards the partial delivery and
-// recycles its buffers. Returns false when the marker could not be
-// queued (the caller retries shortly).
+// recycles its buffers. Returns false, and the caller retries shortly,
+// when the marker could not be queued or the receive processor is
+// handling a cell of the PDU: a reassembly being fed never expires.
 func (b *Board) timeoutReasm(ch *Channel, rs *reasmState) bool {
+	if b.rxCPU.holds(rs) {
+		return false
+	}
 	if rs.anyPushed() {
 		marker := b.abortCmd(ch, rs.vci)
 		if !b.rxCmds.TrySend(marker) {
@@ -913,27 +920,8 @@ func (b *Board) timeoutReasm(ch *Channel, rs *reasmState) bool {
 		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: sim.CatDrop, Name: "reasm-timeout", Arg: int64(rs.vci)})
 	}
 	delete(ch.reasm, rs.vci)
-	b.releaseShadow(rs)
+	b.reasmPool.Put(rs)
 	return true
-}
-
-// getShadow takes a recycled CRC shadow buffer (may return nil; the
-// shadow grows on demand).
-func (b *Board) getShadow() []byte {
-	if n := len(b.shadowPool); n > 0 {
-		s := b.shadowPool[n-1]
-		b.shadowPool = b.shadowPool[:n-1]
-		return s[:0]
-	}
-	return nil
-}
-
-// releaseShadow returns a reassembly's shadow buffer to the pool.
-func (b *Board) releaseShadow(rs *reasmState) {
-	if rs.shadow != nil {
-		b.shadowPool = append(b.shadowPool, rs.shadow)
-		rs.shadow = nil
-	}
 }
 
 // OpenReassemblies counts the partial PDUs currently held across all
@@ -945,6 +933,15 @@ func (b *Board) OpenReassemblies() int {
 		n += len(ch.reasm)
 	}
 	return n
+}
+
+// CheckPools reports each record pool whose count of records out
+// differs from what the board holds when the engine has run dry: no
+// command, since a command is held only while events move its cell,
+// and one reassembly state per open reassembly.
+func (b *Board) CheckPools() error {
+	return errors.Join(b.txCmdPool.Check("board tx commands", 0), b.rxCmdPool.Check("board rx commands", 0),
+		b.reasmPool.Check("board reassemblies", b.OpenReassemblies()))
 }
 
 // HeldReasmBufs counts receive buffers held by open reassemblies that

@@ -139,7 +139,7 @@ func (b *Board) txDMAEngine(p *sim.Proc) {
 			cmd.ch.peekAhead -= cmd.advance
 			readerAdvance(p, cmd.ch.TxRing, cmd.advance)
 			b.procCheckNotifyFlag(p, cmd.ch)
-			b.putTxCmd(cmd)
+			putTxCmdRef(b, cmd)
 			continue
 		}
 		acc := state[cmd.ch.Index]
@@ -188,7 +188,7 @@ func (b *Board) txDMAEngine(p *sim.Proc) {
 			readerAdvance(p, cmd.ch.TxRing, cmd.advance)
 			b.procCheckNotifyFlag(p, cmd.ch)
 		}
-		b.putTxCmd(cmd)
+		putTxCmdRef(b, cmd)
 	}
 }
 
@@ -373,13 +373,10 @@ func (b *Board) handleCell(p *sim.Proc, rc rxCell) {
 		return
 	}
 
-	cmd := b.getRxCmd()
+	cmd := sim.TakeNew(&b.rxCmdPool)
 	cmd.data = append(cmd.data, rc.c.Payload[:dataLen]...)
 	n := dataLen
 	if b.cfg.CheckCRC && dataLen > 0 {
-		if rs.shadow == nil {
-			rs.shadow = b.getShadow()
-		}
 		rs.record(off, rc.c.Payload[:dataLen])
 	}
 
@@ -470,7 +467,7 @@ func (b *Board) handleCell(p *sim.Proc, rc rxCell) {
 			b.eng.Emit(sim.TraceEvent{At: rs.firstArrival, Dur: b.eng.Now() - rs.firstArrival, Ph: 'X', Comp: b.trkRx, Cat: sim.CatPDU, Name: "reasm", Arg: int64(rs.pduLen)})
 		}
 		delete(ch.reasm, rc.c.VCI)
-		b.retireReasm(rs)
+		b.reasmPool.Put(rs)
 	} else {
 		cmd.pushes, _ = rs.duePushes(false, cmd.pushes, nil)
 	}
@@ -509,7 +506,7 @@ func (b *Board) finishRxPDU(p *sim.Proc, ch *Channel, rs *reasmState, delivered 
 		}
 	}
 	delete(ch.reasm, rs.vci)
-	b.retireReasm(rs)
+	b.reasmPool.Put(rs)
 }
 
 // txProc is the transmit on-board processor: it gathers descriptor
@@ -679,7 +676,7 @@ func (b *Board) emitCell(p *sim.Proc, ch *Channel) {
 	st := &ch.tx
 	p.Sleep(b.cfg.CellOverheadTx)
 
-	cmd := b.getTxCmd()
+	cmd := sim.TakeNew(&b.txCmdPool)
 	cmd.ch, cmd.vci = ch, st.vci
 	if b.cfg.Strategy.UsesSeqNumbers() {
 		cmd.hasSeq = true
@@ -707,7 +704,7 @@ func (b *Board) emitCell(p *sim.Proc, ch *Channel) {
 			b.chargeDRR(ch, 0) // the trailer cell occupies a slot too
 			b.txSubmit(p, cmd)
 			p.Sleep(b.cfg.CellOverheadTx)
-			trailerCmd := b.getTxCmd()
+			trailerCmd := sim.TakeNew(&b.txCmdPool)
 			trailerCmd.ch, trailerCmd.vci = ch, st.vci
 			trailerCmd.trailer, trailerCmd.eom, trailerCmd.last = true, true, true
 			trailerCmd.linkIdx = st.cellIdx % b.cfg.StripeWidth
@@ -760,4 +757,11 @@ func (b *Board) txSubmit(p *sim.Proc, cmd *txCmd) {
 	if b.mTxFIFOHW != nil {
 		b.mTxFIFOHW.Observe(int64(b.txCmds.Len()))
 	}
+}
+
+// putTxCmdRef clears a finished command and returns it to the pool, as
+// the transmit DMA controller's done does.
+func putTxCmdRef(b *Board, cmd *txCmd) {
+	*cmd = txCmd{segs: cmd.segs[:0]}
+	b.txCmdPool.Put(cmd)
 }

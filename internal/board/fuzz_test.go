@@ -158,7 +158,6 @@ func TestReasmResetMatchesNew(t *testing.T) {
 		}
 		rs.dropping = true
 		rs.duePushes(true, nil, nil)
-		rs.shadow = nil // retired: the shadow went back to its pool
 		rs.reset(nil, 9)
 		if got, want := fmt.Sprintf("%+v", *rs), fmt.Sprintf("%+v", *newReasmState(nil, 9, width)); got != want {
 			t.Errorf("%v: reset state\n%s\nwant\n%s", strategy, got, want)

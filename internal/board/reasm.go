@@ -61,6 +61,7 @@ func (rs *reasmState) reset(ch *Channel, vci atm.VCI) {
 		total:     -1,
 		pduLen:    -1,
 		bufs:      rs.bufs[:0],
+		shadow:    rs.shadow[:0],
 		linkCount: rs.linkCount,
 		eomSeen:   rs.eomSeen,
 		seenSeq:   rs.seenSeq[:0],

@@ -13,7 +13,7 @@ import (
 // rxCmd is one DMA-write transaction for the receive DMA controller,
 // optionally carrying descriptor pushes to publish once the data is in
 // host memory (so a descriptor never becomes visible before its bytes).
-// Records come from the board's pool (getRxCmd) and travel by pointer;
+// Records come from the board's pool (rxCmdPool) and travel by pointer;
 // the controller returns each one when its work is done, and its
 // slices are kept for the next use.
 type rxCmd struct {
@@ -149,6 +149,12 @@ func (x *rxProcessor) run() {
 	}
 }
 
+// holds reports whether x is handling a cell of rs's PDU: it has
+// ingested the cell and not yet finished with rs.
+func (x *rxProcessor) holds(rs *reasmState) bool {
+	return x.rs == rs && x.pc != rxpWait && x.pc != rxpCell && x.pc != rxpSend
+}
+
 // ingest demultiplexes the cell in hand and places it in its
 // reassembly, building the DMA command for its bytes; with double-cell
 // DMA it looks at the next cell header and, if that payload lands
@@ -200,13 +206,10 @@ func (x *rxProcessor) ingest() bool {
 		return true
 	}
 
-	cmd := b.getRxCmd()
+	cmd := sim.TakeNew(&b.rxCmdPool)
 	cmd.data = append(cmd.data, rc.c.Payload[:dataLen]...)
 	x.cmd, x.off, x.n, x.done = cmd, off, dataLen, complete
 	if b.cfg.CheckCRC && dataLen > 0 {
-		if rs.shadow == nil {
-			rs.shadow = b.getShadow()
-		}
 		rs.record(off, rc.c.Payload[:dataLen])
 	}
 	x.pc = rxpPlace
@@ -313,7 +316,7 @@ func (x *rxProcessor) complete() {
 		b.eng.Emit(sim.TraceEvent{At: rs.firstArrival, Dur: b.eng.Now() - rs.firstArrival, Ph: 'X', Comp: b.trkRx, Cat: sim.CatPDU, Name: "reasm", Arg: int64(rs.pduLen)})
 	}
 	delete(ch.reasm, x.rc.c.VCI)
-	b.retireReasm(rs)
+	b.reasmPool.Put(rs)
 }
 
 // abandon retires x.rs, an abandoned reassembly. If part of the PDU
@@ -373,9 +376,7 @@ func (x *rxProcessor) popFree() bool {
 func (b *Board) getReasm(ch *Channel, vci atm.VCI) *reasmState {
 	rs := ch.reasm[vci]
 	if rs == nil {
-		if n := len(b.reasmPool); n > 0 {
-			rs = b.reasmPool[n-1]
-			b.reasmPool = b.reasmPool[:n-1]
+		if rs = b.reasmPool.Take(); rs != nil {
 			rs.reset(ch, vci)
 		} else {
 			rs = newReasmState(ch, vci, b.cfg.StripeWidth)
@@ -400,17 +401,7 @@ func (b *Board) dropReasm(ch *Channel, rs *reasmState) {
 		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: sim.CatDrop, Name: "pdu-abandoned", Arg: int64(rs.vci)})
 	}
 	delete(ch.reasm, rs.vci)
-	b.retireReasm(rs)
-}
-
-// retireReasm returns a finished reassembly's shadow buffer and keeps
-// the state for the next getReasm. Only the receive processor retires
-// one, at the end of handling the cell that finished it: it is then the
-// only holder. A reassembly the timeout sweep aborts is not reused,
-// since the sweep runs between the processor's waits.
-func (b *Board) retireReasm(rs *reasmState) {
-	b.releaseShadow(rs)
-	b.reasmPool = append(b.reasmPool, rs)
+	b.reasmPool.Put(rs)
 }
 
 // rxDMA is the receive DMA controller, a hardware state machine the
@@ -728,24 +719,15 @@ func abortMarker(vci atm.VCI) queue.Desc {
 
 // abortCmd returns a command that publishes only vci's abort marker.
 func (b *Board) abortCmd(ch *Channel, vci atm.VCI) *rxCmd {
-	cmd := b.getRxCmd()
+	cmd := sim.TakeNew(&b.rxCmdPool)
 	cmd.ch = ch
 	cmd.pushes = append(cmd.pushes, abortMarker(vci))
 	return cmd
 }
 
-// getRxCmd takes a command record from the pool (or makes one).
-func (b *Board) getRxCmd() *rxCmd {
-	if n := len(b.rxCmdPool); n > 0 {
-		cmd := b.rxCmdPool[n-1]
-		b.rxCmdPool = b.rxCmdPool[:n-1]
-		return cmd
-	}
-	return &rxCmd{data: make([]byte, 0, 2*atm.CellPayload)}
-}
-
-// putRxCmd returns a finished or abandoned command record to the pool.
+// putRxCmd clears a finished or abandoned command record and returns
+// it to the pool.
 func (b *Board) putRxCmd(cmd *rxCmd) {
 	*cmd = rxCmd{segs: cmd.segs[:0], data: cmd.data[:0], pushes: cmd.pushes[:0]}
-	b.rxCmdPool = append(b.rxCmdPool, cmd)
+	b.rxCmdPool.Put(cmd)
 }

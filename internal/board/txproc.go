@@ -33,7 +33,7 @@ type txStream struct {
 // advance is still pending in the DMA engine).
 
 // txCmd is one cell's worth of work for the transmit DMA controller.
-// Records come from the board's pool (getTxCmd) and travel by pointer;
+// Records come from the board's pool (txCmdPool) and travel by pointer;
 // the controller returns each one when the cell is out.
 type txCmd struct {
 	ch      *Channel
@@ -344,7 +344,7 @@ func (x *txProcessor) gather() bool {
 // cannot skip descriptors still being read.
 func (b *Board) discardCmd(ch *Channel) *txCmd {
 	n := len(ch.tx.descs)
-	cmd := b.getTxCmd()
+	cmd := sim.TakeNew(&b.txCmdPool)
 	cmd.ch, cmd.advance, cmd.discard = ch, n, true
 	ch.peekAhead += n
 	ch.tx = txStream{descs: ch.tx.descs[:0]} // keep the descriptor scratch
@@ -381,7 +381,7 @@ func (b *Board) activate(ch *Channel) {
 func (x *txProcessor) build() {
 	b, ch := x.b, x.ch
 	st := &ch.tx
-	cmd := b.getTxCmd()
+	cmd := sim.TakeNew(&b.txCmdPool)
 	x.cmd = cmd
 	cmd.ch, cmd.vci = ch, st.vci
 	if b.cfg.Strategy.UsesSeqNumbers() {
@@ -447,7 +447,7 @@ func (x *txProcessor) build() {
 func (x *txProcessor) buildTrailer() {
 	b, ch := x.b, x.ch
 	st := &ch.tx
-	cmd := b.getTxCmd()
+	cmd := sim.TakeNew(&b.txCmdPool)
 	x.cmd = cmd
 	cmd.ch, cmd.vci = ch, st.vci
 	cmd.trailer, cmd.eom, cmd.last = true, true, true
@@ -512,22 +512,6 @@ func (b *Board) finishPDU(ch *Channel) {
 	ch.peekAhead += len(ch.tx.descs)
 	ch.tx = txStream{descs: ch.tx.descs[:0]} // keep the descriptor scratch
 	b.stats.PDUsTx++
-}
-
-// getTxCmd takes a command record from the pool (or makes one).
-func (b *Board) getTxCmd() *txCmd {
-	if n := len(b.txCmdPool); n > 0 {
-		cmd := b.txCmdPool[n-1]
-		b.txCmdPool = b.txCmdPool[:n-1]
-		return cmd
-	}
-	return &txCmd{}
-}
-
-// putTxCmd returns a finished command record to the pool.
-func (b *Board) putTxCmd(cmd *txCmd) {
-	*cmd = txCmd{segs: cmd.segs[:0]}
-	b.txCmdPool = append(b.txCmdPool, cmd)
 }
 
 // txDMA is the transmit DMA controller plus cell generator, a hardware
@@ -688,8 +672,10 @@ func (x *txDMA) consume() {
 	x.pc = txAdvance
 }
 
-// done returns the finished command and goes back to waiting.
+// done clears the finished command, returns it to the pool and goes
+// back to waiting.
 func (x *txDMA) done() {
-	x.b.putTxCmd(x.cmd)
+	*x.cmd = txCmd{segs: x.cmd.segs[:0]}
+	x.b.txCmdPool.Put(x.cmd)
 	x.cmd, x.pc = nil, txIdle
 }

@@ -212,27 +212,9 @@ func (c *Cache) Read(pa mem.PhysAddr, dst []byte) (hits, misses int) {
 // write miss no line is allocated.
 func (c *Cache) Write(pa mem.PhysAddr, src []byte) (hits, misses int) {
 	c.mem.Write(pa, src)
-	a := uint32(pa)
-	off := 0
-	for off < len(src) {
-		lineAddr := a - a%uint32(c.lineSize)
-		idx := c.index(lineAddr)
-		within := int(a - lineAddr)
-		n := c.lineSize - within
-		if n > len(src)-off {
-			n = len(src) - off
-		}
-		if c.hit(idx, lineAddr) {
-			hits++
-			c.stats.WriteHits++
-			copy(c.lineSlot(idx)[within:within+n], src[off:off+n])
-		} else {
-			misses++
-			c.stats.WriteMisses++
-		}
-		a += uint32(n)
-		off += n
-	}
+	hits, misses = c.update(pa, src)
+	c.stats.WriteHits += int64(hits)
+	c.stats.WriteMisses += int64(misses)
 	return hits, misses
 }
 
@@ -241,25 +223,30 @@ func (c *Cache) Write(pa mem.PhysAddr, src []byte) (hits, misses int) {
 // refreshes them.
 func (c *Cache) DMAWrite(pa mem.PhysAddr, src []byte) {
 	c.mem.Write(pa, src)
-	if c.policy != DMAUpdate {
-		return
+	if c.policy == DMAUpdate {
+		c.update(pa, src)
 	}
+}
+
+// update copies src, just written to memory at pa, into the cached
+// lines it overlaps, counting the lines it found and those it did not.
+func (c *Cache) update(pa mem.PhysAddr, src []byte) (hits, misses int) {
 	a := uint32(pa)
-	off := 0
-	for off < len(src) {
+	for off := 0; off < len(src); {
 		lineAddr := a - a%uint32(c.lineSize)
 		idx := c.index(lineAddr)
 		within := int(a - lineAddr)
-		n := c.lineSize - within
-		if n > len(src)-off {
-			n = len(src) - off
-		}
+		n := min(c.lineSize-within, len(src)-off)
 		if c.hit(idx, lineAddr) {
+			hits++
 			copy(c.lineSlot(idx)[within:within+n], src[off:off+n])
+		} else {
+			misses++
 		}
 		a += uint32(n)
 		off += n
 	}
+	return hits, misses
 }
 
 // Invalidate drops any cached lines overlapping [pa, pa+n) and returns

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -122,6 +123,19 @@ func (cl *Cluster) Shutdown() {
 		n.Board.Release()
 		n.Host.Release()
 	}
+}
+
+// CheckPools is the quiesce check (sim.Engine.CheckPools) over every
+// node: each record pool's count of records out must equal the records
+// live state holds — 0 on a clean drain, one per open reassembly,
+// retained driver message or unacknowledged RDP copy otherwise (DESIGN
+// §7 "Records"). Every experiment driver that drains the engine runs it.
+func (cl *Cluster) CheckPools() error {
+	err := cl.Eng.CheckPools()
+	for _, n := range cl.Nodes {
+		err = errors.Join(err, n.Host.CheckPools(), n.Board.CheckPools(), n.Drv.CheckPools(), n.IP.CheckPools(), n.RDP.CheckPools())
+	}
+	return err
 }
 
 // checkPair rejects a node pair that is out of range or joins a node to
@@ -282,7 +296,7 @@ func (cl *Cluster) RunLatency(from, to int, kind ProtoKind, msgSize, rounds int)
 	for _, r := range rtts {
 		total += r
 	}
-	return total / time.Duration(len(rtts)), nil
+	return total / time.Duration(len(rtts)), cl.CheckPools()
 }
 
 // RunReceiveThroughput reproduces the Figure 2/3 apparatus on the given
@@ -335,5 +349,5 @@ func (cl *Cluster) RunReceiveThroughput(node, msgSize, count int) (float64, erro
 	if received < 2 {
 		return 0, fmt.Errorf("core: receive experiment delivered %d/%d messages", received, count)
 	}
-	return stats.Mbps(int64(received-1)*int64(msgSize), time.Duration(lastDone-firstDone)), nil
+	return stats.Mbps(int64(received-1)*int64(msgSize), time.Duration(lastDone-firstDone)), cl.CheckPools()
 }

@@ -326,7 +326,7 @@ func (tb *Testbed) RunTransmitThroughput(msgSize, count int) (float64, error) {
 		return 0, fmt.Errorf("core: transmit experiment did not complete")
 	}
 	elapsed := time.Duration(tb.sink.last - tb.sink.first)
-	return stats.Mbps(int64(count)*int64(msgSize), elapsed), nil
+	return stats.Mbps(int64(count)*int64(msgSize), elapsed), tb.CheckPools()
 }
 
 // SinkStats exposes the isolated transmitter's sink counters.

@@ -294,7 +294,7 @@ func (cl *Cluster) runFanIn(w workload.FanIn, t fanInTransport) (*fanInRun, erro
 		}
 	}
 	cl.Eng.Run() // drain in-flight cells and deliveries
-	return run, nil
+	return run, cl.CheckPools()
 }
 
 // RunFanIn builds a switched cluster of clients+1 nodes and runs the

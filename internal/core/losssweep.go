@@ -352,5 +352,5 @@ func runLossRun(cfg LossSweep, rate float64, adaptive bool) (LossSweepPoint, pro
 	if pt.OpenReassemblies != 0 || pt.HeldReasmBufs != 0 {
 		return pt, st, fmt.Errorf("leaked reassembly state at exit: open=%d held=%d", pt.OpenReassemblies, pt.HeldReasmBufs)
 	}
-	return pt, st, nil
+	return pt, st, tb.CheckPools()
 }

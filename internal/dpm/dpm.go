@@ -84,7 +84,7 @@ type Memory struct {
 	unmap func([]byte) error // returns data to the OS; nil when the Go heap holds it
 	locks [2]bool
 	stats Stats
-	accs  *sim.Pool[Access] // records of the accesses procs await
+	accs  *sim.Pool[*Access] // records of the accesses procs await
 }
 
 // New returns a dual-port memory whose host-side accesses are priced on b.
@@ -237,7 +237,7 @@ func (a *Access) Val() uint32 { return a.val }
 // ReadWord performs an atomic 32-bit load at byte offset off, charging
 // the accessor's cost to p.
 func (m *Memory) ReadWord(p *sim.Proc, who Accessor, off uint32) uint32 {
-	a := m.accs.Take()
+	a := sim.TakeNew(m.accs)
 	a.Load(m, who, off)
 	p.Await(a)
 	v := a.val
@@ -247,7 +247,7 @@ func (m *Memory) ReadWord(p *sim.Proc, who Accessor, off uint32) uint32 {
 
 // WriteWord performs an atomic 32-bit store at byte offset off.
 func (m *Memory) WriteWord(p *sim.Proc, who Accessor, off uint32, v uint32) {
-	a := m.accs.Take()
+	a := sim.TakeNew(m.accs)
 	a.Store(m, who, off, v)
 	p.Await(a)
 	m.accs.Put(a)

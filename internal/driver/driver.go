@@ -21,6 +21,7 @@
 package driver
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -211,21 +212,21 @@ type Driver struct {
 	setup rxSetup // the buffer pool's set-up, run once by New
 
 	// Delivery scratch, reused by every PDU: the fragments and buffers
-	// of the PDU being delivered, and the message handed to the handler
-	// (nil after a Retain took it; the next delivery takes a spare).
+	// of the PDU being delivered.
 	rxFrags []msg.Fragment
 	rxBufs  []*rxBuffer
-	rxMsg   *msg.Message
 
-	// Buffer retention (fragment reassembly above the driver). A
-	// retained message keeps a copy of its buffer list; Release returns
-	// both to the spares.
+	// Buffer retention (fragment reassembly above the driver). Each
+	// delivery takes the message it hands the handler from msgPool and
+	// puts it back when the handler returns, unless the handler retained
+	// it. A retained message keeps a copy of its buffer list, from
+	// bufLists; Release puts both back.
 	currentMsg *msg.Message
 	currentCE  bool // the PDU being delivered carried a fabric CE mark
 	retainFlag bool
 	retained   map[*msg.Message][]*rxBuffer
-	spareMsgs  []*msg.Message
-	spareBufs  [][]*rxBuffer
+	msgPool    sim.Pool[*msg.Message]
+	bufLists   sim.Pool[[]*rxBuffer]
 
 	stats Stats
 	trk   string // trace track label, precomputed so Emit never concatenates
@@ -510,17 +511,15 @@ func (pt *Path) SetHandler(h Handler) { pt.handler = h }
 // holds m until then: its pages are wired for the DMA and unwired at
 // completion (§2.4), just before done runs.
 func (d *Driver) Send(p *sim.Proc, pt *Path, m *msg.Message, done Completion) error {
-	segs, err := m.AppendPhysSegments(d.host.GetSegs())
+	segs, err := m.AppendPhysSegments(d.host.TakeSegs())
+	defer func() { d.host.Segs.Put(segs) }()
 	if err != nil {
-		d.host.PutSegs(segs)
 		return err
 	}
 	if len(segs) == 0 {
-		d.host.PutSegs(segs)
 		return fmt.Errorf("driver: empty message")
 	}
 	if err := m.WireAll(); err != nil {
-		d.host.PutSegs(segs)
 		return err
 	}
 	pages := 0
@@ -569,7 +568,6 @@ func (d *Driver) Send(p *sim.Proc, pt *Path, m *msg.Message, done Completion) er
 	// Transmit-complete detection piggybacks on other driver activity.
 	d.reclaimLocked(p)
 	d.txMu.unlock()
-	d.host.PutSegs(segs)
 	return nil
 }
 
@@ -727,40 +725,36 @@ func (d *Driver) deliverPDU(p *sim.Proc, descs []queue.Desc) {
 		}
 	}
 	d.rxFrags, d.rxBufs = frags, bufs
-	if d.rxMsg == nil {
-		d.rxMsg = d.spareMsg()
-	}
-	m := d.rxMsg.SetFragments(frags...)
+	m := sim.TakeNew(&d.msgPool).SetFragments(frags...)
 	pt := d.paths[descs[len(descs)-1].VCI]
 	d.currentMsg, d.currentCE, d.retainFlag = m, ce, false
 	if pt != nil && pt.handler != nil {
 		pt.handler(p, m)
 	}
 	if d.retainFlag {
-		// The retaining layer now owns m and the buffers; the next
-		// delivery takes another message.
-		var held []*rxBuffer
-		if n := len(d.spareBufs); n > 0 {
-			held, d.spareBufs = d.spareBufs[n-1], d.spareBufs[:n-1]
-		}
-		d.retained[m] = append(held, bufs...)
-		d.rxMsg = nil
+		// The retaining layer now owns m and the buffers.
+		d.retained[m] = append(d.bufLists.Take(), bufs...)
 	} else {
-		// Handler done: recycle the buffers.
+		// Handler done: recycle the message and the buffers.
+		d.msgPool.Put(m)
 		d.reserve = append(d.reserve, bufs...)
 	}
 	d.currentMsg, d.currentCE, d.retainFlag = nil, false, false
 }
 
-// spareMsg returns a message for the next delivery: one a Release gave
-// back, or a new one.
-func (d *Driver) spareMsg() *msg.Message {
-	if n := len(d.spareMsgs); n > 0 {
-		m := d.spareMsgs[n-1]
-		d.spareMsgs = d.spareMsgs[:n-1]
-		return m
+// EachPending calls fn with the completion of every PDU sent and not yet
+// seen transmitted, oldest first.
+func (d *Driver) EachPending(fn func(Completion)) {
+	for i := 0; i < d.pendLen; i++ {
+		fn(d.pending[(d.pendHead+i)%len(d.pending)].done)
 	}
-	return new(msg.Message)
+}
+
+// CheckPools reports a delivery pool whose count of records out
+// differs from the messages upper layers retain. Call it when the
+// engine has run dry.
+func (d *Driver) CheckPools() error {
+	return errors.Join(d.msgPool.Check("driver messages", len(d.retained)), d.bufLists.Check("driver buffer lists", len(d.retained)))
 }
 
 // CEMarked, called from within a path handler, reports whether the PDU
@@ -797,8 +791,8 @@ func (d *Driver) Release(_ *sim.Proc, m *msg.Message) {
 	delete(d.retained, m)
 	d.reserve = append(d.reserve, bufs...)
 	clear(bufs)
-	d.spareBufs = append(d.spareBufs, bufs[:0])
-	d.spareMsgs = append(d.spareMsgs, m)
+	d.bufLists.Put(bufs[:0])
+	d.msgPool.Put(m)
 }
 
 // RecoverData is the lazy-invalidation recovery path (§2.3): when a

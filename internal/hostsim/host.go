@@ -1,6 +1,7 @@
 package hostsim
 
 import (
+	"errors"
 	"slices"
 	"time"
 
@@ -22,9 +23,16 @@ type Host struct {
 	Int    *IntController
 	Kernel *mem.AddressSpace
 
-	segPool [][]mem.PhysBuffer // scratch slices for per-PDU segment lists
-	bufPool [][]byte           // scratch buffers for Checksum's data pass
-	works   *sim.Pool[Work]    // records of the Work procs await
+	// Segs holds the scratch slices for per-PDU segment lists
+	// (msg.Message.AppendPhysSegments): take one (TakeSegs), append,
+	// put it back. The cooperative scheduler only switches procs inside
+	// simulated operations, so a take/use/put sequence never interleaves
+	// with another proc's even when the user of the slice blocks in
+	// between.
+	Segs sim.Pool[[]mem.PhysBuffer]
+
+	bufPool sim.Pool[[]byte] // scratch buffers for Checksum's data pass
+	works   *sim.Pool[*Work] // records of the Work procs await
 }
 
 // New builds a host from a profile. memPages sizes physical memory (0
@@ -67,7 +75,7 @@ func (h *Host) await(p *sim.Proc, d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	w := h.works.Take()
+	w := sim.TakeNew(h.works)
 	*w = Work{h: h, left: d}
 	p.Await(w)
 	h.works.Put(w)
@@ -202,23 +210,19 @@ func (h *Host) AppendCPUReadData(p *sim.Proc, dst []byte, segs []mem.PhysBuffer)
 	return out
 }
 
-// GetSegs pops an empty physical-segment scratch slice for a per-PDU
-// AppendPhysSegments call; PutSegs returns it (grown or not) to the pool.
-// The cooperative scheduler only switches procs inside simulated
-// operations, so a pop/use/push sequence never interleaves with another
-// proc's even when the user of the slice blocks in between.
-func (h *Host) GetSegs() []mem.PhysBuffer {
-	if n := len(h.segPool); n > 0 {
-		s := h.segPool[n-1]
-		h.segPool = h.segPool[:n-1]
+// TakeSegs takes an empty slice from Segs, making one with room for 16
+// segments if the pool has none.
+func (h *Host) TakeSegs() []mem.PhysBuffer {
+	if s := h.Segs.Take(); s != nil {
 		return s[:0]
 	}
 	return make([]mem.PhysBuffer, 0, 16)
 }
 
-// PutSegs returns a slice obtained from GetSegs to the pool.
-func (h *Host) PutSegs(s []mem.PhysBuffer) {
-	h.segPool = append(h.segPool, s)
+// CheckPools reports a scratch pool with a slice out, which none has
+// when the engine has run dry.
+func (h *Host) CheckPools() error {
+	return errors.Join(h.Segs.Check("host segment lists", 0), h.bufPool.Check("host checksum buffers", 0))
 }
 
 // InvalidateData performs an explicit cache invalidation of the given
@@ -240,13 +244,9 @@ func (h *Host) InvalidateData(p *sim.Proc, segs []mem.PhysBuffer) {
 // holds across its yields, and summed before the ALU cost is charged,
 // so the buffer is back in the pool by then.
 func (h *Host) Checksum(p *sim.Proc, segs []mem.PhysBuffer) uint16 {
-	var buf []byte
-	if n := len(h.bufPool); n > 0 {
-		buf, h.bufPool = h.bufPool[n-1], h.bufPool[:n-1]
-	}
-	data := h.AppendCPUReadData(p, buf[:0], segs)
+	data := h.AppendCPUReadData(p, h.bufPool.Take()[:0], segs)
 	sum := InternetChecksum(data)
-	h.bufPool = append(h.bufPool, data)
+	h.bufPool.Put(data)
 	words := (len(data) + 3) / 4
 	h.Compute(p, h.Prof.Cycles(words*h.Prof.ChecksumCyclesPerWord))
 	return sum
@@ -298,7 +298,7 @@ func (h *Host) wireCost(n int, slow bool) time.Duration {
 type IntController struct {
 	host  *Host
 	lines map[int]*irqLine
-	svcs  *sim.Pool[irqService] // service records
+	svcs  *sim.Pool[*irqService] // service records
 }
 
 // irqLine is one interrupt line's state.
@@ -358,7 +358,7 @@ func (ic *IntController) Assert(line int) {
 	}
 	l.pending = true
 	l.count++
-	s := ic.svcs.Take()
+	s := sim.TakeNew(ic.svcs)
 	s.ic, s.k = ic, sim.Cont{Fn: irqStep, Arg: s}
 	s.l, s.pc = l, irqStart
 	e := ic.host.Eng

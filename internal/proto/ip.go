@@ -15,7 +15,9 @@ package proto
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/atm"
@@ -65,6 +67,8 @@ type IP struct {
 	mtu   int
 	ident uint32
 	stats IPStats
+
+	sessions *ipSession // every session opened, linked by next, for CheckPools
 }
 
 // NewIP returns an IP instance with the given maximum transfer unit
@@ -104,7 +108,36 @@ func (ip *IP) Open(a IPOpen) (xkernel.Session, error) {
 		reasm:  make(map[uint32]*ipPartial),
 	}
 	s.path = ip.drv.OpenPath(a.VCI, s.demux)
+	s.next, ip.sessions = ip.sessions, s
 	return s, nil
+}
+
+// CheckPools reports a session pool whose count of records out differs
+// from what live state holds: the open reassemblies and their payload
+// views, and the send records whose fragments the driver has not yet
+// seen transmitted. Call it when the engine has run dry.
+func (ip *IP) CheckPools() error {
+	var sending []*ipSend // the records whose fragments the driver holds
+	ip.drv.EachPending(func(c driver.Completion) {
+		if r, ok := c.(*ipSend); ok && !slices.Contains(sending, r) {
+			sending = append(sending, r)
+		}
+	})
+	var err error
+	for s := ip.sessions; s != nil; s = s.next {
+		views, sends := 0, 0
+		for _, part := range s.reasm {
+			views += len(part.views)
+		}
+		for _, r := range sending {
+			if r.s == s {
+				sends++
+			}
+		}
+		err = errors.Join(err, s.parts.Check("ip reassemblies", len(s.reasm)),
+			s.views.Check("ip payload views", views), s.sends.Check("ip sends", sends))
+	}
+	return err
 }
 
 // ipPartial is one in-progress fragment reassembly.
@@ -119,6 +152,7 @@ type ipPartial struct {
 
 type ipSession struct {
 	ip         *IP
+	next       *ipSession // the session IP opened before this one
 	remote     HostAddr
 	proto      byte
 	path       *driver.Path
@@ -127,15 +161,15 @@ type ipSession struct {
 	reasmOrder []uint32 // insertion order, for the staleness cap
 	lastCE     bool     // the PDU being delivered upward carried a CE mark
 
-	spareParts []*ipPartial   // finished reassembly records, reused
-	joined     []msg.Fragment // fragment views of a PDU being stitched
+	joined []msg.Fragment // fragment views of a PDU being stitched
 
 	// Receive views handed upward, valid until the upper handler
 	// returns: an unfragmented payload, and a stitched datagram.
 	payload, assembled msg.Message
-	spareViews         []*msg.Message // reassembly payload views, reused
 
-	spareSends []*ipSend // finished send records, reused
+	parts sim.Pool[*ipPartial]   // reassembly records
+	views sim.Pool[*msg.Message] // reassembly payload views
+	sends sim.Pool[*ipSend]      // send records
 }
 
 // maxPartials bounds concurrent fragment reassemblies per session; the
@@ -158,19 +192,31 @@ func (s *ipSession) Close() { s.ip.drv.ClosePath(s.path) }
 // 20-byte header buffer — the buffer-chain structure whose physical
 // fragmentation §2.2 analyses.
 func (s *ipSession) Push(p *sim.Proc, m *msg.Message) error {
-	return s.PushDone(p, m, nil)
+	return s.newSend(0, 0).push(p, m)
 }
 
-// PushDone is Push with a completion that runs once every fragment of
-// the PDU has actually been transmitted (tail advance past its
-// descriptors) — upper layers use it to free header buffers whose bytes
-// the DMA reads asynchronously. done may be nil.
-func (s *ipSession) PushDone(p *sim.Proc, m *msg.Message, done driver.Completion) error {
+// newSend takes a send record for one datagram. When n > 0 the
+// datagram's first n bytes sit in the kernel buffer at va, which the
+// DMA reads asynchronously (UDP's header, RDP's staged segment): the
+// record frees it once the datagram's last fragment has been
+// transmitted (tail advance past its descriptors). An upper layer
+// builds its datagram in the record's dgram.
+func (s *ipSession) newSend(va mem.VirtAddr, n int) *ipSend {
+	r := s.sends.Take()
+	if r == nil {
+		r = &ipSend{s: s}
+	}
+	r.va, r.n = va, n
+	return r
+}
+
+// push fragments m, the record's datagram, as Push does.
+func (r *ipSend) push(p *sim.Proc, m *msg.Message) error {
+	s := r.s
 	maxData := s.ip.mtu - IPHeaderSize
 	total := m.Len()
 	s.ip.ident++
 	ident := s.ip.ident
-	r := s.newSend(done)
 	rest := m
 	for off := 0; ; {
 		take := rest.Len()
@@ -196,38 +242,27 @@ func (s *ipSession) PushDone(p *sim.Proc, m *msg.Message, done driver.Completion
 		}
 	}
 	r.sent = true
-	r.finish(p)
+	r.finish()
 	s.ip.stats.PDUsSent++
 	return nil
 }
 
-// ipSend is one PushDone in flight: the payload left to fragment, each
-// fragment's packet and header buffer, and the upper completion. It is
-// the driver's Completion for every fragment, and returns to its
-// session's free list once the whole PDU is queued and its last
-// fragment has been transmitted: until then the driver holds the
-// packets.
+// ipSend is one datagram's send in flight: an upper layer's datagram
+// and kernel buffer, the payload left to fragment, and each fragment's
+// packet and header buffer. It is the driver's Completion for every
+// fragment, and returns to its session's pool once the whole datagram
+// is queued and its last fragment has been transmitted: until then the
+// driver holds the packets.
 type ipSend struct {
 	s       *ipSession
-	done    driver.Completion
+	dgram   msg.Message  // an upper layer's datagram
+	va      mem.VirtAddr // kernel buffer to free when n > 0
+	n       int
 	rest    msg.Message
 	pkts    []*msg.Message // one per fragment; reused with the record
 	hdrs    []mem.VirtAddr // header buffer of each fragment queued
 	retired int            // fragments whose transmission completed
 	sent    bool           // every fragment is queued
-}
-
-// newSend returns a cleared send record, reusing a finished one when the
-// session has one.
-func (s *ipSession) newSend(done driver.Completion) *ipSend {
-	var r *ipSend
-	if n := len(s.spareSends); n > 0 {
-		r, s.spareSends = s.spareSends[n-1], s.spareSends[:n-1]
-	} else {
-		r = &ipSend{s: s}
-	}
-	r.done = done
-	return r
 }
 
 // packet returns the message for the next fragment.
@@ -247,55 +282,23 @@ func (r *ipSend) TxDone(p *sim.Proc) {
 		panic(err)
 	}
 	r.retired++
-	r.finish(p)
+	r.finish()
 }
 
-// finish runs the upper completion and recycles the record once every
-// fragment is queued and transmitted.
-func (r *ipSend) finish(p *sim.Proc) {
+// finish recycles the record, then frees the upper layer's buffer, once
+// every fragment is queued and transmitted.
+func (r *ipSend) finish() {
 	if !r.sent || r.retired < len(r.hdrs) {
 		return
 	}
-	done := r.done
-	r.done, r.hdrs, r.retired, r.sent = nil, r.hdrs[:0], 0, false
-	r.s.spareSends = append(r.s.spareSends, r)
-	if done != nil {
-		done.TxDone(p)
+	va, n := r.va, r.n
+	r.hdrs, r.retired, r.sent = r.hdrs[:0], 0, false
+	r.s.sends.Put(r)
+	if n > 0 {
+		if err := r.s.ip.host.Kernel.Free(va, n); err != nil {
+			panic(err)
+		}
 	}
-}
-
-// bufSend is one datagram an upper layer pushes through IP whose first
-// bytes sit in a kernel buffer the DMA reads asynchronously (UDP's
-// header, RDP's staged segment). It is IP's Completion for the
-// datagram: once the last fragment has been transmitted it frees the
-// buffer and returns to its session's free list.
-type bufSend struct {
-	free   *[]*bufSend // the owning session's free list
-	kernel *mem.AddressSpace
-	va     mem.VirtAddr
-	n      int
-	m      msg.Message // the datagram, held by IP until completion
-}
-
-// newBufSend returns a record for an n-byte kernel buffer at va, reusing
-// one from free when there is one.
-func newBufSend(free *[]*bufSend, kernel *mem.AddressSpace, va mem.VirtAddr, n int) *bufSend {
-	var r *bufSend
-	if k := len(*free); k > 0 {
-		r, *free = (*free)[k-1], (*free)[:k-1]
-	} else {
-		r = &bufSend{free: free}
-	}
-	r.kernel, r.va, r.n = kernel, va, n
-	return r
-}
-
-// TxDone frees the buffer and recycles the record.
-func (r *bufSend) TxDone(*sim.Proc) {
-	if err := r.kernel.Free(r.va, r.n); err != nil {
-		panic(err)
-	}
-	*r.free = append(*r.free, r)
 }
 
 // sendFragment puts a header buffer in front of the fragment payload in
@@ -378,7 +381,7 @@ ok:
 		}
 		return
 	}
-	payload := s.newView()
+	payload := sim.TakeNew(&s.views)
 	payload.SetTrimPrefix(m, IPHeaderSize)
 
 	part := s.reasm[ident]
@@ -390,7 +393,9 @@ ok:
 				s.dropPartial(p, oldest, op)
 			}
 		}
-		part = s.newPartial()
+		if part = s.parts.Take(); part == nil {
+			part = &ipPartial{frags: make(map[uint32]*msg.Message), total: -1}
+		}
 		s.reasm[ident] = part
 		s.reasmOrder = append(s.reasmOrder, ident)
 	}
@@ -431,41 +436,21 @@ ok:
 	s.release(p, part)
 }
 
-// newPartial returns an empty reassembly record, reusing a finished one
-// when the session has one.
-func (s *ipSession) newPartial() *ipPartial {
-	if n := len(s.spareParts); n > 0 {
-		part := s.spareParts[n-1]
-		s.spareParts = s.spareParts[:n-1]
-		return part
-	}
-	return &ipPartial{frags: make(map[uint32]*msg.Message), total: -1}
-}
-
-// newView returns a message for a reassembly payload view, reusing one
-// a released reassembly gave back.
-func (s *ipSession) newView() *msg.Message {
-	if n := len(s.spareViews); n > 0 {
-		v := s.spareViews[n-1]
-		s.spareViews = s.spareViews[:n-1]
-		return v
-	}
-	return new(msg.Message)
-}
-
 // release hands a forgotten reassembly's retained driver messages back
-// and keeps the emptied record and its payload views for reuse: nothing
-// else refers to them once it is out of s.reasm.
+// and puts the emptied record and its payload views back in their
+// pools: nothing else refers to them once it is out of s.reasm.
 func (s *ipSession) release(p *sim.Proc, part *ipPartial) {
 	for _, rm := range part.retained {
 		s.ip.drv.Release(p, rm)
 	}
-	s.spareViews = append(s.spareViews, part.views...)
+	for _, v := range part.views {
+		s.views.Put(v)
+	}
 	clear(part.frags)
 	clear(part.retained)
 	clear(part.views)
 	*part = ipPartial{frags: part.frags, retained: part.retained[:0], views: part.views[:0], total: -1}
-	s.spareParts = append(s.spareParts, part)
+	s.parts.Put(part)
 }
 
 func (s *ipSession) forget(ident uint32) {
@@ -496,7 +481,8 @@ func readThroughCache(p *sim.Proc, h *hostsim.Host, m *msg.Message, hdr []byte) 
 	// a head message; the shared append slice merges abutting physical
 	// runs exactly as splitting off the head and taking its
 	// PhysSegments would.
-	segs := h.GetSegs()
+	segs := h.TakeSegs()
+	defer func() { h.Segs.Put(segs) }()
 	var err error
 	remaining := n
 	for _, f := range m.Fragments() {
@@ -509,13 +495,11 @@ func readThroughCache(p *sim.Proc, h *hostsim.Host, m *msg.Message, hdr []byte) 
 		}
 		segs, err = f.Space.AppendPhysSegments(segs, f.VA, l)
 		if err != nil {
-			h.PutSegs(segs)
 			return err
 		}
 		remaining -= l
 	}
 	h.AppendCPUReadData(p, hdr[:0], segs)
-	h.PutSegs(segs)
 	return nil
 }
 

@@ -31,10 +31,11 @@ type RDP struct {
 	ip    *IP
 	stats RDPStats
 
-	// Adaptive telemetry (RegisterAdaptiveMetrics): RTT sample sketch
-	// and the live adaptive sessions whose cwnd/ssthresh the gauges sum.
+	// Adaptive telemetry (RegisterAdaptiveMetrics): the RTT sample
+	// sketch, and every session opened, whose cwnd/ssthresh the gauges
+	// sum (a legacy session's stay 0); CheckPools visits them too.
 	mRTT     *metrics.Sketch
-	adaptive []*rdpSession
+	sessions *rdpSession // linked by next
 }
 
 // RDPStats counts RDP activity.
@@ -109,19 +110,30 @@ func (r *RDP) RegisterAdaptiveMetrics(reg *metrics.Registry, prefix string) {
 	reg.Sample(prefix+"/rtt_samples", metrics.KindCounter, func() int64 { return s.RTTSamples })
 	reg.Sample(prefix+"/cwnd_segments", metrics.KindGauge, func() int64 {
 		var sum int64
-		for _, as := range r.adaptive {
+		for as := r.sessions; as != nil; as = as.next {
 			sum += int64(as.cwnd / cwndUnit)
 		}
 		return sum
 	})
 	reg.Sample(prefix+"/ssthresh_segments", metrics.KindGauge, func() int64 {
 		var sum int64
-		for _, as := range r.adaptive {
+		for as := r.sessions; as != nil; as = as.next {
 			sum += int64(as.ssthresh / cwndUnit)
 		}
 		return sum
 	})
 	r.mRTT = reg.Quantiles(prefix+"/rtt_us", 0.5, 0.9, 0.99)
+}
+
+// CheckPools reports a session whose count of retransmission copies out
+// differs from its unacknowledged segments. Call it when the engine has
+// run dry.
+func (r *RDP) CheckPools() error {
+	var err error
+	for s := r.sessions; s != nil; s = s.next {
+		err = errors.Join(err, s.copies.Check("rdp copies", len(s.unacked)))
+	}
+	return err
 }
 
 // ProtoRDP is RDP's protocol number in the IP header.
@@ -205,8 +217,8 @@ func (r *RDP) Open(a RDPOpen) (xkernel.Session, error) {
 		s.est = newRTTEstimator(a.RetransmitTimeout, rdpMinRTO, rdpMaxRTO)
 		s.cwnd = uint32(min(rdpInitialCwnd, a.Window)) * cwndUnit
 		s.ssthresh = uint32(a.Window) * cwndUnit
-		r.adaptive = append(r.adaptive, s)
 	}
+	s.next, r.sessions = r.sessions, s
 	lower.SetHandler(s.demux)
 	r.host.Eng.Go(fmt.Sprintf("rdp-retx-vci%d", a.VCI), s.retransmitter)
 	return s, nil
@@ -214,6 +226,7 @@ func (r *RDP) Open(a RDPOpen) (xkernel.Session, error) {
 
 type rdpSession struct {
 	r     *RDP
+	next  *rdpSession // the session RDP opened before this one
 	addr  RDPOpen
 	lower xkernel.Session
 	upper xkernel.Handler
@@ -222,9 +235,8 @@ type rdpSession struct {
 	sendBase uint32 // oldest unacknowledged sequence number
 	nextSeq  uint32
 	unacked  map[uint32][]byte
-	spare    [][]byte   // acknowledged copies, reused by the next Push
-	stage    []byte     // segment staging, reused by every sendSegment
-	sends    []*bufSend // finished send records, reused
+	copies   sim.Pool[[]byte] // retransmission copies, back once acknowledged
+	stage    []byte           // segment staging, reused by every sendSegment
 	timer    sim.Event
 	notFull  *sim.Cond
 	acked    *sim.Cond
@@ -292,12 +304,10 @@ func (s *rdpSession) Push(p *sim.Proc, m *msg.Message) error {
 	if s.err != nil {
 		return s.err
 	}
-	var buf []byte
-	if n := len(s.spare); n > 0 {
-		buf, s.spare = s.spare[n-1][:0], s.spare[:n-1]
-	}
-	data, err := m.AppendBytes(buf)
+	buf := s.copies.Take()
+	data, err := m.AppendBytes(buf[:0])
 	if err != nil {
+		s.copies.Put(buf)
 		return err
 	}
 	// A reliable sender must hold the bytes until acknowledged; the copy
@@ -379,9 +389,9 @@ func (s *rdpSession) sendSegment(p *sim.Proc, typ byte, seq uint32, payload []by
 	if err := writeThroughCache(host, host.Kernel, va, buf); err != nil {
 		return err
 	}
-	r := newBufSend(&s.sends, host.Kernel, va, total)
-	r.m.SetFragments(msg.Fragment{Space: host.Kernel, VA: va, Len: total})
-	return s.lower.(*ipSession).PushDone(p, &r.m, r)
+	r := s.lower.(*ipSession).newSend(va, total)
+	r.dgram.SetFragments(msg.Fragment{Space: host.Kernel, VA: va, Len: total})
+	return r.push(p, &r.dgram)
 }
 
 // backoffGraceRounds is how many barren rounds run at the base timeout
@@ -582,8 +592,8 @@ func (s *rdpSession) demux(p *sim.Proc, m *msg.Message) {
 		return
 	}
 	// Verify the payload (through the cache, with lazy recovery).
-	segs, err := payload.AppendPhysSegments(s.r.host.GetSegs())
-	defer s.r.host.PutSegs(segs)
+	segs, err := payload.AppendPhysSegments(s.r.host.TakeSegs())
+	defer s.r.host.Segs.Put(segs)
 	if err != nil {
 		return
 	}
@@ -651,7 +661,7 @@ func (s *rdpSession) processAck(ack uint32, ece bool) {
 	now := s.r.host.Eng.Now()
 	ackedSegs := uint32(0)
 	for s.sendBase != s.nextSeq && s.sendBase != ack {
-		s.spare = append(s.spare, s.unacked[s.sendBase])
+		s.copies.Put(s.unacked[s.sendBase])
 		delete(s.unacked, s.sendBase)
 		if s.addr.Adaptive {
 			if sample, ok := s.est.Acked(s.sendBase, now); ok {

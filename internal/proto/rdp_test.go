@@ -260,3 +260,22 @@ func TestRDPStagingEchoesECEOnce(t *testing.T) {
 		t.Errorf("sender backed off %d times, want 1", got)
 	}
 }
+
+// A Push whose message cannot be read fails and puts its
+// retransmission copy back.
+func TestRDPPushErrorPutsCopyBack(t *testing.T) {
+	sp := newLossyStackPair(t, 0, 1)
+	tx, _, _, _ := openRDPPair(t, sp, 10, 4)
+	var bad msg.Message
+	bad.SetFragments(msg.Fragment{Space: sp.hA.Kernel, VA: 1 << 30, Len: 8})
+	sp.eng.Go("sender", func(p *sim.Proc) {
+		if err := tx.Push(p, &bad); err == nil {
+			t.Error("a push of an unmapped message succeeded")
+		}
+	})
+	sp.eng.Run()
+	sp.eng.Shutdown()
+	if n := tx.copies.Outstanding(); n != 0 {
+		t.Errorf("%d retransmission copies out after the failed push", n)
+	}
+}

@@ -64,7 +64,6 @@ type udpSession struct {
 	upper xkernel.Handler
 
 	payload msg.Message // the view handed upward, valid until it returns
-	sends   []*bufSend  // finished send records, reused
 }
 
 // SetHandler implements xkernel.Session.
@@ -80,13 +79,14 @@ func (s *udpSession) Push(p *sim.Proc, m *msg.Message) error {
 	s.u.host.Compute(p, udpCost(s.u.host.Prof.ProtoSendPerPDU))
 	var sum uint16
 	if s.addr.Checksum {
-		segs, err := m.AppendPhysSegments(s.u.host.GetSegs())
+		segs, err := m.AppendPhysSegments(s.u.host.TakeSegs())
+		if err == nil {
+			sum = s.u.host.Checksum(p, segs)
+		}
+		s.u.host.Segs.Put(segs)
 		if err != nil {
-			s.u.host.PutSegs(segs)
 			return err
 		}
-		sum = s.u.host.Checksum(p, segs)
-		s.u.host.PutSegs(segs)
 		if sum == 0 {
 			sum = 0xFFFF // 0 means "no checksum", per UDP convention
 		}
@@ -105,10 +105,10 @@ func (s *udpSession) Push(p *sim.Proc, m *msg.Message) error {
 	}
 	// The DMA reads the header asynchronously; the record frees it only
 	// once every fragment of this datagram has completed transmission.
-	r := newBufSend(&s.sends, s.u.host.Kernel, hdrVA, UDPHeaderSize)
-	r.m.SetPrepend(msg.Fragment{Space: s.u.host.Kernel, VA: hdrVA, Len: UDPHeaderSize}, m)
+	r := s.lower.(*ipSession).newSend(hdrVA, UDPHeaderSize)
+	r.dgram.SetPrepend(msg.Fragment{Space: s.u.host.Kernel, VA: hdrVA, Len: UDPHeaderSize}, m)
 	s.u.stats.Sent++
-	return s.lower.(*ipSession).PushDone(p, &r.m, r)
+	return r.push(p, &r.dgram)
 }
 
 // demux verifies and strips the UDP header and delivers the payload.
@@ -135,8 +135,8 @@ func (s *udpSession) demux(p *sim.Proc, m *msg.Message) {
 		return
 	}
 	if s.addr.Checksum && wantSum != 0 {
-		segs, err := payload.AppendPhysSegments(s.u.host.GetSegs())
-		defer s.u.host.PutSegs(segs)
+		segs, err := payload.AppendPhysSegments(s.u.host.TakeSegs())
+		defer s.u.host.Segs.Put(segs)
 		if err != nil {
 			s.u.stats.Dropped++
 			return

@@ -102,7 +102,7 @@ func NewRing(d *dpm.Memory, base uint32, slots int) *Ring {
 // ops returns the pool of the records procs await ring ops in: the
 // engine's, shared by every ring on it (a pointer in each Ring would
 // move it up a size class).
-func (r *Ring) ops() *sim.Pool[Op] { return sim.PoolOf[Op](r.d.Engine()) }
+func (r *Ring) ops() *sim.Pool[*Op] { return sim.PoolOf[Op](r.d.Engine()) }
 
 // Slots returns the slot count (capacity is Slots()-1).
 func (r *Ring) Slots() int { return int(r.slots) }
@@ -110,7 +110,7 @@ func (r *Ring) Slots() int { return int(r.slots) }
 // Init zeroes the head and tail pointers; who pays the access cost.
 func (r *Ring) Init(p *sim.Proc, who dpm.Accessor) {
 	pl := r.ops()
-	o := pl.Take()
+	o := sim.TakeNew(pl)
 	o.Init(r, who)
 	p.Await(o)
 	pl.Put(o)
@@ -129,7 +129,7 @@ func (r *Ring) next(i uint32) uint32 { return (i + 1) % r.slots }
 // It reports whether the descriptor was queued.
 func (r *Ring) TryPush(p *sim.Proc, who dpm.Accessor, d Desc) bool {
 	pl := r.ops()
-	o := pl.Take()
+	o := sim.TakeNew(pl)
 	o.Push(r, who, d)
 	p.Await(o)
 	ok := o.ok
@@ -141,7 +141,7 @@ func (r *Ring) TryPush(p *sim.Proc, who dpm.Accessor, d Desc) bool {
 // re-reading the head pointer only when the shadow indicates emptiness.
 func (r *Ring) TryPop(p *sim.Proc, who dpm.Accessor) (Desc, bool) {
 	pl := r.ops()
-	o := pl.Take()
+	o := sim.TakeNew(pl)
 	o.Pop(r, who)
 	p.Await(o)
 	d, ok := o.d, o.ok
@@ -164,7 +164,7 @@ func (r *Ring) WriterFull(p *sim.Proc, who dpm.Accessor) bool {
 // board consumed buffers (§2.1.2).
 func (r *Ring) ObserveTail(p *sim.Proc, who dpm.Accessor) uint32 {
 	pl := r.ops()
-	o := pl.Take()
+	o := sim.TakeNew(pl)
 	o.Observe(r, who)
 	p.Await(o)
 	n := uint32(o.n)

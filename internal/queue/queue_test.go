@@ -34,6 +34,9 @@ func TestRingPushPopRoundTrip(t *testing.T) {
 		}
 	})
 	e.Run()
+	if err := e.CheckPools(); err != nil {
+		t.Errorf("at quiesce: %v", err)
+	}
 	e.Shutdown()
 }
 

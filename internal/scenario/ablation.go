@@ -66,7 +66,7 @@ func ringTime(spin bool) (string, error) {
 	end := e.Run()
 	e.Shutdown()
 	d.Release()
-	return fmt.Sprintf("%v/op", time.Duration(end)/ops), nil
+	return fmt.Sprintf("%v/op", time.Duration(end)/ops), e.CheckPools()
 }
 
 // irqPerPDU measures §2.1.2's interrupt suppression: receive interrupts
@@ -158,7 +158,7 @@ func fragBuffers(cfg Config, mtu, misalign int) (string, error) {
 		tb.A.Drv.Flush(p)
 	})
 	tb.Eng.Run()
-	return fmt.Sprintf("%d buffers", tb.A.Drv.Stats().TxBuffers), sendErr
+	return fmt.Sprintf("%d buffers", tb.A.Drv.Stats().TxBuffers), errors.Join(sendErr, tb.CheckPools())
 }
 
 // sendTime measures §2.2's closing point: the driver's cost to send one
@@ -192,7 +192,7 @@ func sendTime(vdma bool) (string, error) {
 	if vdma {
 		out += fmt.Sprintf(", %d map entries", d.Stats().SGMapEntries)
 	}
-	return out, err
+	return out, errors.Join(err, e.CheckPools(h, bd, d))
 }
 
 // contigBuffers measures §2.2's contiguous-allocation extension:
@@ -257,7 +257,7 @@ func wire(slow bool) (string, error) {
 	e.Run()
 	e.Shutdown()
 	h.Release()
-	return cost.String(), nil
+	return cost.String(), e.CheckPools(h)
 }
 
 // busMbps measures the TURBOchannel arithmetic of §2.5.1 and §2.7: the
@@ -272,7 +272,7 @@ func busMbps(n, bytes int, move func(b *bus.Bus, bytes int) sim.Hold) (string, e
 	})
 	end := e.Run()
 	e.Shutdown()
-	return fmt.Sprintf("%.4g Mbps", float64(n*bytes*8)/end.Seconds()/1e6), nil
+	return fmt.Sprintf("%.4g Mbps", float64(n*bytes*8)/end.Seconds()/1e6), e.CheckPools()
 }
 
 // pioRead moves bytes into the host by word-at-a-time programmed I/O.
@@ -408,7 +408,7 @@ func fb(cached bool) (string, error) {
 	e.Run()
 	e.Shutdown()
 	h.Release()
-	return cost.String(), err
+	return cost.String(), errors.Join(err, e.CheckPools(h))
 }
 
 // priorityDelivery measures §3.1's early-demux overload: high- and
@@ -475,7 +475,7 @@ func priorityDelivery() (string, error) {
 	bd.Release()
 	h.Release()
 	return fmt.Sprintf("%.4g%% high, %.4g%% low delivered",
-		100*float64(hiGot)/float64(mix.Messages), 100*float64(loGot)/float64(mix.Messages)), err
+		100*float64(hiGot)/float64(mix.Messages), 100*float64(loGot)/float64(mix.Messages)), errors.Join(err, e.CheckPools(h, bd))
 }
 
 // pingRTT measures the §3.2/§4 headline: a 1 KB round trip between two
@@ -555,5 +555,5 @@ func pingRTT(useADC bool) (string, error) {
 	if err == nil && out == 0 {
 		err = errors.New("no reply")
 	}
-	return fmt.Sprintf("%.1f µs RTT", out.Seconds()*1e6), err
+	return fmt.Sprintf("%.1f µs RTT", out.Seconds()*1e6), errors.Join(err, e.CheckPools(hA, hB, bA, bB))
 }

@@ -93,11 +93,11 @@ type Scenario struct {
 // All returns the registry in run order.
 func All() []Scenario {
 	return []Scenario{
-		{Name: "table1", Run: table1},
-		{Name: "fig2", Run: fig2},
-		{Name: "fig3", Run: fig3},
-		{Name: "fig4", Run: fig4},
-		{Name: "ablations", Run: ablations},
+		{Name: "table1", Artifact: "BENCH_table1.json", Run: table1},
+		{Name: "fig2", Artifact: "BENCH_fig2.json", Run: fig2},
+		{Name: "fig3", Artifact: "BENCH_fig3.json", Run: fig3},
+		{Name: "fig4", Artifact: "BENCH_fig4.json", Run: fig4},
+		{Name: "ablations", Artifact: "BENCH_ablations.json", Run: ablations},
 		{Name: "faults", Artifact: "BENCH_faults.json", Run: faults, Check: checkFaults},
 		{Name: "incast", Artifact: "BENCH_incast.json", Run: incast, Check: checkIncast},
 		{Name: "tenants", Artifact: "BENCH_tenants.json", Run: tenants, Check: checkTenants},

@@ -197,7 +197,7 @@ func TestPoolReusesRecordsPastReserve(t *testing.T) {
 	recs := make([]*Hold, n)
 	cycle := func() {
 		for i := range recs {
-			recs[i] = pl.Take()
+			recs[i] = TakeNew(pl)
 		}
 		for _, r := range recs {
 			pl.Put(r)
@@ -206,7 +206,7 @@ func TestPoolReusesRecordsPastReserve(t *testing.T) {
 	cycle()
 	seen := map[*Hold]bool{}
 	for i := range recs {
-		recs[i] = pl.Take()
+		recs[i] = TakeNew(pl)
 		seen[recs[i]] = true
 	}
 	if len(seen) != n {

@@ -108,7 +108,7 @@ func (h Hold) Do(p *Proc) {
 		p.SleepUntil(h.e.now.Add(h.d))
 		return
 	}
-	rec := h.r.holds.Take()
+	rec := TakeNew(h.r.holds)
 	*rec = h
 	p.Await(rec)
 	h.r.holds.Put(rec)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -217,4 +218,85 @@ func BenchmarkSleepElided(b *testing.B) {
 		}
 	})
 	e.Run()
+}
+
+// --- Record pools (Pool) ---
+
+// A pool counts the records out: stocked records do not count, an
+// empty pool hands out the zero value and still counts it, Check
+// compares the count with the records live state holds, a put without
+// a take panics, and a steady take/put cycle allocates nothing.
+func TestPoolCountsRecordsOut(t *testing.T) {
+	var pl Pool[*int]
+	pl.Stock([]*int{new(int), new(int)})
+	if n := pl.Outstanding(); n != 0 {
+		t.Fatalf("a stocked pool has %d records out", n)
+	}
+	a, b := pl.Take(), pl.Take()
+	if a == nil || b == nil || a == b {
+		t.Fatalf("the stocked records came out as %p and %p", a, b)
+	}
+	if c := pl.Take(); c != nil {
+		t.Fatalf("an empty pool handed out %p, want nil", c)
+	}
+	if n := pl.Outstanding(); n != 3 {
+		t.Fatalf("%d records out after three takes", n)
+	}
+	if err := pl.Check("ints", 3); err != nil {
+		t.Errorf("Check with the count out: %v", err)
+	}
+	if err := pl.Check("ints", 2); err == nil || !strings.Contains(err.Error(), "ints") {
+		t.Errorf("Check with one record unaccounted for: %v", err)
+	}
+	pl.Put(a)
+	pl.Put(b)
+	pl.Put(new(int))
+	if n := pl.Outstanding(); n != 0 {
+		t.Fatalf("%d records out after every put", n)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a put without a take did not panic")
+			}
+		}()
+		pl.Put(a)
+	}()
+	if allocs := testing.AllocsPerRun(100, func() { pl.Put(pl.Take()) }); allocs != 0 {
+		t.Errorf("a take/put cycle allocates %.1f", allocs)
+	}
+	if n := pl.Outstanding(); n != 0 {
+		t.Errorf("%d records out after the cycles", n)
+	}
+}
+
+// A slice pool hands out nil when empty, for the caller to append to,
+// and the same backing array once it is put back.
+func TestPoolOfSlicesReusesStorage(t *testing.T) {
+	var pl Pool[[]byte]
+	s := append(pl.Take()[:0], "abc"...)
+	pl.Put(s)
+	if r := pl.Take()[:0]; cap(r) != cap(s) || &r[:1][0] != &s[0] {
+		t.Error("the slice put back was not handed out again")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { pl.Put(append(pl.Take()[:0], "abc"...)) }); allocs != 0 {
+		t.Errorf("a take/append/put cycle allocates %.1f", allocs)
+	}
+}
+
+// Engine.CheckPools reports an awaited-op record still out.
+func TestEngineCheckPoolsSeesAwaitedRecordOut(t *testing.T) {
+	e := NewEngine(1)
+	pl := PoolOf[Hold](e)
+	if err := e.CheckPools(); err != nil {
+		t.Fatalf("fresh engine: %v", err)
+	}
+	h := TakeNew(pl)
+	if err := e.CheckPools(); err == nil {
+		t.Error("a record out went unreported")
+	}
+	pl.Put(h)
+	if err := e.CheckPools(); err != nil {
+		t.Errorf("after the put: %v", err)
+	}
 }

@@ -13,7 +13,7 @@ type Resource struct {
 	queue     []Cont
 	busySince Time
 	busyTotal time.Duration
-	holds     *Pool[Hold] // records of the Holds procs await (Hold.Do)
+	holds     *Pool[*Hold] // records of the Holds procs await (Hold.Do)
 }
 
 // NewResource returns a free resource bound to engine e.

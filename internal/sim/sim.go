@@ -107,10 +107,10 @@ type Engine struct {
 	sites map[string]struct{}
 	// xids is the last id handed out by NewStampID.
 	xids uint64
-	// pools holds the op-record pools (PoolOf), one *Pool[T] per record
-	// type, in poolSlots unless there are more types than slots.
-	pools     []any
-	poolSlots [8]any
+	// pools holds the awaited-op pools (PoolOf), one *Pool[*T] per
+	// record type, in poolSlots unless there are more types than slots.
+	pools     []interface{ Outstanding() int }
+	poolSlots [8]interface{ Outstanding() int }
 	// panicVal is a proc body's panic, stashed by Proc.run for
 	// Proc.resume to re-raise on the engine goroutine.
 	panicVal any
