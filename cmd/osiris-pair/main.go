@@ -202,16 +202,13 @@ func pairMain(rev string) error {
 
 // addWorktree checks rev out under .bench_build/pair-<sha>. A directory
 // there is this tool's own, left by a stopped run, so it is removed
-// first.
+// first, and -f lets git reuse the path it may still have registered.
 func addWorktree(root, sha string) (string, error) {
 	dir := filepath.Join(root, ".bench_build", "pair-"+sha[:12])
 	if err := os.RemoveAll(dir); err != nil {
 		return "", err
 	}
-	if _, err := git(root, "worktree", "prune"); err != nil {
-		return "", err
-	}
-	_, err := git(root, "worktree", "add", "--detach", dir, sha)
+	_, err := git(root, "worktree", "add", "-f", "--detach", dir, sha)
 	return dir, err
 }
 
