@@ -11,10 +11,8 @@
 //	go run ./cmd/osiris-pair -rev 4c93e14
 //
 // Both trees must produce the same simulated outputs: a fingerprint
-// that differs between them fails the run. Every run rebuilds its tree,
-// so a tree whose HEAD or uncommitted changes differ from what they
-// were before the first pair fails the run too. A worktree that a
-// stopped run left behind is removed at start-up.
+// that differs between them fails the run, and so does a tree that
+// changes after the first pair, since every run rebuilds its tree.
 package main
 
 import (
@@ -124,9 +122,7 @@ type config struct {
 	seed                 int64
 	metrics              []metricDef
 	log                  func(format string, args ...any)
-	// state identifies a tree's contents (treeState); nil skips the
-	// check that no tree changes during the pairs.
-	state func(dir string) (string, error)
+	state                func(dir string) (string, error) // treeState
 }
 
 // The pairs per workload and their seed.
@@ -200,9 +196,8 @@ func pairMain(rev string) error {
 	return nil
 }
 
-// addWorktree checks rev out under .bench_build/pair-<sha>. A directory
-// there is this tool's own, left by a stopped run, so it is removed
-// first, and -f lets git reuse the path it may still have registered.
+// addWorktree checks sha out under .bench_build/pair-<sha>, first
+// removing what a stopped run left there (-f reuses its registration).
 func addWorktree(root, sha string) (string, error) {
 	dir := filepath.Join(root, ".bench_build", "pair-"+sha[:12])
 	if err := os.RemoveAll(dir); err != nil {
@@ -213,20 +208,13 @@ func addWorktree(root, sha string) (string, error) {
 }
 
 // treeState identifies what a tree's benchmark builds: its HEAD and a
-// hash of every file git tracks or would track, as it is on disk.
+// hash of its uncommitted changes and the names of its untracked files.
 func treeState(dir string) (string, error) {
 	head, err := git(dir, "rev-parse", "HEAD")
-	if err != nil {
-		return "", err
-	}
-	files, err := git(dir, "ls-files", "--cached", "--others", "--exclude-standard")
-	h := sha256.New()
-	for _, f := range strings.Split(files, "\n") {
-		data, _ := os.ReadFile(filepath.Join(dir, f)) // a deleted file reads as empty
-		fmt.Fprintf(h, "%s %d\n", f, len(data))
-		h.Write(data)
-	}
-	return fmt.Sprintf("%s+%x", head, h.Sum(nil)[:6]), err
+	diff, err2 := git(dir, "diff", "HEAD")
+	others, err3 := git(dir, "ls-files", "--others", "--exclude-standard")
+	sum := sha256.Sum256([]byte(diff + "\x00" + others))
+	return fmt.Sprintf("%s+%x", head, sum[:6]), errors.Join(err, err2, err3)
 }
 
 // git runs a git command in dir and returns its trimmed output.
@@ -259,24 +247,15 @@ func compare(cfg config) (report, error) {
 		Order:        "per workload, pair i runs the parent first when i is even and the change first when i is odd",
 		ResolvedRule: "the change's median differs from the parent's by more than the parent's IQR (q3-q1)",
 	}
-	// A tree's state is recorded before its first run; any later run
-	// finding another state fails.
+	// Each tree's state is recorded before the first pair; a run that
+	// finds its tree in another state fails.
 	states := map[string]string{}
-	sameTree := func(dir string) error {
-		if cfg.state == nil {
-			return nil
-		}
-		st, err := cfg.state(dir)
-		if was, ok := states[dir]; err == nil && ok && st != was {
-			err = fmt.Errorf("%s changed during the pairs: it was %s, it is %s", dir, was, st)
-		}
-		states[dir] = st
-		return err
-	}
 	for _, dir := range []string{cfg.parentDir, cfg.changeDir} {
-		if err := sameTree(dir); err != nil {
+		st, err := cfg.state(dir)
+		if err != nil {
 			return rep, err
 		}
+		states[dir] = st
 	}
 	rep.Change = "working tree at " + states[cfg.changeDir]
 	for _, w := range cfg.workloads {
@@ -287,8 +266,8 @@ func compare(cfg config) (report, error) {
 				if isParent {
 					dir, side = cfg.parentDir, "parent"
 				}
-				if err := sameTree(dir); err != nil {
-					return rep, err
+				if st, err := cfg.state(dir); err != nil || st != states[dir] {
+					return rep, errors.Join(err, fmt.Errorf("%s changed during the pairs: it was %s, it is %s", dir, states[dir], st))
 				}
 				r, err := benchRun(dir, w, cfg.seed, cfg.seconds)
 				if err != nil {

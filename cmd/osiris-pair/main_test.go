@@ -183,6 +183,9 @@ func TestPairSelf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := treeState(root); err != nil {
+		t.Skipf("not a git checkout: %v", err)
+	}
 	bench, err := readBenchmark(root)
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +193,7 @@ func TestPairSelf(t *testing.T) {
 	rep, err := compare(config{
 		parentDir: root, changeDir: root, rev: "self",
 		workloads: []string{"paper_testbed"}, pairs: 1, seconds: 1, seed: 1,
-		metrics: bench.EndToEnd,
+		metrics: bench.EndToEnd, state: treeState,
 	})
 	if err != nil {
 		t.Fatal(err)

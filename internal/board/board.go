@@ -912,15 +912,7 @@ func (b *Board) timeoutReasm(ch *Channel, rs *reasmState) bool {
 		}
 		b.stats.RxAbortMarkers++
 	}
-	stashed := len(ch.stash)
-	ch.stash = rs.abort(ch.stash)
-	b.stats.ScratchRecycled += int64(len(ch.stash) - stashed)
-	b.stats.PDUsTimedOut++
-	if b.eng.Recording() {
-		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: sim.CatDrop, Name: "reasm-timeout", Arg: int64(rs.vci)})
-	}
-	delete(ch.reasm, rs.vci)
-	b.reasmPool.Put(rs)
+	b.dropReasm(ch, rs, &b.stats.PDUsTimedOut, "reasm-timeout")
 	return true
 }
 

@@ -238,3 +238,35 @@ func TestCleanPDUPassesCRC(t *testing.T) {
 		t.Errorf("stats off: %+v", st)
 	}
 }
+
+// TestReasmTimeoutSkipsHeldReassembly: a reassembly the receive
+// processor is handling a cell of never expires. With a 1 ns timeout
+// the sweep fires while the processor reads the free ring for the
+// buffer of a one-cell PDU; it must leave the state alone and retry, so
+// the state is neither aborted nor put back in the pool for another VCI
+// while the processor still writes it, and every record is back in its
+// pool at the drain.
+func TestReasmTimeoutSkipsHeldReassembly(t *testing.T) {
+	r := newRig(t, Config{ReasmTimeout: time.Nanosecond})
+	defer r.eng.Shutdown()
+	ch := r.b.KernelChannel()
+	r.b.BindVCI(5, 0)
+	data := pattern(atm.CellPayload-atm.TrailerSize, 3)
+	var got []byte
+	var ok bool
+	r.eng.Go("host", func(p *sim.Proc) {
+		r.supplyFree(t, p, ch, 4, 2048)
+		r.b.InjectCell(atm.Segment(5, data, 1, false)[0], 0)
+		got, ok = r.recvPDU(p, ch, time.Millisecond)
+	})
+	r.eng.Run()
+	if st := r.b.Stats(); st.PDUsTimedOut != 0 || st.PDUsRx != 1 {
+		t.Errorf("PDUsTimedOut = %d PDUsRx = %d, want 0 and 1", st.PDUsTimedOut, st.PDUsRx)
+	}
+	if !ok || !bytes.Equal(got, data) {
+		t.Errorf("delivered %v, intact %v", ok, bytes.Equal(got, data))
+	}
+	if err := r.b.CheckPools(); err != nil {
+		t.Error(err)
+	}
+}

@@ -139,7 +139,7 @@ func (b *Board) txDMAEngine(p *sim.Proc) {
 			cmd.ch.peekAhead -= cmd.advance
 			readerAdvance(p, cmd.ch.TxRing, cmd.advance)
 			b.procCheckNotifyFlag(p, cmd.ch)
-			putTxCmdRef(b, cmd)
+			b.putTxCmd(cmd)
 			continue
 		}
 		acc := state[cmd.ch.Index]
@@ -188,7 +188,7 @@ func (b *Board) txDMAEngine(p *sim.Proc) {
 			readerAdvance(p, cmd.ch.TxRing, cmd.advance)
 			b.procCheckNotifyFlag(p, cmd.ch)
 		}
-		putTxCmdRef(b, cmd)
+		b.putTxCmd(cmd)
 	}
 }
 
@@ -757,11 +757,4 @@ func (b *Board) txSubmit(p *sim.Proc, cmd *txCmd) {
 	if b.mTxFIFOHW != nil {
 		b.mTxFIFOHW.Observe(int64(b.txCmds.Len()))
 	}
-}
-
-// putTxCmdRef clears a finished command and returns it to the pool, as
-// the transmit DMA controller's done does.
-func putTxCmdRef(b *Board, cmd *txCmd) {
-	*cmd = txCmd{segs: cmd.segs[:0]}
-	b.txCmdPool.Put(cmd)
 }

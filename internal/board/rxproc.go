@@ -143,7 +143,7 @@ func (x *rxProcessor) run() {
 			}
 			b.stats.RxAbortMarkers++
 			x.cmd = nil
-			b.dropReasm(x.ch, x.rs)
+			b.dropReasm(x.ch, x.rs, &b.stats.PDUsDropped, "pdu-abandoned")
 			x.pc = rxpWait
 		}
 	}
@@ -330,7 +330,7 @@ func (x *rxProcessor) abandon() {
 		x.pc = rxpAbort
 		return
 	}
-	x.b.dropReasm(x.ch, x.rs)
+	x.b.dropReasm(x.ch, x.rs, &x.b.stats.PDUsDropped, "pdu-abandoned")
 	x.pc = rxpWait
 }
 
@@ -390,15 +390,16 @@ func (b *Board) getReasm(ch *Channel, vci atm.VCI) *reasmState {
 	return rs
 }
 
-// dropReasm retires an abandoned reassembly, recycling its buffers;
-// any abort marker it owed the host has been queued.
-func (b *Board) dropReasm(ch *Channel, rs *reasmState) {
+// dropReasm retires an abandoned or timed-out reassembly, recycling its
+// buffers, and counts it in *count and traces it as why; any abort
+// marker it owed the host has been queued.
+func (b *Board) dropReasm(ch *Channel, rs *reasmState, count *int64, why string) {
 	stashed := len(ch.stash)
 	ch.stash = rs.abort(ch.stash)
 	b.stats.ScratchRecycled += int64(len(ch.stash) - stashed)
-	b.stats.PDUsDropped++
+	*count++
 	if b.eng.Recording() {
-		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: sim.CatDrop, Name: "pdu-abandoned", Arg: int64(rs.vci)})
+		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: sim.CatDrop, Name: why, Arg: int64(rs.vci)})
 	}
 	delete(ch.reasm, rs.vci)
 	b.reasmPool.Put(rs)

@@ -672,10 +672,14 @@ func (x *txDMA) consume() {
 	x.pc = txAdvance
 }
 
-// done clears the finished command, returns it to the pool and goes
-// back to waiting.
+// done returns the finished command and goes back to waiting.
 func (x *txDMA) done() {
-	*x.cmd = txCmd{segs: x.cmd.segs[:0]}
-	x.b.txCmdPool.Put(x.cmd)
+	x.b.putTxCmd(x.cmd)
 	x.cmd, x.pc = nil, txIdle
+}
+
+// putTxCmd clears a finished command record and returns it to the pool.
+func (b *Board) putTxCmd(cmd *txCmd) {
+	*cmd = txCmd{segs: cmd.segs[:0]}
+	b.txCmdPool.Put(cmd)
 }

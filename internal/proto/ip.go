@@ -118,24 +118,21 @@ func (ip *IP) Open(a IPOpen) (xkernel.Session, error) {
 // seen transmitted. Call it when the engine has run dry.
 func (ip *IP) CheckPools() error {
 	var sending []*ipSend // the records whose fragments the driver holds
+	sends := map[*ipSession]int{}
 	ip.drv.EachPending(func(c driver.Completion) {
 		if r, ok := c.(*ipSend); ok && !slices.Contains(sending, r) {
 			sending = append(sending, r)
+			sends[r.s]++
 		}
 	})
 	var err error
 	for s := ip.sessions; s != nil; s = s.next {
-		views, sends := 0, 0
+		views := 0
 		for _, part := range s.reasm {
 			views += len(part.views)
 		}
-		for _, r := range sending {
-			if r.s == s {
-				sends++
-			}
-		}
 		err = errors.Join(err, s.parts.Check("ip reassemblies", len(s.reasm)),
-			s.views.Check("ip payload views", views), s.sends.Check("ip sends", sends))
+			s.views.Check("ip payload views", views), s.sends.Check("ip sends", sends[s]))
 	}
 	return err
 }
@@ -202,11 +199,8 @@ func (s *ipSession) Push(p *sim.Proc, m *msg.Message) error {
 // transmitted (tail advance past its descriptors). An upper layer
 // builds its datagram in the record's dgram.
 func (s *ipSession) newSend(va mem.VirtAddr, n int) *ipSend {
-	r := s.sends.Take()
-	if r == nil {
-		r = &ipSend{s: s}
-	}
-	r.va, r.n = va, n
+	r := sim.TakeNew(&s.sends)
+	r.s, r.va, r.n = s, va, n
 	return r
 }
 

@@ -192,7 +192,7 @@ func sendTime(vdma bool) (string, error) {
 	if vdma {
 		out += fmt.Sprintf(", %d map entries", d.Stats().SGMapEntries)
 	}
-	return out, errors.Join(err, e.CheckPools(h, bd, d))
+	return out, errors.Join(err, e.CheckPools(), h.CheckPools(), bd.CheckPools(), d.CheckPools())
 }
 
 // contigBuffers measures §2.2's contiguous-allocation extension:
@@ -257,7 +257,7 @@ func wire(slow bool) (string, error) {
 	e.Run()
 	e.Shutdown()
 	h.Release()
-	return cost.String(), e.CheckPools(h)
+	return cost.String(), errors.Join(e.CheckPools(), h.CheckPools())
 }
 
 // busMbps measures the TURBOchannel arithmetic of §2.5.1 and §2.7: the
@@ -408,7 +408,7 @@ func fb(cached bool) (string, error) {
 	e.Run()
 	e.Shutdown()
 	h.Release()
-	return cost.String(), errors.Join(err, e.CheckPools(h))
+	return cost.String(), errors.Join(err, e.CheckPools(), h.CheckPools())
 }
 
 // priorityDelivery measures §3.1's early-demux overload: high- and
@@ -475,7 +475,7 @@ func priorityDelivery() (string, error) {
 	bd.Release()
 	h.Release()
 	return fmt.Sprintf("%.4g%% high, %.4g%% low delivered",
-		100*float64(hiGot)/float64(mix.Messages), 100*float64(loGot)/float64(mix.Messages)), errors.Join(err, e.CheckPools(h, bd))
+		100*float64(hiGot)/float64(mix.Messages), 100*float64(loGot)/float64(mix.Messages)), errors.Join(err, e.CheckPools(), h.CheckPools(), bd.CheckPools())
 }
 
 // pingRTT measures the §3.2/§4 headline: a 1 KB round trip between two
@@ -555,5 +555,5 @@ func pingRTT(useADC bool) (string, error) {
 	if err == nil && out == 0 {
 		err = errors.New("no reply")
 	}
-	return fmt.Sprintf("%.1f µs RTT", out.Seconds()*1e6), errors.Join(err, e.CheckPools(hA, hB, bA, bB))
+	return fmt.Sprintf("%.1f µs RTT", out.Seconds()*1e6), errors.Join(err, e.CheckPools(), hA.CheckPools(), hB.CheckPools(), bA.CheckPools(), bB.CheckPools())
 }

@@ -99,20 +99,16 @@ func PoolOf[T any](e *Engine) *Pool[*T] {
 	return &b.Pool
 }
 
-// CheckPools is the quiesce check, for when e has run dry: no
-// awaited-op record may be out, since no proc is inside an await, and
-// each of parts — a host, a board, a driver, a protocol — reports a
-// pool whose count of records out differs from what its live state
-// holds.
-func (e *Engine) CheckPools(parts ...interface{ CheckPools() error }) error {
+// CheckPools is the engine's half of the quiesce check, for when e has
+// run dry: no awaited-op record may be out, since no proc is inside an
+// await. Each component with pools of its own (a host, a board, a
+// driver, a protocol) checks them with its own CheckPools.
+func (e *Engine) CheckPools() error {
 	var err error
 	for _, x := range e.pools {
 		if n := x.Outstanding(); n != 0 {
 			err = errors.Join(err, fmt.Errorf("%T: %d awaited records out", x, n))
 		}
-	}
-	for _, p := range parts {
-		err = errors.Join(err, p.CheckPools())
 	}
 	return err
 }
