@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/atm"
 	"repro/internal/dpm"
+	"repro/internal/hostsim"
 	"repro/internal/queue"
 	"repro/internal/sim"
 )
@@ -269,4 +270,148 @@ func TestReasmTimeoutSkipsHeldReassembly(t *testing.T) {
 	if err := r.b.CheckPools(); err != nil {
 		t.Error(err)
 	}
+}
+
+// sweepAlways runs the reassembly timeout sweep (Board.sweepReasm) at
+// every nanosecond until nothing else is left to run. Each run comes
+// after the events scheduled before the previous nanosecond and before
+// those scheduled since, so it also lands between an event that frees
+// room in a queue and the wakeup of a processor waiting for that room.
+// After each sweep it checks that the receive processor is not in the
+// middle of handling a reassembly the sweep retired. It returns the
+// processor states in which a sweep found the processor's reassembly
+// open and past its timeout; for a wait on the DMA command queue it
+// counts only the sweeps that found room there.
+func sweepAlways(t *testing.T, b *Board) map[uint8]bool {
+	t.Helper()
+	seen := map[uint8]bool{}
+	x := &b.rxCPU
+	handling := func() bool {
+		switch x.pc {
+		case rxpCombine, rxpPlace, rxpEOP, rxpAbort:
+			return true
+		}
+		return false
+	}
+	var tick func(any)
+	tick = func(any) {
+		if rs := x.rs; rs != nil && x.ch.reasm[rs.vci] == rs && rs.lastArrival.Add(b.cfg.ReasmTimeout) <= b.eng.Now() &&
+			(x.pc != rxpAbort || !b.rxCmds.Full()) {
+			seen[x.pc] = true
+		}
+		b.sweepReasm()
+		if handling() && x.ch.reasm[x.rs.vci] != x.rs {
+			t.Fatalf("at %v the sweep retired the reassembly the receive processor is handling (state %d)", b.eng.Now(), x.pc)
+		}
+		if b.eng.Pending() > 0 {
+			b.eng.AfterCall(1, tick, nil)
+		}
+	}
+	b.eng.AfterCall(1, tick, nil)
+	return seen
+}
+
+// checkSwept checks what a run under sweepAlways must leave behind:
+// every reassembly retired once, with its buffers and records.
+func checkSwept(t *testing.T, r *rig, drops dropOracle) {
+	t.Helper()
+	if n, held := r.b.OpenReassemblies(), r.b.HeldReasmBufs(); n != 0 || held != 0 {
+		t.Errorf("at the drain: %d reassemblies open holding %d buffers, want none", n, held)
+	}
+	if err := r.b.CheckPools(); err != nil {
+		t.Error(err)
+	}
+	drops.check(t, r.b.Stats())
+}
+
+// A sweep that runs while the processor waits out its look at a second
+// cell header, to combine the two cells into one double-cell DMA, must
+// leave the reassembly alone: the processor goes on to ingest the
+// second cell into it.
+func TestReasmSweepSkipsCombiningCell(t *testing.T) {
+	r := newRig(t, Config{RxDMA: DoubleCell, ReasmTimeout: time.Nanosecond})
+	defer r.eng.Shutdown()
+	drops := watchDrops(r.eng)
+	ch := r.b.KernelChannel()
+	r.b.BindVCI(5, 0)
+	r.eng.Go("host", func(p *sim.Proc) {
+		r.supplyFree(t, p, ch, 8, 2048)
+		for i, c := range atm.Segment(5, pattern(600, 4), 4, false) {
+			r.b.InjectCell(c, i%4)
+		}
+	})
+	seen := sweepAlways(t, r.b)
+	r.eng.Run()
+	if !seen[rxpCombine] {
+		t.Error("no sweep ran while the processor combined two cells")
+	}
+	if r.b.Stats().CombinedDMAs == 0 {
+		t.Error("no double-cell DMA")
+	}
+	checkSwept(t, r, drops)
+}
+
+// A sweep that runs while the processor reads the free ring for the
+// buffer a completed PDU's EOP descriptor needs must leave the
+// reassembly alone. An empty PDU's one cell carries no data, so the
+// buffer is read only then.
+func TestReasmSweepSkipsEOPBuffer(t *testing.T) {
+	r := newRig(t, Config{ReasmTimeout: time.Nanosecond})
+	defer r.eng.Shutdown()
+	drops := watchDrops(r.eng)
+	ch := r.b.KernelChannel()
+	r.b.BindVCI(5, 0)
+	var got []byte
+	var ok bool
+	r.eng.Go("host", func(p *sim.Proc) {
+		r.supplyFree(t, p, ch, 4, 2048)
+		r.b.InjectCell(atm.Segment(5, nil, 1, false)[0], 0)
+		got, ok = r.recvPDU(p, ch, time.Millisecond)
+	})
+	seen := sweepAlways(t, r.b)
+	r.eng.Run()
+	if !seen[rxpEOP] {
+		t.Error("no sweep ran while the processor read the EOP buffer")
+	}
+	if st := r.b.Stats(); !ok || len(got) != 0 || st.PDUsRx != 1 || st.PDUsTimedOut != 0 {
+		t.Errorf("delivered %v (%d bytes), PDUsRx = %d, PDUsTimedOut = %d; want the empty PDU, 1, 0", ok, len(got), st.PDUsRx, st.PDUsTimedOut)
+	}
+	checkSwept(t, r, drops)
+}
+
+// A sweep that runs while the processor waits for room in the DMA
+// command queue to queue an abandoned PDU's abort marker must leave
+// the reassembly alone, also at the instant room appears and before
+// the processor is woken to take it: the processor queues the marker
+// and retires the reassembly itself. The CPU holds the DEC 5000/200's
+// serialized TURBOchannel, so the receive DMA controller stalls on its
+// first command while the processor fills the queue behind it; a lost
+// cell makes the PDU's last cell abandon it, with buffers pushed, just
+// as the queue is full.
+func TestReasmSweepSkipsQueuedAbort(t *testing.T) {
+	e := sim.NewEngine(42)
+	defer e.Shutdown()
+	h := hostsim.New(e, hostsim.DEC5000_200(), 2048)
+	r := &rig{eng: e, host: h, b: New(e, h, Config{ReasmTimeout: time.Microsecond})}
+	drops := watchDrops(e)
+	ch := r.b.KernelChannel()
+	r.b.BindVCI(5, 0)
+	r.eng.Go("host", func(p *sim.Proc) {
+		r.supplyFree(t, p, ch, 16, 2*atm.CellPayload)
+		for i, c := range atm.Segment(5, pattern(788, 5), 4, false) {
+			if i != 5 {
+				r.b.InjectCell(c, i%4)
+			}
+		}
+		h.Bus.CPUOccupy(50 * time.Microsecond).Do(p)
+	})
+	seen := sweepAlways(t, r.b)
+	r.eng.Run()
+	if !seen[rxpAbort] {
+		t.Error("no sweep ran while the processor waited to queue an abort marker and the queue had room")
+	}
+	if st := r.b.Stats(); st.RxAbortMarkers != 1 || st.PDUsDropped != 1 || st.PDUsTimedOut != 0 {
+		t.Errorf("RxAbortMarkers = %d, PDUsDropped = %d, PDUsTimedOut = %d; want 1, 1, 0", st.RxAbortMarkers, st.PDUsDropped, st.PDUsTimedOut)
+	}
+	checkSwept(t, r, drops)
 }

@@ -26,6 +26,10 @@ type dmaResult struct {
 	Bus    bus.Stats
 	DPM    dpm.Stats
 	Links  atm.LinkStats
+	// inPlace counts the channels the continuation form's transmit scan
+	// probed in place; the reference procs probe none that way, so the
+	// oracle leaves it out.
+	inPlace int64
 }
 
 // byteStream hands out the fuzz input one byte at a time, then zeros.
@@ -76,6 +80,16 @@ type dmaInput struct {
 	prio1      int
 	faults     *fault.Config
 	skew       atm.SkewModel
+	idle       []rigIdle // channels 2, 3, ... open, with nothing to send
+}
+
+// rigIdle is an extra transmit channel that never queues a descriptor:
+// it opens at open, and with flag set the host sets its notify flag
+// then and again later, as a driver that found the ring full would.
+type rigIdle struct {
+	open time.Duration
+	prio int
+	flag bool
 }
 
 // rigTx is one transmit channel's traffic: PDUs of buffer sizes, the
@@ -112,8 +126,9 @@ func decodeTx(in *byteStream, bad bool) rigTx {
 // optional extension section at the end (rigOpts) turns on the
 // reassembly checks, the receive FIFO quota, DRR transmit arbitration
 // across a second channel that also issues unauthorized PDUs, and
-// faulty links; inputs without it decode as they did before it
-// existed.
+// faulty links; after it, a count of up to 14 idle transmit channels
+// and a byte for each (decodeIdle). Inputs without these sections
+// decode as they did before they existed.
 func decodeRig(data []byte) dmaInput {
 	in := byteStream(data)
 	var r dmaInput
@@ -186,7 +201,17 @@ func decodeRig(data []byte) dmaInput {
 		}
 		r.skew = atm.QueueingSkew{Max: time.Duration(in.next()%8) * time.Microsecond}
 	}
+	for n := in.next() % (NumChannels - 1); len(r.idle) < n; {
+		r.idle = append(r.idle, decodeIdle(in.next()))
+	}
 	return r
+}
+
+// decodeIdle decodes an idle channel's byte: bit 0 sets its notify
+// flag, bit 1 its priority, and the rest its opening time in steps of
+// 5 µs.
+func decodeIdle(b int) rigIdle {
+	return rigIdle{open: time.Duration(b>>2) * 5 * time.Microsecond, prio: b >> 1 & 1, flag: b&1 != 0}
 }
 
 // dmaRig runs one board workload decoded from data, with the board's
@@ -203,7 +228,6 @@ func dmaRig(data []byte, procs bool) dmaResult {
 	}
 
 	e := sim.NewEngine(7)
-	defer e.Shutdown()
 	h := hostsim.New(e, prof, 2048)
 	var b *Board
 	if procs {
@@ -211,6 +235,11 @@ func dmaRig(data []byte, procs bool) dmaResult {
 	} else {
 		b = New(e, h, r.cfg)
 	}
+	defer func() {
+		e.Shutdown()
+		b.Release()
+		h.Release()
+	}()
 	var res dmaResult
 	e.SetRecorder(func(ev sim.TraceEvent) {
 		res.Trace = append(res.Trace, fmt.Sprintf("%d %c %s %s %d %d", ev.At, ev.Ph, ev.Comp, ev.Name, ev.Arg, ev.Dur))
@@ -231,7 +260,13 @@ func dmaRig(data []byte, procs bool) dmaResult {
 	}
 	const horizon = 2 * time.Millisecond
 	// Interrupt service instants are part of what is compared.
-	for _, line := range []int{RxIRQBase, TxIRQBase, VioIRQBase, TxIRQBase + 1, VioIRQBase + 1} {
+	for _, line := range []int{RxIRQBase, VioIRQBase, VioIRQBase + 1} {
+		line := line
+		h.Int.Handle(line, 0, func() {
+			res.Trace = append(res.Trace, fmt.Sprintf("%d irq %d", e.Now(), line))
+		})
+	}
+	for line := TxIRQBase; line < TxIRQBase+NumChannels; line++ {
 		line := line
 		h.Int.Handle(line, 0, func() {
 			res.Trace = append(res.Trace, fmt.Sprintf("%d irq %d", e.Now(), line))
@@ -279,6 +314,22 @@ func dmaRig(data []byte, procs bool) dmaResult {
 				p.Sleep(t.gaps[i])
 			}
 		})
+	}
+
+	// Idle channels: each opens at its time, and its host sets the
+	// notify flag then and 40 µs later if it is to.
+	for i, c := range r.idle {
+		i, c := i, c
+		e.At(sim.Time(c.open), func() { b.OpenChannel(2+i, c.prio, []mem.Frame{}) })
+		if c.flag {
+			e.Go(fmt.Sprintf("flag%d", 2+i), func(p *sim.Proc) {
+				p.SleepUntil(sim.Time(c.open))
+				for j := 0; j < 2; j++ {
+					b.DPM.WriteWord(p, dpm.Host, b.Channel(2+i).NotifyFlagOff(), 1)
+					p.Sleep(40 * time.Microsecond)
+				}
+			})
+		}
 	}
 
 	// Receive host: stock the free ring, then reap slowly, recycling
@@ -332,6 +383,7 @@ func dmaRig(data []byte, procs bool) dmaResult {
 	e.RunUntil(sim.Time(horizon))
 	res.Events, res.Now = e.Events(), e.Now()
 	res.Board, res.Bus, res.DPM, res.Links = b.Stats(), h.Bus.Stats(), b.DPM.Stats(), g.Stats()
+	res.inPlace = b.txCPU.inPlace
 	return res
 }
 
@@ -352,6 +404,7 @@ type rigSpec struct {
 	bad1             []bool  // which of them name a frame it may not use
 	loss, corr, dupl int     // optFaults: probabilities in steps of 2%
 	skew             int     // and the skew's bound in µs
+	idle             []int   // the idle channels' bytes (decodeIdle)
 }
 
 func encodeTx(out []byte, pdus [][]int, bad []bool, gap int) []byte {
@@ -390,7 +443,7 @@ func (s rigSpec) bytes() []byte {
 		}
 		out = append(out, byte(s.count), byte(s.start))
 	}
-	if s.opts == 0 {
+	if s.opts == 0 && len(s.idle) == 0 {
 		return out
 	}
 	out = append(out, byte(s.opts))
@@ -410,6 +463,12 @@ func (s rigSpec) bytes() []byte {
 	}
 	if s.opts&optFaults != 0 {
 		out = append(out, byte(s.loss), byte(s.corr), byte(s.dupl), byte(s.skew))
+	}
+	if len(s.idle) > 0 {
+		out = append(out, byte(len(s.idle)))
+		for _, b := range s.idle {
+			out = append(out, byte(b))
+		}
 	}
 	return out
 }
@@ -454,6 +513,21 @@ var dmaSeeds = [][]byte{
 	rigSpec{flags: 2, recvSlots: 5, txSlots: 2, fifo: 12, pdus: [][]int{{100, 120}, {90}, {200, 60}}, reap: 2,
 		opts: optQuota | optChannel1, quota: 1, prio1: 1,
 		pdus1: [][]int{{160}, {100}, {20, 240}, {200}}}.bytes(),
+	// Fourteen idle channels beside the kernel channel, opening from the
+	// start to mid-run, some at priority 1 and some with the notify flag
+	// set: the scan probes runs of them in place, and probes that
+	// straddle the transmit DMA's and the host's events.
+	rigSpec{flags: 2, recvSlots: 5, txSlots: 6, fifo: 12, pdus: [][]int{{100, 120}, {90}, {200, 60}, {150}, {30, 250}, {40}, {120, 8}}, gap: 1, reap: 3,
+		idle: []int{0, 1, 0, 2, 4 << 2, 6<<2 | 1, 0, 3, 10 << 2, 12<<2 | 2, 1, 0, 20<<2 | 1, 0}}.bytes(),
+	// The same under DRR with channel 1 closed, so the open channels
+	// skip a hole, on a serialized bus with CPU contention.
+	rigSpec{flags: 1, recvSlots: 5, txSlots: 4, fifo: 12, policy: 2, pdus: [][]int{{60, 60}, {90}, {200}, {20, 20, 20}, {150}}, gap: 2, reap: 4, cpu: 2,
+		opts: optDRR, quantum: 2, idle: []int{1, 0, 3, 8 << 2, 0, 2 << 2, 5, 0, 16 << 2}}.bytes(),
+	// An input on which a probe that re-read its peek index when its
+	// head load took effect, instead of fixing it when the load was
+	// issued, diverged from the reference procs: the transmit DMA
+	// consumes descriptors between the two instants.
+	[]byte("(00010710001070100000010X0"),
 }
 
 // FuzzDMAEnginesMatchProcs is the oracle for the continuation-driven
@@ -471,6 +545,7 @@ func FuzzDMAEnginesMatchProcs(f *testing.F) {
 			return
 		}
 		got, want := dmaRig(data, false), dmaRig(data, true)
+		got.inPlace = 0
 		if reflect.DeepEqual(got, want) {
 			return
 		}
@@ -510,6 +585,10 @@ func TestDMARigCoversConditions(t *testing.T) {
 		if !r.cfg.InterruptPerPDU {
 			n["notify-flag interrupts"] += st.TxIRQs
 		}
+		n["idle channels probed in place"] += res.inPlace
+		for line := TxIRQBase + 2; line < TxIRQBase+NumChannels; line++ {
+			n["notify-flag interrupts, idle channels"] += int64(strings.Count(strings.Join(res.Trace, "\n"), fmt.Sprintf(" irq %d\n", line)))
+		}
 		if r.cfg.TxDRRQuantum > 0 && r.ch1 {
 			n["PDUs sent under DRR, channel 1"] += int64(strings.Count(strings.Join(res.Trace, "\n"), fmt.Sprintf("tx-start %d ", rigLoop1VCI)))
 		}
@@ -520,6 +599,7 @@ func TestDMARigCoversConditions(t *testing.T) {
 		"PDUs sent, boundary-stop", "PDUs sent, fixed-cell", "PDUs sent, arbitrary-length", "partial cells sent, fixed-cell",
 		"CRC mismatches", "duplicate cells", "resync cells", "quota drops", "transmit violations",
 		"notify-flag interrupts", "PDUs sent under DRR, channel 1",
+		"idle channels probed in place", "notify-flag interrupts, idle channels",
 	} {
 		t.Logf("%s: %d", cond, n[cond])
 		if n[cond] <= 0 {

@@ -228,6 +228,19 @@ func (a *Access) Step(k sim.Cont) bool {
 	return true
 }
 
+// IssueLoad counts a load of the word at byte offset off by who, made
+// now: the first half of a load whose wait its maker times itself, as
+// the board's transmit processor times its polls. Word reads the word
+// once the load takes effect.
+func (m *Memory) IssueLoad(who Accessor, off uint32) {
+	m.checkWord(off)
+	m.count(who, false)
+}
+
+// Word returns the word at byte offset off as it is now: what a load
+// taking effect at this instant reads. It counts nothing.
+func (m *Memory) Word(off uint32) uint32 { return m.load(off) }
+
 func (m *Memory) load(off uint32) uint32     { return binary.LittleEndian.Uint32(m.data[off:]) }
 func (m *Memory) store(off uint32, v uint32) { binary.LittleEndian.PutUint32(m.data[off:], v) }
 

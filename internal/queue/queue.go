@@ -122,7 +122,19 @@ func (r *Ring) slotOff(i uint32) uint32 {
 	return r.base + 4*ringHdrWords + 4*descWords*i
 }
 
-func (r *Ring) next(i uint32) uint32 { return (i + 1) % r.slots }
+func (r *Ring) next(i uint32) uint32 { return r.wrap(i + 1) }
+
+// wrap reduces a slot index below 2*slots to the ring, without a
+// division: ring counts are on the polling path of every idle channel.
+func (r *Ring) wrap(i uint32) uint32 {
+	if i >= r.slots {
+		i -= r.slots
+	}
+	return i
+}
+
+// count returns the number of descriptors between tail and head.
+func (r *Ring) count(head, tail uint32) int { return int(r.wrap(head + r.slots - tail)) }
 
 // TryPush appends d if the ring is not full, re-reading the tail pointer
 // across the port only when the shadow indicates the ring might be full.
@@ -174,12 +186,12 @@ func (r *Ring) ObserveTail(p *sim.Proc, who dpm.Accessor) uint32 {
 
 // readerAvail is the number of queued descriptors by the reader's
 // shadow of the head.
-func (r *Ring) readerAvail() int { return int((r.rSeenHead + r.slots - r.rTail) % r.slots) }
+func (r *Ring) readerAvail() int { return r.count(r.rSeenHead, r.rTail) }
 
 // WriterLen returns the number of queued descriptors from the writer's
 // shadow state (no bus traffic).
 func (r *Ring) WriterLen() int {
-	return int((r.wHead + r.slots - r.wSeenTail) % r.slots)
+	return r.count(r.wHead, r.wSeenTail)
 }
 
 // HalfEmptyPoint returns the fill level at which the board asserts the
@@ -280,6 +292,13 @@ func (o *Op) Notify(r *Ring, who dpm.Accessor, flag uint32) {
 	o.at = flag
 }
 
+// NotifySet makes o run the rest of a Notify whose flag load found the
+// flag set: it goes on with the head load.
+func (o *Op) NotifySet(r *Ring, who dpm.Accessor, flag uint32) {
+	o.Notify(r, who, flag)
+	o.pc = 2
+}
+
 // Init makes o zero r's head and tail pointers, one store each, and
 // then reset both sides' shadows of them.
 func (o *Op) Init(r *Ring, who dpm.Accessor) { o.start(r, who, opInit) }
@@ -363,7 +382,7 @@ func (o *Op) next() bool {
 			}
 			o.pc = 2
 		case 2:
-			o.at = r.slotOff((r.rTail + uint32(o.n)) % r.slots)
+			o.at = r.slotOff(r.wrap(r.rTail + uint32(o.n)))
 			return o.load(o.at, 3)
 		case 3, 4, 5:
 			i := o.pc - 3
@@ -385,7 +404,7 @@ func (o *Op) next() bool {
 			if o.n > r.readerAvail() {
 				panic("queue: Advance past head")
 			}
-			r.rTail = (r.rTail + uint32(o.n)) % r.slots
+			r.rTail = r.wrap(r.rTail + uint32(o.n))
 			return o.put(r.tailOff(), r.rTail, 1)
 		}
 		return true
@@ -411,13 +430,15 @@ func (o *Op) next() bool {
 			if o.a.Val() == 0 {
 				return true
 			}
-			return o.load(r.headOff(), 2)
-		case 2:
+			o.pc = 2
+		case 2: // the flag is set (NotifySet starts here)
+			return o.load(r.headOff(), 3)
+		case 3:
 			r.rSeenHead = o.a.Val()
 			if r.readerAvail() > r.HalfEmptyPoint() {
 				return true
 			}
-			return o.put(o.at, 0, 3)
+			return o.put(o.at, 0, 4)
 		default:
 			o.ok = true
 			return true
@@ -432,6 +453,77 @@ func (o *Op) next() bool {
 			r.wHead, r.wSeenTail, r.rTail, r.rSeenHead = 0, 0, 0, 0
 			return true
 		}
+	}
+	return false
+}
+
+// Probe is a reader's poll of a ring it watches for work, the board's
+// transmit processor polling its transmit rings: the loads that a Peek
+// at index k and then a Notify of the flag word at flag make while
+// they find nothing. The first is the Peek's head load, which
+// refreshes the reader's shadow of the head; when the head shows no
+// descriptor at k, the second is the Notify's flag load. The poller
+// times the loads itself, each taking effect its accessor's cost after
+// it is issued, and goes on with an Op only when a load finds work: a
+// Peek at the same k for a descriptor (the refreshed shadow answers it
+// without a load), NotifySet for a set flag.
+//
+// k is fixed when the head load is issued. The reader may consume
+// descriptors (Advance) before the load takes effect, and the Peek
+// that follows reads index k past the new tail, as a Peek begun with k
+// does.
+type Probe struct {
+	r    *Ring
+	who  dpm.Accessor
+	k    int
+	flag uint32
+}
+
+// Short reports whether a Peek at index k must load the head: the
+// reader's shadow shows no descriptor at k.
+func (r *Ring) Short(k int) bool { return k >= r.readerAvail() }
+
+// Start issues the probe's head load, for a Peek at index k that the
+// reader's shadow cannot answer (Short): the load is counted now and
+// takes effect at Head.
+func (p *Probe) Start(r *Ring, who dpm.Accessor, k int, flag uint32) {
+	p.r, p.who, p.k, p.flag = r, who, k, flag
+	r.d.IssueLoad(who, r.headOff())
+}
+
+// Head is the head load taking effect: it refreshes the reader's
+// shadow of the head and reports whether the ring holds a descriptor
+// at k. If it does not, Head issues the flag load, which takes effect
+// at Flag.
+func (p *Probe) Head() bool {
+	r := p.r
+	r.rSeenHead = r.d.Word(r.headOff())
+	if p.k < r.readerAvail() {
+		return true
+	}
+	r.d.IssueLoad(p.who, p.flag)
+	return false
+}
+
+// Flag is the flag load taking effect: it reports whether the flag is
+// set.
+func (p *Probe) Flag() bool { return p.r.d.Word(p.flag) != 0 }
+
+// K returns the index the probe was started at.
+func (p *Probe) K() int { return p.k }
+
+// Idle makes a whole probe at k in place, both loads issued and taking
+// effect now, if it finds nothing: the shadow cannot answer a Peek at
+// k, the head word shows no descriptor at k, and the flag word is
+// clear. It reports whether it did. A poller takes a run of idle rings
+// this way when their loads, back to back, all end before anything
+// else happens (sim.Engine.Elidable), and then moves the clock past
+// them at once (sim.Engine.Elide).
+func (p *Probe) Idle(r *Ring, who dpm.Accessor, k int, flag uint32) bool {
+	if r.Short(k) && k >= r.count(r.d.Word(r.headOff()), r.rTail) && r.d.Word(flag) == 0 {
+		p.Start(r, who, k, flag)
+		p.Head()
+		return true
 	}
 	return false
 }

@@ -108,21 +108,96 @@ func TestSleepElidedZeroAlloc(t *testing.T) {
 	}
 }
 
+// How sleepProgram runs its activities.
+const (
+	asProcs = iota // procs
+	asConts        // continuations sleeping through WakeAt
+	asRuns         // continuations taking each run of elidable sleeps with one Elide
+)
+
+// Elidable is a time before now outside Run, the horizon within
+// RunUntil, and one before the earliest live event while a callback
+// runs: not the fired root's instant, which is dead (top), but its
+// children's. Elide panics past it.
+func TestElidable(t *testing.T) {
+	e := NewEngine(1)
+	defer e.Shutdown()
+	if lim := e.Elidable(); lim >= e.Now() {
+		t.Errorf("outside Run: Elidable = %v, want before now %v", lim, e.Now())
+	}
+	var got []Time
+	e.AtCall(10, func(any) {
+		got = append(got, e.Elidable()) // the root at 10 is dead; 30 and 20 are queued
+		e.AtCall(15, func(any) { got = append(got, e.Elidable()) }, nil)
+		got = append(got, e.Elidable())
+	}, nil)
+	e.AtCall(30, func(any) {}, nil)
+	e.AtCall(20, func(any) {
+		got = append(got, e.Elidable()) // only the event at 30 is left, past the horizon
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("Elide past Elidable did not panic")
+				}
+			}()
+			e.Elide(26, 1)
+		}()
+	}, nil)
+	e.RunUntil(25)
+	want := []Time{19, 14, 19, 25}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("Elidable = %v, want %v", got, want)
+	}
+	if e.Now() != 25 || e.Events() != 3 {
+		t.Errorf("after RunUntil(25): now %v, %d events; want 25, 3", e.Now(), e.Events())
+	}
+}
+
+// Elide(t, n) leaves the clock, the event count and the sequence
+// counter where n elided WakeAt sleeps ending at t leave them.
+func TestElideEqualsSleeps(t *testing.T) {
+	run := func(bulk bool) (Time, uint64, uint64) {
+		e := NewEngine(1)
+		defer e.Shutdown()
+		var k Cont
+		k = Cont{Fn: func(any) {
+			if bulk {
+				e.Elide(e.Now()+12, 3)
+				return
+			}
+			for _, d := range []Time{4, 0, 8} {
+				if !e.WakeAt(e.Now()+d, k) {
+					t.Fatal("a sleep was not elided")
+				}
+			}
+		}}
+		e.AtCall(5, k.Fn, nil)
+		e.AtCall(18, func(any) {}, nil) // due just after the sleeps
+		e.Run()
+		return e.Now(), e.Events(), e.seq
+	}
+	n1, ev1, seq1 := run(false)
+	n2, ev2, seq2 := run(true)
+	if n1 != n2 || ev1 != ev2 || seq1 != seq2 {
+		t.Errorf("sleeps: now %v, %d events, seq %d; Elide: now %v, %d events, seq %d", n1, ev1, seq1, n2, ev2, seq2)
+	}
+}
+
 // sleepProgram runs a multi-activity program decoded from data and
 // returns its execution trace — (activity, time) after every operation,
 // plain events as they fire, and the clock whenever Run or RunUntil
 // returns with work left — and the engine's event count. The program's
-// activities are procs, or with cont set continuation-driven state
-// machines (sleepScript) running the same operations. With blocker
-// set, an extra proc sleeps 1 ns at a time until the program's
-// activities finish, so a wakeup is pending at every nanosecond and no
-// positive sleep of the program can be elided.
+// activities are procs or, with mode asConts or asRuns,
+// continuation-driven state machines (sleepScript) running the same
+// operations. With blocker set, an extra proc sleeps 1 ns at a time
+// until the program's activities finish, so a wakeup is pending at
+// every nanosecond and no positive sleep of the program can be elided.
 //
 // data[0] picks the number of activities and data[1] the RunUntil step
 // (0: one Run); every further byte is one operation of activity
 // i%procs: a sleep, a SleepUntil around now, or a plain event scheduled
 // ahead.
-func sleepProgram(data []byte, blocker, cont bool) (trace []string, events uint64) {
+func sleepProgram(data []byte, blocker bool, mode int) (trace []string, events uint64) {
 	e := NewEngine(1)
 	defer e.Shutdown()
 	procs := 1 + int(data[0]%4)
@@ -132,31 +207,41 @@ func sleepProgram(data []byte, blocker, cont bool) (trace []string, events uint6
 		ops[i%procs] = append(ops[i%procs], b)
 	}
 	live, plain := procs, 0 // program activities running, plain events pending
-	// sleepOp performs operation b of activity i, at index j; for a
-	// sleep it returns the wakeup instant (ok false: no sleep).
-	sleepOp := func(i, j int, b byte) (t Time, ok bool) {
-		arg := int64(b & 31)
+	// wake returns the instant operation b sleeps until when made at
+	// now (ok false: b is no sleep).
+	wake := func(b byte, now Time) (t Time, ok bool) {
+		arg := Time(b & 31)
 		switch b >> 5 {
 		case 0, 1, 2, 3:
-			return e.Now() + Time(arg%8), true
+			return now + arg%8, true
 		case 4:
-			return e.Now() + Time(arg%11) - 3, true
-		case 5:
-			plain++
-			e.AfterCall(time.Duration(arg%8), func(any) {
-				plain--
-				trace = append(trace, fmt.Sprintf("ev%d.%d@%d", i, j, e.Now()))
-			}, nil)
+			return now + arg%11 - 3, true
 		case 6, 7:
-			return e.Now() + Time(arg), true
+			return now + arg, true
 		}
 		return 0, false
 	}
+	// sleepOp performs operation b of activity i, at index j; for a
+	// sleep it returns the wakeup instant (ok false: no sleep).
+	sleepOp := func(i, j int, b byte) (t Time, ok bool) {
+		if t, ok := wake(b, e.Now()); ok {
+			return t, true
+		}
+		plain++
+		e.AfterCall(time.Duration(b&31%8), func(any) {
+			plain--
+			trace = append(trace, fmt.Sprintf("ev%d.%d@%d", i, j, e.Now()))
+		}, nil)
+		return 0, false
+	}
 	for i := range ops {
-		if cont {
+		if mode != asProcs {
 			s := &sleepScript{e: e, ops: ops[i], op: func(j int, b byte) (Time, bool) { return sleepOp(i, j, b) }}
+			if mode == asRuns {
+				s.wake = wake
+			}
 			s.k = Cont{Fn: func(any) { s.run() }}
-			s.post = func(j int) { trace = append(trace, fmt.Sprintf("p%d@%d", i, e.Now())) }
+			s.post = func(j int, at Time) { trace = append(trace, fmt.Sprintf("p%d@%d", i, at)) }
 			s.done = func() { live-- }
 			e.AtCall(e.Now(), s.k.Fn, nil)
 			continue
@@ -196,7 +281,8 @@ func sleepProgram(data []byte, blocker, cont bool) (trace []string, events uint6
 
 // sleepScript runs a sleepProgram activity as a continuation: a
 // trampoline over its operations that returns to the engine only when
-// WakeAt had to schedule its wakeup.
+// WakeAt had to schedule its wakeup. With wake set it takes each run
+// of consecutive sleeps that all end by Elidable with one Elide.
 type sleepScript struct {
 	e        *Engine
 	k        Cont
@@ -204,22 +290,49 @@ type sleepScript struct {
 	j        int
 	sleeping bool
 	op       func(j int, b byte) (Time, bool)
-	post     func(j int)
+	wake     func(b byte, now Time) (Time, bool)
+	post     func(j int, at Time)
 	done     func()
 }
 
 func (s *sleepScript) run() {
-	for ; s.j < len(s.ops); s.j++ {
+	for s.j < len(s.ops) {
 		if !s.sleeping {
+			if s.wake != nil && s.elideRun() {
+				continue
+			}
 			if t, ok := s.op(s.j, s.ops[s.j]); ok && !s.e.WakeAt(t, s.k) {
 				s.sleeping = true
 				return
 			}
 		}
 		s.sleeping = false
-		s.post(s.j)
+		s.post(s.j, s.e.Now())
+		s.j++
 	}
 	s.done()
+}
+
+// elideRun takes the sleeps from operation j on in place while each
+// ends by Elidable, with one Elide, and reports whether there were
+// any. A sleep into the past ends now, as WakeAt's does.
+func (s *sleepScript) elideRun() bool {
+	lim := s.e.Elidable()
+	t, n := s.e.Now(), 0
+	for ; s.j+n < len(s.ops); n++ {
+		w, ok := s.wake(s.ops[s.j+n], t)
+		if !ok || max(t, w) > lim {
+			break
+		}
+		t = max(t, w)
+		s.post(s.j+n, t)
+	}
+	if n == 0 {
+		return false
+	}
+	s.e.Elide(t, n)
+	s.j += n
+	return true
 }
 
 // FuzzSleepElision is the oracle for direct time advance: a program's
@@ -227,19 +340,7 @@ func (s *sleepScript) run() {
 // elided or, beside a blocker, all go through the queue.
 func FuzzSleepElision(f *testing.F) {
 	addSleepSeeds(f)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 || len(data) > 66 {
-			return
-		}
-		got, gotEvents := sleepProgram(data, false, false)
-		want, wantEvents := sleepProgram(data, true, false)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("elided trace\n%v\nqueued trace\n%v", got, want)
-		}
-		if gotEvents != wantEvents {
-			t.Fatalf("Events() = %d elided, %d queued", gotEvents, wantEvents)
-		}
-	})
+	f.Fuzz(func(t *testing.T, data []byte) { checkElision(t, data, asProcs) })
 }
 
 // FuzzContSleepElision extends FuzzSleepElision to continuation
@@ -248,19 +349,35 @@ func FuzzSleepElision(f *testing.F) {
 // every sleep queued.
 func FuzzContSleepElision(f *testing.F) {
 	addSleepSeeds(f)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 || len(data) > 66 {
-			return
-		}
-		got, gotEvents := sleepProgram(data, false, true)
-		want, wantEvents := sleepProgram(data, true, false)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("continuation trace\n%v\nqueued proc trace\n%v", got, want)
-		}
-		if gotEvents != wantEvents {
-			t.Fatalf("Events() = %d continuation, %d queued proc", gotEvents, wantEvents)
-		}
-	})
+	f.Fuzz(func(t *testing.T, data []byte) { checkElision(t, data, asConts) })
+}
+
+// FuzzBulkElision is the oracle for Elidable and Elide: continuations
+// that take each run of sleeps ending by Elidable with one Elide trace
+// and count exactly as the proc program does with every sleep queued.
+// The trace orders the events that tie with later sleeps, so it also
+// pins the sequence stamps an Elide leaves behind.
+func FuzzBulkElision(f *testing.F) {
+	addSleepSeeds(f)
+	f.Add([]byte{0, 7, 0x01, 0x02, 0x00, 0x83, 0x07, 0xa1, 0x05, 0x06, 0x04, 0x01})
+	f.Add([]byte{1, 3, 0x05, 0x02, 0xa3, 0x01, 0x07, 0x06, 0x80, 0x01})
+	f.Fuzz(func(t *testing.T, data []byte) { checkElision(t, data, asRuns) })
+}
+
+// checkElision compares the program run in mode, eliding, with the
+// proc program beside a blocker, which elides no positive sleep.
+func checkElision(t *testing.T, data []byte, mode int) {
+	if len(data) < 2 || len(data) > 66 {
+		return
+	}
+	got, gotEvents := sleepProgram(data, false, mode)
+	want, wantEvents := sleepProgram(data, true, asProcs)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("eliding trace\n%v\nqueued proc trace\n%v", got, want)
+	}
+	if gotEvents != wantEvents {
+		t.Fatalf("Events() = %d eliding, %d queued proc", gotEvents, wantEvents)
+	}
 }
 
 func addSleepSeeds(f *testing.F) {

@@ -36,8 +36,8 @@ func (e *Engine) wake(t Time, k Cont) { e.schedule(t, k.Fn, k.Arg) }
 
 // WakeAt arranges for k to run at instant t (the current instant if t
 // is earlier): the continuation form of Proc.SleepUntil. When that
-// wakeup would be the very next event Run executes, WakeAt takes it in
-// place (Engine.advance) — the clock moves to t and the event is
+// wakeup would be the very next event Run executes (t <= Elidable),
+// WakeAt takes it in place — the clock moves to t and the event is
 // counted — and reports true, so the caller carries on in its own loop
 // instead of returning to the engine: a trampoline, never a nested
 // call. Otherwise it schedules k and reports false, and the caller
@@ -47,7 +47,8 @@ func (e *Engine) WakeAt(t Time, k Cont) bool {
 	if t < e.now {
 		t = e.now
 	}
-	if e.advance(t) {
+	if t <= e.Elidable() {
+		e.elide(t, 1)
 		return true
 	}
 	e.wake(t, k)

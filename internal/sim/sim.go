@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -96,7 +97,7 @@ type Engine struct {
 	fired    uint64
 	resumes  uint64 // proc resumes (coroutine switches into a body)
 	halted   bool   // Shutdown has run
-	limit    Time   // 0 means no limit
+	horizon  Time   // the run's horizon (noLimit for Run), -1 outside a run
 	recorder func(TraceEvent)
 	running  bool
 	// top: pq[0] is the event Run is firing, already recycled, until
@@ -121,7 +122,7 @@ type Engine struct {
 // that needs randomness draws from its own stream, derived from seed
 // and a site name with DeriveRand, for runs to be reproducible.
 func NewEngine(seed int64) *Engine {
-	e := &Engine{seed: seed}
+	e := &Engine{seed: seed, horizon: -1}
 	e.pools = e.poolSlots[:0]
 	return e
 }
@@ -424,35 +425,55 @@ func (e *Engine) Cancel(ev Event) {
 	e.recycle(n)
 }
 
-// advance is the direct time advance behind every sleep (WakeAt). An
-// activity about to schedule its own wakeup at t asks whether that
-// wakeup would be the next event Run executes: the engine is running
+// Elidable returns the latest instant the clock may move to in place,
+// or a time before now when it may not move at all: the rule of the
+// direct time advance behind every sleep (WakeAt). A wakeup at t <=
+// Elidable would be the next event Run executes: the engine is running
 // (Shutdown unwinds killed procs outside Run, and their sleeps must
 // still block), t is within the run's horizon, and every queued event
 // fires strictly after t (one at t was scheduled earlier and runs
-// first). If so, advance does here exactly what scheduling the wakeup
-// and Run firing it would have done — consume a sequence number, count
-// the event, set the clock to t — and reports true; nothing else can
-// observe the difference. Otherwise it changes nothing.
-func (e *Engine) advance(t Time) bool {
-	if !e.running || (e.limit != 0 && t > e.limit) || e.dueBy(t) {
-		return false
+// first). Then a sleep can do in place exactly what scheduling its
+// wakeup and Run firing it would have done — consume a sequence
+// number, count the event, set the clock to t — and nothing else can
+// observe the difference. While the root is the dead fired event
+// (top), the earliest live event is one of its children.
+func (e *Engine) Elidable() Time {
+	t, pq := e.horizon, e.pq // before now outside a run
+	if e.top {
+		pq = pq[1:] // the root's children, the earlier of the two first
+		if len(pq) > 1 && pq[1].at < pq[0].at {
+			pq = pq[1:]
+		}
 	}
-	e.seq++
-	e.fired++
-	e.now = t
-	return true
+	if len(pq) > 0 && pq[0].at <= t {
+		t = pq[0].at - 1
+	}
+	return t
 }
 
-// dueBy reports whether a queued event fires at or before t. While the
-// root is the dead fired event (top), the earliest live event is one of
-// its children.
-func (e *Engine) dueBy(t Time) bool {
-	if !e.top {
-		return len(e.pq) > 0 && e.pq[0].at <= t
+// Elide takes n sleeps in place at once, the last of them ending at t:
+// the bulk form of n WakeAt calls that each found its wakeup elidable.
+// t must not be before now nor past Elidable, and n must be positive;
+// then every one of the n sleeps, ending at or before t, would have
+// been elided, and the clock, the event count and every later sequence
+// stamp are what they would have made them.
+func (e *Engine) Elide(t Time, n int) {
+	if n < 1 || t < e.now || t > e.Elidable() {
+		panic(fmt.Sprintf("sim: Elide(%v, %d) at %v: not elidable", t, n, e.now))
 	}
-	return len(e.pq) > 1 && e.pq[1].at <= t || len(e.pq) > 2 && e.pq[2].at <= t
+	e.elide(t, uint64(n))
 }
+
+// elide is the bookkeeping of n elided sleeps ending at t: what
+// scheduling and firing their wakeups would have done.
+func (e *Engine) elide(t Time, n uint64) {
+	e.seq += n
+	e.fired += n
+	e.now = t
+}
+
+// noLimit is the horizon of a run with none.
+const noLimit = Time(math.MaxInt64)
 
 // Run executes events in order until the queue is empty or the time
 // limit set by RunUntil is reached. It returns the virtual time at
@@ -461,18 +482,22 @@ func (e *Engine) dueBy(t Time) bool {
 // Procs that remain blocked on conditions when the queue drains do not
 // keep the simulation alive: with no pending events nothing can ever wake
 // them, so the run is quiescent.
-func (e *Engine) Run() Time {
+func (e *Engine) Run() Time { return e.run(noLimit) }
+
+// run executes events in order until the queue is empty or the next
+// event is past horizon.
+func (e *Engine) run(horizon Time) Time {
 	if e.running {
 		panic("sim: Run called re-entrantly")
 	}
-	e.running = true
+	e.running, e.horizon = true, horizon
 	defer func() {
 		e.dropTop() // a callback panicked before its root was removed
-		e.running = false
+		e.running, e.horizon = false, -1
 	}()
 	for len(e.pq) > 0 {
 		n := e.pq[0]
-		if e.limit != 0 && n.at > e.limit {
+		if n.at > horizon {
 			// Past the horizon: leave it queued and stop.
 			break
 		}
@@ -496,13 +521,13 @@ func (e *Engine) Run() Time {
 
 // RunUntil runs the simulation until the virtual clock would pass t;
 // events scheduled after t remain queued and the clock is advanced to t.
-// A callback that panics out of RunUntil leaves the previous horizon in
-// force, not t.
+// RunUntil(0) runs with no horizon, as Run does.
 func (e *Engine) RunUntil(t Time) Time {
-	prev := e.limit
-	e.limit = t
-	defer func() { e.limit = prev }()
-	e.Run()
+	if t == 0 {
+		e.Run()
+	} else {
+		e.run(t)
+	}
 	if e.now < t {
 		e.now = t
 	}
