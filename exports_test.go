@@ -25,6 +25,7 @@ var testOnlyExports = map[string]string{
 	"cache.Cache.StaleLines": "oracle for the cache-coherence tests",
 	"msg.Message.SetAppend":  "join, the inverse SplitInto's split-then-join property and the message fuzz check",
 	"queue.Op.N":             "result of the Len and Observe ops the engines' proc reference runs",
+	"sim.Chan.Recv":          "blocking receive of the engines' proc reference bodies and the tests' procs",
 	// Read-only observers tests read.
 	"adc.Manager.VirtualOpen":     "adc observer: virtual ADCs open",
 	"atm.Link.Injector":           "fault-injector observer",

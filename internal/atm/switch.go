@@ -33,11 +33,13 @@ type SwitchConfig struct {
 	// per-cell fallback mark identically; the differential fuzz oracle
 	// pins this.
 	MarkThreshold int
-	// PerCellFabric forces every output port onto the per-cell
+	// PerCellFabric puts every output port on the per-cell
 	// queue/arbiter machine instead of train forwarding, on faulted and
-	// skewed links as on clean ones. The two machines produce
-	// byte-identical results; the knob exists so CI and the differential
-	// tests can diff them and so anomalies can be bisected.
+	// skewed links as on clean ones. NewSwitch fixes the machine; trace
+	// recording does not change it. The two machines produce
+	// byte-identical results and the same trace events; the knob exists
+	// so CI and the differential tests can diff them and so anomalies
+	// can be bisected.
 	PerCellFabric bool
 }
 
@@ -63,34 +65,21 @@ type SwitchPortStats struct {
 	HighWater int64 // maximum egress-queue occupancy observed (cells)
 }
 
-// laneCell is a queued cell tagged with its stripe lane. enq is the
-// enqueue instant, stamped only while the port's queue-delay sketch is
-// live (telemetry must not change struct traffic when disabled — the
-// extra field itself is inert).
+// laneCell is a queued cell tagged with its stripe lane and its
+// enqueue instant.
 type laneCell struct {
 	c    Cell
 	lane int
 	enq  sim.Time
 }
 
-// Port forwarding modes. A port latches its mode on the first cell
-// routed to it and never mixes machines afterwards: train mode
-// precomputes the whole queue→arbiter→link future of each cell at
-// arrival, so a mid-run switch to the event-driven machine would
-// double-account the in-flight tail.
-const (
-	vModeUnlatched = int8(iota)
-	vModeTrain
-	vModePerCell
-)
-
 // vPoint is the precomputed future of one virtually-forwarded cell:
 // enq is its arrival (enqueue) instant, pop the instant the egress
 // arbiter dequeues it, acc the instant the egress link accepts it (the
-// instant the arbiter's blocking Send would have returned and counted
-// it Forwarded). Within one port pop and acc are nondecreasing in
-// arrival order, which is what lets a ring with monotone settle
-// cursors replay the per-cell machine's bookkeeping exactly.
+// instant the arbiter's send completes and counts it Forwarded).
+// Within one port pop and acc are nondecreasing in arrival order,
+// which is what lets a ring with monotone settle cursors replay the
+// per-cell machine's bookkeeping exactly.
 type vPoint struct {
 	enq sim.Time
 	pop sim.Time
@@ -106,23 +95,30 @@ type SwitchPort struct {
 	comp  string // trace track label, precomputed (Emit stays alloc-free)
 	in    *StripeGroup
 	out   *StripeGroup
-	queue *sim.Chan[laneCell]
 	stats SwitchPortStats
 
 	// mQDelay is the egress queueing-delay sketch (µs), nil unless
 	// RegisterMetrics installed one.
 	mQDelay *metrics.Sketch
 
+	// Per-cell machine state (SwitchConfig.PerCellFabric); queue is nil
+	// on a train-forwarding port. The arbiter is the continuation k: it
+	// holds cur, popped off the queue, while sending is set.
+	queue   *sim.Chan[laneCell]
+	k       sim.Cont // (arbiterStep, the port)
+	cur     laneCell
+	sending bool
+
 	// Train-forwarding (virtual egress) state; see Switch.trainForward.
-	vMode int8
 	vBusy sim.Time // acc of the last virtually-sent cell (arbiter busy-until)
 	// vq is a ring of pending vPoints in arrival order. Entries before
-	// the vqPop cursor have been virtually dequeued, before vqObs have
-	// fed the queue-delay sketch; entries retire off the head once
-	// their acc instant has passed and Forwarded is credited.
+	// the vqPop cursor have been virtually dequeued and have fed the
+	// queue-delay sketch and the pop-side trace counter; entries retire
+	// off the head once their acc instant has passed and Forwarded is
+	// credited.
 	vq            []vPoint
 	vqHead, vqLen int
-	vqPop, vqObs  int
+	vqPop         int
 }
 
 // Index returns the port number.
@@ -141,10 +137,11 @@ func (pt *SwitchPort) Egress() *StripeGroup { return pt.out }
 // engine has quiesced (Run returned or Shutdown), not while events are
 // being executed by another proc.
 func (pt *SwitchPort) Stats() SwitchPortStats {
-	if pt.vMode == vModeTrain {
+	if pt.queue == nil {
 		// Credit every virtual forward whose accept instant has passed:
-		// the per-cell machine counts Forwarded when the arbiter's Send
-		// returns, so a horizon-cut run must not count the in-flight tail.
+		// the per-cell machine counts Forwarded when the arbiter's send
+		// completes, so a horizon-cut run must not count the in-flight
+		// tail.
 		pt.settle(pt.eng.Now(), true)
 	}
 	return pt.stats
@@ -156,28 +153,43 @@ func (pt *SwitchPort) Stats() SwitchPortStats {
 // engine's clock — identical to what the event-driven queue would hold
 // at the same quiesced instant.
 func (pt *SwitchPort) QueueLen() int {
-	if pt.vMode == vModeTrain {
+	if pt.queue == nil {
 		pt.settle(pt.eng.Now(), true)
 		return pt.vqLen - pt.vqPop
 	}
 	return pt.queue.Len()
 }
 
-// drain is the port's egress arbiter: cells leave the bounded queue in
-// strict FIFO arrival order (no per-flow scheduling) and are serialized
-// onto the lane they arrived on. Sending blocks while that lane's
-// transmit FIFO is full, so a congested lane backpressures the queue —
-// head-of-line blocking included, as in a real FIFO output port.
-func (pt *SwitchPort) drain(p *sim.Proc) {
+// arbiterStep is a per-cell port's egress arbiter, an event
+// continuation: cells leave the bounded queue in strict FIFO arrival
+// order (no per-flow scheduling) and are serialized onto the lane they
+// arrived on. A send waits while that lane's transmit FIFO is full, so
+// a congested lane backpressures the queue — head-of-line blocking
+// included, as in a real FIFO output port. Once the engine is shut
+// down it does nothing, as a killed process would.
+func arbiterStep(a any) {
+	pt := a.(*SwitchPort)
+	if pt.eng.Halted() {
+		return
+	}
 	for {
-		lc := pt.queue.Recv(p)
-		if pt.mQDelay != nil {
-			pt.mQDelay.Observe((pt.eng.Now() - lc.enq).Microseconds())
+		if !pt.sending {
+			lc, ok := pt.queue.RecvCont(pt.k)
+			if !ok {
+				return
+			}
+			if pt.mQDelay != nil {
+				pt.mQDelay.Observe((pt.eng.Now() - lc.enq).Microseconds())
+			}
+			if pt.eng.Recording() {
+				pt.eng.Emit(sim.TraceEvent{At: pt.eng.Now(), Ph: 'C', Comp: pt.comp, Cat: sim.CatQueue, Name: "queue", Arg: int64(pt.queue.Len())})
+			}
+			pt.cur, pt.sending = lc, true
 		}
-		if pt.eng.Recording() {
-			pt.eng.Emit(sim.TraceEvent{At: pt.eng.Now(), Ph: 'C', Comp: pt.comp, Cat: sim.CatQueue, Name: "queue", Arg: int64(pt.queue.Len())})
+		if !pt.out.Link(pt.cur.lane).SendCont(&pt.cur.c, pt.k) {
+			return
 		}
-		pt.out.Link(lc.lane).Send(p, lc.c)
+		pt.sending = false
 		pt.stats.Forwarded++
 	}
 }
@@ -224,8 +236,10 @@ type inPortVCI struct {
 	v  VCI
 }
 
-// NewSwitch creates a switch with nports ports and starts one egress
-// arbiter process per port.
+// NewSwitch creates a switch with nports ports, each on the machine
+// cfg.PerCellFabric selects. A per-cell port's egress arbiter is an
+// event continuation waiting on its queue from here on; no switch
+// starts a proc.
 func NewSwitch(e *sim.Engine, nports int, cfg SwitchConfig) *Switch {
 	if nports < 2 {
 		panic("atm: a switch needs at least 2 ports")
@@ -245,7 +259,6 @@ func NewSwitch(e *sim.Engine, nports int, cfg SwitchConfig) *Switch {
 			index: i,
 			eng:   e,
 			comp:  fmt.Sprintf("sw-port%d", i),
-			queue: sim.NewChan[laneCell](e, cfg.QueueCells),
 		}
 		// Ingress carries node → switch, egress switch → node. The
 		// links draw their stamp ids in construction order (ingress
@@ -256,8 +269,18 @@ func NewSwitch(e *sim.Engine, nports int, cfg SwitchConfig) *Switch {
 		pt.out = NewStripeGroup(e, cfg.Width, outCfg)
 		in := i
 		pt.in.SetReceiver(func(c Cell, lane int) { sw.forward(in, c, lane) })
+		if cfg.PerCellFabric {
+			pt.queue = sim.NewChan[laneCell](e, cfg.QueueCells)
+			pt.k = sim.Cont{Fn: arbiterStep, Arg: pt}
+			arbiterStep(pt)
+		} else {
+			// Capacity: the virtual queue holds at most QueueCells
+			// undequeued entries plus one dequeued-but-unaccepted
+			// straggler; headroom beyond that only guards the ring against
+			// a model bug.
+			pt.vq = make([]vPoint, cfg.QueueCells+8)
+		}
 		sw.ports = append(sw.ports, pt)
-		e.Go(fmt.Sprintf("switch-port%d", i), pt.drain)
 	}
 	return sw
 }
@@ -314,9 +337,9 @@ func (sw *Switch) RouteFrom(in int, v VCI, out int) error {
 }
 
 // forward runs in link-delivery (event) context: look the cell's VCI up
-// and enqueue it on the output port, dropping on overflow. It must not
-// block, so the queue is entered with TrySend — exactly the discipline
-// of the boards' own receive FIFOs.
+// and hand it to the output port's machine, which admits or drops it.
+// It must not block — exactly the discipline of the boards' own
+// receive FIFOs.
 func (sw *Switch) forward(inPort int, c Cell, lane int) {
 	ip := sw.ports[inPort]
 	ip.stats.In++
@@ -334,66 +357,38 @@ func (sw *Switch) forward(inPort int, c Cell, lane int) {
 		return
 	}
 	op := sw.ports[out]
-	if op.vMode == vModeUnlatched {
-		op.latchMode(sw.cfg.PerCellFabric)
-	}
-	if op.vMode == vModeTrain {
+	if op.queue == nil {
 		sw.trainForward(op, c, lane)
 		return
 	}
-	sw.enqueue(op, laneCell{c: c, lane: lane})
+	if sw.admit(op, &c, op.queue.Len()) {
+		op.queue.TrySend(laneCell{c: c, lane: lane, enq: sw.eng.Now()})
+	}
 }
 
-// enqueue enters one cell into an output port's bounded queue (event
-// context, TrySend discipline), maintaining the drop and occupancy
-// high-water counters.
-func (sw *Switch) enqueue(op *SwitchPort, lc laneCell) {
-	if op.mQDelay != nil {
-		lc.enq = sw.eng.Now()
-	}
-	// CE decision uses the occupancy ahead of this cell, the same value
-	// the train path derives from its settled cursors; the mark goes on
-	// before TrySend copies the cell in, but is only counted when the
-	// cell is actually accepted (a full queue drops, never marks).
-	marked := false
-	if t := sw.cfg.MarkThreshold; t > 0 && op.queue.Len() >= t {
-		lc.c.CE = true
-		marked = true
-	}
-	if !op.queue.TrySend(lc) {
+// admit is both machines' one admission rule: it decides the fate of a
+// cell arriving at output port op, whose queue holds occ cells, and
+// reports whether the cell enters. A full queue drops it. Otherwise it
+// enters, CE-marked if occ has reached MarkThreshold (the mark goes on
+// before the cell is copied in), and occ+1 is the new occupancy.
+func (sw *Switch) admit(op *SwitchPort, c *Cell, occ int) bool {
+	if occ >= sw.cfg.QueueCells {
 		op.stats.Dropped++
 		if sw.eng.Recording() {
-			sw.eng.Emit(sim.TraceEvent{At: sw.eng.Now(), Ph: 'i', Comp: op.comp, Cat: sim.CatDrop, Name: "queue-overflow", Arg: int64(lc.c.VCI)})
+			sw.eng.Emit(sim.TraceEvent{At: sw.eng.Now(), Ph: 'i', Comp: op.comp, Cat: sim.CatDrop, Name: "queue-overflow", Arg: int64(c.VCI)})
 		}
-		return
+		return false
 	}
-	if marked {
+	if t := sw.cfg.MarkThreshold; t > 0 && occ >= t {
+		c.CE = true
 		op.stats.Marked++
 	}
-	if n := int64(op.queue.Len()); n > op.stats.HighWater {
-		op.stats.HighWater = n
-	}
+	n := int64(occ + 1)
+	op.stats.HighWater = max(op.stats.HighWater, n)
 	if sw.eng.Recording() {
-		sw.eng.Emit(sim.TraceEvent{At: sw.eng.Now(), Ph: 'C', Comp: op.comp, Cat: sim.CatQueue, Name: "queue", Arg: int64(op.queue.Len())})
+		sw.eng.Emit(sim.TraceEvent{At: sw.eng.Now(), Ph: 'C', Comp: op.comp, Cat: sim.CatQueue, Name: "queue", Arg: n})
 	}
-}
-
-// latchMode decides, once per port, whether cells routed to this port
-// take the train-forwarding fast path or the per-cell queue machine.
-// Trace recording, which observes cells one at a time, forces per-cell
-// mode; so does the explicit PerCellFabric knob. Faulted and randomly
-// skewed egress links need neither: every link is a cell train that
-// decides each cell's fate at acceptance, whichever machine feeds it.
-func (pt *SwitchPort) latchMode(forcePerCell bool) {
-	pt.vMode = vModePerCell
-	if forcePerCell || pt.eng.Recording() {
-		return
-	}
-	pt.vMode = vModeTrain
-	// Capacity: the virtual queue holds at most QueueCells undequeued
-	// entries plus one dequeued-but-unaccepted straggler; headroom
-	// beyond that only guards the ring against a model bug.
-	pt.vq = make([]vPoint, pt.queue.Cap()+8)
+	return true
 }
 
 // trainForward is the zero-alloc fast path: instead of enqueueing an
@@ -406,38 +401,28 @@ func (pt *SwitchPort) latchMode(forcePerCell bool) {
 // reports the accept instant for this cell.
 //
 // Tie discipline: at any tied instant the engine executes link
-// arrivals before the arbiter's resume events (a proc resumed by a
+// arrivals before the arbiter's wakeups (an arbiter woken by a
 // Cond.Signal at t runs via an event scheduled *at* t, after the
 // arrival that signalled it). Hence settling at an arrival uses strict
 // inequalities — a pop or accept stamped exactly now has not happened
 // yet — while settling after the run quiesces uses ≤.
+//
+// The port emits the per-cell machine's trace events: admit's at
+// arrival, and each pop's queue counter when settle passes it — at the
+// next arrival, or when Stats or QueueLen settles the port at quiesce.
+// A trace read before that lacks the pops since the last arrival.
 func (sw *Switch) trainForward(op *SwitchPort, c Cell, lane int) {
 	now := sw.eng.Now()
 	op.settle(now, false)
-	occ := op.vqLen - op.vqPop
-	if occ >= sw.cfg.QueueCells {
-		op.stats.Dropped++
-		// Recording is off in train mode (latch condition), so the
-		// per-cell drop path's trace emission has no counterpart.
+	// The occupancy the per-cell machine would see, so the two fabrics
+	// drop and mark the same cells.
+	if !sw.admit(op, &c, op.vqLen-op.vqPop) {
 		return
 	}
-	if t := sw.cfg.MarkThreshold; t > 0 && occ >= t {
-		// Same occupancy value the per-cell machine would see at its
-		// TrySend, so the two fabrics mark the same cells. Mutate before
-		// SendScheduled — the cell travels by value from here on.
-		c.CE = true
-		op.stats.Marked++
-	}
-	pop := op.vBusy
-	if now > pop {
-		pop = now
-	}
+	pop := max(op.vBusy, now)
 	acc := op.out.Link(lane).SendScheduled(pop, c)
 	op.vBusy = acc
 	op.vqPush(vPoint{enq: now, pop: pop, acc: acc})
-	if n := int64(occ + 1); n > op.stats.HighWater {
-		op.stats.HighWater = n
-	}
 }
 
 // settle advances the port's virtual bookkeeping to now. closed=false
@@ -446,30 +431,33 @@ func (sw *Switch) trainForward(op *SwitchPort, c Cell, lane int) {
 // closed=true means the engine has quiesced at now and everything
 // stamped ≤ now is done. Idempotent; all cursors are monotone.
 func (pt *SwitchPort) settle(now sim.Time, closed bool) {
-	for pt.vqObs < pt.vqLen {
-		e := pt.vqAt(pt.vqObs)
+	for pt.vqPop < pt.vqLen {
+		e := pt.vqAt(pt.vqPop)
 		if e.pop > now || (!closed && e.pop == now) {
 			break
 		}
 		if pt.mQDelay != nil {
 			pt.mQDelay.Observe((e.pop - e.enq).Microseconds())
 		}
-		pt.vqObs++
-	}
-	for pt.vqPop < pt.vqLen {
-		e := pt.vqAt(pt.vqPop)
-		if e.pop > now || (!closed && e.pop == now) {
-			break
-		}
 		pt.vqPop++
+		if pt.eng.Recording() {
+			// The cells left in the queue after this pop: the later ones
+			// that had arrived by then, those arriving at the pop's own
+			// instant included (arrivals precede the arbiter).
+			n := int64(0)
+			for j := pt.vqPop; j < pt.vqLen && pt.vqAt(j).enq <= e.pop; j++ {
+				n++
+			}
+			pt.eng.Emit(sim.TraceEvent{At: e.pop, Ph: 'C', Comp: pt.comp, Cat: sim.CatQueue, Name: "queue", Arg: n})
+		}
 	}
 	for pt.vqLen > 0 {
 		e := pt.vqAt(0)
 		if e.acc > now || (!closed && e.acc == now) {
 			break
 		}
-		// acc ≥ pop, so a retiring entry has already passed both
-		// cursors above; shift them with the head.
+		// acc ≥ pop, so a retiring entry has already passed the pop
+		// cursor above; shift it with the head.
 		pt.stats.Forwarded++
 		pt.vqHead++
 		if pt.vqHead == len(pt.vq) {
@@ -477,7 +465,6 @@ func (pt *SwitchPort) settle(now sim.Time, closed bool) {
 		}
 		pt.vqLen--
 		pt.vqPop--
-		pt.vqObs--
 	}
 }
 

@@ -2,6 +2,7 @@ package atm
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -26,6 +27,14 @@ type switchRun struct {
 	stats      []SwitchPortStats
 	sent       int
 	in, out    LinkStats // summed over every port's ingress / egress links
+	events     []traceKey
+}
+
+// traceKey is what the two machines must agree on of one trace event.
+type traceKey struct {
+	at         sim.Time
+	comp, name string
+	arg        int64
 }
 
 // linkFaults turns the fuzzer's four link inputs into the link config
@@ -44,13 +53,17 @@ func linkFaults(loss, corrupt, dup, skew uint8) LinkConfig {
 
 // runSwitchSchedule replays one fuzz-derived schedule through a 3-port
 // switch whose lanes are configured by lc and returns everything
-// observable: the delivery log and the per-port and link counters.
+// observable: the delivery log, the per-port and link counters, and
+// the trace events, sorted (the two machines emit them in different
+// orders).
 // Senders stage each cell's payload in a local array tagged with its
 // sequence number, so a delivery carrying another cell's bytes shows.
 func runSwitchSchedule(t *testing.T, data []byte, perCell bool, lc LinkConfig) switchRun {
 	t.Helper()
 	e := sim.NewEngine(99)
 	defer e.Shutdown()
+	var events []traceKey
+	e.SetRecorder(func(ev sim.TraceEvent) { events = append(events, traceKey{ev.At, ev.Comp, ev.Name, ev.Arg}) })
 	// A tiny output queue so bursts tail-drop mid-PDU, splitting trains,
 	// with a mark threshold below it so schedules also exercise the ECN
 	// band between first-mark and tail-drop.
@@ -125,11 +138,27 @@ func runSwitchSchedule(t *testing.T, data []byte, perCell bool, lc LinkConfig) s
 		r.out.Lost += out.Lost
 		r.out.Duplicated += out.Duplicated
 	}
+	// Stats settled every train port, so its pops are in the trace.
+	sort.Slice(events, func(i, j int) bool {
+		a, b := events[i], events[j]
+		if a.at != b.at {
+			return a.at < b.at
+		}
+		if a.comp != b.comp {
+			return a.comp < b.comp
+		}
+		if a.name != b.name {
+			return a.name < b.name
+		}
+		return a.arg < b.arg
+	})
+	r.events = events
 	return r
 }
 
 // compareRuns requires the two machines to agree on every delivery
-// (compareDeliveries) and on every port's counters.
+// (compareDeliveries), on every port's counters and on the multiset of
+// trace events.
 func compareRuns(t *testing.T, train, percell switchRun) {
 	t.Helper()
 	compareDeliveries(t, train.deliveries, percell.deliveries)
@@ -140,6 +169,12 @@ func compareRuns(t *testing.T, train, percell switchRun) {
 	}
 	if train.in != percell.in || train.out != percell.out {
 		t.Fatalf("link stats differ:\ntrain:   in %+v out %+v\npercell: in %+v out %+v", train.in, train.out, percell.in, percell.out)
+	}
+	for i := 0; i < len(train.events) || i < len(percell.events); i++ {
+		if i == len(train.events) || i == len(percell.events) || train.events[i] != percell.events[i] {
+			t.Fatalf("trace events differ from sorted event %d on (train %d events, per-cell %d):\ntrain:   %+v\npercell: %+v",
+				i, len(train.events), len(percell.events), train.events[i:min(i+4, len(train.events))], percell.events[i:min(i+4, len(percell.events))])
+		}
 	}
 }
 
@@ -182,9 +217,10 @@ func compareDeliveries(t *testing.T, train, percell []fuzzDelivery) {
 // schedules through the switch twice — train forwarding and the forced
 // per-cell fabric — and requires identical behaviour: the same cells, in
 // the same order, at the same simulated instants, with the same drop and
-// high-water counters. Tiny queues force mid-train tail-drops (train
-// splits) and route changes re-target mid-stream (train boundaries);
-// each payload's tag must reach the receiver with its cell. The four
+// high-water counters and the same trace events. Tiny queues force
+// mid-train tail-drops (train splits) and route changes re-target
+// mid-stream (train boundaries); each payload's tag must reach the
+// receiver with its cell. The four
 // link inputs put loss, corruption, duplication and queueing skew
 // on every lane, so the faulted, skewed link is held to the same
 // agreement.

@@ -1,6 +1,7 @@
 package atm
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"time"
@@ -257,61 +258,64 @@ func TestSwitchPortPanicsOutOfRange(t *testing.T) {
 // TestSwitchDropEventsMatchStats is the fabric's drop-accounting
 // oracle: with a recorder attached, every queue-overflow and no-route
 // counted in a port's stats has exactly one typed drop event on that
-// port's track. (A recorder forces per-cell forwarding; the train path
-// emits nothing by design.)
+// port's track, on either machine.
 func TestSwitchDropEventsMatchStats(t *testing.T) {
-	e := sim.NewEngine(1)
-	defer e.Shutdown()
-	type key struct{ comp, name string }
-	drops := map[key]int64{}
-	e.SetRecorder(func(ev sim.TraceEvent) {
-		if ev.Cat == sim.CatDrop {
-			drops[key{ev.Comp, ev.Name}]++
-		}
-	})
-	sw := NewSwitch(e, 3, SwitchConfig{QueueCells: 8})
-	if err := sw.Route(10, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.Route(11, 2); err != nil {
-		t.Fatal(err)
-	}
-	var got []rxRecord
-	collect(sw.Port(2), &got)
-	for in, v := range []VCI{10, 11} {
-		in, v := in, v
-		e.Go("tx", func(p *sim.Proc) {
-			for i := 0; i < 200; i++ {
-				sw.Port(in).Ingress().Send(p, Cell{VCI: v, Seq: uint32(i), Len: CellPayload})
-				if i%50 == in {
-					sw.Port(in).Ingress().Send(p, Cell{VCI: 99, Len: CellPayload})
+	for _, perCell := range []bool{false, true} {
+		t.Run(fmt.Sprintf("percell=%v", perCell), func(t *testing.T) {
+			e := sim.NewEngine(1)
+			defer e.Shutdown()
+			type key struct{ comp, name string }
+			drops := map[key]int64{}
+			e.SetRecorder(func(ev sim.TraceEvent) {
+				if ev.Cat == sim.CatDrop {
+					drops[key{ev.Comp, ev.Name}]++
+				}
+			})
+			sw := NewSwitch(e, 3, SwitchConfig{QueueCells: 8, PerCellFabric: perCell})
+			if err := sw.Route(10, 2); err != nil {
+				t.Fatal(err)
+			}
+			if err := sw.Route(11, 2); err != nil {
+				t.Fatal(err)
+			}
+			var got []rxRecord
+			collect(sw.Port(2), &got)
+			for in, v := range []VCI{10, 11} {
+				in, v := in, v
+				e.Go("tx", func(p *sim.Proc) {
+					for i := 0; i < 200; i++ {
+						sw.Port(in).Ingress().Send(p, Cell{VCI: v, Seq: uint32(i), Len: CellPayload})
+						if i%50 == in {
+							sw.Port(in).Ingress().Send(p, Cell{VCI: 99, Len: CellPayload})
+						}
+					}
+				})
+			}
+			e.Run()
+			var dropped, noRoute int64
+			for i := 0; i < 3; i++ {
+				pt := sw.Port(i)
+				st := pt.Stats()
+				dropped += st.Dropped
+				noRoute += st.NoRoute
+				if n := drops[key{pt.comp, "queue-overflow"}]; n != st.Dropped {
+					t.Errorf("port %d: %d queue-overflow events, Dropped = %d", i, n, st.Dropped)
+				}
+				if n := drops[key{pt.comp, "no-route"}]; n != st.NoRoute {
+					t.Errorf("port %d: %d no-route events, NoRoute = %d", i, n, st.NoRoute)
 				}
 			}
+			if dropped == 0 || noRoute != 8 {
+				t.Errorf("rig exercised Dropped = %d, NoRoute = %d; want > 0 and 8", dropped, noRoute)
+			}
+			var events int64
+			for _, n := range drops {
+				events += n
+			}
+			if events != dropped+noRoute {
+				t.Errorf("%d drop events, stats count %d drops", events, dropped+noRoute)
+			}
 		})
-	}
-	e.Run()
-	var dropped, noRoute int64
-	for i := 0; i < 3; i++ {
-		pt := sw.Port(i)
-		st := pt.Stats()
-		dropped += st.Dropped
-		noRoute += st.NoRoute
-		if n := drops[key{pt.comp, "queue-overflow"}]; n != st.Dropped {
-			t.Errorf("port %d: %d queue-overflow events, Dropped = %d", i, n, st.Dropped)
-		}
-		if n := drops[key{pt.comp, "no-route"}]; n != st.NoRoute {
-			t.Errorf("port %d: %d no-route events, NoRoute = %d", i, n, st.NoRoute)
-		}
-	}
-	if dropped == 0 || noRoute != 8 {
-		t.Errorf("rig exercised Dropped = %d, NoRoute = %d; want > 0 and 8", dropped, noRoute)
-	}
-	var events int64
-	for _, n := range drops {
-		events += n
-	}
-	if events != dropped+noRoute {
-		t.Errorf("%d drop events, stats count %d drops", events, dropped+noRoute)
 	}
 }
 

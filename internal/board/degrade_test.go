@@ -2,6 +2,7 @@ package board
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -290,17 +291,22 @@ func sweepAlways(t *testing.T, b *Board) map[uint8]bool {
 		switch x.pc {
 		case rxpCombine, rxpPlace, rxpEOP, rxpAbort:
 			return true
+		case rxpSend:
+			// A cell's command waits to be queued; the reassembly is
+			// still open unless that cell completed the PDU.
+			return x.ch.reasm[x.rs.vci] == x.rs
 		}
 		return false
 	}
 	var tick func(any)
 	tick = func(any) {
 		if rs := x.rs; rs != nil && x.ch.reasm[rs.vci] == rs && rs.lastArrival.Add(b.cfg.ReasmTimeout) <= b.eng.Now() &&
-			(x.pc != rxpAbort || !b.rxCmds.Full()) {
+			(x.pc != rxpAbort && x.pc != rxpSend || !b.rxCmds.Full()) {
 			seen[x.pc] = true
 		}
+		held := handling()
 		b.sweepReasm()
-		if handling() && x.ch.reasm[x.rs.vci] != x.rs {
+		if held && x.ch.reasm[x.rs.vci] != x.rs {
 			t.Fatalf("at %v the sweep retired the reassembly the receive processor is handling (state %d)", b.eng.Now(), x.pc)
 		}
 		if b.eng.Pending() > 0 {
@@ -380,38 +386,47 @@ func TestReasmSweepSkipsEOPBuffer(t *testing.T) {
 }
 
 // A sweep that runs while the processor waits for room in the DMA
-// command queue to queue an abandoned PDU's abort marker must leave
-// the reassembly alone, also at the instant room appears and before
-// the processor is woken to take it: the processor queues the marker
-// and retires the reassembly itself. The CPU holds the DEC 5000/200's
-// serialized TURBOchannel, so the receive DMA controller stalls on its
-// first command while the processor fills the queue behind it; a lost
-// cell makes the PDU's last cell abandon it, with buffers pushed, just
-// as the queue is full.
+// command queue must leave the reassembly alone, also at the instant
+// room appears and before the processor is woken to take it: the
+// processor queues its command and, for an abandoned PDU's abort
+// marker, retires the reassembly itself. The CPU holds the DEC
+// 5000/200's serialized TURBOchannel, so the receive DMA controller
+// stalls on its first command while the processor fills the queue
+// behind it; a lost cell makes the PDU's last cell abandon it, with
+// buffers pushed. With 788 bytes the queue is full just as the
+// processor queues the abort marker; with 900, while it queues a
+// cell's command before that.
 func TestReasmSweepSkipsQueuedAbort(t *testing.T) {
-	e := sim.NewEngine(42)
-	defer e.Shutdown()
-	h := hostsim.New(e, hostsim.DEC5000_200(), 2048)
-	r := &rig{eng: e, host: h, b: New(e, h, Config{ReasmTimeout: time.Microsecond})}
-	drops := watchDrops(e)
-	ch := r.b.KernelChannel()
-	r.b.BindVCI(5, 0)
-	r.eng.Go("host", func(p *sim.Proc) {
-		r.supplyFree(t, p, ch, 16, 2*atm.CellPayload)
-		for i, c := range atm.Segment(5, pattern(788, 5), 4, false) {
-			if i != 5 {
-				r.b.InjectCell(c, i%4)
+	for _, tc := range []struct {
+		size  int
+		state uint8
+	}{{788, rxpAbort}, {900, rxpSend}} {
+		t.Run(fmt.Sprint(tc.size), func(t *testing.T) {
+			e := sim.NewEngine(42)
+			defer e.Shutdown()
+			h := hostsim.New(e, hostsim.DEC5000_200(), 2048)
+			r := &rig{eng: e, host: h, b: New(e, h, Config{ReasmTimeout: time.Microsecond})}
+			drops := watchDrops(e)
+			ch := r.b.KernelChannel()
+			r.b.BindVCI(5, 0)
+			r.eng.Go("host", func(p *sim.Proc) {
+				r.supplyFree(t, p, ch, 16, 2*atm.CellPayload)
+				for i, c := range atm.Segment(5, pattern(tc.size, 5), 4, false) {
+					if i != 5 {
+						r.b.InjectCell(c, i%4)
+					}
+				}
+				h.Bus.CPUOccupy(50 * time.Microsecond).Do(p)
+			})
+			seen := sweepAlways(t, r.b)
+			r.eng.Run()
+			if !seen[tc.state] {
+				t.Errorf("no sweep ran while the processor waited in state %d to queue a command and the queue had room", tc.state)
 			}
-		}
-		h.Bus.CPUOccupy(50 * time.Microsecond).Do(p)
-	})
-	seen := sweepAlways(t, r.b)
-	r.eng.Run()
-	if !seen[rxpAbort] {
-		t.Error("no sweep ran while the processor waited to queue an abort marker and the queue had room")
+			if st := r.b.Stats(); st.RxAbortMarkers != 1 || st.PDUsDropped != 1 || st.PDUsTimedOut != 0 {
+				t.Errorf("RxAbortMarkers = %d, PDUsDropped = %d, PDUsTimedOut = %d; want 1, 1, 0", st.RxAbortMarkers, st.PDUsDropped, st.PDUsTimedOut)
+			}
+			checkSwept(t, r, drops)
+		})
 	}
-	if st := r.b.Stats(); st.RxAbortMarkers != 1 || st.PDUsDropped != 1 || st.PDUsTimedOut != 0 {
-		t.Errorf("RxAbortMarkers = %d, PDUsDropped = %d, PDUsTimedOut = %d; want 1, 1, 0", st.RxAbortMarkers, st.PDUsDropped, st.PDUsTimedOut)
-	}
-	checkSwept(t, r, drops)
 }

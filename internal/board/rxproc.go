@@ -150,9 +150,11 @@ func (x *rxProcessor) run() {
 }
 
 // holds reports whether x is handling a cell of rs's PDU: it has
-// ingested the cell and not yet finished with rs.
+// ingested the cell and not yet finished with rs. The caller passes an
+// open reassembly, so in rxpSend this is a cell whose command is not
+// yet queued, not one that completed rs.
 func (x *rxProcessor) holds(rs *reasmState) bool {
-	return x.rs == rs && x.pc != rxpWait && x.pc != rxpCell && x.pc != rxpSend
+	return x.rs == rs && x.pc != rxpWait && x.pc != rxpCell
 }
 
 // ingest demultiplexes the cell in hand and places it in its

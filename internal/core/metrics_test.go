@@ -3,10 +3,12 @@ package core
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -22,7 +24,9 @@ func pacedFanIn() workload.FanIn {
 	}
 }
 
-func runInstrumentedFanIn(t *testing.T, reg *metrics.Registry, tl *trace.Timeline) *FanInResult {
+// runInstrumentedFanIn runs pacedFanIn on a 4-node cluster and returns
+// its result and the engine's event count.
+func runInstrumentedFanIn(t *testing.T, reg *metrics.Registry, tl *trace.Timeline) (*FanInResult, uint64) {
 	t.Helper()
 	cl := NewCluster(Options{Metrics: reg}, 4)
 	defer cl.Shutdown()
@@ -35,22 +39,37 @@ func runInstrumentedFanIn(t *testing.T, reg *metrics.Registry, tl *trace.Timelin
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return res, cl.Eng.Events()
 }
 
 // TestMetricsAndTracingDoNotPerturbExperiment pins the tentpole
 // invariant: enabling the full telemetry plane — every component's
 // metric families plus typed trace recording — leaves the simulated
-// outcome identical to the uninstrumented run, field for field.
+// outcome identical to the uninstrumented run, field for field, and
+// runs the same events: recording selects no other switch machine. The
+// train-forwarding switch the run uses records its queue counters.
 func TestMetricsAndTracingDoNotPerturbExperiment(t *testing.T) {
-	bare := runInstrumentedFanIn(t, nil, nil)
+	bare, bareEvents := runInstrumentedFanIn(t, nil, nil)
 	tl := trace.NewTimeline()
-	instr := runInstrumentedFanIn(t, metrics.New(), tl)
+	instr, instrEvents := runInstrumentedFanIn(t, metrics.New(), tl)
 	if !reflect.DeepEqual(bare, instr) {
 		t.Errorf("telemetry perturbed the experiment:\nbare:  %+v\ninstr: %+v", bare, instr)
 	}
-	if tl.Len() == 0 {
-		t.Error("timeline recorded no events — the instrumented run was not actually traced")
+	if instrEvents != bareEvents {
+		t.Errorf("the traced run executed %d events, the bare run %d", instrEvents, bareEvents)
+	}
+	var text strings.Builder
+	if err := tl.WriteText(&text, []string{sim.CatQueue}, 0); err != nil {
+		t.Fatal(err)
+	}
+	counters := 0
+	for _, line := range strings.Split(text.String(), "\n") {
+		if strings.Contains(line, " sw-port") && strings.Contains(line, " queue ") {
+			counters++
+		}
+	}
+	if counters == 0 {
+		t.Error("the timeline holds no switch-port queue counters")
 	}
 }
 
@@ -74,7 +93,7 @@ func TestMetricsSnapshotDeterministic(t *testing.T) {
 // TestFanInReportsPerPortStats checks the fan-in result surfaces each
 // fabric port's counters with the server port first.
 func TestFanInReportsPerPortStats(t *testing.T) {
-	res := runInstrumentedFanIn(t, nil, nil)
+	res, _ := runInstrumentedFanIn(t, nil, nil)
 	if len(res.Ports) != 4 {
 		t.Fatalf("got %d port entries, want 4", len(res.Ports))
 	}

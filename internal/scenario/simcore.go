@@ -20,17 +20,16 @@ const allocGate = 0.034
 // resumeGates bound each workload's proc resumes per simulated cell:
 // coroutine switches, each dearer than a plain event. Like allocation
 // counts they are deterministic. Each gate leaves about 10% headroom
-// over the highest measured level: 0.0234 on fig3_receive_64k, and on
-// fanin_4x8k 0.433 with cell-train links and 1.433 with per-cell ones.
-// Neither the board nor the kernel's interrupt service nor the
-// driver's buffer set-up runs as a proc, and a proc awaiting an
-// operation is resumed once, when it finishes (sim.Proc.Await), so
-// what is left is one resume per wait of the driver's receive
-// threads, the protocols and the applications, and the per-cell
-// switch's drain procs.
+// over the measured level: 0.0234 on fig3_receive_64k, and 0.433 on
+// fanin_4x8k on either switch machine. Neither the board nor the
+// switch nor the kernel's interrupt service nor the driver's buffer
+// set-up runs as a proc, and a proc awaiting an operation is resumed
+// once, when it finishes (sim.Proc.Await), so what is left is one
+// resume per wait of the driver's receive threads, the protocols and
+// the applications.
 var resumeGates = map[string]float64{
 	"fig3_receive_64k": 0.026,
-	"fanin_4x8k":       1.58,
+	"fanin_4x8k":       0.48,
 }
 
 // simcoreResult is one workload's simulated outcome, bit-for-bit stable

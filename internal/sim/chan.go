@@ -34,9 +34,6 @@ func NewChan[T any](e *Engine, capacity int) *Chan[T] {
 // Len reports the number of buffered items.
 func (c *Chan[T]) Len() int { return c.count }
 
-// Cap reports the channel capacity.
-func (c *Chan[T]) Cap() int { return len(c.buf) }
-
 // Full reports whether a Send would block.
 func (c *Chan[T]) Full() bool { return c.count >= len(c.buf) }
 

@@ -100,13 +100,13 @@ func TestChanTrySendTryRecv(t *testing.T) {
 func TestChanLenCapFullEmpty(t *testing.T) {
 	e := NewEngine(1)
 	ch := NewChan[int](e, 3)
-	if ch.Cap() != 3 || ch.Len() != 0 || !ch.Empty() || ch.Full() {
+	if ch.Len() != 0 || !ch.Empty() || ch.Full() {
 		t.Fatal("fresh chan state wrong")
 	}
 	ch.TrySend(1)
 	ch.TrySend(2)
 	ch.TrySend(3)
-	if ch.Len() != 3 || !ch.Full() || ch.Empty() {
+	if ch.Len() != 3 || !ch.Full() || ch.Empty() || ch.TrySend(4) {
 		t.Fatal("full chan state wrong")
 	}
 }
