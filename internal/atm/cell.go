@@ -11,6 +11,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+
+	"repro/internal/sim"
 )
 
 const (
@@ -32,7 +34,8 @@ const (
 type VCI uint16
 
 // Cell is one ATM cell as the OSIRIS hardware sees it: the header fields
-// the receive FIFO strips (VCI, AAL information) plus the payload.
+// the receive FIFO strips (VCI, AAL information) plus the payload. The
+// fields are ordered so that a cell is 64 bytes, not 72.
 type Cell struct {
 	VCI VCI
 	// EOM is the AAL5 framing bit. Under striping it is set on the last
@@ -49,15 +52,29 @@ type Cell struct {
 	// mark threshold. The receiving transport echoes it back so senders
 	// reduce their window before the queue reaches tail drop.
 	CE bool
-	// Seq is the cell's index within its PDU, used only by the
-	// sequence-number reassembly strategy (§2.6 strategy one).
-	Seq uint32
 	// Len is the number of valid payload bytes. It is CellPayload for
 	// every cell in normal operation; mid-PDU partial cells appear only
 	// in the no-boundary-stop ablation of §2.5.2.
-	Len     int
+	Len int
+	// Seq is the cell's index within its PDU, used only by the
+	// sequence-number reassembly strategy (§2.6 strategy one).
+	Seq     uint32
 	Payload [CellPayload]byte
 }
+
+// CellStore returns e's cell store: the one counted pool of cell
+// records that every link, switch and board on e takes from and puts
+// back to (DESIGN §7 "Records"). A record has exactly one holder. It
+// is taken where a cell is made — the transmit DMA controller, the
+// fictitious-PDU generator, a link fault's duplicate, and the by-value
+// edges (Link.Send, Link.SetReceiver, board.Board.InjectCell and
+// board.Board.SetTxSink), which copy in or out. A successful send, a
+// delivery callback or a receive-FIFO entry passes it to the next
+// holder, and it is put back where the cell's fate is decided: a link
+// loss, a switch drop, a receive-FIFO drop, or the receive processor
+// done with the cell. The engine's quiesce check (sim.Engine.CheckPools)
+// requires none out once the engine has run dry.
+func CellStore(e *sim.Engine) *sim.Pool[*Cell] { return sim.PoolOf[Cell](e) }
 
 // Trailer is the AAL5-style PDU trailer: the true PDU length (the rest of
 // the final cell is padding) and a CRC-32 over the PDU contents.

@@ -4,7 +4,17 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestCellIs64Bytes pins the field order of Cell: a cell record, and
+// every copy at a by-value edge, is 64 bytes; with Len after Seq it
+// would be 72.
+func TestCellIs64Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Cell{}); n != 64 {
+		t.Errorf("Cell is %d bytes, want 64", n)
+	}
+}
 
 func TestCellsFor(t *testing.T) {
 	cases := []struct{ n, cells int }{

@@ -64,6 +64,9 @@ func (s QueueingSkew) Delay(_ int, rng func() *rand.Rand) time.Duration {
 // linkFIFODepth is a link's transmit-side FIFO depth in cells.
 const linkFIFODepth = 4
 
+// linkTrain is the length of a link's initial train ring.
+const linkTrain = linkFIFODepth + 4
+
 // LinkConfig configures one physical link.
 type LinkConfig struct {
 	RateBps   int64         // line rate (default DefaultLinkRate)
@@ -92,11 +95,11 @@ type LinkStats struct {
 	Duplicated int64 // injector-cloned cells added to the stream
 }
 
-// linkCell is one in-flight cell of a link's train: deliver is the
-// instant the receiver callback runs, and schedAt/seq are the cell's
-// canonical delivery stamp; see the stamp comment on Link.
+// linkCell is one in-flight cell of a link's train: c is its record,
+// deliver the instant the receiver callback runs, and schedAt/seq the
+// cell's canonical delivery stamp; see the stamp comment on Link.
 type linkCell struct {
-	c       Cell
+	c       *Cell
 	deliver sim.Time
 	schedAt sim.Time
 	seq     uint64
@@ -119,7 +122,8 @@ type Link struct {
 	cfg         LinkConfig
 	cellTime    time.Duration
 	lastDeliver sim.Time
-	deliver     func(c Cell, link int)
+	deliver     func(c *Cell, link int)
+	cells       *sim.Pool[*Cell] // the engine's cell store
 	stats       LinkStats
 	inj         *fault.Injector // nil unless cfg.Fault injects something
 	skewRng     *rand.Rand      // derived on the skew model's first draw
@@ -127,7 +131,7 @@ type Link struct {
 	// skew model per cell does not allocate.
 	skewRand func() *rand.Rand
 
-	train       []linkCell // ring buffer, grown on demand
+	train       []linkCell // ring buffer, ring0 until it grows
 	head, count int
 	frontier    sim.Time // serialization end of the newest accepted cell
 	// starts holds the serialization starts of the last linkFIFODepth
@@ -153,18 +157,22 @@ type Link struct {
 	// delivery — and seq is monotone per link.
 	xid  uint64
 	lseq uint64 // per-link stamp counter (monotone)
+
+	// ring0 is the initial train, made with the link.
+	ring0 [linkTrain]linkCell
 }
 
 // linkSend is a Send in continuation form: a proc awaits one.
 type linkSend struct {
 	l *Link
-	c Cell
+	c *Cell
 }
 
-func (s *linkSend) Step(k sim.Cont) bool { return s.l.SendCont(&s.c, k) }
+func (s *linkSend) Step(k sim.Cont) bool { return s.l.SendCont(s.c, k) }
 
 // NewLink creates a link and draws its stamp id from the engine, so
-// links number in construction order.
+// links number in construction order. Until a receiver is installed,
+// each delivered cell's record goes back to the engine's cell store.
 func NewLink(e *sim.Engine, cfg LinkConfig) *Link {
 	if cfg.RateBps == 0 {
 		cfg.RateBps = DefaultLinkRate
@@ -179,10 +187,11 @@ func NewLink(e *sim.Engine, cfg LinkConfig) *Link {
 		eng:     e,
 		cfg:     cfg,
 		xid:     e.NewStampID(),
-		train:   make([]linkCell, linkFIFODepth+4),
 		notFull: sim.NewCond(e),
 	}
+	l.train = l.ring0[:]
 	l.cellTime = time.Duration(int64(CellSize*8) * int64(time.Second) / cfg.RateBps)
+	l.cells = CellStore(e)
 	l.skewRand = l.deriveSkewRand
 	if cfg.Fault != nil {
 		l.inj = fault.New(e, l.site(), cfg.Fault)
@@ -212,26 +221,42 @@ func (l *Link) deriveSkewRand() *rand.Rand {
 // CellTime returns the serialization time of one cell at line rate.
 func (l *Link) CellTime() time.Duration { return l.cellTime }
 
-// SetReceiver installs the delivery callback. It runs in engine (event)
-// context, so it must not block; typically it pushes into the receiving
-// board's header FIFO with TrySend.
-func (l *Link) SetReceiver(fn func(c Cell, link int)) { l.deliver = fn }
+// SetCellReceiver installs the delivery callback, which takes each
+// delivered cell record over: it passes the record on or puts it back
+// in the cell store. It runs in engine (event) context, so it must not
+// block; typically it pushes into the receiving board's header FIFO
+// with TrySend.
+func (l *Link) SetCellReceiver(fn func(c *Cell, link int)) { l.deliver = fn }
 
-// Send submits a cell for transmission, blocking p while the link's
-// transmit FIFO is full — the backpressure the board's segmentation
-// loop experiences.
+// SetReceiver installs a delivery callback that takes cells by value:
+// the link puts each record back and hands fn a copy.
+func (l *Link) SetReceiver(fn func(c Cell, link int)) {
+	cells := l.cells
+	l.deliver = func(c *Cell, link int) {
+		v := *c
+		cells.Put(c)
+		fn(v, link)
+	}
+}
+
+// Send submits a copy of c for transmission, blocking p while the
+// link's transmit FIFO is full — the backpressure the board's
+// segmentation loop experiences.
 func (l *Link) Send(p *sim.Proc, c Cell) {
 	pl := sim.PoolOf[linkSend](l.eng) // made on first use: no workload sends from a proc
 	s := sim.TakeNew(pl)
-	s.l, s.c = l, c
+	s.l, s.c = l, sim.TakeNew(l.cells)
+	*s.c = c
 	p.Await(s)
+	s.c = nil
 	pl.Put(s)
 }
 
-// SendCont submits *c and reports true if the link's transmit FIFO has
-// a free slot; otherwise it queues k to run at the next serialization
-// boundary and reports false, and the caller tries again from k: the
-// continuation form of Send. The link copies the cell; c is not kept.
+// SendCont submits the cell record c and reports true if the link's
+// transmit FIFO has a free slot: the link then holds c. Otherwise it
+// queues k to run at the next serialization boundary and reports
+// false, and the caller keeps c and tries again from k: the
+// continuation form of Send.
 func (l *Link) SendCont(c *Cell, k sim.Cont) bool {
 	// The transmit FIFO is virtual: a cell occupies a slot from Send
 	// until its serialization starts.
@@ -240,7 +265,7 @@ func (l *Link) SendCont(c *Cell, k sim.Cont) bool {
 		l.notFull.WaitCont(k)
 		return false
 	}
-	l.commit(l.eng.Now(), *c)
+	l.commit(l.eng.Now(), c)
 	if l.notFull.Waiting() > 0 {
 		l.armSlotWake()
 	}
@@ -255,8 +280,8 @@ func (l *Link) SendCont(c *Cell, k sim.Cont) bool {
 // The link performs exactly the state transitions Send would have
 // performed had a proc executed it at t and returns the instant Send
 // would have returned: the first u ≥ t at which the transmit FIFO has
-// a free slot.
-func (l *Link) SendScheduled(t sim.Time, c Cell) sim.Time {
+// a free slot. The link takes the cell record c over.
+func (l *Link) SendScheduled(t sim.Time, c *Cell) sim.Time {
 	u := l.slotFree(t)
 	l.commit(u, c)
 	return u
@@ -265,9 +290,10 @@ func (l *Link) SendScheduled(t sim.Time, c Cell) sim.Time {
 // commit accepts c at instant u, the moment its sender leaves the
 // blocking loop — the one place a link cell's fate is decided: it
 // serializes behind the frontier and takes a FIFO slot, then the
-// injector may drop it, flip one payload bit, or clone it directly
-// behind itself, and whatever survives enters the train.
-func (l *Link) commit(u sim.Time, c Cell) {
+// injector may drop it (its record goes back to the store), flip one
+// payload bit, or clone it directly behind itself (the clone takes a
+// record of its own), and whatever survives enters the train.
+func (l *Link) commit(u sim.Time, c *Cell) {
 	serStart := max(u, l.frontier)
 	l.frontier = serStart.Add(l.cellTime)
 	l.starts[l.next] = serStart
@@ -276,6 +302,7 @@ func (l *Link) commit(u sim.Time, c Cell) {
 	act := l.inj.Apply()
 	if act.Drop {
 		l.stats.Lost++
+		l.cells.Put(c)
 		return
 	}
 	if act.CorruptBit >= 0 && c.Len > 0 {
@@ -285,14 +312,16 @@ func (l *Link) commit(u sim.Time, c Cell) {
 	l.enter(u, c, l.frontier.Add(l.cfg.PropDelay+l.cfg.Skew.Delay(l.cfg.Index, l.skewRand)))
 	if act.Duplicate {
 		l.stats.Duplicated++
-		l.enter(u, c, l.lastDeliver+1)
+		d := sim.TakeNew(l.cells)
+		*d = *c
+		l.enter(u, d, l.lastDeliver+1)
 	}
 }
 
 // enter appends c to the train for delivery at at, bumped past the
 // previous delivery to keep per-link FIFO order, stamps it, and arms
 // the walker if the train was empty.
-func (l *Link) enter(u sim.Time, c Cell, at sim.Time) {
+func (l *Link) enter(u sim.Time, c *Cell, at sim.Time) {
 	schedAt := max(u, l.lastDeliver)
 	if at <= l.lastDeliver {
 		at = l.lastDeliver + 1
@@ -342,15 +371,18 @@ func linkSlotCB(a any) {
 	l.notFull.Signal()
 }
 
-// linkDeliverCB is the train walker: deliver the front cell, then
-// re-arm with the next cell's own stamp. Deliveries are strictly
-// increasing per link, so a single event walks the whole train.
+// linkDeliverCB is the train walker: hand the front cell's record to
+// the receiver, then re-arm with the next cell's own stamp. Deliveries
+// are strictly increasing per link, so a single event walks the whole
+// train.
 func linkDeliverCB(a any) {
 	l := a.(*Link)
 	e := l.pop()
 	l.stats.Delivered++
 	if l.deliver != nil {
 		l.deliver(e.c, l.cfg.Index)
+	} else {
+		l.cells.Put(e.c)
 	}
 	if l.count > 0 {
 		nxt := l.at(0)
@@ -465,14 +497,23 @@ func (g *StripeGroup) FaultStats() fault.Stats {
 	return s
 }
 
-// SetReceiver installs the delivery callback on every link.
+// SetCellReceiver installs the owning delivery callback on every link
+// (Link.SetCellReceiver).
+func (g *StripeGroup) SetCellReceiver(fn func(c *Cell, link int)) {
+	for _, l := range g.links {
+		l.SetCellReceiver(fn)
+	}
+}
+
+// SetReceiver installs the by-value delivery callback on every link
+// (Link.SetReceiver).
 func (g *StripeGroup) SetReceiver(fn func(c Cell, link int)) {
 	for _, l := range g.links {
 		l.SetReceiver(fn)
 	}
 }
 
-// Send transmits one cell on the next link in round-robin order,
+// Send transmits a copy of c on the next link in round-robin order,
 // blocking p if that link's FIFO is full.
 func (g *StripeGroup) Send(p *sim.Proc, c Cell) {
 	g.links[g.next].Send(p, c)

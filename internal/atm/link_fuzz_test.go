@@ -1,6 +1,7 @@
 package atm
 
 import (
+	"fmt"
 	"math/bits"
 	"testing"
 	"time"
@@ -31,7 +32,11 @@ type linkFuzzDelivery struct {
 // returned and produce the same deliveries and counters. Faults and
 // skew act after serialization — a lost cell still holds its transmit
 // slot — so Send must also return at the same instants as on a clean
-// link.
+// link. The cell store must account for every record in all three
+// runs: at each delivery the records out are the cells left in the
+// train, plus the one a blocked Send holds, so a lost cell's record is
+// back and a duplicate is the only clone; and none is out once Run
+// drains.
 func FuzzLinkFault(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(4), uint8(10), uint8(10), uint16(5000), uint16(300))
 	f.Add(int64(7), uint8(0), uint8(0), uint8(255), uint8(255), uint16(0), uint16(64))
@@ -61,21 +66,42 @@ func FuzzLinkFault(f *testing.F) {
 			e := sim.NewEngine(seed)
 			t.Cleanup(e.Shutdown)
 			l = NewLink(e, lc)
-			l.SetReceiver(func(c Cell, _ int) { got = append(got, linkFuzzDelivery{c, e.Now()}) })
+			store := CellStore(e)
+			held := 0 // the record a Send blocked on a full FIFO holds
+			var bad error
+			l.SetReceiver(func(c Cell, _ int) {
+				if out := store.Outstanding(); out != l.count+held && bad == nil {
+					bad = fmt.Errorf("at delivery %d: %d cell records out, %d cells in the train, %d held by Send", len(got), out, l.count, held)
+				}
+				got = append(got, linkFuzzDelivery{c, e.Now()})
+			})
 			if called == nil {
 				e.Go("tx", func(p *sim.Proc) {
 					for i := 0; i < n; i++ {
 						calls = append(calls, p.Now())
+						held = 1
 						l.Send(p, cell(i))
+						held = 0
 						rets = append(rets, p.Now())
 					}
 				})
 			} else {
 				for i, at := range called {
-					rets = append(rets, l.SendScheduled(at, cell(i)))
+					c := sim.TakeNew(store)
+					*c = cell(i)
+					rets = append(rets, l.SendScheduled(at, c))
+				}
+				if out := store.Outstanding(); out != l.count {
+					t.Fatalf("after SendScheduled: %d cell records out, %d cells in the train", out, l.count)
 				}
 			}
 			e.Run()
+			if bad != nil {
+				t.Fatal(bad)
+			}
+			if err := e.CheckPools(); err != nil {
+				t.Fatalf("drained: %v", err)
+			}
 			return l, got, calls, rets
 		}
 		lc := LinkConfig{

@@ -163,6 +163,26 @@ func TestLinkStats(t *testing.T) {
 	}
 }
 
+// A link with no receiver delivers into nothing, and each cell's
+// record goes back to the engine's cell store.
+func TestLinkWithoutReceiverPutsRecordsBack(t *testing.T) {
+	e := sim.NewEngine(1)
+	defer e.Shutdown()
+	l := NewLink(e, LinkConfig{})
+	e.Go("tx", func(p *sim.Proc) {
+		for i := 0; i < 20; i++ {
+			l.Send(p, Cell{Len: CellPayload})
+		}
+	})
+	e.Run()
+	if s := l.Stats(); s.Delivered != 20 {
+		t.Errorf("stats = %+v, want 20 delivered", s)
+	}
+	if err := e.CheckPools(); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestSkewModels(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	draws := 0

@@ -65,10 +65,10 @@ type SwitchPortStats struct {
 	HighWater int64 // maximum egress-queue occupancy observed (cells)
 }
 
-// laneCell is a queued cell tagged with its stripe lane and its
+// laneCell is a queued cell record tagged with its stripe lane and its
 // enqueue instant.
 type laneCell struct {
-	c    Cell
+	c    *Cell
 	lane int
 	enq  sim.Time
 }
@@ -186,10 +186,10 @@ func arbiterStep(a any) {
 			}
 			pt.cur, pt.sending = lc, true
 		}
-		if !pt.out.Link(pt.cur.lane).SendCont(&pt.cur.c, pt.k) {
+		if !pt.out.Link(pt.cur.lane).SendCont(pt.cur.c, pt.k) {
 			return
 		}
-		pt.sending = false
+		pt.cur.c, pt.sending = nil, false
 		pt.stats.Forwarded++
 	}
 }
@@ -218,6 +218,7 @@ type SwitchStats struct {
 // interleave in the fabric.
 type Switch struct {
 	eng    *sim.Engine
+	cells  *sim.Pool[*Cell] // the engine's cell store
 	cfg    SwitchConfig
 	ports  []*SwitchPort
 	routes map[VCI]int
@@ -245,7 +246,7 @@ func NewSwitch(e *sim.Engine, nports int, cfg SwitchConfig) *Switch {
 		panic("atm: a switch needs at least 2 ports")
 	}
 	cfg = cfg.withDefaults()
-	sw := &Switch{eng: e, cfg: cfg, routes: make(map[VCI]int)}
+	sw := &Switch{eng: e, cells: CellStore(e), cfg: cfg, routes: make(map[VCI]int)}
 	site := cfg.Link.FaultSite
 	if site == "" {
 		site = "sw"
@@ -268,7 +269,7 @@ func NewSwitch(e *sim.Engine, nports int, cfg SwitchConfig) *Switch {
 		pt.in = NewStripeGroup(e, cfg.Width, inCfg)
 		pt.out = NewStripeGroup(e, cfg.Width, outCfg)
 		in := i
-		pt.in.SetReceiver(func(c Cell, lane int) { sw.forward(in, c, lane) })
+		pt.in.SetCellReceiver(func(c *Cell, lane int) { sw.forward(in, c, lane) })
 		if cfg.PerCellFabric {
 			pt.queue = sim.NewChan[laneCell](e, cfg.QueueCells)
 			pt.k = sim.Cont{Fn: arbiterStep, Arg: pt}
@@ -337,10 +338,10 @@ func (sw *Switch) RouteFrom(in int, v VCI, out int) error {
 }
 
 // forward runs in link-delivery (event) context: look the cell's VCI up
-// and hand it to the output port's machine, which admits or drops it.
-// It must not block — exactly the discipline of the boards' own
-// receive FIFOs.
-func (sw *Switch) forward(inPort int, c Cell, lane int) {
+// and hand its record to the output port's machine, which admits or
+// drops it. An unrouted cell's record goes back to the store. It must
+// not block — exactly the discipline of the boards' own receive FIFOs.
+func (sw *Switch) forward(inPort int, c *Cell, lane int) {
 	ip := sw.ports[inPort]
 	ip.stats.In++
 	out, ok := sw.routes[c.VCI]
@@ -354,6 +355,7 @@ func (sw *Switch) forward(inPort int, c Cell, lane int) {
 		if sw.eng.Recording() {
 			sw.eng.Emit(sim.TraceEvent{At: sw.eng.Now(), Ph: 'i', Comp: ip.comp, Cat: sim.CatDrop, Name: "no-route", Arg: int64(c.VCI)})
 		}
+		sw.cells.Put(c)
 		return
 	}
 	op := sw.ports[out]
@@ -361,22 +363,23 @@ func (sw *Switch) forward(inPort int, c Cell, lane int) {
 		sw.trainForward(op, c, lane)
 		return
 	}
-	if sw.admit(op, &c, op.queue.Len()) {
+	if sw.admit(op, c, op.queue.Len()) {
 		op.queue.TrySend(laneCell{c: c, lane: lane, enq: sw.eng.Now()})
 	}
 }
 
 // admit is both machines' one admission rule: it decides the fate of a
 // cell arriving at output port op, whose queue holds occ cells, and
-// reports whether the cell enters. A full queue drops it. Otherwise it
-// enters, CE-marked if occ has reached MarkThreshold (the mark goes on
-// before the cell is copied in), and occ+1 is the new occupancy.
+// reports whether the cell enters. A full queue drops it, and its
+// record goes back to the store. Otherwise it enters, CE-marked if occ
+// has reached MarkThreshold, and occ+1 is the new occupancy.
 func (sw *Switch) admit(op *SwitchPort, c *Cell, occ int) bool {
 	if occ >= sw.cfg.QueueCells {
 		op.stats.Dropped++
 		if sw.eng.Recording() {
 			sw.eng.Emit(sim.TraceEvent{At: sw.eng.Now(), Ph: 'i', Comp: op.comp, Cat: sim.CatDrop, Name: "queue-overflow", Arg: int64(c.VCI)})
 		}
+		sw.cells.Put(c)
 		return false
 	}
 	if t := sw.cfg.MarkThreshold; t > 0 && occ >= t {
@@ -411,12 +414,12 @@ func (sw *Switch) admit(op *SwitchPort, c *Cell, occ int) bool {
 // arrival, and each pop's queue counter when settle passes it — at the
 // next arrival, or when Stats or QueueLen settles the port at quiesce.
 // A trace read before that lacks the pops since the last arrival.
-func (sw *Switch) trainForward(op *SwitchPort, c Cell, lane int) {
+func (sw *Switch) trainForward(op *SwitchPort, c *Cell, lane int) {
 	now := sw.eng.Now()
 	op.settle(now, false)
 	// The occupancy the per-cell machine would see, so the two fabrics
 	// drop and mark the same cells.
-	if !sw.admit(op, &c, op.vqLen-op.vqPop) {
+	if !sw.admit(op, c, op.vqLen-op.vqPop) {
 		return
 	}
 	pop := max(op.vBusy, now)

@@ -28,6 +28,7 @@ type switchRun struct {
 	sent       int
 	in, out    LinkStats // summed over every port's ingress / egress links
 	events     []traceKey
+	cellsOut   int // cell records out of the store at quiesce
 }
 
 // traceKey is what the two machines must agree on of one trace event.
@@ -127,7 +128,7 @@ func runSwitchSchedule(t *testing.T, data []byte, perCell bool, lc LinkConfig) s
 	})
 	e.Run()
 
-	r := switchRun{deliveries: deliveries, stats: make([]SwitchPortStats, sw.NumPorts()), sent: sent}
+	r := switchRun{deliveries: deliveries, stats: make([]SwitchPortStats, sw.NumPorts()), sent: sent, cellsOut: CellStore(e).Outstanding()}
 	for i := range r.stats {
 		r.stats[i] = sw.Port(i).Stats()
 		in, out := sw.Port(i).Ingress().Stats(), sw.Port(i).Egress().Stats()
@@ -158,9 +159,13 @@ func runSwitchSchedule(t *testing.T, data []byte, perCell bool, lc LinkConfig) s
 
 // compareRuns requires the two machines to agree on every delivery
 // (compareDeliveries), on every port's counters and on the multiset of
-// trace events.
+// trace events, and each to have every cell record back in the store
+// at quiesce.
 func compareRuns(t *testing.T, train, percell switchRun) {
 	t.Helper()
+	if train.cellsOut != 0 || percell.cellsOut != 0 {
+		t.Fatalf("cell records out at quiesce: train %d, per-cell %d", train.cellsOut, percell.cellsOut)
+	}
 	compareDeliveries(t, train.deliveries, percell.deliveries)
 	for i := range train.stats {
 		if train.stats[i] != percell.stats[i] {

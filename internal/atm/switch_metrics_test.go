@@ -14,7 +14,9 @@ import (
 // instrumentation is a nil-checked timestamp plus fixed-size counter
 // updates, so turning metrics on must not add a single allocation per
 // cell; and the per-cell fallback is the correctness oracle the train
-// path is diffed against, so it must stay alloc-free too.
+// path is diffed against, so it must stay alloc-free too. Each cell
+// takes a record from the engine's cell store, reserved to hold a full
+// queue, as a link delivery would hand it one.
 func TestSwitchForwardZeroAlloc(t *testing.T) {
 	for _, perCell := range []bool{false, true} {
 		for _, on := range []bool{false, true} {
@@ -26,16 +28,25 @@ func TestSwitchForwardZeroAlloc(t *testing.T) {
 			if err := sw.Route(5, 1); err != nil {
 				t.Fatal(err)
 			}
+			sim.Reserve(CellStore(e), make([]Cell, DefaultSwitchQueueCells))
 			c := Cell{VCI: 5, Len: CellPayload}
 			// The queue fills after QueueCells iterations and later cells
 			// tail-drop; both the accept and drop paths must be alloc-free.
-			allocs := testing.AllocsPerRun(1000, func() { sw.forward(0, c, 0) })
+			allocs := testing.AllocsPerRun(1000, func() { sw.forward(0, storeCell(e, c), 0) })
 			if allocs != 0 {
 				t.Errorf("percell=%v metrics=%v: forward allocated %.1f per cell, want 0", perCell, on, allocs)
 			}
 			e.Shutdown()
 		}
 	}
+}
+
+// storeCell takes a record from e's cell store holding c, as a link
+// delivery hands the switch one.
+func storeCell(e *sim.Engine, c Cell) *Cell {
+	r := sim.TakeNew(CellStore(e))
+	*r = c
+	return r
 }
 
 // TestSwitchMetricsReportPortStats checks the registered per-port
@@ -50,9 +61,9 @@ func TestSwitchMetricsReportPortStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		sw.forward(0, Cell{VCI: 5, Len: CellPayload}, 0)
+		sw.forward(0, storeCell(e, Cell{VCI: 5, Len: CellPayload}), 0)
 	}
-	sw.forward(0, Cell{VCI: 99, Len: CellPayload}, 0) // no route
+	sw.forward(0, storeCell(e, Cell{VCI: 99, Len: CellPayload}), 0) // no route
 	if v, ok := reg.Get("fabric/port0/in"); !ok || v.Value != 4 {
 		t.Errorf("port0/in = %+v, want 4", v)
 	}

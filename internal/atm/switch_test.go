@@ -144,6 +144,9 @@ func TestSwitchUnroutedVCIDroppedAndCounted(t *testing.T) {
 	if st.In != 5 || st.NoRoute != 5 {
 		t.Errorf("input port stats = %+v, want In=5 NoRoute=5", st)
 	}
+	if err := e.CheckPools(); err != nil {
+		t.Errorf("unrouted cells' records: %v", err)
+	}
 }
 
 func TestSwitchQueueOverflowDropsAndCounts(t *testing.T) {
@@ -183,6 +186,9 @@ func TestSwitchQueueOverflowDropsAndCounts(t *testing.T) {
 	}
 	if int64(len(got)) != st.Forwarded {
 		t.Errorf("delivered %d cells but Forwarded=%d", len(got), st.Forwarded)
+	}
+	if err := e.CheckPools(); err != nil {
+		t.Errorf("dropped cells' records: %v", err)
 	}
 	// Per-lane FIFO order must survive the overload.
 	lastSeq := map[[2]int]int{}

@@ -362,6 +362,12 @@ type Board struct {
 	outLinks []*atm.Link // transmit side, indexed by stripe position
 	txSink   func(c atm.Cell, link int)
 	rxFIFO   *sim.Chan[rxCell]
+	cells    *sim.Pool[*atm.Cell] // the engine's cell store
+	// hand holds the records reserved for the cells the board holds
+	// outside its receive FIFO. The FIFO's are one slab of RxFIFOCells,
+	// 32 KiB at 512 cells; with these four in it, the slab would be
+	// rounded up to whole pages, 40 KiB.
+	hand [cellsInHand]atm.Cell
 
 	irq func(line int)
 	// vioHook, when set, attributes each authorization violation to the
@@ -414,16 +420,26 @@ type Board struct {
 	trkTx string
 }
 
+// rxCell is one receive-FIFO entry, 16 bytes: the cell's record, which
+// the FIFO holds until the receive processor takes it, and the link it
+// came in on.
 type rxCell struct {
-	c    atm.Cell
-	link int
-	// qch is the channel charged for this cell's rx-FIFO occupancy
-	// under RxFIFOQuota; nil when the quota is off or the cell entered
-	// by a path that bypasses accounting (fictitious generator,
-	// InjectCell). The pointer rides with the cell so the charge is
-	// released against the right channel even if the VCI is rebound
-	// while the cell sits in the FIFO.
-	qch *Channel
+	c    *atm.Cell
+	link int32
+	// quota is 1 + the index of the channel charged for this cell's
+	// rx-FIFO occupancy under RxFIFOQuota; 0 when the quota is off or
+	// the cell entered by a path that bypasses accounting (fictitious
+	// generator, InjectCell). The index rides with the cell so the
+	// charge is released against the right channel even if the VCI is
+	// rebound while the cell sits in the FIFO.
+	quota int32
+}
+
+// releaseQuota releases rc's RxFIFOQuota charge as it leaves the FIFO.
+func (b *Board) releaseQuota(rc rxCell) {
+	if rc.quota != 0 {
+		b.chans[rc.quota-1].fifoCells--
+	}
 }
 
 // Command queue depths of the two DMA controllers.
@@ -431,6 +447,12 @@ const (
 	txCmdDepth = 8
 	rxCmdDepth = 16
 )
+
+// cellsInHand is the most cell records a board holds outside its
+// receive FIFO: the receive processor's cell and the one it combines
+// with it, the transmit DMA controller's cell, and the one the
+// fictitious-PDU generator waits to enter into the FIFO.
+const cellsInHand = 4
 
 // fillCmdPools makes the command records a board can have in use at
 // once — a full queue, one in its controller and one its processor is
@@ -495,6 +517,7 @@ func build(e *sim.Engine, h *hostsim.Host, cfg Config) *Board {
 		cfg:    cfg,
 		DPM:    dpm.New(e, h.Bus),
 		rxFIFO: sim.NewChan[rxCell](e, cfg.RxFIFOCells),
+		cells:  atm.CellStore(e),
 		irq:    h.Int.Assert,
 		trkRx:  cfg.Name + "-rx",
 		trkTx:  cfg.Name + "-tx",
@@ -526,6 +549,8 @@ func build(e *sim.Engine, h *hostsim.Host, cfg Config) *Board {
 	b.rxCmds = sim.NewChan[*rxCmd](e, rxCmdDepth)
 	b.fireCtl = sim.NewChan[fictReq](e, 1)
 	b.fillCmdPools()
+	sim.Reserve(b.cells, make([]atm.Cell, cfg.RxFIFOCells))
+	sim.Reserve(b.cells, b.hand[:])
 	b.txCPU.init(b)
 	b.rxCPU.init(b)
 	b.txDMA.init(b)
@@ -616,15 +641,18 @@ func (b *Board) AttachTxLinks(links []*atm.Link) {
 
 // SetTxSink installs a callback that absorbs transmitted cells when no
 // links are attached — used to isolate the transmit side (Figure 4) and
-// by unit tests. It runs in the transmit DMA controller's event
-// context, so it must not block.
+// by unit tests. It gets a copy of each cell, whose record goes back to
+// the store. It runs in the transmit DMA controller's event context,
+// so it must not block.
 func (b *Board) SetTxSink(fn func(c atm.Cell, link int)) { b.txSink = fn }
 
-// InjectCell delivers a cell directly into the receive FIFO, as if it
-// had arrived on the given link — the unit-test backdoor.
+// InjectCell delivers a copy of c directly into the receive FIFO, as
+// if it had arrived on the given link — the unit-test backdoor.
 func (b *Board) InjectCell(c atm.Cell, link int) bool {
-	if !b.rxFIFO.TrySend(rxCell{c: c, link: link}) {
-		b.fifoOverflow(c.VCI)
+	r := sim.TakeNew(b.cells)
+	*r = c
+	if !b.rxFIFO.TrySend(rxCell{c: r, link: int32(link)}) {
+		b.fifoOverflow(r)
 		return false
 	}
 	if b.mRxFIFOHW != nil {
@@ -637,35 +665,37 @@ func (b *Board) InjectCell(c atm.Cell, link int) bool {
 // deliveries. Cells arriving while the on-board FIFO is full are
 // dropped (§2.5.1's "inadequate reassembly space" concern).
 func (b *Board) AttachRxLinks(g *atm.StripeGroup) {
-	g.SetReceiver(b.receiveCell)
+	g.SetCellReceiver(b.receiveCell)
 }
 
 // receiveCell runs in link-delivery (event) context: it enters one
-// cell into the receive FIFO, dropping on overflow. Under RxFIFOQuota
-// the cell is charged to its VCI's channel first, and dropped instead
-// if that channel already holds its quota of the shared FIFO —
-// per-tenant isolation at the earliest demultiplexing point (§3.1).
-func (b *Board) receiveCell(c atm.Cell, link int) {
-	rc := rxCell{c: c, link: link}
+// cell record into the receive FIFO, dropping on overflow. Under
+// RxFIFOQuota the cell is charged to its VCI's channel first, and
+// dropped instead if that channel already holds its quota of the
+// shared FIFO — per-tenant isolation at the earliest demultiplexing
+// point (§3.1). A dropped cell's record goes back to the store.
+func (b *Board) receiveCell(c *atm.Cell, link int) {
+	rc := rxCell{c: c, link: int32(link)}
 	if q := b.cfg.RxFIFOQuota; q > 0 {
-		if ch := b.demux.Lookup(rc.c.VCI); ch != nil {
+		if ch := b.demux.Lookup(c.VCI); ch != nil {
 			if ch.fifoCells >= q {
 				ch.quotaDropped++
 				b.stats.CellsQuotaDropped++
 				if b.eng.Recording() {
-					b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: sim.CatDrop, Name: "rx-fifo-quota", Arg: int64(rc.c.VCI)})
+					b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: sim.CatDrop, Name: "rx-fifo-quota", Arg: int64(c.VCI)})
 				}
+				b.cells.Put(c)
 				return
 			}
-			rc.qch = ch
+			rc.quota = int32(ch.Index + 1)
 		}
 	}
 	if !b.rxFIFO.TrySend(rc) {
-		b.fifoOverflow(rc.c.VCI)
+		b.fifoOverflow(c)
 		return
 	}
-	if rc.qch != nil {
-		rc.qch.fifoCells++
+	if rc.quota != 0 {
+		b.chans[rc.quota-1].fifoCells++
 	}
 	if b.mRxFIFOHW != nil {
 		b.mRxFIFOHW.Observe(int64(b.rxFIFO.Len()))
@@ -675,12 +705,14 @@ func (b *Board) receiveCell(c atm.Cell, link int) {
 	}
 }
 
-// fifoOverflow counts one cell dropped at a full receive FIFO.
-func (b *Board) fifoOverflow(vci atm.VCI) {
+// fifoOverflow counts one cell dropped at a full receive FIFO and puts
+// its record back.
+func (b *Board) fifoOverflow(c *atm.Cell) {
 	b.stats.CellsDroppedFIFO++
 	if b.eng.Recording() {
-		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: sim.CatDrop, Name: "rx-fifo-overflow", Arg: int64(vci)})
+		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: sim.CatDrop, Name: "rx-fifo-overflow", Arg: int64(c.VCI)})
 	}
+	b.cells.Put(c)
 }
 
 // OpenChannel marks channel i usable, sets its priority, and restricts

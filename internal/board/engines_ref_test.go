@@ -153,6 +153,7 @@ func (b *Board) txDMAEngine(p *sim.Proc) {
 			b.host.Mem.ReadInto(seg.Addr, payload[pos:pos+seg.Len])
 			pos += seg.Len
 		}
+		clear(payload[cmd.dataLen:]) // zero pad
 		acc.crc = crc32.Update(acc.crc, table, payload[:cmd.dataLen])
 		acc.len += uint32(cmd.dataLen)
 		cellLen := cmd.dataLen
@@ -224,7 +225,9 @@ func (b *Board) fictProc(p *sim.Proc) {
 				for _, pdu := range req.src(m) {
 					cells = atm.SegmentInto(cells, req.vci, pdu, b.cfg.StripeWidth, b.cfg.Strategy.UsesSeqNumbers())
 					for i := range cells {
-						b.rxFIFO.Send(p, rxCell{c: cells[i], link: i % b.cfg.StripeWidth})
+						r := sim.TakeNew(b.cells)
+						*r = cells[i]
+						b.rxFIFO.Send(p, rxCell{c: r, link: int32(i % b.cfg.StripeWidth)})
 						if b.mRxFIFOHW != nil {
 							b.mRxFIFOHW.Observe(int64(b.rxFIFO.Len()))
 						}
@@ -295,12 +298,11 @@ func (rs *reasmState) extent(off, n int, segs []mem.PhysBuffer, pop func() (queu
 func (b *Board) rxProc(p *sim.Proc) {
 	for {
 		rc := b.rxFIFO.Recv(p)
-		if rc.qch != nil {
-			rc.qch.fifoCells-- // release the RxFIFOQuota charge
-		}
+		b.releaseQuota(rc)
 		b.stats.CellsRx++
 		p.Sleep(cellOverheadRx)
-		b.handleCell(p, rc)
+		b.handleCell(p, &rc)
+		b.cells.Put(rc.c)
 	}
 }
 
@@ -331,7 +333,7 @@ func (b *Board) popFree(p *sim.Proc, ch *Channel) (queue.Desc, bool) {
 	}
 }
 
-func (b *Board) handleCell(p *sim.Proc, rc rxCell) {
+func (b *Board) handleCell(p *sim.Proc, rc *rxCell) {
 	ch := b.demux.Lookup(rc.c.VCI)
 	if ch == nil || !ch.open {
 		b.stats.CellsNoVCI++
@@ -385,14 +387,13 @@ func (b *Board) handleCell(p *sim.Proc, rc rxCell) {
 	// DMA (§2.5.1). Skew makes this opportunity rare (§2.6).
 	if b.cfg.RxDMA == DoubleCell && !complete && dataLen == atm.CellPayload && !rs.dropping {
 		if next, okPeek := b.rxFIFO.Peek(); okPeek && next.c.VCI == rc.c.VCI && !next.c.Last &&
-			!(b.cfg.RejectDuplicates && rs.duplicate(b.cfg.Strategy, next)) {
-			if noff, okp := rs.wouldPlaceAt(b.cfg.Strategy, next, b.cfg.StripeWidth); okp && noff == off+dataLen {
-				if popped, _ := b.rxFIFO.TryRecv(); popped.qch != nil {
-					popped.qch.fifoCells-- // release the RxFIFOQuota charge
-				}
+			!(b.cfg.RejectDuplicates && rs.duplicate(b.cfg.Strategy, &next)) {
+			if noff, okp := rs.wouldPlaceAt(b.cfg.Strategy, &next, b.cfg.StripeWidth); okp && noff == off+dataLen {
+				popped, _ := b.rxFIFO.TryRecv()
+				b.releaseQuota(popped)
 				b.stats.CellsRx++
 				p.Sleep(combinePeekCost)
-				_, dl2, c2, ok2 := rs.ingest(b.cfg.Strategy, next, b.cfg.StripeWidth)
+				_, dl2, c2, ok2 := rs.ingest(b.cfg.Strategy, &next, b.cfg.StripeWidth)
 				if ok2 {
 					cmd.data = append(cmd.data, next.c.Payload[:dl2]...)
 					n += dl2
@@ -402,6 +403,7 @@ func (b *Board) handleCell(p *sim.Proc, rc rxCell) {
 						rs.record(off+dataLen, next.c.Payload[:dl2])
 					}
 				}
+				b.cells.Put(next.c)
 			}
 		}
 	}

@@ -24,7 +24,7 @@ func TestRxFIFOQuotaIsolatesChannels(t *testing.T) {
 
 	flood := atm.Cell{VCI: 10, Len: atm.CellPayload}
 	for i := 0; i < 20; i++ {
-		r.b.receiveCell(flood, i%4)
+		r.b.receiveCell(storeCell(r.b, flood), i%4)
 	}
 	if got := r.b.Channel(1).QuotaDropped(); got != 16 {
 		t.Fatalf("flood channel quota drops = %d, want 16", got)
@@ -34,7 +34,7 @@ func TestRxFIFOQuotaIsolatesChannels(t *testing.T) {
 	}
 	// The innocent tenant's cells fit: 4 in use out of 32.
 	for i := 0; i < 8; i++ {
-		r.b.receiveCell(atm.Cell{VCI: 11, Len: atm.CellPayload}, i%4)
+		r.b.receiveCell(storeCell(r.b, atm.Cell{VCI: 11, Len: atm.CellPayload}), i%4)
 	}
 	if got := r.b.Channel(2).QuotaDropped(); got != 4 {
 		t.Fatalf("innocent channel quota drops = %d, want 4 (its own quota)", got)
@@ -49,11 +49,15 @@ func TestRxFIFOQuotaIsolatesChannels(t *testing.T) {
 		t.Fatalf("FIFO charges not released: %d/%d",
 			r.b.Channel(1).fifoCells, r.b.Channel(2).fifoCells)
 	}
-	r.b.receiveCell(flood, 0)
+	r.b.receiveCell(storeCell(r.b, flood), 0)
 	if r.b.Channel(1).QuotaDropped() != 16 {
 		t.Fatal("charge release: cell within quota was dropped")
 	}
 	drops.check(t, r.b.Stats())
+	r.eng.Run()
+	if err := r.eng.CheckPools(); err != nil {
+		t.Errorf("quota-dropped cells' records: %v", err)
+	}
 }
 
 // TestQuotaOffMatchesSeed pins that a zero quota leaves the FIFO entry
@@ -63,7 +67,7 @@ func TestQuotaOffMatchesSeed(t *testing.T) {
 	drops := watchDrops(r.eng)
 	r.b.BindVCI(10, 0)
 	for i := 0; i < 12; i++ {
-		r.b.receiveCell(atm.Cell{VCI: 10, Len: atm.CellPayload}, 0)
+		r.b.receiveCell(storeCell(r.b, atm.Cell{VCI: 10, Len: atm.CellPayload}), 0)
 	}
 	if r.b.stats.CellsQuotaDropped != 0 {
 		t.Fatal("quota drops counted with quota disabled")
@@ -72,6 +76,10 @@ func TestQuotaOffMatchesSeed(t *testing.T) {
 		t.Fatalf("FIFO drops = %d, want 4", r.b.stats.CellsDroppedFIFO)
 	}
 	drops.check(t, r.b.Stats())
+	r.eng.Run()
+	if err := r.eng.CheckPools(); err != nil {
+		t.Errorf("overflowed cells' records: %v", err)
+	}
 }
 
 // drainRecvRing pops everything from a channel's receive ring,

@@ -54,10 +54,11 @@ func (b *Board) StopFictitious() {
 // fictGen is the generator, a firmware loop that paces cells: it
 // shares the receive FIFO with the link path, so generated cells
 // exercise exactly the reassembly, DMA, and interrupt machinery that
-// real traffic does. Each PDU is segmented into the same cell storage:
-// the FIFO holds cells by value. It runs as a continuation: run is its
-// one event callback, looping until it must wait for a request, for
-// room in the FIFO, or for the next cell slot.
+// real traffic does. Each PDU is segmented into the same cell storage,
+// and each cell copied into a record from the cell store, which the
+// generator holds while it waits for room in the FIFO. It runs as a
+// continuation: run is its one event callback, looping until it must
+// wait for a request, for room in the FIFO, or for the next cell slot.
 type fictGen struct {
 	b        *Board
 	k        sim.Cont // (fictStep, the generator)
@@ -69,7 +70,8 @@ type fictGen struct {
 	pdus     [][]byte // message m's PDUs
 	pi       int      // PDU of pdus
 	cells    []atm.Cell
-	ci       int // cell of cells
+	ci       int       // cell of cells
+	rec      *atm.Cell // cell ci's record, until the FIFO takes it
 	pace     sim.Hold
 }
 
@@ -146,9 +148,14 @@ func (g *fictGen) run() {
 				g.pc = fictPDU
 				continue
 			}
-			if !b.rxFIFO.SendCont(rxCell{c: g.cells[g.ci], link: g.ci % b.cfg.StripeWidth}, g.k) {
+			if g.rec == nil {
+				g.rec = sim.TakeNew(b.cells)
+				*g.rec = g.cells[g.ci]
+			}
+			if !b.rxFIFO.SendCont(rxCell{c: g.rec, link: int32(g.ci % b.cfg.StripeWidth)}, g.k) {
 				return
 			}
+			g.rec = nil
 			if b.mRxFIFOHW != nil {
 				b.mRxFIFOHW.Observe(int64(b.rxFIFO.Len()))
 			}

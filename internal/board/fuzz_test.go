@@ -70,24 +70,24 @@ func FuzzReasmIngest(f *testing.F) {
 			rec := stream[:6]
 			stream = stream[6:]
 			rc := rxCell{
-				c: atm.Cell{
+				c: &atm.Cell{
 					VCI:  5,
 					Seq:  uint32(binary.LittleEndian.Uint16(rec[0:])),
 					Len:  int(rec[2]) - 100, // range [-100, 155]: exercises negative and oversized
 					EOM:  rec[3]&1 != 0,
 					Last: rec[3]&2 != 0,
 				},
-				link: int(rec[4]) % width,
+				link: int32(int(rec[4]) % width),
 			}
 			if rc.c.Len > 0 {
 				for i := 0; i < rc.c.Len && i < atm.CellPayload; i++ {
 					rc.c.Payload[i] = rec[5] + byte(i)
 				}
 			}
-			if rs.duplicate(strategy, rc) {
+			if rs.duplicate(strategy, &rc) {
 				continue
 			}
-			off, dataLen, complete, ok := rs.ingest(strategy, rc, width)
+			off, dataLen, complete, ok := rs.ingest(strategy, &rc, width)
 			if !ok {
 				continue
 			}
@@ -147,9 +147,9 @@ func TestReasmResetMatchesNew(t *testing.T) {
 		cells := atm.Segment(5, make([]byte, 700), width, strategy == SeqNum)
 		cells[3].CE = true
 		for i, c := range cells {
-			rc := rxCell{c: c, link: i % width}
+			rc := rxCell{c: &cells[i], link: int32(i % width)}
 			rs.markSeq(c.Seq)
-			off, n, _, ok := rs.ingest(strategy, rc, width)
+			off, n, _, ok := rs.ingest(strategy, &rc, width)
 			if !ok {
 				t.Fatalf("%v: cell %d rejected", strategy, i)
 			}

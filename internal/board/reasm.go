@@ -72,7 +72,7 @@ func (rs *reasmState) reset(ch *Channel, vci atm.VCI) {
 // given cell would be stored at — used for the double-cell combining
 // peek (§2.5.1: "the microprocessor can look at two cell headers before
 // deciding what to do with their associated payloads").
-func (rs *reasmState) wouldPlaceAt(strategy ReassemblyStrategy, rc rxCell, width int) (int, bool) {
+func (rs *reasmState) wouldPlaceAt(strategy ReassemblyStrategy, rc *rxCell, width int) (int, bool) {
 	switch strategy {
 	case SeqNum:
 		return int(rc.c.Seq) * atm.CellPayload, true
@@ -82,7 +82,7 @@ func (rs *reasmState) wouldPlaceAt(strategy ReassemblyStrategy, rc rxCell, width
 			// the §2.5.2 complexity argument.
 			return 0, false
 		}
-		return (rs.linkCount[rc.link]*width + rc.link) * atm.CellPayload, true
+		return (rs.linkCount[rc.link]*width + int(rc.link)) * atm.CellPayload, true
 	default: // ArrivalOrder
 		return rs.arrivalOff, true
 	}
@@ -94,7 +94,7 @@ func (rs *reasmState) wouldPlaceAt(strategy ReassemblyStrategy, rc rxCell, width
 // dataLen is the number of payload bytes that must actually be written
 // to host memory (pad and trailer bytes beyond the PDU length are
 // suppressed once the length is known).
-func (rs *reasmState) ingest(strategy ReassemblyStrategy, rc rxCell, width int) (off, dataLen int, complete, ok bool) {
+func (rs *reasmState) ingest(strategy ReassemblyStrategy, rc *rxCell, width int) (off, dataLen int, complete, ok bool) {
 	// Firmware sanity check on the cell header: a negative or oversized
 	// payload length can't have come off a real link, and a Last cell
 	// must at least hold the trailer ParseTrailer is about to read.
@@ -137,7 +137,7 @@ func (rs *reasmState) ingest(strategy ReassemblyStrategy, rc rxCell, width int) 
 		case SeqNum:
 			rs.total = int(rc.c.Seq) + 1
 		case FourAAL5:
-			rs.total = (rs.linkCount[rc.link]-1)*width + rc.link + 1
+			rs.total = (rs.linkCount[rc.link]-1)*width + int(rc.link) + 1
 		default:
 			rs.total = rs.received
 		}
@@ -344,7 +344,7 @@ const maxTrackedSeq = 1 << 16
 // names its slot); every strategy can at least recognize a second Last
 // cell. FourAAL5's per-link counters cannot distinguish a duplicate
 // from a merged successor PDU — that case is left to errorDetected.
-func (rs *reasmState) duplicate(strategy ReassemblyStrategy, rc rxCell) bool {
+func (rs *reasmState) duplicate(strategy ReassemblyStrategy, rc *rxCell) bool {
 	if rc.c.Last && rs.lastSeen {
 		return true
 	}

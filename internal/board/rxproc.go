@@ -42,13 +42,15 @@ type rxProcessor struct {
 	k  sim.Cont // (rxProcStep, the processor)
 	pc uint8
 	// The cell in hand, and its successor when the two are combined
-	// into one double-cell DMA.
+	// into one double-cell DMA. The processor holds each one's record
+	// until it has ingested the cell, and then puts it back.
 	rc, rc2 rxCell
 	ch      *Channel
 	rs      *reasmState
 	cmd     *rxCmd // the command being built, or an abort marker
 	off, n  int    // the PDU bytes cmd writes
 	done    bool   // the cell completes its PDU
+	last    bool   // the cell is its PDU's Last
 	// The free-ring pop in progress (popFree).
 	popping bool
 	op      queue.Op
@@ -91,21 +93,22 @@ func (x *rxProcessor) run() {
 			if !ok {
 				return
 			}
-			if rc.qch != nil {
-				rc.qch.fifoCells-- // release the RxFIFOQuota charge
-			}
+			b.releaseQuota(rc)
 			b.stats.CellsRx++
 			x.rc, x.pc = rc, rxpCell
 			if !b.eng.WakeAt(b.eng.Now().Add(cellOverheadRx), x.k) {
 				return
 			}
 		case rxpCell:
-			if !x.ingest() {
+			wait := !x.ingest()
+			b.cells.Put(x.rc.c)
+			x.rc.c = nil
+			if wait {
 				return
 			}
 		case rxpCombine:
 			rs := x.rs
-			_, dl2, c2, ok2 := rs.ingest(b.cfg.Strategy, x.rc2, b.cfg.StripeWidth)
+			_, dl2, c2, ok2 := rs.ingest(b.cfg.Strategy, &x.rc2, b.cfg.StripeWidth)
 			if ok2 {
 				x.cmd.data = append(x.cmd.data, x.rc2.c.Payload[:dl2]...)
 				x.cmd.combined = true
@@ -115,6 +118,8 @@ func (x *rxProcessor) run() {
 				x.n += dl2
 				x.done = c2
 			}
+			b.cells.Put(x.rc2.c)
+			x.rc2.c = nil
 			x.pc = rxpPlace
 		case rxpPlace:
 			if !x.place() {
@@ -162,7 +167,9 @@ func (x *rxProcessor) holds(rs *reasmState) bool {
 // DMA it looks at the next cell header and, if that payload lands
 // right after this one, takes the next cell into the same command
 // (§2.5.1). Skew makes this opportunity rare (§2.6). It reports false
-// when it has to wait out the look at the second header.
+// when it has to wait out the look at the second header. Either way it
+// is done with the cell in hand, whose bytes it has copied into the
+// command or discarded.
 func (x *rxProcessor) ingest() bool {
 	b, rc := x.b, &x.rc
 	x.pc = rxpWait
@@ -189,7 +196,7 @@ func (x *rxProcessor) ingest() bool {
 	// actively fed must never expire mid-cell.
 	b.noteReasmActivity(rs)
 
-	if b.cfg.RejectDuplicates && rs.duplicate(b.cfg.Strategy, *rc) {
+	if b.cfg.RejectDuplicates && rs.duplicate(b.cfg.Strategy, rc) {
 		b.stats.CellsDuplicate++
 		if b.eng.Recording() {
 			b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: sim.CatDrop, Name: "dup-cell", Arg: int64(rc.c.VCI)})
@@ -197,7 +204,7 @@ func (x *rxProcessor) ingest() bool {
 		return true
 	}
 
-	off, dataLen, complete, ok := rs.ingest(b.cfg.Strategy, *rc, b.cfg.StripeWidth)
+	off, dataLen, complete, ok := rs.ingest(b.cfg.Strategy, rc, b.cfg.StripeWidth)
 	if !ok {
 		// Placement failure (e.g. partial cell under a placement
 		// strategy): abandon the PDU.
@@ -210,7 +217,7 @@ func (x *rxProcessor) ingest() bool {
 
 	cmd := sim.TakeNew(&b.rxCmdPool)
 	cmd.data = append(cmd.data, rc.c.Payload[:dataLen]...)
-	x.cmd, x.off, x.n, x.done = cmd, off, dataLen, complete
+	x.cmd, x.off, x.n, x.done, x.last = cmd, off, dataLen, complete, rc.c.Last
 	if b.cfg.CheckCRC && dataLen > 0 {
 		rs.record(off, rc.c.Payload[:dataLen])
 	}
@@ -218,11 +225,10 @@ func (x *rxProcessor) ingest() bool {
 
 	if b.cfg.RxDMA == DoubleCell && !complete && dataLen == atm.CellPayload && !rs.dropping {
 		if next, okPeek := b.rxFIFO.Peek(); okPeek && next.c.VCI == rc.c.VCI && !next.c.Last &&
-			!(b.cfg.RejectDuplicates && rs.duplicate(b.cfg.Strategy, next)) {
-			if noff, okp := rs.wouldPlaceAt(b.cfg.Strategy, next, b.cfg.StripeWidth); okp && noff == off+dataLen {
-				if popped, _ := b.rxFIFO.TryRecv(); popped.qch != nil {
-					popped.qch.fifoCells-- // release the RxFIFOQuota charge
-				}
+			!(b.cfg.RejectDuplicates && rs.duplicate(b.cfg.Strategy, &next)) {
+			if noff, okp := rs.wouldPlaceAt(b.cfg.Strategy, &next, b.cfg.StripeWidth); okp && noff == off+dataLen {
+				popped, _ := b.rxFIFO.TryRecv()
+				b.releaseQuota(popped)
 				b.stats.CellsRx++
 				x.rc2, x.pc = next, rxpCombine
 				return b.eng.WakeAt(b.eng.Now().Add(combinePeekCost), x.k)
@@ -250,10 +256,10 @@ func (x *rxProcessor) place() bool {
 			// Cells were lost in the network: discard the PDU (AAL5-style).
 			b.putRxCmd(cmd)
 			x.cmd = nil
-			if b.cfg.ReasmResync && !x.rc.c.Last {
+			if b.cfg.ReasmResync && !x.last {
 				// The stream is mid-PDU: swallow the abandoned PDU's tail so
 				// its Last cell cannot seed a frame-shifted reassembly.
-				ch.resync[x.rc.c.VCI] = true
+				ch.resync[rs.vci] = true
 			}
 			x.abandon()
 			return true
@@ -287,7 +293,7 @@ func (x *rxProcessor) place() bool {
 		x.cmd = nil
 		b.stats.PDUsCRCDropped++
 		if b.eng.Recording() {
-			b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: sim.CatDrop, Name: "crc-mismatch", Arg: int64(x.rc.c.VCI)})
+			b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: sim.CatDrop, Name: "crc-mismatch", Arg: int64(rs.vci)})
 		}
 		x.abandon()
 		return true
@@ -317,7 +323,7 @@ func (x *rxProcessor) complete() {
 	if b.eng.Recording() {
 		b.eng.Emit(sim.TraceEvent{At: rs.firstArrival, Dur: b.eng.Now() - rs.firstArrival, Ph: 'X', Comp: b.trkRx, Cat: sim.CatPDU, Name: "reasm", Arg: int64(rs.pduLen)})
 	}
-	delete(ch.reasm, x.rc.c.VCI)
+	delete(ch.reasm, rs.vci)
 	b.reasmPool.Put(rs)
 }
 

@@ -585,23 +585,25 @@ func (b *Board) finishPDU(ch *Channel) {
 // gathers each cell's bytes from host memory (one bus transaction per
 // segment — the §2.5.2 page-boundary-stop behaviour), maintains the
 // per-channel AAL5 CRC/length accumulators, and hands finished cells to
-// the physical links. It runs as a continuation: run is its one event
-// callback, looping through its states until it must wait for a
-// command, the bus, a link or a dual-port access.
+// the physical links. Each cell is gathered straight into a record
+// taken from the cell store, which passes to the link. It runs as a
+// continuation: run is its one event callback, looping through its
+// states until it must wait for a command, the bus, a link or a
+// dual-port access.
 type txDMA struct {
 	b   *Board
 	k   sim.Cont // (txDMAStep, the engine)
 	pc  uint8
 	cmd *txCmd
 	seg int // next segment of cmd
-	pos int // its offset in stage
+	pos int // its offset in the cell's payload
 	bus sim.Hold
 	op  queue.Op // the tail advance, then the notify-flag check
 	// aal5 holds each channel's running AAL5 CRC and length.
 	aal5 [NumChannels]struct{ crc, len uint32 }
-	// stage gathers one cell's payload; the cell is assembled from it.
-	stage [atm.CellPayload]byte
-	cell  atm.Cell
+	// cell is the record cmd's cell is gathered into, until its link
+	// or the sink takes it.
+	cell *atm.Cell
 }
 
 // txDMA states.
@@ -641,6 +643,8 @@ func (x *txDMA) run() {
 			x.cmd, x.seg, x.pos, x.pc = cmd, 0, 0, txSeg
 			if cmd.discard {
 				x.consume()
+			} else {
+				x.cell = sim.TakeNew(b.cells)
 			}
 		case txSeg:
 			if x.seg < len(x.cmd.segs) {
@@ -655,18 +659,22 @@ func (x *txDMA) run() {
 				return
 			}
 			seg := x.cmd.segs[x.seg]
-			b.host.Mem.ReadInto(seg.Addr, x.stage[x.pos:x.pos+seg.Len])
+			b.host.Mem.ReadInto(seg.Addr, x.cell.Payload[x.pos:x.pos+seg.Len])
 			x.pos += seg.Len
 			x.seg++
 			x.pc = txSeg
 		case txSend:
 			if b.outLinks != nil {
-				if !b.outLinks[x.cmd.linkIdx].SendCont(&x.cell, x.k) {
+				if !b.outLinks[x.cmd.linkIdx].SendCont(x.cell, x.k) {
 					return
 				}
-			} else if b.txSink != nil {
-				b.txSink(x.cell, x.cmd.linkIdx)
+			} else {
+				if b.txSink != nil {
+					b.txSink(*x.cell, x.cmd.linkIdx)
+				}
+				b.cells.Put(x.cell)
 			}
+			x.cell = nil
 			cmd := x.cmd
 			if cmd.advance == 0 {
 				x.done()
@@ -697,31 +705,28 @@ func (x *txDMA) run() {
 	}
 }
 
-// assemble frames the gathered payload as the command's cell, folding
+// assemble frames the payload gathered into the cell's record, folding
 // it into the channel's AAL5 CRC and length and closing them out with
-// the trailer on the PDU's final cell.
+// the trailer on the PDU's final cell. Pad bytes are zero.
 func (x *txDMA) assemble() {
-	b, cmd := x.b, x.cmd
+	b, cmd, c := x.b, x.cmd, x.cell
 	acc := &x.aal5[cmd.ch.Index]
-	acc.crc = crc32.Update(acc.crc, crc32.IEEETable, x.stage[:cmd.dataLen])
+	acc.crc = crc32.Update(acc.crc, crc32.IEEETable, c.Payload[:cmd.dataLen])
 	acc.len += uint32(cmd.dataLen)
-	cellLen := cmd.dataLen
+	clear(c.Payload[cmd.dataLen:])
+	cellLen := cmd.dataLen + cmd.pad
 	if cmd.trailer {
-		cellLen += cmd.pad
-		atm.PutTrailer(x.stage[:cellLen+atm.TrailerSize], atm.Trailer{Length: acc.len, CRC: acc.crc})
+		atm.PutTrailer(c.Payload[:cellLen+atm.TrailerSize], atm.Trailer{Length: acc.len, CRC: acc.crc})
 		cellLen += atm.TrailerSize
 		acc.crc, acc.len = 0, 0
-	} else if cmd.pad > 0 {
-		cellLen += cmd.pad
 	}
-	x.cell = atm.Cell{VCI: cmd.vci, EOM: cmd.eom, Last: cmd.last, Len: cellLen}
+	c.VCI, c.EOM, c.Last, c.CE, c.Seq, c.Len = cmd.vci, cmd.eom, cmd.last, false, 0, cellLen
 	if cmd.hasSeq {
-		x.cell.Seq = cmd.seq
+		c.Seq = cmd.seq
 	}
-	copy(x.cell.Payload[:], x.stage[:cellLen])
 	b.stats.CellsTx++
 	if b.eng.Recording() {
-		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkTx, Cat: sim.CatCell, Name: "cell-tx", Arg: int64(x.cell.VCI)})
+		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkTx, Cat: sim.CatCell, Name: "cell-tx", Arg: int64(c.VCI)})
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Pool is the free list of every record the model reuses instead of
@@ -21,6 +22,17 @@ type Pool[T any] struct {
 // Stock gives an empty pool recs, made at construction, as its free
 // list. They were never taken, so they do not count as out.
 func (pl *Pool[T]) Stock(recs []T) { pl.free = recs }
+
+// Reserve adds recs, records a component made at construction, to pl's
+// free list, so that the takes its capacity allows find a record
+// without making one. They were never taken, so they do not count as
+// out.
+func Reserve[T any](pl *Pool[*T], recs []T) {
+	pl.free = slices.Grow(pl.free, len(recs))
+	for i := range recs {
+		pl.free = append(pl.free, &recs[i])
+	}
+}
 
 // Take takes a record, or the zero T if the pool has none. A record
 // holds whatever its last user left; the caller sets it up.
@@ -43,6 +55,12 @@ func (pl *Pool[T]) Put(x T) {
 
 // Outstanding returns the number of records taken and not put back.
 func (pl *Pool[T]) Outstanding() int { return pl.out }
+
+// Free returns the number of records on the free list. With
+// Outstanding it counts every record the pool has handed out or been
+// stocked with, so a total that grows across a run counts the records
+// the run had to make.
+func (pl *Pool[T]) Free() int { return len(pl.free) }
 
 // Check reports an error, naming the pool, if the records out differ
 // from held, the number live state holds.
@@ -76,12 +94,13 @@ type poolBlock[T any] struct {
 	slots [poolReserve]*T
 }
 
-// PoolOf returns e's pool of the T records procs await, making it on
-// first use. An awaited op outlives the awaiting call's stack frame, so
-// on the proc's stack it would escape to the heap at every call; a proc
-// takes a record, awaits it and puts it back. Components make theirs at
+// PoolOf returns e's pool of T records, making it on first use: the
+// pools of the records procs await, and the cell store (atm.CellStore).
+// An awaited op outlives the awaiting call's stack frame, so on the
+// proc's stack it would escape to the heap at every call; a proc takes
+// a record, awaits it and puts it back. Components make theirs at
 // construction, so that the reserve is not made during a run. Every
-// component on e whose procs await ops of type T shares the pool, so a
+// component on e that uses records of type T shares the pool, so a
 // system built inside a measured run adds one pool per record type, not
 // one per component: a board alone has 48 rings.
 func PoolOf[T any](e *Engine) *Pool[*T] {
@@ -100,14 +119,15 @@ func PoolOf[T any](e *Engine) *Pool[*T] {
 }
 
 // CheckPools is the engine's half of the quiesce check, for when e has
-// run dry: no awaited-op record may be out, since no proc is inside an
-// await. Each component with pools of its own (a host, a board, a
-// driver, a protocol) checks them with its own CheckPools.
+// run dry: no record of an engine pool (PoolOf) may be out. No proc is
+// inside an await, and no link, switch or board holds a cell once its
+// events are done. Each component with pools of its own (a host, a
+// board, a driver, a protocol) checks them with its own CheckPools.
 func (e *Engine) CheckPools() error {
 	var err error
 	for _, x := range e.pools {
 		if n := x.Outstanding(); n != 0 {
-			err = errors.Join(err, fmt.Errorf("%T: %d awaited records out", x, n))
+			err = errors.Join(err, fmt.Errorf("%T: %d records out", x, n))
 		}
 	}
 	return err

@@ -108,8 +108,9 @@ type Engine struct {
 	sites map[string]struct{}
 	// xids is the last id handed out by NewStampID.
 	xids uint64
-	// pools holds the awaited-op pools (PoolOf), one *Pool[*T] per
-	// record type, in poolSlots unless there are more types than slots.
+	// pools holds the engine's record pools (PoolOf): the awaited-op
+	// pools and the cell store, one *Pool[*T] per record type, in
+	// poolSlots unless there are more types than slots.
 	pools     []interface{ Outstanding() int }
 	poolSlots [8]interface{ Outstanding() int }
 	// panicVal is a proc body's panic, stashed by Proc.run for
