@@ -39,7 +39,6 @@ var (
 	flagRun     = flag.String("run", "", "regexp selecting jobs by name; names start with the scenario name, e.g. 'table1', 'fig3/double.*65536', 'incast|tenants' (default: every scenario)")
 	flagQuick   = flag.Bool("quick", false, "coarser sweeps and fewer messages per point")
 	flagWorkers = flag.Int("workers", 0, "parallel experiment workers (0 = GOMAXPROCS, 1 = serial)")
-	flagPerCell = flag.Bool("percell", false, "force the switch's per-cell fabric instead of train forwarding (results are byte-identical)")
 	flagOut     = flag.String("out", ".", "directory for the BENCH_*.json artifacts of a full-size run without -run (empty: write none)")
 	flagCPUProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	flagMemProf = flag.String("memprofile", "", "write an allocation profile of the run to this file (records every allocation)")
@@ -52,7 +51,7 @@ func main() {
 
 // run executes the selected scenarios and returns the exit code.
 func run() int {
-	cfg := scenario.Config{Quick: *flagQuick, Workers: *flagWorkers, PerCell: *flagPerCell}
+	cfg := scenario.Config{Quick: *flagQuick, Workers: *flagWorkers}
 	if *flagRun != "" {
 		re, err := regexp.Compile(*flagRun)
 		if err != nil {

@@ -29,18 +29,10 @@ type SwitchConfig struct {
 	// enters an output queue whose occupancy (cells ahead of it) is at
 	// least this threshold, the switch sets the cell's CE bit and counts
 	// it in the port's Marked statistic. Zero disables marking (the
-	// default — legacy behavior). The train-forwarding fast path and the
-	// per-cell fallback mark identically; the differential fuzz oracle
-	// pins this.
+	// default — legacy behavior). Train forwarding marks exactly the
+	// cells the per-cell reference machine (switch_ref_test.go) marks;
+	// the differential fuzz oracle pins this.
 	MarkThreshold int
-	// PerCellFabric puts every output port on the per-cell
-	// queue/arbiter machine instead of train forwarding, on faulted and
-	// skewed links as on clean ones. NewSwitch fixes the machine; trace
-	// recording does not change it. The two machines produce
-	// byte-identical results and the same trace events; the knob exists
-	// so CI and the differential tests can diff them and so anomalies
-	// can be bisected.
-	PerCellFabric bool
 }
 
 func (c SwitchConfig) withDefaults() SwitchConfig {
@@ -65,21 +57,13 @@ type SwitchPortStats struct {
 	HighWater int64 // maximum egress-queue occupancy observed (cells)
 }
 
-// laneCell is a queued cell record tagged with its stripe lane and its
-// enqueue instant.
-type laneCell struct {
-	c    *Cell
-	lane int
-	enq  sim.Time
-}
-
 // vPoint is the precomputed future of one virtually-forwarded cell:
 // enq is its arrival (enqueue) instant, pop the instant the egress
 // arbiter dequeues it, acc the instant the egress link accepts it (the
 // instant the arbiter's send completes and counts it Forwarded).
 // Within one port pop and acc are nondecreasing in arrival order,
 // which is what lets a ring with monotone settle cursors replay the
-// per-cell machine's bookkeeping exactly.
+// per-cell reference machine's bookkeeping exactly.
 type vPoint struct {
 	enq sim.Time
 	pop sim.Time
@@ -88,7 +72,8 @@ type vPoint struct {
 
 // SwitchPort is one bidirectional port of a Switch: an ingress stripe
 // group the attached node transmits on, an egress stripe group it
-// receives on, and a bounded FIFO cell queue feeding the egress lanes.
+// receives on, and a bounded FIFO cell queue feeding the egress lanes,
+// kept virtually (see Switch.trainForward).
 type SwitchPort struct {
 	index int
 	eng   *sim.Engine
@@ -101,15 +86,7 @@ type SwitchPort struct {
 	// RegisterMetrics installed one.
 	mQDelay *metrics.Sketch
 
-	// Per-cell machine state (SwitchConfig.PerCellFabric); queue is nil
-	// on a train-forwarding port. The arbiter is the continuation k: it
-	// holds cur, popped off the queue, while sending is set.
-	queue   *sim.Chan[laneCell]
-	k       sim.Cont // (arbiterStep, the port)
-	cur     laneCell
-	sending bool
-
-	// Train-forwarding (virtual egress) state; see Switch.trainForward.
+	// Virtual egress state; see Switch.trainForward.
 	vBusy sim.Time // acc of the last virtually-sent cell (arbiter busy-until)
 	// vq is a ring of pending vPoints in arrival order. Entries before
 	// the vqPop cursor have been virtually dequeued and have fed the
@@ -137,61 +114,21 @@ func (pt *SwitchPort) Egress() *StripeGroup { return pt.out }
 // engine has quiesced (Run returned or Shutdown), not while events are
 // being executed by another proc.
 func (pt *SwitchPort) Stats() SwitchPortStats {
-	if pt.queue == nil {
-		// Credit every virtual forward whose accept instant has passed:
-		// the per-cell machine counts Forwarded when the arbiter's send
-		// completes, so a horizon-cut run must not count the in-flight
-		// tail.
-		pt.settle(pt.eng.Now(), true)
-	}
+	// Credit every virtual forward whose accept instant has passed: a
+	// cell counts as Forwarded when the egress link accepts it, so a
+	// horizon-cut run must not count the in-flight tail.
+	pt.settle(pt.eng.Now(), true)
 	return pt.stats
 }
 
-// QueueLen reports the cells currently waiting in the output queue. In
-// train mode the queue is virtual: the count is the number of accepted
-// cells whose precomputed dequeue instant is still ahead of the
-// engine's clock — identical to what the event-driven queue would hold
-// at the same quiesced instant.
+// QueueLen reports the cells currently waiting in the output queue.
+// The queue is virtual: the count is the number of accepted cells
+// whose precomputed dequeue instant is still ahead of the engine's
+// clock — identical to what an event-driven queue would hold at the
+// same quiesced instant.
 func (pt *SwitchPort) QueueLen() int {
-	if pt.queue == nil {
-		pt.settle(pt.eng.Now(), true)
-		return pt.vqLen - pt.vqPop
-	}
-	return pt.queue.Len()
-}
-
-// arbiterStep is a per-cell port's egress arbiter, an event
-// continuation: cells leave the bounded queue in strict FIFO arrival
-// order (no per-flow scheduling) and are serialized onto the lane they
-// arrived on. A send waits while that lane's transmit FIFO is full, so
-// a congested lane backpressures the queue — head-of-line blocking
-// included, as in a real FIFO output port. Once the engine is shut
-// down it does nothing, as a killed process would.
-func arbiterStep(a any) {
-	pt := a.(*SwitchPort)
-	if pt.eng.Halted() {
-		return
-	}
-	for {
-		if !pt.sending {
-			lc, ok := pt.queue.RecvCont(pt.k)
-			if !ok {
-				return
-			}
-			if pt.mQDelay != nil {
-				pt.mQDelay.Observe((pt.eng.Now() - lc.enq).Microseconds())
-			}
-			if pt.eng.Recording() {
-				pt.eng.Emit(sim.TraceEvent{At: pt.eng.Now(), Ph: 'C', Comp: pt.comp, Cat: sim.CatQueue, Name: "queue", Arg: int64(pt.queue.Len())})
-			}
-			pt.cur, pt.sending = lc, true
-		}
-		if !pt.out.Link(pt.cur.lane).SendCont(pt.cur.c, pt.k) {
-			return
-		}
-		pt.cur.c, pt.sending = nil, false
-		pt.stats.Forwarded++
-	}
+	pt.settle(pt.eng.Now(), true)
+	return pt.vqLen - pt.vqPop
 }
 
 // SwitchStats aggregates counters across all ports. HighWater is the
@@ -237,10 +174,8 @@ type inPortVCI struct {
 	v  VCI
 }
 
-// NewSwitch creates a switch with nports ports, each on the machine
-// cfg.PerCellFabric selects. A per-cell port's egress arbiter is an
-// event continuation waiting on its queue from here on; no switch
-// starts a proc.
+// NewSwitch creates a switch with nports ports. Its forwarding runs in
+// link-delivery events; no switch starts a proc.
 func NewSwitch(e *sim.Engine, nports int, cfg SwitchConfig) *Switch {
 	if nports < 2 {
 		panic("atm: a switch needs at least 2 ports")
@@ -270,17 +205,10 @@ func NewSwitch(e *sim.Engine, nports int, cfg SwitchConfig) *Switch {
 		pt.out = NewStripeGroup(e, cfg.Width, outCfg)
 		in := i
 		pt.in.SetCellReceiver(func(c *Cell, lane int) { sw.forward(in, c, lane) })
-		if cfg.PerCellFabric {
-			pt.queue = sim.NewChan[laneCell](e, cfg.QueueCells)
-			pt.k = sim.Cont{Fn: arbiterStep, Arg: pt}
-			arbiterStep(pt)
-		} else {
-			// Capacity: the virtual queue holds at most QueueCells
-			// undequeued entries plus one dequeued-but-unaccepted
-			// straggler; headroom beyond that only guards the ring against
-			// a model bug.
-			pt.vq = make([]vPoint, cfg.QueueCells+8)
-		}
+		// Capacity: the virtual queue holds at most QueueCells
+		// undequeued entries plus one dequeued-but-unaccepted straggler;
+		// headroom beyond that only guards the ring against a model bug.
+		pt.vq = make([]vPoint, cfg.QueueCells+8)
 		sw.ports = append(sw.ports, pt)
 	}
 	return sw
@@ -337,11 +265,20 @@ func (sw *Switch) RouteFrom(in int, v VCI, out int) error {
 	return nil
 }
 
-// forward runs in link-delivery (event) context: look the cell's VCI up
-// and hand its record to the output port's machine, which admits or
-// drops it. An unrouted cell's record goes back to the store. It must
-// not block — exactly the discipline of the boards' own receive FIFOs.
+// forward runs in link-delivery (event) context: route the cell and
+// hand its record to the output port's virtual queue, which admits or
+// drops it. It must not block — exactly the discipline of the boards'
+// own receive FIFOs.
 func (sw *Switch) forward(inPort int, c *Cell, lane int) {
+	if op := sw.route(inPort, c); op != nil {
+		sw.trainForward(op, c, lane)
+	}
+}
+
+// route counts a cell arriving on input port inPort and looks its VCI
+// up: it returns the output port, or nil after dropping an unrouted
+// cell, whose record goes back to the store.
+func (sw *Switch) route(inPort int, c *Cell) *SwitchPort {
 	ip := sw.ports[inPort]
 	ip.stats.In++
 	out, ok := sw.routes[c.VCI]
@@ -356,21 +293,15 @@ func (sw *Switch) forward(inPort int, c *Cell, lane int) {
 			sw.eng.Emit(sim.TraceEvent{At: sw.eng.Now(), Ph: 'i', Comp: ip.comp, Cat: sim.CatDrop, Name: "no-route", Arg: int64(c.VCI)})
 		}
 		sw.cells.Put(c)
-		return
+		return nil
 	}
-	op := sw.ports[out]
-	if op.queue == nil {
-		sw.trainForward(op, c, lane)
-		return
-	}
-	if sw.admit(op, c, op.queue.Len()) {
-		op.queue.TrySend(laneCell{c: c, lane: lane, enq: sw.eng.Now()})
-	}
+	return sw.ports[out]
 }
 
-// admit is both machines' one admission rule: it decides the fate of a
-// cell arriving at output port op, whose queue holds occ cells, and
-// reports whether the cell enters. A full queue drops it, and its
+// admit is the switch's one admission rule, which the per-cell
+// reference machine (switch_ref_test.go) shares: it decides the fate
+// of a cell arriving at output port op, whose queue holds occ cells,
+// and reports whether the cell enters. A full queue drops it, and its
 // record goes back to the store. Otherwise it enters, CE-marked if occ
 // has reached MarkThreshold, and occ+1 is the new occupancy.
 func (sw *Switch) admit(op *SwitchPort, c *Cell, occ int) bool {
@@ -398,7 +329,8 @@ func (sw *Switch) admit(op *SwitchPort, c *Cell, occ int) bool {
 // event-driven cell, compute the cell's entire future arithmetically —
 // dequeue instant, link accept instant, delivery stamp — and hand it
 // to the egress link as a scheduled send. The recurrence mirrors the
-// per-cell machine exactly: the single egress arbiter pops the next
+// per-cell queue/arbiter machine kept as the reference in
+// switch_ref_test.go exactly: the single egress arbiter pops the next
 // cell as soon as it is both present (arrival a) and the arbiter is
 // free (previous accept u), so pop = max(u_prev, a); the link then
 // reports the accept instant for this cell.
@@ -410,15 +342,15 @@ func (sw *Switch) admit(op *SwitchPort, c *Cell, occ int) bool {
 // inequalities — a pop or accept stamped exactly now has not happened
 // yet — while settling after the run quiesces uses ≤.
 //
-// The port emits the per-cell machine's trace events: admit's at
+// The port emits the reference machine's trace events: admit's at
 // arrival, and each pop's queue counter when settle passes it — at the
 // next arrival, or when Stats or QueueLen settles the port at quiesce.
 // A trace read before that lacks the pops since the last arrival.
 func (sw *Switch) trainForward(op *SwitchPort, c *Cell, lane int) {
 	now := sw.eng.Now()
 	op.settle(now, false)
-	// The occupancy the per-cell machine would see, so the two fabrics
-	// drop and mark the same cells.
+	// The occupancy the reference machine's queue would hold, so the
+	// two drop and mark the same cells.
 	if !sw.admit(op, c, op.vqLen-op.vqPop) {
 		return
 	}

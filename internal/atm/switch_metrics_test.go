@@ -10,10 +10,10 @@ import (
 // TestSwitchForwardZeroAlloc pins the fan-in hot path: a cell crossing
 // the fabric (route lookup, fault check, bounded-queue entry) allocates
 // nothing — with the telemetry plane disabled AND enabled, under train
-// forwarding AND the forced per-cell machine. The enqueue
+// forwarding AND the per-cell reference machine. The enqueue
 // instrumentation is a nil-checked timestamp plus fixed-size counter
 // updates, so turning metrics on must not add a single allocation per
-// cell; and the per-cell fallback is the correctness oracle the train
+// cell; and the per-cell machine is the correctness oracle the train
 // path is diffed against, so it must stay alloc-free too. Each cell
 // takes a record from the engine's cell store, reserved to hold a full
 // queue, as a link delivery would hand it one.
@@ -21,7 +21,11 @@ func TestSwitchForwardZeroAlloc(t *testing.T) {
 	for _, perCell := range []bool{false, true} {
 		for _, on := range []bool{false, true} {
 			e := sim.NewEngine(7)
-			sw := NewSwitch(e, 2, SwitchConfig{PerCellFabric: perCell})
+			sw := NewSwitch(e, 2, SwitchConfig{})
+			forward := sw.forward
+			if perCell {
+				forward = perCellFabric(sw).forward
+			}
 			if on {
 				sw.RegisterMetrics(metrics.New(), "fabric")
 			}
@@ -32,7 +36,7 @@ func TestSwitchForwardZeroAlloc(t *testing.T) {
 			c := Cell{VCI: 5, Len: CellPayload}
 			// The queue fills after QueueCells iterations and later cells
 			// tail-drop; both the accept and drop paths must be alloc-free.
-			allocs := testing.AllocsPerRun(1000, func() { sw.forward(0, storeCell(e, c), 0) })
+			allocs := testing.AllocsPerRun(1000, func() { forward(0, storeCell(e, c), 0) })
 			if allocs != 0 {
 				t.Errorf("percell=%v metrics=%v: forward allocated %.1f per cell, want 0", perCell, on, allocs)
 			}

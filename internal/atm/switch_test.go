@@ -264,7 +264,7 @@ func TestSwitchPortPanicsOutOfRange(t *testing.T) {
 // TestSwitchDropEventsMatchStats is the fabric's drop-accounting
 // oracle: with a recorder attached, every queue-overflow and no-route
 // counted in a port's stats has exactly one typed drop event on that
-// port's track, on either machine.
+// port's track, on the switch and on the per-cell reference machine.
 func TestSwitchDropEventsMatchStats(t *testing.T) {
 	for _, perCell := range []bool{false, true} {
 		t.Run(fmt.Sprintf("percell=%v", perCell), func(t *testing.T) {
@@ -277,7 +277,10 @@ func TestSwitchDropEventsMatchStats(t *testing.T) {
 					drops[key{ev.Comp, ev.Name}]++
 				}
 			})
-			sw := NewSwitch(e, 3, SwitchConfig{QueueCells: 8, PerCellFabric: perCell})
+			sw := NewSwitch(e, 3, SwitchConfig{QueueCells: 8})
+			if perCell {
+				perCellFabric(sw)
+			}
 			if err := sw.Route(10, 2); err != nil {
 				t.Fatal(err)
 			}

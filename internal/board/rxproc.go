@@ -734,9 +734,11 @@ func (b *Board) abortCmd(ch *Channel, vci atm.VCI) *rxCmd {
 	return cmd
 }
 
-// putRxCmd clears a finished or abandoned command record and returns
-// it to the pool.
+// putRxCmd clears a finished or abandoned command record in place,
+// keeping its slices' storage, and returns it to the pool. (Assigning a
+// fresh record instead copies the whole struct per DMA command.)
 func (b *Board) putRxCmd(cmd *rxCmd) {
-	*cmd = rxCmd{segs: cmd.segs[:0], data: cmd.data[:0], pushes: cmd.pushes[:0]}
+	cmd.ch, cmd.combined = nil, false
+	cmd.segs, cmd.data, cmd.pushes = cmd.segs[:0], cmd.data[:0], cmd.pushes[:0]
 	b.rxCmdPool.Put(cmd)
 }

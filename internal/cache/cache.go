@@ -156,9 +156,6 @@ func (c *Cache) LineSize() int { return c.lineSize }
 // Size returns the total cache size in bytes.
 func (c *Cache) Size() int { return c.nLines * c.lineSize }
 
-// Policy returns the DMA coherence policy.
-func (c *Cache) Policy() CoherencePolicy { return c.policy }
-
 // Stats returns a copy of the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 

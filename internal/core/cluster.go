@@ -82,7 +82,6 @@ func NewCluster(opt Options, n int) *Cluster {
 		Link:          opt.Link,
 		QueueCells:    opt.FabricQueueCells,
 		MarkThreshold: opt.FabricMarkThreshold,
-		PerCellFabric: opt.PerCellFabric,
 	})
 	for i, nd := range cl.Nodes {
 		pt := cl.Fabric.Port(i)

@@ -82,10 +82,6 @@ type Options struct {
 	// bit set (atm.SwitchConfig.MarkThreshold). 0 (the default) disables
 	// marking. Ignored by the back-to-back testbed.
 	FabricMarkThreshold int
-	// PerCellFabric forces the switch's per-cell queue/arbiter machine
-	// instead of train forwarding (atm.SwitchConfig.PerCellFabric);
-	// results are byte-identical either way, and CI diffs the two.
-	PerCellFabric bool
 	// TxIsolated omits the links entirely and attaches a counting sink
 	// to host A's board — the Figure 4 transmit-side isolation
 	// (testbed only).

@@ -82,9 +82,6 @@ func NewIP(h *hostsim.Host, drv *driver.Driver, local HostAddr, mtu int) *IP {
 	return &IP{host: h, drv: drv, local: local, mtu: mtu}
 }
 
-// MTU returns the configured MTU.
-func (ip *IP) MTU() int { return ip.mtu }
-
 // Driver exposes the driver (for recovery hooks and tests).
 func (ip *IP) Driver() *driver.Driver { return ip.drv }
 

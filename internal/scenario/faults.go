@@ -20,7 +20,7 @@ type faultsReport struct {
 // timeouts, CRC check, duplicate filter, RDP backoff with a retry cap),
 // every rate over the fixed-timer and the adaptive transport. Each rate
 // is one job, named faults/rate=<r>. The loss sweep runs on its own
-// testbed, so PerCell and Telemetry do not reach it.
+// testbed, so Telemetry does not reach it.
 func faults(cfg Config) (Report, error) {
 	sweep := core.LossSweep{CorruptProb: 0.0005, DupProb: 0.0005, Rates: core.DefaultLossRates()}
 	if cfg.Quick {

@@ -34,9 +34,6 @@ type Config struct {
 	// Workers sizes the parexp pool that runs a scenario's independent
 	// jobs: 0 selects GOMAXPROCS, 1 runs them serially in order.
 	Workers int
-	// PerCell forces the switch's per-cell fabric instead of train
-	// forwarding (core.Options.PerCellFabric).
-	PerCell bool
 	// Telemetry attaches a fresh metrics registry to every simulated
 	// system built from Config (core.Options.Metrics), for checking
 	// that the telemetry plane does not perturb results.
@@ -111,7 +108,6 @@ func All() []Scenario {
 // base options. Call it once per simulated system: a metrics registry
 // serves one topology.
 func (c Config) options(o core.Options) core.Options {
-	o.PerCellFabric = c.PerCell
 	if c.Telemetry {
 		o.Metrics = metrics.New()
 	}

@@ -21,12 +21,14 @@ type cell struct {
 var serial = cell{"serial", Config{Quick: true, Workers: 1}}
 
 // matrix holds the cells run at GOMAXPROCS 2. Each differs from serial
-// in the worker count and GOMAXPROCS, and all but the first in one more
-// dimension. Every scenario's deterministic JSON must be byte-identical
-// across all of them and serial.
+// in the worker count and GOMAXPROCS, and the second also in the
+// telemetry plane. Every scenario's deterministic JSON must be
+// byte-identical across all of them and serial. The switch has one
+// machine, so the fabric mode is no dimension here: the per-cell
+// reference machine is diffed against it by FuzzSwitchTrain
+// (internal/atm).
 var matrix = []cell{
 	{"workers=4", Config{Quick: true, Workers: 4}},
-	{"percell", Config{Quick: true, Workers: 4, PerCell: true}},
 	{"telemetry", Config{Quick: true, Workers: 4, Telemetry: true}},
 }
 
@@ -44,12 +46,12 @@ var quickPinned = map[string]string{"incast": "testdata/incast_quick.json"}
 // TestScenarios runs every registered scenario at quick size, serially
 // at GOMAXPROCS 1 and then across the matrix at GOMAXPROCS 2: each
 // report must pass its scenario's Check, and its deterministic JSON
-// must not depend on GOMAXPROCS, the worker count, the fabric mode or
-// the telemetry plane. The serial cell's JSON of a quickPinned
+// must not depend on GOMAXPROCS, the worker count or the telemetry
+// plane. The serial cell's JSON of a quickPinned
 // scenario must match its committed file.
 func TestScenarios(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the whole registry five times")
+		t.Skip("runs the whole registry three times")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	all := All()
